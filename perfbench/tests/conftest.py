@@ -1,0 +1,7 @@
+"""Make the program (src/) and the benchmark modules importable in tests."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
