@@ -2,16 +2,15 @@
 
 from .errors import (InstanceValidationError, LipextError, ParameterError,
                      ScheduleTooShallow, TrivialInstance)
-from .metric import (MetricInstance, RadiusProfile, ball_members,
+from .metric import (MetricInstance, ball_lips, ball_members,
                      instance_from_arrays, lip_constant, lipa_profile,
-                     validate_instance)
+                     pair_ratios, validate_instance)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
-from .extension import (ExtensionField, PenalizationProfile, approx_slopes,
+from .extension import (ExtensionField, ProfileBank, approx_slopes,
                         build_penalization, build_profiles, cutoff_support,
-                        eval_pen, extend, extend_localized, mcshane_lower,
-                        mcshane_lower_many, mcshane_upper, mcshane_upper_many,
-                        schedule_for_instance, schedule_with_locality,
-                        truncate_bounded)
+                        eval_pen, extend, extend_localized, mcshane_lower_many,
+                        mcshane_upper_many, schedule_for_instance,
+                        schedule_with_locality, truncate_bounded)
 from .verification import (CheckResult, VerificationReport, check_global_lipschitz,
                            check_inf_family, check_locality_preservation,
                            check_restriction, check_step2, mcshane_comparison,
@@ -25,14 +24,13 @@ __version__ = "0.1.0"
 __all__ = [
     "LipextError", "InstanceValidationError", "ParameterError",
     "ScheduleTooShallow", "TrivialInstance",
-    "MetricInstance", "RadiusProfile", "validate_instance",
-    "instance_from_arrays", "lip_constant", "ball_members", "lipa_profile",
+    "MetricInstance", "validate_instance", "instance_from_arrays",
+    "pair_ratios", "ball_lips", "lip_constant", "ball_members", "lipa_profile",
     "ScaleSchedule", "build_schedule", "locality_radius",
-    "PenalizationProfile", "ExtensionField", "approx_slopes",
+    "ProfileBank", "ExtensionField", "approx_slopes",
     "build_penalization", "build_profiles", "eval_pen", "extend",
-    "extend_localized", "mcshane_upper", "mcshane_lower",
-    "mcshane_upper_many", "mcshane_lower_many", "truncate_bounded",
-    "cutoff_support", "schedule_for_instance", "schedule_with_locality",
+    "extend_localized", "mcshane_upper_many", "mcshane_lower_many",
+    "truncate_bounded", "cutoff_support", "schedule_for_instance", "schedule_with_locality",
     "CheckResult", "VerificationReport", "check_restriction",
     "check_global_lipschitz", "check_step2", "check_locality_preservation",
     "check_inf_family", "mcshane_comparison", "run_suite",

@@ -3,14 +3,14 @@
 Exit codes: 0 success, 1 input or parameter error, 2 property-check failure.
 All reports are JSON; numbers pass through Python's shortest round-trip float
 formatting, so identical inputs, flags and seed give byte-identical outputs.
-``LIPEXT_THREADS`` caps internal parallel query evaluation (default 1).
+An input that cannot be read or decoded and an output that cannot be written
+end in exit 1 with a JSON error, like any other input or parameter error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -18,8 +18,9 @@ import numpy as np
 from .errors import (InstanceValidationError, LipextError, ParameterError,
                      ScheduleTooShallow, TrivialInstance)
 from .metric import MetricInstance, instance_from_arrays, validate_instance
-from .extension import (cutoff_support, extend, schedule_for_instance,
-                        schedule_with_locality, truncate_bounded)
+from .extension import (cutoff_support, extend, mcshane_upper_many,
+                        schedule_for_instance, schedule_with_locality,
+                        truncate_bounded)
 from .verification import (check_locality_preservation, mcshane_comparison,
                            run_suite)
 from .energy import (check_extension_energy, check_restriction_monotonicity,
@@ -40,8 +41,11 @@ def _emit(doc: dict, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write output: {exc}") from exc
 
 
 def _fail(payload: dict) -> int:
@@ -50,16 +54,13 @@ def _fail(payload: dict) -> int:
 
 
 def _load_raw(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _threads() -> int:
-    raw = os.environ.get("LIPEXT_THREADS", "1")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read input: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"input is not valid JSON: {exc}") from exc
 
 
 def _parse_queries(instance: MetricInstance, spec: str | None) -> np.ndarray:
@@ -114,7 +115,7 @@ def cmd_extend(args) -> int:
     schedule = None
     if instance.lipschitz_computed > 0.0:
         schedule = schedule_for_instance(instance, build_eps, queries, args.anchor)
-    field = extend(instance, schedule, queries, threads=_threads())
+    field = extend(instance, schedule, queries)
     if args.bounded is not None:
         field = truncate_bounded(field, args.bounded)
     if args.cutoff:
@@ -138,8 +139,7 @@ def cmd_extend(args) -> int:
 def cmd_verify(args) -> int:
     instance = validate_instance(_load_raw(args.input))
     report = run_suite(instance, args.epsilon, xi=args.xi, r_bar=args.rbar,
-                       seed=args.seed, threads=_threads(),
-                       _corrupt_field=args.inject_corruption)
+                       seed=args.seed, _corrupt_field=args.inject_corruption)
     _emit(report.to_json(), args.output)
     return 0 if report.passed else 2
 
@@ -150,7 +150,6 @@ def cmd_energy(args) -> int:
     radii = _parse_radii(args.radii)
     measure = validate_measure(instance, raw.get("masses"), args.p)
 
-    from .extension import mcshane_upper_many
     h = mcshane_upper_many(instance, instance.lipschitz_L,
                            np.arange(instance.n, dtype=np.intp))
     mono_check, reports = check_restriction_monotonicity(instance, h, measure, radii)
@@ -193,7 +192,7 @@ def cmd_demo_counterexample(args) -> int:
     instance = grid_instance(args.n)
     r_bar = 0.5
     schedule, k, r = schedule_with_locality(instance, args.epsilon, r_bar, args.xi)
-    field = extend(instance, schedule, threads=_threads())
+    field = extend(instance, schedule)
     radii = _demo_radii(args.n)
     frag = mcshane_comparison(instance, radii, args.epsilon, field=field,
                               centers=[0, args.n - 1])
@@ -282,10 +281,6 @@ def main(argv=None) -> int:
                       "required_span_high": exc.required_span_high})
     except (ParameterError, TrivialInstance) as exc:
         return _fail({"error": str(exc)})
-    except FileNotFoundError as exc:
-        return _fail({"error": f"cannot read input: {exc}"})
-    except json.JSONDecodeError as exc:
-        return _fail({"error": f"input is not valid JSON: {exc}"})
 
 
 if __name__ == "__main__":

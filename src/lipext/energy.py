@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceValidationError, ParameterError
-from .metric import MetricInstance, ball_members, lip_constant
+from .metric import MetricInstance, ball_lips, pair_ratios
 from .schedule import locality_radius
 from .verification import INEQ_RTOL, CheckResult
 from .extension import extend, schedule_with_locality
@@ -111,13 +111,9 @@ def energy(instance: MetricInstance, domain, values, measure: MeasureData,
     dset = set(domain.tolist())
     if not all(int(i) in dset for i in support):
         raise ParameterError("domain must contain the measure support")
-    order = np.argsort(domain, kind="stable")
-    sorted_dom, sorted_vals = domain[order], values[order]
-    lips = np.empty(len(support))
-    for j, x in enumerate(support):
-        ball = ball_members(instance, int(x), r, domain)
-        sel = np.searchsorted(sorted_dom, ball)
-        lips[j] = lip_constant(instance, sorted_vals[sel], ball)
+    ratios = pair_ratios(instance, domain, values)
+    lips = np.array([ball_lips(ratios, d_row, [r])[0]
+                     for d_row in instance.distances(support, domain)])
     contrib = measure.masses[support] * lips ** measure.p
     return EnergySide(radius=float(r), total=float(contrib.sum()), support=support,
                       lips=lips, contributions=contrib)
@@ -191,14 +187,13 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     rows = []
     worst_gap = -math.inf
     worst_wit: dict = {}
-    for rb in radii_bar:
+    ratios_g = pair_ratios(instance, instance.subset, instance.values)
+    lips_g_all = np.array([ball_lips(ratios_g, d_row, radii_bar) for d_row in
+                           instance.distances(support, instance.subset)])
+    for rb, lips_g in zip(radii_bar, lips_g_all.T):
         r = float(rb) if schedule is None else locality_radius(
             schedule, float(rb), xi, L)[1]
-        e_f = energy(instance, allpts, _field_on_all(field, instance.n), measure, r)
-        lips_g = np.empty(len(support))
-        for j, x in enumerate(support):
-            cball = ball_members(instance, int(x), float(rb), instance.subset)
-            lips_g[j] = lip_constant(instance, instance.g_at(cball), cball)
+        e_f = energy(instance, allpts, field.values, measure, r)
         point_gap = e_f.lips - (lips_g + xi)
         bound_total = float((measure.masses[support] * (lips_g + xi) ** measure.p).sum())
         agg_gap = e_f.total - bound_total
@@ -220,9 +215,3 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
                         note="integrand-level verification")
     return check, {"xi": float(xi), "epsilon": float(epsilon),
                    "p": measure.p, "rows": rows}
-
-
-def _field_on_all(field, n: int) -> np.ndarray:
-    vals = np.empty(n)
-    vals[field.queries] = field.values
-    return vals

@@ -22,33 +22,45 @@ below the untruncated function), so all lower-bound inequalities survive.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, TrivialInstance
-from .metric import MetricInstance, lip_constant
+from .metric import MetricInstance, ball_lips, pair_ratios
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
 
 @dataclass
-class PenalizationProfile:
-    """Piecewise-linear convex penalization for one anchor.
+class ProfileBank:
+    """Convex piecewise-linear penalizations of several anchors on one breakpoint grid.
 
-    ``slopes[i]`` applies on ``(breakpoints[i], breakpoints[i+1])``;
-    ``base_slope`` on ``(0, breakpoints[0]]``; ``tail_slope`` beyond the last
-    breakpoint.  ``cumulative[i]`` is the function value at ``breakpoints[i]``
-    (exact prefix sums, so evaluation is continuous at every breakpoint).
+    Row ``i`` belongs to point ``anchors[i]``.  With ``m`` breakpoints the
+    distance axis splits into ``m + 1`` regions: ``(0, breakpoints[0]]``, the
+    bands ``(breakpoints[j-1], breakpoints[j])`` and the tail beyond the last
+    breakpoint.  ``slopes[i, j]`` is row ``i``'s slope on region ``j`` (base,
+    band slopes, tail) and ``cumulative[i, j]`` its value at the region's left
+    edge (0 at distance 0; exact prefix sums, so evaluation is continuous at
+    every breakpoint).
     """
 
-    anchor: int
-    breakpoints: np.ndarray
-    slopes: np.ndarray
-    base_slope: float
-    tail_slope: float
-    cumulative: np.ndarray
+    anchors: np.ndarray         # (rows,) point indices
+    breakpoints: np.ndarray     # (m,) shared by every row
+    slopes: np.ndarray          # (rows, m+1)
+    cumulative: np.ndarray      # (rows, m+1)
+
+    def rows(self, pos) -> ProfileBank:
+        """The sub-bank of the given row positions, in that order."""
+        return ProfileBank(self.anchors[pos], self.breakpoints,
+                           self.slopes[pos], self.cumulative[pos])
+
+    def pen(self, T: np.ndarray) -> np.ndarray:
+        """Evaluate row ``i`` at every distance in ``T[i]``; ``T`` has shape (rows, nq)."""
+        J = np.searchsorted(self.breakpoints, T, side="left")
+        left = np.concatenate(([0.0], self.breakpoints))
+        rows = np.arange(T.shape[0])[:, None]
+        return self.cumulative[rows, J] + self.slopes[rows, J] * (T - left[J])
 
 
 @dataclass
@@ -90,27 +102,6 @@ class ExtensionField:
 # slopes and profiles
 
 
-def _pair_ratio_matrix(instance: MetricInstance) -> np.ndarray:
-    dd = instance.distances(instance.subset, instance.subset)
-    gaps = np.abs(instance.values[:, None] - instance.values[None, :])
-    return gaps / np.where(dd > 0, dd, np.inf)
-
-
-def _slopes_for_anchor(d_row: np.ndarray, ratios: np.ndarray,
-                       radii: np.ndarray) -> np.ndarray:
-    """Lipschitz constant of g over the subset ball at each radius (open balls)."""
-    order = np.argsort(d_row, kind="stable")
-    sorted_d = d_row[order]
-    prefix = np.zeros(len(d_row) + 1)
-    running = 0.0
-    for c in range(2, len(d_row) + 1):
-        p = order[c - 1]
-        running = max(running, float(np.max(ratios[p, order[: c - 1]])))
-        prefix[c] = running
-    counts = np.searchsorted(sorted_d, radii, side="left")
-    return prefix[counts]
-
-
 def _slope_radii(schedule: ScaleSchedule) -> np.ndarray:
     """Ball radii eps_k for k in [k_min, k_max + 1] (top one extended virtually)."""
     return np.append(schedule.eps, schedule.virtual_eps(schedule.k_max + 1))
@@ -123,105 +114,68 @@ def approx_slopes(instance: MetricInstance, x: int,
     Covers k in [k_min, k_max + 1]; non-decreasing in k, zero once the ball
     holds only ``x`` and equal to Lip(g, C) once the ball holds all of C.
     """
-    pos = instance.subset_positions()[x]
-    if pos < 0:
+    if instance.subset_positions()[x] < 0:
         raise ParameterError(f"anchor {x} is not in the subset")
-    d_row = instance.distances(instance.subset, [x])[:, 0]
-    vals = _slopes_for_anchor(d_row, _pair_ratio_matrix(instance), _slope_radii(schedule))
+    vals = ball_lips(pair_ratios(instance, instance.subset, instance.values),
+                     instance.distances(instance.subset, [x])[:, 0],
+                     _slope_radii(schedule))
     return {k: float(vals[i]) for i, k in
             enumerate(range(schedule.k_min, schedule.k_max + 2))}
 
 
+def _bank(anchors: np.ndarray, S: np.ndarray, schedule: ScaleSchedule,
+          L: float) -> ProfileBank:
+    """Rows from slope maps: ``S[i, j]`` is anchor ``i``'s ``S_k`` at ``k = k_min + 2 + j``."""
+    bands = S + (3.0 * L) * schedule.ratio      # ratio[j] = r_{k_min + 1 + j}
+    tail = S[:, -1:] + (3.0 * L) * schedule.r_star
+    slopes = np.concatenate([bands[:, :1], bands, tail], axis=1)
+    if np.any(np.diff(slopes, axis=1) < 0) or np.any(slopes < 0):
+        raise ParameterError("slope map is not non-decreasing within bounds")
+    cumulative = np.zeros_like(slopes)
+    # add.accumulate runs left to right: the same prefix sums as a loop.
+    np.cumsum(slopes[:, :-1] * np.diff(schedule.eps, prepend=0.0), axis=1,
+              out=cumulative[:, 1:])
+    return ProfileBank(anchors=np.asarray(anchors, dtype=np.intp),
+                       breakpoints=schedule.eps, slopes=slopes, cumulative=cumulative)
+
+
 def build_penalization(S: Mapping[int, float], schedule: ScaleSchedule,
-                       L: float, anchor: int = -1) -> PenalizationProfile:
-    """Assemble the convex profile from a slope map over the schedule's range.
+                       L: float, anchor: int = -1) -> ProfileBank:
+    """Assemble the convex profile of one anchor as a one-row bank.
 
     The band ``(eps_{k-2}, eps_{k-1})`` carries ``S_k + 3 L r_{k-1}``; the base
     slope (truncated scales near 0) repeats the first band's slope; the tail
     slope is the top slope saturated at the full-subset constant plus
     ``3 L r_star``.
     """
-    k_min, k_max = schedule.k_min, schedule.k_max
     try:
-        s_arr = np.array([S[k] for k in range(k_min + 2, k_max + 2)], dtype=float)
+        s_arr = np.array([S[k] for k in range(schedule.k_min + 2, schedule.k_max + 2)],
+                         dtype=float)
     except KeyError as exc:
         raise ParameterError(f"slope map missing index {exc}") from exc
-    r_arr = np.array([schedule.ratio_at(k) for k in range(k_min + 1, k_max + 1)])
-    slopes = s_arr + (3.0 * L) * r_arr
-    base = float(slopes[0])
-    tail = float(s_arr[-1] + (3.0 * L) * schedule.r_star)
-    bp = np.array(schedule.eps, dtype=float)
-    cum = np.empty_like(bp)
-    cum[0] = base * bp[0]
-    for j in range(1, len(bp)):
-        cum[j] = cum[j - 1] + slopes[j - 1] * (bp[j] - bp[j - 1])
-    if np.any(np.diff(slopes) < 0) or slopes[-1] > tail or np.any(slopes < 0):
-        raise ParameterError("slope map is not non-decreasing within bounds")
-    return PenalizationProfile(anchor=int(anchor), breakpoints=bp, slopes=slopes,
-                               base_slope=base, tail_slope=tail, cumulative=cum)
+    return _bank(np.array([anchor]), s_arr[None, :], schedule, L)
 
 
-def build_profiles(instance: MetricInstance,
-                   schedule: ScaleSchedule) -> list[PenalizationProfile]:
-    """One profile per anchor; the pair-ratio matrix is shared across anchors."""
-    ratios = _pair_ratio_matrix(instance)
+def build_profiles(instance: MetricInstance, schedule: ScaleSchedule) -> ProfileBank:
+    """The bank of every anchor, row ``i`` for ``subset[i]``."""
+    ratios = pair_ratios(instance, instance.subset, instance.values)
     radii = _slope_radii(schedule)
     d_all = instance.distances(instance.subset, instance.subset)
-    out = []
-    for pos, x in enumerate(instance.subset):
-        vals = _slopes_for_anchor(d_all[:, pos], ratios, radii)
-        smap = {k: float(vals[i]) for i, k in
-                enumerate(range(schedule.k_min, schedule.k_max + 2))}
-        out.append(build_penalization(smap, schedule, instance.lipschitz_L, anchor=int(x)))
-    return out
+    S = np.array([ball_lips(ratios, row, radii) for row in d_all])
+    return _bank(instance.subset, S[:, 2:], schedule, instance.lipschitz_L)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-@dataclass
-class _ProfileStack:
-    bp: np.ndarray          # (m,) shared breakpoints
-    left: np.ndarray        # (m+1,) region left edges: 0, bp...
-    slopes_ext: np.ndarray  # (nc, m+1) base, interval slopes, tail
-    cum_ext: np.ndarray     # (nc, m+1) value at each region's left edge
-
-
-def _stack_profiles(profiles: list[PenalizationProfile]) -> _ProfileStack:
-    bp = profiles[0].breakpoints
-    nc, m = len(profiles), len(bp)
-    slopes_ext = np.empty((nc, m + 1))
-    cum_ext = np.zeros((nc, m + 1))
-    for i, p in enumerate(profiles):
-        if p.breakpoints.shape != bp.shape or not np.array_equal(p.breakpoints, bp):
-            raise ParameterError("profiles must share one breakpoint grid")
-        slopes_ext[i, 0] = p.base_slope
-        slopes_ext[i, 1:m] = p.slopes
-        slopes_ext[i, m] = p.tail_slope
-        cum_ext[i, 1:] = p.cumulative
-    left = np.concatenate(([0.0], bp))
-    return _ProfileStack(bp=bp, left=left, slopes_ext=slopes_ext, cum_ext=cum_ext)
-
-
-def _pen_matrix(stack: _ProfileStack, T: np.ndarray) -> np.ndarray:
-    """Evaluate every profile at its row of distances.  T has shape (nc, nq)."""
-    J = np.searchsorted(stack.bp, T, side="left")
-    rows = np.arange(T.shape[0])[:, None]
-    return stack.cum_ext[rows, J] + stack.slopes_ext[rows, J] * (T - stack.left[J])
-
-
-def eval_pen(profile: PenalizationProfile, t: float) -> float:
-    """Exact piecewise-linear evaluation; pen(0) = 0, monotone and convex."""
+def eval_pen(profile: ProfileBank, t: float) -> float:
+    """Exact piecewise-linear evaluation of a one-row bank; pen(0) = 0, monotone and convex."""
     if not (t >= 0 and math.isfinite(t)):
         raise ParameterError("pen argument must be a finite nonnegative real")
-    bp = profile.breakpoints
-    j = int(np.searchsorted(bp, t, side="left"))
-    if j == 0:
-        return float(profile.base_slope * (t - 0.0))
-    if j == len(bp):
-        return float(profile.cumulative[-1] + profile.tail_slope * (t - bp[-1]))
-    return float(profile.cumulative[j - 1] + profile.slopes[j - 1] * (t - bp[j - 1]))
+    if len(profile.anchors) != 1:
+        raise ParameterError("eval_pen evaluates a one-row bank; use rows(pos)")
+    return float(profile.pen(np.array([[t]]))[0, 0])
 
 
 def _argmin_lowest(phi: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,16 +184,6 @@ def _argmin_lowest(phi: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.
     sentinel = np.iinfo(np.intp).max
     anchors = np.where(phi == best[None, :], subset[:, None], sentinel).min(axis=0)
     return best, anchors.astype(np.intp)
-
-
-def mcshane_upper(instance: MetricInstance, l_prime: float, y: int) -> float:
-    """Upper envelope min over anchors of g(x) + l_prime * d(x, y)."""
-    return float(mcshane_upper_many(instance, l_prime, [y])[0])
-
-
-def mcshane_lower(instance: MetricInstance, l_prime: float, y: int) -> float:
-    """Lower envelope max over anchors of g(x) - l_prime * d(x, y)."""
-    return float(mcshane_lower_many(instance, l_prime, [y])[0])
 
 
 def _check_envelope_budget(instance: MetricInstance, l_prime: float) -> None:
@@ -288,8 +232,7 @@ def _as_query_array(instance: MetricInstance, queries) -> np.ndarray:
 
 
 def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
-           queries=None, profiles: list[PenalizationProfile] | None = None,
-           threads: int = 1) -> ExtensionField:
+           queries=None, profiles: ProfileBank | None = None) -> ExtensionField:
     """Evaluate the penalized infimal envelope on the query indices.
 
     Restriction to the subset is exact (the anchor at the query attains the
@@ -311,28 +254,11 @@ def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
             required_span_high=2.0 * dmax)
     if profiles is None:
         profiles = build_profiles(instance, schedule)
-    stack = _stack_profiles(profiles)
-
-    nq = len(queries)
-    values = np.empty(nq)
-    anchors = np.empty(nq, dtype=np.intp)
-
-    def _eval_block(lo: int, hi: int) -> None:
-        phi = instance.values[:, None] + _pen_matrix(stack, T[:, lo:hi])
-        values[lo:hi], anchors[lo:hi] = _argmin_lowest(phi, instance.subset)
-
-    threads = max(1, int(threads))
-    if threads == 1 or nq < 2 * threads:
-        _eval_block(0, nq)
-    else:
-        step = -(-nq // threads)
-        blocks = [(lo, min(lo + step, nq)) for lo in range(0, nq, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: _eval_block(*b), blocks))
-
+    phi = instance.values[:, None] + profiles.pen(T)
+    values, anchors = _argmin_lowest(phi, instance.subset)
     return ExtensionField(queries=queries, values=values, anchors=anchors,
-                          localization=["full"] * nq, epsilon=schedule.eps_eff,
-                          schedule=schedule,
+                          localization=["full"] * len(queries),
+                          epsilon=schedule.eps_eff, schedule=schedule,
                           g_abs_max=float(np.max(np.abs(instance.values))))
 
 
@@ -345,7 +271,7 @@ def localization_index(schedule: ScaleSchedule, d_y_xbar: float) -> int | None:
 
 def extend_localized(instance: MetricInstance, schedule: ScaleSchedule,
                      y: int, xbar: int,
-                     profiles: list[PenalizationProfile] | None = None,
+                     profiles: ProfileBank | None = None,
                      detail: bool = False):
     """Evaluate f(y) over anchors in the open eps_k-ball at ``xbar`` only.
 
@@ -374,9 +300,8 @@ def extend_localized(instance: MetricInstance, schedule: ScaleSchedule,
 
     d_to_xbar = instance.distances(instance.subset, [xbar])[:, 0]
     pos = np.flatnonzero(d_to_xbar < schedule.eps_at(k))
-    stack = _stack_profiles([profiles[p] for p in pos])
     T = instance.distances(instance.subset[pos], queries)
-    phi = instance.values[pos][:, None] + _pen_matrix(stack, T)
+    phi = instance.values[pos][:, None] + profiles.rows(pos).pen(T)
     value_arr, anchor_arr = _argmin_lowest(phi, instance.subset[pos])
     info = {"localization": {"k": k, "xbar": int(xbar)},
             "members": instance.subset[pos].tolist(),

@@ -84,36 +84,10 @@ class MetricInstance:
             raise ParameterError("values requested at indices outside the subset")
         return self.values[pos]
 
-    def value_scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.values))))
-
     def check_scale(self) -> float:
         """Scale used by relative tolerances in inequality checks."""
         return max(1.0, float(np.max(np.abs(self.values))),
                    self.lipschitz_L * self.diameter())
-
-
-@dataclass
-class RadiusProfile:
-    """Lipschitz constants of one function on growing open balls around a center.
-
-    The finite surrogate of the shrinking-ball slope limit: entry ``j`` is the
-    constant on the ball of radius ``radii[j]``; on a finite space the limit
-    value is the entry at the smallest radius capturing at least two points.
-    """
-
-    radii: np.ndarray
-    constants: np.ndarray
-
-    def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        self.constants = np.asarray(self.constants, dtype=float)
-        if self.radii.ndim != 1 or len(self.radii) != len(self.constants):
-            raise ParameterError("radii/constants must be 1-D and the same length")
-        if len(self.radii) and (np.any(self.radii <= 0) or np.any(np.diff(self.radii) <= 0)):
-            raise ParameterError("radii must be strictly increasing and positive")
-        if np.any(np.diff(self.constants) < 0):
-            raise ParameterError("constants must be non-decreasing in the radius")
 
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
@@ -179,6 +153,11 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
         n = dmatrix.shape[0]
         dmatrix.setflags(write=False)
 
+    # Reject non-integer entries outright: the intp conversion below would
+    # truncate 0.9 to 0 and read True as 1.
+    for pos, entry in enumerate(np.asarray(subset, dtype=object).ravel()):
+        if isinstance(entry, (bool, np.bool_)) or not isinstance(entry, (int, np.integer)):
+            _err("subset entries must be integers", "subset", position=pos)
     subset = np.array(subset, dtype=np.intp)
     if subset.ndim != 1 or len(subset) == 0:
         _err("subset must be a non-empty index list", "subset")
@@ -264,6 +243,37 @@ def validate_instance(raw: Mapping) -> MetricInstance:
         raise InstanceValidationError(f"malformed field: {exc}", "root") from exc
 
 
+def pair_ratios(instance: MetricInstance, members, values) -> np.ndarray:
+    """Matrix of ``|v_i - v_j| / d(m_i, m_j)`` over ``members``, 0 on the diagonal.
+
+    :func:`lip_constant` and every ball-slope profile (:func:`ball_lips`) are
+    maxima over entries of this matrix.
+    """
+    members = np.asarray(members, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    dist = instance.distances(members, members)
+    gaps = np.abs(values[:, None] - values[None, :])
+    return np.divide(gaps, dist, out=gaps, where=dist > 0)
+
+
+def ball_lips(ratios: np.ndarray, d_row: np.ndarray, radii) -> np.ndarray:
+    """Lipschitz constants over the OPEN balls ``{i : d_row[i] < r}``, one per radius.
+
+    ``ratios`` is a :func:`pair_ratios` matrix over the points whose distances
+    to the center are ``d_row``.  Points enter the ball in stable distance
+    order and a tie at ``r`` stays outside.  The constant of a ball holding
+    ``c`` points is the running maximum, over the first ``c`` points, of each
+    point's largest ratio to the points before it.
+    """
+    order = np.argsort(d_row, kind="stable")
+    counts = np.searchsorted(d_row[order], radii, side="left")
+    inner = order[:counts.max(initial=0)]
+    block = ratios[np.ix_(inner, inner)]
+    prefix = np.zeros(len(inner) + 1)
+    prefix[1:] = np.maximum.accumulate(np.tril(block, k=-1).max(axis=1, initial=0.0))
+    return prefix[counts]
+
+
 def lip_constant(instance: MetricInstance, values, members) -> float:
     """Lipschitz constant of ``values`` over the index set ``members``.
 
@@ -276,13 +286,7 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
         raise ParameterError("values must align with the member index list")
     if len(np.unique(members)) != len(members):
         raise ParameterError("member indices must be distinct")
-    m = len(members)
-    if m <= 1:
-        return 0.0
-    dist = instance.distances(members, members)
-    gaps = np.abs(values[:, None] - values[None, :])
-    iu = np.triu_indices(m, k=1)
-    return float(np.max(gaps[iu] / dist[iu]))
+    return float(pair_ratios(instance, members, values).max(initial=0.0))
 
 
 def ball_members(instance: MetricInstance, center: int, r: float, within) -> np.ndarray:
@@ -295,34 +299,28 @@ def ball_members(instance: MetricInstance, center: int, r: float, within) -> np.
     return within[d < r]
 
 
-def lipa_profile(instance: MetricInstance, domain, values, center: int, radii) -> RadiusProfile:
+def _check_radii(radii) -> np.ndarray:
+    """``radii`` as a float array; raises unless strictly increasing and positive."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
+        raise ParameterError("radii must be strictly increasing and positive")
+    return radii
+
+
+def lipa_profile(instance: MetricInstance, domain, values, center: int, radii) -> np.ndarray:
     """Lipschitz constants of ``values`` on ``domain`` over growing balls at ``center``.
 
-    ``radii`` must be strictly increasing and positive; ``center`` must belong
-    to ``domain``.  Entries are non-decreasing because the balls are nested.
+    The finite surrogate of the shrinking-ball slope limit: entry ``j`` is the
+    constant on the open ball of radius ``radii[j]``.  ``radii`` must be
+    strictly increasing and positive; ``center`` must belong to ``domain``.
+    Entries are non-decreasing because the balls are nested.
     """
     domain = np.asarray(domain, dtype=np.intp)
     values = np.asarray(values, dtype=float)
-    radii = np.asarray(radii, dtype=float)
     if values.shape != domain.shape:
         raise ParameterError("values must align with the domain index list")
     if center not in domain:
         raise ParameterError("center must belong to the domain")
-    if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ParameterError("radii must be strictly increasing and positive")
-
-    d = instance.distance_matrix()[center, domain]
-    order = np.argsort(d, kind="stable")
-    sorted_d = d[order]
-    # Incremental max over pair ratios as the ball swallows points in distance order.
-    dd = instance.distances(domain, domain)
-    ratios = np.abs(values[:, None] - values[None, :]) / np.where(dd > 0, dd, np.inf)
-    prefix = np.zeros(len(domain) + 1)
-    running = 0.0
-    for c in range(1, len(domain) + 1):
-        p = order[c - 1]
-        if c >= 2:
-            running = max(running, float(np.max(ratios[p, order[: c - 1]])))
-        prefix[c] = running
-    counts = np.searchsorted(sorted_d, radii, side="left")
-    return RadiusProfile(radii=radii, constants=prefix[counts])
+    radii = _check_radii(radii)
+    return ball_lips(pair_ratios(instance, domain, values),
+                     instance.distance_matrix()[center, domain], radii)

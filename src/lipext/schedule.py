@@ -85,13 +85,6 @@ class ScaleSchedule:
                 return 0.0
         return e
 
-    def bracket(self, d: float) -> int | None:
-        """Index k with eps_{k-1} <= d < eps_k, or None outside the stored range."""
-        i = int(np.searchsorted(self.eps, d, side="right"))
-        if 1 <= i <= len(self.eps) - 1:
-            return self.k_min + i
-        return None
-
     @property
     def schedule_id(self) -> str:
         return (f"L={self.L_eff!r};eps={self.eps_eff!r};anchor={self.anchor!r};"

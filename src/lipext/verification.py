@@ -11,17 +11,18 @@ sampled passes are labeled as statistical in the result note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .errors import ParameterError
-from .metric import MetricInstance, ball_members, lip_constant, lipa_profile
+from .metric import (MetricInstance, _check_radii, ball_lips, ball_members,
+                     lip_constant, pair_ratios)
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (ExtensionField, PenalizationProfile, _pen_matrix,
-                        _stack_profiles, build_profiles, eval_pen, extend,
+from .extension import (ExtensionField, ProfileBank, build_profiles, extend,
                         extend_localized, mcshane_upper_many,
-                        mcshane_lower_many, schedule_with_locality)
+                        mcshane_lower_many, schedule_for_instance,
+                        schedule_with_locality)
 
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
@@ -150,13 +151,13 @@ def check_envelope_sandwich(field: ExtensionField, instance: MetricInstance,
                        tolerance=tol, witness=witness)
 
 
-def check_step2(instance: MetricInstance, profiles: list[PenalizationProfile],
+def check_step2(instance: MetricInstance, profiles: ProfileBank,
                 schedule: ScaleSchedule) -> CheckResult:
     """phi_x(y) >= g(y) + eps_{k-2} L for subset pairs with d(x, y) in the k-bracket."""
     g = instance.values
     L = instance.lipschitz_L
     T = instance.distances(instance.subset, instance.subset)
-    phi = g[:, None] + _pen_matrix(_stack_profiles(profiles), T)
+    phi = g[:, None] + profiles.pen(T)
     J = np.searchsorted(schedule.eps, T, side="right")
     valid = (J >= 2) & (J <= len(schedule.eps) - 1) & (T > 0)
     if not np.any(valid):
@@ -179,26 +180,25 @@ def check_step2(instance: MetricInstance, profiles: list[PenalizationProfile],
                        allowed=-tol, tolerance=tol, witness=witness, note=note)
 
 
-def check_profile_legality(profiles: list[PenalizationProfile],
+def check_profile_legality(profiles: ProfileBank,
                            schedule: ScaleSchedule) -> CheckResult:
     """Convexity, slope bounds, pen(0) = 0 and exact breakpoint continuity."""
     cap = schedule.L_eff + schedule.eps_eff
-    for p in profiles:
-        ok = (np.all(np.diff(p.slopes) >= 0)
-              and p.base_slope <= p.slopes[0]
-              and p.slopes[-1] <= p.tail_slope
-              and np.all(p.slopes >= 0) and np.all(p.slopes <= cap)
-              and 0.0 <= p.base_slope and p.tail_slope <= cap
-              and eval_pen(p, 0.0) == 0.0
-              and p.cumulative[0] == p.base_slope * p.breakpoints[0]
-              and all(eval_pen(p, float(b)) == float(c)
-                      for b, c in zip(p.breakpoints, p.cumulative)))
-        if not ok:
-            return CheckResult(
-                "profile_legality", "fail", measured=float(np.max(p.slopes)),
-                allowed=cap, witness={"anchor": int(p.anchor)})
+    slopes, bp = profiles.slopes, profiles.breakpoints
+    rows = len(profiles.anchors)
+    at_bp = profiles.pen(np.broadcast_to(bp, (rows, len(bp))))
+    ok = (np.all(np.diff(slopes, axis=1) >= 0, axis=1)
+          & np.all((slopes >= 0) & (slopes <= cap), axis=1)
+          & (profiles.pen(np.zeros((rows, 1)))[:, 0] == 0.0)
+          & (profiles.cumulative[:, 1] == slopes[:, 0] * bp[0])
+          & np.all(at_bp == profiles.cumulative[:, 1:], axis=1))
+    if not np.all(ok):
+        bad = int(np.argmin(ok))
+        return CheckResult(
+            "profile_legality", "fail", measured=float(np.max(slopes[bad, 1:-1])),
+            allowed=cap, witness={"anchor": int(profiles.anchors[bad])})
     return CheckResult("profile_legality", "pass", allowed=cap,
-                       note=f"{len(profiles)} profiles, cap L+eps = {cap!r}")
+                       note=f"{rows} profiles, cap L+eps = {cap!r}")
 
 
 def check_schedule_laws(schedule: ScaleSchedule, epsilon: float) -> CheckResult:
@@ -225,7 +225,7 @@ def check_schedule_laws(schedule: ScaleSchedule, epsilon: float) -> CheckResult:
 
 def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
                        field: ExtensionField,
-                       profiles: list[PenalizationProfile]) -> CheckResult:
+                       profiles: ProfileBank) -> CheckResult:
     """Localized evaluation equals the full infimum bitwise on every query.
 
     Also verifies the exclusion margin: anchors outside the localization ball
@@ -234,7 +234,7 @@ def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
     L = instance.lipschitz_L
     tol = _ineq_tol(instance)
     T = instance.distances(instance.subset, field.queries)
-    phi = instance.values[:, None] + _pen_matrix(_stack_profiles(profiles), T)
+    phi = instance.values[:, None] + profiles.pen(T)
     d_xbar = instance.distance_matrix()[np.ix_(instance.subset, instance.subset)]
     worst_margin = math.inf
     worst_wit = None
@@ -327,9 +327,8 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     Returns a report fragment: per center, the local-constant profile of the
     plain L-cone envelope against the penalized extension's profile.
     """
-    r_list = np.asarray(r_list, dtype=float)
+    r_list = _check_radii(r_list)
     if field is None:
-        from .extension import schedule_for_instance
         allpts = np.arange(instance.n, dtype=np.intp)
         if instance.lipschitz_computed == 0.0:
             field = extend(instance, None, allpts)
@@ -340,21 +339,26 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     fvals = field.values[first]
     ms = mcshane_upper_many(instance, instance.lipschitz_L, domain)
     if centers is None:
-        centers = [c for c in instance.subset if c in set(domain.tolist())]
+        centers = instance.subset[np.isin(instance.subset, domain)]
+    centers = np.asarray(centers, dtype=np.intp)
+    if not np.all(np.isin(centers, domain)):
+        raise ParameterError("center must belong to the domain")
+    ratios_ms = pair_ratios(instance, domain, ms)
+    ratios_f = pair_ratios(instance, domain, fvals)
     rows = []
-    for c in np.asarray(centers, dtype=np.intp):
-        p_ms = lipa_profile(instance, domain, ms, int(c), r_list)
-        p_f = lipa_profile(instance, domain, fvals, int(c), r_list)
+    for c in centers:
+        d_row = instance.distance_matrix()[c, domain]
+        p_ms = ball_lips(ratios_ms, d_row, r_list)
+        p_f = ball_lips(ratios_f, d_row, r_list)
         rows.append({"center": int(c), "radii": r_list.tolist(),
-                     "mcshane": p_ms.constants.tolist(),
-                     "extension": p_f.constants.tolist(),
-                     "gap": (p_ms.constants - p_f.constants).tolist()})
+                     "mcshane": p_ms.tolist(), "extension": p_f.tolist(),
+                     "gap": (p_ms - p_f).tolist()})
     return {"epsilon": float(epsilon), "centers": rows}
 
 
 def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
               r_bar: float | None = None, mcshane_radii=None, seed: int = 0,
-              threads: int = 1, _corrupt_field: bool = False) -> VerificationReport:
+              _corrupt_field: bool = False) -> VerificationReport:
     """Full check battery over one instance.
 
     Builds the schedule (deep enough for the locality conditions), extends to
@@ -383,12 +387,11 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
             return fld
         vals = fld.values.copy()
         vals[0] += 0.5 * instance.check_scale() + 1.0
-        from dataclasses import replace
         return replace(fld, values=vals)
 
     L = instance.lipschitz_L
     if instance.lipschitz_computed == 0.0:
-        field = _maybe_corrupt(extend(instance, None, queries, threads=threads))
+        field = _maybe_corrupt(extend(instance, None, queries))
         checks = [
             check_restriction(field, instance),
             check_global_lipschitz(field, instance, L + epsilon, seed=seed),
@@ -408,13 +411,11 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
 
     schedule, _, _ = schedule_with_locality(instance, epsilon, r_bar, xi, queries)
     profiles = build_profiles(instance, schedule)
-    field = _maybe_corrupt(
-        extend(instance, schedule, queries, profiles=profiles, threads=threads))
+    field = _maybe_corrupt(extend(instance, schedule, queries, profiles=profiles))
     budget = L + schedule.eps_eff
 
     phi_family = (instance.values[:, None]
-                  + _pen_matrix(_stack_profiles(profiles),
-                                instance.distances(instance.subset, queries)))
+                  + profiles.pen(instance.distances(instance.subset, queries)))
 
     locality_results = [
         check_locality_preservation(instance, field, int(xb), r_bar, xi)

@@ -50,23 +50,21 @@ def oracle_lip(instance, values, members):
     return best
 
 
-def oracle_pen(profile, t):
-    """Integral-style evaluation: sum slope * overlap over every band."""
-    bp = profile.breakpoints
-    val = profile.base_slope * min(t, bp[0])
-    for i in range(len(bp) - 1):
-        val += profile.slopes[i] * max(0.0, min(t, bp[i + 1]) - bp[i])
-    if t > bp[-1]:
-        val += profile.tail_slope * (t - bp[-1])
+def oracle_pen(bank, row, t):
+    """Integral-style evaluation of one bank row: sum slope * overlap over every region."""
+    edges = [0.0, *bank.breakpoints, np.inf]
+    val = 0.0
+    for j, slope in enumerate(bank.slopes[row]):
+        val += slope * max(0.0, min(t, edges[j + 1]) - edges[j])
     return val
 
 
-def oracle_extend(instance, profiles, y):
+def oracle_extend(instance, bank, y):
     """min over anchors of g(x) + pen_x(d(x, y)), via the integral oracle."""
     best = np.inf
     for pos, x in enumerate(instance.subset):
         t = instance.distance(int(x), int(y))
-        best = min(best, instance.values[pos] + oracle_pen(profiles[pos], t))
+        best = min(best, instance.values[pos] + oracle_pen(bank, pos, t))
     return best
 
 

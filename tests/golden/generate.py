@@ -1,0 +1,123 @@
+"""Write the golden instances and CLI reports checked by ``tests/test_golden.py``.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python tests/golden/generate.py
+
+Every instance is a function of its fixed seed.  For each instance the script
+runs ``verify``, ``extend`` and ``energy`` through ``lipext.cli.main`` and
+stores each report next to the instance, then records the flags and exit
+codes in ``cases.json``.  Reports pin the byte-identical output contract:
+regenerate them only for a change that is meant to alter outputs, and say so
+in the change log.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from lipext.cli import main
+
+HERE = Path(__file__).resolve().parent
+
+
+def cloud(seed: int) -> dict:
+    """Euclidean cloud in [0, 1]^3, n=40, |C|=8, with masses on the subset."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    coords = rng.uniform(0.0, 1.0, (n, 3))
+    subset = np.sort(rng.choice(n, size=8, replace=False))
+    values = np.sin(4.0 * coords[subset, 0]) + coords[subset, 2] ** 2
+    masses = np.zeros(n)
+    masses[subset] = rng.uniform(0.2, 1.0, len(subset))
+    return {"points": {"type": "euclidean", "coords": coords.tolist()},
+            "subset": subset.tolist(), "values": values.tolist(),
+            "masses": masses.tolist()}
+
+
+def grid(seed: int) -> dict:
+    """Unit-interval grid of 21 points with random data on every fourth point."""
+    rng = np.random.default_rng(seed)
+    n = 21
+    subset = list(range(0, n, 4))
+    return {"points": {"type": "euclidean",
+                       "coords": [[i / (n - 1)] for i in range(n)]},
+            "subset": subset,
+            "values": rng.uniform(-1.0, 1.0, len(subset)).tolist()}
+
+
+def ultrametric(seed: int) -> dict:
+    """27 leaves of the ternary tree of depth 3; d = 1, 1/2, 1/4 by common prefix."""
+    rng = np.random.default_rng(seed)
+    digits = np.array([[i // 9, (i // 3) % 3, i % 3] for i in range(27)])
+    prefix = np.zeros((27, 27), dtype=int)
+    same = np.ones((27, 27), dtype=bool)
+    for level in range(3):
+        same &= digits[:, None, level] == digits[None, :, level]
+        prefix += same
+    d = np.where(prefix == 3, 0.0, 0.5 ** prefix)
+    subset = np.sort(rng.choice(27, size=9, replace=False))
+    return {"points": {"type": "matrix", "d": d.tolist()},
+            "subset": subset.tolist(),
+            "values": rng.uniform(-1.0, 1.0, len(subset)).tolist()}
+
+
+def discrete(seed: int) -> dict:
+    """Discrete metric on 15 points (every distance 1) with unit-range data."""
+    rng = np.random.default_rng(seed)
+    n = 15
+    d = 1.0 - np.eye(n)
+    subset = np.sort(rng.choice(n, size=6, replace=False))
+    masses = np.zeros(n)
+    masses[subset] = rng.uniform(0.2, 1.0, len(subset))
+    return {"points": {"type": "matrix", "d": d.tolist()},
+            "subset": subset.tolist(),
+            "values": rng.uniform(0.0, 1.0, len(subset)).tolist(),
+            "masses": masses.tolist()}
+
+
+# name -> (builder, seed, {command: flags without --input/--output}).
+# Radii sit exactly at pair distances wherever the metric has ties.
+CASES = {
+    "cloud": (cloud, 0, {
+        "verify": ["--epsilon", "0.5", "--xi", "0.1"],
+        "extend": ["--epsilon", "0.5", "--queries", "all"],
+        "energy": ["--p", "2", "--radii", "0.2,0.4,0.6"]}),
+    "grid": (grid, 1, {
+        "verify": ["--epsilon", "0.5", "--rbar", "0.2"],
+        "extend": ["--epsilon", "0.5", "--bounded", "2", "--cutoff"],
+        "energy": ["--p", "1", "--radii", "0.05,0.2,0.5"]}),
+    "ultrametric": (ultrametric, 2, {
+        "verify": ["--epsilon", "0.5", "--rbar", "0.5"],
+        "extend": ["--epsilon", "0.5", "--queries", "all"],
+        "energy": ["--p", "2", "--radii", "0.25,0.5,1"]}),
+    "discrete": (discrete, 3, {
+        "verify": ["--epsilon", "0.25", "--rbar", "1"],
+        "extend": ["--epsilon", "0.25", "--queries", "all"],
+        "energy": ["--p", "1.5", "--radii", "1,2"]}),
+}
+
+
+def generate(out_dir: Path) -> list[dict]:
+    manifest = []
+    for name, (build, seed, commands) in CASES.items():
+        instance = out_dir / f"{name}.json"
+        instance.write_text(json.dumps(build(seed)) + "\n")
+        for command, flags in commands.items():
+            report = f"{name}.{command}.json"
+            argv = [command, "--input", str(instance), *flags,
+                    "--output", str(out_dir / report)]
+            manifest.append({"instance": instance.name, "command": command,
+                             "flags": flags, "exit": main(argv),
+                             "report": report})
+    (out_dir / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    return manifest
+
+
+if __name__ == "__main__":
+    for row in generate(HERE):
+        print(row["report"], "exit", row["exit"], file=sys.stderr)

@@ -15,7 +15,6 @@ from lipext import (build_profiles, check_extension_energy, energy, eval_pen,
                     schedule_for_instance, schedule_with_locality,
                     validate_measure)
 from lipext.cli import grid_instance, main
-from lipext.extension import _pen_matrix, _stack_profiles
 
 from conftest import random_instance, random_masses
 
@@ -129,7 +128,7 @@ def test_criterion_04_step2_inequality():
                 if j < 2 or j > len(sch.eps) - 1:
                     skipped += 1
                     continue
-                phi = g[a] + eval_pen(profiles[a], d)
+                phi = g[a] + eval_pen(profiles.rows([a]), d)
                 bound = g[b] + sch.eps[j - 2] * L
                 assert phi >= bound - tol, (
                     f"seed {seed}: pair ({inst.subset[a]},{inst.subset[b]})")
@@ -145,8 +144,8 @@ def test_criterion_05_localization_oracle_equivalence():
         c = case(seed)
         inst, sch, profiles, field = c["inst"], c["sch"], c["profiles"], c["field"]
         L = inst.lipschitz_L
-        phi = inst.values[:, None] + _pen_matrix(
-            _stack_profiles(profiles), inst.distances(inst.subset, field.queries))
+        phi = inst.values[:, None] + profiles.pen(
+            inst.distances(inst.subset, field.queries))
         d_near = inst.distances(inst.subset, field.queries)
         for qi, y in enumerate(field.queries):
             near = int(np.argmin(d_near[:, qi]))
@@ -189,18 +188,22 @@ def test_criterion_07_profile_legality():
         c = case(seed)
         sch = c["sch"]
         cap = sch.L_eff + sch.eps_eff
-        for p in c["profiles"]:
-            assert np.all(np.diff(p.slopes) >= 0)
-            assert np.all(p.slopes >= 0) and np.all(p.slopes <= cap)
-            assert 0 <= p.base_slope <= p.slopes[0]
-            assert p.slopes[-1] <= p.tail_slope <= cap
-            assert eval_pen(p, 0.0) == 0.0
-            assert p.cumulative[0] == p.base_slope * p.breakpoints[0]
-            cum = p.base_slope * p.breakpoints[0]
-            for j in range(1, len(p.breakpoints)):
-                cum = cum + p.slopes[j - 1] * (p.breakpoints[j] - p.breakpoints[j - 1])
-                assert cum == p.cumulative[j]  # exact prefix-sum identity
-                assert eval_pen(p, float(p.breakpoints[j])) == cum
+        bank = c["profiles"]
+        bp = bank.breakpoints
+        for i in range(len(bank.anchors)):
+            s, row = bank.slopes[i], bank.rows([i])   # base, bands, tail
+            assert np.all(np.diff(s) >= 0)
+            assert np.all(s >= 0) and np.all(s <= cap)
+            assert 0 <= s[0] <= s[1]
+            assert s[-2] <= s[-1] <= cap
+            assert eval_pen(row, 0.0) == 0.0
+            assert bank.cumulative[i, 0] == 0.0
+            assert bank.cumulative[i, 1] == s[0] * bp[0]
+            cum = s[0] * bp[0]
+            for j in range(1, len(bp)):
+                cum = cum + s[j] * (bp[j] - bp[j - 1])
+                assert cum == bank.cumulative[i, j + 1]  # exact prefix-sum identity
+                assert eval_pen(row, float(bp[j])) == cum
             n_profiles += 1
     _report(7, "profile legality (convex, within [0, L+eps], exact prefix sums)",
             True, f"{n_profiles} profiles")

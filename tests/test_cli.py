@@ -179,18 +179,6 @@ def test_verify_tiny_rbar_extend_schedule_exit1(tmp_path, capsys):
     assert "extend schedule" in json.loads(capsys.readouterr().out)["error"]
 
 
-def test_thread_cap_env_does_not_change_bytes(tmp_path, monkeypatch):
-    cloud = _cloud_file(tmp_path, seed=8)
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("LIPEXT_THREADS", "1")
-    assert main(["extend", "--input", cloud, "--epsilon", "1",
-                 "--queries", "all", "--output", str(out1)]) == 0
-    monkeypatch.setenv("LIPEXT_THREADS", "4")
-    assert main(["extend", "--input", cloud, "--epsilon", "1",
-                 "--queries", "all", "--output", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_verify_seeded_reruns_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     cloud = _cloud_file(tmp_path, seed=3)
@@ -259,6 +247,27 @@ def test_demo_rejects_zero_xi(capsys):
 def test_missing_input_file(tmp_path, capsys):
     assert main(["validate", "--input", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_input_directory_exit1(tmp_path, capsys):
+    assert main(["validate", "--input", str(tmp_path)]) == 1
+    assert "cannot read input" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_input_not_utf8_exit1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"labels": ["caf\u00e9"]}'.encode("latin-1"))
+    assert main(["validate", "--input", str(path)]) == 1
+    assert "cannot read input" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_exit1(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "no" / "such.json"
+    assert main(["extend", "--input", _grid_file(tmp_path), "--epsilon", "1",
+                 "--output", str(out)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("cannot write output")
 
 
 def test_malformed_json(tmp_path, capsys):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from lipext import (ParameterError, PenalizationProfile, ScheduleTooShallow,
+from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
                     approx_slopes, build_penalization, build_profiles,
                     build_schedule, cutoff_support, eval_pen, extend,
                     extend_localized, instance_from_arrays, lip_constant,
-                    mcshane_lower, mcshane_lower_many, mcshane_upper,
-                    mcshane_upper_many, schedule_for_instance, truncate_bounded)
+                    mcshane_lower_many, mcshane_upper_many,
+                    schedule_for_instance, truncate_bounded)
 from lipext.extension import localization_index
 
 from conftest import (grid_instance, oracle_extend, oracle_mcshane_lower,
@@ -69,40 +69,46 @@ def test_zero_slope_map_gives_pure_ratio_penalty():
     prof = build_penalization(smap, sch, L=1.0)
     expected = 3.0 * np.array([sch.ratio_at(k)
                                for k in range(sch.k_min + 1, sch.k_max + 1)])
-    assert np.array_equal(prof.slopes, expected)
-    assert np.all(prof.slopes <= 0.5)
-    assert np.all(np.diff(prof.slopes) >= 0)
+    bands = prof.slopes[0, 1:-1]
+    assert np.array_equal(bands, expected)
+    assert np.all(bands <= 0.5)
+    assert np.all(np.diff(bands) >= 0)
 
 
 def test_profile_slopes_within_budget():
     inst = random_instance(4)
     sch = schedule_for_instance(inst, 0.7)
     cap = inst.lipschitz_L + sch.eps_eff
-    for prof in build_profiles(inst, sch):
-        assert np.all(prof.slopes >= 0) and np.all(prof.slopes <= cap)
-        assert prof.base_slope == prof.slopes[0]
-        assert prof.slopes[-1] <= prof.tail_slope <= cap
+    bank = build_profiles(inst, sch)
+    assert np.all(bank.slopes >= 0) and np.all(bank.slopes <= cap)
+    assert np.array_equal(bank.slopes[:, 0], bank.slopes[:, 1])  # base = first band
+    assert np.all(bank.slopes[:, -2] <= bank.slopes[:, -1])      # last band <= tail
 
 
 def test_pen_zero_and_breakpoint_continuity():
     inst = random_instance(8)
     sch = schedule_for_instance(inst, 1.0)
-    for prof in build_profiles(inst, sch):
-        assert eval_pen(prof, 0.0) == 0.0
-        assert prof.cumulative[0] == prof.base_slope * prof.breakpoints[0]
-        for b, c in zip(prof.breakpoints, prof.cumulative):
-            assert eval_pen(prof, float(b)) == float(c)
+    bank = build_profiles(inst, sch)
+    bp = bank.breakpoints
+    for i in range(len(bank.anchors)):
+        row = bank.rows([i])
+        assert eval_pen(row, 0.0) == 0.0
+        assert bank.cumulative[i, 0] == 0.0
+        assert bank.cumulative[i, 1] == bank.slopes[i, 0] * bp[0]
+        for b, c in zip(bp, bank.cumulative[i, 1:]):
+            assert eval_pen(row, float(b)) == float(c)
 
 
 def test_eval_pen_tail_and_midpoint():
     sch = build_schedule(1.0, 1.0, 1.0, 1e-6, 10.0)
     smap = {k: 0.5 for k in range(sch.k_min, sch.k_max + 2)}
     prof = build_penalization(smap, sch, L=1.0)
-    b, P = prof.breakpoints[-1], prof.cumulative[-1]
-    assert eval_pen(prof, 3.0 * b) == P + prof.tail_slope * (3.0 * b - b)
+    b, P = prof.breakpoints[-1], prof.cumulative[0, -1]
+    assert eval_pen(prof, 3.0 * b) == P + prof.slopes[0, -1] * (3.0 * b - b)
     lo, hi = prof.breakpoints[3], prof.breakpoints[4]
     mid = lo + (hi - lo) / 2.0
-    assert eval_pen(prof, mid) == prof.cumulative[3] + prof.slopes[3] * (mid - lo)
+    # the band (bp[3], bp[4]) is region 4: value at bp[3] plus its slope
+    assert eval_pen(prof, mid) == prof.cumulative[0, 4] + prof.slopes[0, 4] * (mid - lo)
     with pytest.raises(ParameterError):
         eval_pen(prof, -0.1)
 
@@ -110,17 +116,17 @@ def test_eval_pen_tail_and_midpoint():
 def test_eval_pen_matches_integral_oracle():
     inst = random_instance(9)
     sch = schedule_for_instance(inst, 0.4)
-    prof = build_profiles(inst, sch)[0]
+    bank = build_profiles(inst, sch)
     rng = np.random.default_rng(0)
-    for t in np.concatenate([rng.uniform(0, 3, 40), prof.breakpoints[:5]]):
-        assert eval_pen(prof, float(t)) == pytest.approx(
-            oracle_pen(prof, float(t)), rel=1e-12, abs=1e-300)
+    for t in np.concatenate([rng.uniform(0, 3, 40), bank.breakpoints[:5]]):
+        assert eval_pen(bank.rows([0]), float(t)) == pytest.approx(
+            oracle_pen(bank, 0, float(t)), rel=1e-12, abs=1e-300)
 
 
 def test_pen_monotone_convex_on_samples():
     inst = random_instance(10)
     sch = schedule_for_instance(inst, 1.0)
-    prof = build_profiles(inst, sch)[0]
+    prof = build_profiles(inst, sch).rows([0])
     ts = np.linspace(0.0, 2.5, 200)
     vals = np.array([eval_pen(prof, float(t)) for t in ts])
     assert np.all(np.diff(vals) >= 0)
@@ -134,30 +140,32 @@ def test_pen_monotone_convex_on_samples():
 def test_mcshane_interval_midpoint():
     inst = instance_from_arrays(coords=[[0.0], [0.5], [1.0]], subset=[0, 2],
                                 values=[0.0, 1.0])
-    assert mcshane_upper(inst, 1.0, 1) == 0.5
-    assert mcshane_lower(inst, 1.0, 1) == 0.5
-    assert mcshane_upper(inst, 1.0, 0) == 0.0
-    assert mcshane_lower(inst, 1.0, 2) == 1.0
+    assert mcshane_upper_many(inst, 1.0, [1])[0] == 0.5
+    assert mcshane_lower_many(inst, 1.0, [1])[0] == 0.5
+    assert mcshane_upper_many(inst, 1.0, [0])[0] == 0.0
+    assert mcshane_lower_many(inst, 1.0, [2])[0] == 1.0
 
 
 def test_mcshane_singleton_subset_is_cone():
     inst = instance_from_arrays(coords=[[0.0], [2.0]], subset=[0], values=[3.0])
-    assert mcshane_upper(inst, 1.5, 1) == 3.0 + 1.5 * 2.0
-    assert mcshane_lower(inst, 1.5, 1) == 3.0 - 1.5 * 2.0
+    assert mcshane_upper_many(inst, 1.5, [1])[0] == 3.0 + 1.5 * 2.0
+    assert mcshane_lower_many(inst, 1.5, [1])[0] == 3.0 - 1.5 * 2.0
 
 
 def test_mcshane_budget_validation(line3):
     with pytest.raises(ParameterError):
-        mcshane_upper(line3, 0.5, 1)
+        mcshane_upper_many(line3, 0.5, [1])
+    with pytest.raises(ParameterError):
+        mcshane_lower_many(line3, 0.5, [1])
 
 
 def test_mcshane_matches_oracle():
     inst = random_instance(12)
     lp = inst.lipschitz_L * 1.25
     for y in range(0, inst.n, 7):
-        assert mcshane_upper(inst, lp, y) == pytest.approx(
+        assert mcshane_upper_many(inst, lp, [y])[0] == pytest.approx(
             oracle_mcshane_upper(inst, lp, y), rel=1e-14)
-        assert mcshane_lower(inst, lp, y) == pytest.approx(
+        assert mcshane_lower_many(inst, lp, [y])[0] == pytest.approx(
             oracle_mcshane_lower(inst, lp, y), rel=1e-14)
 
 
@@ -179,10 +187,10 @@ def test_extend_linear_profiles_reproduce_mcshane():
     L = inst.lipschitz_L
     sch = schedule_for_instance(inst, 1.0)
     top = float(2.0 * inst.diameter() + 1.0)
-    linear = [PenalizationProfile(anchor=int(x), breakpoints=np.array([top]),
-                                  slopes=np.array([]), base_slope=L,
-                                  tail_slope=L, cumulative=np.array([L * top]))
-              for x in inst.subset]
+    nc = len(inst.subset)
+    linear = ProfileBank(anchors=inst.subset, breakpoints=np.array([top]),
+                         slopes=np.full((nc, 2), L),
+                         cumulative=np.tile([0.0, L * top], (nc, 1)))
     field = extend(inst, sch, profiles=linear)
     assert np.array_equal(field.values, mcshane_upper_many(inst, L, field.queries))
 
@@ -221,15 +229,6 @@ def test_extend_requires_schedule_and_span():
                              span_low=1e-9, span_high=2e-4)
     with pytest.raises(ScheduleTooShallow, match="extend schedule"):
         extend(inst, shallow)
-
-
-def test_extend_threads_bitwise_identical():
-    inst = random_instance(13)
-    sch = schedule_for_instance(inst, 1.0)
-    a = extend(inst, sch, threads=1)
-    b = extend(inst, sch, threads=4)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.anchors, b.anchors)
 
 
 def test_extend_envelope_sandwich_random():
@@ -286,7 +285,7 @@ def test_localized_exclusion_margin():
         k = info["localization"]["k"]
         dxb = inst.distances(inst.subset, [xbar])[:, 0]
         for pos in np.flatnonzero(dxb >= sch.eps_at(k)):
-            phi = inst.values[pos] + eval_pen(profiles[pos],
+            phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
                                               inst.distance(int(inst.subset[pos]), int(y)))
             assert phi >= field.values[qi] + sch.eps_at(k - 1) * L / 3.0 - tol
             checked += 1
@@ -372,8 +371,8 @@ def test_truncation_tail_bound_negligible():
         inst = random_instance(seed)
         sch = schedule_for_instance(inst, inst.lipschitz_L / 2.0)
         cap = 1e-12 * inst.lipschitz_L * inst.diameter()
-        for prof in build_profiles(inst, sch):
-            assert prof.breakpoints[0] * prof.base_slope <= cap
+        bank = build_profiles(inst, sch)
+        assert np.all(bank.breakpoints[0] * bank.slopes[:, 0] <= cap)
 
 
 def test_cutoff_zero_data_unchanged():

@@ -1,0 +1,25 @@
+"""CLI reports are byte-identical to the stored golden reports.
+
+The instances, flags and reports live in ``tests/golden`` (see its
+``generate.py``); each case reruns one CLI command and compares bytes and the
+exit code.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from lipext.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["report"] for c in CASES])
+def test_golden_report_bytes(case, tmp_path):
+    out = tmp_path / case["report"]
+    argv = [case["command"], "--input", str(GOLDEN / case["instance"]),
+            *case["flags"], "--output", str(out)]
+    assert main(argv) == case["exit"]
+    assert out.read_bytes() == (GOLDEN / case["report"]).read_bytes()

@@ -71,6 +71,21 @@ def test_subset_and_values_errors():
                              values=[0.0, np.nan])
 
 
+def test_subset_entries_must_be_integers():
+    d = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+    for subset in ([0.9, 2.2], [0, 2.0], [True, 2], [0, "2"]):
+        with pytest.raises(InstanceValidationError, match="integers") as exc:
+            validate_instance(_matrix_raw(d, subset=subset))
+        assert exc.value.field == "subset"
+    with pytest.raises(InstanceValidationError) as exc:
+        instance_from_arrays(dmatrix=d, subset=np.array([False, True]),
+                             values=[0.0, 1.0])
+    assert exc.value.field == "subset"
+    inst = instance_from_arrays(dmatrix=d, subset=np.array([0, 2], dtype=np.int32),
+                                values=[0.0, 1.0])
+    assert inst.subset.tolist() == [0, 2]
+
+
 def test_missing_fields_named():
     with pytest.raises(InstanceValidationError) as exc:
         validate_instance({"points": {"type": "matrix", "d": [[0]]}, "subset": [0]})
@@ -165,14 +180,14 @@ def test_lipa_profile_two_point_grid():
     prof = lipa_profile(inst, inst.subset, inst.values, 0, [0.5, 2.0])
     # local constant vanishes at the subset point, global constant once both
     # endpoints enter the ball
-    assert prof.constants.tolist() == [0.0, 1.0]
+    assert prof.tolist() == [0.0, 1.0]
 
 
 def test_lipa_profile_constant_and_singleton(line3):
     prof = lipa_profile(line3, [0, 1, 2], np.zeros(3), 0, [0.1, 0.6, 2.0])
-    assert prof.constants.tolist() == [0.0, 0.0, 0.0]
+    assert prof.tolist() == [0.0, 0.0, 0.0]
     prof = lipa_profile(line3, [1], np.array([4.0]), 1, [0.1, 1.0])
-    assert prof.constants.tolist() == [0.0, 0.0]
+    assert prof.tolist() == [0.0, 0.0]
 
 
 def test_lipa_profile_validation(line3):
@@ -189,8 +204,8 @@ def test_lipa_profile_monotone_and_bounded():
     vals = rng.normal(size=inst.n)
     radii = np.linspace(0.05, 3.0, 9)
     prof = lipa_profile(inst, domain, vals, 0, radii)
-    assert np.all(np.diff(prof.constants) >= 0)
-    assert prof.constants[-1] <= lip_constant(inst, vals, domain) + 1e-12
+    assert np.all(np.diff(prof) >= 0)
+    assert prof[-1] <= lip_constant(inst, vals, domain) + 1e-12
 
 
 def test_lipa_profile_matches_ball_scan():
@@ -201,5 +216,5 @@ def test_lipa_profile_matches_ball_scan():
     for r in [0.1, 0.4, 0.9]:
         prof = lipa_profile(inst, domain, vals, 3, [r])
         ball = ball_members(inst, 3, r, domain)
-        assert prof.constants[0] == pytest.approx(
+        assert prof[0] == pytest.approx(
             oracle_lip(inst, vals[ball], ball), abs=1e-14)

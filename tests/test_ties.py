@@ -1,0 +1,146 @@
+"""The ball-slope kernel on metrics with distance ties everywhere.
+
+Balls are open, so a point at distance exactly ``r`` stays outside the
+``r``-ball.  On the discrete metric and on an ultrametric every radius below
+is placed exactly at a pair distance (and between them), and each kernel
+caller is checked against the brute-force ``oracle_lip`` over ``{d < r}``.
+"""
+
+import numpy as np
+import pytest
+
+from lipext import (approx_slopes, ball_lips, build_profiles, build_schedule,
+                    energy, instance_from_arrays, lipa_profile, pair_ratios,
+                    validate_measure)
+
+from conftest import oracle_lip
+
+
+def discrete_instance(seed):
+    rng = np.random.default_rng(seed)
+    n = 9
+    subset = np.sort(rng.choice(n, size=5, replace=False))
+    return instance_from_arrays(dmatrix=1.0 - np.eye(n), subset=subset,
+                                values=rng.uniform(-1.0, 1.0, 5))
+
+
+def ultrametric_instance(seed):
+    """Leaves of the binary tree of depth 4; d = 2**-(common prefix length)."""
+    rng = np.random.default_rng(seed)
+    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+    agree = np.cumprod(bits[:, None, :] == bits[None, :, :], axis=2).sum(axis=2)
+    d = np.where(agree == 4, 0.0, 0.5 ** agree)
+    subset = np.sort(rng.choice(16, size=7, replace=False))
+    return instance_from_arrays(dmatrix=d, subset=subset,
+                                values=rng.uniform(-1.0, 1.0, 7))
+
+
+INSTANCES = [discrete_instance(0), discrete_instance(1),
+             ultrametric_instance(2), ultrametric_instance(3)]
+IDS = ["discrete0", "discrete1", "ultrametric2", "ultrametric3"]
+
+
+def tie_radii(inst):
+    """Every pair distance, the midpoints between them and one radius beyond."""
+    dd = inst.distance_matrix()
+    levels = np.unique(dd[dd > 0])
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    return np.unique(np.concatenate([levels, mids, [levels[0] / 2.0,
+                                                    2.0 * levels[-1]]]))
+
+
+def oracle_ball_lip(inst, domain, values, center, r):
+    inside = [pos for pos, i in enumerate(domain) if inst.distance(center, int(i)) < r]
+    return oracle_lip(inst, values[inside], domain[inside])
+
+
+def test_metrics_have_ties():
+    for inst in INSTANCES:
+        dd = inst.distance_matrix()
+        assert len(np.unique(dd[dd > 0])) < inst.n
+    assert np.all(tie_radii(INSTANCES[0]) == [0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_pair_ratios_zero_diagonal_and_symmetric(inst):
+    domain = np.arange(inst.n)
+    vals = np.random.default_rng(5).normal(size=inst.n)
+    ratios = pair_ratios(inst, domain, vals)
+    assert np.all(np.diag(ratios) == 0.0)
+    assert np.array_equal(ratios, ratios.T)
+    assert ratios[0, 1] == abs(vals[0] - vals[1]) / inst.distance(0, 1)
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_ball_lips_matches_oracle_at_ties(inst):
+    rng = np.random.default_rng(7)
+    domain = rng.permutation(inst.n)
+    vals = rng.normal(size=inst.n)
+    radii = tie_radii(inst)
+    ratios = pair_ratios(inst, domain, vals)
+    for center in range(inst.n):
+        got = ball_lips(ratios, inst.distance_matrix()[center, domain], radii)
+        want = [oracle_ball_lip(inst, domain, vals, center, r) for r in radii]
+        assert got.tolist() == want
+    # unsorted radii are answered position by position
+    d_row = inst.distance_matrix()[0, domain]
+    assert np.array_equal(ball_lips(ratios, d_row, radii[::-1]),
+                          ball_lips(ratios, d_row, radii)[::-1])
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_lipa_profile_matches_oracle_at_ties(inst):
+    rng = np.random.default_rng(8)
+    domain = np.sort(rng.choice(inst.n, size=inst.n - 2, replace=False))
+    vals = rng.normal(size=len(domain))
+    radii = tie_radii(inst)
+    for center in domain:
+        got = lipa_profile(inst, domain, vals, int(center), radii)
+        assert got.tolist() == [oracle_ball_lip(inst, domain, vals, int(center), r)
+                                for r in radii]
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_approx_slopes_match_oracle_at_ties(inst):
+    # anchor 1.0 puts a scale exactly on the largest pair distance
+    sch = build_schedule(inst.lipschitz_L, 1.0, anchor=1.0,
+                         span_low=1e-3, span_high=4.0)
+    levels = set(np.unique(inst.distance_matrix()).tolist())
+    ks = range(sch.k_min, sch.k_max + 2)
+    assert any(sch.virtual_eps(k) in levels for k in ks)
+    bank = build_profiles(inst, sch)
+    for pos, x in enumerate(inst.subset):
+        smap = approx_slopes(inst, int(x), sch)
+        for k in ks:
+            assert smap[k] == oracle_ball_lip(inst, inst.subset, inst.values,
+                                              int(x), sch.virtual_eps(k))
+        # band k of the bank carries S_k + 3 L r_{k-1}, k in [k_min + 2, k_max + 1]
+        S = np.array([smap[k] for k in range(sch.k_min + 2, sch.k_max + 2)])
+        ratios = np.array([sch.ratio_at(k) for k in range(sch.k_min + 1, sch.k_max + 1)])
+        assert np.array_equal(bank.slopes[pos, 1:-1],
+                              S + 3.0 * inst.lipschitz_L * ratios)
+
+
+def test_discrete_metric_slope_jumps_past_the_tie():
+    inst = INSTANCES[0]
+    sch = build_schedule(inst.lipschitz_L, 1.0, anchor=1.0,
+                         span_low=1e-3, span_high=4.0)
+    smap = approx_slopes(inst, int(inst.subset[0]), sch)
+    assert smap[sch.k_ref] == 0.0           # the open 1-ball holds x alone
+    assert smap[sch.k_ref + 1] == inst.lipschitz_computed
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_energy_matches_oracle_at_ties(inst):
+    rng = np.random.default_rng(9)
+    h = rng.normal(size=inst.n)
+    masses = np.zeros(inst.n)
+    masses[inst.subset] = rng.uniform(0.2, 1.0, len(inst.subset))
+    measure = validate_measure(inst, masses, 2.0)
+    allpts = np.arange(inst.n)
+    for r in tie_radii(inst):
+        for domain in (allpts, inst.subset):
+            side = energy(inst, domain, h[domain], measure, float(r))
+            want = [oracle_ball_lip(inst, domain, h[domain], int(x), r)
+                    for x in measure.support]
+            assert side.lips.tolist() == want

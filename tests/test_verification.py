@@ -119,9 +119,7 @@ def test_check_inf_family():
     assert check_inf_family(inst, fam, pts, 0.5).status == "pass"
     sch = schedule_for_instance(inst, 1.0)
     profiles = build_profiles(inst, sch)
-    from lipext.extension import _pen_matrix, _stack_profiles
-    phi = inst.values[:, None] + _pen_matrix(_stack_profiles(profiles),
-                                             inst.distances(inst.subset, pts))
+    phi = inst.values[:, None] + profiles.pen(inst.distances(inst.subset, pts))
     budget = inst.lipschitz_L + sch.eps_eff
     assert check_inf_family(inst, phi, pts, budget).status == "pass"
     bad = np.vstack([fam, 100.0 * np.sin(9.0 * xs)])
