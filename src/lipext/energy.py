@@ -119,6 +119,14 @@ def energy(instance: MetricInstance, domain, values, measure: MeasureData,
                       lips=lips, contributions=contrib)
 
 
+def _positive_radii(radii) -> np.ndarray:
+    """``radii`` as a non-empty 1-D float array; raises unless every entry is positive."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0):
+        raise ParameterError("radii must be positive")
+    return radii
+
+
 def restriction_report(instance: MetricInstance, h_values, measure: MeasureData,
                        r: float) -> EnergyReport:
     """Energies of ``h`` on the whole space and of its restriction on the subset."""
@@ -137,7 +145,7 @@ def check_restriction_monotonicity(instance: MetricInstance, h_values,
                                    radii) -> tuple[CheckResult, list[EnergyReport]]:
     """E_C(h restricted, r) <= E_X(h, r) at every radius (balls only shrink)."""
     reports = [restriction_report(instance, h_values, measure, float(r))
-               for r in np.asarray(radii, dtype=float)]
+               for r in _positive_radii(radii)]
     worst = None
     gap_worst = -math.inf
     for rep in reports:
@@ -164,11 +172,9 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     B_rbar(x_i)) + xi`` per support point, and in aggregate ``E_X(f, r) <= sum
     m_i (Lip(g, .) + xi)^p``.  ``epsilon`` defaults to the instance constant.
     """
-    radii_bar = np.asarray(radii_bar, dtype=float)
-    if radii_bar.ndim != 1 or len(radii_bar) == 0 or np.any(radii_bar <= 0):
-        raise ParameterError("radii must be positive")
-    if not xi > 0:
-        raise ParameterError("xi must be positive")
+    radii_bar = _positive_radii(radii_bar)
+    if not (xi > 0 and math.isfinite(xi)):
+        raise ParameterError("xi must be a positive finite real")
     L = instance.lipschitz_L
     if epsilon is None:
         epsilon = L if L > 0 else 1.0

@@ -17,6 +17,8 @@ from .errors import InstanceValidationError, ParameterError
 
 # Relative slack for the triangle-inequality scan on explicit matrices.
 TRIANGLE_RTOL = 1e-9
+# Rows per ball_lips gather: a step reads at most this many rows of a ball.
+_ROW_CHUNK = 128
 
 
 @dataclass
@@ -261,17 +263,19 @@ def ball_lips(ratios: np.ndarray, d_row: np.ndarray, radii) -> np.ndarray:
 
     ``ratios`` is a :func:`pair_ratios` matrix over the points whose distances
     to the center are ``d_row``.  Points enter the ball in stable distance
-    order and a tie at ``r`` stays outside.  The constant of a ball holding
-    ``c`` points is the running maximum, over the first ``c`` points, of each
-    point's largest ratio to the points before it.
+    order and a tie at ``r`` stays outside.  The sorted points are read in row
+    chunks ``[a, b)`` against the first ``b`` points; chunks end at every
+    ball's point count and every ``_ROW_CHUNK`` rows, so the constant of a
+    ball holding ``c`` points is the running maximum of the chunks up to ``c``.
     """
     order = np.argsort(d_row, kind="stable")
     counts = np.searchsorted(d_row[order], radii, side="left")
-    inner = order[:counts.max(initial=0)]
-    block = ratios[np.ix_(inner, inner)]
-    prefix = np.zeros(len(inner) + 1)
-    prefix[1:] = np.maximum.accumulate(np.tril(block, k=-1).max(axis=1, initial=0.0))
-    return prefix[counts]
+    ends = np.union1d(counts, np.arange(0, counts.max(initial=0), _ROW_CHUNK))
+    running = np.zeros(len(ends))
+    for pos in range(1, len(ends)):
+        block = ratios[np.ix_(order[ends[pos - 1]:ends[pos]], order[:ends[pos]])]
+        running[pos] = max(running[pos - 1], block.max())
+    return running[np.searchsorted(ends, counts)]
 
 
 def lip_constant(instance: MetricInstance, values, members) -> float:

@@ -25,18 +25,22 @@ from lipext.cli import main
 HERE = Path(__file__).resolve().parent
 
 
-def cloud(seed: int) -> dict:
-    """Euclidean cloud in [0, 1]^3, n=40, |C|=8, with masses on the subset."""
+def cloud(seed: int, n: int = 40, size: int = 8) -> dict:
+    """Euclidean cloud in [0, 1]^3 of n points, |C|=size, with masses on the subset."""
     rng = np.random.default_rng(seed)
-    n = 40
     coords = rng.uniform(0.0, 1.0, (n, 3))
-    subset = np.sort(rng.choice(n, size=8, replace=False))
+    subset = np.sort(rng.choice(n, size=size, replace=False))
     values = np.sin(4.0 * coords[subset, 0]) + coords[subset, 2] ** 2
     masses = np.zeros(n)
     masses[subset] = rng.uniform(0.2, 1.0, len(subset))
     return {"points": {"type": "euclidean", "coords": coords.tolist()},
             "subset": subset.tolist(), "values": values.tolist(),
             "masses": masses.tolist()}
+
+
+def large_cloud(seed: int) -> dict:
+    """Euclidean cloud with n=600, |C|=60: its balls span several row chunks."""
+    return cloud(seed, n=600, size=60)
 
 
 def grid(seed: int) -> dict:
@@ -87,6 +91,10 @@ CASES = {
         "verify": ["--epsilon", "0.5", "--xi", "0.1"],
         "extend": ["--epsilon", "0.5", "--queries", "all"],
         "energy": ["--p", "2", "--radii", "0.2,0.4,0.6"]}),
+    "large_cloud": (large_cloud, 4, {
+        "verify": ["--epsilon", "0.5", "--xi", "0.1"],
+        "extend": ["--epsilon", "0.5", "--queries", "all"],
+        "energy": ["--p", "2", "--radii", "0.15,0.4,0.9"]}),
     "grid": (grid, 1, {
         "verify": ["--epsilon", "0.5", "--rbar", "0.2"],
         "extend": ["--epsilon", "0.5", "--bounded", "2", "--cutoff"],

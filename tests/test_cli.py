@@ -188,6 +188,20 @@ def test_verify_seeded_reruns_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_infinite_xi_exit1(tmp_path, capsys):
+    code = main(["verify", "--input", _cloud_file(tmp_path), "--epsilon", "1",
+                 "--xi", "inf", "--output", str(tmp_path / "v.json")])
+    assert code == 1
+    assert "xi" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_verify_negative_seed_exit1(tmp_path, capsys):
+    code = main(["verify", "--input", _cloud_file(tmp_path), "--epsilon", "1",
+                 "--seed", "-1", "--output", str(tmp_path / "v.json")])
+    assert code == 1
+    assert "seed" in json.loads(capsys.readouterr().out)["error"]
+
+
 # --- energy ------------------------------------------------------------------
 
 
@@ -219,6 +233,13 @@ def test_energy_bad_radii(tmp_path, capsys):
     assert main(["energy", "--input", cloud, "--p", "1",
                  "--radii", "0.5,0.4", "--output", str(tmp_path / "e.json")]) == 1
     assert "radii" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_energy_infinite_xi_exit1(tmp_path, capsys):
+    cloud = _cloud_file(tmp_path, seed=6, with_masses=True)
+    assert main(["energy", "--input", cloud, "--p", "1", "--radii", "0.5",
+                 "--xi", "inf", "--output", str(tmp_path / "e.json")]) == 1
+    assert "xi" in json.loads(capsys.readouterr().out)["error"]
 
 
 # --- demo --------------------------------------------------------------------

@@ -162,3 +162,18 @@ def test_energy_parameter_errors():
         energy(inst, np.arange(inst.n), np.zeros(inst.n), measure, -1.0)
     with pytest.raises(ParameterError):
         check_extension_energy(inst, measure, [0.5], xi=0.0)
+
+
+def test_extension_energy_rejects_non_finite_xi():
+    inst = grid_instance(5)
+    for xi in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            check_extension_energy(inst, _unit_measure(inst), [0.5], xi=xi)
+
+
+def test_restriction_monotonicity_rejects_bad_radii():
+    inst = grid_instance(5)
+    h = np.linspace(0.0, 1.0, inst.n)
+    for radii in ([], [[0.5]], [0.5, 0.0]):
+        with pytest.raises(ParameterError, match="radii"):
+            check_restriction_monotonicity(inst, h, _unit_measure(inst), radii)

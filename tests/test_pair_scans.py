@@ -1,0 +1,131 @@
+"""Exact pair scans: the chunked ball-slope kernel and the one-pass family check.
+
+``ball_lips`` reads a ball in row chunks of ``_ROW_CHUNK`` rows that also end
+at every ball's point count, and ``check_inf_family`` visits each pair once
+for all family members together.  Both are compared with brute force at the
+chunk boundaries and on the precondition path.
+"""
+
+import numpy as np
+import pytest
+
+from lipext import (ParameterError, ball_lips, check_inf_family,
+                    instance_from_arrays, lip_constant, pair_ratios, run_suite)
+from lipext.metric import _ROW_CHUNK
+
+from conftest import grid_instance, oracle_lip
+
+
+def _cloud(seed, n):
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 1.0, (n, 2))
+    return instance_from_arrays(coords=coords, subset=[0, 1],
+                                values=[0.0, float(np.linalg.norm(coords[0] - coords[1]))])
+
+
+def _radius_for_count(sorted_d, count):
+    """A radius whose open ball holds exactly the ``count`` nearest points."""
+    if count == len(sorted_d):
+        return 2.0 * sorted_d[-1]
+    return float(sorted_d[count])
+
+
+def test_ball_lips_matches_oracle_across_row_chunks():
+    n = 2 * _ROW_CHUNK + 40
+    inst = _cloud(0, n)
+    rng = np.random.default_rng(1)
+    domain = rng.permutation(n)
+    vals = rng.normal(size=n)
+    ratios = pair_ratios(inst, domain, vals)
+    for center in (int(domain[0]), int(domain[-1])):
+        d_row = inst.distance_matrix()[center, domain]
+        sorted_d = np.sort(d_row)
+        counts = [1, 2, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1,
+                  2 * _ROW_CHUNK - 1, 2 * _ROW_CHUNK, 2 * _ROW_CHUNK + 1, n]
+        radii = [_radius_for_count(sorted_d, c) for c in counts]
+        radii += [sorted_d[1] / 2.0,                       # below the nearest point
+                  (sorted_d[_ROW_CHUNK] + sorted_d[_ROW_CHUNK + 1]) / 2.0,
+                  radii[4]]                                # repeated count
+        radii = np.array(radii)[rng.permutation(len(radii))]   # out of order
+        got = ball_lips(ratios, d_row, radii)
+        order = np.argsort(d_row, kind="stable")
+        for r, lip in zip(radii, got):
+            inside = order[d_row[order] < r]
+            assert lip == oracle_lip(inst, vals[inside], domain[inside]), r
+
+
+def test_ball_lips_empty_and_single_point_balls():
+    inst = _cloud(2, 5)
+    domain = np.arange(1, 5)
+    ratios = pair_ratios(inst, domain, np.arange(4.0))
+    d_row = inst.distance_matrix()[0, domain]       # center outside the domain
+    tiny = d_row.min() / 2.0
+    assert ball_lips(ratios, d_row, [tiny, tiny]).tolist() == [0.0, 0.0]
+    assert ball_lips(ratios, inst.distance_matrix()[1, domain], [tiny]).tolist() == [0.0]
+
+
+def _family_case(seed, n=60, size=5):
+    inst = _cloud(seed, n)
+    rng = np.random.default_rng(seed + 1)
+    members = rng.permutation(n)[: n - 7]
+    family = rng.normal(size=(size, len(members))) * rng.uniform(0.1, 2.0, (size, 1))
+    lips = [lip_constant(inst, row, members) for row in family]
+    return inst, members, family, lips
+
+
+def test_inf_family_pass_measures_the_minimum():
+    for seed in range(4):
+        inst, members, family, lips = _family_case(seed)
+        res = check_inf_family(inst, family, members, max(lips))
+        assert res.status == "pass"
+        assert res.measured == lip_constant(inst, family.min(axis=0), members)
+        assert res.witness == {"n_functions": len(family)}
+
+
+def test_inf_family_precondition_names_first_violating_member():
+    for seed in range(4):
+        inst, members, family, lips = _family_case(seed)
+        ranked = np.sort(lips)
+        L = (ranked[1] + ranked[2]) / 2.0      # three members exceed L
+        first = next(k for k, lip in enumerate(lips) if lip > L)
+        res = check_inf_family(inst, family, members, L)
+        assert res.status == "skipped" and "precondition" in res.note
+        assert res.witness == {"member": first}
+        assert res.measured == lips[first]
+
+
+def test_inf_family_scans_first_and_last_pairs():
+    inst = grid_instance(11)
+    members = np.arange(11)
+    family = np.zeros((2, 11))
+    family[0, :2] = [1.0, -1.0]           # steepest pair: the first two members
+    family[1, -2:] = [-1.0, 1.0]          # steepest pair: the last two members
+    lips = [lip_constant(inst, row, members) for row in family]
+    assert lips == pytest.approx([20.0, 20.0])
+    for row, lip in zip(family, lips):
+        assert check_inf_family(inst, row[None, :], members, 21.0).measured == lip
+    res = check_inf_family(inst, family[::-1], members, 10.0)
+    assert res.witness == {"member": 0} and res.measured == lips[1]
+
+
+def test_inf_family_single_member_and_bad_arguments():
+    inst, members, family, lips = _family_case(5)
+    res = check_inf_family(inst, family[:1], members, lips[0])
+    assert res.status == "pass" and res.measured == lips[0]
+    dup = members.copy()
+    dup[3] = dup[0]
+    with pytest.raises(ParameterError, match="distinct"):
+        check_inf_family(inst, family, dup, max(lips))
+    for bad in (family[:0], family[:, 1:], family[0]):
+        with pytest.raises(ParameterError):
+            check_inf_family(inst, bad, members, max(lips))
+
+
+@pytest.mark.parametrize("n", [11, 1001])
+def test_run_suite_rejects_negative_seed_and_non_finite_xi(n):
+    inst = grid_instance(n)
+    with pytest.raises(ParameterError, match="seed"):
+        run_suite(inst, 1.0, seed=-1)
+    for xi in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="xi"):
+            run_suite(inst, 1.0, xi=xi)
