@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -185,8 +186,8 @@ def _demo_radii(n: int) -> list[float]:
 
 
 def cmd_demo_counterexample(args) -> int:
-    if args.xi <= 0:
-        raise ParameterError("--xi must be strictly positive")
+    if not (args.xi > 0 and math.isfinite(args.xi)):
+        raise ParameterError("--xi must be a positive finite real")
     if args.epsilon <= 0:
         raise ParameterError("--epsilon must be positive")
     instance = grid_instance(args.n)
@@ -196,7 +197,7 @@ def cmd_demo_counterexample(args) -> int:
     radii = _demo_radii(args.n)
     frag = mcshane_comparison(instance, radii, args.epsilon, field=field,
                               centers=[0, args.n - 1])
-    loc = check_locality_preservation(instance, field, 0, r_bar, args.xi)
+    loc = check_locality_preservation(instance, field, [0], r_bar, args.xi)
 
     print(f"grid n={args.n}, subset endpoints, epsilon={args.epsilon}, "
           f"xi={args.xi}, r_bar={r_bar}")

@@ -97,10 +97,13 @@ class EnergyReport:
 
 
 def energy(instance: MetricInstance, domain, values, measure: MeasureData,
-           r: float) -> EnergySide:
-    """Sum over support of m_i * Lip(values, domain within open B_r(x_i))^p."""
-    if not (isinstance(r, (int, float)) and r > 0 and math.isfinite(r)):
-        raise ParameterError("radius must be a positive finite real")
+           radii) -> list[EnergySide]:
+    """Per radius r: sum over support of m_i * Lip(values, domain within open B_r(x_i))^p.
+
+    Returns one side per entry of ``radii`` (positive and finite; repeats and
+    any order are allowed).
+    """
+    radii = _positive_radii(radii)
     domain = np.asarray(domain, dtype=np.intp)
     values = np.asarray(values, dtype=float)
     if values.shape != domain.shape:
@@ -108,44 +111,43 @@ def energy(instance: MetricInstance, domain, values, measure: MeasureData,
     if len(np.unique(domain)) != len(domain):
         raise ParameterError("domain indices must be distinct")
     support = measure.support
-    dset = set(domain.tolist())
-    if not all(int(i) in dset for i in support):
+    if not np.all(np.isin(support, domain)):
         raise ParameterError("domain must contain the measure support")
-    ratios = pair_ratios(instance, domain, values)
-    lips = np.array([ball_lips(ratios, d_row, [r])[0]
-                     for d_row in instance.distances(support, domain)])
+    lips = ball_lips(pair_ratios(instance, domain, values),   # contiguous row per radius
+                     instance.distances(support, domain), radii).T.copy()
     contrib = measure.masses[support] * lips ** measure.p
-    return EnergySide(radius=float(r), total=float(contrib.sum()), support=support,
-                      lips=lips, contributions=contrib)
+    return [EnergySide(radius=float(r), total=float(c.sum()), support=support,
+                       lips=lr, contributions=c)
+            for r, lr, c in zip(radii, lips, contrib)]
 
 
 def _positive_radii(radii) -> np.ndarray:
-    """``radii`` as a non-empty 1-D float array; raises unless every entry is positive."""
+    """``radii`` as a non-empty 1-D float array; raises unless all are positive and finite."""
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0):
-        raise ParameterError("radii must be positive")
+    if radii.ndim != 1 or len(radii) == 0 or not np.all((radii > 0) & np.isfinite(radii)):
+        raise ParameterError("radii must be positive finite reals")
     return radii
 
 
 def restriction_report(instance: MetricInstance, h_values, measure: MeasureData,
-                       r: float) -> EnergyReport:
-    """Energies of ``h`` on the whole space and of its restriction on the subset."""
+                       radii) -> list[EnergyReport]:
+    """Per radius, energies of ``h`` on the whole space and of its restriction to the subset."""
     h_values = np.asarray(h_values, dtype=float)
     if h_values.shape != (instance.n,):
         raise ParameterError("h must be defined on every point")
     allpts = np.arange(instance.n, dtype=np.intp)
-    on_space = energy(instance, allpts, h_values, measure, r)
+    on_space = energy(instance, allpts, h_values, measure, radii)
     on_subset = energy(instance, instance.subset, h_values[instance.subset],
-                       measure, r)
-    return EnergyReport(radius=float(r), on_space=on_space, on_subset=on_subset)
+                       measure, radii)
+    return [EnergyReport(radius=side_x.radius, on_space=side_x, on_subset=side_c)
+            for side_x, side_c in zip(on_space, on_subset)]
 
 
 def check_restriction_monotonicity(instance: MetricInstance, h_values,
                                    measure: MeasureData,
                                    radii) -> tuple[CheckResult, list[EnergyReport]]:
     """E_C(h restricted, r) <= E_X(h, r) at every radius (balls only shrink)."""
-    reports = [restriction_report(instance, h_values, measure, float(r))
-               for r in _positive_radii(radii)]
+    reports = restriction_report(instance, h_values, measure, radii)
     worst = None
     gap_worst = -math.inf
     for rep in reports:
@@ -193,13 +195,12 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     rows = []
     worst_gap = -math.inf
     worst_wit: dict = {}
-    ratios_g = pair_ratios(instance, instance.subset, instance.values)
-    lips_g_all = np.array([ball_lips(ratios_g, d_row, radii_bar) for d_row in
-                           instance.distances(support, instance.subset)])
-    for rb, lips_g in zip(radii_bar, lips_g_all.T):
-        r = float(rb) if schedule is None else locality_radius(
-            schedule, float(rb), xi, L)[1]
-        e_f = energy(instance, allpts, field.values, measure, r)
+    lips_g_all = ball_lips(pair_ratios(instance, instance.subset, instance.values),
+                           instance.distances(support, instance.subset), radii_bar)
+    r_sched = [float(rb) if schedule is None else
+               locality_radius(schedule, float(rb), xi, L)[1] for rb in radii_bar]
+    sides = energy(instance, allpts, field.values, measure, r_sched)
+    for rb, r, lips_g, e_f in zip(radii_bar, r_sched, lips_g_all.T, sides):
         point_gap = e_f.lips - (lips_g + xi)
         bound_total = float((measure.masses[support] * (lips_g + xi) ** measure.p).sum())
         agg_gap = e_f.total - bound_total

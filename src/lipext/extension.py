@@ -117,8 +117,8 @@ def approx_slopes(instance: MetricInstance, x: int,
     if instance.subset_positions()[x] < 0:
         raise ParameterError(f"anchor {x} is not in the subset")
     vals = ball_lips(pair_ratios(instance, instance.subset, instance.values),
-                     instance.distances(instance.subset, [x])[:, 0],
-                     _slope_radii(schedule))
+                     instance.distances(instance.subset, [x]).T,
+                     _slope_radii(schedule))[0]
     return {k: float(vals[i]) for i, k in
             enumerate(range(schedule.k_min, schedule.k_max + 2))}
 
@@ -158,10 +158,9 @@ def build_penalization(S: Mapping[int, float], schedule: ScaleSchedule,
 
 def build_profiles(instance: MetricInstance, schedule: ScaleSchedule) -> ProfileBank:
     """The bank of every anchor, row ``i`` for ``subset[i]``."""
-    ratios = pair_ratios(instance, instance.subset, instance.values)
-    radii = _slope_radii(schedule)
-    d_all = instance.distances(instance.subset, instance.subset)
-    S = np.array([ball_lips(ratios, row, radii) for row in d_all])
+    S = ball_lips(pair_ratios(instance, instance.subset, instance.values),
+                  instance.distances(instance.subset, instance.subset),
+                  _slope_radii(schedule))
     return _bank(instance.subset, S[:, 2:], schedule, instance.lipschitz_L)
 
 

@@ -258,24 +258,28 @@ def pair_ratios(instance: MetricInstance, members, values) -> np.ndarray:
     return np.divide(gaps, dist, out=gaps, where=dist > 0)
 
 
-def ball_lips(ratios: np.ndarray, d_row: np.ndarray, radii) -> np.ndarray:
-    """Lipschitz constants over the OPEN balls ``{i : d_row[i] < r}``, one per radius.
+def ball_lips(ratios: np.ndarray, d_rows, radii) -> np.ndarray:
+    """Entry ``[c, j]``: Lipschitz constant over the OPEN ball ``{i : d_rows[c, i] < radii[j]}``.
 
-    ``ratios`` is a :func:`pair_ratios` matrix over the points whose distances
-    to the center are ``d_row``.  Points enter the ball in stable distance
-    order and a tie at ``r`` stays outside.  The sorted points are read in row
-    chunks ``[a, b)`` against the first ``b`` points; chunks end at every
-    ball's point count and every ``_ROW_CHUNK`` rows, so the constant of a
-    ball holding ``c`` points is the running maximum of the chunks up to ``c``.
+    Row ``c`` of ``d_rows`` holds center ``c``'s distances to the points of
+    the :func:`pair_ratios` matrix ``ratios``.  Points enter a ball in stable
+    distance order and a tie at ``r`` stays outside.  The sorted points are
+    read in row chunks ``[a, b)`` against the first ``b`` points; chunks end
+    at every ball's point count and every ``_ROW_CHUNK`` rows, so a ball of
+    ``m`` points takes the running maximum of the chunks up to ``m``.
     """
-    order = np.argsort(d_row, kind="stable")
-    counts = np.searchsorted(d_row[order], radii, side="left")
-    ends = np.union1d(counts, np.arange(0, counts.max(initial=0), _ROW_CHUNK))
-    running = np.zeros(len(ends))
-    for pos in range(1, len(ends)):
-        block = ratios[np.ix_(order[ends[pos - 1]:ends[pos]], order[:ends[pos]])]
-        running[pos] = max(running[pos - 1], block.max())
-    return running[np.searchsorted(ends, counts)]
+    d_rows = np.asarray(d_rows, dtype=float)
+    orders = np.argsort(d_rows, axis=1, kind="stable")
+    out = np.zeros((len(d_rows), len(radii)))
+    for row, order in enumerate(orders):
+        counts = np.searchsorted(d_rows[row, order], radii, side="left")
+        ends = np.union1d(counts, np.arange(0, counts.max(initial=0), _ROW_CHUNK))
+        running = np.zeros(len(ends))
+        for pos in range(1, len(ends)):
+            block = ratios[np.ix_(order[ends[pos - 1]:ends[pos]], order[:ends[pos]])]
+            running[pos] = max(running[pos - 1], block.max())
+        out[row] = running[np.searchsorted(ends, counts)]
+    return out
 
 
 def lip_constant(instance: MetricInstance, values, members) -> float:
@@ -291,16 +295,6 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
     if len(np.unique(members)) != len(members):
         raise ParameterError("member indices must be distinct")
     return float(pair_ratios(instance, members, values).max(initial=0.0))
-
-
-def ball_members(instance: MetricInstance, center: int, r: float, within) -> np.ndarray:
-    """Indices of ``within`` inside the OPEN ball of radius ``r`` around ``center``.
-
-    Order of ``within`` is preserved.
-    """
-    within = np.asarray(within, dtype=np.intp)
-    d = instance.distance_matrix()[center, within]
-    return within[d < r]
 
 
 def _check_radii(radii) -> np.ndarray:
@@ -327,4 +321,4 @@ def lipa_profile(instance: MetricInstance, domain, values, center: int, radii) -
         raise ParameterError("center must belong to the domain")
     radii = _check_radii(radii)
     return ball_lips(pair_ratios(instance, domain, values),
-                     instance.distance_matrix()[center, domain], radii)
+                     instance.distances([center], domain), radii)[0]

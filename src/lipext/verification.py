@@ -17,11 +17,10 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import ParameterError
-from .metric import (MetricInstance, _check_radii, ball_lips, ball_members,
-                     lip_constant, pair_ratios)
+from .metric import MetricInstance, _check_radii, ball_lips, pair_ratios
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (ExtensionField, ProfileBank, build_profiles, extend,
-                        extend_localized, mcshane_upper_many,
+from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
+                        build_profiles, extend, extend_localized, mcshane_upper_many,
                         mcshane_lower_many, schedule_for_instance,
                         schedule_with_locality)
 
@@ -237,16 +236,13 @@ def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
     T = instance.distances(instance.subset, field.queries)
     phi = instance.values[:, None] + profiles.pen(T)
     d_xbar = instance.distance_matrix()[np.ix_(instance.subset, instance.subset)]
+    _, xbars = _argmin_lowest(T, instance.subset)    # nearest anchor, lowest index
     worst_margin = math.inf
     worst_wit = None
     fallbacks = 0
-    for qi, y in enumerate(field.queries):
-        drow = instance.distance_matrix()[instance.subset, y]
-        near = int(np.argmin(drow))
-        cand = np.flatnonzero(drow == drow[near])
-        near = int(cand[np.argmin(instance.subset[cand])])
-        xbar = int(instance.subset[near])
-        got, info = extend_localized(instance, schedule, int(y), xbar,
+    for qi, (y, xbar) in enumerate(zip(field.queries.tolist(), xbars.tolist())):
+        near = instance.subset_positions()[xbar]
+        got, info = extend_localized(instance, schedule, y, xbar,
                                      profiles=profiles, detail=True)
         if got != float(field.values[qi]):
             return CheckResult(
@@ -278,24 +274,38 @@ def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
 
 
 def check_locality_preservation(instance: MetricInstance, field: ExtensionField,
-                                x_bar: int, r_bar: float, xi: float) -> CheckResult:
-    """Lip(f, B_r(x_bar)) <= Lip(g, C within B_rbar(x_bar)) + xi at the scheduled r."""
+                                x_bars, r_bar: float, xi: float) -> CheckResult:
+    """Lip(f, B_r(x)) <= Lip(g, C within B_rbar(x)) + xi at the scheduled r.
+
+    Checks every center ``x`` in the non-empty ``x_bars`` at once and reports
+    the worst: the first failing center with the largest Lip(f, B_r(x)), or,
+    if all pass, the first with the largest.
+    """
+    x_bars = np.asarray(x_bars, dtype=np.intp)
+    if x_bars.ndim != 1 or len(x_bars) == 0:
+        raise ParameterError("x_bars must be a non-empty 1-D index list")
     if field.schedule is None:
         return CheckResult("locality_preservation", "skipped",
                            note="constant extension: local constants are zero")
     k, r = locality_radius(field.schedule, r_bar, xi, instance.lipschitz_L)
-    ball_q = np.flatnonzero(instance.distance_matrix()[x_bar, field.queries] < r)
-    members, first = np.unique(field.queries[ball_q], return_index=True)
-    lhs = lip_constant(instance, field.values[ball_q[first]], members)
-    cball = ball_members(instance, x_bar, r_bar, instance.subset)
-    rhs = lip_constant(instance, instance.g_at(cball), cball) + xi
+    members, first = np.unique(field.queries, return_index=True)
+    d_f = instance.distances(x_bars, members)
+    near = np.flatnonzero((d_f < r).any(axis=0))    # the union of the balls
+    lhs = ball_lips(pair_ratios(instance, members[near], field.values[first[near]]),
+                    d_f[:, near], [r])[:, 0]
+    rhs = ball_lips(pair_ratios(instance, instance.subset, instance.values),
+                    instance.distances(x_bars, instance.subset), [r_bar])[:, 0] + xi
     slack = INEQ_RTOL * max(1.0, instance.lipschitz_L)
-    status = "pass" if lhs <= rhs + slack else "fail"
-    witness = {"x_bar": int(x_bar), "k": int(k), "r": float(r),
-               "lip_f": float(lhs), "lip_g_plus_xi": float(rhs),
-               "ball_points": int(len(members))}
-    return CheckResult("locality_preservation", status, measured=float(lhs),
-                       allowed=float(rhs + slack), tolerance=slack, witness=witness)
+    ok = lhs <= rhs + slack
+    pool = np.flatnonzero(~ok) if not np.all(ok) else np.arange(len(x_bars))
+    w = int(pool[np.argmax(lhs[pool])])
+    witness = {"x_bar": int(x_bars[w]), "k": int(k), "r": float(r),
+               "lip_f": float(lhs[w]), "lip_g_plus_xi": float(rhs[w]),
+               "ball_points": int(np.sum(d_f[w] < r))}
+    return CheckResult("locality_preservation", "pass" if ok[w] else "fail",
+                       measured=float(lhs[w]), allowed=float(rhs[w] + slack),
+                       tolerance=slack, witness=witness,
+                       note=f"worst of {len(x_bars)} centers")
 
 
 def check_inf_family(instance: MetricInstance, family: np.ndarray, members,
@@ -358,16 +368,12 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     centers = np.asarray(centers, dtype=np.intp)
     if not np.all(np.isin(centers, domain)):
         raise ParameterError("center must belong to the domain")
-    ratios_ms = pair_ratios(instance, domain, ms)
-    ratios_f = pair_ratios(instance, domain, fvals)
-    rows = []
-    for c in centers:
-        d_row = instance.distance_matrix()[c, domain]
-        p_ms = ball_lips(ratios_ms, d_row, r_list)
-        p_f = ball_lips(ratios_f, d_row, r_list)
-        rows.append({"center": int(c), "radii": r_list.tolist(),
-                     "mcshane": p_ms.tolist(), "extension": p_f.tolist(),
-                     "gap": (p_ms - p_f).tolist()})
+    d_rows = instance.distances(centers, domain)
+    lips_ms = ball_lips(pair_ratios(instance, domain, ms), d_rows, r_list)
+    lips_f = ball_lips(pair_ratios(instance, domain, fvals), d_rows, r_list)
+    rows = [{"center": int(c), "radii": r_list.tolist(), "mcshane": p_ms.tolist(),
+             "extension": p_f.tolist(), "gap": (p_ms - p_f).tolist()}
+            for c, p_ms, p_f in zip(centers, lips_ms, lips_f)]
     return {"epsilon": float(epsilon), "centers": rows}
 
 
@@ -417,8 +423,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
             CheckResult("profile_legality", "skipped", note="constant data: no profiles"),
             CheckResult("step2_lower_bound", "skipped", note="constant data"),
             CheckResult("localization", "skipped", note="constant data"),
-            check_locality_preservation(instance, field, int(instance.subset[0]),
-                                        r_bar, xi),
+            check_locality_preservation(instance, field, instance.subset[:1], r_bar, xi),
             CheckResult("inf_family", "skipped", note="constant data"),
         ]
         frag = mcshane_comparison(instance, mcshane_radii, epsilon, field=field)
@@ -434,17 +439,6 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     phi_family = (instance.values[:, None]
                   + profiles.pen(instance.distances(instance.subset, queries)))
 
-    locality_results = [
-        check_locality_preservation(instance, field, int(xb), r_bar, xi)
-        for xb in instance.subset
-    ]
-    loc_worst = min(locality_results,
-                    key=lambda c: (c.passed, -(c.measured or 0.0)))
-    loc = CheckResult("locality_preservation", loc_worst.status,
-                      measured=loc_worst.measured, allowed=loc_worst.allowed,
-                      tolerance=loc_worst.tolerance, witness=loc_worst.witness,
-                      note=f"worst of {len(locality_results)} centers")
-
     checks = [
         check_schedule_laws(schedule, float(epsilon)),
         check_profile_legality(profiles, schedule),
@@ -453,7 +447,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
         check_envelope_sandwich(field, instance, budget),
         check_step2(instance, profiles, schedule),
         check_localization(instance, schedule, field, profiles),
-        loc,
+        check_locality_preservation(instance, field, instance.subset, r_bar, xi),
         check_inf_family(instance, phi_family, queries, budget),
     ]
     frag = mcshane_comparison(instance, mcshane_radii, epsilon, field=field)

@@ -6,14 +6,17 @@ Usage, from the root of a checkout:
 
 Every instance is a function of its fixed seed.  For each instance the script
 runs ``verify``, ``extend`` and ``energy`` through ``lipext.cli.main`` and
-stores each report next to the instance, then records the flags and exit
-codes in ``cases.json``.  Reports pin the byte-identical output contract:
+stores each report next to the instance; ``EXTRA`` adds single runs (the
+injected-corruption failure path, and ``demo-counterexample``, whose stdout
+is the report).  The flags and exit codes go to ``cases.json``.  Reports pin the byte-identical output contract:
 regenerate them only for a change that is meant to alter outputs, and say so
 in the change log.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -110,18 +113,40 @@ CASES = {
 }
 
 
+# (report, instance name or None, command, flags).  A case without an
+# instance takes no --input/--output: its report is what it prints.
+EXTRA = [
+    ("cloud.verify_corrupt.json", "cloud", "verify",
+     ["--epsilon", "0.5", "--xi", "0.1", "--inject-corruption"]),
+    ("demo_counterexample.stdout.txt", None, "demo-counterexample", ["--n", "101"]),
+]
+
+
+def _run(out_dir: Path, report: str, instance: str | None, command: str,
+         flags: list[str]) -> dict:
+    if instance is None:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([command, *flags])
+        (out_dir / report).write_bytes(buf.getvalue().encode("utf-8"))
+    else:
+        code = main([command, "--input", str(out_dir / instance), *flags,
+                     "--output", str(out_dir / report)])
+    return {"instance": instance, "command": command, "flags": flags,
+            "exit": code, "report": report}
+
+
 def generate(out_dir: Path) -> list[dict]:
     manifest = []
     for name, (build, seed, commands) in CASES.items():
-        instance = out_dir / f"{name}.json"
-        instance.write_text(json.dumps(build(seed)) + "\n")
+        instance = f"{name}.json"
+        (out_dir / instance).write_text(json.dumps(build(seed)) + "\n")
         for command, flags in commands.items():
-            report = f"{name}.{command}.json"
-            argv = [command, "--input", str(instance), *flags,
-                    "--output", str(out_dir / report)]
-            manifest.append({"instance": instance.name, "command": command,
-                             "flags": flags, "exit": main(argv),
-                             "report": report})
+            manifest.append(_run(out_dir, f"{name}.{command}.json", instance,
+                                 command, flags))
+    for report, name, command, flags in EXTRA:
+        manifest.append(_run(out_dir, report, name and f"{name}.json",
+                             command, flags))
     (out_dir / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
     return manifest
 

@@ -253,10 +253,10 @@ def test_criterion_09_energy_integrand_checks():
         allpts = np.arange(inst.n, dtype=np.intp)
         for p in (1.0, 2.0):
             measure = validate_measure(inst, random_masses(inst, seed), p)
-            for r in radii:
-                e_x = energy(inst, allpts, h, measure, float(r)).total
-                e_c = energy(inst, inst.subset, h[inst.subset], measure,
-                             float(r)).total
+            sides_x = energy(inst, allpts, h, measure, radii)
+            sides_c = energy(inst, inst.subset, h[inst.subset], measure, radii)
+            for r, side_x, side_c in zip(radii, sides_x, sides_c):
+                e_x, e_c = side_x.total, side_c.total
                 assert e_c <= e_x + 1e-9 * max(1.0, e_x), f"seed {seed} r {r}"
             rbar = [float(np.quantile(pos, 0.3)), float(np.quantile(pos, 0.6))]
             check, _ = check_extension_energy(inst, measure, rbar, xi=xi)

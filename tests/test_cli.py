@@ -235,6 +235,14 @@ def test_energy_bad_radii(tmp_path, capsys):
     assert "radii" in json.loads(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize("radii", ["nan", "inf", "0.3,nan"])
+def test_energy_non_finite_radii_exit1(tmp_path, capsys, radii):
+    cloud = _cloud_file(tmp_path, seed=6, with_masses=True)
+    assert main(["energy", "--input", cloud, "--p", "1", "--radii", radii,
+                 "--output", str(tmp_path / "e.json")]) == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def test_energy_infinite_xi_exit1(tmp_path, capsys):
     cloud = _cloud_file(tmp_path, seed=6, with_masses=True)
     assert main(["energy", "--input", cloud, "--p", "1", "--radii", "0.5",
@@ -260,6 +268,15 @@ def test_demo_coarse_grid(capsys):
 def test_demo_rejects_zero_xi(capsys):
     assert main(["demo-counterexample", "--n", "11", "--epsilon", "1",
                  "--xi", "0"]) == 1
+
+
+@pytest.mark.parametrize("xi", ["inf", "nan"])
+def test_demo_rejects_non_finite_xi(capsys, xi):
+    # an infinite locality bound Lip(g) + xi would pass vacuously
+    assert main(["demo-counterexample", "--n", "11", "--epsilon", "1",
+                 "--xi", xi]) == 1
+    out = capsys.readouterr().out
+    assert "RESULT" not in out and "xi" in json.loads(out)["error"]
 
 
 # --- plumbing ----------------------------------------------------------------

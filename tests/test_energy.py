@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipext import (InstanceValidationError, ParameterError, ball_members,
+from lipext import (InstanceValidationError, ParameterError,
                     check_extension_energy, check_restriction_monotonicity,
                     energy, instance_from_arrays, lip_constant,
                     mcshane_upper_many, restriction_report, validate_measure)
@@ -36,7 +36,7 @@ def test_energy_constant_values_zero():
     measure = _unit_measure(inst, 2.0)
     allpts = np.arange(inst.n)
     for r in (0.1, 0.5, 2.0):
-        assert energy(inst, allpts, np.full(inst.n, 7.0), measure, r).total == 0.0
+        assert energy(inst, allpts, np.full(inst.n, 7.0), measure, [r])[0].total == 0.0
 
 
 def test_energy_single_mass_is_ball_constant():
@@ -49,8 +49,8 @@ def test_energy_single_mass_is_ball_constant():
     vals = rng.normal(size=inst.n)
     allpts = np.arange(inst.n)
     r = 0.4
-    side = energy(inst, allpts, vals, measure, r)
-    ball = ball_members(inst, x0, r, allpts)
+    side = energy(inst, allpts, vals, measure, [r])[0]
+    ball = allpts[inst.distance_matrix()[x0, allpts] < r]
     assert side.total == pytest.approx(oracle_lip(inst, vals[ball], ball), rel=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_energy_endpoint_grid_mcshane():
     inst = grid_instance(1001)
     measure = _unit_measure(inst, 2.0)
     ms = mcshane_upper_many(inst, 1.0, np.arange(inst.n))
-    rep = restriction_report(inst, ms, measure, 0.5)
+    rep = restriction_report(inst, ms, measure, [0.5])[0]
     assert rep.on_space.total == pytest.approx(2.0, abs=1e-12)
     assert rep.on_subset.total == 0.0
 
@@ -72,13 +72,13 @@ def test_energy_monotone_in_radius_and_homogeneous():
     rng = np.random.default_rng(1)
     vals = rng.normal(size=inst.n)
     allpts = np.arange(inst.n)
-    totals = [energy(inst, allpts, vals, measure, r).total
+    totals = [energy(inst, allpts, vals, measure, [r])[0].total
               for r in (0.2, 0.5, 1.1, 2.5)]
     assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
     lam = -2.5
-    scaled = energy(inst, allpts, lam * vals, measure, 0.5).total
+    scaled = energy(inst, allpts, lam * vals, measure, [0.5])[0].total
     assert scaled == pytest.approx(abs(lam) ** measure.p
-                                   * energy(inst, allpts, vals, measure, 0.5).total,
+                                   * energy(inst, allpts, vals, measure, [0.5])[0].total,
                                    rel=1e-12)
 
 
@@ -157,9 +157,9 @@ def test_energy_parameter_errors():
     inst = grid_instance(5)
     measure = _unit_measure(inst)
     with pytest.raises(ParameterError):
-        energy(inst, [0, 1], np.zeros(2), measure, 0.5)  # support not covered
+        energy(inst, [0, 1], np.zeros(2), measure, [0.5])  # support not covered
     with pytest.raises(ParameterError):
-        energy(inst, np.arange(inst.n), np.zeros(inst.n), measure, -1.0)
+        energy(inst, np.arange(inst.n), np.zeros(inst.n), measure, [-1.0])
     with pytest.raises(ParameterError):
         check_extension_energy(inst, measure, [0.5], xi=0.0)
 
@@ -177,3 +177,35 @@ def test_restriction_monotonicity_rejects_bad_radii():
     for radii in ([], [[0.5]], [0.5, 0.0]):
         with pytest.raises(ParameterError, match="radii"):
             check_restriction_monotonicity(inst, h, _unit_measure(inst), radii)
+
+
+def test_energy_radii_in_any_order_equal_one_call_per_radius():
+    inst = random_instance(7, n_max=60)
+    measure = validate_measure(inst, random_masses(inst, 7), 1.5)
+    h = np.random.default_rng(3).normal(size=inst.n)
+    allpts = np.arange(inst.n)
+    radii = [0.6, 0.2, 0.6, 1.3, 0.05]
+    sides = energy(inst, allpts, h, measure, radii)
+    assert [side.radius for side in sides] == radii
+    for r, side in zip(radii, sides):
+        one = energy(inst, allpts, h, measure, [r])
+        assert len(one) == 1
+        assert one[0].total == side.total
+        for key in ("support", "lips", "contributions"):
+            assert np.array_equal(getattr(one[0], key), getattr(side, key))
+    reports = restriction_report(inst, h, measure, radii)
+    assert [rep.radius for rep in reports] == radii
+    assert [rep.on_space.total for rep in reports] == [s.total for s in sides]
+
+
+@pytest.mark.parametrize("radii", [[np.nan], [np.inf], [0.3, np.nan]])
+def test_non_finite_radii_rejected(radii):
+    inst = grid_instance(5)
+    measure = _unit_measure(inst)
+    h = np.linspace(0.0, 1.0, inst.n)
+    with pytest.raises(ParameterError, match="radii"):
+        energy(inst, np.arange(inst.n), h, measure, radii)
+    with pytest.raises(ParameterError, match="radii"):
+        check_restriction_monotonicity(inst, h, measure, radii)
+    with pytest.raises(ParameterError, match="radii"):
+        check_extension_energy(inst, measure, radii, xi=0.1)

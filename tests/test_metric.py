@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipext import (InstanceValidationError, ParameterError, ball_members,
+from lipext import (InstanceValidationError, ParameterError,
                     instance_from_arrays, lip_constant, lipa_profile,
                     validate_instance)
 from conftest import grid_instance, oracle_lip, random_instance
@@ -161,17 +161,6 @@ def test_every_euclidean_cloud_validates(seed, n, dim):
     assert inst.n == n
 
 
-# --- ball_members ------------------------------------------------------------
-
-
-def test_ball_members_line(line3):
-    allpts = [0, 1, 2]
-    assert ball_members(line3, 0, 0.6, allpts).tolist() == [0, 1]
-    assert ball_members(line3, 0, 1e-9, allpts).tolist() == [0]
-    assert ball_members(line3, 0, 99.0, allpts).tolist() == allpts
-    assert ball_members(line3, 0, 0.5, allpts).tolist() == [0]  # open ball
-
-
 # --- lipa_profile ------------------------------------------------------------
 
 
@@ -215,6 +204,6 @@ def test_lipa_profile_matches_ball_scan():
     vals = rng.normal(size=inst.n)
     for r in [0.1, 0.4, 0.9]:
         prof = lipa_profile(inst, domain, vals, 3, [r])
-        ball = ball_members(inst, 3, r, domain)
+        ball = domain[inst.distance_matrix()[3, domain] < r]
         assert prof[0] == pytest.approx(
             oracle_lip(inst, vals[ball], ball), abs=1e-14)

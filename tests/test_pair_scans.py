@@ -47,7 +47,7 @@ def test_ball_lips_matches_oracle_across_row_chunks():
                   (sorted_d[_ROW_CHUNK] + sorted_d[_ROW_CHUNK + 1]) / 2.0,
                   radii[4]]                                # repeated count
         radii = np.array(radii)[rng.permutation(len(radii))]   # out of order
-        got = ball_lips(ratios, d_row, radii)
+        got = ball_lips(ratios, [d_row], radii)[0]
         order = np.argsort(d_row, kind="stable")
         for r, lip in zip(radii, got):
             inside = order[d_row[order] < r]
@@ -60,8 +60,31 @@ def test_ball_lips_empty_and_single_point_balls():
     ratios = pair_ratios(inst, domain, np.arange(4.0))
     d_row = inst.distance_matrix()[0, domain]       # center outside the domain
     tiny = d_row.min() / 2.0
-    assert ball_lips(ratios, d_row, [tiny, tiny]).tolist() == [0.0, 0.0]
-    assert ball_lips(ratios, inst.distance_matrix()[1, domain], [tiny]).tolist() == [0.0]
+    assert ball_lips(ratios, [d_row], [tiny, tiny]).tolist() == [[0.0, 0.0]]
+    assert ball_lips(ratios, [inst.distance_matrix()[1, domain]], [tiny]).tolist() == [[0.0]]
+
+
+def test_ball_lips_rows_match_oracle():
+    n = _ROW_CHUNK + 60
+    inst = _cloud(3, n)
+    rng = np.random.default_rng(4)
+    perm = rng.permutation(n)
+    domain = perm[: n - 5]
+    vals = rng.normal(size=len(domain))
+    ratios = pair_ratios(inst, domain, vals)
+    centers = np.concatenate([perm[n - 5:], perm[:7]])   # five lie outside the domain
+    d_rows = inst.distances(centers, domain)
+    levels = np.sort(d_rows[0])
+    radii = [levels[_ROW_CHUNK], levels[3], 1e-9, levels[3], 9.0, levels[-1]]
+    got = ball_lips(ratios, d_rows, radii)
+    assert got.shape == (len(centers), len(radii))
+    for row, d_row in zip(got, d_rows):
+        want = [oracle_lip(inst, vals[d_row < r], domain[d_row < r]) for r in radii]
+        assert row.tolist() == want
+    # one row is the first row of the batch; zero rows give an empty (0, R) array
+    assert np.array_equal(ball_lips(ratios, d_rows[:1], radii), got[:1])
+    empty = ball_lips(ratios, np.empty((0, len(domain))), radii)
+    assert empty.shape == (0, len(radii))
 
 
 def _family_case(seed, n=60, size=5):

@@ -78,14 +78,15 @@ def test_ball_lips_matches_oracle_at_ties(inst):
     vals = rng.normal(size=inst.n)
     radii = tie_radii(inst)
     ratios = pair_ratios(inst, domain, vals)
+    got = ball_lips(ratios, inst.distance_matrix()[:, domain], radii)   # every center
+    assert got.shape == (inst.n, len(radii))
     for center in range(inst.n):
-        got = ball_lips(ratios, inst.distance_matrix()[center, domain], radii)
         want = [oracle_ball_lip(inst, domain, vals, center, r) for r in radii]
-        assert got.tolist() == want
+        assert got[center].tolist() == want
     # unsorted radii are answered position by position
     d_row = inst.distance_matrix()[0, domain]
-    assert np.array_equal(ball_lips(ratios, d_row, radii[::-1]),
-                          ball_lips(ratios, d_row, radii)[::-1])
+    assert np.array_equal(ball_lips(ratios, [d_row], radii[::-1])[0],
+                          ball_lips(ratios, [d_row], radii)[0][::-1])
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
@@ -138,9 +139,11 @@ def test_energy_matches_oracle_at_ties(inst):
     masses[inst.subset] = rng.uniform(0.2, 1.0, len(inst.subset))
     measure = validate_measure(inst, masses, 2.0)
     allpts = np.arange(inst.n)
-    for r in tie_radii(inst):
-        for domain in (allpts, inst.subset):
-            side = energy(inst, domain, h[domain], measure, float(r))
+    radii = tie_radii(inst)
+    for domain in (allpts, inst.subset):
+        sides = energy(inst, domain, h[domain], measure, radii)
+        assert [side.radius for side in sides] == radii.tolist()
+        for r, side in zip(radii, sides):
             want = [oracle_ball_lip(inst, domain, h[domain], int(x), r)
                     for x in measure.support]
             assert side.lips.tolist() == want

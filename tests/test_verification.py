@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from lipext import (CheckResult, ParameterError, build_profiles,
                     schedule_for_instance, schedule_with_locality)
 from lipext.verification import _pair_sample, check_envelope_sandwich
 
-from conftest import grid_instance, random_instance
+from conftest import grid_instance, oracle_lip, random_instance
 
 
 def test_full_suite_passes_on_random_instances():
@@ -92,7 +94,7 @@ def test_locality_preservation_on_grid():
     inst = grid_instance(1001)
     sch, _, _ = schedule_with_locality(inst, 1.0, 0.5, 0.1)
     field = extend(inst, sch)
-    res = check_locality_preservation(inst, field, 0, 0.5, 0.1)
+    res = check_locality_preservation(inst, field, [0], 0.5, 0.1)
     assert res.status == "pass"
     # data on the endpoints has zero local constant, so the bound is xi itself
     assert res.witness["lip_g_plus_xi"] == pytest.approx(0.1)
@@ -107,8 +109,82 @@ def test_locality_preservation_random_quartiles():
         sch, _, _ = schedule_with_locality(inst, inst.lipschitz_L, r_bar, 0.2)
         field = extend(inst, sch)
         for xb in inst.subset:
-            assert check_locality_preservation(inst, field, int(xb),
+            assert check_locality_preservation(inst, field, [int(xb)],
                                                r_bar, 0.2).passed
+        res = check_locality_preservation(inst, field, inst.subset, r_bar, 0.2)
+        assert res.passed and res.note == f"worst of {len(inst.subset)} centers"
+
+
+# Three subset points on a line, each with three off-subset points packed
+# within 7 * 2^-40 of it, well inside the scheduled locality radius (~1.3e-9
+# at r_bar 0.5, xi 0.1): every locality ball holds four points.
+_H = 2.0 ** -40
+_OFFSETS = np.array([0.0, _H, 3.0 * _H, 7.0 * _H])
+
+
+def _clustered():
+    coords = np.concatenate([b + _OFFSETS for b in (0.0, 1.0, 2.0)])[:, None]
+    inst = instance_from_arrays(coords=coords, subset=[0, 4, 8],
+                                values=[0.0, 1.0, 0.5])
+    sch, _, r = schedule_with_locality(inst, 1.0, 0.5, 0.1)
+    return inst, extend(inst, sch), r
+
+
+def test_locality_ball_holds_several_points():
+    inst, field, r = _clustered()
+    res = check_locality_preservation(inst, field, inst.subset, 0.5, 0.1)
+    assert res.passed and res.note == "worst of 3 centers"
+    for xb in inst.subset:
+        one = check_locality_preservation(inst, field, [int(xb)], 0.5, 0.1)
+        ball = np.flatnonzero(inst.distance_matrix()[xb] < r)
+        assert len(ball) == 4 and one.witness["ball_points"] == 4
+        assert one.witness["r"] == r
+        want = oracle_lip(inst, field.values[ball], ball)
+        assert want > 0.0 and one.witness["lip_f"] == want
+    # the batch reports the center with the largest Lip(f, B_r)
+    lips = [check_locality_preservation(inst, field, [int(x)], 0.5, 0.1).measured
+            for x in inst.subset]
+    assert res.measured == max(lips)
+    assert res.witness["x_bar"] == int(inst.subset[int(np.argmax(lips))])
+    suite = run_suite(inst, 1.0, xi=0.1, r_bar=0.5)
+    loc = next(c for c in suite.checks if c.name == "locality_preservation")
+    assert loc.to_json() == res.to_json()
+
+
+def _corrupt(field, **slopes):
+    """f = base + slope * offset on the cluster of each named subset point."""
+    vals = field.values.copy()
+    for name, slope in slopes.items():
+        start = {"a": 0, "b": 4, "c": 8}[name]
+        vals[start:start + 4] = vals[start] + slope * _OFFSETS
+    return replace(field, values=vals)
+
+
+def test_locality_reports_first_failing_center_with_largest_lip():
+    inst, field, _ = _clustered()
+    # both a and c fail with the same Lip(f, B_r) = 1: the first listed wins
+    tied = _corrupt(field, a=1.0, c=1.0)
+    for order in ([0, 4, 8], [8, 4, 0]):
+        res = check_locality_preservation(inst, tied, order, 0.5, 0.1)
+        assert res.status == "fail" and res.witness["x_bar"] == order[0]
+        assert res.witness["lip_f"] == 1.0
+    # the larger failing constant wins over the earlier center
+    res = check_locality_preservation(inst, _corrupt(field, a=1.0, c=2.0),
+                                      [0, 4, 8], 0.5, 0.1)
+    assert res.witness["x_bar"] == 8 and res.witness["lip_f"] == 2.0
+    # at r_bar 1.5 the bound is Lip(g) + xi = 1.1 at a and b, 0.6 at c: a
+    # passes with 1.0, so the failing c (0.8) is reported despite a smaller lip
+    res = check_locality_preservation(inst, _corrupt(field, a=1.0, c=0.8),
+                                      [0, 4, 8], 1.5, 0.1)
+    assert res.status == "fail" and res.witness["x_bar"] == 8
+    assert res.witness["lip_g_plus_xi"] == pytest.approx(0.6)
+
+
+def test_locality_rejects_empty_centers():
+    inst, field, _ = _clustered()
+    for x_bars in ([], np.array([], dtype=int), [[0]]):
+        with pytest.raises(ParameterError):
+            check_locality_preservation(inst, field, x_bars, 0.5, 0.1)
 
 
 def test_check_inf_family():
