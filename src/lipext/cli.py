@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .errors import (InstanceValidationError, LipextError, ParameterError,
                      ScheduleTooShallow, TrivialInstance)
-from .metric import MetricInstance, instance_from_arrays, validate_instance
+from .metric import MetricInstance, _check_radii, instance_from_arrays, validate_instance
 from .extension import (cutoff_support, extend, mcshane_upper_many,
                         schedule_for_instance, schedule_with_locality,
                         truncate_bounded)
@@ -86,10 +85,7 @@ def _parse_radii(spec: str) -> list[float]:
         radii = [float(tok) for tok in spec.split(",") if tok != ""]
     except ValueError as exc:
         raise ParameterError(f"bad --radii list: {exc}") from exc
-    if not radii or any(r <= 0 for r in radii) or any(
-            b <= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError("--radii must be strictly increasing positive reals")
-    return radii
+    return _check_radii(radii).tolist()
 
 
 def cmd_validate(args) -> int:
@@ -186,8 +182,8 @@ def _demo_radii(n: int) -> list[float]:
 
 
 def cmd_demo_counterexample(args) -> int:
-    if not (args.xi > 0 and math.isfinite(args.xi)):
-        raise ParameterError("--xi must be a positive finite real")
+    if not 0 < args.xi < 1:
+        raise ParameterError("--xi must lie in (0, 1): at xi >= 1 McShane meets the bound too")
     if args.epsilon <= 0:
         raise ParameterError("--epsilon must be positive")
     instance = grid_instance(args.n)

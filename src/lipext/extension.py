@@ -230,20 +230,15 @@ def _as_query_array(instance: MetricInstance, queries) -> np.ndarray:
     return queries
 
 
-def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
-           queries=None, profiles: ProfileBank | None = None) -> ExtensionField:
-    """Evaluate the penalized infimal envelope on the query indices.
-
-    Restriction to the subset is exact (the anchor at the query attains the
-    minimum).  When ``Lip(g, C) == 0`` the constant extension is returned
-    directly and ``schedule`` is ignored.  Tie-break: lowest anchor index.
-    """
-    queries = _as_query_array(instance, queries)
+def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
+             queries: np.ndarray, profiles: ProfileBank | None,
+             xbars: np.ndarray | None) -> ExtensionField:
+    """The penalized infimum on ``queries``: over every anchor, or over each
+    query's localization ball at ``xbars`` (see :func:`extend_localized`)."""
     if instance.lipschitz_computed == 0.0:
         return _constant_field(instance, queries)
     if schedule is None:
         raise ParameterError("a schedule is required when Lip(g, C) > 0")
-
     T = instance.distances(instance.subset, queries)
     dmax = float(T.max())
     if schedule.eps_at(schedule.k_max) < dmax:
@@ -254,59 +249,53 @@ def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
     if profiles is None:
         profiles = build_profiles(instance, schedule)
     phi = instance.values[:, None] + profiles.pen(T)
+    localization = ["full"] * len(queries)
+    if xbars is not None:
+        near = instance.subset_positions()[xbars]
+        # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
+        jk = np.searchsorted(schedule.eps, T[near, np.arange(len(queries))], side="right") + 2
+        radius = np.append(schedule.eps, np.full(3, np.inf))[jk]    # jk <= len(eps) + 2
+        phi = np.where(instance.distances(instance.subset, xbars) < radius, phi, np.inf)
+        localization = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
+                        for k, x, r in zip(schedule.k_min + jk, xbars, radius)]
     values, anchors = _argmin_lowest(phi, instance.subset)
     return ExtensionField(queries=queries, values=values, anchors=anchors,
-                          localization=["full"] * len(queries),
+                          localization=localization,
                           epsilon=schedule.eps_eff, schedule=schedule,
                           g_abs_max=float(np.max(np.abs(instance.values))))
 
 
-def localization_index(schedule: ScaleSchedule, d_y_xbar: float) -> int | None:
-    """Smallest stored k with d(y, xbar) < eps_{k-2}, or None if out of range."""
-    j0 = int(np.searchsorted(schedule.eps, d_y_xbar, side="right"))
-    k = schedule.k_min + j0 + 2
-    return k if k <= schedule.k_max else None
+def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
+           queries=None, profiles: ProfileBank | None = None) -> ExtensionField:
+    """Evaluate the penalized infimal envelope on the query indices.
 
-
-def extend_localized(instance: MetricInstance, schedule: ScaleSchedule,
-                     y: int, xbar: int,
-                     profiles: ProfileBank | None = None,
-                     detail: bool = False):
-    """Evaluate f(y) over anchors in the open eps_k-ball at ``xbar`` only.
-
-    Uses the smallest admissible k (the smallest stored k whose eps_{k-2}-ball
-    at ``xbar`` contains ``y``).  Anchors outside the ball sit strictly above
-    the minimum by at least ``eps_{k-1} L / 3``, so the restricted minimum
-    equals the full one and the implementation reproduces it bitwise.  When no
-    stored k is admissible the evaluation falls back to the full infimum and
-    says so in the detail record.
+    Restriction to the subset is exact (the anchor at the query attains the
+    minimum).  When ``Lip(g, C) == 0`` the constant extension is returned
+    directly and ``schedule`` is ignored.  Tie-break: lowest anchor index.
     """
-    if instance.subset_positions()[xbar] < 0:
-        raise ParameterError(f"xbar {xbar} is not in the subset")
-    queries = _as_query_array(instance, [y])
-    if instance.lipschitz_computed == 0.0:
-        value = float(instance.values[0])
-        return (value, {"localization": "full", "fallback": True}) if detail else value
+    return _infimum(instance, schedule, _as_query_array(instance, queries),
+                    profiles, None)
 
-    if profiles is None:
-        profiles = build_profiles(instance, schedule)
-    k = localization_index(schedule, instance.distance(y, xbar))
-    if k is None:
-        field = extend(instance, schedule, queries, profiles=profiles)
-        value = float(field.values[0])
-        info = {"localization": "full", "fallback": True}
-        return (value, info) if detail else value
 
-    d_to_xbar = instance.distances(instance.subset, [xbar])[:, 0]
-    pos = np.flatnonzero(d_to_xbar < schedule.eps_at(k))
-    T = instance.distances(instance.subset[pos], queries)
-    phi = instance.values[pos][:, None] + profiles.rows(pos).pen(T)
-    value_arr, anchor_arr = _argmin_lowest(phi, instance.subset[pos])
-    info = {"localization": {"k": k, "xbar": int(xbar)},
-            "members": instance.subset[pos].tolist(),
-            "argmin_anchor": int(anchor_arr[0]), "fallback": False}
-    value = float(value_arr[0])
-    return (value, info) if detail else value
+def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
+                     queries, xbars,
+                     profiles: ProfileBank | None = None) -> ExtensionField:
+    """Evaluate f on every query over the anchors of one ball only, in one pass.
+
+    Query ``queries[i]`` is localized at the subset point ``xbars[i]``: with k
+    the smallest stored index such that ``d(y, xbar) < eps_{k-2}``, only the
+    anchors in the open eps_k-ball at ``xbar`` compete.  Anchors outside it
+    sit at least ``eps_{k-1} L / 3`` above the minimum, so the restricted
+    minimum equals the full one bitwise.  ``localization[i]`` records
+    ``{"k": k, "xbar": xbar}``, or ``"full"`` when no stored k is admissible
+    and the query keeps every anchor.  Ties and constant data as in :func:`extend`.
+    """
+    queries = _as_query_array(instance, queries)
+    xbars = np.asarray(xbars, dtype=np.intp)
+    if (xbars.shape != queries.shape or np.any((xbars < 0) | (xbars >= instance.n))
+            or np.any(instance.subset_positions()[xbars] < 0)):
+        raise ParameterError("xbars must be subset point indices aligned with queries")
+    return _infimum(instance, schedule, queries, profiles, xbars)
 
 
 # ---------------------------------------------------------------------------

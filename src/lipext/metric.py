@@ -298,10 +298,11 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
 
 
 def _check_radii(radii) -> np.ndarray:
-    """``radii`` as a float array; raises unless strictly increasing and positive."""
+    """``radii`` as a float array; raises unless strictly increasing, positive and finite."""
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ParameterError("radii must be strictly increasing and positive")
+    if (radii.ndim != 1 or len(radii) == 0 or not np.all(np.isfinite(radii))
+            or np.any(radii <= 0) or np.any(np.diff(radii) <= 0)):
+        raise ParameterError("radii must be strictly increasing positive finite reals")
     return radii
 
 

@@ -189,8 +189,8 @@ def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,
     """
     if not (r_bar > 0 and math.isfinite(r_bar)):
         raise ParameterError("r_bar must be a positive finite real")
-    if not xi > 0:
-        raise ParameterError("xi must be positive")
+    if not (xi > 0 and math.isfinite(xi)):
+        raise ParameterError("xi must be a positive finite real")
     if not (L >= 0 and math.isfinite(L)):
         raise ParameterError("L must be a nonnegative finite real")
 

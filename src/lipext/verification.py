@@ -228,49 +228,48 @@ def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
                        profiles: ProfileBank) -> CheckResult:
     """Localized evaluation equals the full infimum bitwise on every query.
 
-    Also verifies the exclusion margin: anchors outside the localization ball
-    sit at least eps_{k-1} L / 3 above the minimum.
+    Each query is localized at its nearest anchor (lowest index on ties) by
+    one :func:`extend_localized` call; the first mismatch in query order is
+    the witness.  Also verifies the exclusion margin: anchors outside a
+    query's localization ball sit at least eps_{k-1} L / 3 above the minimum.
+    The worst margin is the first query attaining the minimum, with the first
+    anchor in subset order attaining it there.  Queries with no admissible k
+    keep every anchor and are counted as fallback evaluations.
     """
     L = instance.lipschitz_L
     tol = _ineq_tol(instance)
     T = instance.distances(instance.subset, field.queries)
     phi = instance.values[:, None] + profiles.pen(T)
-    d_xbar = instance.distance_matrix()[np.ix_(instance.subset, instance.subset)]
     _, xbars = _argmin_lowest(T, instance.subset)    # nearest anchor, lowest index
-    worst_margin = math.inf
-    worst_wit = None
-    fallbacks = 0
-    for qi, (y, xbar) in enumerate(zip(field.queries.tolist(), xbars.tolist())):
-        near = instance.subset_positions()[xbar]
-        got, info = extend_localized(instance, schedule, y, xbar,
-                                     profiles=profiles, detail=True)
-        if got != float(field.values[qi]):
-            return CheckResult(
-                "localization", "fail", measured=got,
-                allowed=float(field.values[qi]),
-                witness={"query": int(y), "xbar": xbar,
-                         "localized": got, "full": float(field.values[qi])})
-        if info["fallback"]:
-            fallbacks += 1
-            continue
-        k = info["localization"]["k"]
-        excluded = np.flatnonzero(d_xbar[:, near] >= schedule.eps_at(k))
-        if len(excluded):
-            margins = phi[excluded, qi] - (field.values[qi]
-                                           + schedule.eps_at(k - 1) * L / 3.0)
-            m = float(margins.min())
-            if m < worst_margin:
-                worst_margin = m
-                worst_wit = {"query": int(y), "xbar": xbar, "k": int(k),
-                             "anchor": int(instance.subset[excluded[np.argmin(margins)]])}
+    loc = extend_localized(instance, schedule, field.queries, xbars, profiles=profiles)
+    bad = np.flatnonzero(loc.values != field.values)
+    if len(bad):
+        qi = bad[0]
+        got, full = float(loc.values[qi]), float(field.values[qi])
+        return CheckResult(
+            "localization", "fail", measured=got, allowed=full,
+            witness={"query": int(field.queries[qi]), "xbar": int(xbars[qi]),
+                     "localized": got, "full": full})
+    cols = np.flatnonzero([rec != "full" for rec in loc.localization])
+    j = np.array([loc.localization[c]["k"] for c in cols], dtype=np.intp) - schedule.k_min
+    excluded = instance.distances(instance.subset, xbars[cols]) >= schedule.eps[j]
+    margins = np.where(excluded, phi[:, cols] - (field.values[cols]
+                                                 + schedule.eps[j - 1] * L / 3.0), np.inf)
+    fallbacks = len(field.queries) - len(cols)
     note = f"{fallbacks} fallback evaluations" if fallbacks else ""
-    if worst_wit is not None and worst_margin < -tol:
-        return CheckResult("localization", "fail", measured=worst_margin,
-                           allowed=-tol, tolerance=tol, witness=worst_wit,
-                           note="exclusion margin violated; " + note)
-    measured = None if worst_wit is None else worst_margin
-    return CheckResult("localization", "pass", measured=measured,
-                       tolerance=tol, note=note)
+    worst_margin = None
+    if np.any(excluded):
+        # Column-major argmin: the first query attaining the minimum, then its first row.
+        c, row = np.unravel_index(np.argmin(margins.T), margins.T.shape)
+        worst_margin = float(margins[row, c])
+    if worst_margin is None or worst_margin >= -tol:
+        return CheckResult("localization", "pass", measured=worst_margin,
+                           tolerance=tol, note=note)
+    witness = {"query": int(field.queries[cols[c]]), "xbar": int(xbars[cols[c]]),
+               "k": int(schedule.k_min + j[c]), "anchor": int(instance.subset[row])}
+    return CheckResult("localization", "fail", measured=worst_margin,
+                       allowed=-tol, tolerance=tol, witness=witness,
+                       note="exclusion margin violated; " + note)
 
 
 def check_locality_preservation(instance: MetricInstance, field: ExtensionField,

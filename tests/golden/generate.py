@@ -87,6 +87,21 @@ def discrete(seed: int) -> dict:
             "masses": masses.tolist()}
 
 
+def clustered(seed: int) -> dict:
+    """8 anchors in [0, 1]^3, each with 12 points in a 0.004-wide box around it.
+
+    Every point lies so close to its anchor that localized evaluation never
+    falls back to the full infimum: the verify report carries no fallback note.
+    """
+    rng = np.random.default_rng(seed)
+    anchors = rng.uniform(0.0, 1.0, (8, 3))
+    offsets = rng.uniform(-0.002, 0.002, (8, 12, 3))
+    coords = np.vstack([anchors, (anchors[:, None, :] + offsets).reshape(-1, 3)])
+    values = np.sin(4.0 * anchors[:, 0]) + anchors[:, 2] ** 2
+    return {"points": {"type": "euclidean", "coords": coords.tolist()},
+            "subset": list(range(8)), "values": values.tolist()}
+
+
 # name -> (builder, seed, {command: flags without --input/--output}).
 # Radii sit exactly at pair distances wherever the metric has ties.
 CASES = {
@@ -110,6 +125,8 @@ CASES = {
         "verify": ["--epsilon", "0.25", "--rbar", "1"],
         "extend": ["--epsilon", "0.25", "--queries", "all"],
         "energy": ["--p", "1.5", "--radii", "1,2"]}),
+    "clustered": (clustered, 5, {
+        "verify": ["--epsilon", "0.5", "--xi", "0.1"]}),
 }
 
 

@@ -147,17 +147,19 @@ def test_criterion_05_localization_oracle_equivalence():
         phi = inst.values[:, None] + profiles.pen(
             inst.distances(inst.subset, field.queries))
         d_near = inst.distances(inst.subset, field.queries)
-        for qi, y in enumerate(field.queries):
+        xbars = []
+        for qi in range(len(field.queries)):
             near = int(np.argmin(d_near[:, qi]))
             ties = np.flatnonzero(d_near[:, qi] == d_near[near, qi])
-            near = int(ties[np.argmin(inst.subset[ties])])
-            xbar = int(inst.subset[near])
-            got, info = extend_localized(inst, sch, int(y), xbar,
-                                         profiles=profiles, detail=True)
-            assert got == float(field.values[qi]), f"seed {seed} query {y}"
-            if info["fallback"]:
+            xbars.append(int(inst.subset[ties[np.argmin(inst.subset[ties])]]))
+        loc = extend_localized(inst, sch, field.queries, xbars, profiles=profiles)
+        for qi, (y, xbar, rec) in enumerate(zip(field.queries, xbars,
+                                                loc.localization)):
+            assert loc.values[qi] == field.values[qi], f"seed {seed} query {y}"
+            if rec == "full":
                 continue
-            k = info["localization"]["k"]
+            assert rec["xbar"] == xbar
+            k = rec["k"]
             excl = np.flatnonzero(
                 inst.distances(inst.subset, [xbar])[:, 0] >= sch.eps_at(k))
             if len(excl):

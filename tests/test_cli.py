@@ -279,6 +279,28 @@ def test_demo_rejects_non_finite_xi(capsys, xi):
     assert "RESULT" not in out and "xi" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("n, xi", [("2", "5"), ("11", "1.0"), ("11", "1")])
+def test_demo_rejects_xi_at_least_one(capsys, n, xi):
+    # the McShane cone's constant 1 is within Lip(g) + xi too: no separation
+    assert main(["demo-counterexample", "--n", n, "--xi", xi]) == 1
+    out = capsys.readouterr().out
+    assert "RESULT" not in out and "(0, 1)" in json.loads(out)["error"]
+
+
+def test_demo_runs_just_below_one(capsys):
+    assert main(["demo-counterexample", "--n", "11", "--xi", "0.999"]) == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("radii", [",", "0.5,inf", "-0.1", "0.4,0.4"])
+def test_energy_radii_rejected_by_the_shared_check(tmp_path, capsys, radii):
+    cloud = _cloud_file(tmp_path, seed=6)
+    assert main(["energy", "--input", cloud, "--p", "1", "--radii", radii,
+                 "--output", str(tmp_path / "e.json")]) == 1
+    assert "radii must be strictly increasing positive finite reals" in (
+        json.loads(capsys.readouterr().out)["error"])
+
+
 # --- plumbing ----------------------------------------------------------------
 
 

@@ -7,7 +7,6 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
                     extend_localized, instance_from_arrays, lip_constant,
                     mcshane_lower_many, mcshane_upper_many,
                     schedule_for_instance, truncate_bounded)
-from lipext.extension import localization_index
 
 from conftest import (grid_instance, oracle_extend, oracle_mcshane_lower,
                       oracle_mcshane_upper, oracle_pen, random_instance)
@@ -248,10 +247,35 @@ def test_extend_envelope_sandwich_random():
 # --- extend_localized --------------------------------------------------------
 
 
+def _nearest_anchors(inst, queries):
+    """Nearest subset point of every query, lowest point index on ties."""
+    d = inst.distances(inst.subset, queries)
+    return np.array([int(inst.subset[np.flatnonzero(col == col.min())].min())
+                     for col in d.T])
+
+
+def oracle_localized(inst, sch, profiles, y, xbar):
+    """(value, anchor, record): the minimum over the anchors of y's localization ball."""
+    d_y = inst.distance(int(y), int(xbar))
+    ks = [k for k in range(sch.k_min + 2, sch.k_max + 1) if d_y < sch.eps_at(k - 2)]
+    record = {"k": ks[0], "xbar": int(xbar)} if ks else "full"
+    best, anchor = np.inf, None
+    for pos, x in enumerate(inst.subset):
+        if ks and not inst.distance(int(x), int(xbar)) < sch.eps_at(ks[0]):
+            continue
+        phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
+                                          inst.distance(int(x), int(y)))
+        if phi < best or (phi == best and int(x) < anchor):
+            best, anchor = phi, int(x)
+    return best, anchor, record
+
+
 def test_localized_at_anchor_returns_value(line3):
     sch = schedule_for_instance(line3, 1.0)
-    assert extend_localized(line3, sch, 0, 0) == 0.0
-    assert extend_localized(line3, sch, 2, 2) == 1.0
+    loc = extend_localized(line3, sch, [0, 2], [0, 2])
+    assert loc.values.tolist() == [0.0, 1.0]
+    assert loc.anchors.tolist() == [0, 2]
+    assert [rec["xbar"] for rec in loc.localization] == [0, 2]
 
 
 def test_localized_equals_full_on_random_clouds():
@@ -260,11 +284,29 @@ def test_localized_equals_full_on_random_clouds():
         sch = schedule_for_instance(inst, inst.lipschitz_L)
         profiles = build_profiles(inst, sch)
         field = extend(inst, sch, profiles=profiles)
-        d_near = inst.distances(inst.subset, field.queries)
-        for qi, y in enumerate(field.queries):
-            xbar = int(inst.subset[int(np.argmin(d_near[:, qi]))])
-            got = extend_localized(inst, sch, int(y), xbar, profiles=profiles)
-            assert got == float(field.values[qi])
+        loc = extend_localized(inst, sch, field.queries,
+                               _nearest_anchors(inst, field.queries),
+                               profiles=profiles)
+        assert np.array_equal(loc.values, field.values)
+        assert np.array_equal(loc.anchors, field.anchors)
+        assert any(rec != "full" for rec in loc.localization)
+
+
+def test_localized_matches_per_query_oracle():
+    rng = np.random.default_rng(7)
+    for seed in (2, 4, 11):
+        inst = random_instance(seed, n_max=60)
+        sch = schedule_for_instance(inst, inst.lipschitz_L)
+        profiles = build_profiles(inst, sch)
+        queries = np.arange(inst.n)
+        for xbars in (_nearest_anchors(inst, queries),
+                      rng.choice(inst.subset, size=inst.n)):
+            loc = extend_localized(inst, sch, queries, xbars, profiles=profiles)
+            for i, (y, xbar) in enumerate(zip(queries, xbars)):
+                value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
+                assert loc.values[i] == value, f"seed {seed} query {y}"
+                assert loc.anchors[i] == anchor
+                assert loc.localization[i] == record
 
 
 def test_localized_exclusion_margin():
@@ -274,15 +316,13 @@ def test_localized_exclusion_margin():
     field = extend(inst, sch, profiles=profiles)
     L = inst.lipschitz_L
     tol = 1e-9 * inst.check_scale()
+    loc = extend_localized(inst, sch, field.queries,
+                           _nearest_anchors(inst, field.queries), profiles=profiles)
     checked = 0
-    for qi, y in enumerate(field.queries):
-        drow = inst.distances(inst.subset, [y])[:, 0]
-        xbar = int(inst.subset[int(np.argmin(drow))])
-        got, info = extend_localized(inst, sch, int(y), xbar,
-                                     profiles=profiles, detail=True)
-        if info["fallback"]:
+    for qi, (y, rec) in enumerate(zip(field.queries, loc.localization)):
+        if rec == "full":
             continue
-        k = info["localization"]["k"]
+        k, xbar = rec["k"], rec["xbar"]
         dxb = inst.distances(inst.subset, [xbar])[:, 0]
         for pos in np.flatnonzero(dxb >= sch.eps_at(k)):
             phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
@@ -292,21 +332,83 @@ def test_localized_exclusion_margin():
     assert checked > 0
 
 
-def test_localized_fallback_when_out_of_range(line3):
-    # a schedule whose eps_{k-2} never exceeds the query distance
+def _pair_at(d01):
+    """Anchors 0 and 2 at distance 1 with g = 0, 1 (so L = 1); query 1 at ``d01`` from 0."""
+    d12 = max(1.0, d01)
+    d = np.array([[0.0, d01, 1.0], [d01, 0.0, d12], [1.0, d12, 0.0]])
+    return instance_from_arrays(dmatrix=d, subset=[0, 2], values=[0.0, 1.0])
+
+
+def test_localized_tie_boundary_takes_next_scale():
     sch = build_schedule(1.0, 1.0, anchor=2.0, span_low=1e-9, span_high=4.0)
-    assert localization_index(sch, 2.0 * sch.eps_at(sch.k_max - 2)) is None
+    top = len(sch.eps) - 1
+    for j in range(top - 2):
+        if sch.eps[j] > 1.0:
+            break
+        # d(y, xbar) == eps_{k_min + j}: strict < skips that scale.
+        inst = _pair_at(float(sch.eps[j]))
+        loc = extend_localized(inst, sch, [1], [0])
+        assert loc.localization == [{"k": sch.k_min + j + 3, "xbar": 0}]
+        assert loc.values[0] == extend(inst, sch, [1]).values[0]
+    # d == eps_{k_max - 2} (or beyond, up to the top scale) leaves no stored
+    # k: the full infimum.
+    for j in (top - 2, top - 1, top):
+        inst = _pair_at(float(sch.eps[j]))
+        loc = extend_localized(inst, sch, [1, 0], [0, 0])
+        assert loc.localization == ["full", {"k": sch.k_min + 2, "xbar": 0}]
+        full = extend(inst, sch, [1, 0])
+        assert np.array_equal(loc.values, full.values)
+        assert np.array_equal(loc.anchors, full.anchors)
+
+
+def test_localized_ball_is_open_and_keeps_lower_anchors_out():
+    # With flat profiles the far anchor 2 (g = 0) would win the full minimum;
+    # it sits exactly on the eps_k sphere at xbar = 0, so the open ball drops it.
+    sch = build_schedule(1.0, 1.0, anchor=2.0, span_low=1e-9, span_high=4.0)
+    j = 9
+    e, R = float(sch.eps[j]), float(sch.eps[j + 3])
+    d = np.array([[0.0, e, R], [e, 0.0, R], [R, R, 0.0]])
+    inst = instance_from_arrays(dmatrix=d, subset=[0, 2], values=[1.0, 0.0])
+    m = len(sch.eps) + 1
+    flat = ProfileBank(inst.subset, sch.eps, np.zeros((2, m)), np.zeros((2, m)))
+    loc = extend_localized(inst, sch, [1], [0], profiles=flat)
+    assert loc.localization == [{"k": sch.k_min + j + 3, "xbar": 0}]
+    assert (loc.values[0], loc.anchors[0]) == (1.0, 0)
+    full = extend(inst, sch, [1], profiles=flat)
+    assert (full.values[0], full.anchors[0]) == (0.0, 2)
+
+
+def test_localized_fallback_when_out_of_range():
     inst = random_instance(1, n_max=40)
-    sch2 = schedule_for_instance(inst, 1.0)
-    profiles = build_profiles(inst, sch2)
-    field = extend(inst, sch2, profiles=profiles)
-    far = int(np.argmax(inst.distances([int(inst.subset[0])],
-                                       np.arange(inst.n))[0]))
-    got, info = extend_localized(inst, sch2, far, int(inst.subset[0]),
-                                 profiles=profiles, detail=True)
-    assert got == field.value_at(far)
-    if info["fallback"]:
-        assert info["localization"] == "full"
+    sch = schedule_for_instance(inst, 1.0)
+    profiles = build_profiles(inst, sch)
+    field = extend(inst, sch, profiles=profiles)
+    x0 = int(inst.subset[0])
+    far = int(np.argmax(inst.distances([x0], np.arange(inst.n))[0]))
+    loc = extend_localized(inst, sch, [far], [x0], profiles=profiles)
+    assert loc.values[0] == field.value_at(far)
+    if loc.localization[0] == "full":
+        assert loc.anchors[0] == field.anchors[far]
+    else:
+        assert loc.localization[0]["xbar"] == x0
+
+
+def test_localized_rejects_bad_xbars(line3):
+    sch = schedule_for_instance(line3, 1.0)
+    for queries, xbars in (([0, 1], [0]), ([0, 1], [[0, 2]]), ([1], [1]),
+                           ([1], [3]), ([1], [-1])):
+        with pytest.raises(ParameterError):
+            extend_localized(line3, sch, queries, xbars)
+
+
+def test_localized_constant_data():
+    inst = instance_from_arrays(coords=[[0.0], [0.5], [1.0]], subset=[2, 0],
+                                values=[3.0, 3.0], lipschitz=2.0)
+    loc = extend_localized(inst, None, [1, 2], [0, 2])
+    assert loc.values.tolist() == [3.0, 3.0]
+    assert loc.localization == ["full", "full"]
+    with pytest.raises(ParameterError):
+        extend_localized(inst, None, [1], [1])
 
 
 # --- post-processing ---------------------------------------------------------

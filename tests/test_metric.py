@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from lipext import (InstanceValidationError, ParameterError,
                     instance_from_arrays, lip_constant, lipa_profile,
                     validate_instance)
+from lipext.metric import _check_radii
+
 from conftest import grid_instance, oracle_lip, random_instance
 
 
@@ -184,6 +186,14 @@ def test_lipa_profile_validation(line3):
         lipa_profile(line3, [0, 1], np.zeros(2), 2, [0.5])
     with pytest.raises(ParameterError):
         lipa_profile(line3, [0, 1], np.zeros(2), 0, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("radii", [[np.inf], [0.5, np.inf], [np.nan], [0.5, np.nan]])
+def test_check_radii_rejects_non_finite(line3, radii):
+    with pytest.raises(ParameterError, match="finite"):
+        _check_radii(radii)
+    with pytest.raises(ParameterError):
+        lipa_profile(line3, [0, 1], np.zeros(2), 0, radii)
 
 
 def test_lipa_profile_monotone_and_bounded():

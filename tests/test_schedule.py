@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,10 +114,10 @@ def test_locality_radius_direct_scan():
     assert r == sch.eps_at(k - 2)
 
 
-def test_locality_radius_xi_infinite_reduces_to_radius_condition():
+def test_locality_radius_huge_xi_reduces_to_radius_condition():
     sch = canonical()
     r_bar = 0.5
-    k_inf, _ = locality_radius(sch, r_bar, math.inf, L=1.0)
+    k_inf, _ = locality_radius(sch, r_bar, sys.float_info.max, L=1.0)
     best = None
     for kk in range(sch.k_min + 2, sch.k_max - 2):
         if sch.eps_at(kk + 3) < r_bar:
@@ -143,6 +144,13 @@ def test_locality_radius_parameter_errors():
         locality_radius(sch, -1.0, 0.5, 1.0)
     with pytest.raises(ParameterError):
         locality_radius(sch, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("xi", [math.inf, math.nan])
+def test_locality_radius_rejects_non_finite_xi(xi):
+    # r_bar must be finite already; an infinite xi would make any bound vacuous
+    with pytest.raises(ParameterError, match="xi"):
+        locality_radius(canonical(), 0.5, xi, 1.0)
 
 
 # --- virtual extension and serialization -------------------------------------

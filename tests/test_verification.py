@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lipext import (CheckResult, ParameterError, build_profiles,
-                    check_global_lipschitz, check_inf_family,
+from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
+                    build_schedule, check_global_lipschitz, check_inf_family,
                     check_locality_preservation, check_restriction, check_step2,
                     extend, instance_from_arrays, lip_constant,
                     mcshane_comparison, mcshane_upper_many, run_suite,
                     schedule_for_instance, schedule_with_locality)
-from lipext.verification import _pair_sample, check_envelope_sandwich
+from lipext.verification import (_pair_sample, check_envelope_sandwich,
+                                 check_localization)
 
 from conftest import grid_instance, oracle_lip, random_instance
 
@@ -38,6 +39,46 @@ def test_corrupted_field_fails_with_witness():
     for c in report.checks:
         if not c.passed:
             assert c.witness
+
+
+def test_localization_witness_takes_lowest_index_nearest_anchor():
+    # Discrete metric: query 0 is off the subset and every anchor ties as its
+    # nearest, so the corrupted value at 0 is localized at the lowest index.
+    n = 8
+    inst = instance_from_arrays(dmatrix=1.0 - np.eye(n), subset=[6, 3, 5],
+                                values=[0.2, 0.9, 0.5])
+    report = run_suite(inst, inst.lipschitz_L, _corrupt_field=True)
+    loc = next(c for c in report.checks if c.name == "localization")
+    assert loc.status == "fail"
+    assert loc.witness["query"] == 0
+    assert loc.witness["xbar"] == 3
+
+
+def test_localization_margin_witness_is_first_query_and_first_row():
+    # Flat profiles and a declared L far above Lip(g, C) put the excluded
+    # anchors 2 and 1 (subset rows 1 and 2) inside the eps_{k-1} L / 3 margin
+    # of queries 4 and 3, which tie: the witness is query 4 and row 1.
+    sch = build_schedule(1.0, 1.0, anchor=2.0, span_low=1e-9, span_high=4.0)
+    t = float(sch.eps[9])
+    d = np.ones((5, 5)) - np.eye(5)
+    d[0, 3:] = d[3:, 0] = t
+    d[3, 4] = d[4, 3] = t
+    inst = instance_from_arrays(dmatrix=d, subset=[0, 2, 1], values=[0.0, 0.5, 0.5],
+                                lipschitz=1000.0)
+    m = len(sch.eps) + 1
+    flat = ProfileBank(inst.subset, sch.eps, np.zeros((3, m)), np.zeros((3, m)))
+    field = extend(inst, sch, [4, 3], profiles=flat)
+    res = check_localization(inst, sch, field, flat)
+    assert res.status == "fail"
+    assert res.witness == {"query": 4, "xbar": 0, "k": sch.k_min + 12, "anchor": 2}
+    assert res.measured == 0.5 - (0.0 + float(sch.eps[11]) * 1000.0 / 3.0)
+    # An anchor exactly on the eps_k sphere at xbar is excluded too.
+    d[0, 1] = d[1, 0] = float(sch.eps[12])
+    d[1, 3:] = d[3:, 1] = float(sch.eps[12])
+    inst = instance_from_arrays(dmatrix=d, subset=[0, 2, 1], values=[0.0, 0.5, 0.25],
+                                lipschitz=1000.0)
+    field = extend(inst, sch, [4, 3], profiles=flat)
+    assert check_localization(inst, sch, field, flat).witness["anchor"] == 1
 
 
 def test_check_restriction_witness():
@@ -209,6 +250,13 @@ def test_mcshane_comparison_endpoint_grid():
     row0 = next(r for r in frag["centers"] if r["center"] == 0)
     assert row0["mcshane"] == [1.0, 1.0, 1.0]
     assert all(e < 1.0 for e in row0["extension"][:1])
+
+
+def test_mcshane_comparison_rejects_infinite_radius():
+    # an infinite radius would put inf into a fragment JSON cannot carry
+    inst = grid_instance(11)
+    with pytest.raises(ParameterError, match="finite"):
+        mcshane_comparison(inst, [0.5, np.inf], epsilon=1.0)
 
 
 def test_mcshane_comparison_constant_data():
