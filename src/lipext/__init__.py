@@ -3,7 +3,7 @@
 from .errors import (InstanceValidationError, LipextError, ParameterError,
                      ScheduleTooShallow, TrivialInstance)
 from .metric import (MetricInstance, ball_lips, instance_from_arrays,
-                     lip_constant, lipa_profile, pair_ratios, validate_instance)
+                     lip_constant, lipa_profile, validate_instance)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, approx_slopes,
                         build_penalization, build_profiles, cutoff_support,
@@ -24,7 +24,7 @@ __all__ = [
     "LipextError", "InstanceValidationError", "ParameterError",
     "ScheduleTooShallow", "TrivialInstance",
     "MetricInstance", "validate_instance", "instance_from_arrays",
-    "pair_ratios", "ball_lips", "lip_constant", "lipa_profile",
+    "ball_lips", "lip_constant", "lipa_profile",
     "ScaleSchedule", "build_schedule", "locality_radius",
     "ProfileBank", "ExtensionField", "approx_slopes",
     "build_penalization", "build_profiles", "eval_pen", "extend",

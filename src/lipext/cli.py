@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -104,8 +105,9 @@ def cmd_validate(args) -> int:
 
 def cmd_extend(args) -> int:
     instance = validate_instance(_load_raw(args.input))
-    if args.epsilon <= 0:
-        raise ParameterError("--epsilon must be positive")
+    for flag, value in (("--epsilon", args.epsilon), ("--anchor", args.anchor)):
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ParameterError(f"{flag} must be a positive finite real")
     queries = _parse_queries(instance, args.queries)
     build_eps = args.epsilon / 2.0 if args.cutoff else args.epsilon
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceValidationError, ParameterError
-from .metric import MetricInstance, ball_lips, pair_ratios
+from .metric import MetricInstance, ball_lips
 from .schedule import locality_radius
 from .verification import INEQ_RTOL, CheckResult
 from .extension import extend, schedule_with_locality
@@ -105,16 +105,12 @@ def energy(instance: MetricInstance, domain, values, measure: MeasureData,
     """
     radii = _positive_radii(radii)
     domain = np.asarray(domain, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if values.shape != domain.shape:
-        raise ParameterError("values must align with the domain index list")
     if len(np.unique(domain)) != len(domain):
         raise ParameterError("domain indices must be distinct")
     support = measure.support
     if not np.all(np.isin(support, domain)):
         raise ParameterError("domain must contain the measure support")
-    lips = ball_lips(pair_ratios(instance, domain, values),   # contiguous row per radius
-                     instance.distances(support, domain), radii).T.copy()
+    lips = ball_lips(instance, domain, values, support, radii).T.copy()   # row per radius
     contrib = measure.masses[support] * lips ** measure.p
     return [EnergySide(radius=float(r), total=float(c.sum()), support=support,
                        lips=lr, contributions=c)
@@ -180,6 +176,8 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     L = instance.lipschitz_L
     if epsilon is None:
         epsilon = L if L > 0 else 1.0
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ParameterError("epsilon must be a positive finite real")
     allpts = np.arange(instance.n, dtype=np.intp)
 
     if instance.lipschitz_computed == 0.0:
@@ -195,8 +193,7 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     rows = []
     worst_gap = -math.inf
     worst_wit: dict = {}
-    lips_g_all = ball_lips(pair_ratios(instance, instance.subset, instance.values),
-                           instance.distances(support, instance.subset), radii_bar)
+    lips_g_all = ball_lips(instance, instance.subset, instance.values, support, radii_bar)
     r_sched = [float(rb) if schedule is None else
                locality_radius(schedule, float(rb), xi, L)[1] for rb in radii_bar]
     sides = energy(instance, allpts, field.values, measure, r_sched)

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, TrivialInstance
-from .metric import MetricInstance, ball_lips, pair_ratios
+from .metric import MetricInstance, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
 
@@ -116,8 +116,7 @@ def approx_slopes(instance: MetricInstance, x: int,
     """
     if instance.subset_positions()[x] < 0:
         raise ParameterError(f"anchor {x} is not in the subset")
-    vals = ball_lips(pair_ratios(instance, instance.subset, instance.values),
-                     instance.distances(instance.subset, [x]).T,
+    vals = ball_lips(instance, instance.subset, instance.values, [x],
                      _slope_radii(schedule))[0]
     return {k: float(vals[i]) for i, k in
             enumerate(range(schedule.k_min, schedule.k_max + 2))}
@@ -158,8 +157,7 @@ def build_penalization(S: Mapping[int, float], schedule: ScaleSchedule,
 
 def build_profiles(instance: MetricInstance, schedule: ScaleSchedule) -> ProfileBank:
     """The bank of every anchor, row ``i`` for ``subset[i]``."""
-    S = ball_lips(pair_ratios(instance, instance.subset, instance.values),
-                  instance.distances(instance.subset, instance.subset),
+    S = ball_lips(instance, instance.subset, instance.values, instance.subset,
                   _slope_radii(schedule))
     return _bank(instance.subset, S[:, 2:], schedule, instance.lipschitz_L)
 
@@ -376,15 +374,14 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
 
 def schedule_with_locality(instance: MetricInstance, epsilon: float,
                            r_bar: float, xi: float, queries=None,
-                           anchor: float | None = None,
-                           retries: int = 3) -> tuple[ScaleSchedule, int, float]:
+                           anchor: float | None = None) -> tuple[ScaleSchedule, int, float]:
     """Schedule deep enough for the locality conditions at (r_bar, xi).
 
-    Returns ``(schedule, k, r)``.  Rebuilds with the reported required depth
-    when the first attempt is too shallow; underflow propagates.
+    Returns ``(schedule, k, r)``.  A build too shallow is rebuilt once at the
+    reported depth, whose sweep reproduces the virtual scales; underflow propagates.
     """
     smallest = r_bar
-    for _ in range(max(1, retries)):
+    for _ in range(2):      # the build and at most one rebuild
         sch = schedule_for_instance(instance, epsilon, queries, anchor,
                                     smallest_radius=smallest)
         try:
@@ -395,5 +392,5 @@ def schedule_with_locality(instance: MetricInstance, epsilon: float,
                 raise
             smallest = exc.required_span_low
     raise ScheduleTooShallow(
-        "extend schedule: locality depth not reached after rebuilds",
+        "extend schedule: locality depth not reached after a rebuild",
         required_span_low=smallest)

@@ -248,8 +248,8 @@ def validate_instance(raw: Mapping) -> MetricInstance:
 def pair_ratios(instance: MetricInstance, members, values) -> np.ndarray:
     """Matrix of ``|v_i - v_j| / d(m_i, m_j)`` over ``members``, 0 on the diagonal.
 
-    :func:`lip_constant` and every ball-slope profile (:func:`ball_lips`) are
-    maxima over entries of this matrix.
+    :func:`lip_constant` is its maximum; :func:`ball_lips` reads it over the
+    members its balls can reach.
     """
     members = np.asarray(members, dtype=np.intp)
     values = np.asarray(values, dtype=float)
@@ -258,17 +258,26 @@ def pair_ratios(instance: MetricInstance, members, values) -> np.ndarray:
     return np.divide(gaps, dist, out=gaps, where=dist > 0)
 
 
-def ball_lips(ratios: np.ndarray, d_rows, radii) -> np.ndarray:
-    """Entry ``[c, j]``: Lipschitz constant over the OPEN ball ``{i : d_rows[c, i] < radii[j]}``.
+def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.ndarray:
+    """Entry ``[c, j]``: Lipschitz constant of ``values`` (aligned with ``members``)
+    over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``.
 
-    Row ``c`` of ``d_rows`` holds center ``c``'s distances to the points of
-    the :func:`pair_ratios` matrix ``ratios``.  Points enter a ball in stable
-    distance order and a tie at ``r`` stays outside.  The sorted points are
-    read in row chunks ``[a, b)`` against the first ``b`` points; chunks end
+    Only members some ball can hold (``d < max(radii)`` from some center) enter
+    the :func:`pair_ratios` block, in their given order.  Points enter a ball in
+    stable distance order and a tie at ``r`` stays outside.  The sorted points
+    are read in row chunks ``[a, b)`` against the first ``b`` points; chunks end
     at every ball's point count and every ``_ROW_CHUNK`` rows, so a ball of
     ``m`` points takes the running maximum of the chunks up to ``m``.
     """
-    d_rows = np.asarray(d_rows, dtype=float)
+    members = np.asarray(members, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    if values.shape != members.shape:
+        raise ParameterError("values must align with the member index list")
+    radii = np.asarray(radii, dtype=float)
+    d_rows = instance.distances(centers, members)
+    reach = np.flatnonzero((d_rows < radii.max(initial=0.0)).any(axis=0))
+    d_rows = d_rows[:, reach]
+    ratios = pair_ratios(instance, members[reach], values[reach])
     orders = np.argsort(d_rows, axis=1, kind="stable")
     out = np.zeros((len(d_rows), len(radii)))
     for row, order in enumerate(orders):
@@ -314,12 +323,7 @@ def lipa_profile(instance: MetricInstance, domain, values, center: int, radii) -
     strictly increasing and positive; ``center`` must belong to ``domain``.
     Entries are non-decreasing because the balls are nested.
     """
-    domain = np.asarray(domain, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if values.shape != domain.shape:
-        raise ParameterError("values must align with the domain index list")
-    if center not in domain:
+    if center not in np.asarray(domain):
         raise ParameterError("center must belong to the domain")
     radii = _check_radii(radii)
-    return ball_lips(pair_ratios(instance, domain, values),
-                     instance.distances([center], domain), radii)[0]
+    return ball_lips(instance, domain, values, [center], radii)[0]

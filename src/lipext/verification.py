@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import ParameterError
-from .metric import MetricInstance, _check_radii, ball_lips, pair_ratios
+from .metric import MetricInstance, _check_radii, ball_lips
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
@@ -112,11 +112,10 @@ def check_restriction(field: ExtensionField, instance: MetricInstance) -> CheckR
 
 
 def check_global_lipschitz(field: ExtensionField, instance: MetricInstance,
-                           budget: float, seed: int = 0,
-                           max_pairs: int = MAX_PAIRS) -> CheckResult:
+                           budget: float, seed: int = 0) -> CheckResult:
     """Pairwise slope of f over the evaluated points stays within ``budget``."""
     q = field.queries
-    ii, jj, note = _pair_sample(len(q), seed, max_pairs)
+    ii, jj, note = _pair_sample(len(q), seed)
     d = instance.distance_matrix()[q[ii], q[jj]]
     ok = d > 0
     ratios = np.abs(field.values[ii[ok]] - field.values[jj[ok]]) / d[ok]
@@ -288,19 +287,15 @@ def check_locality_preservation(instance: MetricInstance, field: ExtensionField,
                            note="constant extension: local constants are zero")
     k, r = locality_radius(field.schedule, r_bar, xi, instance.lipschitz_L)
     members, first = np.unique(field.queries, return_index=True)
-    d_f = instance.distances(x_bars, members)
-    near = np.flatnonzero((d_f < r).any(axis=0))    # the union of the balls
-    lhs = ball_lips(pair_ratios(instance, members[near], field.values[first[near]]),
-                    d_f[:, near], [r])[:, 0]
-    rhs = ball_lips(pair_ratios(instance, instance.subset, instance.values),
-                    instance.distances(x_bars, instance.subset), [r_bar])[:, 0] + xi
+    lhs = ball_lips(instance, members, field.values[first], x_bars, [r])[:, 0]
+    rhs = ball_lips(instance, instance.subset, instance.values, x_bars, [r_bar])[:, 0] + xi
     slack = INEQ_RTOL * max(1.0, instance.lipschitz_L)
     ok = lhs <= rhs + slack
     pool = np.flatnonzero(~ok) if not np.all(ok) else np.arange(len(x_bars))
     w = int(pool[np.argmax(lhs[pool])])
     witness = {"x_bar": int(x_bars[w]), "k": int(k), "r": float(r),
                "lip_f": float(lhs[w]), "lip_g_plus_xi": float(rhs[w]),
-               "ball_points": int(np.sum(d_f[w] < r))}
+               "ball_points": int(np.sum(instance.distances([x_bars[w]], members) < r))}
     return CheckResult("locality_preservation", "pass" if ok[w] else "fail",
                        measured=float(lhs[w]), allowed=float(rhs[w] + slack),
                        tolerance=slack, witness=witness,
@@ -367,9 +362,8 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     centers = np.asarray(centers, dtype=np.intp)
     if not np.all(np.isin(centers, domain)):
         raise ParameterError("center must belong to the domain")
-    d_rows = instance.distances(centers, domain)
-    lips_ms = ball_lips(pair_ratios(instance, domain, ms), d_rows, r_list)
-    lips_f = ball_lips(pair_ratios(instance, domain, fvals), d_rows, r_list)
+    lips_ms = ball_lips(instance, domain, ms, centers, r_list)
+    lips_f = ball_lips(instance, domain, fvals, centers, r_list)
     rows = [{"center": int(c), "radii": r_list.tolist(), "mcshane": p_ms.tolist(),
              "extension": p_f.tolist(), "gap": (p_ms - p_f).tolist()}
             for c, p_ms, p_f in zip(centers, lips_ms, lips_f)]
@@ -377,7 +371,7 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
 
 
 def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
-              r_bar: float | None = None, mcshane_radii=None, seed: int = 0,
+              r_bar: float | None = None, seed: int = 0,
               _corrupt_field: bool = False) -> VerificationReport:
     """Full check battery over one instance.
 
@@ -396,11 +390,11 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     queries = np.arange(instance.n, dtype=np.intp)
     dd = instance.distance_matrix()
     pos = dd[dd > 0]
-    if r_bar is None:
-        r_bar = float(np.quantile(pos, 0.25)) if len(pos) else 1.0
-    if mcshane_radii is None:
-        qs = [float(np.quantile(pos, q)) for q in (0.25, 0.5, 0.75)] if len(pos) else [1.0]
-        mcshane_radii = sorted(set(qs))
+    qs = np.quantile(pos, [0.25, 0.5, 0.75]).tolist() if len(pos) else [1.0]
+    mcshane_radii = sorted(set(qs))
+    r_bar = qs[0] if r_bar is None else r_bar
+    if not (r_bar > 0 and math.isfinite(r_bar)):
+        raise ParameterError("r_bar must be a positive finite real")
     params = {"epsilon": float(epsilon), "xi": float(xi), "r_bar": float(r_bar),
               "seed": int(seed)}
 

@@ -102,6 +102,18 @@ def clustered(seed: int) -> dict:
             "subset": list(range(8)), "values": values.tolist()}
 
 
+def constant(seed: int) -> dict:
+    """Euclidean cloud of 30 points with equal values on |C|=6: Lip(g, C) = 0.
+
+    The supplied budget L = 1 is above the computed constant, so the constant
+    extension picks nearest anchors and the energy's cone function is not flat.
+    """
+    data = cloud(seed, n=30, size=6)
+    data["values"] = [0.7] * 6
+    data["lipschitz"] = 1.0
+    return data
+
+
 # name -> (builder, seed, {command: flags without --input/--output}).
 # Radii sit exactly at pair distances wherever the metric has ties.
 CASES = {
@@ -127,6 +139,10 @@ CASES = {
         "energy": ["--p", "1.5", "--radii", "1,2"]}),
     "clustered": (clustered, 5, {
         "verify": ["--epsilon", "0.5", "--xi", "0.1"]}),
+    "constant": (constant, 6, {
+        "verify": ["--epsilon", "0.5", "--xi", "0.1"],
+        "extend": ["--epsilon", "0.5", "--queries", "all"],
+        "energy": ["--p", "2", "--radii", "0.2,0.5"]}),
 }
 
 

@@ -202,6 +202,38 @@ def test_verify_negative_seed_exit1(tmp_path, capsys):
     assert "seed" in json.loads(capsys.readouterr().out)["error"]
 
 
+# Each bad parameter ends in exit 1 with a JSON error on constant data
+# (Lip(g, C) = 0, no schedule is built) and on non-constant data alike.
+BAD_PARAMETERS = {
+    "verify-rbar-nan": (["verify", "--epsilon", "0.5", "--rbar", "nan"], "r_bar"),
+    "verify-rbar-negative": (["verify", "--epsilon", "0.5", "--rbar", "-1"], "r_bar"),
+    "extend-epsilon-nan": (["extend", "--epsilon", "nan"], "--epsilon"),
+    "extend-epsilon-inf": (["extend", "--epsilon", "inf"], "--epsilon"),
+    "extend-anchor-nan": (["extend", "--epsilon", "0.5", "--anchor", "nan"], "--anchor"),
+    "extend-anchor-negative": (["extend", "--epsilon", "0.5", "--anchor", "-3"], "--anchor"),
+    "energy-epsilon-nan": (["energy", "--p", "1", "--radii", "0.3", "--epsilon", "nan"],
+                           "epsilon"),
+    "energy-epsilon-negative": (["energy", "--p", "1", "--radii", "0.3", "--epsilon", "-1"],
+                                "epsilon"),
+}
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "nonconstant"])
+@pytest.mark.parametrize("case", BAD_PARAMETERS.values(), ids=BAD_PARAMETERS.keys())
+def test_bad_parameter_exit1_on_both_paths(tmp_path, capsys, case, constant):
+    argv, name = case
+    path = _cloud_file(tmp_path, with_masses=True)
+    if constant:
+        doc = json.loads(Path(path).read_text())
+        doc["values"] = [0.3] * len(doc["values"])
+        path = _write(tmp_path, "constant.json", doc)
+    out = tmp_path / "out.json"
+    code = main([argv[0], "--input", path, *argv[1:], "--output", str(out)])
+    assert code == 1 and not out.exists()
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"{name} must be a positive finite real"}
+
+
 # --- energy ------------------------------------------------------------------
 
 

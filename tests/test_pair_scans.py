@@ -1,16 +1,18 @@
 """Exact pair scans: the chunked ball-slope kernel and the one-pass family check.
 
-``ball_lips`` reads a ball in row chunks of ``_ROW_CHUNK`` rows that also end
-at every ball's point count, and ``check_inf_family`` visits each pair once
-for all family members together.  Both are compared with brute force at the
+``ball_lips`` builds its ratio block over the members some ball can reach and
+reads a ball in row chunks of ``_ROW_CHUNK`` rows that also end at every
+ball's point count, and ``check_inf_family`` visits each pair once for all
+family members together.  Both are compared with brute force at the
 chunk boundaries and on the precondition path.
 """
 
 import numpy as np
 import pytest
 
-from lipext import (ParameterError, ball_lips, check_inf_family,
-                    instance_from_arrays, lip_constant, pair_ratios, run_suite)
+from lipext import (ParameterError, ball_lips, check_inf_family, energy,
+                    instance_from_arrays, lip_constant, lipa_profile, run_suite,
+                    validate_measure)
 from lipext.metric import _ROW_CHUNK
 
 from conftest import grid_instance, oracle_lip
@@ -36,7 +38,6 @@ def test_ball_lips_matches_oracle_across_row_chunks():
     rng = np.random.default_rng(1)
     domain = rng.permutation(n)
     vals = rng.normal(size=n)
-    ratios = pair_ratios(inst, domain, vals)
     for center in (int(domain[0]), int(domain[-1])):
         d_row = inst.distance_matrix()[center, domain]
         sorted_d = np.sort(d_row)
@@ -47,7 +48,7 @@ def test_ball_lips_matches_oracle_across_row_chunks():
                   (sorted_d[_ROW_CHUNK] + sorted_d[_ROW_CHUNK + 1]) / 2.0,
                   radii[4]]                                # repeated count
         radii = np.array(radii)[rng.permutation(len(radii))]   # out of order
-        got = ball_lips(ratios, [d_row], radii)[0]
+        got = ball_lips(inst, domain, vals, [center], radii)[0]
         order = np.argsort(d_row, kind="stable")
         for r, lip in zip(radii, got):
             inside = order[d_row[order] < r]
@@ -57,11 +58,11 @@ def test_ball_lips_matches_oracle_across_row_chunks():
 def test_ball_lips_empty_and_single_point_balls():
     inst = _cloud(2, 5)
     domain = np.arange(1, 5)
-    ratios = pair_ratios(inst, domain, np.arange(4.0))
-    d_row = inst.distance_matrix()[0, domain]       # center outside the domain
-    tiny = d_row.min() / 2.0
-    assert ball_lips(ratios, [d_row], [tiny, tiny]).tolist() == [[0.0, 0.0]]
-    assert ball_lips(ratios, [inst.distance_matrix()[1, domain]], [tiny]).tolist() == [[0.0]]
+    vals = np.arange(4.0)
+    tiny = inst.distance_matrix()[0, domain].min() / 2.0
+    # center 0 lies outside the domain: its small balls hold no member
+    assert ball_lips(inst, domain, vals, [0], [tiny, tiny]).tolist() == [[0.0, 0.0]]
+    assert ball_lips(inst, domain, vals, [1], [tiny]).tolist() == [[0.0]]
 
 
 def test_ball_lips_rows_match_oracle():
@@ -71,20 +72,71 @@ def test_ball_lips_rows_match_oracle():
     perm = rng.permutation(n)
     domain = perm[: n - 5]
     vals = rng.normal(size=len(domain))
-    ratios = pair_ratios(inst, domain, vals)
     centers = np.concatenate([perm[n - 5:], perm[:7]])   # five lie outside the domain
     d_rows = inst.distances(centers, domain)
     levels = np.sort(d_rows[0])
     radii = [levels[_ROW_CHUNK], levels[3], 1e-9, levels[3], 9.0, levels[-1]]
-    got = ball_lips(ratios, d_rows, radii)
+    got = ball_lips(inst, domain, vals, centers, radii)
     assert got.shape == (len(centers), len(radii))
     for row, d_row in zip(got, d_rows):
         want = [oracle_lip(inst, vals[d_row < r], domain[d_row < r]) for r in radii]
         assert row.tolist() == want
-    # one row is the first row of the batch; zero rows give an empty (0, R) array
-    assert np.array_equal(ball_lips(ratios, d_rows[:1], radii), got[:1])
-    empty = ball_lips(ratios, np.empty((0, len(domain))), radii)
-    assert empty.shape == (0, len(radii))
+    # one center is the first row of the batch
+    assert np.array_equal(ball_lips(inst, domain, vals, centers[:1], radii), got[:1])
+
+
+def test_ball_lips_empty_centers_or_radii():
+    inst = _cloud(5, 30)
+    domain = np.arange(3, 30)
+    vals = np.random.default_rng(6).normal(size=len(domain))
+    assert ball_lips(inst, domain, vals, [], [0.1, 0.5]).shape == (0, 2)
+    assert ball_lips(inst, domain, vals, [0, 4, 9], []).shape == (3, 0)
+    assert ball_lips(inst, domain, vals, [], []).shape == (0, 0)
+
+
+def test_ball_lips_rejects_values_not_aligned_with_members():
+    """A trimmed kernel must not read a longer ``values`` array by index."""
+    inst = _cloud(5, 30)
+    domain = np.arange(3, 30)
+    measure = validate_measure(inst, p=1.0)
+    for extra in (-1, 1):
+        vals = np.zeros(len(domain) + extra)
+        with pytest.raises(ParameterError, match="align"):
+            ball_lips(inst, domain, vals, [4], [0.01])
+        with pytest.raises(ParameterError, match="align"):
+            lipa_profile(inst, domain, vals, 4, [0.01])
+        with pytest.raises(ParameterError, match="align"):
+            energy(inst, np.arange(30), np.zeros(30 + extra), measure, [0.01])
+
+
+def test_ball_lips_radii_beyond_the_diameter():
+    inst = _cloud(7, 40)
+    rng = np.random.default_rng(8)
+    domain = rng.permutation(40)[:33]
+    vals = rng.normal(size=len(domain))
+    diam = inst.diameter()
+    whole = lip_constant(inst, vals, domain)
+    got = ball_lips(inst, domain, vals, np.arange(40), [diam * 1.0001, 3.0 * diam, 1e300])
+    assert np.all(got == whole)
+
+
+def test_ball_lips_reach_spans_every_center_and_radius():
+    """Two far-apart clusters: each center's larger ball needs members that
+    only that center reaches, and only at the largest radius."""
+    rng = np.random.default_rng(9)
+    coords = np.vstack([rng.uniform(0.0, 0.1, (12, 2)), rng.uniform(5.0, 5.1, (12, 2))])
+    inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 0.0])
+    domain = np.arange(24)[::-1]
+    vals = rng.normal(size=24)
+    centers = [0, 23]
+    radii = [0.02, 0.05, 0.2]
+    got = ball_lips(inst, domain, vals, centers, radii)
+    d_rows = inst.distances(centers, domain)
+    for row, d_row in zip(got, d_rows):
+        want = [oracle_lip(inst, vals[d_row < r], domain[d_row < r]) for r in radii]
+        assert row.tolist() == want
+    # the whole cluster (largest radius) is steeper than its small balls
+    assert np.all(got[:, 2] > got[:, 0])
 
 
 def _family_case(seed, n=60, size=5):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from lipext import (approx_slopes, ball_lips, build_profiles, build_schedule,
-                    energy, instance_from_arrays, lipa_profile, pair_ratios,
-                    validate_measure)
+                    energy, instance_from_arrays, lipa_profile, validate_measure)
+from lipext.metric import pair_ratios
 
 from conftest import oracle_lip
 
@@ -77,16 +77,30 @@ def test_ball_lips_matches_oracle_at_ties(inst):
     domain = rng.permutation(inst.n)
     vals = rng.normal(size=inst.n)
     radii = tie_radii(inst)
-    ratios = pair_ratios(inst, domain, vals)
-    got = ball_lips(ratios, inst.distance_matrix()[:, domain], radii)   # every center
+    got = ball_lips(inst, domain, vals, np.arange(inst.n), radii)   # every center
     assert got.shape == (inst.n, len(radii))
     for center in range(inst.n):
         want = [oracle_ball_lip(inst, domain, vals, center, r) for r in radii]
         assert got[center].tolist() == want
     # unsorted radii are answered position by position
-    d_row = inst.distance_matrix()[0, domain]
-    assert np.array_equal(ball_lips(ratios, [d_row], radii[::-1])[0],
-                          ball_lips(ratios, [d_row], radii)[0][::-1])
+    assert np.array_equal(ball_lips(inst, domain, vals, [0], radii[::-1])[0],
+                          ball_lips(inst, domain, vals, [0], radii)[0][::-1])
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_ball_lips_centers_off_a_strict_domain(inst):
+    """Every point is a center over a strict domain, one radius at a time and all at once."""
+    rng = np.random.default_rng(9)
+    domain = rng.permutation(inst.n)[: inst.n - 3]
+    vals = rng.normal(size=len(domain))
+    radii = tie_radii(inst)
+    got = ball_lips(inst, domain, vals, np.arange(inst.n), radii)
+    for center in range(inst.n):
+        want = [oracle_ball_lip(inst, domain, vals, center, r) for r in radii]
+        assert got[center].tolist() == want
+    for j, r in enumerate(radii):
+        assert np.array_equal(ball_lips(inst, domain, vals, np.arange(inst.n), [r])[:, 0],
+                              got[:, j])
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
