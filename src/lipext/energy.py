@@ -104,9 +104,6 @@ def energy(instance: MetricInstance, domain, values, measure: MeasureData,
     any order are allowed).
     """
     radii = _positive_radii(radii)
-    domain = np.asarray(domain, dtype=np.intp)
-    if len(np.unique(domain)) != len(domain):
-        raise ParameterError("domain indices must be distinct")
     support = measure.support
     if not np.all(np.isin(support, domain)):
         raise ParameterError("domain must contain the measure support")

@@ -17,7 +17,11 @@ from .errors import InstanceValidationError, ParameterError
 
 # Relative slack for the triangle-inequality scan on explicit matrices.
 TRIANGLE_RTOL = 1e-9
-# Rows per ball_lips gather: a step reads at most this many rows of a ball.
+# ball_lips answers a ball from the largest _TOP_K pair ratios when one of
+# them lies inside it (a certificate for the exact maximum) and otherwise
+# scans the ball in full.  _ROW_CHUNK bounds a step of either pass: the full
+# scan reads at most this many rows of a ball, the top-K walk this many centers.
+_TOP_K = 4096
 _ROW_CHUNK = 128
 
 
@@ -258,36 +262,116 @@ def pair_ratios(instance: MetricInstance, members, values) -> np.ndarray:
     return np.divide(gaps, dist, out=gaps, where=dist > 0)
 
 
+def _index_list(indices, n: int, what: str) -> np.ndarray:
+    """``indices`` as a 1-D intp array; raises unless every entry is an integer in ``[0, n)``."""
+    indices = np.asarray(indices)
+    if indices.size == 0 and indices.ndim == 1:
+        return np.zeros(0, dtype=np.intp)
+    if (indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer)
+            or np.any(indices < 0) or np.any(indices >= n)):
+        raise ParameterError(f"{what} must be a 1-D list of point indices in [0, {n})")
+    return indices.astype(np.intp)
+
+
+def _member_values(instance: MetricInstance, members, values):
+    """``(members, values)`` as arrays; raises unless the members are distinct
+    point indices and the values finite and aligned with them."""
+    members = _index_list(members, instance.n, "members")
+    if len(np.unique(members)) != len(members):
+        raise ParameterError("member indices must be distinct")
+    values = np.asarray(values, dtype=float)
+    if values.shape != members.shape:
+        raise ParameterError("values must align with the member index list")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("values must be finite")
+    return members, values
+
+
+def _top_pairs(ratios: np.ndarray):
+    """Pairs ``i < j`` of the ``_TOP_K`` largest positive ratios, in descending order.
+
+    Returns ``(i, j, ratio)``.  Ties at the K-th value are taken whole rows at a
+    time until K pairs are held, so every pair left out is at most the smallest
+    pair kept.  Fewer than K pairs are kept only when fewer are positive, and
+    then all of them are kept.
+    """
+    m = len(ratios)
+    flat = ratios.ravel()
+    kth = flat.size - 2 * _TOP_K        # the symmetric matrix holds each pair twice
+    thr = np.partition(flat, kth)[kth] if kth > 0 else 0.0
+    idx = np.flatnonzero(flat > thr)
+    if thr > 0:
+        ties = ratios == thr
+        room = 2 * _TOP_K - len(idx)
+        last = np.searchsorted(np.cumsum(np.count_nonzero(ties, axis=1)), room)
+        idx = np.concatenate([idx, np.flatnonzero(ties[:last + 1])])
+    first, second = np.divmod(idx, m)
+    upper = first < second
+    first, second = first[upper], second[upper]
+    top = ratios[first, second]
+    order = np.argsort(-top, kind="stable")
+    return first[order], second[order], top[order]
+
+
+def _chunked_ball_lips(ratios: np.ndarray, d_row: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Ball constants at one center by the full scan of every pair in each ball.
+
+    Points enter a ball in stable distance order and a tie at ``r`` stays
+    outside.  The sorted points are read in row chunks ``[a, b)`` against the
+    first ``b`` points; chunks end at every ball's point count and every
+    ``_ROW_CHUNK`` rows, so a ball of ``m`` points takes the running maximum of
+    the chunks up to ``m``.
+    """
+    order = np.argsort(d_row, kind="stable")
+    counts = np.searchsorted(d_row[order], radii, side="left")
+    ends = np.union1d(counts, np.arange(0, counts.max(initial=0), _ROW_CHUNK))
+    running = np.zeros(len(ends))
+    for pos in range(1, len(ends)):
+        block = ratios[np.ix_(order[ends[pos - 1]:ends[pos]], order[:ends[pos]])]
+        running[pos] = max(running[pos - 1], block.max())
+    return running[np.searchsorted(ends, counts)]
+
+
 def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.ndarray:
     """Entry ``[c, j]``: Lipschitz constant of ``values`` (aligned with ``members``)
     over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``.
 
     Only members some ball can hold (``d < max(radii)`` from some center) enter
-    the :func:`pair_ratios` block, in their given order.  Points enter a ball in
-    stable distance order and a tie at ``r`` stays outside.  The sorted points
-    are read in row chunks ``[a, b)`` against the first ``b`` points; chunks end
-    at every ball's point count and every ``_ROW_CHUNK`` rows, so a ball of
-    ``m`` points takes the running maximum of the chunks up to ``m``.
+    the :func:`pair_ratios` block, in their given order.  Its ``_TOP_K`` largest
+    pairs are then walked in descending order, and a ball's answer is the first
+    pair whose farther end lies inside it.  That pair is a certificate: every
+    pair left out of the top K is at most the smallest pair kept, so the answer
+    is the same computed float as a scan of every pair in the ball.  A ball that
+    holds no top-K pair is scanned in full (``_chunked_ball_lips``, only for
+    that center's unresolved radii), unless the top K hold every positive ratio.
+
+    ``members`` must be distinct and ``values`` finite; ``centers`` are any point
+    indices and ``radii`` any nonnegative reals, in any order and with repeats.
     """
-    members = np.asarray(members, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if values.shape != members.shape:
-        raise ParameterError("values must align with the member index list")
+    members, values = _member_values(instance, members, values)
+    centers = _index_list(centers, instance.n, "centers")
     radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not np.all(radii >= 0):
+        raise ParameterError("radii must be a 1-D list of nonnegative reals")
     d_rows = instance.distances(centers, members)
     reach = np.flatnonzero((d_rows < radii.max(initial=0.0)).any(axis=0))
     d_rows = d_rows[:, reach]
     ratios = pair_ratios(instance, members[reach], values[reach])
-    orders = np.argsort(d_rows, axis=1, kind="stable")
+    first, second, top = _top_pairs(ratios)
+    complete = len(top) < _TOP_K        # every positive ratio is among the top pairs
     out = np.zeros((len(d_rows), len(radii)))
-    for row, order in enumerate(orders):
-        counts = np.searchsorted(d_rows[row, order], radii, side="left")
-        ends = np.union1d(counts, np.arange(0, counts.max(initial=0), _ROW_CHUNK))
-        running = np.zeros(len(ends))
-        for pos in range(1, len(ends)):
-            block = ratios[np.ix_(order[ends[pos - 1]:ends[pos]], order[:ends[pos]])]
-            running[pos] = max(running[pos - 1], block.max())
-        out[row] = running[np.searchsorted(ends, counts)]
+    for lo in range(0, len(d_rows), _ROW_CHUNK):
+        # Minus the running minimum of the far ends: non-decreasing along a row,
+        # and pair k lies in the r-ball once this is above -r.
+        lead = -np.maximum(d_rows[lo:lo + _ROW_CHUNK, first],
+                           d_rows[lo:lo + _ROW_CHUNK, second])
+        np.maximum.accumulate(lead, axis=1, out=lead)
+        for row, lead_row in enumerate(lead, start=lo):
+            hit = np.searchsorted(lead_row, -radii, side="right")
+            found = hit < len(top)
+            out[row, found] = top[hit[found]]
+            if not complete and not np.all(found):
+                out[row, ~found] = _chunked_ball_lips(ratios, d_rows[row], radii[~found])
     return out
 
 
@@ -297,12 +381,7 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
     Supremum of ``|v(y1) - v(y2)| / d(y1, y2)`` over distinct pairs; ``0.0``
     for empty or singleton sets (empty-supremum convention).
     """
-    members = np.asarray(members, dtype=np.intp)
-    values = np.asarray(values, dtype=float)
-    if values.shape != members.shape:
-        raise ParameterError("values must align with the member index list")
-    if len(np.unique(members)) != len(members):
-        raise ParameterError("member indices must be distinct")
+    members, values = _member_values(instance, members, values)
     return float(pair_ratios(instance, members, values).max(initial=0.0))
 
 

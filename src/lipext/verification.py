@@ -6,7 +6,8 @@ are relative to the instance's value and distance scales: 1e-9 for
 inequalities, 1e-12 for identities.  The global-budget scan is exhaustive
 up to ``MAX_PAIRS`` pairs and falls back to seeded uniform subsampling beyond
 that, labeled as statistical in the result note; the inf-family, locality and
-McShane-fragment scans are exhaustive at every size.
+McShane-fragment scans are exhaustive at every size (a ball answered from the
+top-K pairs of ``ball_lips`` is certified exact, and any other ball is scanned in full).
 """
 
 from __future__ import annotations

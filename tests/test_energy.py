@@ -160,6 +160,8 @@ def test_energy_parameter_errors():
         energy(inst, [0, 1], np.zeros(2), measure, [0.5])  # support not covered
     with pytest.raises(ParameterError):
         energy(inst, np.arange(inst.n), np.zeros(inst.n), measure, [-1.0])
+    with pytest.raises(ParameterError, match="distinct"):
+        energy(inst, [0, 1, 2, 3, 4, 0], np.zeros(6), measure, [0.5])
     with pytest.raises(ParameterError):
         check_extension_energy(inst, measure, [0.5], xi=0.0)
 

@@ -119,6 +119,14 @@ def test_lip_constant_duplicate_members_rejected(line3):
         lip_constant(line3, np.array([0.0, 1.0]), [1, 1])
 
 
+def test_lip_constant_rejects_bad_indices_and_values(line3):
+    for members in ([-1, 0], [0, 3]):          # -1 would wrap to the last point
+        with pytest.raises(ParameterError, match="members"):
+            lip_constant(line3, np.array([0.0, 1.0]), members)
+    with pytest.raises(ParameterError, match="finite"):
+        lip_constant(line3, np.array([0.0, np.nan]), [0, 1])
+
+
 def test_lip_constant_relabeling_invariance():
     inst = random_instance(7, n_max=30)
     rng = np.random.default_rng(4)

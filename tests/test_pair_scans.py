@@ -1,10 +1,15 @@
-"""Exact pair scans: the chunked ball-slope kernel and the one-pass family check.
+"""Exact pair scans: the top-K ball-slope kernel and the one-pass family check.
 
-``ball_lips`` builds its ratio block over the members some ball can reach and
-reads a ball in row chunks of ``_ROW_CHUNK`` rows that also end at every
-ball's point count, and ``check_inf_family`` visits each pair once for all
-family members together.  Both are compared with brute force at the
-chunk boundaries and on the precondition path.
+``ball_lips`` builds its ratio block over the members some ball can reach,
+ranks the ``_TOP_K`` largest pairs and answers each ball from the first of
+them whose farther end lies inside it.  A ball that holds none of them is
+scanned in full, in row chunks of ``_ROW_CHUNK`` rows that also end at every
+ball's point count.  ``check_inf_family`` visits each pair once for all family
+members together.  Both are compared with brute force: the kernel with K
+patched down to 1 and 2 and around the pair count (ties at the K-th value,
+balls answered by the full scan, unsorted and repeated radii, the tie-heavy
+metrics of ``test_ties``) and at the chunk boundaries; the family check on the
+precondition path.
 """
 
 import numpy as np
@@ -13,9 +18,11 @@ import pytest
 from lipext import (ParameterError, ball_lips, check_inf_family, energy,
                     instance_from_arrays, lip_constant, lipa_profile, run_suite,
                     validate_measure)
-from lipext.metric import _ROW_CHUNK
+from lipext import metric
+from lipext.metric import _ROW_CHUNK, pair_ratios
 
 from conftest import grid_instance, oracle_lip
+from test_ties import IDS, INSTANCES, tie_radii
 
 
 def _cloud(seed, n):
@@ -137,6 +144,149 @@ def test_ball_lips_reach_spans_every_center_and_radius():
         assert row.tolist() == want
     # the whole cluster (largest radius) is steeper than its small balls
     assert np.all(got[:, 2] > got[:, 0])
+
+
+def _oracle_balls(inst, domain, vals, centers, radii):
+    d_rows = inst.distances(centers, domain)
+    return np.array([[oracle_lip(inst, vals[d_row < r], domain[d_row < r]) for r in radii]
+                     for d_row in d_rows])
+
+
+def _rounded_grid():
+    """Integer points on a line with values in {0, 1, 2}: ratios tie everywhere."""
+    rng = np.random.default_rng(11)
+    inst = instance_from_arrays(coords=np.arange(14.0)[:, None], subset=[0, 1],
+                                values=[0.0, 0.0])
+    domain = rng.permutation(14)[:12]
+    return inst, domain, rng.integers(0, 3, 12).astype(float)
+
+
+def _tie_case(inst):
+    rng = np.random.default_rng(12)
+    domain = rng.permutation(inst.n)
+    return inst, domain, rng.normal(size=inst.n).round(1)
+
+
+TOP_K_CASES = [_rounded_grid(), *(_tie_case(inst) for inst in INSTANCES)]
+TOP_K_IDS = ["rounded_grid", *IDS]
+
+
+def _pair_count(domain):
+    return len(domain) * (len(domain) - 1) // 2
+
+
+@pytest.mark.parametrize("k_of_pairs", [lambda p: 1, lambda p: 2, lambda p: p - 1,
+                                        lambda p: p, lambda p: p + 1],
+                         ids=["1", "2", "pairs-1", "pairs", "pairs+1"])
+@pytest.mark.parametrize("case", TOP_K_CASES, ids=TOP_K_IDS)
+def test_top_k_kernel_matches_oracle(monkeypatch, case, k_of_pairs):
+    inst, domain, vals = case
+    top_k = k_of_pairs(_pair_count(domain))
+    monkeypatch.setattr(metric, "_TOP_K", top_k)
+    radii = tie_radii(inst)
+    # unsorted and repeated radii, an empty ball and one beyond the diameter
+    radii = np.concatenate([radii[::-1], radii[1::2], [0.0, 1e300]])
+    centers = np.arange(inst.n)
+    got = ball_lips(inst, domain, vals, centers, radii)
+    assert np.array_equal(got, _oracle_balls(inst, domain, vals, centers, radii))
+
+
+def test_top_k_ties_straddle_the_kth_value(monkeypatch):
+    """Every K from 1 past the pair count on the rounded grid; at many of them
+    the K-th ratio is shared by pairs on both sides of the cut."""
+    inst, domain, vals = TOP_K_CASES[0]
+    ranked = np.sort(pair_ratios(inst, domain, vals)[np.triu_indices(len(domain), 1)])[::-1]
+    radii = tie_radii(inst)
+    centers = np.arange(inst.n)
+    want = _oracle_balls(inst, domain, vals, centers, radii)
+    straddled = 0
+    for top_k in range(1, len(ranked) + 2):
+        if top_k < len(ranked) and ranked[top_k - 1] == ranked[top_k] > 0:
+            straddled += 1
+        monkeypatch.setattr(metric, "_TOP_K", top_k)
+        assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
+    assert straddled >= 10
+
+
+@pytest.mark.parametrize("case", [TOP_K_CASES[0], *TOP_K_CASES[3:]],
+                         ids=[TOP_K_IDS[0], *TOP_K_IDS[3:]])
+def test_top_k_fallback_answers_balls_without_a_top_pair(monkeypatch, case):
+    """With K = 1 every ball that misses the steepest pairs is answered by the
+    full scan, and some such ball is steep but less steep than the top pair.
+    (The discrete metric has no such ball: each is one point or the whole space.)"""
+    inst, domain, vals = case
+    monkeypatch.setattr(metric, "_TOP_K", 1)
+    radii = tie_radii(inst)
+    centers = np.arange(inst.n)
+    got = ball_lips(inst, domain, vals, centers, radii)
+    top = pair_ratios(inst, domain, vals).max()
+    assert np.any((got > 0) & (got < top))
+    assert np.array_equal(got, _oracle_balls(inst, domain, vals, centers, radii))
+
+
+def test_top_k_kernel_on_a_cloud_with_few_top_pairs(monkeypatch):
+    """A cloud larger than a row chunk: K = 5 leaves most balls to the full scan."""
+    n = _ROW_CHUNK + 30
+    inst = _cloud(13, n)
+    rng = np.random.default_rng(14)
+    domain = rng.permutation(n)[: n - 4]
+    vals = rng.normal(size=len(domain))
+    centers = rng.permutation(n)[:6]
+    levels = np.sort(inst.distances(centers[:1], domain)[0])
+    radii = [levels[_ROW_CHUNK + 1], levels[2], levels[40], levels[2], 0.3, 5.0]
+    want = ball_lips(inst, domain, vals, centers, radii)
+    monkeypatch.setattr(metric, "_TOP_K", 5)
+    assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want)
+    assert np.array_equal(want, _oracle_balls(inst, domain, vals, centers, radii))
+
+
+def test_ball_lips_rejects_a_negative_center():
+    inst = _cloud(15, 12)
+    with pytest.raises(ParameterError, match="centers"):
+        ball_lips(inst, np.arange(12), np.zeros(12), [-1], [0.5])
+
+
+def test_ball_lips_rejects_an_out_of_range_center():
+    inst = _cloud(15, 12)
+    with pytest.raises(ParameterError, match="centers"):
+        ball_lips(inst, np.arange(12), np.zeros(12), [12], [0.5])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1])
+def test_ball_lips_rejects_a_nan_or_negative_radius(bad):
+    inst = _cloud(15, 12)
+    with pytest.raises(ParameterError, match="radii"):
+        ball_lips(inst, np.arange(12), np.zeros(12), [0], [0.5, bad])
+
+
+def test_ball_lips_rejects_two_dimensional_radii():
+    inst = _cloud(15, 12)
+    with pytest.raises(ParameterError, match="radii"):
+        ball_lips(inst, np.arange(12), np.zeros(12), [0], [[0.2, 0.5]])
+
+
+def test_ball_lips_rejects_duplicate_members():
+    inst = _cloud(15, 12)
+    members = np.array([0, 1, 2, 1])
+    with pytest.raises(ParameterError, match="distinct"):
+        ball_lips(inst, members, np.arange(4.0), [0], [0.5])
+
+
+def test_ball_lips_rejects_non_finite_values():
+    inst = _cloud(15, 12)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="finite"):
+            ball_lips(inst, np.arange(3), [0.0, bad, 1.0], [0], [0.5])
+
+
+def test_ball_lips_accepts_zero_and_repeated_radii_and_outside_centers():
+    inst = _cloud(16, 12)
+    domain = np.arange(2, 12)
+    vals = np.random.default_rng(17).normal(size=10)
+    radii = [1e300, 0.0, 0.4, 0.4]
+    got = ball_lips(inst, domain, vals, [0, 5], radii)      # center 0 is off the domain
+    assert np.array_equal(got, _oracle_balls(inst, domain, vals, [0, 5], radii))
+    assert np.all(got[:, 1] == 0.0) and np.all(got[:, 2] == got[:, 3])
 
 
 def _family_case(seed, n=60, size=5):
