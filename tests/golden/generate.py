@@ -102,6 +102,46 @@ def clustered(seed: int) -> dict:
             "subset": list(range(8)), "values": values.tolist()}
 
 
+def graph(seed: int, n: int = 160) -> dict:
+    """Shortest-path metric of a weighted ring on n points plus 2n random chords.
+
+    n = 160 spans three row blocks of the triangle certificate.  |C| = 16,
+    with masses on the subset.
+    """
+    rng = np.random.default_rng(seed)
+    chords = rng.integers(0, n, size=(2 * n, 2))
+    chords = chords[chords[:, 0] != chords[:, 1]]
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    edges = np.concatenate([ring, chords])
+    weights = np.concatenate([rng.uniform(0.5, 1.5, n),
+                              rng.uniform(1.0, 4.0, len(chords))])
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    np.minimum.at(d, (edges[:, 0], edges[:, 1]), weights)
+    np.minimum.at(d, (edges[:, 1], edges[:, 0]), weights)
+    for k in range(n):  # Floyd-Warshall; every pass keeps d exactly symmetric
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    subset = np.sort(rng.choice(n, size=16, replace=False))
+    values = np.sin(d[subset[0], subset]) + 0.1 * rng.uniform(0.0, 1.0, 16)
+    masses = np.zeros(n)
+    masses[subset] = rng.uniform(0.2, 1.0, 16)
+    return {"points": {"type": "matrix", "d": d.tolist()},
+            "subset": subset.tolist(), "values": values.tolist(),
+            "masses": masses.tolist()}
+
+
+def snowflake(seed: int) -> dict:
+    """Snowflake d**0.5 of a 48-point Euclidean cloud in [0, 1]^2, |C| = 10."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 1.0, (48, 2))
+    diff = coords[:, None, :] - coords[None, :, :]
+    d = np.sqrt(np.sqrt(np.sum(diff * diff, axis=2)))
+    subset = np.sort(rng.choice(48, size=10, replace=False))
+    return {"points": {"type": "matrix", "d": d.tolist()},
+            "subset": subset.tolist(),
+            "values": rng.uniform(-1.0, 1.0, 10).tolist()}
+
+
 def constant(seed: int) -> dict:
     """Euclidean cloud of 30 points with equal values on |C|=6: Lip(g, C) = 0.
 
@@ -143,6 +183,14 @@ CASES = {
         "verify": ["--epsilon", "0.5", "--xi", "0.1"],
         "extend": ["--epsilon", "0.5", "--queries", "all"],
         "energy": ["--p", "2", "--radii", "0.2,0.5"]}),
+    "graph": (graph, 7, {
+        "verify": ["--epsilon", "0.5", "--xi", "0.1"],
+        "extend": ["--epsilon", "0.5", "--queries", "all"],
+        "energy": ["--p", "2", "--radii", "2,4,6"]}),
+    "snowflake": (snowflake, 8, {
+        "verify": ["--epsilon", "0.5", "--rbar", "0.5"],
+        "extend": ["--epsilon", "0.5", "--queries", "all"],
+        "energy": ["--p", "1.5", "--radii", "0.4,0.7,1.1"]}),
 }
 
 
