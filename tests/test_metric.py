@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from lipext import (InstanceValidationError, ParameterError,
                     instance_from_arrays, lip_constant, lipa_profile,
                     validate_instance)
-from lipext.metric import _check_radii
+from lipext.metric import (TRIANGLE_RTOL, _TRIANGLE_ROWS, _check_radii,
+                           _triangle_certified)
 
 from conftest import grid_instance, oracle_lip, random_instance
 
@@ -32,6 +33,147 @@ def test_triangle_violation_reports_triple():
     err = exc.value
     assert "triangle" in err.reason
     assert {err.witness["i"], err.witness["j"], err.witness["k"]} == {0, 1, 2}
+
+
+R = _TRIANGLE_ROWS
+
+
+def _triangle_oracle(d):
+    """The first triangle violation of a per-pivot, row-major scan, or None.
+
+    Pivot ``j`` ascending, then ``(i, k)`` in row-major order: the witness
+    ``validate_instance`` reports.
+    """
+    tol = TRIANGLE_RTOL * float(d.max())
+    for j in range(len(d)):
+        bad = d > (d[:, j, None] + d[None, j, :]) + tol
+        if bad.any():
+            i, k = (int(x) for x in np.argwhere(bad)[0])
+            return {"i": i, "j": j, "k": k, "d_ik": float(d[i, k]),
+                    "bound": float(d[i, j] + d[j, k])}
+    return None
+
+
+def _plane_metric(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _stretch(d, i, k):
+    """Lengthen d[i, k] just past its shortest two-step path; return the pivot.
+
+    Only the pair (i, k) then violates, and only at pivots whose path is
+    within 1e-6 of the shortest one.
+    """
+    paths = d[i] + d[:, k]
+    paths[[i, k]] = np.inf
+    j = int(np.argmin(paths))
+    d[i, k] = d[k, i] = paths[j] + 1e-6
+    return j
+
+
+def _triangle_witness(d):
+    tol = TRIANGLE_RTOL * float(d.max())
+    try:
+        instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+    except InstanceValidationError as exc:
+        assert exc.reason == "triangle inequality violated"
+        assert not _triangle_certified(d, tol)
+        return exc.witness
+    assert _triangle_certified(d, tol)
+    return None
+
+
+# (n, pairs to stretch): a pair far apart (rows in different blocks once
+# n > R), a pair near the diagonal (inside the last block when n = 2R+5),
+# and both at once with different pivots.
+TRIANGLE_CASES = [(n, ()) for n in (1, 2, R - 1, R, R + 1, 2 * R + 5)] + [
+    (n, pairs) for n in (R - 1, R, R + 1, 2 * R + 5)
+    for pairs in (((n - 2, 1),), ((n - 1, n - 3),), ((n - 2, 1), (n - 1, n - 3)))]
+
+
+@pytest.mark.parametrize("n,pairs", TRIANGLE_CASES)
+def test_triangle_witness_matches_per_pivot_oracle(n, pairs):
+    d = _plane_metric(n, seed=n)
+    pivots = [_stretch(d, i, k) for i, k in pairs]
+    expected = _triangle_oracle(d)
+    assert _triangle_witness(d) == expected
+    if not pairs:
+        assert expected is None
+        return
+    # The witness is the planted pair of smallest pivot, upper triangle first.
+    first = int(np.argmin(pivots))
+    assert expected["j"] == pivots[first] > 0
+    assert (expected["i"], expected["k"]) == tuple(sorted(pairs[first]))
+    if len(pairs) == 2:
+        assert pivots[0] != pivots[1]
+
+
+def test_triangle_witness_pivot_order_beats_row_order():
+    # Pair (1, n-2) sits in the first row block, pair (n-3, n-1) in the last;
+    # the witness follows the smaller pivot, wherever its rows are.
+    n = 2 * R + 5
+    for seed in range(20):
+        d = _plane_metric(n, seed)
+        far, last = _stretch(d, n - 2, 1), _stretch(d, n - 1, n - 3)
+        if last < far:
+            break
+    assert last < far
+    w = _triangle_witness(d)
+    assert (w["i"], w["j"], w["k"]) == (n - 3, last, n - 1)
+    assert w == _triangle_oracle(d)
+
+
+@pytest.mark.parametrize("pivot", [0, 2 * R + 4])
+def test_triangle_violation_at_first_and_last_pivot(pivot):
+    n = 2 * R + 5
+    d = _plane_metric(n, seed=1)
+    j = _stretch(d, 5, n - 5)
+    perm = np.arange(n)
+    perm[[j, pivot]] = perm[[pivot, j]]
+    d = d[np.ix_(perm, perm)]
+    w = _triangle_witness(d)
+    assert w == _triangle_oracle(d) and w["j"] == pivot
+
+
+def test_triangle_tolerance_edge():
+    # Points 0..3 near a line; d[0, 3] = 3 is the maximum, so tol = 3e-9 and
+    # d[0, 2] may reach fl(fl(d01 + d12) + tol) and no further.
+    tol = TRIANGLE_RTOL * 3.0
+    edge = (1.0 + 1.0) + tol
+    d = np.array([[0.0, 1.0, edge, 3.0],
+                  [1.0, 0.0, 1.0, 2.0],
+                  [edge, 1.0, 0.0, 1.0],
+                  [3.0, 2.0, 1.0, 0.0]])
+    assert _triangle_witness(d) is None and _triangle_oracle(d) is None
+    # A real violation at pivot 2 makes the per-pivot scan run; it, too, must
+    # pass the edge triple at pivot 1.
+    stretched = d.copy()
+    stretched[1, 3] = stretched[3, 1] = 2.0 + 1e-6
+    expected = {"i": 1, "j": 2, "k": 3, "d_ik": 2.0 + 1e-6, "bound": 2.0}
+    assert _triangle_oracle(stretched) == expected
+    assert _triangle_witness(stretched) == expected
+    above = np.nextafter(edge, np.inf)
+    d[0, 2] = d[2, 0] = above
+    expected = {"i": 0, "j": 1, "k": 2, "d_ik": above, "bound": 2.0}
+    assert _triangle_oracle(d) == expected
+    assert _triangle_witness(d) == expected
+
+
+def test_zero_off_diagonal_witness_is_first_in_row_order():
+    d = _plane_metric(5, seed=0)
+    d[3, 1] = d[1, 3] = d[4, 2] = d[2, 4] = 0.0
+    with pytest.raises(InstanceValidationError) as exc:
+        instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+    assert exc.value.reason == "zero off-diagonal distance"
+    assert exc.value.witness == {"i": 1, "j": 3}
+    with pytest.raises(InstanceValidationError) as exc:
+        instance_from_arrays(coords=[[0.0], [1.0], [2.0], [1.0], [0.0]],
+                             subset=[0], values=[0.0])
+    assert exc.value.reason == "duplicate points (zero distance)"
+    assert exc.value.witness == {"i": 0, "j": 4}
 
 
 def test_user_lipschitz_below_computed_rejected():
