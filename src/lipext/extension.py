@@ -31,6 +31,10 @@ from .errors import ParameterError, ScheduleTooShallow, TrivialInstance
 from .metric import MetricInstance, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
+# Queries per block of the infimum, and rows per block of the diameter scan:
+# each holds (|C| or |points|) x _QUERY_BLOCK arrays, whatever the query count.
+_QUERY_BLOCK = 128
+
 
 @dataclass
 class ProfileBank:
@@ -202,14 +206,20 @@ def mcshane_lower_many(instance: MetricInstance, l_prime: float, queries) -> np.
     return (instance.values[:, None] - l_prime * dists).max(axis=0)
 
 
+def _query_blocks(count: int) -> list[slice]:
+    return [slice(a, a + _QUERY_BLOCK) for a in range(0, count, _QUERY_BLOCK)]
+
+
 def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionField:
     # Lip(g, C) = 0: the constant extension preserves every local constant at 0.
     const = float(instance.values[0])
     if instance.lipschitz_L == 0.0:
         anchors = np.full(len(queries), int(instance.subset.min()), dtype=np.intp)
     else:
-        dists = instance.distances(instance.subset, queries)
-        _, anchors = _argmin_lowest(dists, instance.subset)
+        anchors = np.empty(len(queries), dtype=np.intp)
+        for s in _query_blocks(len(queries)):
+            dists = instance.distances(instance.subset, queries[s])
+            anchors[s] = _argmin_lowest(dists, instance.subset)[1]
     return ExtensionField(
         queries=queries, values=np.full(len(queries), const),
         anchors=anchors, localization=["full"] * len(queries),
@@ -237,8 +247,9 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
         return _constant_field(instance, queries)
     if schedule is None:
         raise ParameterError("a schedule is required when Lip(g, C) > 0")
-    T = instance.distances(instance.subset, queries)
-    dmax = float(T.max())
+    subset = instance.subset
+    blocks = _query_blocks(len(queries))
+    dmax = max(float(instance.distances(subset, queries[s]).max()) for s in blocks)
     if schedule.eps_at(schedule.k_max) < dmax:
         raise ScheduleTooShallow(
             f"extend schedule: top scale {schedule.eps_at(schedule.k_max)!r} below "
@@ -246,17 +257,22 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
             required_span_high=2.0 * dmax)
     if profiles is None:
         profiles = build_profiles(instance, schedule)
-    phi = instance.values[:, None] + profiles.pen(T)
+    values = np.empty(len(queries))
+    anchors = np.empty(len(queries), dtype=np.intp)
     localization = ["full"] * len(queries)
-    if xbars is not None:
-        near = instance.subset_positions()[xbars]
-        # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
-        jk = np.searchsorted(schedule.eps, T[near, np.arange(len(queries))], side="right") + 2
-        radius = np.append(schedule.eps, np.full(3, np.inf))[jk]    # jk <= len(eps) + 2
-        phi = np.where(instance.distances(instance.subset, xbars) < radius, phi, np.inf)
-        localization = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
-                        for k, x, r in zip(schedule.k_min + jk, xbars, radius)]
-    values, anchors = _argmin_lowest(phi, instance.subset)
+    # Every step is per query (column), so blocks give the same bits as one pass.
+    for s in blocks:
+        T = instance.distances(subset, queries[s])
+        phi = instance.values[:, None] + profiles.pen(T)
+        if xbars is not None:
+            near = instance.subset_positions()[xbars[s]]
+            # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
+            jk = np.searchsorted(schedule.eps, T[near, np.arange(len(near))], side="right") + 2
+            radius = np.append(schedule.eps, np.full(3, np.inf))[jk]    # jk <= len(eps) + 2
+            phi = np.where(instance.distances(subset, xbars[s]) < radius, phi, np.inf)
+            localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
+                               for k, x, r in zip(schedule.k_min + jk, xbars[s], radius)]
+        values[s], anchors[s] = _argmin_lowest(phi, subset)
     return ExtensionField(queries=queries, values=values, anchors=anchors,
                           localization=localization,
                           epsilon=schedule.eps_eff, schedule=schedule,
@@ -342,10 +358,12 @@ def evaluation_diameters(instance: MetricInstance, queries=None) -> tuple[float,
     """(min positive distance, max distance) over subset union queries."""
     queries = _as_query_array(instance, queries)
     pts = np.unique(np.concatenate([instance.subset, queries]))
-    dd = instance.distances(pts, pts)
-    pos = dd[dd > 0]
-    dmin = float(pos.min()) if len(pos) else 0.0
-    return dmin, float(dd.max())
+    dmin, dmax = np.inf, 0.0
+    for s in _query_blocks(len(pts)):
+        dd = instance.distances(pts[s], pts)
+        dmin = min(dmin, float(np.min(dd, where=dd > 0, initial=np.inf)))
+        dmax = max(dmax, float(dd.max()))
+    return (dmin if dmin < np.inf else 0.0), dmax
 
 
 def schedule_for_instance(instance: MetricInstance, epsilon: float,

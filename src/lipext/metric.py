@@ -25,6 +25,9 @@ _TOP_K = 4096
 _ROW_CHUNK = 128
 # Rows per block of the triangle certificate: two (_TRIANGLE_ROWS, n) buffers.
 _TRIANGLE_ROWS = 64
+# Elements of one (rows, n, dim) coordinate-difference block of
+# _euclidean_matrix (2 MB of float64), so the geometry never holds n*n*dim.
+_GEOMETRY_BLOCK = 1 << 18
 
 
 @dataclass
@@ -52,7 +55,12 @@ class MetricInstance:
         return self.coords.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        """Full n-by-n matrix; Euclidean geometry is expanded once and cached."""
+        """Full n-by-n matrix, read-only and shared by every caller.
+
+        An explicit matrix is returned as validated; Euclidean geometry is
+        expanded once, in row blocks, and cached.  It is the only n-by-n array
+        an instance holds.
+        """
         if self.dmatrix is not None:
             return self.dmatrix
         if self._dcache is None:
@@ -61,10 +69,18 @@ class MetricInstance:
         return self._dcache
 
     def distances(self, rows, cols) -> np.ndarray:
-        """Distance submatrix d[rows, cols] with shape (len(rows), len(cols))."""
+        """Distance submatrix d[rows, cols] with shape (len(rows), len(cols)).
+
+        When ``rows`` and ``cols`` are both ``0..n-1`` in order this is the
+        read-only :meth:`distance_matrix` itself, not a copy; any other index
+        lists give a fresh array.
+        """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
-        return self.distance_matrix()[np.ix_(rows, cols)]
+        d = self.distance_matrix()
+        if _is_full_range(cols, self.n):
+            return d if _is_full_range(rows, self.n) else d[rows]
+        return d[np.ix_(rows, cols)]
 
     def distance(self, i: int, j: int) -> float:
         return float(self.distance_matrix()[i, j])
@@ -98,9 +114,28 @@ class MetricInstance:
                    self.lipschitz_L * self.diameter())
 
 
+def _is_full_range(indices: np.ndarray, n: int) -> bool:
+    return indices.shape == (n,) and bool(np.all(indices == np.arange(n)))
+
+
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Pairwise Euclidean distances, filled ``_GEOMETRY_BLOCK`` elements of
+    differences at a time.
+
+    Each block evaluates ``sqrt(sum(diff * diff, axis=2))`` over a C-contiguous
+    ``(rows, n, dim)`` difference array, the same per-entry reduction as one
+    ``(n, n, dim)`` array, so the matrix is the same bits for any block size.
+    A distance that overflows is ``inf`` without a warning; validation then
+    rejects it as non-finite.
+    """
+    n, dim = coords.shape
+    out = np.empty((n, n))
+    step = max(1, _GEOMETRY_BLOCK // max(1, n * dim))
+    with np.errstate(over="ignore"):
+        for a in range(0, n, step):
+            diff = coords[a:a + step, None, :] - coords[None, :, :]
+            np.sqrt(np.sum(diff * diff, axis=2), out=out[a:a + step])
+    return out
 
 
 def _err(reason, field, **witness):
@@ -112,9 +147,10 @@ def _check_matrix(d: np.ndarray, euclidean: bool) -> None:
 
     Explicit matrices also get an exact triangle-inequality scan: every
     ``d[i, k] <= d[i, j] + d[j, k] + tol`` with ``tol = TRIANGLE_RTOL * max(d)``.
-    It runs as a block certificate (see :func:`_triangle_certified`); the
-    per-pivot scan runs only when a block fails, to name the witness: the
-    smallest pivot ``j``, then the first ``(i, k)`` in row-major order.
+    It runs as a block certificate (see :func:`_triangle_violators`); only
+    when that finds a violation does the per-pivot scan run, over the rows
+    that take part in one, to name the witness: the smallest pivot ``j``, then
+    the first ``(i, k)`` in row-major order.
     """
     n = d.shape[0]
     if not np.all(np.isfinite(d)):
@@ -141,29 +177,37 @@ def _check_matrix(d: np.ndarray, euclidean: bool) -> None:
     if euclidean:
         return
     tol = TRIANGLE_RTOL * float(d.max())
-    if _triangle_certified(d, tol):
+    rows = _triangle_violators(d, tol)
+    if len(rows) == 0:
         return
+    # Every violation lies in these rows, which are in increasing order, so the
+    # first hit of the smallest pivot is the same (i, k) as over all of d.
+    d_rows = d[rows]
     for j in range(n):
-        bad = d > d[:, j, None] + d[None, j, :] + tol
+        bad = d_rows > d_rows[:, j, None] + d[None, j, :] + tol
         if np.any(bad):
-            i, k = np.argwhere(bad)[0]
+            r, k = np.argwhere(bad)[0]
+            i = rows[r]
             _err("triangle inequality violated", "points",
                  i=int(i), j=int(j), k=int(k),
                  d_ik=float(d[i, k]), bound=float(d[i, j] + d[j, k]))
 
 
-def _triangle_certified(d: np.ndarray, tol: float) -> bool:
-    """True iff no ``d[i, k] > (d[i, j] + d[j, k]) + tol`` in floating point.
+def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
+    """Increasing indices ``i`` with some ``d[i, k] > (d[i, j] + d[j, k]) + tol``
+    in floating point; empty when the triangle inequality holds everywhere.
 
     Exact, not sampled.  Row block ``[a, b)`` folds ``min_j d[a:b, j] + d[j, a:]``
     into one buffer and adds ``tol`` once: ``x -> fl(x + tol)`` is monotone, so
     the minimum commutes with it.  ``d`` is exactly symmetric and float
-    addition commutes, so the violations are symmetric and the columns
-    ``k >= a`` of each block decide them.
+    addition commutes, so ``(i, k)`` violates iff ``(k, i)`` does: the columns
+    ``k >= a`` of each block decide every pair, and the rows of a violation
+    are the flagged rows and the flagged columns of all blocks.
     """
     n = d.shape[0]
     best_buf = np.empty(_TRIANGLE_ROWS * n)
     step_buf = np.empty(_TRIANGLE_ROWS * n)
+    flagged = np.zeros(n, dtype=bool)
     for a in range(0, n, _TRIANGLE_ROWS):
         b = min(a + _TRIANGLE_ROWS, n)
         best = best_buf[:(b - a) * (n - a)].reshape(b - a, n - a)
@@ -173,9 +217,10 @@ def _triangle_certified(d: np.ndarray, tol: float) -> bool:
             np.add(d[a:b, j, None], d[j, a:], out=step)
             np.minimum(best, step, out=best)
         best += tol
-        if np.any(d[a:b, a:] > best):
-            return False
-    return True
+        bad = d[a:b, a:] > best
+        flagged[a:b] |= bad.any(axis=1)
+        flagged[a:] |= bad.any(axis=0)
+    return np.flatnonzero(flagged)
 
 
 def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> MetricInstance:

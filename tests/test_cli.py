@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,39 @@ def test_validate_missing_values_field(tmp_path, capsys):
         "points": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "subset": [0]})
     assert main(["validate", "--input", path]) == 1
     assert json.loads(capsys.readouterr().out)["field"] == "values"
+
+
+@pytest.mark.parametrize("coords,error", [
+    # The distance underflows to 0: a duplicate by the computed distances.
+    ([[0.0], [1e-200], [1.0]], "duplicate points (zero distance)"),
+    # The distance overflows to inf.
+    ([[-1e200], [1e200], [0.0]], "non-finite distance"),
+], ids=["underflow", "overflow"])
+def test_validate_numeric_extremes_exit1(tmp_path, capsys, coords, error):
+    path = _write(tmp_path, "x.json", {
+        "points": {"type": "euclidean", "coords": coords},
+        "subset": [0, 2], "values": [0.0, 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # e.g. numpy's overflow RuntimeWarning
+        assert main(["validate", "--input", path]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": error, "field": "points",
+                               "witness": {"i": 0, "j": 1}}
+    assert err == ""
+
+
+def test_validate_cloud_at_scale_1e150(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    path = _write(tmp_path, "big.json", {
+        "points": {"type": "euclidean",
+                   "coords": (1e150 * rng.uniform(0, 1, (60, 3))).tolist()},
+        "subset": [0, 7, 30], "values": [0.0, 1.0, -2.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--input", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(doc)
+    assert doc["ok"] and 0.0 < doc["lipschitz"] < 1e-148
 
 
 # --- extend ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
                     build_schedule, cutoff_support, eval_pen, extend,
                     extend_localized, instance_from_arrays, lip_constant,
                     mcshane_lower_many, mcshane_upper_many,
-                    schedule_for_instance, truncate_bounded)
+                    schedule_for_instance, truncate_bounded,
+                    validate_instance)
+from lipext.extension import _QUERY_BLOCK, evaluation_diameters
 
 from conftest import (grid_instance, oracle_extend, oracle_mcshane_lower,
                       oracle_mcshane_upper, oracle_pen, random_instance)
@@ -409,6 +413,85 @@ def test_localized_constant_data():
     assert loc.localization == ["full", "full"]
     with pytest.raises(ParameterError):
         extend_localized(inst, None, [1], [1])
+
+
+# --- query blocks ------------------------------------------------------------
+
+
+def oracle_full(inst, profiles, y):
+    """(value, anchor): the minimum over every anchor, lowest point index on ties."""
+    best, anchor = np.inf, None
+    for pos, x in enumerate(inst.subset):
+        phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
+                                          inst.distance(int(x), int(y)))
+        if phi < best or (phi == best and int(x) < anchor):
+            best, anchor = phi, int(x)
+    return best, anchor
+
+
+def test_extend_over_several_query_blocks_matches_per_query_oracle():
+    # Shuffled queries with repeats, two full blocks and a short last one.
+    rng = np.random.default_rng(12)
+    n = 2 * _QUERY_BLOCK + 5
+    inst = instance_from_arrays(coords=rng.uniform(0.0, 1.0, (n, 2)),
+                                subset=rng.choice(n, size=25, replace=False),
+                                values=rng.normal(size=25))
+    sch = schedule_for_instance(inst, inst.lipschitz_L)
+    profiles = build_profiles(inst, sch)
+    queries = np.concatenate([rng.permutation(n), rng.choice(n, size=_QUERY_BLOCK + 3)])
+    field = extend(inst, sch, queries, profiles=profiles)
+    for xbars in (_nearest_anchors(inst, queries), rng.choice(inst.subset, size=len(queries))):
+        loc = extend_localized(inst, sch, queries, xbars, profiles=profiles)
+        for i, (y, xbar) in enumerate(zip(queries, xbars)):
+            value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
+            assert (loc.values[i], loc.anchors[i], loc.localization[i]) == (value, anchor, record)
+    for i, y in enumerate(queries):
+        assert (field.values[i], field.anchors[i]) == oracle_full(inst, profiles, y)
+    flat = instance_from_arrays(coords=inst.coords, subset=inst.subset,
+                                values=np.full(25, 0.5), lipschitz=1.0)
+    const = extend(flat, None, queries)
+    assert np.array_equal(const.anchors, _nearest_anchors(flat, queries))
+
+
+def test_evaluation_diameters_over_row_blocks():
+    # The closest and the farthest pair each join the last rows of two blocks,
+    # so a block scan that skips those rows misses them.
+    rng = np.random.default_rng(4)
+    n = 2 * _QUERY_BLOCK + 5
+    a, b, c = _QUERY_BLOCK - 1, 2 * _QUERY_BLOCK - 1, n - 1
+    coords = rng.uniform(0.0, 1.0, (n, 2))
+    coords[[a, b, c]] = [[-5.0, -5.0], [5.0, 5.0], [-5.0, -5.0 + 1e-7]]
+    inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])
+    d = inst.distance_matrix()
+    assert evaluation_diameters(inst) == (float(d[a, c]), float(d[a, b]))
+    assert evaluation_diameters(inst) == (float(d[d > 0].min()), float(d.max()))
+    queries = rng.permutation(n)[:40]
+    pts = np.unique(np.concatenate([inst.subset, queries]))
+    sub = d[np.ix_(pts, pts)]
+    assert evaluation_diameters(inst, queries) == (float(sub[sub > 0].min()),
+                                                   float(sub.max()))
+
+
+def test_extend_pipeline_memory_holds_one_matrix():
+    # Validation, schedule and extension on every point hold the cached n x n
+    # matrix plus blocks of fixed size: no n*n*dim difference array and no
+    # second n x n copy.
+    n = 2000
+    rng = np.random.default_rng(5)
+    raw = {"points": {"type": "euclidean", "coords": rng.uniform(0.0, 1.0, (n, 3)).tolist()},
+           "subset": sorted(rng.choice(n, size=200, replace=False).tolist()),
+           "values": rng.normal(size=200).tolist()}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inst = validate_instance(raw)
+        sch = schedule_for_instance(inst, 0.5)
+        field = extend(inst, sch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(field.values) == n
+    assert peak <= 2 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
 
 
 # --- post-processing ---------------------------------------------------------

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from lipext import (InstanceValidationError, ParameterError,
                     instance_from_arrays, lip_constant, lipa_profile,
                     validate_instance)
+from lipext import metric
 from lipext.metric import (TRIANGLE_RTOL, _TRIANGLE_ROWS, _check_radii,
-                           _triangle_certified)
+                           _euclidean_matrix, _triangle_violators)
 
 from conftest import grid_instance, oracle_lip, random_instance
 
@@ -80,9 +81,10 @@ def _triangle_witness(d):
         instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
     except InstanceValidationError as exc:
         assert exc.reason == "triangle inequality violated"
-        assert not _triangle_certified(d, tol)
+        rows = _triangle_violators(d, tol).tolist()
+        assert exc.witness["i"] in rows and exc.witness["k"] in rows
         return exc.witness
-    assert _triangle_certified(d, tol)
+    assert len(_triangle_violators(d, tol)) == 0
     return None
 
 
@@ -136,6 +138,26 @@ def test_triangle_violation_at_first_and_last_pivot(pivot):
     d = d[np.ix_(perm, perm)]
     w = _triangle_witness(d)
     assert w == _triangle_oracle(d) and w["j"] == pivot
+
+
+def test_triangle_witness_late_pivot_reads_only_violating_rows():
+    # Both planted pairs violate only at pivots late in the scan, in different
+    # row blocks; the certificate names exactly their rows, and the witness
+    # scan over those rows finds the per-pivot oracle's witness.
+    n = 4 * R + 7
+    d = _plane_metric(n, seed=3)
+    pairs = ((2, n - 9), (R + 1, 3 * R))
+    late = (n - 3, n - 6)
+    for (i, k), target in zip(pairs, late):
+        j = _stretch(d, i, k)
+        perm = np.arange(n)
+        perm[[j, target]] = perm[[target, j]]
+        d = d[np.ix_(perm, perm)]
+    w = _triangle_witness(d)
+    assert w == _triangle_oracle(d)
+    assert (w["i"], w["j"], w["k"]) == (R + 1, n - 6, 3 * R)
+    rows = _triangle_violators(d, TRIANGLE_RTOL * float(d.max()))
+    assert rows.tolist() == sorted({i for pair in pairs for i in pair})
 
 
 def test_triangle_tolerance_edge():
@@ -243,6 +265,48 @@ def test_duplicate_euclidean_points_rejected():
     with pytest.raises(InstanceValidationError, match="duplicate points"):
         instance_from_arrays(coords=[[0.0, 0.0], [0.0, 0.0]], subset=[0],
                              values=[1.0])
+
+
+# --- Euclidean geometry in blocks ---------------------------------------------
+
+
+def _one_shot(coords):
+    """The unblocked formula: one (n, n, dim) difference array."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+DIMS = (1, 2, 3, 8, 9, 17, 130)
+B = 5
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 5])
+def test_euclidean_blocks_match_one_shot(monkeypatch, n, dim):
+    # Blocks of B rows: full blocks, a short last block and a single block.
+    coords = np.random.default_rng(n * dim).normal(0.0, 3.0, (n, dim))
+    monkeypatch.setattr(metric, "_GEOMETRY_BLOCK", B * n * dim)
+    assert np.array_equal(_euclidean_matrix(coords), _one_shot(coords))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_distances_match_one_shot(dim):
+    # At the module's own block size: 300 points span several blocks at dim >= 3.
+    rng = np.random.default_rng(dim)
+    coords = rng.uniform(-1.0, 1.0, (300, dim))
+    inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])
+    full = _one_shot(coords)
+    d = inst.distance_matrix()
+    assert np.array_equal(d, full) and not d.flags.writeable
+    everything = np.arange(inst.n)
+    assert inst.distances(everything, everything) is d
+    assert inst.distances(everything.tolist(), range(inst.n)) is d
+    rows = rng.permutation(inst.n)[:37]
+    cols = rng.permutation(inst.n)[:50]
+    for r, c in ((rows, cols), (rows, everything), (everything, cols),
+                 (rng.permutation(inst.n), everything), (everything[::-1], everything)):
+        got = inst.distances(r, c)
+        assert got is not d and np.array_equal(got, full[np.ix_(r, c)])
 
 
 # --- lip_constant ------------------------------------------------------------
