@@ -28,12 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, TrivialInstance
-from .metric import MetricInstance, ball_lips
+from .metric import _ROW_CHUNK, MetricInstance, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
-
-# Queries per block of the infimum, and rows per block of the diameter scan:
-# each holds (|C| or |points|) x _QUERY_BLOCK arrays, whatever the query count.
-_QUERY_BLOCK = 128
 
 
 @dataclass
@@ -207,7 +203,8 @@ def mcshane_lower_many(instance: MetricInstance, l_prime: float, queries) -> np.
 
 
 def _query_blocks(count: int) -> list[slice]:
-    return [slice(a, a + _QUERY_BLOCK) for a in range(0, count, _QUERY_BLOCK)]
+    # Each block holds (|C| or |points|) x _ROW_CHUNK arrays, whatever the count.
+    return [slice(a, a + _ROW_CHUNK) for a in range(0, count, _ROW_CHUNK)]
 
 
 def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionField:

@@ -21,6 +21,7 @@ TRIANGLE_RTOL = 1e-9
 # them lies inside it (a certificate for the exact maximum) and otherwise
 # scans the ball in full.  _ROW_CHUNK bounds a step of either pass: the full
 # scan reads at most this many rows of a ball, the top-K walk this many centers.
+# The extension's query blocks and diameter scan use the same block size.
 _TOP_K = 4096
 _ROW_CHUNK = 128
 # Rows per block of the triangle certificate: two (_TRIANGLE_ROWS, n) buffers.
@@ -78,8 +79,8 @@ class MetricInstance:
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         d = self.distance_matrix()
-        if _is_full_range(cols, self.n):
-            return d if _is_full_range(rows, self.n) else d[rows]
+        if _is_full_range(rows, self.n) and _is_full_range(cols, self.n):
+            return d
         return d[np.ix_(rows, cols)]
 
     def distance(self, i: int, j: int) -> float:

@@ -10,7 +10,8 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
                     mcshane_lower_many, mcshane_upper_many,
                     schedule_for_instance, truncate_bounded,
                     validate_instance)
-from lipext.extension import _QUERY_BLOCK, evaluation_diameters
+from lipext.extension import evaluation_diameters
+from lipext.metric import _ROW_CHUNK
 
 from conftest import (grid_instance, oracle_extend, oracle_mcshane_lower,
                       oracle_mcshane_upper, oracle_pen, random_instance)
@@ -432,13 +433,13 @@ def oracle_full(inst, profiles, y):
 def test_extend_over_several_query_blocks_matches_per_query_oracle():
     # Shuffled queries with repeats, two full blocks and a short last one.
     rng = np.random.default_rng(12)
-    n = 2 * _QUERY_BLOCK + 5
+    n = 2 * _ROW_CHUNK + 5
     inst = instance_from_arrays(coords=rng.uniform(0.0, 1.0, (n, 2)),
                                 subset=rng.choice(n, size=25, replace=False),
                                 values=rng.normal(size=25))
     sch = schedule_for_instance(inst, inst.lipschitz_L)
     profiles = build_profiles(inst, sch)
-    queries = np.concatenate([rng.permutation(n), rng.choice(n, size=_QUERY_BLOCK + 3)])
+    queries = np.concatenate([rng.permutation(n), rng.choice(n, size=_ROW_CHUNK + 3)])
     field = extend(inst, sch, queries, profiles=profiles)
     for xbars in (_nearest_anchors(inst, queries), rng.choice(inst.subset, size=len(queries))):
         loc = extend_localized(inst, sch, queries, xbars, profiles=profiles)
@@ -457,8 +458,8 @@ def test_evaluation_diameters_over_row_blocks():
     # The closest and the farthest pair each join the last rows of two blocks,
     # so a block scan that skips those rows misses them.
     rng = np.random.default_rng(4)
-    n = 2 * _QUERY_BLOCK + 5
-    a, b, c = _QUERY_BLOCK - 1, 2 * _QUERY_BLOCK - 1, n - 1
+    n = 2 * _ROW_CHUNK + 5
+    a, b, c = _ROW_CHUNK - 1, 2 * _ROW_CHUNK - 1, n - 1
     coords = rng.uniform(0.0, 1.0, (n, 2))
     coords[[a, b, c]] = [[-5.0, -5.0], [5.0, 5.0], [-5.0, -5.0 + 1e-7]]
     inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])
