@@ -26,9 +26,12 @@ _TOP_K = 4096
 _ROW_CHUNK = 128
 # Rows per block of the triangle certificate: two (_TRIANGLE_ROWS, n) buffers.
 _TRIANGLE_ROWS = 64
-# Elements of one (rows, n, dim) coordinate-difference block of
-# _euclidean_matrix (2 MB of float64), so the geometry never holds n*n*dim.
+# Float64 entries of all the temporaries of _euclidean_matrix together (2 MB):
+# its row blocks are sized so that every live (rows, n) slab fits in this.
 _GEOMETRY_BLOCK = 1 << 18
+# numpy sums a contiguous axis pairwise: runs of up to _PAIRWISE_BLOCK items
+# in eight interleaved lanes, longer runs split in two halves.
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass
@@ -120,23 +123,89 @@ def _is_full_range(indices: np.ndarray, n: int) -> bool:
 
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, filled ``_GEOMETRY_BLOCK`` elements of
-    differences at a time.
+    """Pairwise Euclidean distances, filled one row block and one coordinate
+    at a time.
 
-    Each block evaluates ``sqrt(sum(diff * diff, axis=2))`` over a C-contiguous
-    ``(rows, n, dim)`` difference array, the same per-entry reduction as one
-    ``(n, n, dim)`` array, so the matrix is the same bits for any block size.
-    A distance that overflows is ``inf`` without a warning; validation then
-    rejects it as non-finite.
+    The squared gaps ``(coords[a:b, k, None] - coords[None, :, k])**2`` of each
+    coordinate ``k`` are added into the ``(rows, n)`` block of the output, in
+    the order in which ``np.sum(diff * diff, axis=-1)`` adds a contiguous axis
+    of length ``dim`` (see :func:`_pairwise_squares`).  The matrix is the same
+    bits as ``sqrt(sum(diff * diff, axis=2))`` over one ``(n, n, dim)`` array,
+    for any block size, while the temporaries hold at most ``_GEOMETRY_BLOCK``
+    entries whatever ``dim`` is.  A distance that overflows is ``inf`` without
+    a warning; validation then rejects it as non-finite.
     """
     n, dim = coords.shape
+    if dim == 0:
+        return np.zeros((n, n))
+    ct = np.ascontiguousarray(coords.T)
+    slabs = _pairwise_slabs(dim)
+    step = max(1, _GEOMETRY_BLOCK // (slabs * n))
+    buf = np.empty(slabs * min(step, n) * n)
     out = np.empty((n, n))
-    step = max(1, _GEOMETRY_BLOCK // max(1, n * dim))
     with np.errstate(over="ignore"):
         for a in range(0, n, step):
-            diff = coords[a:a + step, None, :] - coords[None, :, :]
-            np.sqrt(np.sum(diff * diff, axis=2), out=out[a:a + step])
+            block = out[a:a + step]
+            size = block.size
+            free = [buf[i * size:(i + 1) * size].reshape(block.shape) for i in range(slabs)]
+            _pairwise_squares(block, (ct[:, a:a + step, None], ct[:, None, :]), 0, dim, free)
+            np.sqrt(block, out=block)
     return out
+
+
+def _pairwise_slabs(count: int) -> int:
+    """Scratch slabs :func:`_pairwise_squares` needs for ``count`` coordinates."""
+    if count < 8:
+        return 1
+    if count <= _PAIRWISE_BLOCK:
+        return 8
+    half = count // 2 - count // 2 % 8
+    return 1 + _pairwise_slabs(count - half)
+
+
+def _pairwise_squares(out, gaps, lo, count, free) -> None:
+    """Set ``out`` to the sum of the squared gaps of coordinates
+    ``lo .. lo + count - 1`` in numpy's pairwise order for a contiguous run.
+
+    Fewer than 8 items are added left to right.  Up to ``_PAIRWISE_BLOCK``
+    items go to eight lanes, lane ``j`` taking items ``j, j + 8, ...`` up to
+    the last multiple of 8; the lanes are combined as
+    ``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`` and the remaining items added left
+    to right.  A longer run splits at ``count // 2`` rounded down to a multiple
+    of 8 and adds the two halves.  ``gaps`` is ``(rows, cols)`` with
+    ``rows[k] - cols[k]`` the gap block of coordinate ``k``; ``free`` holds
+    :func:`_pairwise_slabs` ``(count)`` scratch arrays shaped like ``out``.
+    """
+    if count > _PAIRWISE_BLOCK:
+        half = count // 2 - count // 2 % 8
+        _pairwise_squares(out, gaps, lo, half, free)
+        _pairwise_squares(free[0], gaps, lo + half, count - half, free[1:])
+        out += free[0]
+        return
+    if count < 8:
+        _add_squares(out, gaps, range(lo, lo + count), free[0], fresh=True)
+        return
+    body = lo + count - count % 8
+    lanes = [out, *free[:7]]
+    for j, lane in enumerate(lanes):
+        _add_squares(lane, gaps, range(lo + j, body, 8), free[7], fresh=True)
+    for width in (1, 2, 4):
+        for j in range(0, 8, 2 * width):
+            lanes[j] += lanes[j + width]
+    _add_squares(out, gaps, range(body, lo + count), free[7], fresh=False)
+
+
+def _add_squares(out, gaps, ks, scratch, fresh: bool) -> None:
+    """Add the squared gaps of coordinates ``ks`` into ``out`` left to right;
+    with ``fresh`` the first one is written into ``out`` instead."""
+    rows, cols = gaps
+    for k in ks:
+        dst = out if fresh else scratch
+        np.subtract(rows[k], cols[k], out=dst)
+        np.multiply(dst, dst, out=dst)
+        if not fresh:
+            out += dst
+        fresh = False
 
 
 def _err(reason, field, **witness):
@@ -145,6 +214,10 @@ def _err(reason, field, **witness):
 
 def _check_matrix(d: np.ndarray, euclidean: bool) -> None:
     """Check the metric axioms of ``d``; raise on the first failure with its witness.
+
+    Every matrix must be finite with positive off-diagonal entries.  Explicit
+    matrices are also checked for a zero diagonal, symmetry and signs, which
+    hold for Euclidean ones by construction.
 
     Explicit matrices also get an exact triangle-inequality scan: every
     ``d[i, k] <= d[i, j] + d[j, k] + tol`` with ``tol = TRIANGLE_RTOL * max(d)``.
@@ -157,17 +230,21 @@ def _check_matrix(d: np.ndarray, euclidean: bool) -> None:
     if not np.all(np.isfinite(d)):
         i, j = np.argwhere(~np.isfinite(d))[0]
         _err("non-finite distance", "points", i=int(i), j=int(j))
-    if np.any(np.diag(d) != 0.0):
-        i = int(np.argwhere(np.diag(d) != 0.0)[0][0])
-        _err("nonzero diagonal", "points", i=i, value=float(d[i, i]))
-    asym = d != d.T
-    if np.any(asym):
-        i, j = np.argwhere(asym)[0]
-        _err("asymmetric matrix", "points", i=int(i), j=int(j),
-             d_ij=float(d[i, j]), d_ji=float(d[j, i]))
-    if np.any(d < 0.0):
-        i, j = np.argwhere(d < 0.0)[0]
-        _err("negative distance", "points", i=int(i), j=int(j), value=float(d[i, j]))
+    # A Euclidean matrix is symmetric with a +0 diagonal and no negative entry
+    # by construction: fl(a - b) = -fl(b - a) squares to the same value, the
+    # sum adds the same terms in the same order, and sqrt returns +0 or more.
+    if not euclidean:
+        if np.any(np.diag(d) != 0.0):
+            i = int(np.argwhere(np.diag(d) != 0.0)[0][0])
+            _err("nonzero diagonal", "points", i=i, value=float(d[i, i]))
+        asym = d != d.T
+        if np.any(asym):
+            i, j = np.argwhere(asym)[0]
+            _err("asymmetric matrix", "points", i=int(i), j=int(j),
+                 d_ij=float(d[i, j]), d_ji=float(d[j, i]))
+        if np.any(d < 0.0):
+            i, j = np.argwhere(d < 0.0)[0]
+            _err("negative distance", "points", i=int(i), j=int(j), value=float(d[i, j]))
     zero = d == 0.0
     np.fill_diagonal(zero, False)
     if np.any(zero):
@@ -447,8 +524,9 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     for lo in range(0, len(d_rows), _ROW_CHUNK):
         # Minus the running minimum of the far ends: non-decreasing along a row,
         # and pair k lies in the r-ball once this is above -r.
-        lead = -np.maximum(d_rows[lo:lo + _ROW_CHUNK, first],
-                           d_rows[lo:lo + _ROW_CHUNK, second])
+        lead = d_rows[lo:lo + _ROW_CHUNK, first]
+        np.maximum(lead, d_rows[lo:lo + _ROW_CHUNK, second], out=lead)
+        np.negative(lead, out=lead)
         np.maximum.accumulate(lead, axis=1, out=lead)
         for row, lead_row in enumerate(lead, start=lo):
             hit = np.searchsorted(lead_row, -radii, side="right")

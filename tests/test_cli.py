@@ -268,6 +268,29 @@ def test_bad_parameter_exit1_on_both_paths(tmp_path, capsys, case, constant):
         "error": f"{name} must be a positive finite real"}
 
 
+GOLDEN_CLOUD = str(Path(__file__).parent / "golden" / "cloud.json")
+
+
+@pytest.mark.parametrize("epsilon", ["1e-9", "1e-15", "1e-300"])
+@pytest.mark.parametrize("argv", [["verify", "--xi", "0.1"], ["extend", "--queries", "all"],
+                                  ["energy", "--p", "2", "--radii", "0.2,0.4,0.6"]],
+                         ids=["verify", "extend", "energy"])
+def test_tiny_epsilon_runs_or_schedule_too_shallow(tmp_path, capsys, argv, epsilon):
+    # eps / L << 1: a report, or a clean ScheduleTooShallow exit, never a traceback.
+    out = tmp_path / "out.json"
+    code = main([argv[0], "--input", GOLDEN_CLOUD, *argv[1:], "--epsilon", epsilon,
+                 "--output", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    if code == 0:
+        _check_schema(out)
+    else:
+        assert code == 1 and not out.exists()
+        doc = json.loads(stdout)
+        assert set(doc) == {"error", "required_span_low", "required_span_high"}
+        assert doc["error"].startswith("extend schedule: ")
+
+
 # --- energy ------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,22 +272,25 @@ def test_duplicate_euclidean_points_rejected():
 # --- Euclidean geometry in blocks ---------------------------------------------
 
 
-def _one_shot(coords):
-    """The unblocked formula: one (n, n, dim) difference array."""
-    diff = coords[:, None, :] - coords[None, :, :]
+def _one_shot(coords, others=None):
+    """The unblocked formula: one (len(coords), len(others), dim) difference array."""
+    others = coords if others is None else others
+    diff = coords[:, None, :] - others[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-DIMS = (1, 2, 3, 8, 9, 17, 130)
+# Edges of numpy's pairwise summation: left to right below 8, eight lanes up
+# to 128 (with and without a remainder), halves split at multiples of 8 above.
+DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 128, 129, 130, 257)
 B = 5
 
 
-@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("dim", (0,) + DIMS)
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 5])
 def test_euclidean_blocks_match_one_shot(monkeypatch, n, dim):
     # Blocks of B rows: full blocks, a short last block and a single block.
     coords = np.random.default_rng(n * dim).normal(0.0, 3.0, (n, dim))
-    monkeypatch.setattr(metric, "_GEOMETRY_BLOCK", B * n * dim)
+    monkeypatch.setattr(metric, "_GEOMETRY_BLOCK", B * n * metric._pairwise_slabs(dim))
     assert np.array_equal(_euclidean_matrix(coords), _one_shot(coords))
 
 
@@ -295,7 +300,9 @@ def test_distances_match_one_shot(dim):
     rng = np.random.default_rng(dim)
     coords = rng.uniform(-1.0, 1.0, (300, dim))
     inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])
-    full = _one_shot(coords)
+    # The reference in 30-row slices keeps its difference arrays small; each
+    # entry is still one np.sum over the dim axis.
+    full = np.vstack([_one_shot(coords[a:a + 30], coords) for a in range(0, 300, 30)])
     d = inst.distance_matrix()
     assert np.array_equal(d, full) and not d.flags.writeable
     everything = np.arange(inst.n)
@@ -307,6 +314,35 @@ def test_distances_match_one_shot(dim):
                  (rng.permutation(inst.n), everything), (everything[::-1], everything)):
         got = inst.distances(r, c)
         assert got is not d and np.array_equal(got, full[np.ix_(r, c)])
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])
+@pytest.mark.parametrize("dim", [3, 17, 257])
+def test_euclidean_matrix_axioms_hold_exactly(scale, dim):
+    # Validation skips the diagonal, symmetry and sign checks on Euclidean
+    # clouds because these hold bit for bit, also at 1e-160 and 1e160, where
+    # squares go subnormal or overflow.
+    coords = scale * np.random.default_rng(dim).normal(0.0, 1.0, (40, dim))
+    d = _euclidean_matrix(coords)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0) and not np.any(np.signbit(d))
+
+
+@pytest.mark.parametrize("dim", [3, 17, 257])
+def test_euclidean_temporaries_fit_the_block(dim):
+    n = 400
+    coords = np.random.default_rng(dim).uniform(0.0, 1.0, (n, dim))
+    tracemalloc.start()
+    try:
+        _euclidean_matrix(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The output, the transposed coordinates and the slabs, plus the buffers
+    # numpy's broadcasting subtract allocates (2 x bufsize entries at most);
+    # nothing grows with n * n * dim.
+    assert peak <= (8 * (n * n + n * dim + metric._GEOMETRY_BLOCK)
+                    + 16 * np.getbufsize() + (1 << 16))
 
 
 # --- lip_constant ------------------------------------------------------------
