@@ -5,18 +5,18 @@ from .errors import (InstanceValidationError, LipextError, ParameterError,
 from .metric import (MetricInstance, ball_lips, instance_from_arrays,
                      lip_constant, lipa_profile, validate_instance)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
-from .extension import (ExtensionField, ProfileBank, approx_slopes,
-                        build_penalization, build_profiles, cutoff_support,
-                        eval_pen, extend, extend_localized, mcshane_lower_many,
-                        mcshane_upper_many, schedule_for_instance,
-                        schedule_with_locality, truncate_bounded)
+from .extension import (ExtensionField, ProfileBank, build_profiles,
+                        cutoff_support, eval_pen, extend, extend_localized,
+                        mcshane_lower_many, mcshane_upper_many,
+                        schedule_for_instance, schedule_with_locality,
+                        truncate_bounded)
 from .verification import (CheckResult, VerificationReport, check_global_lipschitz,
                            check_inf_family, check_locality_preservation,
                            check_restriction, check_step2, mcshane_comparison,
                            run_suite)
 from .energy import (EnergyReport, EnergySide, MeasureData,
                      check_extension_energy, check_restriction_monotonicity,
-                     energy, restriction_report, validate_measure)
+                     energy, validate_measure)
 
 __version__ = "0.1.0"
 
@@ -26,14 +26,12 @@ __all__ = [
     "MetricInstance", "validate_instance", "instance_from_arrays",
     "ball_lips", "lip_constant", "lipa_profile",
     "ScaleSchedule", "build_schedule", "locality_radius",
-    "ProfileBank", "ExtensionField", "approx_slopes",
-    "build_penalization", "build_profiles", "eval_pen", "extend",
+    "ProfileBank", "ExtensionField", "build_profiles", "eval_pen", "extend",
     "extend_localized", "mcshane_upper_many", "mcshane_lower_many",
     "truncate_bounded", "cutoff_support", "schedule_for_instance", "schedule_with_locality",
     "CheckResult", "VerificationReport", "check_restriction",
     "check_global_lipschitz", "check_step2", "check_locality_preservation",
     "check_inf_family", "mcshane_comparison", "run_suite",
     "MeasureData", "EnergySide", "EnergyReport", "validate_measure", "energy",
-    "restriction_report", "check_restriction_monotonicity",
-    "check_extension_energy",
+    "check_restriction_monotonicity", "check_extension_energy",
 ]

@@ -76,6 +76,8 @@ def _parse_queries(instance: MetricInstance, spec: str | None) -> np.ndarray:
         idx = np.array([int(tok) for tok in spec.split(",") if tok != ""], dtype=np.intp)
     except ValueError as exc:
         raise ParameterError(f"bad --queries list: {exc}") from exc
+    except OverflowError as exc:    # beyond intp: out of range either way
+        raise ParameterError("query index out of range") from exc
     if len(idx) == 0:
         raise ParameterError("empty --queries list")
     return idx

@@ -122,25 +122,18 @@ def _positive_radii(radii) -> np.ndarray:
     return radii
 
 
-def restriction_report(instance: MetricInstance, h_values, measure: MeasureData,
-                       radii) -> list[EnergyReport]:
-    """Per radius, energies of ``h`` on the whole space and of its restriction to the subset."""
-    h_values = np.asarray(h_values, dtype=float)
-    if h_values.shape != (instance.n,):
-        raise ParameterError("h must be defined on every point")
-    allpts = np.arange(instance.n, dtype=np.intp)
-    on_space = energy(instance, allpts, h_values, measure, radii)
-    on_subset = energy(instance, instance.subset, h_values[instance.subset],
-                       measure, radii)
-    return [EnergyReport(radius=side_x.radius, on_space=side_x, on_subset=side_c)
-            for side_x, side_c in zip(on_space, on_subset)]
-
-
 def check_restriction_monotonicity(instance: MetricInstance, h_values,
                                    measure: MeasureData,
                                    radii) -> tuple[CheckResult, list[EnergyReport]]:
-    """E_C(h restricted, r) <= E_X(h, r) at every radius (balls only shrink)."""
-    reports = restriction_report(instance, h_values, measure, radii)
+    """E_C(h restricted, r) <= E_X(h, r) at every radius (balls only shrink), and
+    per radius the energies of ``h`` on the whole space and on the subset."""
+    h_values = np.asarray(h_values, dtype=float)
+    if h_values.shape != (instance.n,):
+        raise ParameterError("h must be defined on every point")
+    on_space = energy(instance, np.arange(instance.n), h_values, measure, radii)
+    on_subset = energy(instance, instance.subset, h_values[instance.subset], measure, radii)
+    reports = [EnergyReport(radius=side_x.radius, on_space=side_x, on_subset=side_c)
+               for side_x, side_c in zip(on_space, on_subset)]
     worst = None
     gap_worst = -math.inf
     for rep in reports:

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, TrivialInstance
-from .metric import _ROW_CHUNK, MetricInstance, ball_lips
+from .metric import _ROW_CHUNK, MetricInstance, _first_non_integer, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
 
@@ -80,12 +79,6 @@ class ExtensionField:
     schedule: ScaleSchedule | None
     g_abs_max: float
 
-    def value_at(self, index: int) -> float:
-        pos = np.flatnonzero(self.queries == index)
-        if len(pos) == 0:
-            raise ParameterError(f"query index {index} not evaluated")
-        return float(self.values[pos[0]])
-
     def to_json_entries(self) -> list[dict]:
         out = []
         for i in range(len(self.queries)):
@@ -100,26 +93,6 @@ class ExtensionField:
 
 # ---------------------------------------------------------------------------
 # slopes and profiles
-
-
-def _slope_radii(schedule: ScaleSchedule) -> np.ndarray:
-    """Ball radii eps_k for k in [k_min, k_max + 1] (top one extended virtually)."""
-    return np.append(schedule.eps, schedule.virtual_eps(schedule.k_max + 1))
-
-
-def approx_slopes(instance: MetricInstance, x: int,
-                  schedule: ScaleSchedule) -> dict[int, float]:
-    """Slope map k -> Lip(g, C intersected with the open eps_k-ball at x).
-
-    Covers k in [k_min, k_max + 1]; non-decreasing in k, zero once the ball
-    holds only ``x`` and equal to Lip(g, C) once the ball holds all of C.
-    """
-    if instance.subset_positions()[x] < 0:
-        raise ParameterError(f"anchor {x} is not in the subset")
-    vals = ball_lips(instance, instance.subset, instance.values, [x],
-                     _slope_radii(schedule))[0]
-    return {k: float(vals[i]) for i, k in
-            enumerate(range(schedule.k_min, schedule.k_max + 2))}
 
 
 def _bank(anchors: np.ndarray, S: np.ndarray, schedule: ScaleSchedule,
@@ -138,28 +111,12 @@ def _bank(anchors: np.ndarray, S: np.ndarray, schedule: ScaleSchedule,
                        breakpoints=schedule.eps, slopes=slopes, cumulative=cumulative)
 
 
-def build_penalization(S: Mapping[int, float], schedule: ScaleSchedule,
-                       L: float, anchor: int = -1) -> ProfileBank:
-    """Assemble the convex profile of one anchor as a one-row bank.
-
-    The band ``(eps_{k-2}, eps_{k-1})`` carries ``S_k + 3 L r_{k-1}``; the base
-    slope (truncated scales near 0) repeats the first band's slope; the tail
-    slope is the top slope saturated at the full-subset constant plus
-    ``3 L r_star``.
-    """
-    try:
-        s_arr = np.array([S[k] for k in range(schedule.k_min + 2, schedule.k_max + 2)],
-                         dtype=float)
-    except KeyError as exc:
-        raise ParameterError(f"slope map missing index {exc}") from exc
-    return _bank(np.array([anchor]), s_arr[None, :], schedule, L)
-
-
 def build_profiles(instance: MetricInstance, schedule: ScaleSchedule) -> ProfileBank:
-    """The bank of every anchor, row ``i`` for ``subset[i]``."""
-    S = ball_lips(instance, instance.subset, instance.values, instance.subset,
-                  _slope_radii(schedule))
-    return _bank(instance.subset, S[:, 2:], schedule, instance.lipschitz_L)
+    """The bank of every anchor, row ``i`` for ``subset[i]``: band k carries
+    ``S_k + 3 L r_{k-1}``, ``S_k`` the constant of g on C in the open eps_k-ball."""
+    radii = np.append(schedule.eps[2:], schedule.virtual_eps(schedule.k_max + 1))
+    S = ball_lips(instance, instance.subset, instance.values, instance.subset, radii)
+    return _bank(instance.subset, S, schedule, instance.lipschitz_L)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +184,10 @@ def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionF
 def _as_query_array(instance: MetricInstance, queries) -> np.ndarray:
     if queries is None:
         return np.arange(instance.n, dtype=np.intp)
-    queries = np.asarray(queries, dtype=np.intp)
-    if queries.ndim != 1 or len(queries) == 0:
+    if (_first_non_integer(queries) is not None or np.ndim(queries) != 1
+            or np.size(queries) == 0):
         raise ParameterError("queries must be a non-empty 1-D index list")
+    queries = np.asarray(queries, dtype=np.intp)
     if np.any(queries < 0) or np.any(queries >= instance.n):
         raise ParameterError("query index out of range")
     return queries
@@ -302,11 +260,12 @@ def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
     and the query keeps every anchor.  Ties and constant data as in :func:`extend`.
     """
     queries = _as_query_array(instance, queries)
-    xbars = np.asarray(xbars, dtype=np.intp)
-    if (xbars.shape != queries.shape or np.any((xbars < 0) | (xbars >= instance.n))
-            or np.any(instance.subset_positions()[xbars] < 0)):
-        raise ParameterError("xbars must be subset point indices aligned with queries")
-    return _infimum(instance, schedule, queries, profiles, xbars)
+    if _first_non_integer(xbars) is None:
+        xbars = np.asarray(xbars, dtype=np.intp)
+        if (xbars.shape == queries.shape and np.all((xbars >= 0) & (xbars < instance.n))
+                and np.all(instance.subset_positions()[xbars] >= 0)):
+            return _infimum(instance, schedule, queries, profiles, xbars)
+    raise ParameterError("xbars must be subset point indices aligned with queries")
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +347,8 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
 
 
 def schedule_with_locality(instance: MetricInstance, epsilon: float,
-                           r_bar: float, xi: float, queries=None,
-                           anchor: float | None = None) -> tuple[ScaleSchedule, int, float]:
+                           r_bar: float, xi: float,
+                           queries=None) -> tuple[ScaleSchedule, int, float]:
     """Schedule deep enough for the locality conditions at (r_bar, xi).
 
     Returns ``(schedule, k, r)``.  A build too shallow is rebuilt once at the
@@ -397,7 +356,7 @@ def schedule_with_locality(instance: MetricInstance, epsilon: float,
     """
     smallest = r_bar
     for _ in range(2):      # the build and at most one rebuild
-        sch = schedule_for_instance(instance, epsilon, queries, anchor,
+        sch = schedule_for_instance(instance, epsilon, queries,
                                     smallest_radius=smallest)
         try:
             k, r = locality_radius(sch, r_bar, xi, instance.lipschitz_L)

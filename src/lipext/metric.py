@@ -77,17 +77,14 @@ class MetricInstance:
 
         When ``rows`` and ``cols`` are both ``0..n-1`` in order this is the
         read-only :meth:`distance_matrix` itself, not a copy; any other index
-        lists give a fresh array.
+        lists give a fresh array (a row gather when only ``cols`` is ``0..n-1``).
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         d = self.distance_matrix()
-        if _is_full_range(rows, self.n) and _is_full_range(cols, self.n):
-            return d
+        if _is_full_range(cols, self.n):
+            return d if _is_full_range(rows, self.n) else d[rows]
         return d[np.ix_(rows, cols)]
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.distance_matrix()[i, j])
 
     def dist_to_subset(self, indices) -> np.ndarray:
         """d(x, C) = min over anchors, for each x in ``indices``."""
@@ -301,6 +298,15 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(flagged)
 
 
+def _first_non_integer(entries) -> int | None:
+    """Position of the first entry that is not an integer (bools included), or None:
+    the intp conversion of an index list would truncate 0.9 to 0 and read True as 1."""
+    for pos, entry in enumerate(np.asarray(entries, dtype=object).ravel()):
+        if isinstance(entry, (bool, np.bool_)) or not isinstance(entry, (int, np.integer)):
+            return pos
+    return None
+
+
 def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> MetricInstance:
     if (coords is None) == (dmatrix is None):
         _err("exactly one of coordinates or distance matrix required", "points")
@@ -320,11 +326,9 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
         n = dmatrix.shape[0]
         dmatrix.setflags(write=False)
 
-    # Reject non-integer entries outright: the intp conversion below would
-    # truncate 0.9 to 0 and read True as 1.
-    for pos, entry in enumerate(np.asarray(subset, dtype=object).ravel()):
-        if isinstance(entry, (bool, np.bool_)) or not isinstance(entry, (int, np.integer)):
-            _err("subset entries must be integers", "subset", position=pos)
+    pos = _first_non_integer(subset)
+    if pos is not None:
+        _err("subset entries must be integers", "subset", position=pos)
     subset = np.array(subset, dtype=np.intp)
     if subset.ndim != 1 or len(subset) == 0:
         _err("subset must be a non-empty index list", "subset")

@@ -44,8 +44,6 @@ class ScaleSchedule:
     L_eff: float
     eps_eff: float
     anchor: float
-    span_low: float
-    span_high: float
 
     def __post_init__(self):
         self.eps.setflags(write=False)
@@ -174,8 +172,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     ratio = np.array(ratios_desc[::-1], dtype=float)
     return ScaleSchedule(k_min=k_min, k_max=k_max, k_ref=k_ref, eps=eps,
                          ratio=ratio, r_star=r_star, L_eff=L, eps_eff=eps_eff,
-                         anchor=float(anchor), span_low=float(span_low),
-                         span_high=float(span_high))
+                         anchor=float(anchor))
 
 
 def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,

@@ -22,8 +22,7 @@ from .metric import MetricInstance, _check_radii, ball_lips
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
-                        mcshane_lower_many, schedule_for_instance,
-                        schedule_with_locality)
+                        mcshane_lower_many, schedule_with_locality)
 
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
@@ -340,21 +339,14 @@ def check_inf_family(instance: MetricInstance, family: np.ndarray, members,
 
 
 def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
-                       field: ExtensionField | None = None,
-                       centers=None) -> dict:
+                       field: ExtensionField, centers=None) -> dict:
     """Side-by-side radius profiles of the McShane extension and the paper field.
 
     Returns a report fragment: per center, the local-constant profile of the
-    plain L-cone envelope against the penalized extension's profile.
+    plain L-cone envelope against the profile of ``field``, the penalized
+    extension built at ``epsilon`` and evaluated on the domain of both.
     """
     r_list = _check_radii(r_list)
-    if field is None:
-        allpts = np.arange(instance.n, dtype=np.intp)
-        if instance.lipschitz_computed == 0.0:
-            field = extend(instance, None, allpts)
-        else:
-            sch = schedule_for_instance(instance, epsilon)
-            field = extend(instance, sch, allpts)
     domain, first = np.unique(field.queries, return_index=True)
     fvals = field.values[first]
     ms = mcshane_upper_many(instance, instance.lipschitz_L, domain)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lipext import instance_from_arrays
+from lipext import ball_lips, instance_from_arrays
 from lipext.cli import grid_instance
 
 __all__ = ["grid_instance"]
@@ -29,6 +29,15 @@ def random_instance(seed, n_max=200, c_max=50, dim_max=5):
     return instance_from_arrays(coords=coords, subset=subset, values=values)
 
 
+def slope_map(instance, x, schedule):
+    """{k: S_k(x)} for k in [k_min, k_max + 1]: the constant of g on the subset
+    points in the open eps_k-ball at ``x``, from one ``ball_lips`` row."""
+    ks = range(schedule.k_min, schedule.k_max + 2)
+    row = ball_lips(instance, instance.subset, instance.values, [x],
+                    [schedule.virtual_eps(k) for k in ks])[0]
+    return dict(zip(ks, row.tolist()))
+
+
 def random_masses(instance, seed):
     rng = np.random.default_rng(seed + 10_000)
     masses = np.zeros(instance.n)
@@ -42,10 +51,11 @@ def random_masses(instance, seed):
 def oracle_lip(instance, values, members):
     """Brute-force double loop over distinct pairs."""
     members = list(members)
+    dd = instance.distance_matrix()
     best = 0.0
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
-            d = instance.distance(int(members[a]), int(members[b]))
+            d = float(dd[members[a], members[b]])
             best = max(best, abs(values[a] - values[b]) / d)
     return best
 
@@ -63,18 +73,18 @@ def oracle_extend(instance, bank, y):
     """min over anchors of g(x) + pen_x(d(x, y)), via the integral oracle."""
     best = np.inf
     for pos, x in enumerate(instance.subset):
-        t = instance.distance(int(x), int(y))
+        t = float(instance.distance_matrix()[x, y])
         best = min(best, instance.values[pos] + oracle_pen(bank, pos, t))
     return best
 
 
 def oracle_mcshane_upper(instance, l_prime, y):
-    return min(instance.values[pos] + l_prime * instance.distance(int(x), int(y))
+    return min(instance.values[pos] + l_prime * float(instance.distance_matrix()[x, y])
                for pos, x in enumerate(instance.subset))
 
 
 def oracle_mcshane_lower(instance, l_prime, y):
-    return max(instance.values[pos] - l_prime * instance.distance(int(x), int(y))
+    return max(instance.values[pos] - l_prime * float(instance.distance_matrix()[x, y])
                for pos, x in enumerate(instance.subset))
 
 

@@ -139,6 +139,19 @@ def test_extend_query_list_and_default(tmp_path):
     assert 0 not in idx and 100 not in idx and len(idx) == 99
 
 
+@pytest.mark.parametrize("index", ["99999999999999999999", "-99999999999999999999"],
+                         ids=["positive", "negative"])
+def test_extend_query_index_beyond_intp_exit1(tmp_path, capsys, index):
+    # An index no intp can hold is out of range like any other, not a traceback.
+    out = tmp_path / "f.json"
+    code = main(["extend", "--input", _grid_file(tmp_path), "--epsilon", "1",
+                 f"--queries={index}", "--output", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert code == 1 and not out.exists()
+    assert stdout == '{"error": "query index out of range"}\n'
+    assert stderr == ""
+
+
 def test_extend_bounded_noop_when_dominating(tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     grid = _grid_file(tmp_path)

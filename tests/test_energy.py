@@ -4,7 +4,7 @@ import pytest
 from lipext import (InstanceValidationError, ParameterError,
                     check_extension_energy, check_restriction_monotonicity,
                     energy, instance_from_arrays, lip_constant,
-                    mcshane_upper_many, restriction_report, validate_measure)
+                    mcshane_upper_many, validate_measure)
 
 from conftest import grid_instance, oracle_lip, random_instance, random_masses
 
@@ -61,7 +61,7 @@ def test_energy_endpoint_grid_mcshane():
     inst = grid_instance(1001)
     measure = _unit_measure(inst, 2.0)
     ms = mcshane_upper_many(inst, 1.0, np.arange(inst.n))
-    rep = restriction_report(inst, ms, measure, [0.5])[0]
+    rep = check_restriction_monotonicity(inst, ms, measure, [0.5])[1][0]
     assert rep.on_space.total == pytest.approx(2.0, abs=1e-12)
     assert rep.on_subset.total == 0.0
 
@@ -195,7 +195,7 @@ def test_energy_radii_in_any_order_equal_one_call_per_radius():
         assert one[0].total == side.total
         for key in ("support", "lips", "contributions"):
             assert np.array_equal(getattr(one[0], key), getattr(side, key))
-    reports = restriction_report(inst, h, measure, radii)
+    reports = check_restriction_monotonicity(inst, h, measure, radii)[1]
     assert [rep.radius for rep in reports] == radii
     assert [rep.on_space.total for rep in reports] == [s.total for s in sides]
 

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
-                    approx_slopes, build_penalization, build_profiles,
-                    build_schedule, cutoff_support, eval_pen, extend,
-                    extend_localized, instance_from_arrays, lip_constant,
+                    build_profiles, build_schedule, cutoff_support, eval_pen,
+                    extend, extend_localized, instance_from_arrays, lip_constant,
                     mcshane_lower_many, mcshane_upper_many,
                     schedule_for_instance, truncate_bounded,
                     validate_instance)
-from lipext.extension import evaluation_diameters
+from lipext.extension import _bank, evaluation_diameters
 from lipext.metric import _ROW_CHUNK
 
 from conftest import (grid_instance, oracle_extend, oracle_mcshane_lower,
-                      oracle_mcshane_upper, oracle_pen, random_instance)
+                      oracle_mcshane_upper, oracle_pen, random_instance,
+                      slope_map)
 
 
 def _grid_setup(n=1001, epsilon=1.0):
@@ -23,12 +23,12 @@ def _grid_setup(n=1001, epsilon=1.0):
     return inst, sch
 
 
-# --- approx_slopes -----------------------------------------------------------
+# --- slope maps (one ball_lips row per anchor) -------------------------------
 
 
 def test_slopes_vanish_then_saturate_on_endpoint_grid():
     inst, sch = _grid_setup(11)
-    smap = approx_slopes(inst, 0, sch)
+    smap = slope_map(inst, 0, sch)
     for k, s in smap.items():
         eps_k = sch.virtual_eps(k)
         assert s == (0.0 if eps_k <= 1.0 else 1.0)
@@ -38,7 +38,7 @@ def test_slopes_zero_for_constant_values():
     inst = instance_from_arrays(coords=[[0.0], [0.3], [1.0]], subset=[0, 1, 2],
                                 values=[2.0, 2.0, 2.0], lipschitz=1.0)
     sch = schedule_for_instance(inst, 1.0)
-    assert all(v == 0.0 for v in approx_slopes(inst, 0, sch).values())
+    assert all(v == 0.0 for v in slope_map(inst, 0, sch).values())
 
 
 def test_slope_of_partial_ball_brute_force():
@@ -47,30 +47,29 @@ def test_slope_of_partial_ball_brute_force():
                                 subset=[0, 1, 2], values=[0.0, 1.0, 1.0])
     sch = build_schedule(inst.lipschitz_L, 1.0, anchor=0.7,
                          span_low=1e-4, span_high=4.0)
-    smap = approx_slopes(inst, 0, sch)
+    smap = slope_map(inst, 0, sch)
     k07 = [k for k in smap if abs(sch.virtual_eps(k) - 0.7) < 1e-9]
     assert k07 and smap[k07[0]] == 2.0
 
 
-def test_slopes_monotone_and_anchor_validation():
+def test_slopes_monotone_and_saturate():
     inst = random_instance(1, n_max=60)
     sch = schedule_for_instance(inst, 0.5)
-    smap = approx_slopes(inst, int(inst.subset[0]), sch)
+    smap = slope_map(inst, int(inst.subset[0]), sch)
     vals = [smap[k] for k in sorted(smap)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert vals[-1] == inst.lipschitz_computed
-    off = next(i for i in range(inst.n) if i not in set(inst.subset.tolist()))
-    with pytest.raises(ParameterError):
-        approx_slopes(inst, off, sch)
 
 
-# --- build_penalization / eval_pen -------------------------------------------
+# --- profile banks / eval_pen ------------------------------------------------
 
 
 def test_zero_slope_map_gives_pure_ratio_penalty():
+    # Constant data has S = 0 at every anchor and scale.
     sch = build_schedule(1.0, 1.0, 1.0, 1e-6, 10.0)
-    smap = {k: 0.0 for k in range(sch.k_min, sch.k_max + 2)}
-    prof = build_penalization(smap, sch, L=1.0)
+    inst = instance_from_arrays(coords=[[0.0], [0.3], [1.0]], subset=[0, 1, 2],
+                                values=[2.0, 2.0, 2.0], lipschitz=1.0)
+    prof = build_profiles(inst, sch)
     expected = 3.0 * np.array([sch.ratio_at(k)
                                for k in range(sch.k_min + 1, sch.k_max + 1)])
     bands = prof.slopes[0, 1:-1]
@@ -105,8 +104,7 @@ def test_pen_zero_and_breakpoint_continuity():
 
 def test_eval_pen_tail_and_midpoint():
     sch = build_schedule(1.0, 1.0, 1.0, 1e-6, 10.0)
-    smap = {k: 0.5 for k in range(sch.k_min, sch.k_max + 2)}
-    prof = build_penalization(smap, sch, L=1.0)
+    prof = _bank(np.array([-1]), np.full((1, len(sch.ratio)), 0.5), sch, L=1.0)
     b, P = prof.breakpoints[-1], prof.cumulative[0, -1]
     assert eval_pen(prof, 3.0 * b) == P + prof.slopes[0, -1] * (3.0 * b - b)
     lo, hi = prof.breakpoints[3], prof.breakpoints[4]
@@ -205,7 +203,7 @@ def test_extend_grid_matches_oracle_and_undershoots_identity():
     field = extend(inst, sch, profiles=profiles)
     rng = np.random.default_rng(3)
     for y in rng.choice(inst.n, size=60, replace=False):
-        assert field.value_at(int(y)) == pytest.approx(
+        assert field.values[y] == pytest.approx(
             oracle_extend(inst, profiles, int(y)), rel=1e-12)
     # below the first sub-reference scale every profile slope is < 1, so the
     # extension sits strictly below the identity
@@ -214,7 +212,7 @@ def test_extend_grid_matches_oracle_and_undershoots_identity():
         t = y / (inst.n - 1)
         if t >= cut:
             break
-        assert field.value_at(y) < t
+        assert field.values[y] < t
 
 
 def test_extend_constant_data_shortcut():
@@ -261,15 +259,15 @@ def _nearest_anchors(inst, queries):
 
 def oracle_localized(inst, sch, profiles, y, xbar):
     """(value, anchor, record): the minimum over the anchors of y's localization ball."""
-    d_y = inst.distance(int(y), int(xbar))
+    dd = inst.distance_matrix()
+    d_y = dd[y, xbar]
     ks = [k for k in range(sch.k_min + 2, sch.k_max + 1) if d_y < sch.eps_at(k - 2)]
     record = {"k": ks[0], "xbar": int(xbar)} if ks else "full"
     best, anchor = np.inf, None
     for pos, x in enumerate(inst.subset):
-        if ks and not inst.distance(int(x), int(xbar)) < sch.eps_at(ks[0]):
+        if ks and not dd[x, xbar] < sch.eps_at(ks[0]):
             continue
-        phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
-                                          inst.distance(int(x), int(y)))
+        phi = inst.values[pos] + eval_pen(profiles.rows([pos]), float(dd[x, y]))
         if phi < best or (phi == best and int(x) < anchor):
             best, anchor = phi, int(x)
     return best, anchor, record
@@ -330,8 +328,8 @@ def test_localized_exclusion_margin():
         k, xbar = rec["k"], rec["xbar"]
         dxb = inst.distances(inst.subset, [xbar])[:, 0]
         for pos in np.flatnonzero(dxb >= sch.eps_at(k)):
-            phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
-                                              inst.distance(int(inst.subset[pos]), int(y)))
+            phi = inst.values[pos] + eval_pen(
+                profiles.rows([pos]), float(inst.distance_matrix()[inst.subset[pos], y]))
             assert phi >= field.values[qi] + sch.eps_at(k - 1) * L / 3.0 - tol
             checked += 1
     assert checked > 0
@@ -391,7 +389,7 @@ def test_localized_fallback_when_out_of_range():
     x0 = int(inst.subset[0])
     far = int(np.argmax(inst.distances([x0], np.arange(inst.n))[0]))
     loc = extend_localized(inst, sch, [far], [x0], profiles=profiles)
-    assert loc.values[0] == field.value_at(far)
+    assert loc.values[0] == field.values[far]
     if loc.localization[0] == "full":
         assert loc.anchors[0] == field.anchors[far]
     else:
@@ -404,6 +402,30 @@ def test_localized_rejects_bad_xbars(line3):
                            ([1], [3]), ([1], [-1])):
         with pytest.raises(ParameterError):
             extend_localized(line3, sch, queries, xbars)
+
+
+def test_non_integer_indices_rejected_not_truncated(line3):
+    # The intp conversion alone would evaluate point 1 for 1.9 and read True as 1.
+    sch = schedule_for_instance(line3, 1.0)
+    const = instance_from_arrays(coords=[[0.0], [0.5], [1.0]], subset=[0, 2],
+                                 values=[3.0, 3.0])
+    for queries in ([1.9], [True], [0, True], np.array([1.0]), np.array([True, False])):
+        for inst, schedule in ((line3, sch), (const, None)):
+            with pytest.raises(ParameterError,
+                               match="^queries must be a non-empty 1-D index list$"):
+                extend(inst, schedule, queries)
+            with pytest.raises(ParameterError, match="^queries must be"):
+                extend_localized(inst, schedule, queries, [0] * len(queries))
+    for xbars in ([0.0], [True], [2.5], np.array([2.0]), np.array([False])):
+        with pytest.raises(ParameterError,
+                           match="^xbars must be subset point indices aligned with queries$"):
+            extend_localized(line3, sch, [1], xbars)
+    # Integer lists and arrays of any integer dtype still go through.
+    ref = extend(line3, sch, [1])
+    for queries in ((1,), np.array([1], dtype=np.int32), np.array([1], dtype=np.uint8)):
+        assert np.array_equal(extend(line3, sch, queries).values, ref.values)
+        loc = extend_localized(line3, sch, queries, np.array([0], dtype=np.int16))
+        assert loc.queries.tolist() == [1] and np.array_equal(loc.values, ref.values)
 
 
 def test_localized_constant_data():
@@ -424,7 +446,7 @@ def oracle_full(inst, profiles, y):
     best, anchor = np.inf, None
     for pos, x in enumerate(inst.subset):
         phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
-                                          inst.distance(int(x), int(y)))
+                                          float(inst.distance_matrix()[x, y]))
         if phi < best or (phi == best and int(x) < anchor):
             best, anchor = phi, int(x)
     return best, anchor

@@ -9,11 +9,11 @@ caller is checked against the brute-force ``oracle_lip`` over ``{d < r}``.
 import numpy as np
 import pytest
 
-from lipext import (approx_slopes, ball_lips, build_profiles, build_schedule,
-                    energy, instance_from_arrays, lipa_profile, validate_measure)
+from lipext import (ball_lips, build_profiles, build_schedule, energy,
+                    instance_from_arrays, lipa_profile, validate_measure)
 from lipext.metric import pair_ratios
 
-from conftest import oracle_lip
+from conftest import oracle_lip, slope_map
 
 
 def discrete_instance(seed):
@@ -50,7 +50,8 @@ def tie_radii(inst):
 
 
 def oracle_ball_lip(inst, domain, values, center, r):
-    inside = [pos for pos, i in enumerate(domain) if inst.distance(center, int(i)) < r]
+    dd = inst.distance_matrix()
+    inside = [pos for pos, i in enumerate(domain) if dd[center, i] < r]
     return oracle_lip(inst, values[inside], domain[inside])
 
 
@@ -68,7 +69,7 @@ def test_pair_ratios_zero_diagonal_and_symmetric(inst):
     ratios = pair_ratios(inst, domain, vals)
     assert np.all(np.diag(ratios) == 0.0)
     assert np.array_equal(ratios, ratios.T)
-    assert ratios[0, 1] == abs(vals[0] - vals[1]) / inst.distance(0, 1)
+    assert ratios[0, 1] == abs(vals[0] - vals[1]) / inst.distance_matrix()[0, 1]
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
@@ -125,7 +126,7 @@ def test_approx_slopes_match_oracle_at_ties(inst):
     assert any(sch.virtual_eps(k) in levels for k in ks)
     bank = build_profiles(inst, sch)
     for pos, x in enumerate(inst.subset):
-        smap = approx_slopes(inst, int(x), sch)
+        smap = slope_map(inst, int(x), sch)
         for k in ks:
             assert smap[k] == oracle_ball_lip(inst, inst.subset, inst.values,
                                               int(x), sch.virtual_eps(k))
@@ -140,7 +141,7 @@ def test_discrete_metric_slope_jumps_past_the_tie():
     inst = INSTANCES[0]
     sch = build_schedule(inst.lipschitz_L, 1.0, anchor=1.0,
                          span_low=1e-3, span_high=4.0)
-    smap = approx_slopes(inst, int(inst.subset[0]), sch)
+    smap = slope_map(inst, int(inst.subset[0]), sch)
     assert smap[sch.k_ref] == 0.0           # the open 1-ball holds x alone
     assert smap[sch.k_ref + 1] == inst.lipschitz_computed
 

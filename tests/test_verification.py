@@ -244,9 +244,34 @@ def test_check_inf_family():
     assert res.status == "skipped" and "precondition" in res.note
 
 
+def _dyadic_suite(top):
+    """run_suite on the points {0, 1} and 2**-j for 1 <= j < top, data 0, 1 on {0, 1}."""
+    points = [0.0, 1.0] + [2.0 ** -j for j in range(1, top)]
+    inst = instance_from_arrays(coords=[[p] for p in points], subset=[0, 1],
+                                values=[0.0, 1.0])
+    return {c.name: c for c in run_suite(inst, 0.5, xi=0.1, r_bar=0.5).checks}
+
+
+def test_dyadic_instance_pins_the_roundoff_finding():
+    # A known, unfixed finding: the locality ball holds many points, but below
+    # j = 54 the Euclidean roundoff 1 - 2**-54 == 1 makes d(1, 2**-54) == d(1, 0),
+    # and family member 1 measures 8.0 against L + eps = 1.5.
+    checks = _dyadic_suite(60)
+    fam = checks["inf_family"]
+    assert (fam.status, fam.witness, fam.measured, fam.allowed) == (
+        "skipped", {"member": 1}, 8.0, 1.5000000015)
+    loc = checks["locality_preservation"]
+    assert loc.status == "pass"
+    assert (loc.witness["ball_points"], loc.witness["lip_f"]) == (26, 0.005208333333333334)
+    # Without the pairs below 2**-50 the precondition holds and the check passes.
+    fam = _dyadic_suite(50)["inf_family"]
+    assert (fam.status, fam.measured) == ("pass", 1.3333333333333333)
+
+
 def test_mcshane_comparison_endpoint_grid():
     inst = grid_instance(1001)
-    frag = mcshane_comparison(inst, [0.1, 0.3, 0.5], epsilon=1.0)
+    field = extend(inst, schedule_for_instance(inst, 1.0))
+    frag = mcshane_comparison(inst, [0.1, 0.3, 0.5], 1.0, field)
     row0 = next(r for r in frag["centers"] if r["center"] == 0)
     assert row0["mcshane"] == [1.0, 1.0, 1.0]
     assert all(e < 1.0 for e in row0["extension"][:1])
@@ -255,14 +280,15 @@ def test_mcshane_comparison_endpoint_grid():
 def test_mcshane_comparison_rejects_infinite_radius():
     # an infinite radius would put inf into a fragment JSON cannot carry
     inst = grid_instance(11)
+    field = extend(inst, schedule_for_instance(inst, 1.0))
     with pytest.raises(ParameterError, match="finite"):
-        mcshane_comparison(inst, [0.5, np.inf], epsilon=1.0)
+        mcshane_comparison(inst, [0.5, np.inf], 1.0, field)
 
 
 def test_mcshane_comparison_constant_data():
     inst = instance_from_arrays(coords=[[0.0], [1.0]], subset=[0, 1],
                                 values=[2.0, 2.0], lipschitz=1.0)
-    frag = mcshane_comparison(inst, [0.5, 1.5], epsilon=1.0)
+    frag = mcshane_comparison(inst, [0.5, 1.5], 1.0, extend(inst, None))
     for row in frag["centers"]:
         assert row["mcshane"] == [0.0, 0.0]
         assert row["extension"] == [0.0, 0.0]
