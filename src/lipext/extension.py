@@ -260,12 +260,13 @@ def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
     and the query keeps every anchor.  Ties and constant data as in :func:`extend`.
     """
     queries = _as_query_array(instance, queries)
-    if _first_non_integer(xbars) is None:
-        xbars = np.asarray(xbars, dtype=np.intp)
-        if (xbars.shape == queries.shape and np.all((xbars >= 0) & (xbars < instance.n))
-                and np.all(instance.subset_positions()[xbars] >= 0)):
-            return _infimum(instance, schedule, queries, profiles, xbars)
-    raise ParameterError("xbars must be subset point indices aligned with queries")
+    if _first_non_integer(xbars) is not None:
+        raise ParameterError("xbars must be subset point indices aligned with queries")
+    xbars = np.asarray(xbars, dtype=np.intp)
+    if (xbars.shape != queries.shape or np.any((xbars < 0) | (xbars >= instance.n))
+            or np.any(instance.subset_positions()[xbars] < 0)):
+        raise ParameterError("xbars must be subset point indices aligned with queries")
+    return _infimum(instance, schedule, queries, profiles, xbars)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +316,10 @@ def evaluation_diameters(instance: MetricInstance, queries=None) -> tuple[float,
     queries = _as_query_array(instance, queries)
     pts = np.unique(np.concatenate([instance.subset, queries]))
     dmin, dmax = np.inf, 0.0
+    d = instance.distance_matrix()
     for s in _query_blocks(len(pts)):
-        dd = instance.distances(pts[s], pts)
+        # pts is sorted, so n of them are 0..n-1: read a slice, not a gathered copy.
+        dd = d[s] if len(pts) == instance.n else instance.distances(pts[s], pts)
         dmin = min(dmin, float(np.min(dd, where=dd > 0, initial=np.inf)))
         dmax = max(dmax, float(dd.max()))
     return (dmin if dmin < np.inf else 0.0), dmax

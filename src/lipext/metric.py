@@ -77,13 +77,13 @@ class MetricInstance:
 
         When ``rows`` and ``cols`` are both ``0..n-1`` in order this is the
         read-only :meth:`distance_matrix` itself, not a copy; any other index
-        lists give a fresh array (a row gather when only ``cols`` is ``0..n-1``).
+        lists give a fresh array.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         d = self.distance_matrix()
-        if _is_full_range(cols, self.n):
-            return d if _is_full_range(rows, self.n) else d[rows]
+        if _is_full_range(rows, self.n) and _is_full_range(cols, self.n):
+            return d
         return d[np.ix_(rows, cols)]
 
     def dist_to_subset(self, indices) -> np.ndarray:
@@ -301,6 +301,8 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
 def _first_non_integer(entries) -> int | None:
     """Position of the first entry that is not an integer (bools included), or None:
     the intp conversion of an index list would truncate 0.9 to 0 and read True as 1."""
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
+        return None
     for pos, entry in enumerate(np.asarray(entries, dtype=object).ravel()):
         if isinstance(entry, (bool, np.bool_)) or not isinstance(entry, (int, np.integer)):
             return pos
