@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .errors import (InstanceValidationError, LipextError, ParameterError,
-                     ScheduleTooShallow, TrivialInstance)
+                     ScheduleTooShallow, TrivialInstance, positive_real)
 from .metric import MetricInstance, _check_radii, instance_from_arrays, validate_instance
 from .extension import (cutoff_support, extend, mcshane_upper_many,
                         schedule_for_instance, schedule_with_locality,
@@ -64,7 +63,7 @@ def _load_raw(path: str) -> dict:
         raise ParameterError(f"input is not valid JSON: {exc}") from exc
 
 
-def _parse_queries(instance: MetricInstance, spec: str | None) -> np.ndarray:
+def _parse_queries(instance: MetricInstance, spec: str | None) -> np.ndarray | list[int]:
     if spec == "all":
         return np.arange(instance.n, dtype=np.intp)
     if spec is None:
@@ -73,12 +72,10 @@ def _parse_queries(instance: MetricInstance, spec: str | None) -> np.ndarray:
         rest = np.flatnonzero(mask)
         return rest if len(rest) else np.arange(instance.n, dtype=np.intp)
     try:
-        idx = np.array([int(tok) for tok in spec.split(",") if tok != ""], dtype=np.intp)
+        idx = [int(tok) for tok in spec.split(",") if tok != ""]
     except ValueError as exc:
         raise ParameterError(f"bad --queries list: {exc}") from exc
-    except OverflowError as exc:    # beyond intp: out of range either way
-        raise ParameterError("query index out of range") from exc
-    if len(idx) == 0:
+    if not idx:
         raise ParameterError("empty --queries list")
     return idx
 
@@ -107,9 +104,9 @@ def cmd_validate(args) -> int:
 
 def cmd_extend(args) -> int:
     instance = validate_instance(_load_raw(args.input))
-    for flag, value in (("--epsilon", args.epsilon), ("--anchor", args.anchor)):
-        if value is not None and not (value > 0 and math.isfinite(value)):
-            raise ParameterError(f"{flag} must be a positive finite real")
+    positive_real("--epsilon", args.epsilon)
+    if args.anchor is not None:
+        positive_real("--anchor", args.anchor)
     queries = _parse_queries(instance, args.queries)
     build_eps = args.epsilon / 2.0 if args.cutoff else args.epsilon
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceValidationError, ParameterError
+from .errors import InstanceValidationError, ParameterError, positive_real
 from .metric import MetricInstance, ball_lips
 from .schedule import locality_radius
 from .verification import INEQ_RTOL, CheckResult
@@ -161,13 +161,11 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     m_i (Lip(g, .) + xi)^p``.  ``epsilon`` defaults to the instance constant.
     """
     radii_bar = _positive_radii(radii_bar)
-    if not (xi > 0 and math.isfinite(xi)):
-        raise ParameterError("xi must be a positive finite real")
+    positive_real("xi", xi)
     L = instance.lipschitz_L
     if epsilon is None:
         epsilon = L if L > 0 else 1.0
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ParameterError("epsilon must be a positive finite real")
+    positive_real("epsilon", epsilon)
     allpts = np.arange(instance.n, dtype=np.intp)
 
     if instance.lipschitz_computed == 0.0:

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`positive_real`, the one
+check of a scalar parameter that must be a positive finite real."""
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class LipextError(Exception):
@@ -52,3 +56,10 @@ class ScheduleTooShallow(LipextError):
         self.required_span_low = required_span_low
         self.required_span_high = required_span_high
         super().__init__(message)
+
+
+def positive_real(name: str, value) -> None:
+    """Raise unless ``value`` is a positive finite real; bools and non-numbers included."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value > 0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be a positive finite real")

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleTooShallow, TrivialInstance
-from .metric import _ROW_CHUNK, MetricInstance, _first_non_integer, ball_lips
+from .errors import ParameterError, ScheduleTooShallow, TrivialInstance, positive_real
+from .metric import _ROW_CHUNK, MetricInstance, _first_non_integer, _index_list, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
 
@@ -187,10 +187,7 @@ def _as_query_array(instance: MetricInstance, queries) -> np.ndarray:
     if (_first_non_integer(queries) is not None or np.ndim(queries) != 1
             or np.size(queries) == 0):
         raise ParameterError("queries must be a non-empty 1-D index list")
-    queries = np.asarray(queries, dtype=np.intp)
-    if np.any(queries < 0) or np.any(queries >= instance.n):
-        raise ParameterError("query index out of range")
-    return queries
+    return _index_list(queries, instance.n, "query index out of range")
 
 
 def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
@@ -203,21 +200,16 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
     if schedule is None:
         raise ParameterError("a schedule is required when Lip(g, C) > 0")
     subset = instance.subset
-    blocks = _query_blocks(len(queries))
-    dmax = max(float(instance.distances(subset, queries[s]).max()) for s in blocks)
-    if schedule.eps_at(schedule.k_max) < dmax:
-        raise ScheduleTooShallow(
-            f"extend schedule: top scale {schedule.eps_at(schedule.k_max)!r} below "
-            f"the largest anchor-query distance {dmax!r}",
-            required_span_high=2.0 * dmax)
     if profiles is None:
         profiles = build_profiles(instance, schedule)
     values = np.empty(len(queries))
     anchors = np.empty(len(queries), dtype=np.intp)
     localization = ["full"] * len(queries)
+    dmax = 0.0
     # Every step is per query (column), so blocks give the same bits as one pass.
-    for s in blocks:
+    for s in _query_blocks(len(queries)):
         T = instance.distances(subset, queries[s])
+        dmax = max(dmax, float(T.max()))
         phi = instance.values[:, None] + profiles.pen(T)
         if xbars is not None:
             near = instance.subset_positions()[xbars[s]]
@@ -228,6 +220,11 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
             localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
                                for k, x, r in zip(schedule.k_min + jk, xbars[s], radius)]
         values[s], anchors[s] = _argmin_lowest(phi, subset)
+    if schedule.eps_at(schedule.k_max) < dmax:
+        raise ScheduleTooShallow(
+            f"extend schedule: top scale {schedule.eps_at(schedule.k_max)!r} below "
+            f"the largest anchor-query distance {dmax!r}",
+            required_span_high=2.0 * dmax)
     return ExtensionField(queries=queries, values=values, anchors=anchors,
                           localization=localization,
                           epsilon=schedule.eps_eff, schedule=schedule,
@@ -260,12 +257,10 @@ def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
     and the query keeps every anchor.  Ties and constant data as in :func:`extend`.
     """
     queries = _as_query_array(instance, queries)
-    if _first_non_integer(xbars) is not None:
-        raise ParameterError("xbars must be subset point indices aligned with queries")
-    xbars = np.asarray(xbars, dtype=np.intp)
-    if (xbars.shape != queries.shape or np.any((xbars < 0) | (xbars >= instance.n))
-            or np.any(instance.subset_positions()[xbars] < 0)):
-        raise ParameterError("xbars must be subset point indices aligned with queries")
+    message = "xbars must be subset point indices aligned with queries"
+    xbars = _index_list(xbars, instance.n, message)
+    if xbars.shape != queries.shape or np.any(instance.subset_positions()[xbars] < 0):
+        raise ParameterError(message)
     return _infimum(instance, schedule, queries, profiles, xbars)
 
 
@@ -279,8 +274,7 @@ def truncate_bounded(field: ExtensionField, bound: float) -> ExtensionField:
     ``bound`` must dominate sup |g| so the restriction to the subset is
     untouched.  Anchor provenance refers to the pre-clamp minimum.
     """
-    if not (math.isfinite(bound) and bound > 0):
-        raise ParameterError("bound must be a positive finite real")
+    positive_real("bound", bound)
     if bound < field.g_abs_max:
         raise ParameterError(
             f"bound {bound} below sup |g| = {field.g_abs_max}: "
@@ -297,8 +291,7 @@ def cutoff_support(field: ExtensionField, instance: MetricInstance,
     field must have been built with budget L + eps/2 for the product to stay
     within L + eps.  M = 0 returns the field unchanged.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ParameterError("epsilon must be a positive finite real")
+    positive_real("epsilon", epsilon)
     m_sup = max(float(np.max(np.abs(field.values))), field.g_abs_max)
     if m_sup == 0.0:
         return field
@@ -338,15 +331,13 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
     dmin, dmax = evaluation_diameters(instance, queries)
     if dmax == 0.0:
         raise TrivialInstance("single-point evaluation set")
-    low = dmin if dmin > 0 else dmax
     if smallest_radius is not None:
-        if not smallest_radius > 0:
-            raise ParameterError("smallest_radius must be positive")
-        low = min(low, smallest_radius)
+        positive_real("smallest_radius", smallest_radius)
+        dmin = min(dmin, smallest_radius)
     if anchor is None:
         anchor = dmax
     return build_schedule(instance.lipschitz_L, epsilon, anchor,
-                          low / 64.0, 2.0 * dmax)
+                          dmin / 64.0, 2.0 * dmax)
 
 
 def schedule_with_locality(instance: MetricInstance, epsilon: float,
@@ -357,6 +348,7 @@ def schedule_with_locality(instance: MetricInstance, epsilon: float,
     Returns ``(schedule, k, r)``.  A build too shallow is rebuilt once at the
     reported depth, whose sweep reproduces the virtual scales; underflow propagates.
     """
+    positive_real("r_bar", r_bar)
     smallest = r_bar
     for _ in range(2):      # the build and at most one rebuild
         sch = schedule_for_instance(instance, epsilon, queries,

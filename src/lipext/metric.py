@@ -79,8 +79,9 @@ class MetricInstance:
         read-only :meth:`distance_matrix` itself, not a copy; any other index
         lists give a fresh array.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+        message = f"rows and cols must be 1-D lists of point indices in [0, {self.n})"
+        rows = _index_list(rows, self.n, message)
+        cols = _index_list(cols, self.n, message)
         d = self.distance_matrix()
         if _is_full_range(rows, self.n) and _is_full_range(cols, self.n):
             return d
@@ -104,9 +105,10 @@ class MetricInstance:
 
     def g_at(self, point_indices) -> np.ndarray:
         """g at the given point indices; raises if any index is off C."""
-        pos = self.subset_positions()[np.asarray(point_indices, dtype=np.intp)]
+        message = "values requested at indices outside the subset"
+        pos = self.subset_positions()[_index_list(point_indices, self.n, message)]
         if np.any(pos < 0):
-            raise ParameterError("values requested at indices outside the subset")
+            raise ParameterError(message)
         return self.values[pos]
 
     def check_scale(self) -> float:
@@ -331,12 +333,14 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
     pos = _first_non_integer(subset)
     if pos is not None:
         _err("subset entries must be integers", "subset", position=pos)
-    subset = np.array(subset, dtype=np.intp)
+    subset = np.asarray(subset)
     if subset.ndim != 1 or len(subset) == 0:
         _err("subset must be a non-empty index list", "subset")
-    if np.any(subset < 0) or np.any(subset >= n):
-        _err("subset index out of range", "subset",
-             index=int(subset[(subset < 0) | (subset >= n)][0]), n=n)
+    # Range first: an entry beyond intp is out of range, never wrapped.
+    outside = (subset < 0) | (subset >= n)
+    if np.any(outside):
+        _err("subset index out of range", "subset", index=int(subset[outside][0]), n=n)
+    subset = subset.astype(np.intp)
     if len(np.unique(subset)) != len(subset):
         uniq, counts = np.unique(subset, return_counts=True)
         _err("duplicate subset index", "subset", index=int(uniq[counts > 1][0]))
@@ -422,28 +426,27 @@ def pair_ratios(instance: MetricInstance, members, values) -> np.ndarray:
     :func:`lip_constant` is its maximum; :func:`ball_lips` reads it over the
     members its balls can reach.
     """
-    members = np.asarray(members, dtype=np.intp)
     values = np.asarray(values, dtype=float)
     dist = instance.distances(members, members)
     gaps = np.abs(values[:, None] - values[None, :])
     return np.divide(gaps, dist, out=gaps, where=dist > 0)
 
 
-def _index_list(indices, n: int, what: str) -> np.ndarray:
-    """``indices`` as a 1-D intp array; raises unless every entry is an integer in ``[0, n)``."""
-    indices = np.asarray(indices)
-    if indices.size == 0 and indices.ndim == 1:
-        return np.zeros(0, dtype=np.intp)
-    if (indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer)
-            or np.any(indices < 0) or np.any(indices >= n)):
-        raise ParameterError(f"{what} must be a 1-D list of point indices in [0, {n})")
-    return indices.astype(np.intp)
+def _index_list(indices, n: int, message: str) -> np.ndarray:
+    """``indices`` as 1-D intp; ``ParameterError(message)`` unless all are integers (not
+    bools) in ``[0, n)``, range-checked before the cast, so none beyond intp wraps."""
+    if _first_non_integer(indices) is None:     # before asarray: a ragged list is no list
+        arr = np.asarray(indices)
+        if arr.ndim == 1 and not (np.any(arr < 0) or np.any(arr >= n)):
+            return arr.astype(np.intp, copy=False)
+    raise ParameterError(message)
 
 
 def _member_values(instance: MetricInstance, members, values):
     """``(members, values)`` as arrays; raises unless the members are distinct
     point indices and the values finite and aligned with them."""
-    members = _index_list(members, instance.n, "members")
+    members = _index_list(members, instance.n,
+                          f"members must be a 1-D list of point indices in [0, {instance.n})")
     if len(np.unique(members)) != len(members):
         raise ParameterError("member indices must be distinct")
     values = np.asarray(values, dtype=float)
@@ -516,7 +519,8 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     indices and ``radii`` any nonnegative reals, in any order and with repeats.
     """
     members, values = _member_values(instance, members, values)
-    centers = _index_list(centers, instance.n, "centers")
+    centers = _index_list(centers, instance.n,
+                          f"centers must be a 1-D list of point indices in [0, {instance.n})")
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or not np.all(radii >= 0):
         raise ParameterError("radii must be a 1-D list of nonnegative reals")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleTooShallow, TrivialInstance
+from .errors import ParameterError, ScheduleTooShallow, TrivialInstance, positive_real
 
 # Truncation depth policy: six indices of margin below the smallest requested
 # scale, then keep descending until the penalization tail bound is negligible.
@@ -184,10 +184,8 @@ def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,
     Raises :class:`ScheduleTooShallow` with the required depth when the stored
     range runs out before both conditions hold.
     """
-    if not (r_bar > 0 and math.isfinite(r_bar)):
-        raise ParameterError("r_bar must be a positive finite real")
-    if not (xi > 0 and math.isfinite(xi)):
-        raise ParameterError("xi must be a positive finite real")
+    positive_real("r_bar", r_bar)
+    positive_real("xi", xi)
     if not (L >= 0 and math.isfinite(L)):
         raise ParameterError("L must be a nonnegative finite real")
 

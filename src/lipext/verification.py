@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .errors import ParameterError
-from .metric import MetricInstance, _check_radii, ball_lips
+from .errors import ParameterError, positive_real
+from .metric import MetricInstance, _check_radii, _first_non_integer, _index_list, ball_lips
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
@@ -279,9 +279,10 @@ def check_locality_preservation(instance: MetricInstance, field: ExtensionField,
     the worst: the first failing center with the largest Lip(f, B_r(x)), or,
     if all pass, the first with the largest.
     """
-    x_bars = np.asarray(x_bars, dtype=np.intp)
-    if x_bars.ndim != 1 or len(x_bars) == 0:
-        raise ParameterError("x_bars must be a non-empty 1-D index list")
+    message = "x_bars must be a non-empty 1-D index list"
+    x_bars = _index_list(x_bars, instance.n, message)
+    if len(x_bars) == 0:
+        raise ParameterError(message)
     if field.schedule is None:
         return CheckResult("locality_preservation", "skipped",
                            note="constant extension: local constants are zero")
@@ -309,7 +310,8 @@ def check_inf_family(instance: MetricInstance, family: np.ndarray, members,
     One exhaustive pass over the pairs ``i < j`` of ``members`` gives the
     exact constant of every family member and of their minimum at once.
     """
-    members = np.asarray(members, dtype=np.intp)
+    members = _index_list(members, instance.n,
+                          f"members must be a 1-D list of point indices in [0, {instance.n})")
     family = np.asarray(family, dtype=float)
     if family.ndim != 2 or family.shape[1] != len(members) or len(family) == 0:
         raise ParameterError("family must be (n_functions, len(members))")
@@ -352,9 +354,10 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     ms = mcshane_upper_many(instance, instance.lipschitz_L, domain)
     if centers is None:
         centers = instance.subset[np.isin(instance.subset, domain)]
-    centers = np.asarray(centers, dtype=np.intp)
+    message = "center must belong to the domain"
+    centers = _index_list(centers, instance.n, message)
     if not np.all(np.isin(centers, domain)):
-        raise ParameterError("center must belong to the domain")
+        raise ParameterError(message)
     lips_ms = ball_lips(instance, domain, ms, centers, r_list)
     lips_f = ball_lips(instance, domain, fvals, centers, r_list)
     rows = [{"center": int(c), "radii": r_list.tolist(), "mcshane": p_ms.tolist(),
@@ -374,11 +377,9 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     is a test hook that perturbs one extension value so the failure path can
     be exercised end to end.
     """
-    if not (isinstance(epsilon, (int, float)) and epsilon > 0 and math.isfinite(epsilon)):
-        raise ParameterError("epsilon must be a positive finite real")
-    if not (xi > 0 and math.isfinite(xi)):
-        raise ParameterError("xi must be a positive finite real")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    positive_real("epsilon", epsilon)
+    positive_real("xi", xi)
+    if _first_non_integer([seed]) is not None or seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     queries = np.arange(instance.n, dtype=np.intp)
     dd = instance.distance_matrix()
@@ -386,8 +387,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     qs = np.quantile(pos, [0.25, 0.5, 0.75]).tolist() if len(pos) else [1.0]
     mcshane_radii = sorted(set(qs))
     r_bar = qs[0] if r_bar is None else r_bar
-    if not (r_bar > 0 and math.isfinite(r_bar)):
-        raise ParameterError("r_bar must be a positive finite real")
+    positive_real("r_bar", r_bar)
     params = {"epsilon": float(epsilon), "xi": float(xi), "r_bar": float(r_bar),
               "seed": int(seed)}
 

@@ -152,6 +152,21 @@ def test_extend_query_index_beyond_intp_exit1(tmp_path, capsys, index):
     assert stderr == ""
 
 
+@pytest.mark.parametrize("index", [99999999999999999999, -99999999999999999999],
+                         ids=["positive", "negative"])
+def test_validate_subset_index_beyond_intp_exit1(tmp_path, capsys, index):
+    # Checked for range before the intp conversion: one JSON error naming the index.
+    path = _write(tmp_path, "inst.json", {
+        "points": {"type": "euclidean", "coords": [[0.0], [0.5], [1.0]]},
+        "subset": [0, index], "values": [0.0, 1.0]})
+    code = main(["validate", "--input", path])
+    stdout, stderr = capsys.readouterr()
+    assert code == 1
+    assert stdout == ('{"error": "subset index out of range", "field": "subset", '
+                      f'"witness": {{"index": {index}, "n": 3}}}}\n')
+    assert stderr == ""
+
+
 def test_extend_bounded_noop_when_dominating(tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     grid = _grid_file(tmp_path)

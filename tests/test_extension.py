@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
-                    build_profiles, build_schedule, cutoff_support, eval_pen,
+                    build_profiles, build_schedule, check_inf_family,
+                    check_locality_preservation, cutoff_support, eval_pen,
                     extend, extend_localized, instance_from_arrays, lip_constant,
-                    mcshane_lower_many, mcshane_upper_many,
-                    schedule_for_instance, truncate_bounded,
+                    mcshane_comparison, mcshane_lower_many, mcshane_upper_many,
+                    schedule_for_instance, schedule_with_locality, truncate_bounded,
                     validate_instance)
 from lipext.extension import _bank, evaluation_diameters
 from lipext.metric import _ROW_CHUNK
@@ -426,6 +427,34 @@ def test_non_integer_indices_rejected_not_truncated(line3):
         assert np.array_equal(extend(line3, sch, queries).values, ref.values)
         loc = extend_localized(line3, sch, queries, np.array([0], dtype=np.int16))
         assert loc.queries.tolist() == [1] and np.array_equal(loc.values, ref.values)
+    # An index beyond intp is out of range like any other: no OverflowError.
+    for huge in (2**70, -2**70):
+        with pytest.raises(ParameterError, match="^query index out of range$"):
+            extend(line3, sch, [huge])
+        with pytest.raises(ParameterError, match="^xbars must be"):
+            extend_localized(line3, sch, [1], [huge])
+    for points in ([2**70], [-2**70], [2.0], [-1], [3]):
+        with pytest.raises(ParameterError,
+                           match="^values requested at indices outside the subset$"):
+            line3.g_at(points)
+        with pytest.raises(ParameterError, match=r"^rows and cols must be 1-D lists"):
+            line3.distances([0], points)
+    # The checks take their centers and members by the same rule: no truncation,
+    # no wrapping of -1 to the last point and no IndexError.
+    deep, _, _ = schedule_with_locality(line3, 1.0, 0.5, 0.1)
+    field = extend(line3, deep)
+    for x_bars in ([0.9], [True], [2**70]):
+        with pytest.raises(ParameterError, match="^x_bars must be a non-empty 1-D index list$"):
+            check_locality_preservation(line3, field, x_bars, 0.5, 0.1)
+    assert check_locality_preservation(line3, field, [0], 0.5, 0.1).passed
+    for centers in ([2.9], [True], [2**70]):
+        with pytest.raises(ParameterError, match="^center must belong to the domain$"):
+            mcshane_comparison(line3, [0.5], 1.0, field, centers=centers)
+    assert mcshane_comparison(line3, [0.5], 1.0, field, centers=[2])["centers"][0]["center"] == 2
+    for members in ([0, 1.5, 2], [0, True, 2], [0, 1, -1], [0, 1, 3], [0, 1, 2**70]):
+        with pytest.raises(ParameterError, match=r"^members must be a 1-D list of point"):
+            check_inf_family(line3, np.zeros((2, 3)), members, 1.0)
+    assert check_inf_family(line3, np.zeros((2, 3)), [0, 1, 2], 1.0).passed
 
 
 def test_localized_constant_data():

@@ -349,8 +349,9 @@ def test_inf_family_single_member_and_bad_arguments():
 @pytest.mark.parametrize("n", [11, 1001])
 def test_run_suite_rejects_negative_seed_and_non_finite_xi(n):
     inst = grid_instance(n)
-    with pytest.raises(ParameterError, match="seed"):
-        run_suite(inst, 1.0, seed=-1)
+    for seed in (-1, True):
+        with pytest.raises(ParameterError, match="^seed must be a nonnegative integer$"):
+            run_suite(inst, 1.0, seed=seed)
     for xi in (float("inf"), float("nan")):
         with pytest.raises(ParameterError, match="xi"):
             run_suite(inst, 1.0, xi=xi)

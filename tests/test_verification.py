@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
-                    build_schedule, check_global_lipschitz, check_inf_family,
-                    check_locality_preservation, check_restriction, check_step2,
-                    extend, instance_from_arrays, lip_constant,
-                    mcshane_comparison, mcshane_upper_many, run_suite,
-                    schedule_for_instance, schedule_with_locality)
+                    build_schedule, check_extension_energy, check_global_lipschitz,
+                    check_inf_family, check_locality_preservation, check_restriction,
+                    check_step2, cutoff_support, extend, instance_from_arrays,
+                    lip_constant, locality_radius, mcshane_comparison,
+                    mcshane_upper_many, run_suite, schedule_for_instance,
+                    schedule_with_locality, truncate_bounded, validate_measure)
 from lipext.verification import (_pair_sample, check_envelope_sandwich,
                                  check_localization)
 
@@ -317,3 +318,40 @@ def test_envelope_sandwich_check():
     field = extend(inst, sch)
     assert check_envelope_sandwich(field, inst,
                                    inst.lipschitz_L + sch.eps_eff).passed
+
+
+# Every scalar that must be a positive finite real rejects a string, None or a
+# bool with the shared message: never a TypeError, never True read as 1.
+BAD_SCALARS = {
+    "run_suite-epsilon-bool": (lambda inst, sch, fld: run_suite(inst, True), "epsilon"),
+    "run_suite-xi-str": (lambda inst, sch, fld: run_suite(inst, 0.5, xi="0.1"), "xi"),
+    "run_suite-rbar-str": (lambda inst, sch, fld: run_suite(inst, 0.5, r_bar="0.5"), "r_bar"),
+    "locality_radius-rbar-none": (
+        lambda inst, sch, fld: locality_radius(sch, None, 0.1, inst.lipschitz_L), "r_bar"),
+    "locality_radius-xi-bool": (
+        lambda inst, sch, fld: locality_radius(sch, 0.5, True, inst.lipschitz_L), "xi"),
+    "truncate_bounded-str": (lambda inst, sch, fld: truncate_bounded(fld, "2"), "bound"),
+    "truncate_bounded-bool": (lambda inst, sch, fld: truncate_bounded(fld, True), "bound"),
+    "cutoff_support-str": (lambda inst, sch, fld: cutoff_support(fld, inst, "1"), "epsilon"),
+    "cutoff_support-bool": (lambda inst, sch, fld: cutoff_support(fld, inst, True), "epsilon"),
+    "extension_energy-xi-str": (lambda inst, sch, fld: check_extension_energy(
+        inst, validate_measure(inst), [0.5], "0.1"), "xi"),
+    "extension_energy-epsilon-bool": (lambda inst, sch, fld: check_extension_energy(
+        inst, validate_measure(inst), [0.5], 0.1, True), "epsilon"),
+    "smallest_radius-bool": (lambda inst, sch, fld: schedule_for_instance(
+        inst, 1.0, smallest_radius=True), "smallest_radius"),
+    "smallest_radius-nan": (lambda inst, sch, fld: schedule_for_instance(
+        inst, 1.0, smallest_radius=float("nan")), "smallest_radius"),
+    "schedule_with_locality-rbar-bool": (lambda inst, sch, fld: schedule_with_locality(
+        inst, 1.0, True, 0.1), "r_bar"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCALARS.values(), ids=BAD_SCALARS.keys())
+def test_bad_scalar_parameter_rejected(case):
+    call, name = case
+    inst = grid_instance(11)
+    sch = schedule_for_instance(inst, 1.0)
+    fld = extend(inst, sch)
+    with pytest.raises(ParameterError, match=f"^{name} must be a positive finite real$"):
+        call(inst, sch, fld)
