@@ -41,7 +41,8 @@ def validate_measure(instance: MetricInstance, masses=None, p: float = 1.0) -> M
 
     ``masses=None`` gives unit mass to every subset point.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1):
+    if not (isinstance(p, (int, float)) and not isinstance(p, bool)
+            and math.isfinite(p) and p >= 1):
         raise ParameterError(f"exponent p must be a finite real >= 1, got {p!r}")
     if masses is None:
         masses = np.zeros(instance.n)

@@ -114,7 +114,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     """
     for name, v in (("L", L), ("epsilon", epsilon), ("anchor", anchor),
                     ("span_low", span_low), ("span_high", span_high)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
             raise ParameterError(f"{name} must be a finite real, got {v!r}")
     if L < 0:
         raise ParameterError("L must be nonnegative")

@@ -5,9 +5,11 @@ concrete witness (indices plus measured-versus-allowed values).  Tolerances
 are relative to the instance's value and distance scales: 1e-9 for
 inequalities, 1e-12 for identities.  The global-budget scan is exhaustive
 up to ``MAX_PAIRS`` pairs and falls back to seeded uniform subsampling beyond
-that, labeled as statistical in the result note; the inf-family, locality and
-McShane-fragment scans are exhaustive at every size (a ball answered from the
-top-K pairs of ``ball_lips`` is certified exact, and any other ball is scanned in full).
+that, labeled as statistical in the result note.  The locality and McShane-fragment
+scans are exhaustive at every size (a ball answered from the top-K pairs of
+``ball_lips`` is certified exact, and any other ball is scanned in full).  The
+inf-family check is certified exact: the minimum is scanned in full, and the
+members only on the pairs their slope certificate cannot clear.
 """
 
 from __future__ import annotations
@@ -18,15 +20,19 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import ParameterError, positive_real
-from .metric import MetricInstance, _check_radii, _first_non_integer, _index_list, ball_lips
+from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _first_non_integer,
+                     _index_list, _is_full_range, ball_lips)
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
+from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _query_blocks,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
                         mcshane_lower_many, schedule_with_locality)
 
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
 MAX_PAIRS = 500_000
+# Float64 entries of each temporary of the inf-family pair pass (512 kB).
+_SCAN_BLOCK = 1 << 16
+_U = 2.0 ** -53         # unit roundoff of binary64
 
 
 @dataclass
@@ -303,41 +309,78 @@ def check_locality_preservation(instance: MetricInstance, field: ExtensionField,
                        note=f"worst of {len(x_bars)} centers")
 
 
-def check_inf_family(instance: MetricInstance, family: np.ndarray, members,
-                     L: float) -> CheckResult:
-    """A pointwise min of L-Lipschitz arrays on ``members`` is L-Lipschitz.
+def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
+                     budget: float) -> CheckResult:
+    """The pointwise min of the bank's rows on ``members`` is ``budget``-Lipschitz.
 
-    One exhaustive pass over the pairs ``i < j`` of ``members`` gives the
-    exact constant of every family member and of their minimum at once.
+    Row ``i``, ``phi_i = g(anchors[i]) + pen_i(d(anchors[i], .))``, is built in
+    column blocks.  One blocked pass over the member pairs scans the minimum
+    exactly.  Row ``i`` is ``s_i = max |slopes[i]|``-Lipschitz in exact
+    arithmetic, and computed ``|phi_i(y) - phi_i(x)| <= s_i (d + tau) + 2 E_i +
+    J_i``: ``tau`` bounds the triangle defect of the distances (the Euclidean
+    fill's rounding, or ``TRIANGLE_RTOL * max(d)`` plus the validator's),
+    ``E_i`` the rounding of ``g + cumulative + slope (t - left)`` at both ends
+    and at the breakpoints below the diameter, ``J_i`` the continuity defects
+    there (0 for a legal bank).  A computed ratio exceeds ``limit = budget +
+    slack`` only where ``d < delta_i = 2 (s_i tau + 2 E_i + J_i) (1 + 8u) /
+    (limit - s_i (1 + 8u))`` (``inf`` if that is not positive); every row is
+    scanned exactly there, so the first row over ``limit`` has exhaustive bits.
     """
     members = _index_list(members, instance.n,
                           f"members must be a 1-D list of point indices in [0, {instance.n})")
-    family = np.asarray(family, dtype=float)
-    if family.ndim != 2 or family.shape[1] != len(members) or len(family) == 0:
-        raise ParameterError("family must be (n_functions, len(members))")
     if len(np.unique(members)) != len(members):
         raise ParameterError("member indices must be distinct")
-    # Column per member plus one for the min, in C order: row i is compared
-    # with the contiguous rows after it.
-    cols = np.vstack([family, family.min(axis=0)]).T.copy()
-    lips = np.zeros(cols.shape[1])
-    dd = instance.distance_matrix()
-    for i in range(len(members) - 1):
-        ratios = np.abs(cols[i + 1:] - cols[i])
-        ratios /= dd[members[i], members[i + 1:], None]
-        np.maximum(lips, ratios.max(axis=0), out=lips)
-    slack = INEQ_RTOL * max(1.0, L)
-    over = np.flatnonzero(lips[:-1] > L + slack)
+    bp, cum, rows = profiles.breakpoints, profiles.cumulative, len(profiles.anchors)
+    if not (rows and np.shape(profiles.slopes) == np.shape(cum) == (rows, len(bp) + 1)
+            and np.isfinite(profiles.slopes).all() and np.isfinite(cum).all()
+            and np.isfinite(bp).all() and np.all(np.diff(bp, prepend=0.0) > 0)):
+        raise ParameterError("profiles must be a non-empty bank of finite rows "
+                             "over increasing positive breakpoints")
+    slack = INEQ_RTOL * max(1.0, budget)
+    g, diam, limit = instance.g_at(profiles.anchors), instance.diameter(), budget + slack
+    if instance.coords is None:     # the validator's slack and the rounding of its sum
+        tau = (TRIANGLE_RTOL + 5.0 * _U) * diam
+    else:       # (dim + 4) u / 2 per computed distance, sqrt(dim 2**-1074) on underflow
+        dim = instance.coords.shape[1]
+        tau = 2.0 * (dim + 4) * _U * diam + 3.0 * math.sqrt(dim) * 2.0 ** -537
+    s, below = np.abs(profiles.slopes).max(axis=1), bp < diam   # only these can be straddled
+    err = 6.0 * _U * (np.abs(g) + np.abs(cum).sum(axis=1) + s * (diam + bp[below].sum()))
+    jumps = np.abs(cum[:, 1:] - profiles.pen(np.broadcast_to(bp, (rows, len(bp)))))
+    margin = limit - s * (1.0 + 8.0 * _U)
+    reach = np.inf if np.any(margin <= 0) else np.max(
+        2.0 * (s * tau + 2.0 * err + (1.0 + 2.0 * _U) * jumps[:, below].sum(axis=1))
+        * (1.0 + 8.0 * _U) / margin)
+
+    def rows_at(points):
+        return g[:, None] + profiles.pen(instance.distances(profiles.anchors, points))
+
+    fmin = np.empty(len(members))
+    for q in _query_blocks(len(members)):
+        fmin[q] = rows_at(members[q]).min(axis=0)
+    got, lips, dd = 0.0, np.zeros(rows), instance.distance_matrix()
+    full = _is_full_range(members, instance.n)
+    step, chunk = max(1, _SCAN_BLOCK // max(1, len(members))), max(1, _SCAN_BLOCK // rows)
+    for a in range(0, len(members) - 1, step):
+        # Rows a..b-1 against columns a..: every pair, those inside the block twice.
+        b = min(a + step, len(members))
+        d = dd[a:b, a:] if full else dd[np.ix_(members[a:b], members[a:])]
+        with np.errstate(invalid="ignore"):     # 0 / 0 on the diagonal
+            got = max(got, float(np.nanmax(np.abs(fmin[a:] - fmin[a:b, None]) / d)))
+        close = d < reach
+        if np.count_nonzero(close) > b - a:             # more than the diagonal
+            first, second = np.nonzero(np.triu(close, 1))
+            pts, at = np.unique(np.concatenate([first, second]) + a, return_inverse=True)
+            phi, at, pair_d = rows_at(members[pts]), at.reshape(2, -1), d[first, second]
+            for q in (slice(p, p + chunk) for p in range(0, len(pair_d), chunk)):
+                pair = np.abs(phi[:, at[1, q]] - phi[:, at[0, q]]) / pair_d[q]
+                np.maximum(lips, pair.max(axis=1), out=lips)
+    over = np.flatnonzero(lips > limit)
     if len(over):
-        return CheckResult(
-            "inf_family", "skipped", measured=float(lips[over[0]]),
-            allowed=L + slack, witness={"member": int(over[0])},
-            note="precondition violated: family member exceeds the constant")
-    got = lips[-1]
-    status = "pass" if got <= L + slack else "fail"
-    return CheckResult("inf_family", status, measured=float(got),
-                       allowed=L + slack, tolerance=slack,
-                       witness={"n_functions": int(family.shape[0])})
+        return CheckResult("inf_family", "skipped", measured=float(lips[over[0]]), allowed=limit,
+                           witness={"member": int(over[0])},
+                           note="precondition violated: family member exceeds the constant")
+    return CheckResult("inf_family", "pass" if got <= limit else "fail", measured=got,
+                       allowed=limit, tolerance=slack, witness={"n_functions": rows})
 
 
 def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
@@ -421,10 +464,6 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     profiles = build_profiles(instance, schedule)
     field = _maybe_corrupt(extend(instance, schedule, queries, profiles=profiles))
     budget = L + schedule.eps_eff
-
-    phi_family = (instance.values[:, None]
-                  + profiles.pen(instance.distances(instance.subset, queries)))
-
     checks = [
         check_schedule_laws(schedule, float(epsilon)),
         check_profile_legality(profiles, schedule),
@@ -434,7 +473,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
         check_step2(instance, profiles, schedule),
         check_localization(instance, schedule, field, profiles),
         check_locality_preservation(instance, field, instance.subset, r_bar, xi),
-        check_inf_family(instance, phi_family, queries, budget),
+        check_inf_family(instance, profiles, queries, budget),
     ]
     frag = mcshane_comparison(instance, mcshane_radii, epsilon, field=field)
     return VerificationReport(checks=checks, params=params,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lipext import ball_lips, instance_from_arrays
+from lipext import ProfileBank, ball_lips, instance_from_arrays
 from lipext.cli import grid_instance
 
 __all__ = ["grid_instance"]
@@ -38,6 +38,17 @@ def slope_map(instance, x, schedule):
     return dict(zip(ks, row.tolist()))
 
 
+def hand_bank(anchors, breakpoints, slopes, jumps=0.0):
+    """A bank with the given slopes over the given breakpoints.  ``cumulative``
+    holds the prefix sums of ``build_profiles`` (so each row is continuous,
+    bitwise) plus ``jumps`` added at every breakpoint."""
+    bp = np.asarray(breakpoints, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    cumulative = np.zeros_like(slopes)
+    cumulative[:, 1:] = np.cumsum(slopes[:, :-1] * np.diff(bp, prepend=0.0) + jumps, axis=1)
+    return ProfileBank(np.asarray(anchors, dtype=np.intp), bp, slopes, cumulative)
+
+
 def random_masses(instance, seed):
     rng = np.random.default_rng(seed + 10_000)
     masses = np.zeros(instance.n)
@@ -67,6 +78,12 @@ def oracle_pen(bank, row, t):
     for j, slope in enumerate(bank.slopes[row]):
         val += slope * max(0.0, min(t, edges[j + 1]) - edges[j])
     return val
+
+
+def family_rows(instance, bank, members):
+    """The materialized family: row ``i`` is ``g(anchors[i]) + pen_i(d(anchors[i], members))``."""
+    return (instance.g_at(bank.anchors)[:, None]
+            + bank.pen(instance.distances(bank.anchors, members)))
 
 
 def oracle_extend(instance, bank, y):

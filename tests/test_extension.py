@@ -13,7 +13,7 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
 from lipext.extension import _bank, evaluation_diameters
 from lipext.metric import _ROW_CHUNK
 
-from conftest import (grid_instance, oracle_extend, oracle_mcshane_lower,
+from conftest import (grid_instance, hand_bank, oracle_extend, oracle_mcshane_lower,
                       oracle_mcshane_upper, oracle_pen, random_instance,
                       slope_map)
 
@@ -451,10 +451,11 @@ def test_non_integer_indices_rejected_not_truncated(line3):
         with pytest.raises(ParameterError, match="^center must belong to the domain$"):
             mcshane_comparison(line3, [0.5], 1.0, field, centers=centers)
     assert mcshane_comparison(line3, [0.5], 1.0, field, centers=[2])["centers"][0]["center"] == 2
+    flat = hand_bank([0, 2], [0.5], np.zeros((2, 2)))
     for members in ([0, 1.5, 2], [0, True, 2], [0, 1, -1], [0, 1, 3], [0, 1, 2**70]):
         with pytest.raises(ParameterError, match=r"^members must be a 1-D list of point"):
-            check_inf_family(line3, np.zeros((2, 3)), members, 1.0)
-    assert check_inf_family(line3, np.zeros((2, 3)), [0, 1, 2], 1.0).passed
+            check_inf_family(line3, flat, members, 1.0)
+    assert check_inf_family(line3, flat, [0, 1, 2], 1.0).passed
 
 
 def test_localized_constant_data():

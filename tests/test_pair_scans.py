@@ -1,27 +1,35 @@
-"""Exact pair scans: the top-K ball-slope kernel and the one-pass family check.
+"""Exact pair scans: the top-K ball-slope kernel and the certified family check.
 
 ``ball_lips`` builds its ratio block over the members some ball can reach,
 ranks the ``_TOP_K`` largest pairs and answers each ball from the first of
 them whose farther end lies inside it.  A ball that holds none of them is
 scanned in full, in row chunks of ``_ROW_CHUNK`` rows that also end at every
-ball's point count.  ``check_inf_family`` visits each pair once for all family
-members together.  Both are compared with brute force: the kernel with K
-patched down to 1 and 2 and around the pair count (ties at the K-th value,
-balls answered by the full scan, unsorted and repeated radii, the tie-heavy
-metrics of ``test_ties``) and at the chunk boundaries; the family check on the
-precondition path.
+ball's point count.  ``check_inf_family`` builds the family from a profile
+bank, scans every pair for the family's minimum and scans the members only
+on the pairs closer than their slope certificate's ``delta``.  Both are
+compared with brute force: the kernel with K patched down to 1 and 2 and
+around the pair count (ties at the K-th value, balls answered by the full
+scan, unsorted and repeated radii, the tie-heavy metrics of ``test_ties``) and
+at the chunk boundaries; the family check against the exhaustive scan of the
+materialized family, on hand-built and built banks, on clouds, tie metrics
+and explicit matrices whose triangle slack sits at the tolerance, and on the
+three roundoff terms of ``delta`` (triangle slack, large data values and
+continuity jumps), each of which lifts one pair over the budget.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lipext import (ParameterError, ball_lips, check_inf_family, energy,
+from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family, energy,
                     instance_from_arrays, lip_constant, lipa_profile, run_suite,
-                    validate_measure)
+                    schedule_for_instance, validate_measure)
 from lipext import metric
 from lipext.metric import _ROW_CHUNK, pair_ratios
 
-from conftest import grid_instance, oracle_lip
+from conftest import family_rows, grid_instance, hand_bank, oracle_lip
 from test_ties import IDS, INSTANCES, tie_radii
 
 
@@ -290,18 +298,23 @@ def test_ball_lips_accepts_zero_and_repeated_radii_and_outside_centers():
 
 
 def _family_case(seed, n=60, size=5):
-    inst = _cloud(seed, n)
-    rng = np.random.default_rng(seed + 1)
+    """Hand-built rows with random nondecreasing slopes on a cloud, and the
+    family they give on a shuffled member list, materialized as the oracle."""
+    rng = np.random.default_rng(seed)
+    inst = instance_from_arrays(coords=rng.uniform(0.0, 1.0, (n, 2)),
+                                subset=np.arange(size), values=rng.normal(size=size))
     members = rng.permutation(n)[: n - 7]
-    family = rng.normal(size=(size, len(members))) * rng.uniform(0.1, 2.0, (size, 1))
+    slopes = np.sort(rng.uniform(0.0, 1.0, (size, 9)), axis=1) * rng.uniform(0.1, 2.0, (size, 1))
+    bank = hand_bank(np.arange(size), np.geomspace(0.01, 2.0, 8), slopes)
+    family = family_rows(inst, bank, members)
     lips = [lip_constant(inst, row, members) for row in family]
-    return inst, members, family, lips
+    return inst, members, bank, family, lips
 
 
 def test_inf_family_pass_measures_the_minimum():
     for seed in range(4):
-        inst, members, family, lips = _family_case(seed)
-        res = check_inf_family(inst, family, members, max(lips))
+        inst, members, bank, family, lips = _family_case(seed)
+        res = check_inf_family(inst, bank, members, max(lips))
         assert res.status == "pass"
         assert res.measured == lip_constant(inst, family.min(axis=0), members)
         assert res.witness == {"n_functions": len(family)}
@@ -309,11 +322,11 @@ def test_inf_family_pass_measures_the_minimum():
 
 def test_inf_family_precondition_names_first_violating_member():
     for seed in range(4):
-        inst, members, family, lips = _family_case(seed)
+        inst, members, bank, family, lips = _family_case(seed)
         ranked = np.sort(lips)
         L = (ranked[1] + ranked[2]) / 2.0      # three members exceed L
         first = next(k for k, lip in enumerate(lips) if lip > L)
-        res = check_inf_family(inst, family, members, L)
+        res = check_inf_family(inst, bank, members, L)
         assert res.status == "skipped" and "precondition" in res.note
         assert res.witness == {"member": first}
         assert res.measured == lips[first]
@@ -322,28 +335,160 @@ def test_inf_family_precondition_names_first_violating_member():
 def test_inf_family_scans_first_and_last_pairs():
     inst = grid_instance(11)
     members = np.arange(11)
-    family = np.zeros((2, 11))
-    family[0, :2] = [1.0, -1.0]           # steepest pair: the first two members
-    family[1, -2:] = [-1.0, 1.0]          # steepest pair: the last two members
+    # Slope 20 on the first band (0, 0.1] and flat beyond, anchored at the
+    # first and at the last member: the steepest pairs are the first two and
+    # the last two members.
+    bank = hand_bank([0, 10], [0.1], [[20.0, 0.0], [20.0, 0.0]])
+    family = family_rows(inst, bank, members)
     lips = [lip_constant(inst, row, members) for row in family]
     assert lips == pytest.approx([20.0, 20.0])
-    for row, lip in zip(family, lips):
-        assert check_inf_family(inst, row[None, :], members, 21.0).measured == lip
-    res = check_inf_family(inst, family[::-1], members, 10.0)
+    for pos, lip in enumerate(lips):
+        assert check_inf_family(inst, bank.rows([pos]), members, 21.0).measured == lip
+    res = check_inf_family(inst, bank.rows([1, 0]), members, 10.0)
     assert res.witness == {"member": 0} and res.measured == lips[1]
 
 
 def test_inf_family_single_member_and_bad_arguments():
-    inst, members, family, lips = _family_case(5)
-    res = check_inf_family(inst, family[:1], members, lips[0])
+    inst, members, bank, family, lips = _family_case(5)
+    res = check_inf_family(inst, bank.rows([0]), members, lips[0])
     assert res.status == "pass" and res.measured == lips[0]
     dup = members.copy()
     dup[3] = dup[0]
     with pytest.raises(ParameterError, match="distinct"):
-        check_inf_family(inst, family, dup, max(lips))
-    for bad in (family[:0], family[:, 1:], family[0]):
+        check_inf_family(inst, bank, dup, max(lips))
+    for bad in (bank.rows([]), replace(bank, slopes=bank.slopes[:, 1:]),
+                replace(bank, slopes=bank.slopes[0]), replace(bank, anchors=bank.anchors + 5),
+                replace(bank, breakpoints=bank.breakpoints[::-1]),
+                replace(bank, cumulative=np.full_like(bank.cumulative, np.nan))):
         with pytest.raises(ParameterError):
             check_inf_family(inst, bad, members, max(lips))
+
+
+def _oracle_inf_family(inst, bank, members, budget):
+    """(status, measured, allowed, witness) of the exhaustive scan: the constant
+    of every materialized row, then of their minimum."""
+    family = family_rows(inst, bank, members)
+    limit = budget + 1e-9 * max(1.0, budget)
+    for pos, row in enumerate(family):
+        lip = lip_constant(inst, row, members)
+        if lip > limit:
+            return "skipped", lip, limit, {"member": pos}
+    got = lip_constant(inst, family.min(axis=0), members)
+    return ("pass" if got <= limit else "fail"), got, limit, {"n_functions": len(family)}
+
+
+def _certified_equals_oracle(inst, bank, members, budget):
+    res = check_inf_family(inst, bank, members, budget)
+    want = _oracle_inf_family(inst, bank, members, budget)
+    assert (res.status, res.measured, res.allowed, res.witness) == want
+    return want
+
+
+def _line(points, g=0.0):
+    return instance_from_arrays(coords=[[p] for p in points], subset=[0], values=[g],
+                                lipschitz=1.0)
+
+
+def _slack_at_tolerance():
+    # d(0, 1 + h) sits exactly at the validator's slack: fl(fl(1 + h) + tol).
+    # The member of slope 0.75 then rises by 0.75 (h + tol) over the pair at
+    # distance h = 2**-29 < tol, a ratio of 1.55.
+    pos = np.array([0.0, 1.0, 1.0 + 2.0**-29, 2.0])
+    d = np.abs(pos[:, None] - pos[None, :])
+    d[0, 2] = d[2, 0] = d[0, 2] + metric.TRIANGLE_RTOL * d.max()
+    inst = instance_from_arrays(dmatrix=d, subset=[0], values=[0.0], lipschitz=1.0)
+    return inst, hand_bank([0], [], [[0.75]]), 1.0
+
+
+def _large_data_value():
+    # g = 1e8: fl(g + pen) moves by one ulp (1.5e-8) between points 1e-9 apart.
+    inst = _line([0.0, 1.0, *(0.5 + 1e-9 * np.arange(40))], g=1e8)
+    return inst, hand_bank([0], [], [[0.5]]), 1.0
+
+
+def _jump_at_a_breakpoint():
+    # A jump of 1e-6 at t = 0.5 between points 1e-7 apart: a ratio of 10.5.
+    inst = _line([0.0, 1.0, 0.5 - 5e-8, 0.5 + 5e-8])
+    return inst, hand_bank([0], [0.5], [[0.5, 0.5]], jumps=1e-6), 1.0
+
+
+ROUNDOFF_CASES = {"triangle_slack": _slack_at_tolerance, "large_g": _large_data_value,
+                  "jump": _jump_at_a_breakpoint}
+
+
+@pytest.mark.parametrize("case", ROUNDOFF_CASES.values(), ids=ROUNDOFF_CASES.keys())
+def test_inf_family_certificate_scans_the_pairs_roundoff_lifts(case):
+    # Each member is far below the constant in exact arithmetic, yet exceeds
+    # it on one close pair: each term of delta must send that pair to the scan.
+    inst, bank, budget = case()
+    assert _certified_equals_oracle(inst, bank, np.arange(inst.n), budget)[0] == "skipped"
+
+
+def _cloud_metric(rng):
+    """A cloud in dimension 1 to 4, sometimes with near-duplicates of its first points."""
+    dim = int(rng.integers(1, 5))
+    coords = rng.uniform(0.0, 1.0, (int(rng.integers(2, 30)), dim))
+    if rng.random() < 0.5:
+        k = int(rng.integers(1, len(coords) + 1))
+        shift = rng.normal(size=(k, dim)) * 10.0 ** -float(rng.integers(6, 14))
+        coords = np.vstack([coords, coords[:k] + shift])
+    subset = rng.choice(len(coords), size=min(len(coords), int(rng.integers(2, 6))),
+                        replace=False)
+    values = rng.choice([0.0, 1e4, 1e8]) + rng.normal(size=len(subset))
+    return instance_from_arrays(coords=coords, subset=subset, values=values)
+
+
+def _slack_metric(rng):
+    """An explicit line metric on dyadic points, some in clusters 2**-30 apart,
+    with random entries of the anchor rows raised by exactly the triangle
+    tolerance: every such entry next to a collinear triple sits at the slack."""
+    base = np.unique(rng.integers(0, 2**12, int(rng.integers(3, 12)))) * 2.0**-10
+    pos = np.unique((base[:, None] + np.arange(int(rng.integers(1, 4))) * 2.0**-30).ravel())
+    d = np.abs(pos[:, None] - pos[None, :])
+    subset = np.searchsorted(pos, rng.choice(base, size=min(len(base), 3), replace=False))
+    bump = np.zeros(d.shape, dtype=bool)
+    bump[subset] = (rng.random((len(subset), len(pos))) < 0.5) & (d[subset] <= d.max() / 2)
+    bump |= bump.T
+    np.fill_diagonal(bump, False)
+    d[bump] += metric.TRIANGLE_RTOL * d.max()
+    return instance_from_arrays(dmatrix=d, subset=subset, values=rng.normal(size=len(subset)))
+
+
+def _built_bank(inst, rng):
+    sch = schedule_for_instance(inst, inst.lipschitz_L * float(rng.choice([0.01, 0.5, 1.0])))
+    budget = (inst.lipschitz_L + sch.eps_eff) * float(rng.choice([1.0, 1.0 - 1e-12, 0.75]))
+    return build_profiles(inst, sch), budget
+
+
+def _near_budget_bank(inst, rng):
+    """Rows whose largest slope is within 1e-12 of the budget or above it, with
+    random jumps at the breakpoints."""
+    budget = float(rng.uniform(0.1, 10.0))
+    rows, m = int(rng.integers(1, 6)), int(rng.integers(0, 8))
+    bp = np.unique(rng.uniform(0.0, 1.5, m)) * inst.diameter()
+    bp = bp[bp > 0]
+    top = budget * (1.0 + rng.choice([-1e-12, 0.0, 1e-12, 0.5], size=(rows, 1)))
+    slopes = top * rng.uniform(0.5, 1.0, (rows, len(bp) + 1))
+    slopes[:, -1] = top[:, 0]
+    jumps = float(rng.choice([0.0, 1e-9, 1e-6])) * rng.random((rows, len(bp)))
+    return hand_bank(rng.choice(inst.subset, size=rows), bp, slopes, jumps), budget
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["cloud", "ties", "slack"]),
+       st.sampled_from(["built", "near_budget"]))
+def test_inf_family_certificate_matches_the_exhaustive_scan(seed, kind, bank_kind):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        inst = INSTANCES[int(rng.integers(len(INSTANCES)))]
+    else:
+        inst = (_cloud_metric if kind == "cloud" else _slack_metric)(rng)
+    bank, budget = (_built_bank if bank_kind == "built" else _near_budget_bank)(inst, rng)
+    if rng.random() < 0.5:
+        members = np.arange(inst.n)
+    else:
+        members = rng.permutation(inst.n)[: int(rng.integers(1, inst.n + 1))]
+    _certified_equals_oracle(inst, bank, members, budget)
 
 
 @pytest.mark.parametrize("n", [11, 1001])

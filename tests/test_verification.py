@@ -13,7 +13,7 @@ from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
 from lipext.verification import (_pair_sample, check_envelope_sandwich,
                                  check_localization)
 
-from conftest import grid_instance, oracle_lip, random_instance
+from conftest import grid_instance, hand_bank, oracle_lip, random_instance
 
 
 def test_full_suite_passes_on_random_instances():
@@ -232,15 +232,14 @@ def test_locality_rejects_empty_centers():
 def test_check_inf_family():
     inst = grid_instance(11)
     pts = np.arange(inst.n)
-    xs = pts / 10.0
-    fam = np.vstack([0.5 * xs + 1.0, -0.25 * xs + 2.0])
+    # g(0) + 0.5 d(0, x) and g(10) + 0.25 d(1, x): slopes 0.5 and -0.25 in x.
+    fam = hand_bank([0, 10], [0.5], [[0.5, 0.5], [0.25, 0.25]])
     assert check_inf_family(inst, fam, pts, 0.5).status == "pass"
     sch = schedule_for_instance(inst, 1.0)
     profiles = build_profiles(inst, sch)
-    phi = inst.values[:, None] + profiles.pen(inst.distances(inst.subset, pts))
     budget = inst.lipschitz_L + sch.eps_eff
-    assert check_inf_family(inst, phi, pts, budget).status == "pass"
-    bad = np.vstack([fam, 100.0 * np.sin(9.0 * xs)])
+    assert check_inf_family(inst, profiles, pts, budget).status == "pass"
+    bad = hand_bank([0, 10, 0], [0.5], [[0.5, 0.5], [0.25, 0.25], [100.0, 0.0]])
     res = check_inf_family(inst, bad, pts, 0.5)
     assert res.status == "skipped" and "precondition" in res.note
 
@@ -320,38 +319,61 @@ def test_envelope_sandwich_check():
                                    inst.lipschitz_L + sch.eps_eff).passed
 
 
-# Every scalar that must be a positive finite real rejects a string, None or a
-# bool with the shared message: never a TypeError, never True read as 1.
+# Every scalar parameter rejects a string, None or a bool with its site's
+# message: never a TypeError, never True read as 1.  The positive finite reals
+# share one message.
+def _positive(name):
+    return f"^{name} must be a positive finite real$"
+
+
 BAD_SCALARS = {
-    "run_suite-epsilon-bool": (lambda inst, sch, fld: run_suite(inst, True), "epsilon"),
-    "run_suite-xi-str": (lambda inst, sch, fld: run_suite(inst, 0.5, xi="0.1"), "xi"),
-    "run_suite-rbar-str": (lambda inst, sch, fld: run_suite(inst, 0.5, r_bar="0.5"), "r_bar"),
+    "run_suite-epsilon-bool": (
+        lambda inst, sch, fld: run_suite(inst, True), _positive("epsilon")),
+    "run_suite-xi-str": (
+        lambda inst, sch, fld: run_suite(inst, 0.5, xi="0.1"), _positive("xi")),
+    "run_suite-rbar-str": (
+        lambda inst, sch, fld: run_suite(inst, 0.5, r_bar="0.5"), _positive("r_bar")),
     "locality_radius-rbar-none": (
-        lambda inst, sch, fld: locality_radius(sch, None, 0.1, inst.lipschitz_L), "r_bar"),
+        lambda inst, sch, fld: locality_radius(sch, None, 0.1, inst.lipschitz_L),
+        _positive("r_bar")),
     "locality_radius-xi-bool": (
-        lambda inst, sch, fld: locality_radius(sch, 0.5, True, inst.lipschitz_L), "xi"),
-    "truncate_bounded-str": (lambda inst, sch, fld: truncate_bounded(fld, "2"), "bound"),
-    "truncate_bounded-bool": (lambda inst, sch, fld: truncate_bounded(fld, True), "bound"),
-    "cutoff_support-str": (lambda inst, sch, fld: cutoff_support(fld, inst, "1"), "epsilon"),
-    "cutoff_support-bool": (lambda inst, sch, fld: cutoff_support(fld, inst, True), "epsilon"),
+        lambda inst, sch, fld: locality_radius(sch, 0.5, True, inst.lipschitz_L),
+        _positive("xi")),
+    "truncate_bounded-str": (
+        lambda inst, sch, fld: truncate_bounded(fld, "2"), _positive("bound")),
+    "truncate_bounded-bool": (
+        lambda inst, sch, fld: truncate_bounded(fld, True), _positive("bound")),
+    "cutoff_support-str": (
+        lambda inst, sch, fld: cutoff_support(fld, inst, "1"), _positive("epsilon")),
+    "cutoff_support-bool": (
+        lambda inst, sch, fld: cutoff_support(fld, inst, True), _positive("epsilon")),
     "extension_energy-xi-str": (lambda inst, sch, fld: check_extension_energy(
-        inst, validate_measure(inst), [0.5], "0.1"), "xi"),
+        inst, validate_measure(inst), [0.5], "0.1"), _positive("xi")),
     "extension_energy-epsilon-bool": (lambda inst, sch, fld: check_extension_energy(
-        inst, validate_measure(inst), [0.5], 0.1, True), "epsilon"),
+        inst, validate_measure(inst), [0.5], 0.1, True), _positive("epsilon")),
     "smallest_radius-bool": (lambda inst, sch, fld: schedule_for_instance(
-        inst, 1.0, smallest_radius=True), "smallest_radius"),
+        inst, 1.0, smallest_radius=True), _positive("smallest_radius")),
     "smallest_radius-nan": (lambda inst, sch, fld: schedule_for_instance(
-        inst, 1.0, smallest_radius=float("nan")), "smallest_radius"),
+        inst, 1.0, smallest_radius=float("nan")), _positive("smallest_radius")),
     "schedule_with_locality-rbar-bool": (lambda inst, sch, fld: schedule_with_locality(
-        inst, 1.0, True, 0.1), "r_bar"),
+        inst, 1.0, True, 0.1), _positive("r_bar")),
+    # build_schedule and validate_measure keep their own messages.
+    **{f"build_schedule-{name}-bool": (
+        lambda inst, sch, fld, pos=pos: build_schedule(
+            *[True if k == pos else v for k, v in enumerate((1.0, 1.0, 1.0, 0.01, 2.0))]),
+        f"^{name} must be a finite real, got True$")
+       for pos, name in enumerate(("L", "epsilon", "anchor", "span_low", "span_high"))},
+    "validate_measure-p-bool": (
+        lambda inst, sch, fld: validate_measure(inst, None, True),
+        r"^exponent p must be a finite real >= 1, got True$"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_SCALARS.values(), ids=BAD_SCALARS.keys())
 def test_bad_scalar_parameter_rejected(case):
-    call, name = case
+    call, message = case
     inst = grid_instance(11)
     sch = schedule_for_instance(inst, 1.0)
     fld = extend(inst, sch)
-    with pytest.raises(ParameterError, match=f"^{name} must be a positive finite real$"):
+    with pytest.raises(ParameterError, match=message):
         call(inst, sch, fld)
