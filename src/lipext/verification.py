@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError, positive_real
 from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _first_non_integer,
-                     _index_list, _is_full_range, ball_lips)
+                     _index_list, ball_lips)
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _query_blocks,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
@@ -30,7 +30,8 @@ from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _query_bloc
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
 MAX_PAIRS = 500_000
-# Float64 entries of each temporary of the inf-family pair pass (512 kB).
+# Float64 entries of each distance block and pair-ratio temporary of the inf-family
+# pass (512 kB); a block's rows at its close points reach |C| x |members| at worst.
 _SCAN_BLOCK = 1 << 16
 _U = 2.0 ** -53         # unit roundoff of binary64
 
@@ -358,12 +359,11 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     for q in _query_blocks(len(members)):
         fmin[q] = rows_at(members[q]).min(axis=0)
     got, lips, dd = 0.0, np.zeros(rows), instance.distance_matrix()
-    full = _is_full_range(members, instance.n)
     step, chunk = max(1, _SCAN_BLOCK // max(1, len(members))), max(1, _SCAN_BLOCK // rows)
     for a in range(0, len(members) - 1, step):
         # Rows a..b-1 against columns a..: every pair, those inside the block twice.
         b = min(a + step, len(members))
-        d = dd[a:b, a:] if full else dd[np.ix_(members[a:b], members[a:])]
+        d = dd[np.ix_(members[a:b], members[a:])]
         with np.errstate(invalid="ignore"):     # 0 / 0 on the diagonal
             got = max(got, float(np.nanmax(np.abs(fmin[a:] - fmin[a:b, None]) / d)))
         close = d < reach
