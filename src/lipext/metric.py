@@ -17,12 +17,16 @@ from .errors import InstanceValidationError, ParameterError
 
 # Relative slack for the triangle-inequality scan on explicit matrices.
 TRIANGLE_RTOL = 1e-9
+# Float64 entries of each block of a pair scan (512 kB).  ball_lips, lip_constant
+# and the check battery read member pairs a row block at a time, each block at
+# most this many entries (one row when a row alone is longer), never a
+# |members| x |members| array.
+_SCAN_BLOCK = 1 << 16
 # ball_lips answers a ball from the largest _TOP_K pair ratios when one of
 # them lies inside it (a certificate for the exact maximum) and otherwise
-# scans the ball in full.  _ROW_CHUNK bounds a step of either pass: the full
-# scan reads at most this many rows of a ball, the top-K walk this many centers.
-# The extension's query blocks and diameter scan use the same block size.
+# scans the ball in full.
 _TOP_K = 4096
+# Queries per block of the extension's evaluation and diameter scan.
 _ROW_CHUNK = 128
 # Rows per block of the triangle certificate: two (_TRIANGLE_ROWS, n) buffers.
 _TRIANGLE_ROWS = 64
@@ -420,18 +424,6 @@ def validate_instance(raw: Mapping) -> MetricInstance:
         raise InstanceValidationError(f"malformed field: {exc}", "root") from exc
 
 
-def pair_ratios(instance: MetricInstance, members, values) -> np.ndarray:
-    """Matrix of ``|v_i - v_j| / d(m_i, m_j)`` over ``members``, 0 on the diagonal.
-
-    :func:`lip_constant` is its maximum; :func:`ball_lips` reads it over the
-    members its balls can reach.
-    """
-    values = np.asarray(values, dtype=float)
-    dist = instance.distances(members, members)
-    gaps = np.abs(values[:, None] - values[None, :])
-    return np.divide(gaps, dist, out=gaps, where=dist > 0)
-
-
 def _index_list(indices, n: int, message: str) -> np.ndarray:
     """``indices`` as 1-D intp; ``ParameterError(message)`` unless all are integers (not
     bools) in ``[0, n)``, range-checked before the cast, so none beyond intp wraps."""
@@ -457,47 +449,86 @@ def _member_values(instance: MetricInstance, members, values):
     return members, values
 
 
-def _top_pairs(ratios: np.ndarray):
+def _ratio(u, v, d):
+    """``|u - v| / d`` elementwise with broadcasting, ``|u - v|`` where ``d`` is 0.
+
+    The one place a pair ratio is computed: ``|u - v|`` and ``|v - u|`` are the
+    same float and the distances are exactly symmetric, so every scan of a pair
+    reads the same bits whichever end comes first.
+    """
+    gaps = np.subtract(u, v)
+    np.abs(gaps, out=gaps)
+    return np.divide(gaps, d, out=gaps, where=d > 0)
+
+
+def _ratio_block(dd, members, values, rows, cols):
+    """``(d, ratios)`` between the members at positions ``rows`` and ``cols``
+    (slices or index arrays), gathered from the distance matrix ``dd``."""
+    d = dd[np.ix_(members[rows], members[cols])]
+    return d, _ratio(values[rows][:, None], values[cols], d)
+
+
+def _pair_blocks(dd, members, values):
+    """Yield ``(a, d, ratios)`` over row blocks ``[a, b)`` of the member pairs.
+
+    Entry ``[r, c]`` belongs to members ``a + r`` and ``a + c``, so the pairs
+    ``i < j`` with ``i`` in the block are the entries ``c > r``; the others
+    repeat a pair of the block or sit on the diagonal (ratio 0).  A block holds
+    ``_SCAN_BLOCK // len(members)`` rows (at least one) against columns ``a..``.
+    """
+    step = max(1, _SCAN_BLOCK // max(1, len(members)))
+    for a in range(0, len(members) - 1, step):
+        yield (a, *_ratio_block(dd, members, values, slice(a, a + step), slice(a, None)))
+
+
+def _top_pairs(dd, members, values):
     """Pairs ``i < j`` of the ``_TOP_K`` largest positive ratios, in descending order.
 
-    Returns ``(i, j, ratio)``.  Ties at the K-th value are taken whole rows at a
-    time until K pairs are held, so every pair left out is at most the smallest
-    pair kept.  Fewer than K pairs are kept only when fewer are positive, and
-    then all of them are kept.
+    Returns ``(i, j, ratio, complete)``, ``complete`` when no positive pair is
+    left out.  One running selection over :func:`_pair_blocks`: the pairs of a
+    block above the smallest kept ratio (above 0 until K are kept) join the
+    kept ones, and the K largest of those stay.  Every pair left out is
+    therefore at most the smallest pair kept, whichever of the ties at the
+    K-th value are kept; fewer than K are kept only when fewer are positive.
     """
-    m = len(ratios)
-    flat = ratios.ravel()
-    kth = flat.size - 2 * _TOP_K        # the symmetric matrix holds each pair twice
-    thr = np.partition(flat, kth)[kth] if kth > 0 else 0.0
-    idx = np.flatnonzero(flat > thr)
-    if thr > 0:
-        ties = ratios == thr
-        room = 2 * _TOP_K - len(idx)
-        last = np.searchsorted(np.cumsum(np.count_nonzero(ties, axis=1)), room)
-        idx = np.concatenate([idx, np.flatnonzero(ties[:last + 1])])
-    first, second = np.divmod(idx, m)
-    upper = first < second
-    first, second = first[upper], second[upper]
-    top = ratios[first, second]
-    order = np.argsort(-top, kind="stable")
-    return first[order], second[order], top[order]
+    kept_r, kept_i, kept_j = np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp)
+    floor, positive = 0.0, 0
+    for a, _, ratios in _pair_blocks(dd, members, values):
+        ratios[np.tril_indices(ratios.shape[0], 0, ratios.shape[1])] = 0.0
+        positive += np.count_nonzero(ratios)
+        r, c = np.nonzero(ratios > floor)
+        if len(r) == 0:
+            continue
+        kept_r = np.concatenate([kept_r, ratios[r, c]])
+        kept_i = np.concatenate([kept_i, r + a])
+        kept_j = np.concatenate([kept_j, c + a])
+        if len(kept_r) > _TOP_K:
+            keep = np.argpartition(kept_r, len(kept_r) - _TOP_K)[-_TOP_K:]
+            kept_r, kept_i, kept_j = kept_r[keep], kept_i[keep], kept_j[keep]
+        if len(kept_r) == _TOP_K:
+            floor = kept_r.min()
+    order = np.argsort(-kept_r, kind="stable")
+    return kept_i[order], kept_j[order], kept_r[order], positive <= _TOP_K
 
 
-def _chunked_ball_lips(ratios: np.ndarray, d_row: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _chunked_ball_lips(dd, members, values, d_row, radii) -> np.ndarray:
     """Ball constants at one center by the full scan of every pair in each ball.
 
     Points enter a ball in stable distance order and a tie at ``r`` stays
-    outside.  The sorted points are read in row chunks ``[a, b)`` against the
-    first ``b`` points; chunks end at every ball's point count and every
-    ``_ROW_CHUNK`` rows, so a ball of ``m`` points takes the running maximum of
-    the chunks up to ``m``.
+    outside.  The sorted points are read in row blocks ``[a, b)`` against the
+    first ``b`` points, each computed by :func:`_ratio_block`; blocks end at
+    every ball's point count and every ``_SCAN_BLOCK // (largest count)`` rows,
+    so a ball of ``m`` points takes the running maximum of the blocks up to ``m``.
     """
     order = np.argsort(d_row, kind="stable")
     counts = np.searchsorted(d_row[order], radii, side="left")
-    ends = np.union1d(counts, np.arange(0, counts.max(initial=0), _ROW_CHUNK))
+    most = counts.max(initial=0)
+    ends = np.union1d(counts, np.arange(0, most, max(1, _SCAN_BLOCK // max(1, most))))
+    members, values = members[order[:most]], values[order[:most]]
     running = np.zeros(len(ends))
     for pos in range(1, len(ends)):
-        block = ratios[np.ix_(order[ends[pos - 1]:ends[pos]], order[:ends[pos]])]
+        _, block = _ratio_block(dd, members, values, slice(ends[pos - 1], ends[pos]),
+                                slice(0, ends[pos]))
         running[pos] = max(running[pos - 1], block.max())
     return running[np.searchsorted(ends, counts)]
 
@@ -506,14 +537,17 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     """Entry ``[c, j]``: Lipschitz constant of ``values`` (aligned with ``members``)
     over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``.
 
-    Only members some ball can hold (``d < max(radii)`` from some center) enter
-    the :func:`pair_ratios` block, in their given order.  Its ``_TOP_K`` largest
-    pairs are then walked in descending order, and a ball's answer is the first
-    pair whose farther end lies inside it.  That pair is a certificate: every
-    pair left out of the top K is at most the smallest pair kept, so the answer
-    is the same computed float as a scan of every pair in the ball.  A ball that
-    holds no top-K pair is scanned in full (``_chunked_ball_lips``, only for
-    that center's unresolved radii), unless the top K hold every positive ratio.
+    Only members some ball can hold (``d < max(radii)`` from some center) take
+    part, in their given order.  :func:`_top_pairs` keeps the ``_TOP_K``
+    largest of their pair ratios, streamed in row blocks, and these are walked
+    in descending order: a ball's answer is the first pair whose farther end
+    lies inside it.  That pair is a certificate: every pair left out is at most
+    the smallest pair kept, so the answer is the same computed float as a scan
+    of every pair in the ball.  A ball that holds no kept pair is 0 when every
+    positive ratio was kept, and is otherwise scanned in full
+    (``_chunked_ball_lips``, only for that center's unresolved radii).  No
+    array of |members| x |members| entries is built: the blocks hold at most
+    ``_SCAN_BLOCK`` entries, the top-K walk ``_SCAN_BLOCK // _TOP_K`` centers.
 
     ``members`` must be distinct and ``values`` finite; ``centers`` are any point
     indices and ``radii`` any nonnegative reals, in any order and with repeats.
@@ -526,16 +560,16 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
         raise ParameterError("radii must be a 1-D list of nonnegative reals")
     d_rows = instance.distances(centers, members)
     reach = np.flatnonzero((d_rows < radii.max(initial=0.0)).any(axis=0))
-    d_rows = d_rows[:, reach]
-    ratios = pair_ratios(instance, members[reach], values[reach])
-    first, second, top = _top_pairs(ratios)
-    complete = len(top) < _TOP_K        # every positive ratio is among the top pairs
+    d_rows, members, values = d_rows[:, reach], members[reach], values[reach]
+    dd = instance.distance_matrix()
+    first, second, top, complete = _top_pairs(dd, members, values)
     out = np.zeros((len(d_rows), len(radii)))
-    for lo in range(0, len(d_rows), _ROW_CHUNK):
+    step = max(1, _SCAN_BLOCK // max(1, len(top)))
+    for lo in range(0, len(d_rows), step):
         # Minus the running minimum of the far ends: non-decreasing along a row,
         # and pair k lies in the r-ball once this is above -r.
-        lead = d_rows[lo:lo + _ROW_CHUNK, first]
-        np.maximum(lead, d_rows[lo:lo + _ROW_CHUNK, second], out=lead)
+        lead = d_rows[lo:lo + step, first]
+        np.maximum(lead, d_rows[lo:lo + step, second], out=lead)
         np.negative(lead, out=lead)
         np.maximum.accumulate(lead, axis=1, out=lead)
         for row, lead_row in enumerate(lead, start=lo):
@@ -543,7 +577,8 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
             found = hit < len(top)
             out[row, found] = top[hit[found]]
             if not complete and not np.all(found):
-                out[row, ~found] = _chunked_ball_lips(ratios, d_rows[row], radii[~found])
+                out[row, ~found] = _chunked_ball_lips(dd, members, values, d_rows[row],
+                                                      radii[~found])
     return out
 
 
@@ -551,10 +586,13 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
     """Lipschitz constant of ``values`` over the index set ``members``.
 
     Supremum of ``|v(y1) - v(y2)| / d(y1, y2)`` over distinct pairs; ``0.0``
-    for empty or singleton sets (empty-supremum convention).
+    for empty or singleton sets (empty-supremum convention).  The maximum over
+    the row blocks of :func:`_pair_blocks`.
     """
     members, values = _member_values(instance, members, values)
-    return float(pair_ratios(instance, members, values).max(initial=0.0))
+    dd = instance.distance_matrix()
+    return max((float(ratios.max()) for _, _, ratios in _pair_blocks(dd, members, values)),
+               default=0.0)
 
 
 def _check_radii(radii) -> np.ndarray:

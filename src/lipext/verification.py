@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import ParameterError, positive_real
-from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _first_non_integer,
-                     _index_list, ball_lips)
+from .metric import (_SCAN_BLOCK, TRIANGLE_RTOL, MetricInstance, _check_radii,
+                     _first_non_integer, _index_list, _pair_blocks, _ratio, ball_lips)
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _query_blocks,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
@@ -30,9 +30,6 @@ from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _query_bloc
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
 MAX_PAIRS = 500_000
-# Float64 entries of each distance block and pair-ratio temporary of the inf-family
-# pass (512 kB); a block's rows at its close points reach |C| x |members| at worst.
-_SCAN_BLOCK = 1 << 16
 _U = 2.0 ** -53         # unit roundoff of binary64
 
 
@@ -85,11 +82,9 @@ def _ineq_tol(instance: MetricInstance) -> float:
 
 
 def _pair_sample(n: int, seed: int, max_pairs: int = MAX_PAIRS):
-    """(i, j, note) index arrays over distinct position pairs."""
+    """(i, j, note): ``max_pairs`` seeded uniform position pairs, those with ``i == j``
+    dropped, for the ``n (n - 1) / 2 > max_pairs`` pairs of ``n`` positions."""
     total = n * (n - 1) // 2
-    if total <= max_pairs:
-        iu = np.triu_indices(n, k=1)
-        return iu[0], iu[1], "exhaustive"
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, n, size=max_pairs)
     jj = rng.integers(0, n, size=max_pairs)
@@ -118,21 +113,46 @@ def check_restriction(field: ExtensionField, instance: MetricInstance) -> CheckR
                        tolerance=tol, witness=witness)
 
 
+def _steepest_pair(dd: np.ndarray, points: np.ndarray, values: np.ndarray):
+    """``(ratio, i, j)`` of the first steepest position pair ``i < j`` in row-major
+    order with ``d(points[i], points[j]) > 0``, read in the row blocks of
+    :func:`_pair_blocks`; ``None`` when there is no such pair."""
+    best = None
+    for a, d, ratios in _pair_blocks(dd, points, values):
+        pair = d > 0
+        pair[np.tril_indices(pair.shape[0], 0, pair.shape[1])] = False
+        if not pair.any():
+            continue
+        np.copyto(ratios, -1.0, where=~pair)       # below every ratio
+        r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if best is None or ratios[r, c] > best[0]:
+            best = (float(ratios[r, c]), a + r, a + c)
+    return best
+
+
 def check_global_lipschitz(field: ExtensionField, instance: MetricInstance,
                            budget: float, seed: int = 0) -> CheckResult:
-    """Pairwise slope of f over the evaluated points stays within ``budget``."""
-    q = field.queries
-    ii, jj, note = _pair_sample(len(q), seed)
-    d = instance.distance_matrix()[q[ii], q[jj]]
-    ok = d > 0
-    ratios = np.abs(field.values[ii[ok]] - field.values[jj[ok]]) / d[ok]
-    if len(ratios) == 0:
+    """Pairwise slope of f over the evaluated points stays within ``budget``.
+
+    Up to ``MAX_PAIRS`` pairs every one is read (:func:`_steepest_pair`);
+    beyond, a seeded sample (:func:`_pair_sample`).  The witness is the first
+    steepest pair; pairs of a repeated query (distance 0) are skipped.
+    """
+    q, vals, dd = field.queries, field.values, instance.distance_matrix()
+    if len(q) * (len(q) - 1) // 2 <= MAX_PAIRS:
+        steepest, note = _steepest_pair(dd, q, vals), "exhaustive"
+    else:
+        ii, jj, note = _pair_sample(len(q), seed)
+        d = dd[q[ii], q[jj]]
+        ok = d > 0
+        ii, jj, ratios = ii[ok], jj[ok], _ratio(vals[ii[ok]], vals[jj[ok]], d[ok])
+        worst = int(np.argmax(ratios)) if len(ratios) else None
+        steepest = None if worst is None else (float(ratios[worst]), ii[worst], jj[worst])
+    if steepest is None:
         return CheckResult("global_lipschitz", "skipped", note="no distinct pairs")
+    measured, i, j = steepest
     slack = INEQ_RTOL * max(1.0, budget)
-    worst = int(np.argmax(ratios))
-    measured = float(ratios[worst])
-    witness = {"i": int(q[ii[ok][worst]]), "j": int(q[jj[ok][worst]]),
-               "ratio": measured}
+    witness = {"i": int(q[i]), "j": int(q[j]), "ratio": measured}
     status = "pass" if measured <= budget + slack else "fail"
     return CheckResult("global_lipschitz", status, measured=measured,
                        allowed=budget + slack, tolerance=slack,
@@ -358,21 +378,19 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     fmin = np.empty(len(members))
     for q in _query_blocks(len(members)):
         fmin[q] = rows_at(members[q]).min(axis=0)
-    got, lips, dd = 0.0, np.zeros(rows), instance.distance_matrix()
-    step, chunk = max(1, _SCAN_BLOCK // max(1, len(members))), max(1, _SCAN_BLOCK // rows)
-    for a in range(0, len(members) - 1, step):
+    # Pair-ratio temporaries hold _SCAN_BLOCK entries; the rows at a block's close
+    # points, phi, reach |C| x |members| at worst.
+    got, lips, chunk = 0.0, np.zeros(rows), max(1, _SCAN_BLOCK // rows)
+    for a, d, ratios in _pair_blocks(instance.distance_matrix(), members, fmin):
         # Rows a..b-1 against columns a..: every pair, those inside the block twice.
-        b = min(a + step, len(members))
-        d = dd[np.ix_(members[a:b], members[a:])]
-        with np.errstate(invalid="ignore"):     # 0 / 0 on the diagonal
-            got = max(got, float(np.nanmax(np.abs(fmin[a:] - fmin[a:b, None]) / d)))
+        got = max(got, float(ratios.max()))
         close = d < reach
-        if np.count_nonzero(close) > b - a:             # more than the diagonal
+        if np.count_nonzero(close) > len(d):            # more than the diagonal
             first, second = np.nonzero(np.triu(close, 1))
             pts, at = np.unique(np.concatenate([first, second]) + a, return_inverse=True)
             phi, at, pair_d = rows_at(members[pts]), at.reshape(2, -1), d[first, second]
             for q in (slice(p, p + chunk) for p in range(0, len(pair_d), chunk)):
-                pair = np.abs(phi[:, at[1, q]] - phi[:, at[0, q]]) / pair_d[q]
+                pair = _ratio(phi[:, at[1, q]], phi[:, at[0, q]], pair_d[q])
                 np.maximum(lips, pair.max(axis=1), out=lips)
     over = np.flatnonzero(lips > limit)
     if len(over):
@@ -409,6 +427,136 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     return {"epsilon": float(epsilon), "centers": rows}
 
 
+class _Thinned:
+    """The values fed in: all of them while they fit ``_SCAN_BLOCK``, beyond that a
+    seeded subset, each value kept with probability ``1 / step`` and ``step``
+    doubling whenever the kept ones would not fit.  The first value fed in is
+    always kept, so the subset of a non-empty feed is not empty."""
+
+    def __init__(self):
+        self.parts, self.size, self.step = [], 0, 1
+        self.rng = np.random.default_rng(0)
+
+    def add(self, x: np.ndarray) -> None:
+        if self.step > 1:
+            x = x[self.rng.random(len(x)) * self.step < 1.0]
+        self.parts.append(x)
+        self.size += len(x)
+        while self.size > _SCAN_BLOCK:
+            kept = np.concatenate(self.parts)
+            keep = self.rng.random(len(kept)) < 0.5
+            keep[0] = True
+            self.parts, self.size, self.step = [kept[keep]], np.count_nonzero(keep), 2 * self.step
+
+    def values(self) -> np.ndarray:
+        return np.concatenate(self.parts) if self.parts else np.empty(0)
+
+
+def _brackets(job):
+    """Cuts ``(c0, c1, positions)`` of a job ``(lo, hi, below, count, sample,
+    positions)``: per position, the sample values a few standard deviations
+    of a sample rank either side of its expected rank, or ``lo`` / ``hi``
+    beyond the sample; the whole interval when there is no sample.  Every
+    bracket of a sample has a cut at a sample value, an entry strictly inside
+    ``(lo, hi)``, so each next job holds fewer entries; overlapping brackets
+    merge only when the merged one keeps such a cut."""
+    lo, hi, below, count, sample, positions = job
+    if sample is None or len(sample) == 0:
+        return [(lo, hi, list(positions))]
+    margin = min(int(3.0 * math.sqrt(len(sample))) + 1, len(sample) // 4)
+    cuts = []
+    for p in positions:
+        mid = int((p - below + 0.5) / count * len(sample))
+        c0 = sample[mid - margin] if mid - margin >= 0 else lo
+        c1 = sample[mid + margin] if mid + margin < len(sample) else hi
+        if cuts and c0 < cuts[-1][1]:
+            m0, m1, ps = cuts[-1][0], max(cuts[-1][1], c1), cuts[-1][2]
+            if m0 > lo or m1 < hi:      # still cut at a sample value
+                cuts[-1] = (m0, m1, ps + [p])
+                continue
+        cuts.append((c0, c1, [p]))
+    return cuts
+
+
+def _positive_order_statistics(dd: np.ndarray, total: int, positions) -> dict:
+    """The values at the sorted ``positions`` of the ``total`` positive entries of
+    ``dd``, exactly, without copying them.
+
+    A job is an open value interval ``(lo, hi)`` holding ``count`` entries,
+    with ``below`` entries at or under ``lo``, a sorted sample of its entries,
+    and the positions that lie in it.  :func:`_brackets` cuts ``(c0, c1)``
+    around each position; one pass over ``dd`` in row blocks counts every
+    job's entries under and at each cut and keeps those strictly between the
+    cuts (:class:`_Thinned`).  A position is then a tie at a cut, a rank
+    among the kept entries when they are all kept, or a job of the next pass:
+    the bracket with its kept entries as sample, or the part of ``(lo, hi)``
+    beyond a cut with none.  Each next job leaves out a cut, an entry of its
+    parent, so the search ends.  The first sample is ``_SCAN_BLOCK // 4``
+    seeded entries; the values found never depend on it, only the passes do:
+    one up to about 1000 points, two up to several thousand.
+    """
+    n = len(dd)
+    rows, cols = np.random.default_rng(0).integers(0, n, (2, _SCAN_BLOCK // 4))
+    sample = dd[rows, cols]
+    jobs = [(0.0, np.inf, 0, total, np.sort(sample[sample > 0]), sorted(set(positions)))]
+    found = {}
+    step = max(1, _SCAN_BLOCK // n)
+    while jobs:
+        work = [(job, [(c0, c1, ps, np.zeros(4, dtype=np.int64), _Thinned())
+                       for c0, c1, ps in _brackets(job)]) for job in jobs]
+        for a in range(0, n, step):
+            block = dd[a:a + step]
+            for (lo, hi, *_), cuts in work:
+                x = block[(block > lo) & (block < hi)]
+                for c0, c1, _, under, kept in cuts:
+                    under += [np.count_nonzero(x < c0), np.count_nonzero(x <= c0),
+                              np.count_nonzero(x < c1), np.count_nonzero(x <= c1)]
+                    kept.add(x[(x > c0) & (x < c1)])
+        nxt = {}
+        for (lo, hi, below, count, _, _), cuts in work:
+            for c0, c1, ps, under, kept in cuts:
+                lt0, le0, lt1, le1 = (int(u) + below for u in under)
+                inside = kept.values()
+                for p in ps:
+                    if lt0 <= p < le0:
+                        found[p] = float(c0)
+                    elif lt1 <= p < le1:
+                        found[p] = float(c1)
+                    elif le0 <= p < lt1 and kept.step == 1:
+                        found[p] = float(np.partition(inside, p - le0)[p - le0])
+                    else:
+                        job = ((lo, c0, below, lt0 - below, None) if p < lt0 else
+                               (c0, c1, le0, lt1 - le0, np.sort(inside)) if p < lt1 else
+                               (c1, hi, le1, below + count - le1, None))
+                        nxt.setdefault(job[:2], (*job, []))[-1].append(p)
+        jobs = list(nxt.values())
+    return found
+
+
+def _distance_quartiles(dd: np.ndarray) -> list[float]:
+    """``np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()``, or ``[1.0]`` when no
+    distance is positive, without the copy of the positive distances.
+
+    A validated matrix is positive exactly off the diagonal: ``N = n (n - 1)``
+    entries, each distance twice.  numpy's default ``linear`` method reads the
+    sorted values ``a, b`` at ``floor(v)`` and ``floor(v) + 1`` for the virtual
+    index ``v = (N - 1) q`` and returns ``_lerp``'s ``a + (b - a) t``, or
+    ``b - (b - a) (1 - t)`` when ``t = v - floor(v) >= 0.5``.
+    """
+    total = len(dd) * (len(dd) - 1)
+    if total == 0:
+        return [1.0]
+    spots = [(total - 1) * q for q in (0.25, 0.5, 0.75)]
+    at = _positive_order_statistics(
+        dd, total, [p for v in spots for p in (math.floor(v), math.floor(v) + 1)])
+    out = []
+    for v in spots:
+        t = v - math.floor(v)
+        a, b = at[math.floor(v)], at[math.floor(v) + 1]
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
               r_bar: float | None = None, seed: int = 0,
               _corrupt_field: bool = False) -> VerificationReport:
@@ -425,9 +573,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     if _first_non_integer([seed]) is not None or seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     queries = np.arange(instance.n, dtype=np.intp)
-    dd = instance.distance_matrix()
-    pos = dd[dd > 0]
-    qs = np.quantile(pos, [0.25, 0.5, 0.75]).tolist() if len(pos) else [1.0]
+    qs = _distance_quartiles(instance.distance_matrix())
     mcshane_radii = sorted(set(qs))
     r_bar = qs[0] if r_bar is None else r_bar
     positive_real("r_bar", r_bar)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,28 @@ def test_non_finite_radii_rejected(radii):
         check_restriction_monotonicity(inst, h, measure, radii)
     with pytest.raises(ParameterError, match="radii"):
         check_extension_energy(inst, measure, radii, xi=0.1)
+
+
+def test_energy_checks_memory_holds_one_matrix():
+    # Both energy checks read every ball constant from ball_lips, which streams
+    # the pair ratios in fixed-size blocks: beside the cached n x n matrix they
+    # hold no |members| x |members| array, although the space energies run over
+    # all n points (with the whole ratio matrix the traced peak was 3.1 x).
+    n = 2000
+    rng = np.random.default_rng(6)
+    coords = rng.uniform(0.0, 1.0, (n, 3))
+    subset = np.sort(rng.choice(n, size=200, replace=False))
+    h = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inst = instance_from_arrays(coords=coords, subset=subset,
+                                    values=np.sin(4.0 * coords[subset, 0]))
+        measure = validate_measure(inst, None, 2.0)
+        check, _ = check_restriction_monotonicity(inst, h, measure, [0.2, 0.4, 0.6])
+        energy_check, _ = check_extension_energy(inst, measure, [0.2, 0.4, 0.6], 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert check.status == "pass" and energy_check.status == "pass"
+    assert peak <= 1.5 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"

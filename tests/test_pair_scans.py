@@ -1,16 +1,16 @@
 """Exact pair scans: the top-K ball-slope kernel and the certified family check.
 
-``ball_lips`` builds its ratio block over the members some ball can reach,
-ranks the ``_TOP_K`` largest pairs and answers each ball from the first of
-them whose farther end lies inside it.  A ball that holds none of them is
-scanned in full, in row chunks of ``_ROW_CHUNK`` rows that also end at every
-ball's point count.  ``check_inf_family`` builds the family from a profile
+``ball_lips`` streams the pair ratios of the members some ball can reach in
+row blocks of ``_SCAN_BLOCK`` entries, keeps the ``_TOP_K`` largest pairs and
+answers each ball from the first of them whose farther end lies inside it.
+A ball that holds none of them is scanned in full, in row blocks that also
+end at every ball's point count.  ``check_inf_family`` builds the family from a profile
 bank, scans every pair for the family's minimum and scans the members only
 on the pairs closer than their slope certificate's ``delta``.  Both are
 compared with brute force: the kernel with K patched down to 1 and 2 and
 around the pair count (ties at the K-th value, balls answered by the full
-scan, unsorted and repeated radii, the tie-heavy metrics of ``test_ties``) and
-at the chunk boundaries; the family check against the exhaustive scan of the
+scan, unsorted and repeated radii, the tie-heavy metrics of ``test_ties``),
+with blocks patched down to 1, 2 and 7 rows, and at the block boundaries; the family check against the exhaustive scan of the
 materialized family, on hand-built and built banks, on clouds, tie metrics
 and explicit matrices whose triangle slack sits at the tolerance, and on the
 three roundoff terms of ``delta`` (triangle slack, large data values and
@@ -27,7 +27,7 @@ from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family,
                     instance_from_arrays, lip_constant, lipa_profile, run_suite,
                     schedule_for_instance, validate_measure)
 from lipext import metric
-from lipext.metric import _ROW_CHUNK, pair_ratios
+from lipext.metric import _ROW_CHUNK
 
 from conftest import family_rows, grid_instance, hand_bank, oracle_lip
 from test_ties import IDS, INSTANCES, tie_radii
@@ -199,11 +199,70 @@ def test_top_k_kernel_matches_oracle(monkeypatch, case, k_of_pairs):
     assert np.array_equal(got, _oracle_balls(inst, domain, vals, centers, radii))
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("k_of_pairs", [lambda p: 1, lambda p: 2, lambda p: p - 1,
+                                        lambda p: p, lambda p: p + 1],
+                         ids=["1", "2", "pairs-1", "pairs", "pairs+1"])
+@pytest.mark.parametrize("case", TOP_K_CASES, ids=TOP_K_IDS)
+def test_streamed_kernel_matches_oracle_in_small_blocks(monkeypatch, case, k_of_pairs, rows):
+    """Blocks of 1, 2 and 7 rows: the running top-K, the full scan of the balls
+    without a kept pair and ``lip_constant`` all read the ratios block by block."""
+    inst, domain, vals = case
+    monkeypatch.setattr(metric, "_TOP_K", k_of_pairs(_pair_count(domain)))
+    monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(domain))
+    radii = tie_radii(inst)     # the largest holds every member, so no member is trimmed
+    centers = np.arange(inst.n)
+    got = ball_lips(inst, domain, vals, centers, radii)
+    assert np.array_equal(got, _oracle_balls(inst, domain, vals, centers, radii))
+    assert lip_constant(inst, vals, domain) == oracle_lip(inst, vals, domain)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_streamed_ties_at_the_kth_value_straddle_blocks(monkeypatch, rows):
+    """Every K on the rounded grid in blocks of 1, 2 and 7 rows; at many K the
+    pairs tied at the K-th ratio start in more than one row block, so the
+    running selection meets the tie in several blocks."""
+    inst, domain, vals = TOP_K_CASES[0]
+    monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(domain))
+    first, second = np.triu_indices(len(domain), 1)
+    ratios = (np.abs(vals[first] - vals[second])
+              / inst.distance_matrix()[domain[first], domain[second]])
+    ranked = np.sort(ratios)[::-1]
+    radii = tie_radii(inst)
+    centers = np.arange(inst.n)
+    want = _oracle_balls(inst, domain, vals, centers, radii)
+    straddled = 0
+    for top_k in range(1, len(ranked) + 2):
+        if top_k < len(ranked) and ranked[top_k - 1] == ranked[top_k] > 0:
+            blocks = np.unique(first[ratios == ranked[top_k]] // rows)
+            straddled += len(blocks) > 1
+        monkeypatch.setattr(metric, "_TOP_K", top_k)
+        assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
+    assert straddled >= 10
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_one_positive_pair_left_out_is_scanned(monkeypatch, rows):
+    """Every pair is positive and K is one less: the least steep pair is left out,
+    so the ball that holds only that pair must be scanned, not read as 0."""
+    inst = instance_from_arrays(coords=[[0.0], [1.0], [3.0], [7.0]], subset=[0, 1],
+                                values=[0.0, 0.1])
+    domain, vals = np.arange(4), np.array([0.0, 0.1, 5.0, 20.0])
+    monkeypatch.setattr(metric, "_TOP_K", _pair_count(domain) - 1)
+    monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(domain))
+    radii = [1.5, 2.5, 10.0]
+    got = ball_lips(inst, domain, vals, [0], radii)
+    assert got[0, 0] == 0.1
+    assert np.array_equal(got, _oracle_balls(inst, domain, vals, [0], radii))
+
+
 def test_top_k_ties_straddle_the_kth_value(monkeypatch):
     """Every K from 1 past the pair count on the rounded grid; at many of them
     the K-th ratio is shared by pairs on both sides of the cut."""
     inst, domain, vals = TOP_K_CASES[0]
-    ranked = np.sort(pair_ratios(inst, domain, vals)[np.triu_indices(len(domain), 1)])[::-1]
+    iu = np.triu_indices(len(domain), 1)
+    d = inst.distance_matrix()[domain[iu[0]], domain[iu[1]]]
+    ranked = np.sort(np.abs(vals[iu[0]] - vals[iu[1]]) / d)[::-1]
     radii = tie_radii(inst)
     centers = np.arange(inst.n)
     want = _oracle_balls(inst, domain, vals, centers, radii)
@@ -227,7 +286,7 @@ def test_top_k_fallback_answers_balls_without_a_top_pair(monkeypatch, case):
     radii = tie_radii(inst)
     centers = np.arange(inst.n)
     got = ball_lips(inst, domain, vals, centers, radii)
-    top = pair_ratios(inst, domain, vals).max()
+    top = lip_constant(inst, vals, domain)
     assert np.any((got > 0) & (got < top))
     assert np.array_equal(got, _oracle_balls(inst, domain, vals, centers, radii))
 

@@ -10,10 +10,12 @@ from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
                     lip_constant, locality_radius, mcshane_comparison,
                     mcshane_upper_many, run_suite, schedule_for_instance,
                     schedule_with_locality, truncate_bounded, validate_measure)
-from lipext.verification import (_pair_sample, check_envelope_sandwich,
+from lipext import metric, verification
+from lipext.verification import (_distance_quartiles, _pair_sample, check_envelope_sandwich,
                                  check_localization)
 
 from conftest import grid_instance, hand_bank, oracle_lip, random_instance
+from test_ties import INSTANCES as TIE_INSTANCES
 
 
 def test_full_suite_passes_on_random_instances():
@@ -108,11 +110,82 @@ def test_check_global_lipschitz_budgets():
     assert res.status == "fail" and "ratio" in res.witness
 
 
+def _triu_steepest(field, inst):
+    """(measured, i, j) of the exhaustive scan as one gather over ``np.triu_indices``."""
+    q = field.queries
+    ii, jj = np.triu_indices(len(q), k=1)
+    d = inst.distance_matrix()[q[ii], q[jj]]
+    ok = d > 0
+    ratios = np.abs(field.values[ii[ok]] - field.values[jj[ok]]) / d[ok]
+    if len(ratios) == 0:
+        return None
+    worst = int(np.argmax(ratios))
+    return float(ratios[worst]), int(q[ii[ok][worst]]), int(q[jj[ok][worst]])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, None])
+def test_global_lipschitz_blocks_match_the_triu_scan(monkeypatch, rows):
+    """Row blocks of 1, 2 and 7 rows (and the default) give the measured ratio and
+    the first steepest pair of the one-gather scan: with repeated queries (pairs at
+    distance 0, one of them far steeper than any true pair), on a constant field
+    (every ratio 0, so the witness is the first true pair) and on tied values."""
+    inst = grid_instance(21)
+    field = extend(inst, schedule_for_instance(inst, 1.0))
+    rng = np.random.default_rng(3)
+    q = np.concatenate([[4, 4], rng.permutation(inst.n), [7, 4, 0]])
+    vals = field.values[q]
+    vals[1] += 100.0                      # query 4 twice, with two values
+    fields = [replace(field, queries=q, values=vals),
+              replace(field, queries=q, values=np.full(len(q), 2.5)),
+              replace(field, queries=q, values=np.round(vals, 1)),
+              replace(field, queries=np.array([5, 5]), values=np.array([0.0, 1.0]))]
+    for fld in fields:
+        if rows is not None:
+            monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(fld.queries))
+        res = check_global_lipschitz(fld, inst, 2.0)
+        want = _triu_steepest(fld, inst)
+        if want is None:
+            assert res.status == "skipped" and res.note == "no distinct pairs"
+            continue
+        assert (res.measured, res.witness["i"], res.witness["j"]) == want
+        assert res.witness["ratio"] == want[0] and res.note == "exhaustive"
+
+
+def _quartile_matrices():
+    rng = np.random.default_rng(4)
+    out = []
+    for n in (2, 3, 50):
+        coords = rng.uniform(0.0, 1.0, (n, 2))
+        out.append(np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=-1)))
+        steps = np.triu(rng.integers(1, 4, (n, n)).astype(float), 1)
+        out.append(steps + steps.T)        # three distinct distances, repeated
+        out.append(1.0 - np.eye(n))        # one distance
+    # The upper quartile interpolates with t = 0.75, where numpy's two lerp
+    # branches give different last bits on these distances.
+    d1, d2, d3 = 1.460045139309096, 1.9489436749377653, 3.0552619924444304
+    out.append(np.array([[0.0, d1, d2], [d1, 0.0, d3], [d2, d3, 0.0]]))
+    return out + [inst.distance_matrix() for inst in TIE_INSTANCES]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 50])
+def test_distance_quartiles_match_np_quantile(monkeypatch, budget):
+    """The streamed quartiles are the bits of ``np.quantile`` over the copied positive
+    distances, also with the entry budget (and with it the first sample) patched
+    down so the search takes several passes, thinned samples and cuts at ties."""
+    if budget is not None:
+        monkeypatch.setattr(verification, "_SCAN_BLOCK", budget)
+    for dd in _quartile_matrices():
+        want = np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()
+        assert _distance_quartiles(dd) == want, len(dd)
+    assert _distance_quartiles(np.zeros((1, 1))) == [1.0]
+
+
 def test_pair_sampling_is_labeled():
     ii, jj, note = _pair_sample(2000, seed=1, max_pairs=10_000)
     assert len(ii) <= 10_000 and "statistical" in note
-    ii, jj, note = _pair_sample(50, seed=1)
-    assert note == "exhaustive" and len(ii) == 50 * 49 // 2
+    inst = grid_instance(50)
+    field = extend(inst, schedule_for_instance(inst, 1.0))
+    assert check_global_lipschitz(field, inst, 2.0).note == "exhaustive"
 
 
 def test_check_step2_on_two_point_subset():
