@@ -519,7 +519,10 @@ def _chunked_ball_lips(dd, members, values, d_row, radii) -> np.ndarray:
     first ``b`` points, each computed by :func:`_ratio_block`; blocks end at
     every ball's point count and every ``_SCAN_BLOCK // (largest count)`` rows,
     so a ball of ``m`` points takes the running maximum of the blocks up to ``m``.
+    Balls of at most one point, most of those the top-K walk leaves, are 0.
     """
+    if np.count_nonzero(d_row < radii.max(initial=0.0)) <= 1:
+        return np.zeros(len(radii))
     order = np.argsort(d_row, kind="stable")
     counts = np.searchsorted(d_row[order], radii, side="left")
     most = counts.max(initial=0)
