@@ -548,7 +548,8 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     the smallest pair kept, so the answer is the same computed float as a scan
     of every pair in the ball.  A ball that holds no kept pair is 0 when every
     positive ratio was kept, and is otherwise scanned in full
-    (``_chunked_ball_lips``, only for that center's unresolved radii).  No
+    (``_chunked_ball_lips``, only for that center's unresolved radii, at once
+    0 when the largest of them holds at most one member).  No
     array of |members| x |members| entries is built: the blocks hold at most
     ``_SCAN_BLOCK`` entries, the top-K walk ``_SCAN_BLOCK // _TOP_K`` centers.
 

@@ -4,13 +4,14 @@
 row blocks of ``_SCAN_BLOCK`` entries, keeps the ``_TOP_K`` largest pairs and
 answers each ball from the first of them whose farther end lies inside it.
 A ball that holds none of them is scanned in full, in row blocks that also
-end at every ball's point count.  ``check_inf_family`` builds the family from a profile
-bank, scans every pair for the family's minimum and scans the members only
-on the pairs closer than their slope certificate's ``delta``.  Both are
-compared with brute force: the kernel with K patched down to 1 and 2 and
-around the pair count (ties at the K-th value, balls answered by the full
-scan, unsorted and repeated radii, the tie-heavy metrics of ``test_ties``),
-with blocks patched down to 1, 2 and 7 rows, and at the block boundaries; the family check against the exhaustive scan of the
+end at every ball's point count.  ``check_inf_family`` builds the family
+from a profile bank, scans every pair for the family's minimum and scans the
+members only on the pairs closer than their slope certificate's ``delta``.
+Both are compared with brute force: the kernel with K patched down to 1 and
+2 and around the pair count (ties at the K-th value, balls answered by the
+full scan, unsorted and repeated radii, the tie-heavy metrics of
+``test_ties``), with blocks patched down to 1, 2 and 7 rows, and at the
+block boundaries; the family check against the exhaustive scan of the
 materialized family, on hand-built and built banks, on clouds, tie metrics
 and explicit matrices whose triangle slack sits at the tolerance, and on the
 three roundoff terms of ``delta`` (triangle slack, large data values and
