@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceValidationError, ParameterError, positive_real
+from .errors import InstanceValidationError, ParameterError, is_real, positive_real
 from .metric import MetricInstance, ball_lips
 from .schedule import locality_radius
 from .verification import INEQ_RTOL, CheckResult
@@ -41,8 +41,7 @@ def validate_measure(instance: MetricInstance, masses=None, p: float = 1.0) -> M
 
     ``masses=None`` gives unit mass to every subset point.
     """
-    if not (isinstance(p, (int, float)) and not isinstance(p, bool)
-            and math.isfinite(p) and p >= 1):
+    if not (is_real(p) and math.isfinite(p) and p >= 1):
         raise ParameterError(f"exponent p must be a finite real >= 1, got {p!r}")
     if masses is None:
         masses = np.zeros(instance.n)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and :func:`positive_real`, the one
-check of a scalar parameter that must be a positive finite real."""
+"""Exception types shared across the package, and the checks of a scalar
+parameter: :func:`is_real` (Python and numpy reals, bools excluded) and
+:func:`positive_real`."""
 
 from __future__ import annotations
 
@@ -58,8 +59,13 @@ class ScheduleTooShallow(LipextError):
         super().__init__(message)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: any :class:`numbers.Real`, numpy scalars
+    included, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def positive_real(name: str, value) -> None:
     """Raise unless ``value`` is a positive finite real; bools and non-numbers included."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and value > 0 and math.isfinite(value)):
+    if not (is_real(value) and value > 0 and math.isfinite(value)):
         raise ParameterError(f"{name} must be a positive finite real")

@@ -434,13 +434,19 @@ def _index_list(indices, n: int, message: str) -> np.ndarray:
     raise ParameterError(message)
 
 
-def _member_values(instance: MetricInstance, members, values):
-    """``(members, values)`` as arrays; raises unless the members are distinct
-    point indices and the values finite and aligned with them."""
+def _distinct_members(instance: MetricInstance, members) -> np.ndarray:
+    """``members`` as 1-D intp; raises unless they are distinct point indices."""
     members = _index_list(members, instance.n,
                           f"members must be a 1-D list of point indices in [0, {instance.n})")
     if len(np.unique(members)) != len(members):
         raise ParameterError("member indices must be distinct")
+    return members
+
+
+def _member_values(instance: MetricInstance, members, values):
+    """``(members, values)`` as arrays; raises unless the members are distinct
+    point indices and the values finite and aligned with them."""
+    members = _distinct_members(instance, members)
     values = np.asarray(values, dtype=float)
     if values.shape != members.shape:
         raise ParameterError("values must align with the member index list")

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleTooShallow, TrivialInstance, positive_real
+from .errors import (ParameterError, ScheduleTooShallow, TrivialInstance, is_real,
+                     positive_real)
 
 # Truncation depth policy: six indices of margin below the smallest requested
 # scale, then keep descending until the penalization tail bound is negligible.
@@ -114,8 +115,11 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     """
     for name, v in (("L", L), ("epsilon", epsilon), ("anchor", anchor),
                     ("span_low", span_low), ("span_high", span_high)):
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
+        if not (is_real(v) and math.isfinite(v)):
             raise ParameterError(f"{name} must be a finite real, got {v!r}")
+    # Python floats from here on: a numpy float32 would round the arithmetic below.
+    L, epsilon, anchor = float(L), float(epsilon), float(anchor)
+    span_low, span_high = float(span_low), float(span_high)
     if L < 0:
         raise ParameterError("L must be nonnegative")
     if L == 0:
@@ -127,13 +131,12 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     if not 0 < span_low < span_high:
         raise ParameterError("need 0 < span_low < span_high")
 
-    L = float(L)
-    eps_eff = min(float(epsilon), L)
+    eps_eff = min(epsilon, L)
     r_star = min(eps_eff / (3.0 * (L + eps_eff)), 1.0 / 6.0)
     k_ref = 0
 
     # Upward extent: indices above k_ref keep the constant ratio r_star.
-    top = float(anchor)
+    top = anchor
     k_max = 0
     while top < span_high:
         top = top / r_star
@@ -172,7 +175,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     ratio = np.array(ratios_desc[::-1], dtype=float)
     return ScaleSchedule(k_min=k_min, k_max=k_max, k_ref=k_ref, eps=eps,
                          ratio=ratio, r_star=r_star, L_eff=L, eps_eff=eps_eff,
-                         anchor=float(anchor))
+                         anchor=anchor)
 
 
 def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,

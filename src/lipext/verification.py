@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ParameterError, positive_real
 from .metric import (_SCAN_BLOCK, TRIANGLE_RTOL, MetricInstance, _check_radii,
-                     _first_non_integer, _index_list, _pair_blocks, _ratio, ball_lips)
+                     _distinct_members, _first_non_integer, _index_list, _pair_blocks,
+                     _ratio, ball_lips)
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _query_blocks,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
@@ -347,10 +348,7 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     (limit - s_i (1 + 8u))`` (``inf`` if that is not positive); every row is
     scanned exactly there, so the first row over ``limit`` has exhaustive bits.
     """
-    members = _index_list(members, instance.n,
-                          f"members must be a 1-D list of point indices in [0, {instance.n})")
-    if len(np.unique(members)) != len(members):
-        raise ParameterError("member indices must be distinct")
+    members = _distinct_members(instance, members)
     bp, cum, rows = profiles.breakpoints, profiles.cumulative, len(profiles.anchors)
     if not (rows and np.shape(profiles.slopes) == np.shape(cum) == (rows, len(bp) + 1)
             and np.isfinite(profiles.slopes).all() and np.isfinite(cum).all()
@@ -427,132 +425,68 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     return {"epsilon": float(epsilon), "centers": rows}
 
 
-class _Thinned:
-    """The values fed in: all of them while they fit ``_SCAN_BLOCK``, beyond that a
-    seeded subset, each value kept with probability ``1 / step`` and ``step``
-    doubling whenever the kept ones would not fit.  The first value fed in is
-    always kept, so the subset of a non-empty feed is not empty."""
-
-    def __init__(self):
-        self.parts, self.size, self.step = [], 0, 1
-        self.rng = np.random.default_rng(0)
-
-    def add(self, x: np.ndarray) -> None:
-        if self.step > 1:
-            x = x[self.rng.random(len(x)) * self.step < 1.0]
-        self.parts.append(x)
-        self.size += len(x)
-        while self.size > _SCAN_BLOCK:
-            kept = np.concatenate(self.parts)
-            keep = self.rng.random(len(kept)) < 0.5
-            keep[0] = True
-            self.parts, self.size, self.step = [kept[keep]], np.count_nonzero(keep), 2 * self.step
-
-    def values(self) -> np.ndarray:
-        return np.concatenate(self.parts) if self.parts else np.empty(0)
-
-
-def _brackets(job):
-    """Cuts ``(c0, c1, positions)`` of a job ``(lo, hi, below, count, sample,
-    positions)``: per position, the sample values a few standard deviations
-    of a sample rank either side of its expected rank, or ``lo`` / ``hi``
-    beyond the sample; the whole interval when there is no sample.  Every
-    bracket of a sample has a cut at a sample value, an entry strictly inside
-    ``(lo, hi)``, so each next job holds fewer entries; overlapping brackets
-    merge only when the merged one keeps such a cut."""
-    lo, hi, below, count, sample, positions = job
-    if sample is None or len(sample) == 0:
-        return [(lo, hi, list(positions))]
-    margin = min(int(3.0 * math.sqrt(len(sample))) + 1, len(sample) // 4)
-    cuts = []
-    for p in positions:
-        mid = int((p - below + 0.5) / count * len(sample))
-        c0 = sample[mid - margin] if mid - margin >= 0 else lo
-        c1 = sample[mid + margin] if mid + margin < len(sample) else hi
-        if cuts and c0 < cuts[-1][1]:
-            m0, m1, ps = cuts[-1][0], max(cuts[-1][1], c1), cuts[-1][2]
-            if m0 > lo or m1 < hi:      # still cut at a sample value
-                cuts[-1] = (m0, m1, ps + [p])
-                continue
-        cuts.append((c0, c1, [p]))
-    return cuts
-
-
-def _positive_order_statistics(dd: np.ndarray, total: int, positions) -> dict:
-    """The values at the sorted ``positions`` of the ``total`` positive entries of
-    ``dd``, exactly, without copying them.
-
-    A job is an open value interval ``(lo, hi)`` holding ``count`` entries,
-    with ``below`` entries at or under ``lo``, a sorted sample of its entries,
-    and the positions that lie in it.  :func:`_brackets` cuts ``(c0, c1)``
-    around each position; one pass over ``dd`` in row blocks counts every
-    job's entries under and at each cut and keeps those strictly between the
-    cuts (:class:`_Thinned`).  A position is then a tie at a cut, a rank
-    among the kept entries when they are all kept, or a job of the next pass:
-    the bracket with its kept entries as sample, or the part of ``(lo, hi)``
-    beyond a cut with none.  Each next job leaves out a cut, an entry of its
-    parent, so the search ends.  The first sample is ``_SCAN_BLOCK // 4``
-    seeded entries; the values found never depend on it, only the passes do:
-    one up to about 1000 points, two up to several thousand.
-    """
-    n = len(dd)
-    rows, cols = np.random.default_rng(0).integers(0, n, (2, _SCAN_BLOCK // 4))
-    sample = dd[rows, cols]
-    jobs = [(0.0, np.inf, 0, total, np.sort(sample[sample > 0]), sorted(set(positions)))]
-    found = {}
-    step = max(1, _SCAN_BLOCK // n)
-    while jobs:
-        work = [(job, [(c0, c1, ps, np.zeros(4, dtype=np.int64), _Thinned())
-                       for c0, c1, ps in _brackets(job)]) for job in jobs]
-        for a in range(0, n, step):
-            block = dd[a:a + step]
-            for (lo, hi, *_), cuts in work:
-                x = block[(block > lo) & (block < hi)]
-                for c0, c1, _, under, kept in cuts:
-                    under += [np.count_nonzero(x < c0), np.count_nonzero(x <= c0),
-                              np.count_nonzero(x < c1), np.count_nonzero(x <= c1)]
-                    kept.add(x[(x > c0) & (x < c1)])
-        nxt = {}
-        for (lo, hi, below, count, _, _), cuts in work:
-            for c0, c1, ps, under, kept in cuts:
-                lt0, le0, lt1, le1 = (int(u) + below for u in under)
-                inside = kept.values()
-                for p in ps:
-                    if lt0 <= p < le0:
-                        found[p] = float(c0)
-                    elif lt1 <= p < le1:
-                        found[p] = float(c1)
-                    elif le0 <= p < lt1 and kept.step == 1:
-                        found[p] = float(np.partition(inside, p - le0)[p - le0])
-                    else:
-                        job = ((lo, c0, below, lt0 - below, None) if p < lt0 else
-                               (c0, c1, le0, lt1 - le0, np.sort(inside)) if p < lt1 else
-                               (c1, hi, le1, below + count - le1, None))
-                        nxt.setdefault(job[:2], (*job, []))[-1].append(p)
-        jobs = list(nxt.values())
-    return found
-
-
 def _distance_quartiles(dd: np.ndarray) -> list[float]:
     """``np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()``, or ``[1.0]`` when no
     distance is positive, without the copy of the positive distances.
 
-    A validated matrix is positive exactly off the diagonal: ``N = n (n - 1)``
-    entries, each distance twice.  numpy's default ``linear`` method reads the
-    sorted values ``a, b`` at ``floor(v)`` and ``floor(v) + 1`` for the virtual
-    index ``v = (N - 1) q`` and returns ``_lerp``'s ``a + (b - a) t``, or
+    A validated matrix is zero exactly on its diagonal, so positive rank ``p`` is
+    rank ``p + n`` among all ``n * n`` entries.  ``abs`` clears the sign bit (the
+    validator admits ``-0.0`` on the diagonal), and nonnegative float64 values
+    sort as their bit patterns read as int64 do, so each wanted rank is selected
+    by radix on those bits, 16 at a time.  Each pass reads ``dd`` in row blocks
+    of about ``_SCAN_BLOCK`` entries.  For each known prefix of a wanted entry it
+    histograms the next 16 bits of the entries sharing the prefix or, once at
+    most ``_SCAN_BLOCK`` entries share it, keeps them for ``np.partition``.  Four
+    passes at most, and no sampling.
+
+    numpy's default ``linear`` method reads the sorted values ``a, b`` at
+    ``floor(v)`` and ``floor(v) + 1`` for the virtual index ``v = (N - 1) q``,
+    ``N = n (n - 1)``, and returns ``_lerp``'s ``a + (b - a) t``, or
     ``b - (b - a) (1 - t)`` when ``t = v - floor(v) >= 0.5``.
     """
-    total = len(dd) * (len(dd) - 1)
+    n = len(dd)
+    total = n * (n - 1)
     if total == 0:
         return [1.0]
     spots = [(total - 1) * q for q in (0.25, 0.5, 0.75)]
-    at = _positive_order_statistics(
-        dd, total, [p for v in spots for p in (math.floor(v), math.floor(v) + 1)])
+    # rank -> (the known top bits of its entry, entries below them, entries with them)
+    todo = {p + n: (0, 0, n * n) for v in spots for p in (math.floor(v), math.floor(v) + 1)}
+    found, step = {}, max(1, _SCAN_BLOCK // n)
+    for known in range(0, 64, 16):
+        if not todo:
+            break
+        acc = {key: [] if key[2] <= _SCAN_BLOCK else np.zeros(1 << 16, dtype=np.intp)
+               for key in set(todo.values())}
+        for lo in range(0, n, step):
+            bits = np.abs(dd[lo:lo + step]).view(np.int64).ravel()
+            head = bits >> (64 - known) if known else None
+            for (prefix, _, _), got in acc.items():
+                x = bits[head == prefix] if known else bits
+                if isinstance(got, list):
+                    got.append(x)
+                else:
+                    digits = (x >> (48 - known)) & 0xFFFF
+                    got += np.bincount(digits.astype(np.intp, copy=False), minlength=1 << 16)
+        pending, todo = todo, {}
+        for (prefix, below, _), got in acc.items():
+            ranks = [r for r, key in pending.items() if key[0] == prefix]
+            if isinstance(got, list):
+                kept = np.partition(np.concatenate(got), [r - below for r in ranks])
+                found.update((r, kept[r - below]) for r in ranks)
+                continue
+            ends = np.cumsum(got)
+            for r in ranks:
+                digit = int(np.searchsorted(ends, r - below, side="right"))
+                key = (prefix << 16 | digit, below + int(ends[digit] - got[digit]), int(got[digit]))
+                if known < 48:
+                    todo[r] = key
+                else:
+                    found[r] = key[0]
     out = []
     for v in spots:
         t = v - math.floor(v)
-        a, b = at[math.floor(v)], at[math.floor(v) + 1]
+        a, b = np.array([found[math.floor(v) + n + k] for k in (0, 1)],
+                        dtype=np.int64).view(np.float64).tolist()
         out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
 

@@ -15,6 +15,17 @@ def _unit_measure(inst, p=1.0):
     return validate_measure(inst, None, p)
 
 
+def test_measure_takes_numpy_scalars_but_not_bools():
+    inst = grid_instance(5)
+    for p in (np.int64(2), np.float32(2.0), np.float64(2.0)):
+        got = validate_measure(inst, None, p)
+        assert type(got.p) is float and got.p == 2.0
+        assert np.array_equal(got.masses, validate_measure(inst, None, 2.0).masses)
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ParameterError, match="exponent p must be a finite real >= 1"):
+            validate_measure(inst, None, flag)
+
+
 def test_measure_validation_errors():
     inst = grid_instance(5)
     with pytest.raises(ParameterError):

@@ -18,6 +18,26 @@ def test_r_star_substitution():
     assert canonical().r_star == 1.0 / 6.0
 
 
+@pytest.mark.parametrize("scalar", [np.float32, np.float64, np.int64])
+def test_numpy_scalars_give_the_python_float_schedule(scalar):
+    """A numpy scalar is a real like the Python number of the same value."""
+    args = dict(L=2.0, epsilon=0.5, anchor=1.0, span_low=0.125, span_high=4.0)
+    want = build_schedule(**args)
+    for name in args:
+        if scalar(args[name]) != args[name]:    # 0.5 and 0.125 are no int64
+            continue
+        got = build_schedule(**dict(args, **{name: scalar(args[name])}))
+        assert got.to_triples() == want.to_triples() and got.anchor == want.anchor
+        assert (got.r_star, got.L_eff, got.eps_eff) == (want.r_star, want.L_eff, want.eps_eff)
+        assert all(type(v) is float for v in (got.r_star, got.L_eff, got.eps_eff, got.anchor))
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(True)])
+def test_bools_are_not_reals(flag):
+    with pytest.raises(ParameterError, match="epsilon must be a finite real, got"):
+        build_schedule(L=1.0, epsilon=flag, anchor=1.0, span_low=1e-6, span_high=10.0)
+
+
 def test_effective_tolerance_is_min_of_eps_and_L():
     sch = build_schedule(L=1.0, epsilon=5.0, anchor=1.0, span_low=1e-6,
                          span_high=10.0)

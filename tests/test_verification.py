@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -164,20 +165,41 @@ def _quartile_matrices():
     # branches give different last bits on these distances.
     d1, d2, d3 = 1.460045139309096, 1.9489436749377653, 3.0552619924444304
     out.append(np.array([[0.0, d1, d2], [d1, 0.0, d3], [d2, d3, 0.0]]))
+    # The validator admits -0.0 on an explicit matrix's diagonal; its bit pattern
+    # has the sign bit set, which a radix on the bits must clear.
+    out.append(np.array([[-0.0, 1.0, 1.5], [1.0, -0.0, 2.0], [1.5, 2.0, -0.0]]))
     return out + [inst.distance_matrix() for inst in TIE_INSTANCES]
 
 
 @pytest.mark.parametrize("budget", [None, 1, 7, 50])
 def test_distance_quartiles_match_np_quantile(monkeypatch, budget):
     """The streamed quartiles are the bits of ``np.quantile`` over the copied positive
-    distances, also with the entry budget (and with it the first sample) patched
-    down so the search takes several passes, thinned samples and cuts at ties."""
+    distances, also with the entry budget patched down so the selection
+    histograms several 16-bit digits before it keeps the few entries left."""
     if budget is not None:
         monkeypatch.setattr(verification, "_SCAN_BLOCK", budget)
     for dd in _quartile_matrices():
         want = np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()
         assert _distance_quartiles(dd) == want, len(dd)
     assert _distance_quartiles(np.zeros((1, 1))) == [1.0]
+
+
+def test_distance_quartiles_memory_is_a_fraction_of_the_matrix():
+    """The quartile step reads the matrix in blocks: copying the positive
+    distances would trace at least the 32 MB matrix again."""
+    n = 2000
+    coords = np.random.default_rng(8).uniform(0.0, 1.0, (n, 3))
+    dd = instance_from_arrays(coords=coords, subset=[0, 1],
+                              values=[0.0, 1.0]).distance_matrix()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = _distance_quartiles(dd)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()
+    assert peak <= n * n * 8 / 4, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
 
 
 def test_pair_sampling_is_labeled():
