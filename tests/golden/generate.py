@@ -28,10 +28,10 @@ from lipext.cli import main
 HERE = Path(__file__).resolve().parent
 
 
-def cloud(seed: int, n: int = 40, size: int = 8) -> dict:
-    """Euclidean cloud in [0, 1]^3 of n points, |C|=size, with masses on the subset."""
+def cloud(seed: int, n: int = 40, size: int = 8, dim: int = 3) -> dict:
+    """Euclidean cloud in [0, 1]^dim of n points, |C|=size, with masses on the subset."""
     rng = np.random.default_rng(seed)
-    coords = rng.uniform(0.0, 1.0, (n, 3))
+    coords = rng.uniform(0.0, 1.0, (n, dim))
     subset = np.sort(rng.choice(n, size=size, replace=False))
     values = np.sin(4.0 * coords[subset, 0]) + coords[subset, 2] ** 2
     masses = np.zeros(n)
@@ -44,6 +44,12 @@ def cloud(seed: int, n: int = 40, size: int = 8) -> dict:
 def large_cloud(seed: int) -> dict:
     """Euclidean cloud with n=600, |C|=60: its balls span several row chunks."""
     return cloud(seed, n=600, size=60)
+
+
+def wide_cloud(seed: int) -> dict:
+    """Euclidean cloud with n=60, |C|=8 in 16 coordinates: every other instance
+    has at most 3, so this one alone fills its matrix by a sum over 8 or more."""
+    return cloud(seed, n=60, size=8, dim=16)
 
 
 def grid(seed: int) -> dict:
@@ -165,6 +171,10 @@ CASES = {
         "verify": ["--epsilon", "0.5", "--xi", "0.1"],
         "extend": ["--epsilon", "0.5", "--queries", "all"],
         "energy": ["--p", "2", "--radii", "0.15,0.4,0.9"]}),
+    "wide_cloud": (wide_cloud, 9, {
+        "verify": ["--epsilon", "0.5", "--xi", "0.1"],
+        "extend": ["--epsilon", "0.5", "--queries", "all"],
+        "energy": ["--p", "2", "--radii", "1.2,1.5,2"]}),
     "grid": (grid, 1, {
         "verify": ["--epsilon", "0.5", "--rbar", "0.2"],
         "extend": ["--epsilon", "0.5", "--bounded", "2", "--cutoff"],
