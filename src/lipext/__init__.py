@@ -3,10 +3,10 @@
 from .errors import (InstanceValidationError, LipextError, ParameterError,
                      ScheduleTooShallow, TrivialInstance)
 from .metric import (MetricInstance, ball_lips, instance_from_arrays,
-                     lip_constant, lipa_profile, validate_instance)
+                     lip_constant, validate_instance)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, build_profiles,
-                        cutoff_support, eval_pen, extend, extend_localized,
+                        cutoff_support, extend, extend_localized,
                         mcshane_lower_many, mcshane_upper_many,
                         schedule_for_instance, schedule_with_locality,
                         truncate_bounded)
@@ -24,9 +24,9 @@ __all__ = [
     "LipextError", "InstanceValidationError", "ParameterError",
     "ScheduleTooShallow", "TrivialInstance",
     "MetricInstance", "validate_instance", "instance_from_arrays",
-    "ball_lips", "lip_constant", "lipa_profile",
+    "ball_lips", "lip_constant",
     "ScaleSchedule", "build_schedule", "locality_radius",
-    "ProfileBank", "ExtensionField", "build_profiles", "eval_pen", "extend",
+    "ProfileBank", "ExtensionField", "build_profiles", "extend",
     "extend_localized", "mcshane_upper_many", "mcshane_lower_many",
     "truncate_bounded", "cutoff_support", "schedule_for_instance", "schedule_with_locality",
     "CheckResult", "VerificationReport", "check_restriction",

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import (InstanceValidationError, LipextError, ParameterError,
+from .errors import (InstanceValidationError, ParameterError,
                      ScheduleTooShallow, TrivialInstance, positive_real)
 from .metric import MetricInstance, _check_radii, instance_from_arrays, validate_instance
 from .extension import (cutoff_support, extend, mcshane_upper_many,
@@ -59,7 +59,7 @@ def _load_raw(path: str) -> dict:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read input: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer of too many digits
         raise ParameterError(f"input is not valid JSON: {exc}") from exc
 
 

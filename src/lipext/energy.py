@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceValidationError, ParameterError, is_real, positive_real
-from .metric import MetricInstance, ball_lips
+from .errors import InstanceValidationError, ParameterError, as_float, is_real, positive_real
+from .metric import MetricInstance, _float_array, ball_lips
 from .schedule import locality_radius
 from .verification import INEQ_RTOL, CheckResult
 from .extension import extend, schedule_with_locality
@@ -41,12 +41,15 @@ def validate_measure(instance: MetricInstance, masses=None, p: float = 1.0) -> M
 
     ``masses=None`` gives unit mass to every subset point.
     """
-    if not (is_real(p) and math.isfinite(p) and p >= 1):
+    if not (is_real(p) and math.isfinite(as_float(p)) and p >= 1):
         raise ParameterError(f"exponent p must be a finite real >= 1, got {p!r}")
     if masses is None:
         masses = np.zeros(instance.n)
         masses[instance.subset] = 1.0
-    masses = np.asarray(masses, dtype=float)
+    try:
+        masses = _float_array(masses)
+    except (TypeError, ValueError) as exc:
+        raise InstanceValidationError(f"malformed field: {exc}", "masses") from exc
     if masses.shape != (instance.n,):
         raise InstanceValidationError("masses length does not match point count",
                                       "masses", {"n_masses": len(masses),

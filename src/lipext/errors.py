@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the checks of a scalar
-parameter: :func:`is_real` (Python and numpy reals, bools excluded) and
-:func:`positive_real`."""
+parameter: :func:`is_real` (Python and numpy reals, bools excluded),
+:func:`as_float` and :func:`positive_real`."""
 
 from __future__ import annotations
 
@@ -65,7 +65,15 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def as_float(value) -> float:
+    """``float(value)``, but ``inf`` of its sign for an integer beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def positive_real(name: str, value) -> None:
     """Raise unless ``value`` is a positive finite real; bools and non-numbers included."""
-    if not (is_real(value) and value > 0 and math.isfinite(value)):
+    if not (is_real(value) and value > 0 and math.isfinite(as_float(value))):
         raise ParameterError(f"{name} must be a positive finite real")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleTooShallow, TrivialInstance, positive_real
+from .errors import ParameterError, ScheduleTooShallow, TrivialInstance, as_float, positive_real
 from .metric import _ROW_CHUNK, MetricInstance, _first_non_integer, _index_list, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
@@ -48,11 +48,6 @@ class ProfileBank:
     breakpoints: np.ndarray     # (m,) shared by every row
     slopes: np.ndarray          # (rows, m+1)
     cumulative: np.ndarray      # (rows, m+1)
-
-    def rows(self, pos) -> ProfileBank:
-        """The sub-bank of the given row positions, in that order."""
-        return ProfileBank(self.anchors[pos], self.breakpoints,
-                           self.slopes[pos], self.cumulative[pos])
 
     def pen(self, T: np.ndarray) -> np.ndarray:
         """Evaluate row ``i`` at every distance in ``T[i]``; ``T`` has shape (rows, nq)."""
@@ -123,15 +118,6 @@ def build_profiles(instance: MetricInstance, schedule: ScaleSchedule) -> Profile
 # evaluation
 
 
-def eval_pen(profile: ProfileBank, t: float) -> float:
-    """Exact piecewise-linear evaluation of a one-row bank; pen(0) = 0, monotone and convex."""
-    if not (t >= 0 and math.isfinite(t)):
-        raise ParameterError("pen argument must be a finite nonnegative real")
-    if len(profile.anchors) != 1:
-        raise ParameterError("eval_pen evaluates a one-row bank; use rows(pos)")
-    return float(profile.pen(np.array([[t]]))[0, 0])
-
-
 def _argmin_lowest(phi: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column minima and, among attaining rows, the lowest anchor point index."""
     best = phi.min(axis=0)
@@ -141,7 +127,7 @@ def _argmin_lowest(phi: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _check_envelope_budget(instance: MetricInstance, l_prime: float) -> None:
-    if not (math.isfinite(l_prime) and l_prime >= instance.lipschitz_computed):
+    if not (math.isfinite(as_float(l_prime)) and l_prime >= instance.lipschitz_computed):
         raise ParameterError(
             f"envelope constant {l_prime} below Lip(g, C) = "
             f"{instance.lipschitz_computed}: result would not extend g")

@@ -9,11 +9,11 @@ Instances are immutable after validation and every operation here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import InstanceValidationError, ParameterError
+from .errors import InstanceValidationError, ParameterError, as_float
 
 # Relative slack for the triangle-inequality scan on explicit matrices.
 TRIANGLE_RTOL = 1e-9
@@ -30,12 +30,10 @@ _TOP_K = 4096
 _ROW_CHUNK = 128
 # Rows per block of the triangle certificate: two (_TRIANGLE_ROWS, n) buffers.
 _TRIANGLE_ROWS = 64
-# Float64 entries of all the temporaries of _euclidean_matrix together (2 MB):
-# its row blocks are sized so that every live (rows, n) slab fits in this.
+# Float64 entries of the scratch of _euclidean_matrix (2 MB): one (rows, n)
+# slab, or from 8 coordinates on one (rows, n, dim) block of differences (one
+# row when a row alone is longer).
 _GEOMETRY_BLOCK = 1 << 18
-# numpy sums a contiguous axis pairwise: runs of up to _PAIRWISE_BLOCK items
-# in eight interleaved lanes, longer runs split in two halves.
-_PAIRWISE_BLOCK = 128
 
 
 @dataclass
@@ -126,89 +124,41 @@ def _is_full_range(indices: np.ndarray, n: int) -> bool:
 
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, filled one row block and one coordinate
-    at a time.
+    """Pairwise Euclidean distances, the bits of ``sqrt(sum(diff * diff, axis=2))``
+    over one ``(n, n, dim)`` array, filled one row block at a time.
 
-    The squared gaps ``(coords[a:b, k, None] - coords[None, :, k])**2`` of each
-    coordinate ``k`` are added into the ``(rows, n)`` block of the output, in
-    the order in which ``np.sum(diff * diff, axis=-1)`` adds a contiguous axis
-    of length ``dim`` (see :func:`_pairwise_squares`).  The matrix is the same
-    bits as ``sqrt(sum(diff * diff, axis=2))`` over one ``(n, n, dim)`` array,
-    for any block size, while the temporaries hold at most ``_GEOMETRY_BLOCK``
-    entries whatever ``dim`` is.  A distance that overflows is ``inf`` without
-    a warning; validation then rejects it as non-finite.
+    Below 8 coordinates each squared gap is added into the ``(rows, n)`` block
+    left to right, as numpy sums so short an axis; from 8 on the block is
+    ``np.sum`` itself over ``(rows, n, dim)`` squared differences.  The scratch
+    holds at most ``max(_GEOMETRY_BLOCK, n * dim)`` entries.  A distance that
+    overflows is ``inf`` without a warning; validation rejects it.
     """
     n, dim = coords.shape
-    if dim == 0:
-        return np.zeros((n, n))
-    ct = np.ascontiguousarray(coords.T)
-    slabs = _pairwise_slabs(dim)
-    step = max(1, _GEOMETRY_BLOCK // (slabs * n))
-    buf = np.empty(slabs * min(step, n) * n)
-    out = np.empty((n, n))
+    out = np.zeros((n, n))      # already the answer when dim == 0
     with np.errstate(over="ignore"):
+        if dim >= 8:
+            step = max(1, _GEOMETRY_BLOCK // (n * dim))
+            diff = np.empty((min(step, n), n, dim))
+            for a in range(0, n, step):
+                block, sq = out[a:a + step], diff[:min(step, n - a)]
+                np.subtract(coords[a:a + step, None, :], coords[None, :, :], out=sq)
+                np.multiply(sq, sq, out=sq)
+                np.sum(sq, axis=2, out=block)
+                np.sqrt(block, out=block)
+            return out
+        ct = np.ascontiguousarray(coords.T)
+        step = max(1, _GEOMETRY_BLOCK // n)
+        scratch = np.empty((min(step, n), n))
         for a in range(0, n, step):
             block = out[a:a + step]
-            size = block.size
-            free = [buf[i * size:(i + 1) * size].reshape(block.shape) for i in range(slabs)]
-            _pairwise_squares(block, (ct[:, a:a + step, None], ct[:, None, :]), 0, dim, free)
+            for k in range(dim):
+                dst = scratch[:len(block)] if k else block
+                np.subtract(ct[k, a:a + step, None], ct[k, None, :], out=dst)
+                np.multiply(dst, dst, out=dst)
+                if k:
+                    block += dst
             np.sqrt(block, out=block)
     return out
-
-
-def _pairwise_slabs(count: int) -> int:
-    """Scratch slabs :func:`_pairwise_squares` needs for ``count`` coordinates."""
-    if count < 8:
-        return 1
-    if count <= _PAIRWISE_BLOCK:
-        return 8
-    half = count // 2 - count // 2 % 8
-    return 1 + _pairwise_slabs(count - half)
-
-
-def _pairwise_squares(out, gaps, lo, count, free) -> None:
-    """Set ``out`` to the sum of the squared gaps of coordinates
-    ``lo .. lo + count - 1`` in numpy's pairwise order for a contiguous run.
-
-    Fewer than 8 items are added left to right.  Up to ``_PAIRWISE_BLOCK``
-    items go to eight lanes, lane ``j`` taking items ``j, j + 8, ...`` up to
-    the last multiple of 8; the lanes are combined as
-    ``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`` and the remaining items added left
-    to right.  A longer run splits at ``count // 2`` rounded down to a multiple
-    of 8 and adds the two halves.  ``gaps`` is ``(rows, cols)`` with
-    ``rows[k] - cols[k]`` the gap block of coordinate ``k``; ``free`` holds
-    :func:`_pairwise_slabs` ``(count)`` scratch arrays shaped like ``out``.
-    """
-    if count > _PAIRWISE_BLOCK:
-        half = count // 2 - count // 2 % 8
-        _pairwise_squares(out, gaps, lo, half, free)
-        _pairwise_squares(free[0], gaps, lo + half, count - half, free[1:])
-        out += free[0]
-        return
-    if count < 8:
-        _add_squares(out, gaps, range(lo, lo + count), free[0], fresh=True)
-        return
-    body = lo + count - count % 8
-    lanes = [out, *free[:7]]
-    for j, lane in enumerate(lanes):
-        _add_squares(lane, gaps, range(lo + j, body, 8), free[7], fresh=True)
-    for width in (1, 2, 4):
-        for j in range(0, 8, 2 * width):
-            lanes[j] += lanes[j + width]
-    _add_squares(out, gaps, range(body, lo + count), free[7], fresh=False)
-
-
-def _add_squares(out, gaps, ks, scratch, fresh: bool) -> None:
-    """Add the squared gaps of coordinates ``ks`` into ``out`` left to right;
-    with ``fresh`` the first one is written into ``out`` instead."""
-    rows, cols = gaps
-    for k in ks:
-        dst = out if fresh else scratch
-        np.subtract(rows[k], cols[k], out=dst)
-        np.multiply(dst, dst, out=dst)
-        if not fresh:
-            out += dst
-        fresh = False
 
 
 def _err(reason, field, **witness):
@@ -315,11 +265,19 @@ def _first_non_integer(entries) -> int | None:
     return None
 
 
+def _float_array(data) -> np.ndarray:
+    """``np.array(data, dtype=float)``, reading huge integers by :func:`~lipext.errors.as_float`."""
+    try:
+        return np.array(data, dtype=float)
+    except OverflowError:
+        return np.vectorize(as_float, otypes=[float])(np.array(data, dtype=object))
+
+
 def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> MetricInstance:
     if (coords is None) == (dmatrix is None):
         _err("exactly one of coordinates or distance matrix required", "points")
     if coords is not None:
-        coords = np.array(coords, dtype=float)
+        coords = _float_array(coords)
         if coords.ndim != 2 or coords.shape[0] < 1:
             _err("coordinates must be a non-empty 2-D array", "points")
         if not np.all(np.isfinite(coords)):
@@ -328,7 +286,7 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
         n = coords.shape[0]
         coords.setflags(write=False)
     else:
-        dmatrix = np.array(dmatrix, dtype=float)
+        dmatrix = _float_array(dmatrix)
         if dmatrix.ndim != 2 or dmatrix.shape[0] != dmatrix.shape[1] or dmatrix.shape[0] < 1:
             _err("distance matrix must be square and non-empty", "points")
         n = dmatrix.shape[0]
@@ -349,7 +307,7 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
         uniq, counts = np.unique(subset, return_counts=True)
         _err("duplicate subset index", "subset", index=int(uniq[counts > 1][0]))
 
-    values = np.array(values, dtype=float)
+    values = _float_array(values)
     if values.shape != subset.shape:
         _err("values length does not match subset length", "values",
              n_values=len(values), n_subset=len(subset))
@@ -372,10 +330,10 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
     if lipschitz is None:
         lipschitz = computed
     else:
-        lipschitz = float(lipschitz)
+        lipschitz = as_float(lipschitz)
         if not np.isfinite(lipschitz) or lipschitz < 0:
             _err("lipschitz constant must be a finite nonnegative real", "lipschitz",
-                 value=lipschitz)
+                 value=lipschitz if np.isfinite(lipschitz) else str(lipschitz))  # strict JSON
         if lipschitz < computed:
             _err("lipschitz constant below the computed constant on the subset",
                  "lipschitz", supplied=lipschitz, computed=computed)
@@ -560,14 +518,14 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     ``_SCAN_BLOCK`` entries, the top-K walk ``_SCAN_BLOCK // _TOP_K`` centers.
 
     ``members`` must be distinct and ``values`` finite; ``centers`` are any point
-    indices and ``radii`` any nonnegative reals, in any order and with repeats.
+    indices and ``radii`` any nonnegative finite reals, in any order and with repeats.
     """
     members, values = _member_values(instance, members, values)
     centers = _index_list(centers, instance.n,
                           f"centers must be a 1-D list of point indices in [0, {instance.n})")
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or not np.all(radii >= 0):
-        raise ParameterError("radii must be a 1-D list of nonnegative reals")
+    if radii.ndim != 1 or not np.all((radii >= 0) & np.isfinite(radii)):
+        raise ParameterError("radii must be a 1-D list of nonnegative finite reals")
     d_rows = instance.distances(centers, members)
     reach = np.flatnonzero((d_rows < radii.max(initial=0.0)).any(axis=0))
     d_rows, members, values = d_rows[:, reach], members[reach], values[reach]
@@ -612,17 +570,3 @@ def _check_radii(radii) -> np.ndarray:
             or np.any(radii <= 0) or np.any(np.diff(radii) <= 0)):
         raise ParameterError("radii must be strictly increasing positive finite reals")
     return radii
-
-
-def lipa_profile(instance: MetricInstance, domain, values, center: int, radii) -> np.ndarray:
-    """Lipschitz constants of ``values`` on ``domain`` over growing balls at ``center``.
-
-    The finite surrogate of the shrinking-ball slope limit: entry ``j`` is the
-    constant on the open ball of radius ``radii[j]``.  ``radii`` must be
-    strictly increasing and positive; ``center`` must belong to ``domain``.
-    Entries are non-decreasing because the balls are nested.
-    """
-    if center not in np.asarray(domain):
-        raise ParameterError("center must belong to the domain")
-    radii = _check_radii(radii)
-    return ball_lips(instance, domain, values, [center], radii)[0]

@@ -17,12 +17,12 @@ up to a few ulps (exactly, in typical cases).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ParameterError, ScheduleTooShallow, TrivialInstance, is_real,
-                     positive_real)
+from .errors import (ParameterError, ScheduleTooShallow, TrivialInstance, as_float,
+                     is_real, positive_real)
 
 # Truncation depth policy: six indices of margin below the smallest requested
 # scale, then keep descending until the penalization tail bound is negligible.
@@ -115,7 +115,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     """
     for name, v in (("L", L), ("epsilon", epsilon), ("anchor", anchor),
                     ("span_low", span_low), ("span_high", span_high)):
-        if not (is_real(v) and math.isfinite(v)):
+        if not (is_real(v) and math.isfinite(as_float(v))):
             raise ParameterError(f"{name} must be a finite real, got {v!r}")
     # Python floats from here on: a numpy float32 would round the arithmetic below.
     L, epsilon, anchor = float(L), float(epsilon), float(anchor)
@@ -189,7 +189,7 @@ def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,
     """
     positive_real("r_bar", r_bar)
     positive_real("xi", xi)
-    if not (L >= 0 and math.isfinite(L)):
+    if not (L >= 0 and math.isfinite(as_float(L))):
         raise ParameterError("L must be a nonnegative finite real")
 
     for k in range(schedule.k_max - 3, schedule.k_min + 1, -1):

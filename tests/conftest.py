@@ -38,6 +38,18 @@ def slope_map(instance, x, schedule):
     return dict(zip(ks, row.tolist()))
 
 
+def bank_rows(bank, pos):
+    """The sub-bank of the given row positions, in that order."""
+    return ProfileBank(bank.anchors[pos], bank.breakpoints, bank.slopes[pos],
+                       bank.cumulative[pos])
+
+
+def eval_pen(bank, t):
+    """The one row of ``bank`` at the distance ``t``, by ``ProfileBank.pen``."""
+    assert len(bank.anchors) == 1
+    return float(bank.pen(np.array([[t]]))[0, 0])
+
+
 def hand_bank(anchors, breakpoints, slopes, jumps=0.0):
     """A bank with the given slopes over the given breakpoints.  ``cumulative``
     holds the prefix sums of ``build_profiles`` (so each row is continuous,

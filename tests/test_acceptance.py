@@ -9,14 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from lipext import (build_profiles, check_extension_energy, energy, eval_pen,
+from lipext import (build_profiles, check_extension_energy, energy,
                     extend, extend_localized, lip_constant, locality_radius,
                     mcshane_lower_many, mcshane_upper_many, build_schedule,
                     schedule_for_instance, schedule_with_locality,
                     validate_measure)
 from lipext.cli import grid_instance, main
 
-from conftest import random_instance, random_masses
+from conftest import bank_rows, eval_pen, random_instance, random_masses
 
 N_INSTANCES = 50
 _CASES: dict[int, dict] = {}
@@ -128,7 +128,7 @@ def test_criterion_04_step2_inequality():
                 if j < 2 or j > len(sch.eps) - 1:
                     skipped += 1
                     continue
-                phi = g[a] + eval_pen(profiles.rows([a]), d)
+                phi = g[a] + eval_pen(bank_rows(profiles, [a]), d)
                 bound = g[b] + sch.eps[j - 2] * L
                 assert phi >= bound - tol, (
                     f"seed {seed}: pair ({inst.subset[a]},{inst.subset[b]})")
@@ -193,7 +193,7 @@ def test_criterion_07_profile_legality():
         bank = c["profiles"]
         bp = bank.breakpoints
         for i in range(len(bank.anchors)):
-            s, row = bank.slopes[i], bank.rows([i])   # base, bands, tail
+            s, row = bank.slopes[i], bank_rows(bank, [i])   # base, bands, tail
             assert np.all(np.diff(s) >= 0)
             assert np.all(s >= 0) and np.all(s <= cap)
             assert 0 <= s[0] <= s[1]

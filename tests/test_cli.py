@@ -167,6 +167,63 @@ def test_validate_subset_index_beyond_intp_exit1(tmp_path, capsys, index):
     assert stderr == ""
 
 
+# Each case puts the placeholder HUGE in one number of an instance file.
+HUGE_CASES = {
+    "lipschitz": ({"lipschitz": "HUGE"},
+                  {"error": "lipschitz constant must be a finite nonnegative real",
+                   "field": "lipschitz", "witness": {"value": "inf"}}),
+    "coordinate": ({"points": {"type": "euclidean", "coords": [[0.0], ["HUGE"], [1.0]]}},
+                   {"error": "non-finite coordinate", "field": "points", "witness": {"i": 1}}),
+    "distance": ({"points": {"type": "matrix",
+                             "d": [[0, "HUGE", 1], ["HUGE", 0, 1], [1, 1, 0]]}},
+                 {"error": "non-finite distance", "field": "points",
+                  "witness": {"i": 0, "j": 1}}),
+    "value": ({"values": [0.0, "HUGE"]},
+              {"error": "non-finite value", "field": "values", "witness": {"position": 1}}),
+    "mass": ({"masses": ["HUGE", 0.0, 1.0]},
+             {"error": "masses must be finite and nonnegative", "field": "masses",
+              "witness": {"index": 0}}),
+}
+
+
+@pytest.mark.parametrize("field", HUGE_CASES)
+def test_validate_integer_beyond_float_range_exit1(tmp_path, capsys, field):
+    # A 401-digit integer is rejected as non-finite, with the report of 1e400.
+    edit, error = HUGE_CASES[field]
+    doc = {"points": {"type": "euclidean", "coords": [[0.0], [0.5], [1.0]]},
+           "subset": [0, 2], "values": [0.0, 1.0], "masses": [1.0, 0.0, 1.0], **edit}
+    outs = []
+    for number in (str(10 ** 400), "1e400"):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', number))
+        assert main(["validate", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == error and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_validate_nan_lipschitz_exit1(tmp_path, capsys):
+    # The witness names the value as a string: a report is strict JSON.
+    path = tmp_path / "nan.json"
+    path.write_text('{"points": {"type": "euclidean", "coords": [[0.0], [1.0]]}, '
+                    '"subset": [0, 1], "values": [0.0, 1.0], "lipschitz": NaN}')
+    assert main(["validate", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["witness"] == {"value": "nan"} and err == ""
+
+
+def test_integer_beyond_the_parser_limit_exit1(tmp_path, capsys):
+    # Python's json refuses to read an integer of more than 4300 digits.
+    path = tmp_path / "huge.json"
+    path.write_text('{"points": {"type": "euclidean", "coords": [[0.0], [1.0]]}, '
+                    '"subset": [0, 1], "values": [0.0, 1.0], "lipschitz": '
+                    + "9" * 5000 + "}")
+    assert main(["validate", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert set(json.loads(out)) == {"error"} and err == ""
+
+
 def test_extend_bounded_noop_when_dominating(tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     grid = _grid_file(tmp_path)

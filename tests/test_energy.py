@@ -26,6 +26,27 @@ def test_measure_takes_numpy_scalars_but_not_bools():
             validate_measure(inst, None, flag)
 
 
+def test_measure_rejects_integers_beyond_float_range():
+    inst = grid_instance(5)
+    for p in (10 ** 400, -10 ** 400):
+        with pytest.raises(ParameterError, match="exponent p must be a finite real >= 1"):
+            validate_measure(inst, None, p)
+    for mass in (10 ** 400, -10 ** 400):
+        masses = [0.0] * inst.n
+        masses[inst.subset[0]] = mass
+        with pytest.raises(InstanceValidationError, match="finite and nonnegative") as exc:
+            validate_measure(inst, masses, 1.0)
+        assert exc.value.witness == {"index": int(inst.subset[0])}
+
+
+@pytest.mark.parametrize("masses", [["a", 0, 0, 0, 1], [[1.0], 0, 0, 0, 1]],
+                         ids=["string", "ragged"])
+def test_malformed_masses_are_a_validation_error(masses):
+    with pytest.raises(InstanceValidationError, match="malformed field") as exc:
+        validate_measure(grid_instance(5), masses, 1.0)
+    assert exc.value.field == "masses"
+
+
 def test_measure_validation_errors():
     inst = grid_instance(5)
     with pytest.raises(ParameterError):

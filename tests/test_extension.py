@@ -5,17 +5,18 @@ import pytest
 
 from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
                     build_profiles, build_schedule, check_inf_family,
-                    check_locality_preservation, cutoff_support, eval_pen,
+                    check_locality_preservation, cutoff_support,
                     extend, extend_localized, instance_from_arrays, lip_constant,
                     mcshane_comparison, mcshane_lower_many, mcshane_upper_many,
                     schedule_for_instance, schedule_with_locality, truncate_bounded,
                     validate_instance)
+from lipext.errors import positive_real
 from lipext.extension import _bank, evaluation_diameters
 from lipext.metric import _ROW_CHUNK
 
-from conftest import (grid_instance, hand_bank, oracle_extend, oracle_mcshane_lower,
-                      oracle_mcshane_upper, oracle_pen, random_instance,
-                      slope_map)
+from conftest import (bank_rows, eval_pen, grid_instance, hand_bank, oracle_extend,
+                      oracle_mcshane_lower, oracle_mcshane_upper, oracle_pen,
+                      random_instance, slope_map)
 
 
 def _grid_setup(n=1001, epsilon=1.0):
@@ -95,7 +96,7 @@ def test_pen_zero_and_breakpoint_continuity():
     bank = build_profiles(inst, sch)
     bp = bank.breakpoints
     for i in range(len(bank.anchors)):
-        row = bank.rows([i])
+        row = bank_rows(bank, [i])
         assert eval_pen(row, 0.0) == 0.0
         assert bank.cumulative[i, 0] == 0.0
         assert bank.cumulative[i, 1] == bank.slopes[i, 0] * bp[0]
@@ -112,8 +113,6 @@ def test_eval_pen_tail_and_midpoint():
     mid = lo + (hi - lo) / 2.0
     # the band (bp[3], bp[4]) is region 4: value at bp[3] plus its slope
     assert eval_pen(prof, mid) == prof.cumulative[0, 4] + prof.slopes[0, 4] * (mid - lo)
-    with pytest.raises(ParameterError):
-        eval_pen(prof, -0.1)
 
 
 def test_eval_pen_matches_integral_oracle():
@@ -122,14 +121,14 @@ def test_eval_pen_matches_integral_oracle():
     bank = build_profiles(inst, sch)
     rng = np.random.default_rng(0)
     for t in np.concatenate([rng.uniform(0, 3, 40), bank.breakpoints[:5]]):
-        assert eval_pen(bank.rows([0]), float(t)) == pytest.approx(
+        assert eval_pen(bank_rows(bank, [0]), float(t)) == pytest.approx(
             oracle_pen(bank, 0, float(t)), rel=1e-12, abs=1e-300)
 
 
 def test_pen_monotone_convex_on_samples():
     inst = random_instance(10)
     sch = schedule_for_instance(inst, 1.0)
-    prof = build_profiles(inst, sch).rows([0])
+    prof = bank_rows(build_profiles(inst, sch), [0])
     ts = np.linspace(0.0, 2.5, 200)
     vals = np.array([eval_pen(prof, float(t)) for t in ts])
     assert np.all(np.diff(vals) >= 0)
@@ -160,6 +159,16 @@ def test_mcshane_budget_validation(line3):
         mcshane_upper_many(line3, 0.5, [1])
     with pytest.raises(ParameterError):
         mcshane_lower_many(line3, 0.5, [1])
+    for many in (mcshane_upper_many, mcshane_lower_many):
+        with pytest.raises(ParameterError, match="envelope constant"):
+            many(line3, 10 ** 400, [1])
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+def test_positive_real_takes_integers_beyond_float_range_as_non_finite(value):
+    with pytest.raises(ParameterError, match="xi must be a positive finite real"):
+        positive_real("xi", value)
+    assert positive_real("xi", 10 ** 300) is None
 
 
 def test_mcshane_matches_oracle():
@@ -268,7 +277,7 @@ def oracle_localized(inst, sch, profiles, y, xbar):
     for pos, x in enumerate(inst.subset):
         if ks and not dd[x, xbar] < sch.eps_at(ks[0]):
             continue
-        phi = inst.values[pos] + eval_pen(profiles.rows([pos]), float(dd[x, y]))
+        phi = inst.values[pos] + eval_pen(bank_rows(profiles, [pos]), float(dd[x, y]))
         if phi < best or (phi == best and int(x) < anchor):
             best, anchor = phi, int(x)
     return best, anchor, record
@@ -329,8 +338,8 @@ def test_localized_exclusion_margin():
         k, xbar = rec["k"], rec["xbar"]
         dxb = inst.distances(inst.subset, [xbar])[:, 0]
         for pos in np.flatnonzero(dxb >= sch.eps_at(k)):
-            phi = inst.values[pos] + eval_pen(
-                profiles.rows([pos]), float(inst.distance_matrix()[inst.subset[pos], y]))
+            t = float(inst.distance_matrix()[inst.subset[pos], y])
+            phi = inst.values[pos] + eval_pen(bank_rows(profiles, [pos]), t)
             assert phi >= field.values[qi] + sch.eps_at(k - 1) * L / 3.0 - tol
             checked += 1
     assert checked > 0
@@ -475,7 +484,7 @@ def oracle_full(inst, profiles, y):
     """(value, anchor): the minimum over every anchor, lowest point index on ties."""
     best, anchor = np.inf, None
     for pos, x in enumerate(inst.subset):
-        phi = inst.values[pos] + eval_pen(profiles.rows([pos]),
+        phi = inst.values[pos] + eval_pen(bank_rows(profiles, [pos]),
                                           float(inst.distance_matrix()[x, y]))
         if phi < best or (phi == best and int(x) < anchor):
             best, anchor = phi, int(x)

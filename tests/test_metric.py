@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipext import (InstanceValidationError, ParameterError,
-                    instance_from_arrays, lip_constant, lipa_profile,
+                    ball_lips, instance_from_arrays, lip_constant,
                     validate_instance)
 from lipext import metric
 from lipext.metric import (TRIANGLE_RTOL, _TRIANGLE_ROWS, _check_radii,
@@ -28,6 +28,22 @@ def test_validate_three_point_matrix():
     inst = validate_instance(_matrix_raw([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
     assert inst.lipschitz_L == 1.0  # |2 - 0| / 2
     assert inst.lipschitz_computed == 1.0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integers_beyond_float_range_are_not_finite(sign):
+    # Read as inf of their sign, so each field's finiteness check names them.
+    huge = sign * 10 ** 400
+    line = dict(coords=[[0.0], [0.5], [1.0]], subset=[0, 2], values=[0.0, 1.0])
+    for edit, field, reason in (
+            ({"lipschitz": huge}, "lipschitz", "lipschitz constant must be a finite"),
+            ({"coords": [[0.0], [huge], [1.0]]}, "points", "non-finite coordinate"),
+            ({"values": [0.0, huge]}, "values", "non-finite value"),
+            ({"coords": None, "dmatrix": [[0, huge], [huge, 0]], "subset": [0, 1]},
+             "points", "non-finite distance")):
+        with pytest.raises(InstanceValidationError) as exc:
+            instance_from_arrays(**dict(line, **edit))
+        assert exc.value.field == field and exc.value.reason.startswith(reason)
 
 
 def test_triangle_violation_reports_triple():
@@ -279,8 +295,9 @@ def _one_shot(coords, others=None):
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-# Edges of numpy's pairwise summation: left to right below 8, eight lanes up
-# to 128 (with and without a remainder), halves split at multiples of 8 above.
+# Both sides of the switch from the coordinate-at-a-time fill to np.sum at 8,
+# and the edges of numpy's pairwise summation above it: eight lanes up to 128
+# (with and without a remainder), halves split at multiples of 8 above.
 DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 128, 129, 130, 257)
 B = 5
 
@@ -290,7 +307,8 @@ B = 5
 def test_euclidean_blocks_match_one_shot(monkeypatch, n, dim):
     # Blocks of B rows: full blocks, a short last block and a single block.
     coords = np.random.default_rng(n * dim).normal(0.0, 3.0, (n, dim))
-    monkeypatch.setattr(metric, "_GEOMETRY_BLOCK", B * n * metric._pairwise_slabs(dim))
+    # Below 8 coordinates a block row is n entries, from 8 on n * dim.
+    monkeypatch.setattr(metric, "_GEOMETRY_BLOCK", B * n * (1 if dim < 8 else dim))
     assert np.array_equal(_euclidean_matrix(coords), _one_shot(coords))
 
 
@@ -328,7 +346,7 @@ def test_euclidean_matrix_axioms_hold_exactly(scale, dim):
     assert np.all(np.diag(d) == 0.0) and not np.any(np.signbit(d))
 
 
-@pytest.mark.parametrize("dim", [3, 17, 257])
+@pytest.mark.parametrize("dim", [3, 17, 257, 1024])
 def test_euclidean_temporaries_fit_the_block(dim):
     n = 400
     coords = np.random.default_rng(dim).uniform(0.0, 1.0, (n, dim))
@@ -338,9 +356,10 @@ def test_euclidean_temporaries_fit_the_block(dim):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The output, the transposed coordinates and the slabs, plus the buffers
-    # numpy's broadcasting subtract allocates (2 x bufsize entries at most);
-    # nothing grows with n * n * dim.
+    # The output, the transposed coordinates and the slab below 8 coordinates
+    # or the difference block from 8 on (one row of n * dim entries at 1024),
+    # plus the buffers numpy's broadcasting subtract allocates (2 x bufsize
+    # entries at most); nothing grows with n * n * dim.
     assert peak <= (8 * (n * n + n * dim + metric._GEOMETRY_BLOCK)
                     + 16 * np.getbufsize() + (1 << 16))
 
@@ -413,37 +432,30 @@ def test_every_euclidean_cloud_validates(seed, n, dim):
     assert inst.n == n
 
 
-# --- lipa_profile ------------------------------------------------------------
+# --- Lipschitz profile at one center: a ball_lips row ------------------------
 
 
 def test_lipa_profile_two_point_grid():
     inst = grid_instance(2)
-    prof = lipa_profile(inst, inst.subset, inst.values, 0, [0.5, 2.0])
+    prof = ball_lips(inst, inst.subset, inst.values, [0], [0.5, 2.0])[0]
     # local constant vanishes at the subset point, global constant once both
     # endpoints enter the ball
     assert prof.tolist() == [0.0, 1.0]
 
 
 def test_lipa_profile_constant_and_singleton(line3):
-    prof = lipa_profile(line3, [0, 1, 2], np.zeros(3), 0, [0.1, 0.6, 2.0])
+    prof = ball_lips(line3, [0, 1, 2], np.zeros(3), [0], [0.1, 0.6, 2.0])[0]
     assert prof.tolist() == [0.0, 0.0, 0.0]
-    prof = lipa_profile(line3, [1], np.array([4.0]), 1, [0.1, 1.0])
+    prof = ball_lips(line3, [1], np.array([4.0]), [1], [0.1, 1.0])[0]
     assert prof.tolist() == [0.0, 0.0]
-
-
-def test_lipa_profile_validation(line3):
-    with pytest.raises(ParameterError):
-        lipa_profile(line3, [0, 1], np.zeros(2), 2, [0.5])
-    with pytest.raises(ParameterError):
-        lipa_profile(line3, [0, 1], np.zeros(2), 0, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("radii", [[np.inf], [0.5, np.inf], [np.nan], [0.5, np.nan]])
 def test_check_radii_rejects_non_finite(line3, radii):
     with pytest.raises(ParameterError, match="finite"):
         _check_radii(radii)
-    with pytest.raises(ParameterError):
-        lipa_profile(line3, [0, 1], np.zeros(2), 0, radii)
+    with pytest.raises(ParameterError, match="finite"):
+        ball_lips(line3, [0, 1], np.zeros(2), [0], radii)
 
 
 def test_lipa_profile_monotone_and_bounded():
@@ -452,7 +464,7 @@ def test_lipa_profile_monotone_and_bounded():
     domain = np.arange(inst.n)
     vals = rng.normal(size=inst.n)
     radii = np.linspace(0.05, 3.0, 9)
-    prof = lipa_profile(inst, domain, vals, 0, radii)
+    prof = ball_lips(inst, domain, vals, [0], radii)[0]
     assert np.all(np.diff(prof) >= 0)
     assert prof[-1] <= lip_constant(inst, vals, domain) + 1e-12
 
@@ -463,7 +475,7 @@ def test_lipa_profile_matches_ball_scan():
     domain = np.arange(inst.n)
     vals = rng.normal(size=inst.n)
     for r in [0.1, 0.4, 0.9]:
-        prof = lipa_profile(inst, domain, vals, 3, [r])
+        prof = ball_lips(inst, domain, vals, [3], [r])[0]
         ball = domain[inst.distance_matrix()[3, domain] < r]
         assert prof[0] == pytest.approx(
             oracle_lip(inst, vals[ball], ball), abs=1e-14)

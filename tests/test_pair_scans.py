@@ -25,12 +25,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family, energy,
-                    instance_from_arrays, lip_constant, lipa_profile, run_suite,
+                    instance_from_arrays, lip_constant, run_suite,
                     schedule_for_instance, validate_measure)
 from lipext import metric
 from lipext.metric import _ROW_CHUNK
 
-from conftest import family_rows, grid_instance, hand_bank, oracle_lip
+from conftest import bank_rows, family_rows, grid_instance, hand_bank, oracle_lip
 from test_ties import IDS, INSTANCES, tie_radii
 
 
@@ -119,8 +119,6 @@ def test_ball_lips_rejects_values_not_aligned_with_members():
         vals = np.zeros(len(domain) + extra)
         with pytest.raises(ParameterError, match="align"):
             ball_lips(inst, domain, vals, [4], [0.01])
-        with pytest.raises(ParameterError, match="align"):
-            lipa_profile(inst, domain, vals, 4, [0.01])
         with pytest.raises(ParameterError, match="align"):
             energy(inst, np.arange(30), np.zeros(30 + extra), measure, [0.01])
 
@@ -403,20 +401,20 @@ def test_inf_family_scans_first_and_last_pairs():
     lips = [lip_constant(inst, row, members) for row in family]
     assert lips == pytest.approx([20.0, 20.0])
     for pos, lip in enumerate(lips):
-        assert check_inf_family(inst, bank.rows([pos]), members, 21.0).measured == lip
-    res = check_inf_family(inst, bank.rows([1, 0]), members, 10.0)
+        assert check_inf_family(inst, bank_rows(bank, [pos]), members, 21.0).measured == lip
+    res = check_inf_family(inst, bank_rows(bank, [1, 0]), members, 10.0)
     assert res.witness == {"member": 0} and res.measured == lips[1]
 
 
 def test_inf_family_single_member_and_bad_arguments():
     inst, members, bank, family, lips = _family_case(5)
-    res = check_inf_family(inst, bank.rows([0]), members, lips[0])
+    res = check_inf_family(inst, bank_rows(bank, [0]), members, lips[0])
     assert res.status == "pass" and res.measured == lips[0]
     dup = members.copy()
     dup[3] = dup[0]
     with pytest.raises(ParameterError, match="distinct"):
         check_inf_family(inst, bank, dup, max(lips))
-    for bad in (bank.rows([]), replace(bank, slopes=bank.slopes[:, 1:]),
+    for bad in (bank_rows(bank, []), replace(bank, slopes=bank.slopes[:, 1:]),
                 replace(bank, slopes=bank.slopes[0]), replace(bank, anchors=bank.anchors + 5),
                 replace(bank, breakpoints=bank.breakpoints[::-1]),
                 replace(bank, cumulative=np.full_like(bank.cumulative, np.nan))):

@@ -38,6 +38,20 @@ def test_bools_are_not_reals(flag):
         build_schedule(L=1.0, epsilon=flag, anchor=1.0, span_low=1e-6, span_high=10.0)
 
 
+@pytest.mark.parametrize("name", ["L", "epsilon", "anchor", "span_low", "span_high"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integers_beyond_float_range_are_not_finite(name, sign):
+    args = dict(L=1.0, epsilon=0.5, anchor=1.0, span_low=1e-6, span_high=10.0)
+    with pytest.raises(ParameterError, match=f"{name} must be a finite real, got"):
+        build_schedule(**dict(args, **{name: sign * 10 ** 400}))
+
+
+def test_locality_radius_rejects_an_integer_beyond_float_range():
+    for kwargs in ({"r_bar": 10 ** 400}, {"xi": 10 ** 400}, {"L": 10 ** 400}):
+        with pytest.raises(ParameterError):
+            locality_radius(canonical(), **dict(dict(r_bar=0.5, xi=0.1, L=1.0), **kwargs))
+
+
 def test_effective_tolerance_is_min_of_eps_and_L():
     sch = build_schedule(L=1.0, epsilon=5.0, anchor=1.0, span_low=1e-6,
                          span_high=10.0)
