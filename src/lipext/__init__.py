@@ -3,7 +3,7 @@
 from .errors import (InstanceValidationError, LipextError, ParameterError,
                      ScheduleTooShallow, TrivialInstance)
 from .metric import (MetricInstance, ball_lips, instance_from_arrays,
-                     lip_constant, validate_instance)
+                     lip_constant, lipa_profile, validate_instance)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, build_profiles,
                         cutoff_support, extend, extend_localized,
@@ -24,7 +24,7 @@ __all__ = [
     "LipextError", "InstanceValidationError", "ParameterError",
     "ScheduleTooShallow", "TrivialInstance",
     "MetricInstance", "validate_instance", "instance_from_arrays",
-    "ball_lips", "lip_constant",
+    "ball_lips", "lip_constant", "lipa_profile",
     "ScaleSchedule", "build_schedule", "locality_radius",
     "ProfileBank", "ExtensionField", "build_profiles", "extend",
     "extend_localized", "mcshane_upper_many", "mcshane_lower_many",

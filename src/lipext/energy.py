@@ -137,12 +137,8 @@ def check_restriction_monotonicity(instance: MetricInstance, h_values,
     on_subset = energy(instance, instance.subset, h_values[instance.subset], measure, radii)
     reports = [EnergyReport(radius=side_x.radius, on_space=side_x, on_subset=side_c)
                for side_x, side_c in zip(on_space, on_subset)]
-    worst = None
-    gap_worst = -math.inf
-    for rep in reports:
-        gap = rep.on_subset.total - rep.on_space.total
-        if gap > gap_worst:
-            gap_worst, worst = gap, rep
+    worst = max(reports, key=lambda rep: rep.on_subset.total - rep.on_space.total)
+    gap_worst = worst.on_subset.total - worst.on_space.total
     tol = INEQ_RTOL * max(1.0, *(rep.on_space.total for rep in reports))
     status = "pass" if gap_worst <= tol else "fail"
     check = CheckResult("restriction_monotonicity", status, measured=gap_worst,

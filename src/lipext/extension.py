@@ -75,15 +75,10 @@ class ExtensionField:
     g_abs_max: float
 
     def to_json_entries(self) -> list[dict]:
-        out = []
-        for i in range(len(self.queries)):
-            out.append({
-                "index": int(self.queries[i]),
-                "value": float(self.values[i]),
-                "argmin_anchor": int(self.anchors[i]),
-                "localization": self.localization[i],
-            })
-        return out
+        return [{"index": int(q), "value": float(v), "argmin_anchor": int(a),
+                 "localization": loc}
+                for q, v, a, loc in zip(self.queries, self.values, self.anchors,
+                                        self.localization)]
 
 
 # ---------------------------------------------------------------------------

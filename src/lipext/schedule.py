@@ -90,14 +90,9 @@ class ScaleSchedule:
                 f"k=[{self.k_min},{self.k_max}]")
 
     def to_triples(self) -> list[dict]:
-        out = []
-        for i, k in enumerate(range(self.k_min, self.k_max + 1)):
-            out.append({
-                "k": k,
-                "eps_k": float(self.eps[i]),
-                "ratio_k": float(self.ratio[i - 1]) if i > 0 else None,
-            })
-        return out
+        return [{"k": self.k_min + i, "eps_k": float(e),
+                 "ratio_k": float(self.ratio[i - 1]) if i > 0 else None}
+                for i, e in enumerate(self.eps)]
 
 
 def build_schedule(L: float, epsilon: float, anchor: float,

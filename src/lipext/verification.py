@@ -166,9 +166,7 @@ def check_envelope_sandwich(field: ExtensionField, instance: MetricInstance,
     upper = mcshane_upper_many(instance, l_budget, field.queries)
     lower = mcshane_lower_many(instance, l_budget, field.queries)
     tol = IDENTITY_RTOL * instance.check_scale()
-    over = field.values - upper
-    under = lower - field.values
-    viol = np.maximum(over, under)
+    viol = np.maximum(field.values - upper, lower - field.values)
     worst = int(np.argmax(viol))
     measured = float(viol[worst])
     witness = {"index": int(field.queries[worst]), "f": float(field.values[worst]),
@@ -521,7 +519,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
         vals[0] += 0.5 * instance.check_scale() + 1.0
         return replace(fld, values=vals)
 
-    L = instance.lipschitz_L
+    L, triples = instance.lipschitz_L, None
     if instance.lipschitz_computed == 0.0:
         field = _maybe_corrupt(extend(instance, None, queries))
         checks = [
@@ -535,27 +533,22 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
             check_locality_preservation(instance, field, instance.subset[:1], r_bar, xi),
             CheckResult("inf_family", "skipped", note="constant data"),
         ]
-        frag = mcshane_comparison(instance, mcshane_radii, epsilon, field=field)
-        return VerificationReport(checks=checks, params=params,
-                                  schedule_triples=None,
-                                  fragments={"mcshane_comparison": frag})
-
-    schedule, _, _ = schedule_with_locality(instance, epsilon, r_bar, xi, queries)
-    profiles = build_profiles(instance, schedule)
-    field = _maybe_corrupt(extend(instance, schedule, queries, profiles=profiles))
-    budget = L + schedule.eps_eff
-    checks = [
-        check_schedule_laws(schedule, float(epsilon)),
-        check_profile_legality(profiles, schedule),
-        check_restriction(field, instance),
-        check_global_lipschitz(field, instance, budget, seed=seed),
-        check_envelope_sandwich(field, instance, budget),
-        check_step2(instance, profiles, schedule),
-        check_localization(instance, schedule, field, profiles),
-        check_locality_preservation(instance, field, instance.subset, r_bar, xi),
-        check_inf_family(instance, profiles, queries, budget),
-    ]
+    else:
+        schedule, _, _ = schedule_with_locality(instance, epsilon, r_bar, xi, queries)
+        profiles = build_profiles(instance, schedule)
+        field = _maybe_corrupt(extend(instance, schedule, queries, profiles=profiles))
+        budget, triples = L + schedule.eps_eff, schedule.to_triples()
+        checks = [
+            check_schedule_laws(schedule, float(epsilon)),
+            check_profile_legality(profiles, schedule),
+            check_restriction(field, instance),
+            check_global_lipschitz(field, instance, budget, seed=seed),
+            check_envelope_sandwich(field, instance, budget),
+            check_step2(instance, profiles, schedule),
+            check_localization(instance, schedule, field, profiles),
+            check_locality_preservation(instance, field, instance.subset, r_bar, xi),
+            check_inf_family(instance, profiles, queries, budget),
+        ]
     frag = mcshane_comparison(instance, mcshane_radii, epsilon, field=field)
-    return VerificationReport(checks=checks, params=params,
-                              schedule_triples=schedule.to_triples(),
+    return VerificationReport(checks=checks, params=params, schedule_triples=triples,
                               fragments={"mcshane_comparison": frag})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipext import (InstanceValidationError, ParameterError,
-                    ball_lips, instance_from_arrays, lip_constant,
+                    instance_from_arrays, lip_constant, lipa_profile,
                     validate_instance)
 from lipext import metric
 from lipext.metric import (TRIANGLE_RTOL, _TRIANGLE_ROWS, _check_radii,
@@ -432,30 +432,37 @@ def test_every_euclidean_cloud_validates(seed, n, dim):
     assert inst.n == n
 
 
-# --- Lipschitz profile at one center: a ball_lips row ------------------------
+# --- lipa_profile ------------------------------------------------------------
 
 
 def test_lipa_profile_two_point_grid():
     inst = grid_instance(2)
-    prof = ball_lips(inst, inst.subset, inst.values, [0], [0.5, 2.0])[0]
+    prof = lipa_profile(inst, inst.subset, inst.values, 0, [0.5, 2.0])
     # local constant vanishes at the subset point, global constant once both
     # endpoints enter the ball
     assert prof.tolist() == [0.0, 1.0]
 
 
 def test_lipa_profile_constant_and_singleton(line3):
-    prof = ball_lips(line3, [0, 1, 2], np.zeros(3), [0], [0.1, 0.6, 2.0])[0]
+    prof = lipa_profile(line3, [0, 1, 2], np.zeros(3), 0, [0.1, 0.6, 2.0])
     assert prof.tolist() == [0.0, 0.0, 0.0]
-    prof = ball_lips(line3, [1], np.array([4.0]), [1], [0.1, 1.0])[0]
+    prof = lipa_profile(line3, [1], np.array([4.0]), 1, [0.1, 1.0])
     assert prof.tolist() == [0.0, 0.0]
+
+
+def test_lipa_profile_validation(line3):
+    with pytest.raises(ParameterError):
+        lipa_profile(line3, [0, 1], np.zeros(2), 2, [0.5])
+    with pytest.raises(ParameterError):
+        lipa_profile(line3, [0, 1], np.zeros(2), 0, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("radii", [[np.inf], [0.5, np.inf], [np.nan], [0.5, np.nan]])
 def test_check_radii_rejects_non_finite(line3, radii):
     with pytest.raises(ParameterError, match="finite"):
         _check_radii(radii)
-    with pytest.raises(ParameterError, match="finite"):
-        ball_lips(line3, [0, 1], np.zeros(2), [0], radii)
+    with pytest.raises(ParameterError):
+        lipa_profile(line3, [0, 1], np.zeros(2), 0, radii)
 
 
 def test_lipa_profile_monotone_and_bounded():
@@ -464,7 +471,7 @@ def test_lipa_profile_monotone_and_bounded():
     domain = np.arange(inst.n)
     vals = rng.normal(size=inst.n)
     radii = np.linspace(0.05, 3.0, 9)
-    prof = ball_lips(inst, domain, vals, [0], radii)[0]
+    prof = lipa_profile(inst, domain, vals, 0, radii)
     assert np.all(np.diff(prof) >= 0)
     assert prof[-1] <= lip_constant(inst, vals, domain) + 1e-12
 
@@ -475,7 +482,7 @@ def test_lipa_profile_matches_ball_scan():
     domain = np.arange(inst.n)
     vals = rng.normal(size=inst.n)
     for r in [0.1, 0.4, 0.9]:
-        prof = ball_lips(inst, domain, vals, [3], [r])[0]
+        prof = lipa_profile(inst, domain, vals, 3, [r])
         ball = domain[inst.distance_matrix()[3, domain] < r]
         assert prof[0] == pytest.approx(
             oracle_lip(inst, vals[ball], ball), abs=1e-14)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family, energy,
-                    instance_from_arrays, lip_constant, run_suite,
+                    instance_from_arrays, lip_constant, lipa_profile, run_suite,
                     schedule_for_instance, validate_measure)
 from lipext import metric
 from lipext.metric import _ROW_CHUNK
@@ -119,6 +119,8 @@ def test_ball_lips_rejects_values_not_aligned_with_members():
         vals = np.zeros(len(domain) + extra)
         with pytest.raises(ParameterError, match="align"):
             ball_lips(inst, domain, vals, [4], [0.01])
+        with pytest.raises(ParameterError, match="align"):
+            lipa_profile(inst, domain, vals, 4, [0.01])
         with pytest.raises(ParameterError, match="align"):
             energy(inst, np.arange(30), np.zeros(30 + extra), measure, [0.01])
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lipext import (ball_lips, build_profiles, build_schedule, energy,
-                    instance_from_arrays, validate_measure)
+                    instance_from_arrays, lipa_profile, validate_measure)
 from lipext.metric import _ratio_block
 
 from conftest import oracle_lip, slope_map
@@ -102,6 +102,18 @@ def test_ball_lips_centers_off_a_strict_domain(inst):
     for j, r in enumerate(radii):
         assert np.array_equal(ball_lips(inst, domain, vals, np.arange(inst.n), [r])[:, 0],
                               got[:, j])
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
+def test_lipa_profile_matches_oracle_at_ties(inst):
+    rng = np.random.default_rng(8)
+    domain = np.sort(rng.choice(inst.n, size=inst.n - 2, replace=False))
+    vals = rng.normal(size=len(domain))
+    radii = tie_radii(inst)
+    for center in domain:
+        got = lipa_profile(inst, domain, vals, int(center), radii)
+        assert got.tolist() == [oracle_ball_lip(inst, domain, vals, int(center), r)
+                                for r in radii]
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
