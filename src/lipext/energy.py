@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceValidationError, ParameterError, as_float, is_real, positive_real
+from .errors import (InstanceValidationError, ParameterError, as_float, is_real, positive_real,
+                     shown)
 from .metric import MetricInstance, _float_array, ball_lips
 from .schedule import locality_radius
 from .verification import INEQ_RTOL, CheckResult
@@ -42,7 +43,7 @@ def validate_measure(instance: MetricInstance, masses=None, p: float = 1.0) -> M
     ``masses=None`` gives unit mass to every subset point.
     """
     if not (is_real(p) and math.isfinite(as_float(p)) and p >= 1):
-        raise ParameterError(f"exponent p must be a finite real >= 1, got {p!r}")
+        raise ParameterError(f"exponent p must be a finite real >= 1, got {shown(p)}")
     if masses is None:
         masses = np.zeros(instance.n)
         masses[instance.subset] = 1.0

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the checks of a scalar
 parameter: :func:`is_real` (Python and numpy reals, bools excluded),
-:func:`as_float` and :func:`positive_real`."""
+:func:`as_float` and :func:`positive_real`, and :func:`shown` for messages."""
 
 from __future__ import annotations
 
@@ -77,3 +77,11 @@ def positive_real(name: str, value) -> None:
     """Raise unless ``value`` is a positive finite real; bools and non-numbers included."""
     if not (is_real(value) and value > 0 and math.isfinite(as_float(value))):
         raise ParameterError(f"{name} must be a positive finite real")
+
+
+def shown(value, convert=repr) -> str:
+    """``convert(value)``, or its type for an int longer than Python prints."""
+    try:
+        return convert(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleTooShallow, TrivialInstance, as_float, positive_real
-from .metric import _ROW_CHUNK, MetricInstance, _first_non_integer, _index_list, ball_lips
+from .errors import (ParameterError, ScheduleTooShallow, TrivialInstance, as_float,
+                     positive_real, shown)
+from .metric import MetricInstance, _first_non_integer, _index_list, _row_blocks, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
 
@@ -124,7 +125,7 @@ def _argmin_lowest(phi: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.
 def _check_envelope_budget(instance: MetricInstance, l_prime: float) -> None:
     if not (math.isfinite(as_float(l_prime)) and l_prime >= instance.lipschitz_computed):
         raise ParameterError(
-            f"envelope constant {l_prime} below Lip(g, C) = "
+            f"envelope constant {shown(l_prime, str)} below Lip(g, C) = "
             f"{instance.lipschitz_computed}: result would not extend g")
 
 
@@ -140,11 +141,6 @@ def mcshane_lower_many(instance: MetricInstance, l_prime: float, queries) -> np.
     return (instance.values[:, None] - l_prime * dists).max(axis=0)
 
 
-def _query_blocks(count: int) -> list[slice]:
-    # Each block holds (|C| or |points|) x _ROW_CHUNK arrays, whatever the count.
-    return [slice(a, a + _ROW_CHUNK) for a in range(0, count, _ROW_CHUNK)]
-
-
 def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionField:
     # Lip(g, C) = 0: the constant extension preserves every local constant at 0.
     const = float(instance.values[0])
@@ -152,7 +148,7 @@ def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionF
         anchors = np.full(len(queries), int(instance.subset.min()), dtype=np.intp)
     else:
         anchors = np.empty(len(queries), dtype=np.intp)
-        for s in _query_blocks(len(queries)):
+        for s in _row_blocks(len(queries), len(instance.subset)):
             dists = instance.distances(instance.subset, queries[s])
             anchors[s] = _argmin_lowest(dists, instance.subset)[1]
     return ExtensionField(
@@ -188,7 +184,7 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
     localization = ["full"] * len(queries)
     dmax = 0.0
     # Every step is per query (column), so blocks give the same bits as one pass.
-    for s in _query_blocks(len(queries)):
+    for s in _row_blocks(len(queries), len(subset)):
         T = instance.distances(subset, queries[s])
         dmax = max(dmax, float(T.max()))
         phi = instance.values[:, None] + profiles.pen(T)
@@ -291,7 +287,7 @@ def evaluation_diameters(instance: MetricInstance, queries=None) -> tuple[float,
     pts = np.unique(np.concatenate([instance.subset, queries]))
     dmin, dmax = np.inf, 0.0
     d = instance.distance_matrix()
-    for s in _query_blocks(len(pts)):
+    for s in _row_blocks(len(pts), len(pts)):
         # pts is sorted, so n of them are 0..n-1: read a slice, not a gathered copy.
         dd = d[s] if len(pts) == instance.n else instance.distances(pts[s], pts)
         dmin = min(dmin, float(np.min(dd, where=dd > 0, initial=np.inf)))

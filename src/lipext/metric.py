@@ -17,23 +17,21 @@ from .errors import InstanceValidationError, ParameterError, as_float
 
 # Relative slack for the triangle-inequality scan on explicit matrices.
 TRIANGLE_RTOL = 1e-9
-# Float64 entries of each block of a pair scan (512 kB).  ball_lips, lip_constant
-# and the check battery read member pairs a row block at a time, each block at
-# most this many entries (one row when a row alone is longer), never a
-# |members| x |members| array.
-_SCAN_BLOCK = 1 << 16
+# Float64 entries of one block (512 kB): every scan that reads an array a block
+# of rows at a time (the Euclidean fill, the triangle certificate, the pair
+# scans, the quartile select, the extension's queries) takes _row_blocks of it.
+_BLOCK = 1 << 16
 # ball_lips answers a ball from the largest _TOP_K pair ratios when one of
-# them lies inside it (a certificate for the exact maximum) and otherwise
-# scans the ball in full.
+# them lies inside it (a certificate for the exact maximum).
 _TOP_K = 4096
-# Queries per block of the extension's evaluation and diameter scan.
-_ROW_CHUNK = 128
-# Rows per block of the triangle certificate: two (_TRIANGLE_ROWS, n) buffers.
-_TRIANGLE_ROWS = 64
-# Float64 entries of the scratch of _euclidean_matrix (2 MB): one (rows, n)
-# slab, or from 8 coordinates on one (rows, n, dim) block of differences (one
-# row when a row alone is longer).
-_GEOMETRY_BLOCK = 1 << 18
+
+
+def _row_blocks(count: int, width: int) -> list[slice]:
+    """Consecutive slices over ``range(count)`` of ``max(1, _BLOCK // width)`` rows
+    each (the last may be shorter): a block of rows ``width`` entries long holds at
+    most ``_BLOCK`` entries, or one row when a row alone is longer."""
+    step = max(1, _BLOCK // max(1, width))
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
 
 @dataclass
@@ -131,30 +129,30 @@ def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
     left to right, as numpy sums so short an axis (``np.sum`` over it is about
     five times slower at 3 coordinates); from 8 on the block is
     ``np.sum`` itself over ``(rows, n, dim)`` squared differences.  The scratch
-    holds at most ``max(_GEOMETRY_BLOCK, n * dim)`` entries.  A distance that
-    overflows is ``inf`` without a warning; validation rejects it.
+    holds at most ``max(_BLOCK, n * dim)`` entries (``n >= 1``).  A distance
+    that overflows is ``inf`` without a warning; validation rejects it.
     """
     n, dim = coords.shape
     out = np.zeros((n, n))      # already the answer when dim == 0
     with np.errstate(over="ignore"):
         if dim >= 8:
-            step = max(1, _GEOMETRY_BLOCK // (n * dim))
-            diff = np.empty((min(step, n), n, dim))
-            for a in range(0, n, step):
-                block, sq = out[a:a + step], diff[:min(step, n - a)]
-                np.subtract(coords[a:a + step, None, :], coords[None, :, :], out=sq)
+            blocks = _row_blocks(n, n * dim)
+            diff = np.empty((blocks[0].stop, n, dim))
+            for s in blocks:
+                block, sq = out[s], diff[:s.stop - s.start]
+                np.subtract(coords[s, None, :], coords[None, :, :], out=sq)
                 np.multiply(sq, sq, out=sq)
                 np.sum(sq, axis=2, out=block)
                 np.sqrt(block, out=block)
             return out
         ct = np.ascontiguousarray(coords.T)
-        step = max(1, _GEOMETRY_BLOCK // n)
-        scratch = np.empty((min(step, n), n))
-        for a in range(0, n, step):
-            block = out[a:a + step]
+        blocks = _row_blocks(n, n)
+        scratch = np.empty((blocks[0].stop, n))
+        for s in blocks:
+            block = out[s]
             for k in range(dim):
                 dst = scratch[:len(block)] if k else block
-                np.subtract(ct[k, a:a + step, None], ct[k, None, :], out=dst)
+                np.subtract(ct[k, s, None], ct[k, None, :], out=dst)
                 np.multiply(dst, dst, out=dst)
                 if k:
                     block += dst
@@ -237,11 +235,10 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
     are the flagged rows and the flagged columns of all blocks.
     """
     n = d.shape[0]
-    best_buf = np.empty(_TRIANGLE_ROWS * n)
-    step_buf = np.empty(_TRIANGLE_ROWS * n)
+    best_buf, step_buf = np.empty(max(_BLOCK, n)), np.empty(max(_BLOCK, n))
     flagged = np.zeros(n, dtype=bool)
-    for a in range(0, n, _TRIANGLE_ROWS):
-        b = min(a + _TRIANGLE_ROWS, n)
+    for s in _row_blocks(n, n):
+        a, b = s.start, s.stop
         best = best_buf[:(b - a) * (n - a)].reshape(b - a, n - a)
         step = step_buf[:best.size].reshape(best.shape)
         np.add(d[a:b, 0, None], d[0, a:], out=best)
@@ -426,24 +423,18 @@ def _ratio(u, v, d):
     return np.divide(gaps, d, out=gaps, where=d > 0)
 
 
-def _ratio_block(dd, members, values, rows, cols):
-    """``(d, ratios)`` between the members at positions ``rows`` and ``cols``
-    (slices or index arrays), gathered from the distance matrix ``dd``."""
-    d = dd[np.ix_(members[rows], members[cols])]
-    return d, _ratio(values[rows][:, None], values[cols], d)
-
-
 def _pair_blocks(dd, members, values):
     """Yield ``(a, d, ratios)`` over row blocks ``[a, b)`` of the member pairs.
 
     Entry ``[r, c]`` belongs to members ``a + r`` and ``a + c``, so the pairs
     ``i < j`` with ``i`` in the block are the entries ``c > r``; the others
-    repeat a pair of the block or sit on the diagonal (ratio 0).  A block holds
-    ``_SCAN_BLOCK // len(members)`` rows (at least one) against columns ``a..``.
+    repeat a pair of the block or sit on the diagonal (ratio 0).  The blocks are
+    :func:`_row_blocks` of the rows ``0..len(members) - 2`` (the last row has no
+    pair of its own) against columns ``a..``.
     """
-    step = max(1, _SCAN_BLOCK // max(1, len(members)))
-    for a in range(0, len(members) - 1, step):
-        yield (a, *_ratio_block(dd, members, values, slice(a, a + step), slice(a, None)))
+    for s in _row_blocks(len(members) - 1, len(members)):
+        d = dd[np.ix_(members[s], members[s.start:])]
+        yield s.start, d, _ratio(values[s][:, None], values[s.start:], d)
 
 
 def _top_pairs(dd, members, values):
@@ -476,47 +467,23 @@ def _top_pairs(dd, members, values):
     return kept_i[order], kept_j[order], kept_r[order], positive <= _TOP_K
 
 
-def _chunked_ball_lips(dd, members, values, d_row, radii) -> np.ndarray:
-    """Ball constants at one center by the full scan of every pair in each ball.
-
-    Points enter a ball in stable distance order and a tie at ``r`` stays
-    outside.  The sorted points are read in row blocks ``[a, b)`` against the
-    first ``b`` points, each computed by :func:`_ratio_block`; blocks end at
-    every ball's point count and every ``_SCAN_BLOCK // (largest count)`` rows,
-    so a ball of ``m`` points takes the running maximum of the blocks up to ``m``.
-    Balls of at most one point, most of those the top-K walk leaves, are 0.
-    """
-    if np.count_nonzero(d_row < radii.max(initial=0.0)) <= 1:
-        return np.zeros(len(radii))
-    order = np.argsort(d_row, kind="stable")
-    counts = np.searchsorted(d_row[order], radii, side="left")
-    most = counts.max(initial=0)
-    ends = np.union1d(counts, np.arange(0, most, max(1, _SCAN_BLOCK // max(1, most))))
-    members, values = members[order[:most]], values[order[:most]]
-    running = np.zeros(len(ends))
-    for pos in range(1, len(ends)):
-        _, block = _ratio_block(dd, members, values, slice(ends[pos - 1], ends[pos]),
-                                slice(0, ends[pos]))
-        running[pos] = max(running[pos - 1], block.max())
-    return running[np.searchsorted(ends, counts)]
-
-
 def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.ndarray:
     """Entry ``[c, j]``: Lipschitz constant of ``values`` (aligned with ``members``)
     over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``.
 
     Only members some ball can hold (``d < max(radii)`` from some center) take
-    part, in their given order.  :func:`_top_pairs` keeps the ``_TOP_K``
-    largest of their pair ratios, streamed in row blocks, and these are walked
-    in descending order: a ball's answer is the first pair whose farther end
-    lies inside it.  That pair is a certificate: every pair left out is at most
-    the smallest pair kept, so the answer is the same computed float as a scan
-    of every pair in the ball.  A ball that holds no kept pair is 0 when every
-    positive ratio was kept, and is otherwise scanned in full
-    (``_chunked_ball_lips``, only for that center's unresolved radii, at once
-    0 when the largest of them holds at most one member).  No
-    array of |members| x |members| entries is built: the blocks hold at most
-    ``_SCAN_BLOCK`` entries, the top-K walk ``_SCAN_BLOCK // _TOP_K`` centers.
+    part, in their given order; the balls are all 0 when at most one does.
+    :func:`_top_pairs` keeps the ``_TOP_K`` largest of their pair ratios,
+    streamed in row blocks, and these are walked in descending order: a
+    ball's answer is the first pair whose farther end lies inside it.  That
+    pair is a certificate: every pair left out is at most the smallest pair
+    kept, so the answer is the same computed float as a scan of every pair in
+    the ball.  A ball that holds no kept pair is 0 when every positive ratio
+    was kept.  Otherwise the unresolved radii of that center recurse on its
+    row: the members left are those of the largest unresolved ball, whose
+    steepest pair is kept there, so each level settles at least that radius.
+    No |members| x |members| array is built: the walk reads :func:`_row_blocks`
+    of centers against the K kept pairs.
 
     ``members`` must be distinct and ``values`` finite; ``centers`` are any point
     indices and ``radii`` any nonnegative reals, in any order and with repeats.
@@ -527,27 +494,32 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or not np.all(radii >= 0):
         raise ParameterError("radii must be a 1-D list of nonnegative reals")
-    d_rows = instance.distances(centers, members)
+    return _ball_lips(instance.distance_matrix(), members, values,
+                      instance.distances(centers, members), radii)
+
+
+def _ball_lips(dd, members, values, d_rows, radii) -> np.ndarray:
+    """:func:`ball_lips` with ``d_rows = d(centers, members)`` given."""
     reach = np.flatnonzero((d_rows < radii.max(initial=0.0)).any(axis=0))
-    d_rows, members, values = d_rows[:, reach], members[reach], values[reach]
-    dd = instance.distance_matrix()
-    first, second, top, complete = _top_pairs(dd, members, values)
     out = np.zeros((len(d_rows), len(radii)))
-    step = max(1, _SCAN_BLOCK // max(1, len(top)))
-    for lo in range(0, len(d_rows), step):
+    if len(reach) <= 1:
+        return out
+    d_rows, members, values = d_rows[:, reach], members[reach], values[reach]
+    first, second, top, complete = _top_pairs(dd, members, values)
+    for s in _row_blocks(len(d_rows), len(top)):
         # Minus the running minimum of the far ends: non-decreasing along a row,
         # and pair k lies in the r-ball once this is above -r.
-        lead = d_rows[lo:lo + step, first]
-        np.maximum(lead, d_rows[lo:lo + step, second], out=lead)
+        lead = d_rows[s, first]
+        np.maximum(lead, d_rows[s, second], out=lead)
         np.negative(lead, out=lead)
         np.maximum.accumulate(lead, axis=1, out=lead)
-        for row, lead_row in enumerate(lead, start=lo):
+        for row, lead_row in enumerate(lead, start=s.start):
             hit = np.searchsorted(lead_row, -radii, side="right")
             found = hit < len(top)
             out[row, found] = top[hit[found]]
             if not complete and not np.all(found):
-                out[row, ~found] = _chunked_ball_lips(dd, members, values, d_rows[row],
-                                                      radii[~found])
+                out[row, ~found] = _ball_lips(dd, members, values, d_rows[row:row + 1],
+                                              radii[~found])[0]
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ParameterError, ScheduleTooShallow, TrivialInstance, as_float,
-                     is_real, positive_real)
+                     is_real, positive_real, shown)
 
 # Truncation depth policy: six indices of margin below the smallest requested
 # scale, then keep descending until the penalization tail bound is negligible.
@@ -111,7 +111,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     for name, v in (("L", L), ("epsilon", epsilon), ("anchor", anchor),
                     ("span_low", span_low), ("span_high", span_high)):
         if not (is_real(v) and math.isfinite(as_float(v))):
-            raise ParameterError(f"{name} must be a finite real, got {v!r}")
+            raise ParameterError(f"{name} must be a finite real, got {shown(v)}")
     # Python floats from here on: a numpy float32 would round the arithmetic below.
     L, epsilon, anchor = float(L), float(epsilon), float(anchor)
     span_low, span_high = float(span_low), float(span_high)

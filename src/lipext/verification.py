@@ -7,9 +7,10 @@ inequalities, 1e-12 for identities.  The global-budget scan is exhaustive
 up to ``MAX_PAIRS`` pairs and falls back to seeded uniform subsampling beyond
 that, labeled as statistical in the result note.  The locality and McShane-fragment
 scans are exhaustive at every size (a ball answered from the top-K pairs of
-``ball_lips`` is certified exact, and any other ball is scanned in full).  The
-inf-family check is certified exact: the minimum is scanned in full, and the
-members only on the pairs their slope certificate cannot clear.
+``ball_lips`` is certified exact, and so is any other ball, answered from the
+top-K pairs of its own members).  The inf-family check is certified exact: the
+minimum is scanned in full, and the members only on the pairs their slope
+certificate cannot clear.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from . import metric
 from .errors import ParameterError, positive_real
-from .metric import (_SCAN_BLOCK, TRIANGLE_RTOL, MetricInstance, _check_radii,
-                     _distinct_members, _first_non_integer, _index_list, _pair_blocks,
-                     _ratio, ball_lips)
+from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_members,
+                     _first_non_integer, _index_list, _pair_blocks, _ratio, _row_blocks,
+                     ball_lips)
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _query_blocks,
+from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
                         mcshane_lower_many, schedule_with_locality)
 
@@ -372,11 +374,11 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
         return g[:, None] + profiles.pen(instance.distances(profiles.anchors, points))
 
     fmin = np.empty(len(members))
-    for q in _query_blocks(len(members)):
+    for q in _row_blocks(len(members), rows):
         fmin[q] = rows_at(members[q]).min(axis=0)
-    # Pair-ratio temporaries hold _SCAN_BLOCK entries; the rows at a block's close
+    # Pair-ratio temporaries hold _BLOCK entries; the rows at a block's close
     # points, phi, reach |C| x |members| at worst.
-    got, lips, chunk = 0.0, np.zeros(rows), max(1, _SCAN_BLOCK // rows)
+    got, lips = 0.0, np.zeros(rows)
     for a, d, ratios in _pair_blocks(instance.distance_matrix(), members, fmin):
         # Rows a..b-1 against columns a..: every pair, those inside the block twice.
         got = max(got, float(ratios.max()))
@@ -385,7 +387,7 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
             first, second = np.nonzero(np.triu(close, 1))
             pts, at = np.unique(np.concatenate([first, second]) + a, return_inverse=True)
             phi, at, pair_d = rows_at(members[pts]), at.reshape(2, -1), d[first, second]
-            for q in (slice(p, p + chunk) for p in range(0, len(pair_d), chunk)):
+            for q in _row_blocks(len(pair_d), rows):
                 pair = _ratio(phi[:, at[1, q]], phi[:, at[0, q]], pair_d[q])
                 np.maximum(lips, pair.max(axis=1), out=lips)
     over = np.flatnonzero(lips > limit)
@@ -431,11 +433,11 @@ def _distance_quartiles(dd: np.ndarray) -> list[float]:
     rank ``p + n`` among all ``n * n`` entries.  ``abs`` clears the sign bit (the
     validator admits ``-0.0`` on the diagonal), and nonnegative float64 values
     sort as their bit patterns read as int64 do, so each wanted rank is selected
-    by radix on those bits, 16 at a time.  Each pass reads ``dd`` in row blocks
-    of about ``_SCAN_BLOCK`` entries.  For each known prefix of a wanted entry it
-    histograms the next 16 bits of the entries sharing the prefix or, once at
-    most ``_SCAN_BLOCK`` entries share it, keeps them for ``np.partition``.  Four
-    passes at most, and no sampling.
+    by radix on those bits, 16 at a time.  Each pass reads ``dd`` in the row
+    blocks of :func:`~lipext.metric._row_blocks`.  For each known prefix of a
+    wanted entry it histograms the next 16 bits of the entries sharing the
+    prefix or, once at most ``_BLOCK`` entries share it, keeps them for
+    ``np.partition``.  Four passes at most, and no sampling.
 
     numpy's default ``linear`` method reads the sorted values ``a, b`` at
     ``floor(v)`` and ``floor(v) + 1`` for the virtual index ``v = (N - 1) q``,
@@ -449,14 +451,14 @@ def _distance_quartiles(dd: np.ndarray) -> list[float]:
     spots = [(total - 1) * q for q in (0.25, 0.5, 0.75)]
     # rank -> (the known top bits of its entry, entries below them, entries with them)
     todo = {p + n: (0, 0, n * n) for v in spots for p in (math.floor(v), math.floor(v) + 1)}
-    found, step = {}, max(1, _SCAN_BLOCK // n)
+    found = {}
     for known in range(0, 64, 16):
         if not todo:
             break
-        acc = {key: [] if key[2] <= _SCAN_BLOCK else np.zeros(1 << 16, dtype=np.intp)
+        acc = {key: [] if key[2] <= metric._BLOCK else np.zeros(1 << 16, dtype=np.intp)
                for key in set(todo.values())}
-        for lo in range(0, n, step):
-            bits = np.abs(dd[lo:lo + step]).view(np.int64).ravel()
+        for s in _row_blocks(n, n):
+            bits = np.abs(dd[s]).view(np.int64).ravel()
             head = bits >> (64 - known) if known else None
             for (prefix, _, _), got in acc.items():
                 x = bits[head == prefix] if known else bits

@@ -461,6 +461,14 @@ def test_demo_rejects_xi_at_least_one(capsys, n, xi):
     assert "RESULT" not in out and "(0, 1)" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("n", ["10001", "1" + "0" * 400], ids=["10001", "401-digits"])
+def test_demo_rejects_a_grid_beyond_ten_thousand_points(capsys, n):
+    # Rejected before the n x n matrix (800 MB at n = 10000) is built.
+    assert main(["demo-counterexample", "--n", n]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"error": "grid needs from 2 to 10000 points"}
+
+
 def test_demo_runs_just_below_one(capsys):
     assert main(["demo-counterexample", "--n", "11", "--xi", "0.999"]) == 0
     assert "RESULT: PASS" in capsys.readouterr().out

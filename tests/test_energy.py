@@ -39,6 +39,13 @@ def test_measure_rejects_integers_beyond_float_range():
         assert exc.value.witness == {"index": int(inst.subset[0])}
 
 
+def test_measure_rejects_an_exponent_too_long_to_print():
+    inst = grid_instance(5)
+    for p in (10 ** 5000, -10 ** 5000):
+        with pytest.raises(ParameterError, match="^exponent p must be a finite real >= 1, got"):
+            validate_measure(inst, None, p)
+
+
 @pytest.mark.parametrize("masses", [["a", 0, 0, 0, 1], [[1.0], 0, 0, 0, 1]],
                          ids=["string", "ragged"])
 def test_malformed_masses_are_a_validation_error(masses):

@@ -10,9 +10,9 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
                     mcshane_comparison, mcshane_lower_many, mcshane_upper_many,
                     schedule_for_instance, schedule_with_locality, truncate_bounded,
                     validate_instance)
+from lipext import metric
 from lipext.errors import positive_real
 from lipext.extension import _bank, evaluation_diameters
-from lipext.metric import _ROW_CHUNK
 
 from conftest import (bank_rows, eval_pen, grid_instance, hand_bank, oracle_extend,
                       oracle_mcshane_lower, oracle_mcshane_upper, oracle_pen,
@@ -162,6 +162,13 @@ def test_mcshane_budget_validation(line3):
     for many in (mcshane_upper_many, mcshane_lower_many):
         with pytest.raises(ParameterError, match="envelope constant"):
             many(line3, 10 ** 400, [1])
+
+
+@pytest.mark.parametrize("many", [mcshane_upper_many, mcshane_lower_many])
+def test_mcshane_envelope_constant_too_long_to_print(line3, many):
+    for l_prime in (10 ** 5000, -10 ** 5000):
+        with pytest.raises(ParameterError, match="^envelope constant <int "):
+            many(line3, l_prime, [1])
 
 
 @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
@@ -491,16 +498,18 @@ def oracle_full(inst, profiles, y):
     return best, anchor
 
 
-def test_extend_over_several_query_blocks_matches_per_query_oracle():
-    # Shuffled queries with repeats, two full blocks and a short last one.
+def test_extend_over_several_query_blocks_matches_per_query_oracle(monkeypatch):
+    # Shuffled queries with repeats in blocks of 3 (|C| x 3 entries), the last
+    # one short.
     rng = np.random.default_rng(12)
-    n = 2 * _ROW_CHUNK + 5
+    n = 261
     inst = instance_from_arrays(coords=rng.uniform(0.0, 1.0, (n, 2)),
                                 subset=rng.choice(n, size=25, replace=False),
                                 values=rng.normal(size=25))
     sch = schedule_for_instance(inst, inst.lipschitz_L)
     profiles = build_profiles(inst, sch)
-    queries = np.concatenate([rng.permutation(n), rng.choice(n, size=_ROW_CHUNK + 3)])
+    queries = np.concatenate([rng.permutation(n), rng.choice(n, size=131)])
+    monkeypatch.setattr(metric, "_BLOCK", 3 * len(inst.subset))
     field = extend(inst, sch, queries, profiles=profiles)
     for xbars in (_nearest_anchors(inst, queries), rng.choice(inst.subset, size=len(queries))):
         loc = extend_localized(inst, sch, queries, xbars, profiles=profiles)
@@ -515,12 +524,14 @@ def test_extend_over_several_query_blocks_matches_per_query_oracle():
     assert np.array_equal(const.anchors, _nearest_anchors(flat, queries))
 
 
-def test_evaluation_diameters_over_row_blocks():
-    # The closest and the farthest pair each join the last rows of two blocks,
-    # so a block scan that skips those rows misses them.
+def test_evaluation_diameters_over_row_blocks(monkeypatch):
+    # The closest and the farthest pair each join the last rows of two blocks
+    # of 128 rows, so a block scan that skips those rows misses them.
     rng = np.random.default_rng(4)
-    n = 2 * _ROW_CHUNK + 5
-    a, b, c = _ROW_CHUNK - 1, 2 * _ROW_CHUNK - 1, n - 1
+    rows = 128
+    n = 2 * rows + 5
+    a, b, c = rows - 1, 2 * rows - 1, n - 1
+    monkeypatch.setattr(metric, "_BLOCK", rows * n)
     coords = rng.uniform(0.0, 1.0, (n, 2))
     coords[[a, b, c]] = [[-5.0, -5.0], [5.0, 5.0], [-5.0, -5.0 + 1e-7]]
     inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])

@@ -11,25 +11,38 @@ from pathlib import Path
 
 import pytest
 
-from lipext import verification
+from lipext import metric
 from lipext.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["report"] for c in CASES])
-def test_golden_report_bytes(case, tmp_path, capsys):
+def _report_bytes(case, tmp_path, capsys):
     if case["instance"] is None:
         assert main([case["command"], *case["flags"]]) == case["exit"]
-        got = capsys.readouterr().out.encode("utf-8")
-    else:
-        out = tmp_path / case["report"]
-        argv = [case["command"], "--input", str(GOLDEN / case["instance"]),
-                *case["flags"], "--output", str(out)]
-        assert main(argv) == case["exit"]
-        got = out.read_bytes()
-    assert got == (GOLDEN / case["report"]).read_bytes()
+        return capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / case["report"]
+    argv = [case["command"], "--input", str(GOLDEN / case["instance"]),
+            *case["flags"], "--output", str(out)]
+    assert main(argv) == case["exit"]
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["report"] for c in CASES])
+def test_golden_report_bytes(case, tmp_path, capsys):
+    assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["_BLOCK", "_TOP_K"])
+@pytest.mark.parametrize("case", CASES, ids=[c["report"] for c in CASES])
+def test_golden_bytes_do_not_depend_on_block_or_top_k(case, name, tmp_path, capsys,
+                                                      monkeypatch):
+    """One-row blocks in every scan, or one kept pair (every other ball is settled
+    by the recursion of ``ball_lips``): each blocked step is per row or per
+    column, or a max, min or histogram over the blocks, so the bytes stay."""
+    monkeypatch.setattr(metric, name, 1)
+    assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
 
 
 GRAPH_CASES = [c for c in CASES if c["instance"] == "graph.json"]
@@ -43,7 +56,7 @@ def test_negative_zero_diagonal_gives_the_golden_bytes(case, budget, tmp_path, m
     (with the default entry budget, and with one below the 160-point matrix so
     the selection histograms its bits)."""
     if budget is not None:
-        monkeypatch.setattr(verification, "_SCAN_BLOCK", budget)
+        monkeypatch.setattr(metric, "_BLOCK", budget)
     doc = json.loads((GOLDEN / "graph.json").read_text())
     for i, row in enumerate(doc["points"]["d"]):
         row[i] = -0.0

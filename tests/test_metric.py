@@ -8,8 +8,8 @@ from lipext import (InstanceValidationError, ParameterError,
                     instance_from_arrays, lip_constant, lipa_profile,
                     validate_instance)
 from lipext import metric
-from lipext.metric import (TRIANGLE_RTOL, _TRIANGLE_ROWS, _check_radii,
-                           _euclidean_matrix, _triangle_violators)
+from lipext.metric import (TRIANGLE_RTOL, _check_radii, _euclidean_matrix,
+                           _triangle_violators)
 
 from conftest import grid_instance, oracle_lip, random_instance
 
@@ -54,7 +54,7 @@ def test_triangle_violation_reports_triple():
     assert {err.witness["i"], err.witness["j"], err.witness["k"]} == {0, 1, 2}
 
 
-R = _TRIANGLE_ROWS
+R = 64      # rows per block of the triangle certificate: _BLOCK is R * n
 
 
 def _triangle_oracle(d):
@@ -95,14 +95,16 @@ def _stretch(d, i, k):
 
 def _triangle_witness(d):
     tol = TRIANGLE_RTOL * float(d.max())
-    try:
-        instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
-    except InstanceValidationError as exc:
-        assert exc.reason == "triangle inequality violated"
-        rows = _triangle_violators(d, tol).tolist()
-        assert exc.witness["i"] in rows and exc.witness["k"] in rows
-        return exc.witness
-    assert len(_triangle_violators(d, tol)) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_BLOCK", R * len(d))
+        try:
+            instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+        except InstanceValidationError as exc:
+            assert exc.reason == "triangle inequality violated"
+            rows = _triangle_violators(d, tol).tolist()
+            assert exc.witness["i"] in rows and exc.witness["k"] in rows
+            return exc.witness
+        assert len(_triangle_violators(d, tol)) == 0
     return None
 
 
@@ -158,11 +160,12 @@ def test_triangle_violation_at_first_and_last_pivot(pivot):
     assert w == _triangle_oracle(d) and w["j"] == pivot
 
 
-def test_triangle_witness_late_pivot_reads_only_violating_rows():
+def test_triangle_witness_late_pivot_reads_only_violating_rows(monkeypatch):
     # Both planted pairs violate only at pivots late in the scan, in different
     # row blocks; the certificate names exactly their rows, and the witness
     # scan over those rows finds the per-pivot oracle's witness.
     n = 4 * R + 7
+    monkeypatch.setattr(metric, "_BLOCK", R * n)
     d = _plane_metric(n, seed=3)
     pairs = ((2, n - 9), (R + 1, 3 * R))
     late = (n - 3, n - 6)
@@ -308,13 +311,14 @@ def test_euclidean_blocks_match_one_shot(monkeypatch, n, dim):
     # Blocks of B rows: full blocks, a short last block and a single block.
     coords = np.random.default_rng(n * dim).normal(0.0, 3.0, (n, dim))
     # Below 8 coordinates a block row is n entries, from 8 on n * dim.
-    monkeypatch.setattr(metric, "_GEOMETRY_BLOCK", B * n * (1 if dim < 8 else dim))
+    monkeypatch.setattr(metric, "_BLOCK", B * n * (1 if dim < 8 else dim))
     assert np.array_equal(_euclidean_matrix(coords), _one_shot(coords))
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_distances_match_one_shot(dim):
-    # At the module's own block size: 300 points span several blocks at dim >= 3.
+    # At the module's own block size: 300 points span two blocks below 8
+    # coordinates and more from 8 on.
     rng = np.random.default_rng(dim)
     coords = rng.uniform(-1.0, 1.0, (300, dim))
     inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])
@@ -357,11 +361,26 @@ def test_euclidean_temporaries_fit_the_block(dim):
     finally:
         tracemalloc.stop()
     # The output, the transposed coordinates and the slab below 8 coordinates
-    # or the difference block from 8 on (one row of n * dim entries at 1024),
+    # or the difference block from 8 on (one row of n * dim entries at 257 and 1024),
     # plus the buffers numpy's broadcasting subtract allocates (2 x bufsize
     # entries at most); nothing grows with n * n * dim.
-    assert peak <= (8 * (n * n + n * dim + metric._GEOMETRY_BLOCK)
+    assert peak <= (8 * (n * n + n * dim + metric._BLOCK)
                     + 16 * np.getbufsize() + (1 << 16))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+def test_row_blocks_cover_the_rows_in_order(monkeypatch, block):
+    # Full blocks of max(1, _BLOCK // width) rows, a width of 0 read as 1, and a
+    # shorter last block.
+    monkeypatch.setattr(metric, "_BLOCK", block)
+    for count in (0, 1, 2, 5, 9, 100):
+        for width in (0, 1, 3, 7, 8, 65, 1 << 16, 1 << 20):
+            rows = max(1, block // max(1, width))
+            sizes = [s.stop - s.start for s in metric._row_blocks(count, width)]
+            assert [i for s in metric._row_blocks(count, width)
+                    for i in range(count)[s]] == list(range(count))
+            assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < min(sizes, default=1)
+            assert max(sizes, default=0) <= rows
 
 
 # --- lip_constant ------------------------------------------------------------

@@ -1,21 +1,22 @@
 """Exact pair scans: the top-K ball-slope kernel and the certified family check.
 
 ``ball_lips`` streams the pair ratios of the members some ball can reach in
-row blocks of ``_SCAN_BLOCK`` entries, keeps the ``_TOP_K`` largest pairs and
+row blocks of ``_BLOCK`` entries, keeps the ``_TOP_K`` largest pairs and
 answers each ball from the first of them whose farther end lies inside it.
-A ball that holds none of them is scanned in full, in row blocks that also
-end at every ball's point count.  ``check_inf_family`` builds the family
-from a profile bank, scans every pair for the family's minimum and scans the
-members only on the pairs closer than their slope certificate's ``delta``.
-Both are compared with brute force: the kernel with K patched down to 1 and
-2 and around the pair count (ties at the K-th value, balls answered by the
-full scan, unsorted and repeated radii, the tie-heavy metrics of
-``test_ties``), with blocks patched down to 1, 2 and 7 rows, and at the
-block boundaries; the family check against the exhaustive scan of the
-materialized family, on hand-built and built banks, on clouds, tie metrics
-and explicit matrices whose triangle slack sits at the tolerance, and on the
-three roundoff terms of ``delta`` (triangle slack, large data values and
-continuity jumps), each of which lifts one pair over the budget.
+A ball that holds none of them recurses on its center with the members of
+the largest such ball, whose steepest pair that level keeps.
+``check_inf_family`` builds the family from a profile bank, scans every pair
+for the family's minimum and scans the members only on the pairs closer than
+their slope certificate's ``delta``.  Both are compared with brute force: the
+kernel with K patched down to 1 and 2 and around the pair count (ties at the
+K-th value, balls answered by the recursion, unsorted and repeated radii, the
+tie-heavy metrics of ``test_ties``), with ``_BLOCK`` patched down to blocks of
+1, 2 and 7 rows, and at the block boundaries; the family check against the
+exhaustive scan of the materialized family, on hand-built and built banks, on
+clouds, tie metrics and explicit matrices whose triangle slack sits at the
+tolerance, and on the three roundoff terms of ``delta`` (triangle slack, large
+data values and continuity jumps), each of which lifts one pair over the
+budget.
 """
 
 from dataclasses import replace
@@ -28,7 +29,6 @@ from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family,
                     instance_from_arrays, lip_constant, lipa_profile, run_suite,
                     schedule_for_instance, validate_measure)
 from lipext import metric
-from lipext.metric import _ROW_CHUNK
 
 from conftest import bank_rows, family_rows, grid_instance, hand_bank, oracle_lip
 from test_ties import IDS, INSTANCES, tie_radii
@@ -48,27 +48,32 @@ def _radius_for_count(sorted_d, count):
     return float(sorted_d[count])
 
 
-def test_ball_lips_matches_oracle_across_row_chunks():
-    n = 2 * _ROW_CHUNK + 40
+def test_ball_lips_matches_oracle_across_row_chunks(monkeypatch):
+    # Blocks of rows x rows entries: the pairs of a ball of `rows` members are
+    # one block, those of a ball with one more member two.  With K = 1 most
+    # balls recurse, so the balls of the counts below are scanned at those edges.
+    rows = 128
+    n = 2 * rows + 40
     inst = _cloud(0, n)
     rng = np.random.default_rng(1)
     domain = rng.permutation(n)
     vals = rng.normal(size=n)
+    monkeypatch.setattr(metric, "_BLOCK", rows * rows)
     for center in (int(domain[0]), int(domain[-1])):
         d_row = inst.distance_matrix()[center, domain]
         sorted_d = np.sort(d_row)
-        counts = [1, 2, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1,
-                  2 * _ROW_CHUNK - 1, 2 * _ROW_CHUNK, 2 * _ROW_CHUNK + 1, n]
+        counts = [1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1, n]
         radii = [_radius_for_count(sorted_d, c) for c in counts]
         radii += [sorted_d[1] / 2.0,                       # below the nearest point
-                  (sorted_d[_ROW_CHUNK] + sorted_d[_ROW_CHUNK + 1]) / 2.0,
+                  (sorted_d[rows] + sorted_d[rows + 1]) / 2.0,
                   radii[4]]                                # repeated count
         radii = np.array(radii)[rng.permutation(len(radii))]   # out of order
-        got = ball_lips(inst, domain, vals, [center], radii)[0]
         order = np.argsort(d_row, kind="stable")
-        for r, lip in zip(radii, got):
-            inside = order[d_row[order] < r]
-            assert lip == oracle_lip(inst, vals[inside], domain[inside]), r
+        want = [oracle_lip(inst, vals[inside], domain[inside])
+                for inside in (order[d_row[order] < r] for r in radii)]
+        for top_k in (metric._TOP_K, 1):
+            monkeypatch.setattr(metric, "_TOP_K", top_k)
+            assert ball_lips(inst, domain, vals, [center], radii)[0].tolist() == want
 
 
 def test_ball_lips_empty_and_single_point_balls():
@@ -81,8 +86,10 @@ def test_ball_lips_empty_and_single_point_balls():
     assert ball_lips(inst, domain, vals, [1], [tiny]).tolist() == [[0.0]]
 
 
-def test_ball_lips_rows_match_oracle():
-    n = _ROW_CHUNK + 60
+def test_ball_lips_rows_match_oracle(monkeypatch):
+    # The top-K walk reads 5 centers at a time, the pair scan 111-row blocks.
+    monkeypatch.setattr(metric, "_BLOCK", 5 * metric._TOP_K)
+    n = 188
     inst = _cloud(3, n)
     rng = np.random.default_rng(4)
     perm = rng.permutation(n)
@@ -91,7 +98,7 @@ def test_ball_lips_rows_match_oracle():
     centers = np.concatenate([perm[n - 5:], perm[:7]])   # five lie outside the domain
     d_rows = inst.distances(centers, domain)
     levels = np.sort(d_rows[0])
-    radii = [levels[_ROW_CHUNK], levels[3], 1e-9, levels[3], 9.0, levels[-1]]
+    radii = [levels[128], levels[3], 1e-9, levels[3], 9.0, levels[-1]]
     got = ball_lips(inst, domain, vals, centers, radii)
     assert got.shape == (len(centers), len(radii))
     for row, d_row in zip(got, d_rows):
@@ -206,11 +213,12 @@ def test_top_k_kernel_matches_oracle(monkeypatch, case, k_of_pairs):
                          ids=["1", "2", "pairs-1", "pairs", "pairs+1"])
 @pytest.mark.parametrize("case", TOP_K_CASES, ids=TOP_K_IDS)
 def test_streamed_kernel_matches_oracle_in_small_blocks(monkeypatch, case, k_of_pairs, rows):
-    """Blocks of 1, 2 and 7 rows: the running top-K, the full scan of the balls
-    without a kept pair and ``lip_constant`` all read the ratios block by block."""
+    """Blocks of 1, 2 and 7 rows: the running top-K, the recursion on the balls
+    without a kept pair (whose fewer members take as many rows or more) and
+    ``lip_constant`` all read the ratios block by block."""
     inst, domain, vals = case
     monkeypatch.setattr(metric, "_TOP_K", k_of_pairs(_pair_count(domain)))
-    monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(domain))
+    monkeypatch.setattr(metric, "_BLOCK", rows * len(domain))
     radii = tie_radii(inst)     # the largest holds every member, so no member is trimmed
     centers = np.arange(inst.n)
     got = ball_lips(inst, domain, vals, centers, radii)
@@ -224,7 +232,7 @@ def test_streamed_ties_at_the_kth_value_straddle_blocks(monkeypatch, rows):
     pairs tied at the K-th ratio start in more than one row block, so the
     running selection meets the tie in several blocks."""
     inst, domain, vals = TOP_K_CASES[0]
-    monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(domain))
+    monkeypatch.setattr(metric, "_BLOCK", rows * len(domain))
     first, second = np.triu_indices(len(domain), 1)
     ratios = (np.abs(vals[first] - vals[second])
               / inst.distance_matrix()[domain[first], domain[second]])
@@ -250,7 +258,7 @@ def test_one_positive_pair_left_out_is_scanned(monkeypatch, rows):
                                 values=[0.0, 0.1])
     domain, vals = np.arange(4), np.array([0.0, 0.1, 5.0, 20.0])
     monkeypatch.setattr(metric, "_TOP_K", _pair_count(domain) - 1)
-    monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(domain))
+    monkeypatch.setattr(metric, "_BLOCK", rows * len(domain))
     radii = [1.5, 2.5, 10.0]
     got = ball_lips(inst, domain, vals, [0], radii)
     assert got[0, 0] == 0.1
@@ -279,8 +287,8 @@ def test_top_k_ties_straddle_the_kth_value(monkeypatch):
 @pytest.mark.parametrize("case", [TOP_K_CASES[0], *TOP_K_CASES[3:]],
                          ids=[TOP_K_IDS[0], *TOP_K_IDS[3:]])
 def test_top_k_fallback_answers_balls_without_a_top_pair(monkeypatch, case):
-    """With K = 1 every ball that misses the steepest pairs is answered by the
-    full scan, and some such ball is steep but less steep than the top pair.
+    """With K = 1 every ball that misses the steepest pair is answered by the
+    recursion, and some such ball is steep but less steep than the top pair.
     (The discrete metric has no such ball: each is one point or the whole space.)"""
     inst, domain, vals = case
     monkeypatch.setattr(metric, "_TOP_K", 1)
@@ -293,19 +301,46 @@ def test_top_k_fallback_answers_balls_without_a_top_pair(monkeypatch, case):
 
 
 def test_top_k_kernel_on_a_cloud_with_few_top_pairs(monkeypatch):
-    """A cloud larger than a row chunk: K = 5 leaves most balls to the full scan."""
-    n = _ROW_CHUNK + 30
+    """K = 5 leaves most balls to the recursion, whose pair scans read blocks of
+    at most 1000 entries."""
+    n = 158
     inst = _cloud(13, n)
     rng = np.random.default_rng(14)
     domain = rng.permutation(n)[: n - 4]
     vals = rng.normal(size=len(domain))
     centers = rng.permutation(n)[:6]
     levels = np.sort(inst.distances(centers[:1], domain)[0])
-    radii = [levels[_ROW_CHUNK + 1], levels[2], levels[40], levels[2], 0.3, 5.0]
+    radii = [levels[129], levels[2], levels[40], levels[2], 0.3, 5.0]
     want = ball_lips(inst, domain, vals, centers, radii)
     monkeypatch.setattr(metric, "_TOP_K", 5)
+    monkeypatch.setattr(metric, "_BLOCK", 1000)
     assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want)
     assert np.array_equal(want, _oracle_balls(inst, domain, vals, centers, radii))
+
+
+def test_recursion_settles_nested_balls_one_level_each(monkeypatch):
+    """K = 1 on a line whose gaps grow steeper outward: each level keeps the
+    steepest pair of the largest ball left, which only that ball holds, so the
+    core recurses once per radius, each call on one radius fewer."""
+    m = 8
+    inst = instance_from_arrays(coords=np.arange(m + 1.0)[:, None], subset=[0, 1],
+                                values=[0.0, 1.0])
+    rng = np.random.default_rng(16)
+    domain = rng.permutation(m + 1)
+    vals = domain * (domain + 1) / 2.0         # slope i from point i - 1 to point i
+    radii = rng.permutation(np.arange(1.0, m + 1.0) + 0.5)
+    core, calls = metric._ball_lips, []
+
+    def counted(dd, members, values, d_rows, radii):
+        calls.append(len(radii))
+        return core(dd, members, values, d_rows, radii)
+
+    monkeypatch.setattr(metric, "_TOP_K", 1)
+    monkeypatch.setattr(metric, "_ball_lips", counted)
+    got = ball_lips(inst, domain, vals, [0], radii)
+    assert calls == list(range(m, 0, -1))
+    assert np.array_equal(got, _oracle_balls(inst, domain, vals, [0], radii))
+    assert sorted(got[0].tolist()) == list(range(1, m + 1))
 
 
 def test_ball_lips_rejects_a_negative_center():

@@ -46,6 +46,14 @@ def test_integers_beyond_float_range_are_not_finite(name, sign):
         build_schedule(**dict(args, **{name: sign * 10 ** 400}))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_too_long_to_print_is_a_parameter_error(sign):
+    # Python will not print an int of more than 4300 digits; the message names
+    # its type instead of raising ValueError.
+    with pytest.raises(ParameterError, match="^anchor must be a finite real, got <int "):
+        build_schedule(1.0, 0.5, sign * 10 ** 5000, 0.01, 2.0)
+
+
 def test_locality_radius_rejects_an_integer_beyond_float_range():
     for kwargs in ({"r_bar": 10 ** 400}, {"xi": 10 ** 400}, {"L": 10 ** 400}):
         with pytest.raises(ParameterError):

@@ -11,7 +11,7 @@ import pytest
 
 from lipext import (ball_lips, build_profiles, build_schedule, energy,
                     instance_from_arrays, lipa_profile, validate_measure)
-from lipext.metric import _ratio_block
+from lipext.metric import _ratio
 
 from conftest import oracle_lip, slope_map
 
@@ -66,7 +66,7 @@ def test_metrics_have_ties():
 def test_pair_ratios_zero_diagonal_and_symmetric(inst):
     domain = np.arange(inst.n)
     vals = np.random.default_rng(5).normal(size=inst.n)
-    _, ratios = _ratio_block(inst.distance_matrix(), domain, vals, slice(None), slice(None))
+    ratios = _ratio(vals[:, None], vals, inst.distance_matrix()[np.ix_(domain, domain)])
     assert np.all(np.diag(ratios) == 0.0)
     assert np.array_equal(ratios, ratios.T)
     assert ratios[0, 1] == abs(vals[0] - vals[1]) / inst.distance_matrix()[0, 1]

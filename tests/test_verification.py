@@ -11,7 +11,7 @@ from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
                     lip_constant, locality_radius, mcshane_comparison,
                     mcshane_upper_many, run_suite, schedule_for_instance,
                     schedule_with_locality, truncate_bounded, validate_measure)
-from lipext import metric, verification
+from lipext import metric
 from lipext.verification import (_distance_quartiles, _pair_sample, check_envelope_sandwich,
                                  check_localization)
 
@@ -142,7 +142,7 @@ def test_global_lipschitz_blocks_match_the_triu_scan(monkeypatch, rows):
               replace(field, queries=np.array([5, 5]), values=np.array([0.0, 1.0]))]
     for fld in fields:
         if rows is not None:
-            monkeypatch.setattr(metric, "_SCAN_BLOCK", rows * len(fld.queries))
+            monkeypatch.setattr(metric, "_BLOCK", rows * len(fld.queries))
         res = check_global_lipschitz(fld, inst, 2.0)
         want = _triu_steepest(fld, inst)
         if want is None:
@@ -177,7 +177,7 @@ def test_distance_quartiles_match_np_quantile(monkeypatch, budget):
     distances, also with the entry budget patched down so the selection
     histograms several 16-bit digits before it keeps the few entries left."""
     if budget is not None:
-        monkeypatch.setattr(verification, "_SCAN_BLOCK", budget)
+        monkeypatch.setattr(metric, "_BLOCK", budget)
     for dd in _quartile_matrices():
         want = np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()
         assert _distance_quartiles(dd) == want, len(dd)
