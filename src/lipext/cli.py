@@ -137,7 +137,7 @@ def cmd_extend(args) -> int:
 def cmd_verify(args) -> int:
     instance = validate_instance(_load_raw(args.input))
     report = run_suite(instance, args.epsilon, xi=args.xi, r_bar=args.rbar,
-                       seed=args.seed, _corrupt_field=args.inject_corruption)
+                       seed=args.seed)
     _emit(report.to_json(), args.output)
     return 0 if report.passed else 2
 
@@ -242,8 +242,6 @@ def build_parser() -> _Parser:
     p.add_argument("--xi", type=float, default=0.1)
     p.add_argument("--rbar", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-corruption", action="store_true",
-                   help=argparse.SUPPRESS)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_verify)
 

@@ -48,7 +48,6 @@ class MetricInstance:
     lipschitz_computed: float   # Lip(g, C), the exhaustive pair supremum
     coords: np.ndarray | None = None    # (n, dim) Euclidean geometry, or
     dmatrix: np.ndarray | None = None   # explicit (n, n) distance matrix
-    labels: list[str] | None = None
     _dcache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _subset_pos: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -73,19 +72,11 @@ class MetricInstance:
         return self._dcache
 
     def distances(self, rows, cols) -> np.ndarray:
-        """Distance submatrix d[rows, cols] with shape (len(rows), len(cols)).
-
-        When ``rows`` and ``cols`` are both ``0..n-1`` in order this is the
-        read-only :meth:`distance_matrix` itself, not a copy; any other index
-        lists give a fresh array.
-        """
+        """Distance submatrix d[rows, cols], a fresh array of shape (len(rows), len(cols))."""
         message = f"rows and cols must be 1-D lists of point indices in [0, {self.n})"
         rows = _index_list(rows, self.n, message)
         cols = _index_list(cols, self.n, message)
-        d = self.distance_matrix()
-        if _is_full_range(rows, self.n) and _is_full_range(cols, self.n):
-            return d
-        return d[np.ix_(rows, cols)]
+        return self.distance_matrix()[np.ix_(rows, cols)]
 
     def dist_to_subset(self, indices) -> np.ndarray:
         """d(x, C) = min over anchors, for each x in ``indices``."""
@@ -115,10 +106,6 @@ class MetricInstance:
         """Scale used by relative tolerances in inequality checks."""
         return max(1.0, float(np.max(np.abs(self.values))),
                    self.lipschitz_L * self.diameter())
-
-
-def _is_full_range(indices: np.ndarray, n: int) -> bool:
-    return indices.shape == (n,) and bool(np.all(indices == np.arange(n)))
 
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
@@ -271,7 +258,9 @@ def _float_array(data) -> np.ndarray:
         return np.vectorize(as_float, otypes=[float])(np.array(data, dtype=object))
 
 
-def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> MetricInstance:
+def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
+                         lipschitz=None, labels=None) -> MetricInstance:
+    """Validate and build an instance directly from arrays."""
     if (coords is None) == (dmatrix is None):
         _err("exactly one of coordinates or distance matrix required", "points")
     if coords is not None:
@@ -320,8 +309,7 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
                  n_labels=len(labels), n=n)
 
     inst = MetricInstance(subset=subset, values=values, lipschitz_L=0.0,
-                          lipschitz_computed=0.0, coords=coords, dmatrix=dmatrix,
-                          labels=labels)
+                          lipschitz_computed=0.0, coords=coords, dmatrix=dmatrix)
     _check_matrix(inst.distance_matrix(), euclidean=coords is not None)
 
     computed = lip_constant(inst, values, subset)
@@ -340,12 +328,6 @@ def _build_checked(coords, dmatrix, subset, values, lipschitz, labels) -> Metric
     subset.setflags(write=False)
     values.setflags(write=False)
     return inst
-
-
-def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
-                         lipschitz=None, labels=None) -> MetricInstance:
-    """Validate and build an instance directly from arrays."""
-    return _build_checked(coords, dmatrix, subset, values, lipschitz, labels)
 
 
 def validate_instance(raw: Mapping) -> MetricInstance:
@@ -374,8 +356,9 @@ def validate_instance(raw: Mapping) -> MetricInstance:
         if key not in raw:
             _err("missing field", key)
     try:
-        return _build_checked(coords, dmatrix, raw["subset"], raw["values"],
-                              raw.get("lipschitz"), raw.get("labels"))
+        return instance_from_arrays(coords=coords, dmatrix=dmatrix, subset=raw["subset"],
+                                    values=raw["values"], lipschitz=raw.get("lipschitz"),
+                                    labels=raw.get("labels"))
     except (TypeError, ValueError) as exc:
         raise InstanceValidationError(f"malformed field: {exc}", "root") from exc
 

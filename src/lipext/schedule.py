@@ -56,12 +56,6 @@ class ScaleSchedule:
                                  f"[{self.k_min}, {self.k_max}]")
         return float(self.eps[k - self.k_min])
 
-    def ratio_at(self, k: int) -> float:
-        if not self.k_min < k <= self.k_max:
-            raise ParameterError(f"ratio index {k} outside stored range "
-                                 f"({self.k_min}, {self.k_max}]")
-        return float(self.ratio[k - self.k_min - 1])
-
     def virtual_ratio(self, k: int) -> float:
         """Ratio the generation law would assign at any index (0.0 on underflow)."""
         return math.ldexp(self.r_star, min(k - self.k_ref, 0))
@@ -187,16 +181,15 @@ def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,
     if not (L >= 0 and math.isfinite(as_float(L))):
         raise ParameterError("L must be a nonnegative finite real")
 
-    for k in range(schedule.k_max - 3, schedule.k_min + 1, -1):
-        if schedule.eps_at(k + 3) < r_bar and 3.0 * L * schedule.ratio_at(k + 1) < xi:
-            return k, schedule.eps_at(k - 2)
-
-    # Determine how deep a rebuild must go, extending the generation law
-    # virtually below the stored range.
+    # One descent by the generation law: the stored values where they exist
+    # (the stored ratios are virtual_ratio's expression), and below them the
+    # depth a rebuild must reach.
     k = schedule.k_max - 3
     for _ in range(_MAX_STEPS):
         if (schedule.virtual_eps(k + 3) < r_bar
                 and 3.0 * L * schedule.virtual_ratio(k + 1) < xi):
+            if k - 2 >= schedule.k_min:
+                return k, schedule.eps_at(k - 2)
             required = schedule.virtual_eps(k - 2)
             if required > 0.0:
                 raise ScheduleTooShallow(

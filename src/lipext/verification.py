@@ -16,7 +16,7 @@ certificate cannot clear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -492,15 +492,12 @@ def _distance_quartiles(dd: np.ndarray) -> list[float]:
 
 
 def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
-              r_bar: float | None = None, seed: int = 0,
-              _corrupt_field: bool = False) -> VerificationReport:
+              r_bar: float | None = None, seed: int = 0) -> VerificationReport:
     """Full check battery over one instance.
 
     Builds the schedule (deep enough for the locality conditions), extends to
     every point, and runs each check; the cone-versus-penalized profile
-    comparison is attached as an informational fragment.  ``_corrupt_field``
-    is a test hook that perturbs one extension value so the failure path can
-    be exercised end to end.
+    comparison is attached as an informational fragment.
     """
     positive_real("epsilon", epsilon)
     positive_real("xi", xi)
@@ -514,16 +511,9 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     params = {"epsilon": float(epsilon), "xi": float(xi), "r_bar": float(r_bar),
               "seed": int(seed)}
 
-    def _maybe_corrupt(fld: ExtensionField) -> ExtensionField:
-        if not _corrupt_field:
-            return fld
-        vals = fld.values.copy()
-        vals[0] += 0.5 * instance.check_scale() + 1.0
-        return replace(fld, values=vals)
-
     L, triples = instance.lipschitz_L, None
     if instance.lipschitz_computed == 0.0:
-        field = _maybe_corrupt(extend(instance, None, queries))
+        field = extend(instance, None, queries)
         checks = [
             check_restriction(field, instance),
             check_global_lipschitz(field, instance, L + epsilon, seed=seed),
@@ -538,7 +528,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     else:
         schedule, _, _ = schedule_with_locality(instance, epsilon, r_bar, xi, queries)
         profiles = build_profiles(instance, schedule)
-        field = _maybe_corrupt(extend(instance, schedule, queries, profiles=profiles))
+        field = extend(instance, schedule, queries, profiles=profiles)
         budget, triples = L + schedule.eps_eff, schedule.to_triples()
         checks = [
             check_schedule_laws(schedule, float(epsilon)),

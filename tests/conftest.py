@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lipext import ProfileBank, ball_lips, instance_from_arrays
+from lipext import ProfileBank, ball_lips, instance_from_arrays, verification
 from lipext.cli import grid_instance
 
 __all__ = ["grid_instance"]
@@ -59,6 +62,26 @@ def hand_bank(anchors, breakpoints, slopes, jumps=0.0):
     cumulative = np.zeros_like(slopes)
     cumulative[:, 1:] = np.cumsum(slopes[:, :-1] * np.diff(bp, prepend=0.0) + jumps, axis=1)
     return ProfileBank(np.asarray(anchors, dtype=np.intp), bp, slopes, cumulative)
+
+
+@contextlib.contextmanager
+def corrupted_extension():
+    """Within the block, ``run_suite`` (so also ``lipext verify``) checks its
+    extension with ``0.5 * check_scale() + 1`` added to the first value: the
+    check battery's failure path, end to end."""
+    extend = verification.extend
+
+    def corrupt(instance, *args, **kwargs):
+        field = extend(instance, *args, **kwargs)
+        values = field.values.copy()
+        values[0] += 0.5 * instance.check_scale() + 1.0
+        return replace(field, values=values)
+
+    verification.extend = corrupt
+    try:
+        yield
+    finally:
+        verification.extend = extend
 
 
 def random_masses(instance, seed):

@@ -7,10 +7,11 @@ Usage, from the root of a checkout:
 Every instance is a function of its fixed seed.  For each instance the script
 runs ``verify``, ``extend`` and ``energy`` through ``lipext.cli.main`` and
 stores each report next to the instance; ``EXTRA`` adds single runs (the
-injected-corruption failure path, and ``demo-counterexample``, whose stdout
-is the report).  The flags and exit codes go to ``cases.json``.  Reports pin the byte-identical output contract:
-regenerate them only for a change that is meant to alter outputs, and say so
-in the change log.
+failure path, a ``verify`` run inside ``conftest.corrupted_extension``, and
+``demo-counterexample``, whose stdout is the report).  The flags, exit codes
+and a ``"corrupt": true`` on the failure-path case go to ``cases.json``.
+Reports pin the byte-identical output contract: regenerate them only for a
+change that is meant to alter outputs, and say so in the change log.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import numpy as np
 from lipext.cli import main
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+from conftest import corrupted_extension  # noqa: E402
 
 
 def cloud(seed: int, n: int = 40, size: int = 8, dim: int = 3) -> dict:
@@ -204,27 +207,32 @@ CASES = {
 }
 
 
-# (report, instance name or None, command, flags).  A case without an
-# instance takes no --input/--output: its report is what it prints.
+# (report, instance name or None, command, flags, corrupt).  A case without an
+# instance takes no --input/--output: its report is what it prints.  A corrupt
+# case runs inside corrupted_extension.
 EXTRA = [
-    ("cloud.verify_corrupt.json", "cloud", "verify",
-     ["--epsilon", "0.5", "--xi", "0.1", "--inject-corruption"]),
-    ("demo_counterexample.stdout.txt", None, "demo-counterexample", ["--n", "101"]),
+    ("cloud.verify_corrupt.json", "cloud", "verify", ["--epsilon", "0.5", "--xi", "0.1"],
+     True),
+    ("demo_counterexample.stdout.txt", None, "demo-counterexample", ["--n", "101"], False),
 ]
 
 
 def _run(out_dir: Path, report: str, instance: str | None, command: str,
-         flags: list[str]) -> dict:
-    if instance is None:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main([command, *flags])
-        (out_dir / report).write_bytes(buf.getvalue().encode("utf-8"))
-    else:
-        code = main([command, "--input", str(out_dir / instance), *flags,
-                     "--output", str(out_dir / report)])
-    return {"instance": instance, "command": command, "flags": flags,
-            "exit": code, "report": report}
+         flags: list[str], corrupt: bool = False) -> dict:
+    with corrupted_extension() if corrupt else contextlib.nullcontext():
+        if instance is None:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main([command, *flags])
+            (out_dir / report).write_bytes(buf.getvalue().encode("utf-8"))
+        else:
+            code = main([command, "--input", str(out_dir / instance), *flags,
+                         "--output", str(out_dir / report)])
+    row = {"instance": instance, "command": command, "flags": flags,
+           "exit": code, "report": report}
+    if corrupt:
+        row["corrupt"] = True
+    return row
 
 
 def generate(out_dir: Path) -> list[dict]:
@@ -235,9 +243,9 @@ def generate(out_dir: Path) -> list[dict]:
         for command, flags in commands.items():
             manifest.append(_run(out_dir, f"{name}.{command}.json", instance,
                                  command, flags))
-    for report, name, command, flags in EXTRA:
+    for report, name, command, flags, corrupt in EXTRA:
         manifest.append(_run(out_dir, report, name and f"{name}.json",
-                             command, flags))
+                             command, flags, corrupt))
     (out_dir / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
     return manifest
 

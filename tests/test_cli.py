@@ -8,6 +8,8 @@ from jsonschema import Draft7Validator
 
 from lipext.cli import main
 
+from conftest import corrupted_extension
+
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs"
                      / "report_schema.json").read_text())
 VALIDATOR = Draft7Validator(SCHEMA)
@@ -280,10 +282,11 @@ def test_verify_random_instance_exit0(tmp_path):
     assert doc["passed"] is True
 
 
-def test_verify_corruption_hook_exit2(tmp_path):
+def test_verify_corrupted_extension_exit2(tmp_path):
     out = str(tmp_path / "v.json")
-    code = main(["verify", "--input", _cloud_file(tmp_path), "--epsilon", "1",
-                 "--inject-corruption", "--output", out])
+    with corrupted_extension():
+        code = main(["verify", "--input", _cloud_file(tmp_path), "--epsilon", "1",
+                     "--output", out])
     assert code == 2
     doc = _check_schema(out)
     assert doc["passed"] is False
@@ -522,4 +525,8 @@ def test_malformed_json(tmp_path, capsys):
 def test_bad_usage_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--input", "x.json"])  # missing required flags
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", "x.json", "--epsilon", "1", "--output", "v.json",
+              "--inject-corruption"])   # no such option
     assert exc.value.code == 1

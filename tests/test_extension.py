@@ -72,7 +72,7 @@ def test_zero_slope_map_gives_pure_ratio_penalty():
     inst = instance_from_arrays(coords=[[0.0], [0.3], [1.0]], subset=[0, 1, 2],
                                 values=[2.0, 2.0, 2.0], lipschitz=1.0)
     prof = build_profiles(inst, sch)
-    expected = 3.0 * np.array([sch.ratio_at(k)
+    expected = 3.0 * np.array([sch.ratio[k - sch.k_min - 1]
                                for k in range(sch.k_min + 1, sch.k_max + 1)])
     bands = prof.slopes[0, 1:-1]
     assert np.array_equal(bands, expected)

@@ -3,9 +3,11 @@
 The instances, flags and reports live in ``tests/golden`` (see its
 ``generate.py``); each case reruns one CLI command and compares bytes and the
 exit code.  A case without an instance (``demo-counterexample``) takes no
-``--input``/``--output``: its stdout is compared instead.
+``--input``/``--output``: its stdout is compared instead, and a case marked
+``"corrupt"`` runs inside ``conftest.corrupted_extension``.
 """
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -14,19 +16,22 @@ import pytest
 from lipext import metric
 from lipext.cli import main
 
+from conftest import corrupted_extension
+
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def _report_bytes(case, tmp_path, capsys):
-    if case["instance"] is None:
-        assert main([case["command"], *case["flags"]]) == case["exit"]
-        return capsys.readouterr().out.encode("utf-8")
-    out = tmp_path / case["report"]
-    argv = [case["command"], "--input", str(GOLDEN / case["instance"]),
-            *case["flags"], "--output", str(out)]
-    assert main(argv) == case["exit"]
-    return out.read_bytes()
+    with corrupted_extension() if case.get("corrupt") else contextlib.nullcontext():
+        if case["instance"] is None:
+            assert main([case["command"], *case["flags"]]) == case["exit"]
+            return capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / case["report"]
+        argv = [case["command"], "--input", str(GOLDEN / case["instance"]),
+                *case["flags"], "--output", str(out)]
+        assert main(argv) == case["exit"]
+        return out.read_bytes()
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["report"] for c in CASES])

@@ -328,11 +328,9 @@ def test_distances_match_one_shot(dim):
     d = inst.distance_matrix()
     assert np.array_equal(d, full) and not d.flags.writeable
     everything = np.arange(inst.n)
-    assert inst.distances(everything, everything) is d
-    assert inst.distances(everything.tolist(), range(inst.n)) is d
     rows = rng.permutation(inst.n)[:37]
     cols = rng.permutation(inst.n)[:50]
-    for r, c in ((rows, cols), (rows, everything), (everything, cols),
+    for r, c in ((everything, everything), (rows, cols), (rows, everything), (everything, cols),
                  (rng.permutation(inst.n), everything), (everything[::-1], everything)):
         got = inst.distances(r, c)
         assert got is not d and np.array_equal(got, full[np.ix_(r, c)])

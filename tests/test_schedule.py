@@ -123,7 +123,7 @@ def test_schedule_laws_random(L, epsilon, anchor):
 def test_doubling_decay_of_ratios():
     sch = canonical()
     for k in range(sch.k_min + 2, sch.k_max + 1):
-        ratio_step = sch.ratio_at(k - 1) / sch.ratio_at(k)
+        ratio_step = sch.ratio[k - sch.k_min - 2] / sch.ratio[k - sch.k_min - 1]
         assert ratio_step == (0.5 if k <= sch.k_ref else 1.0)
 
 
@@ -150,7 +150,7 @@ def test_locality_radius_direct_scan():
     # independent scan of the stored schedule
     best = None
     for kk in range(sch.k_min + 2, sch.k_max - 2):
-        if sch.eps_at(kk + 3) < r_bar and 3.0 * sch.ratio_at(kk + 1) < xi:
+        if sch.eps_at(kk + 3) < r_bar and 3.0 * sch.ratio[kk - sch.k_min] < xi:
             best = kk
     assert k == best
     assert r == sch.eps_at(k - 2)
@@ -214,4 +214,4 @@ def test_triples_roundtrip():
     assert triples[0]["ratio_k"] is None
     for t in triples[1:]:
         assert t["eps_k"] == sch.eps_at(t["k"])
-        assert t["ratio_k"] == sch.ratio_at(t["k"])
+        assert t["ratio_k"] == sch.ratio[t["k"] - sch.k_min - 1]

@@ -132,7 +132,8 @@ def test_approx_slopes_match_oracle_at_ties(inst):
                                               int(x), sch.virtual_eps(k))
         # band k of the bank carries S_k + 3 L r_{k-1}, k in [k_min + 2, k_max + 1]
         S = np.array([smap[k] for k in range(sch.k_min + 2, sch.k_max + 2)])
-        ratios = np.array([sch.ratio_at(k) for k in range(sch.k_min + 1, sch.k_max + 1)])
+        ratios = np.array([sch.ratio[k - sch.k_min - 1]
+                           for k in range(sch.k_min + 1, sch.k_max + 1)])
         assert np.array_equal(bank.slopes[pos, 1:-1],
                               S + 3.0 * inst.lipschitz_L * ratios)
 

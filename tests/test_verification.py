@@ -15,7 +15,7 @@ from lipext import metric
 from lipext.verification import (_distance_quartiles, _pair_sample, check_envelope_sandwich,
                                  check_localization)
 
-from conftest import grid_instance, hand_bank, oracle_lip, random_instance
+from conftest import corrupted_extension, grid_instance, hand_bank, oracle_lip, random_instance
 from test_ties import INSTANCES as TIE_INSTANCES
 
 
@@ -38,7 +38,8 @@ def test_suite_constant_data_path():
 
 def test_corrupted_field_fails_with_witness():
     inst = random_instance(5, n_max=60)
-    report = run_suite(inst, inst.lipschitz_L, _corrupt_field=True)
+    with corrupted_extension():
+        report = run_suite(inst, inst.lipschitz_L)
     assert not report.passed
     for c in report.checks:
         if not c.passed:
@@ -51,7 +52,8 @@ def test_localization_witness_takes_lowest_index_nearest_anchor():
     n = 8
     inst = instance_from_arrays(dmatrix=1.0 - np.eye(n), subset=[6, 3, 5],
                                 values=[0.2, 0.9, 0.5])
-    report = run_suite(inst, inst.lipschitz_L, _corrupt_field=True)
+    with corrupted_extension():
+        report = run_suite(inst, inst.lipschitz_L)
     loc = next(c for c in report.checks if c.name == "localization")
     assert loc.status == "fail"
     assert loc.witness["query"] == 0
