@@ -48,7 +48,7 @@ def validate_measure(instance: MetricInstance, masses=None, p: float = 1.0) -> M
         masses = np.zeros(instance.n)
         masses[instance.subset] = 1.0
     try:
-        masses = _float_array(masses)
+        masses = _float_array(masses, "masses", "mass")
     except (TypeError, ValueError) as exc:
         raise InstanceValidationError(f"malformed field: {exc}", "masses") from exc
     if masses.shape != (instance.n,):
@@ -112,10 +112,18 @@ def energy(instance: MetricInstance, domain, values, measure: MeasureData,
     if not np.all(np.isin(support, domain)):
         raise ParameterError("domain must contain the measure support")
     lips = ball_lips(instance, domain, values, support, radii).T.copy()   # row per radius
-    contrib = measure.masses[support] * lips ** measure.p
-    return [EnergySide(radius=float(r), total=float(c.sum()), support=support,
-                       lips=lr, contributions=c)
-            for r, lr, c in zip(radii, lips, contrib)]
+    with np.errstate(over="ignore"):
+        contrib = measure.masses[support] * lips ** measure.p
+        totals = [_finite_total(c, "energy total") for c in contrib]
+    return [EnergySide(radius=float(r), total=t, support=support, lips=lr, contributions=c)
+            for r, t, lr, c in zip(radii, totals, lips, contrib)]
+
+
+def _finite_total(terms: np.ndarray, name: str) -> float:
+    total = float(terms.sum())      # under the caller's np.errstate(over="ignore")
+    if not math.isfinite(total):
+        raise ParameterError(f"{name} does not fit in binary64")
+    return total
 
 
 def _positive_radii(radii) -> np.ndarray:
@@ -186,8 +194,10 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
                locality_radius(schedule, float(rb), xi, L)[1] for rb in radii_bar]
     sides = energy(instance, allpts, field.values, measure, r_sched)
     for rb, r, lips_g, e_f in zip(radii_bar, r_sched, lips_g_all.T, sides):
-        point_gap = e_f.lips - (lips_g + xi)
-        bound_total = float((measure.masses[support] * (lips_g + xi) ** measure.p).sum())
+        with np.errstate(over="ignore"):
+            bound_total = _finite_total(measure.masses[support] * (lips_g + xi) ** measure.p,
+                                        "energy bound")
+        point_gap = e_f.lips - (lips_g + xi)    # finite, as the bound is
         agg_gap = e_f.total - bound_total
         j_bad = int(np.argmax(point_gap))
         gap = max(float(point_gap[j_bad]), agg_gap / max(1.0, bound_total))

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InstanceValidationError, ParameterError, as_float
+from .errors import InstanceValidationError, ParameterError, as_float, is_real
 
 # Relative slack for the triangle-inequality scan on explicit matrices.
 TRIANGLE_RTOL = 1e-9
@@ -250,12 +250,32 @@ def _first_non_integer(entries) -> int | None:
     return None
 
 
-def _float_array(data) -> np.ndarray:
-    """``np.array(data, dtype=float)``, reading huge integers by :func:`~lipext.errors.as_float`."""
+def _float_array(data, field: str, noun: str) -> np.ndarray:
+    """``np.array(data, dtype=float)``, reading huge integers by :func:`~lipext.errors.as_float`;
+    a string or a bool, which numpy reads as a number, is a ``non-numeric {noun}``."""
     try:
-        return np.array(data, dtype=float)
+        arr = np.array(data, dtype=float)
     except OverflowError:
-        return np.vectorize(as_float, otypes=[float])(np.array(data, dtype=object))
+        arr = np.vectorize(as_float, otypes=[float])(np.array(data, dtype=object))
+    bad = _first_non_real(data)
+    if bad is not None:
+        _err(f"non-numeric {noun}", field, position=bad[0] if len(bad) == 1 else bad)
+    return arr
+
+
+def _first_non_real(data) -> list[int] | None:
+    """Index path of the first entry of nested lists or arrays that is not a real by
+    :func:`~lipext.errors.is_real` (a string or a bool, say), or None; a list of
+    floats and ints takes one scan of its types."""
+    data = data.tolist() if isinstance(data, np.ndarray) else data
+    if not isinstance(data, (list, tuple)):
+        return None if is_real(data) else []
+    if not set(map(type, data)) <= {float, int}:
+        for i, entry in enumerate(data):
+            path = _first_non_real(entry)
+            if path is not None:
+                return [i, *path]
+    return None
 
 
 def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
@@ -264,7 +284,7 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
     if (coords is None) == (dmatrix is None):
         _err("exactly one of coordinates or distance matrix required", "points")
     if coords is not None:
-        coords = _float_array(coords)
+        coords = _float_array(coords, "points", "coordinate")
         if coords.ndim != 2 or coords.shape[0] < 1:
             _err("coordinates must be a non-empty 2-D array", "points")
         if not np.all(np.isfinite(coords)):
@@ -273,7 +293,7 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
         n = coords.shape[0]
         coords.setflags(write=False)
     else:
-        dmatrix = _float_array(dmatrix)
+        dmatrix = _float_array(dmatrix, "points", "distance")
         if dmatrix.ndim != 2 or dmatrix.shape[0] != dmatrix.shape[1] or dmatrix.shape[0] < 1:
             _err("distance matrix must be square and non-empty", "points")
         n = dmatrix.shape[0]
@@ -294,7 +314,7 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
         uniq, counts = np.unique(subset, return_counts=True)
         _err("duplicate subset index", "subset", index=int(uniq[counts > 1][0]))
 
-    values = _float_array(values)
+    values = _float_array(values, "values", "value")
     if values.shape != subset.shape:
         _err("values length does not match subset length", "values",
              n_values=len(values), n_subset=len(subset))
@@ -316,6 +336,9 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
     if lipschitz is None:
         lipschitz = computed
     else:
+        if not is_real(lipschitz):
+            _err("lipschitz constant must be a finite nonnegative real", "lipschitz",
+                 type=type(lipschitz).__name__)
         lipschitz = as_float(lipschitz)
         if not np.isfinite(lipschitz) or lipschitz < 0:
             _err("lipschitz constant must be a finite nonnegative real", "lipschitz",

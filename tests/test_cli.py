@@ -205,6 +205,38 @@ def test_validate_integer_beyond_float_range_exit1(tmp_path, capsys, field):
     assert outs[0] == outs[1]
 
 
+# Each case puts a string or a bool, which numpy would read as a number, in one
+# numeric field of an instance file.
+NON_NUMBER_CASES = {
+    "lipschitz-string": ({"lipschitz": "1e9"},
+                         {"error": "lipschitz constant must be a finite nonnegative real",
+                          "field": "lipschitz", "witness": {"type": "str"}}),
+    "lipschitz-bool": ({"lipschitz": True},
+                       {"error": "lipschitz constant must be a finite nonnegative real",
+                        "field": "lipschitz", "witness": {"type": "bool"}}),
+    "coordinate": ({"points": {"type": "euclidean", "coords": [[0.0], ["0"], [1.0]]}},
+                   {"error": "non-numeric coordinate", "field": "points",
+                    "witness": {"position": [1, 0]}}),
+    "distance": ({"points": {"type": "matrix", "d": [[0, 1, 1], [1, 0, True], [1, 1, 0]]}},
+                 {"error": "non-numeric distance", "field": "points",
+                  "witness": {"position": [1, 2]}}),
+    "value": ({"values": [0.0, "0"]},
+              {"error": "non-numeric value", "field": "values", "witness": {"position": 1}}),
+    "mass": ({"masses": [1.0, 0.0, True]},
+             {"error": "non-numeric mass", "field": "masses", "witness": {"position": 2}}),
+}
+
+
+@pytest.mark.parametrize("field", NON_NUMBER_CASES)
+def test_validate_string_or_bool_number_exit1(tmp_path, capsys, field):
+    edit, error = NON_NUMBER_CASES[field]
+    doc = {"points": {"type": "euclidean", "coords": [[0.0], [0.5], [1.0]]},
+           "subset": [0, 2], "values": [0.0, 1.0], "masses": [1.0, 0.0, 1.0], **edit}
+    assert main(["validate", "--input", _write(tmp_path, "bad.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and json.loads(out) == error and err == ""
+
+
 def test_validate_nan_lipschitz_exit1(tmp_path, capsys):
     # The witness names the value as a string: a report is strict JSON.
     path = tmp_path / "nan.json"
@@ -425,6 +457,18 @@ def test_energy_infinite_xi_exit1(tmp_path, capsys):
     assert main(["energy", "--input", cloud, "--p", "1", "--radii", "0.5",
                  "--xi", "inf", "--output", str(tmp_path / "e.json")]) == 1
     assert "xi" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--p", "2000", "--radii", "0.2,0.5"], "energy total does not fit in binary64"),
+    (["--p", "2", "--radii", "0.2", "--xi", "1e200"], "energy bound does not fit in binary64"),
+], ids=["total", "bound"])
+def test_energy_overflow_exit1(tmp_path, capsys, flags, error):
+    # lips ** p, or (lip_g + xi) ** p, beyond binary64: an error, not an inf in the report.
+    cloud = str(Path(__file__).parent / "golden" / "cloud.json")
+    assert main(["energy", "--input", cloud, *flags, "--output", str(tmp_path / "e.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and json.loads(out) == {"error": error} and err == ""
 
 
 # --- demo --------------------------------------------------------------------

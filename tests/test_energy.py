@@ -207,6 +207,23 @@ def test_energy_parameter_errors():
         check_extension_energy(inst, measure, [0.5], xi=0.0)
 
 
+def test_energy_overflow_is_a_parameter_error():
+    # Lip = 4 on the line, so 4 ** 1000 = 2 ** 2000 and (4 + 1e200) ** 2 leave
+    # binary64; numpy's overflow warning, an error in this suite, stays silent.
+    inst = instance_from_arrays(coords=[[0.0], [0.5], [1.0]], subset=[0, 2],
+                                values=[0.0, 4.0])
+    steep = _unit_measure(inst, 1000.0)
+    with pytest.raises(ParameterError, match="^energy total does not fit in binary64$"):
+        energy(inst, inst.subset, inst.values, steep, [2.0])
+    with pytest.raises(ParameterError, match="^energy total does not fit in binary64$"):
+        check_restriction_monotonicity(inst, np.array([0.0, 2.0, 4.0]), steep, [2.0])
+    for measure, xi in ((steep, 0.1), (_unit_measure(inst, 2.0), 1e200)):
+        with pytest.raises(ParameterError, match="^energy bound does not fit in binary64$"):
+            check_extension_energy(inst, measure, [2.0], xi=xi)
+    check, _ = check_extension_energy(inst, _unit_measure(inst, 2.0), [2.0], xi=1e100)
+    assert check.passed
+
+
 def test_extension_energy_rejects_non_finite_xi():
     inst = grid_instance(5)
     for xi in (float("inf"), float("nan")):

@@ -46,6 +46,27 @@ def test_integers_beyond_float_range_are_not_finite(sign):
         assert exc.value.field == field and exc.value.reason.startswith(reason)
 
 
+def test_strings_and_bools_are_not_numbers():
+    # numpy reads "0" and True as numbers; each field names the first such entry,
+    # also in numpy arrays and in rows of numpy scalars.
+    line = dict(coords=[[0.0], [0.5], [1.0]], subset=[0, 2], values=[0.0, 1.0])
+    for edit, field, reason, position in (
+            ({"lipschitz": np.True_}, "lipschitz", "lipschitz constant must be a finite", None),
+            ({"coords": [np.array([0.0]), ["0.5"], [1.0]]}, "points", "non-numeric coordinate",
+             [1, 0]),
+            ({"values": np.array([False, True])}, "values", "non-numeric value", 0),
+            ({"values": [np.float64(0.0), np.bool_(True)]}, "values", "non-numeric value", 1),
+            ({"coords": None, "dmatrix": np.array([[0, 1], ["1", 0]], dtype=object),
+              "subset": [0, 1]}, "points", "non-numeric distance", [1, 0])):
+        with pytest.raises(InstanceValidationError) as exc:
+            instance_from_arrays(**dict(line, **edit))
+        assert exc.value.field == field and exc.value.reason.startswith(reason)
+        assert exc.value.witness.get("position") == position
+    inst = instance_from_arrays(coords=[(np.float64(0.0),), [np.int64(1)]], subset=(0, 1),
+                                values=np.array([0.0, np.float32(2.0)]), lipschitz=np.int64(3))
+    assert inst.lipschitz_L == 3.0 and inst.diameter() == 1.0
+
+
 def test_triangle_violation_reports_triple():
     with pytest.raises(InstanceValidationError) as exc:
         validate_instance(_matrix_raw([[0, 1, 5], [1, 0, 1], [5, 1, 0]]))

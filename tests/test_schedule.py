@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -178,6 +179,31 @@ def test_locality_radius_extend_schedule_error():
     if required > 0:
         deeper = build_schedule(1.0, 1.0, 1.0, required / 64.0, 10.0)
         locality_radius(deeper, sch.eps_at(sch.k_min + 2), 1.0, L=1.0)
+
+
+def test_locality_radius_against_a_deep_schedule():
+    # The same schedule built down to 1e-200 holds the same bits at every
+    # shared index.  Its first k, descending, with eps_{k+3} < r_bar and
+    # 3 L r_{k+1} < xi is the answer when eps_{k-2} is stored in the shallow
+    # schedule, and otherwise eps_{k-2} is the depth the error asks for.
+    outcomes = []
+    for L, eps, span_low in itertools.product([0.5, 1.0, 8.0], [1e-3, 0.1, 1.0], [1e-6, 1e-2]):
+        sch = build_schedule(L, eps, 1.0, span_low, 4.0)
+        deep = build_schedule(L, eps, 1.0, 1e-200, 4.0)
+        assert deep.k_max == sch.k_max
+        assert np.array_equal(deep.eps[sch.k_min - deep.k_min:], sch.eps)
+        for r_bar, xi in itertools.product([1e-5, 0.05, 1.0], [1e-3, 0.1, 0.9]):
+            k = next(k for k in range(deep.k_max - 3, deep.k_min + 1, -1)
+                     if deep.eps_at(k + 3) < r_bar
+                     and 3.0 * L * deep.ratio[k - deep.k_min] < xi)
+            outcomes.append(k - 2 >= sch.k_min)
+            if outcomes[-1]:
+                assert locality_radius(sch, r_bar, xi, L) == (k, sch.eps_at(k - 2))
+                continue
+            with pytest.raises(ScheduleTooShallow, match="first hold at k=") as exc:
+                locality_radius(sch, r_bar, xi, L)
+            assert exc.value.required_span_low == deep.eps_at(k - 2)
+    assert len(outcomes) == 162 and outcomes.count(False) == 33   # both paths taken
 
 
 def test_locality_radius_parameter_errors():
