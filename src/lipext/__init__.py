@@ -1,7 +1,7 @@
 """Lipschitz extension on finite metric spaces with local-slope preservation."""
 
 from .errors import (InstanceValidationError, LipextError, ParameterError,
-                     ScheduleTooShallow, TrivialInstance)
+                     ScheduleTooShallow)
 from .metric import (MetricInstance, ball_lips, instance_from_arrays,
                      lip_constant, lipa_profile, validate_instance)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LipextError", "InstanceValidationError", "ParameterError",
-    "ScheduleTooShallow", "TrivialInstance",
+    "ScheduleTooShallow",
     "MetricInstance", "validate_instance", "instance_from_arrays",
     "ball_lips", "lip_constant", "lipa_profile",
     "ScaleSchedule", "build_schedule", "locality_radius",

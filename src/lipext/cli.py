@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .errors import (InstanceValidationError, ParameterError,
-                     ScheduleTooShallow, TrivialInstance, positive_real)
+from .errors import (InstanceValidationError, ParameterError, ScheduleTooShallow,
+                     positive_real)
 from .metric import MetricInstance, _check_radii, instance_from_arrays, validate_instance
 from .extension import (cutoff_support, extend, mcshane_upper_many,
                         schedule_for_instance, schedule_with_locality,
@@ -124,7 +124,8 @@ def cmd_extend(args) -> int:
         field = cutoff_support(field, instance, args.epsilon)
 
     doc = {"schema_version": SCHEMA_VERSION, "kind": "extension_field",
-           "params": {"epsilon": args.epsilon, "epsilon_effective": field.epsilon,
+           "params": {"epsilon": args.epsilon,
+                      "epsilon_effective": schedule.eps_eff if schedule else 0.0,
                       "anchor": args.anchor, "bounded": args.bounded,
                       "cutoff": bool(args.cutoff),
                       "schedule_id": schedule.schedule_id if schedule else None},
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
         return _fail({"error": str(exc),
                       "required_span_low": exc.required_span_low,
                       "required_span_high": exc.required_span_high})
-    except (ParameterError, TrivialInstance) as exc:
+    except ParameterError as exc:
         return _fail({"error": str(exc)})
 
 

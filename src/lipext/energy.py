@@ -176,13 +176,11 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     positive_real("epsilon", epsilon)
     allpts = np.arange(instance.n, dtype=np.intp)
 
-    if instance.lipschitz_computed == 0.0:
-        field = extend(instance, None, allpts)
-        schedule = None
-    else:
+    schedule = None
+    if instance.lipschitz_computed > 0.0:
         schedule, _, _ = schedule_with_locality(
             instance, epsilon, float(radii_bar.min()), xi, allpts)
-        field = extend(instance, schedule, allpts)
+    field = extend(instance, schedule, allpts)
 
     slack = INEQ_RTOL * max(1.0, L)
     support = measure.support

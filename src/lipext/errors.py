@@ -36,10 +36,6 @@ class ParameterError(LipextError):
     """Invalid parameter for an otherwise valid call."""
 
 
-class TrivialInstance(LipextError):
-    """Signals L = 0: the constant shortcut applies and no scale schedule is built."""
-
-
 class ScheduleTooShallow(LipextError):
     """The stored scale range cannot serve a request.
 

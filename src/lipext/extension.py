@@ -26,8 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ParameterError, ScheduleTooShallow, TrivialInstance, as_float,
-                     positive_real, shown)
+from .errors import ParameterError, ScheduleTooShallow, as_float, positive_real, shown
 from .metric import MetricInstance, _first_non_integer, _index_list, _row_blocks, ball_lips
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
@@ -71,7 +70,6 @@ class ExtensionField:
     values: np.ndarray
     anchors: np.ndarray
     localization: list
-    epsilon: float                      # effective tolerance min(epsilon, L)
     schedule: ScaleSchedule | None
     g_abs_max: float
 
@@ -153,8 +151,7 @@ def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionF
             anchors[s] = _argmin_lowest(dists, instance.subset)[1]
     return ExtensionField(
         queries=queries, values=np.full(len(queries), const),
-        anchors=anchors, localization=["full"] * len(queries),
-        epsilon=0.0, schedule=None,
+        anchors=anchors, localization=["full"] * len(queries), schedule=None,
         g_abs_max=float(np.max(np.abs(instance.values))))
 
 
@@ -203,8 +200,7 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
             f"the largest anchor-query distance {dmax!r}",
             required_span_high=2.0 * dmax)
     return ExtensionField(queries=queries, values=values, anchors=anchors,
-                          localization=localization,
-                          epsilon=schedule.eps_eff, schedule=schedule,
+                          localization=localization, schedule=schedule,
                           g_abs_max=float(np.max(np.abs(instance.values))))
 
 
@@ -272,7 +268,7 @@ def cutoff_support(field: ExtensionField, instance: MetricInstance,
     m_sup = max(float(np.max(np.abs(field.values))), field.g_abs_max)
     if m_sup == 0.0:
         return field
-    d_c = instance.dist_to_subset(field.queries)
+    d_c = instance.distances(instance.subset, field.queries).min(axis=0)
     chi = np.clip(2.0 - (epsilon / (2.0 * m_sup)) * d_c, 0.0, 1.0)
     return replace(field, values=chi * field.values)
 
@@ -307,7 +303,7 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
     """
     dmin, dmax = evaluation_diameters(instance, queries)
     if dmax == 0.0:
-        raise TrivialInstance("single-point evaluation set")
+        raise ParameterError("single-point evaluation set")
     if smallest_radius is not None:
         positive_real("smallest_radius", smallest_radius)
         dmin = min(dmin, smallest_radius)

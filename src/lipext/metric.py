@@ -78,10 +78,6 @@ class MetricInstance:
         cols = _index_list(cols, self.n, message)
         return self.distance_matrix()[np.ix_(rows, cols)]
 
-    def dist_to_subset(self, indices) -> np.ndarray:
-        """d(x, C) = min over anchors, for each x in ``indices``."""
-        return self.distances(self.subset, indices).min(axis=0)
-
     def diameter(self) -> float:
         return float(self.distance_matrix().max())
 
@@ -279,7 +275,7 @@ def _first_non_real(data) -> list[int] | None:
 
 
 def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
-                         lipschitz=None, labels=None) -> MetricInstance:
+                         lipschitz=None) -> MetricInstance:
     """Validate and build an instance directly from arrays."""
     if (coords is None) == (dmatrix is None):
         _err("exactly one of coordinates or distance matrix required", "points")
@@ -321,12 +317,6 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
     if not np.all(np.isfinite(values)):
         _err("non-finite value", "values",
              position=int(np.argwhere(~np.isfinite(values))[0][0]))
-
-    if labels is not None:
-        labels = [str(s) for s in labels]
-        if len(labels) != n:
-            _err("labels length does not match point count", "labels",
-                 n_labels=len(labels), n=n)
 
     inst = MetricInstance(subset=subset, values=values, lipschitz_L=0.0,
                           lipschitz_computed=0.0, coords=coords, dmatrix=dmatrix)
@@ -380,8 +370,7 @@ def validate_instance(raw: Mapping) -> MetricInstance:
             _err("missing field", key)
     try:
         return instance_from_arrays(coords=coords, dmatrix=dmatrix, subset=raw["subset"],
-                                    values=raw["values"], lipschitz=raw.get("lipschitz"),
-                                    labels=raw.get("labels"))
+                                    values=raw["values"], lipschitz=raw.get("lipschitz"))
     except (TypeError, ValueError) as exc:
         raise InstanceValidationError(f"malformed field: {exc}", "root") from exc
 

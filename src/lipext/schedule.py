@@ -3,14 +3,14 @@
 The schedule realizes a concrete sequence ``eps_k`` (truncated to the finitely
 many indices an instance needs) with ratios
 
-    r_k = eps_{k-1} / eps_k = r_star * 2**min(k - k_ref, 0),
+    r_k = eps_{k-1} / eps_k = r_star * 2**min(k, 0),
     r_star = eps_eff / (3 * (L + eps_eff)),  eps_eff = min(epsilon, L),
 
-so the ratios are constant ``r_star`` above the reference index and halve per
-index below it, decaying to zero at the deep end.  Values are produced by a
-single downward multiplicative sweep from the top scale, which makes the
+so the ratios are constant ``r_star`` above the reference index 0 and halve
+per index below it, decaying to zero at the deep end.  Values are produced by
+a single downward multiplicative sweep from the top scale, which makes the
 reconstruction identity ``eps_{k-1} == r_k * eps_k`` hold bitwise for every
-stored index; the scale at ``k_ref`` therefore reproduces the requested anchor
+stored index; the scale at index 0 therefore reproduces the requested anchor
 up to a few ulps (exactly, in typical cases).
 """
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ParameterError, ScheduleTooShallow, TrivialInstance, as_float,
-                     is_real, positive_real, shown)
+from .errors import (ParameterError, ScheduleTooShallow, as_float, is_real,
+                     positive_real, shown)
 
 # Truncation depth policy: six indices of margin below the smallest requested
 # scale, then keep descending until the penalization tail bound is negligible.
@@ -38,7 +38,6 @@ class ScaleSchedule:
 
     k_min: int
     k_max: int
-    k_ref: int
     eps: np.ndarray        # eps[i] = eps_{k_min + i}, strictly increasing
     ratio: np.ndarray      # ratio[i] = r_{k_min + 1 + i}
     r_star: float
@@ -58,7 +57,7 @@ class ScaleSchedule:
 
     def virtual_ratio(self, k: int) -> float:
         """Ratio the generation law would assign at any index (0.0 on underflow)."""
-        return math.ldexp(self.r_star, min(k - self.k_ref, 0))
+        return math.ldexp(self.r_star, min(k, 0))
 
     def virtual_eps(self, k: int) -> float:
         """Scale the generation law would produce at any index (0.0 on underflow)."""
@@ -93,14 +92,14 @@ def build_schedule(L: float, epsilon: float, anchor: float,
                    span_low: float, span_high: float) -> ScaleSchedule:
     """Build the truncated scale sequence covering ``[span_low, span_high]``.
 
-    ``anchor`` places the reference index (defaults used by callers: the
-    diameter of the evaluation set); ``span_low`` should be the smallest
+    ``anchor`` is the scale at the reference index 0 (defaults used by
+    callers: the diameter of the evaluation set); ``span_low`` should be the smallest
     requested verification radius divided by 64, ``span_high`` twice the
     instance diameter.  The effective tolerance is ``min(epsilon, L)``: an
     extension within that budget is a fortiori within the requested one.
 
-    Raises :class:`TrivialInstance` when ``L == 0`` (callers must take the
-    constant shortcut) and :class:`ParameterError` for invalid parameters.
+    Raises :class:`ParameterError` for invalid parameters, and when ``L == 0``
+    (callers must take the constant shortcut).
     """
     for name, v in (("L", L), ("epsilon", epsilon), ("anchor", anchor),
                     ("span_low", span_low), ("span_high", span_high)):
@@ -112,7 +111,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     if L < 0:
         raise ParameterError("L must be nonnegative")
     if L == 0:
-        raise TrivialInstance("L = 0: use the constant/McShane shortcut")
+        raise ParameterError("L = 0: use the constant/McShane shortcut")
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
     if anchor <= 0:
@@ -122,9 +121,8 @@ def build_schedule(L: float, epsilon: float, anchor: float,
 
     eps_eff = min(epsilon, L)
     r_star = min(eps_eff / (3.0 * (L + eps_eff)), 1.0 / 6.0)
-    k_ref = 0
 
-    # Upward extent: indices above k_ref keep the constant ratio r_star.
+    # Upward extent: indices above 0 keep the constant ratio r_star.
     top = anchor
     k_max = 0
     while top < span_high:
@@ -147,7 +145,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
                        and cur * (L + eps_eff) <= tail_cap)
         if deep_enough:
             break
-        r_k = math.ldexp(r_star, min(k - k_ref, 0))
+        r_k = math.ldexp(r_star, min(k, 0))
         nxt = r_k * cur
         if nxt < _UNDERFLOW or r_k < _UNDERFLOW:
             raise ScheduleTooShallow(
@@ -162,7 +160,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     k_min = k
     eps = np.array(eps_desc[::-1], dtype=float)
     ratio = np.array(ratios_desc[::-1], dtype=float)
-    return ScaleSchedule(k_min=k_min, k_max=k_max, k_ref=k_ref, eps=eps,
+    return ScaleSchedule(k_min=k_min, k_max=k_max, eps=eps,
                          ratio=ratio, r_star=r_star, L_eff=L, eps_eff=eps_eff,
                          anchor=anchor)
 

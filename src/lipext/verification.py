@@ -80,10 +80,6 @@ class VerificationReport:
                 "fragments": self.fragments}
 
 
-def _ineq_tol(instance: MetricInstance) -> float:
-    return INEQ_RTOL * instance.check_scale()
-
-
 def _pair_sample(n: int, seed: int, max_pairs: int = MAX_PAIRS):
     """(i, j, note): ``max_pairs`` seeded uniform position pairs, those with ``i == j``
     dropped, for the ``n (n - 1) / 2 > max_pairs`` pairs of ``n`` positions."""
@@ -193,7 +189,7 @@ def check_step2(instance: MetricInstance, profiles: ProfileBank,
     eps_km2 = schedule.eps[np.clip(J, 2, None) - 2]
     margin = phi - (g[None, :] + L * eps_km2)
     margin = np.where(valid, margin, np.inf)
-    tol = _ineq_tol(instance)
+    tol = INEQ_RTOL * instance.check_scale()
     xi_pos, y_pos = np.unravel_index(np.argmin(margin), margin.shape)
     measured = float(margin[xi_pos, y_pos])
     witness = {"x": int(instance.subset[xi_pos]), "y": int(instance.subset[y_pos]),
@@ -232,7 +228,7 @@ def check_schedule_laws(schedule: ScaleSchedule, epsilon: float) -> CheckResult:
     """Ratio bound, monotone ratios, 3 eps_{k-2} <= eps_{k-1}, exact reconstruction."""
     s = schedule
     bound = epsilon / (3.0 * (s.L_eff + epsilon))
-    law = [math.ldexp(s.r_star, min(k - s.k_ref, 0))
+    law = [math.ldexp(s.r_star, min(k, 0))
            for k in range(s.k_min + 1, s.k_max + 1)]
     checks = {
         "ratio_bound": bool(np.all(s.ratio <= bound) and np.all(s.ratio <= s.r_star)),
@@ -264,7 +260,7 @@ def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
     keep every anchor and are counted as fallback evaluations.
     """
     L = instance.lipschitz_L
-    tol = _ineq_tol(instance)
+    tol = INEQ_RTOL * instance.check_scale()
     T = instance.distances(instance.subset, field.queries)
     phi = instance.values[:, None] + profiles.pen(T)
     _, xbars = _argmin_lowest(T, instance.subset)    # nearest anchor, lowest index

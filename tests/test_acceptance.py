@@ -232,7 +232,7 @@ def test_criterion_08_step6_composition(tmp_path):
     from lipext import instance_from_arrays
     inst = instance_from_arrays(coords=coords, subset=subset, values=values)
     L = inst.lipschitz_L
-    d_c = inst.dist_to_subset(np.arange(inst.n))
+    d_c = inst.distances(inst.subset, np.arange(inst.n)).min(axis=0)
     m_sup = max(float(np.max(np.abs(vals))), float(np.max(np.abs(values))))
     far_mask = d_c >= 4.0 * m_sup / epsilon
     assert np.any(far_mask) and np.all(vals[far_mask] == 0.0)

@@ -224,7 +224,7 @@ def test_extend_grid_matches_oracle_and_undershoots_identity():
             oracle_extend(inst, profiles, int(y)), rel=1e-12)
     # below the first sub-reference scale every profile slope is < 1, so the
     # extension sits strictly below the identity
-    cut = sch.eps_at(sch.k_ref - 1)
+    cut = sch.eps_at(-1)
     for y in range(1, inst.n // 2):
         t = y / (inst.n - 1)
         if t >= cut:
@@ -609,7 +609,7 @@ def test_cutoff_support_shape():
     field = extend(inst, sch)
     cut = cutoff_support(field, inst, epsilon)
     m_sup = max(float(np.max(np.abs(field.values))), field.g_abs_max)
-    d_c = inst.dist_to_subset(field.queries)
+    d_c = inst.distances(inst.subset, field.queries).min(axis=0)
     far = d_c >= 4.0 * m_sup / epsilon
     assert np.all(cut.values[far] == 0.0)
     near = d_c == 0.0

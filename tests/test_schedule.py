@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipext import (ParameterError, ScheduleTooShallow, TrivialInstance,
-                    build_schedule, locality_radius)
+from lipext import ParameterError, ScheduleTooShallow, build_schedule, locality_radius
 
 
 def canonical():
@@ -69,7 +68,7 @@ def test_effective_tolerance_is_min_of_eps_and_L():
 
 
 def test_canonical_unroll():
-    # unrolling r_k = r_star * 2**min(k - k_ref, 0) from the anchor
+    # unrolling r_k = r_star * 2**min(k, 0) from the anchor
     sch = canonical()
     assert sch.eps_at(0) == 1.0
     assert sch.eps_at(1) == 6.0
@@ -89,7 +88,7 @@ def test_ratio_bound_at_equal_budget():
 
 
 def test_trivial_and_invalid_parameters():
-    with pytest.raises(TrivialInstance):
+    with pytest.raises(ParameterError, match="L = 0"):
         build_schedule(L=0.0, epsilon=1.0, anchor=1.0, span_low=0.1, span_high=1.0)
     with pytest.raises(ParameterError):
         build_schedule(L=1.0, epsilon=0.0, anchor=1.0, span_low=0.1, span_high=1.0)
@@ -125,7 +124,7 @@ def test_doubling_decay_of_ratios():
     sch = canonical()
     for k in range(sch.k_min + 2, sch.k_max + 1):
         ratio_step = sch.ratio[k - sch.k_min - 2] / sch.ratio[k - sch.k_min - 1]
-        assert ratio_step == (0.5 if k <= sch.k_ref else 1.0)
+        assert ratio_step == (0.5 if k <= 0 else 1.0)
 
 
 def test_slope_cap_consequence():
@@ -138,7 +137,7 @@ def test_slope_cap_consequence():
 def test_decay_toward_minus_infinity():
     sch = canonical()
     # smallest stored ratio follows the halving law below the reference index
-    assert sch.ratio[0] == math.ldexp(sch.r_star, sch.k_min + 1 - sch.k_ref)
+    assert sch.ratio[0] == math.ldexp(sch.r_star, sch.k_min + 1)
 
 
 # --- locality_radius ---------------------------------------------------------
@@ -227,7 +226,7 @@ def test_locality_radius_rejects_non_finite_xi(xi):
 def test_virtual_eps_agrees_with_generation_law():
     sch = canonical()
     below = sch.virtual_eps(sch.k_min - 1)
-    assert below == math.ldexp(sch.r_star, sch.k_min - sch.k_ref) * sch.eps_at(sch.k_min)
+    assert below == math.ldexp(sch.r_star, sch.k_min) * sch.eps_at(sch.k_min)
     above = sch.virtual_eps(sch.k_max + 1)
     assert above == pytest.approx(sch.eps_at(sch.k_max) / sch.r_star, rel=1e-15)
     assert sch.virtual_eps(0) == sch.eps_at(0)

@@ -143,8 +143,8 @@ def test_discrete_metric_slope_jumps_past_the_tie():
     sch = build_schedule(inst.lipschitz_L, 1.0, anchor=1.0,
                          span_low=1e-3, span_high=4.0)
     smap = slope_map(inst, int(inst.subset[0]), sch)
-    assert smap[sch.k_ref] == 0.0           # the open 1-ball holds x alone
-    assert smap[sch.k_ref + 1] == inst.lipschitz_computed
+    assert smap[0] == 0.0           # the open 1-ball holds x alone
+    assert smap[1] == inst.lipschitz_computed
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
