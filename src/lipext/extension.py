@@ -94,8 +94,11 @@ def _bank(anchors: np.ndarray, S: np.ndarray, schedule: ScaleSchedule,
         raise ParameterError("slope map is not non-decreasing within bounds")
     cumulative = np.zeros_like(slopes)
     # add.accumulate runs left to right: the same prefix sums as a loop.
-    np.cumsum(slopes[:, :-1] * np.diff(schedule.eps, prepend=0.0), axis=1,
-              out=cumulative[:, 1:])
+    with np.errstate(over="ignore"):    # nondecreasing rows: an overflow ends in inf
+        np.cumsum(slopes[:, :-1] * np.diff(schedule.eps, prepend=0.0), axis=1,
+                  out=cumulative[:, 1:])
+    if not np.all(np.isfinite(cumulative[:, -1])):
+        raise ParameterError("penalization at the top scale does not fit in binary64")
     return ProfileBank(anchors=np.asarray(anchors, dtype=np.intp),
                        breakpoints=schedule.eps, slopes=slopes, cumulative=cumulative)
 

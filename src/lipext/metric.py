@@ -322,7 +322,10 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
                           lipschitz_computed=0.0, coords=coords, dmatrix=dmatrix)
     _check_matrix(inst.distance_matrix(), euclidean=coords is not None)
 
-    computed = lip_constant(inst, values, subset)
+    with np.errstate(over="ignore"):    # an overflowing pair ratio is rejected here
+        computed = lip_constant(inst, values, subset)
+    if not np.isfinite(computed):
+        _err("Lipschitz constant of the values does not fit in binary64", "values")
     if lipschitz is None:
         lipschitz = computed
     else:
@@ -338,6 +341,9 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
                  "lipschitz", supplied=lipschitz, computed=computed)
     inst.lipschitz_L = float(lipschitz)
     inst.lipschitz_computed = float(computed)
+    if not np.isfinite(inst.check_scale()):     # every relative tolerance is a multiple of it
+        _err("lipschitz constant times the diameter does not fit in binary64", "lipschitz",
+             lipschitz=inst.lipschitz_L, diameter=inst.diameter())
     subset.setflags(write=False)
     values.setflags(write=False)
     return inst

@@ -121,6 +121,8 @@ def build_schedule(L: float, epsilon: float, anchor: float,
 
     eps_eff = min(epsilon, L)
     r_star = min(eps_eff / (3.0 * (L + eps_eff)), 1.0 / 6.0)
+    if not r_star > 0.0:
+        raise ParameterError("ratio r_star = eps / (3 (L + eps)) is not positive in binary64")
 
     # Upward extent: indices above 0 keep the constant ratio r_star.
     top = anchor

@@ -471,6 +471,45 @@ def test_energy_overflow_exit1(tmp_path, capsys, flags, error):
     assert out.count("\n") == 1 and json.loads(out) == {"error": error} and err == ""
 
 
+_LIP_OVERFLOW = {"error": "Lipschitz constant of the values does not fit in binary64",
+                 "field": "values", "witness": {}}
+_SCALE_OVERFLOW = {"error": "lipschitz constant times the diameter does not fit in binary64",
+                   "field": "lipschitz", "witness": {"lipschitz": 1e308, "diameter": 3.0}}
+
+
+@pytest.mark.parametrize("far, values, lipschitz, argv, error", [
+    # Lip(g, C) = |1e308 - -1e308| / 1 overflows.
+    (2, [-1e308, 1e308], None, ["validate"], _LIP_OVERFLOW),
+    (2, [-1e308, 1e308], None, ["verify", "--epsilon", "1"], _LIP_OVERFLOW),
+    (2, [-1e308, 1e308], None, ["extend", "--epsilon", "1"], _LIP_OVERFLOW),
+    # L * diameter overflows: every relative tolerance would be inf.
+    (3, [0, 1], 1e308, ["verify", "--epsilon", "1"], _SCALE_OVERFLOW),
+    (3, [0, 1], 1e308, ["extend", "--epsilon", "1"], _SCALE_OVERFLOW),
+    (3, [0, 1], 1e308, ["energy", "--p", "1", "--radii", "0.5"], _SCALE_OVERFLOW),
+    (10, [0, 1], 2e307, ["extend", "--epsilon", "2e307"],
+     dict(_SCALE_OVERFLOW, witness={"lipschitz": 2e307, "diameter": 10.0})),
+    # L * diameter fits, but 3 (L + eps) at the default eps = L does not.
+    (3, [0, 1], 5e307, ["energy", "--p", "1", "--radii", "0.5"],
+     {"error": "ratio r_star = eps / (3 (L + eps)) is not positive in binary64"}),
+    # The schedule fits, but the penalization at its top scale does not.
+    (3, [0, 1], 5e307, ["extend", "--epsilon", "5e306"],
+     {"error": "penalization at the top scale does not fit in binary64"}),
+], ids=["validate-lip", "verify-lip", "extend-lip", "verify-scale", "extend-scale",
+        "energy-scale", "extend-scale-2e307", "energy-ratio", "extend-penalization"])
+def test_binary64_overflow_exit1(tmp_path, capsys, far, values, lipschitz, argv, error):
+    doc = {"points": {"type": "euclidean", "coords": [[0], [1], [far]]},
+           "subset": [0, 1], "values": values}
+    if lipschitz is not None:
+        doc["lipschitz"] = lipschitz
+    path = _write(tmp_path, "x.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy's overflow RuntimeWarning included
+        assert main([*argv, "--input", path, "--output", str(tmp_path / "o.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and json.loads(out) == error and err == ""
+    assert not (tmp_path / "o.json").exists()
+
+
 # --- demo --------------------------------------------------------------------
 
 

@@ -365,6 +365,40 @@ def test_dyadic_instance_pins_the_roundoff_finding():
     assert (fam.status, fam.measured) == ("pass", 1.3333333333333333)
 
 
+def _dyadic_satellites():
+    """Anchors 0, .25, .5, .75, 1 (values 0, .5, .6, .6, .6), each followed by seven
+    satellites 2**-j away (40 <= j < 47) towards the interior: below it from 0.5 on.
+    Every coordinate is a multiple of 2**-46, so every computed distance is exact."""
+    x = np.array([a + (1.0 if a < 0.5 else -1.0) * d
+                  for a in (0.0, 0.25, 0.5, 0.75, 1.0)
+                  for d in [0.0] + [2.0 ** -j for j in range(40, 47)]])
+    inst = instance_from_arrays(coords=x[:, None], subset=[0, 8, 16, 24, 32],
+                                values=[0.0, 0.5, 0.6, 0.6, 0.6])
+    return inst, x
+
+
+def test_locality_check_separates_the_extension_from_mcshane():
+    # The locality balls hold whole satellite clusters, so the headline check
+    # Lip(f, B_r(x)) <= Lip(g, C within B_rbar(x)) + xi can fail here.
+    inst, x = _dyadic_satellites()
+    assert np.array_equal(inst.distance_matrix(), np.abs(x[:, None] - x[None, :]))
+    assert inst.lipschitz_L == 2.0
+    suite = run_suite(inst, 0.5, xi=0.1, r_bar=0.3)
+    assert suite.passed and all(c.status == "pass" for c in suite.checks)
+    sch, _, _ = schedule_with_locality(inst, 0.5, 0.3, 0.1)
+    field = extend(inst, sch, np.arange(inst.n))
+    res = check_locality_preservation(inst, field, inst.subset, 0.3, 0.1)
+    assert res.passed and res.witness["ball_points"] == 8
+    assert res.to_json() == next(c.to_json() for c in suite.checks
+                                 if c.name == "locality_preservation")
+    # McShane's L-cone envelope keeps slope 2 next to 0.5, where the data allow 0.4.
+    cones = replace(field, values=mcshane_upper_many(inst, 2.0, field.queries))
+    res = check_locality_preservation(inst, cones, inst.subset, 0.3, 0.1)
+    assert res.status == "fail" and res.witness["ball_points"] == 8
+    assert (res.witness["x_bar"], res.witness["lip_f"]) == (16, 2.0)
+    assert res.witness["lip_g_plus_xi"] == pytest.approx(0.5)
+
+
 def test_mcshane_comparison_endpoint_grid():
     inst = grid_instance(1001)
     field = extend(inst, schedule_for_instance(inst, 1.0))
