@@ -93,9 +93,9 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     """Build the truncated scale sequence covering ``[span_low, span_high]``.
 
     ``anchor`` is the scale at the reference index 0 (defaults used by
-    callers: the diameter of the evaluation set); ``span_low`` should be the smallest
-    requested verification radius divided by 64, ``span_high`` twice the
-    instance diameter.  The effective tolerance is ``min(epsilon, L)``: an
+    callers: the diameter of the evaluation set); ``span_low`` should be the
+    smallest requested verification radius divided by 64, ``span_high`` twice
+    the instance diameter.  The effective tolerance is ``min(epsilon, L)``: an
     extension within that budget is a fortiori within the requested one.
 
     Raises :class:`ParameterError` for invalid parameters, and when ``L == 0``

@@ -248,6 +248,9 @@ def test_extend_requires_schedule_and_span():
                              span_low=1e-9, span_high=2e-4)
     with pytest.raises(ScheduleTooShallow, match="extend schedule"):
         extend(inst, shallow)
+    single = instance_from_arrays(coords=[[0.0]], subset=[0], values=[1.0])
+    with pytest.raises(ParameterError, match="single-point evaluation set"):
+        schedule_for_instance(single, 1.0)
 
 
 def test_extend_envelope_sandwich_random():
