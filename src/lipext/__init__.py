@@ -8,8 +8,7 @@ from .schedule import ScaleSchedule, build_schedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, build_profiles,
                         cutoff_support, extend, extend_localized,
                         mcshane_lower_many, mcshane_upper_many,
-                        schedule_for_instance, schedule_with_locality,
-                        truncate_bounded)
+                        schedule_for_instance, truncate_bounded)
 from .verification import (CheckResult, VerificationReport, check_global_lipschitz,
                            check_inf_family, check_locality_preservation,
                            check_restriction, check_step2, mcshane_comparison,
@@ -28,7 +27,7 @@ __all__ = [
     "ScaleSchedule", "build_schedule", "locality_radius",
     "ProfileBank", "ExtensionField", "build_profiles", "extend",
     "extend_localized", "mcshane_upper_many", "mcshane_lower_many",
-    "truncate_bounded", "cutoff_support", "schedule_for_instance", "schedule_with_locality",
+    "truncate_bounded", "cutoff_support", "schedule_for_instance",
     "CheckResult", "VerificationReport", "check_restriction",
     "check_global_lipschitz", "check_step2", "check_locality_preservation",
     "check_inf_family", "mcshane_comparison", "run_suite",

@@ -19,8 +19,7 @@ from .errors import (InstanceValidationError, ParameterError, ScheduleTooShallow
                      positive_real)
 from .metric import MetricInstance, _check_radii, instance_from_arrays, validate_instance
 from .extension import (cutoff_support, extend, mcshane_upper_many,
-                        schedule_for_instance, schedule_with_locality,
-                        truncate_bounded)
+                        schedule_for_instance, truncate_bounded)
 from .verification import (check_locality_preservation, mcshane_comparison,
                            run_suite)
 from .energy import (check_extension_energy, check_restriction_monotonicity,
@@ -110,9 +109,7 @@ def cmd_extend(args) -> int:
     queries = _parse_queries(instance, args.queries)
     build_eps = args.epsilon / 2.0 if args.cutoff else args.epsilon
 
-    schedule = None
-    if instance.lipschitz_computed > 0.0:
-        schedule = schedule_for_instance(instance, build_eps, queries, args.anchor)
+    schedule = schedule_for_instance(instance, build_eps, queries, args.anchor)
     field = extend(instance, schedule, queries)
     if args.bounded is not None:
         field = truncate_bounded(field, args.bounded)
@@ -190,7 +187,7 @@ def cmd_demo_counterexample(args) -> int:
         raise ParameterError("--epsilon must be positive")
     instance = grid_instance(args.n)
     r_bar = 0.5
-    schedule, k, r = schedule_with_locality(instance, args.epsilon, r_bar, args.xi)
+    schedule = schedule_for_instance(instance, args.epsilon, locality=(r_bar, args.xi))
     field = extend(instance, schedule)
     radii = _demo_radii(args.n)
     frag = mcshane_comparison(instance, radii, args.epsilon, field=field,
@@ -199,7 +196,7 @@ def cmd_demo_counterexample(args) -> int:
 
     print(f"grid n={args.n}, subset endpoints, epsilon={args.epsilon}, "
           f"xi={args.xi}, r_bar={r_bar}")
-    print(f"scheduled locality radius r = {r!r} (k = {k})")
+    print(f"scheduled locality radius r = {loc.witness['r']!r} (k = {loc.witness['k']})")
     print(f"{'radius':>12} {'Lip(McShane)':>14} {'Lip(extension)':>15}   (center 0)")
     row0 = frag["centers"][0]
     for rr, a, b in zip(row0["radii"], row0["mcshane"], row0["extension"]):

@@ -22,7 +22,7 @@ from .errors import (InstanceValidationError, ParameterError, as_float, is_real,
 from .metric import MetricInstance, _float_array, ball_lips
 from .schedule import locality_radius
 from .verification import INEQ_RTOL, CheckResult
-from .extension import extend, schedule_with_locality
+from .extension import extend, schedule_for_instance
 
 
 @dataclass
@@ -176,10 +176,8 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     positive_real("epsilon", epsilon)
     allpts = np.arange(instance.n, dtype=np.intp)
 
-    schedule = None
-    if instance.lipschitz_computed > 0.0:
-        schedule, _, _ = schedule_with_locality(
-            instance, epsilon, float(radii_bar.min()), xi, allpts)
+    schedule = schedule_for_instance(instance, epsilon, allpts,
+                                     locality=(float(radii_bar.min()), xi))
     field = extend(instance, schedule, allpts)
 
     slack = INEQ_RTOL * max(1.0, L)

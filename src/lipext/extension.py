@@ -296,46 +296,34 @@ def evaluation_diameters(instance: MetricInstance, queries=None) -> tuple[float,
 
 def schedule_for_instance(instance: MetricInstance, epsilon: float,
                           queries=None, anchor: float | None = None,
-                          smallest_radius: float | None = None) -> ScaleSchedule:
-    """Schedule spanning the evaluation set, per the span conventions.
+                          locality: tuple[float, float] | None = None,
+                          ) -> ScaleSchedule | None:
+    """Schedule spanning the evaluation set, or ``None`` when Lip(g, C) = 0.
 
     ``span_high`` is twice the diameter of subset-union-queries; ``span_low``
-    is one sixty-fourth of the smallest scale of interest (the smallest
-    positive pair distance, or ``smallest_radius`` when a verification radius
-    is requested below it); ``anchor`` defaults to the diameter.
+    is one sixty-fourth of the smallest positive pair distance; ``anchor``
+    defaults to the diameter.  With ``locality=(r_bar, xi)`` the smallest
+    scale of interest is at most ``r_bar``, and a build too shallow for
+    :func:`locality_radius` is rebuilt once at the reported depth, whose sweep
+    reproduces the virtual scales; underflow propagates.
     """
+    if locality is not None:
+        r_bar, xi = locality
+        positive_real("r_bar", r_bar)
+        positive_real("xi", xi)
+    if instance.lipschitz_computed == 0.0:
+        return None
     dmin, dmax = evaluation_diameters(instance, queries)
-    if dmax == 0.0:
-        raise ParameterError("single-point evaluation set")
-    if smallest_radius is not None:
-        positive_real("smallest_radius", smallest_radius)
-        dmin = min(dmin, smallest_radius)
-    if anchor is None:
-        anchor = dmax
-    return build_schedule(instance.lipschitz_L, epsilon, anchor,
-                          dmin / 64.0, 2.0 * dmax)
-
-
-def schedule_with_locality(instance: MetricInstance, epsilon: float,
-                           r_bar: float, xi: float,
-                           queries=None) -> tuple[ScaleSchedule, int, float]:
-    """Schedule deep enough for the locality conditions at (r_bar, xi).
-
-    Returns ``(schedule, k, r)``.  A build too shallow is rebuilt once at the
-    reported depth, whose sweep reproduces the virtual scales; underflow propagates.
-    """
-    positive_real("r_bar", r_bar)
-    smallest = r_bar
-    for _ in range(2):      # the build and at most one rebuild
-        sch = schedule_for_instance(instance, epsilon, queries,
-                                    smallest_radius=smallest)
+    anchor = dmax if anchor is None else anchor
+    smallest = dmin if locality is None else min(dmin, r_bar)
+    sch = build_schedule(instance.lipschitz_L, epsilon, anchor, smallest / 64.0, 2.0 * dmax)
+    if locality is not None:
         try:
-            k, r = locality_radius(sch, r_bar, xi, instance.lipschitz_L)
-            return sch, k, r
+            locality_radius(sch, r_bar, xi, instance.lipschitz_L)
         except ScheduleTooShallow as exc:
             if not exc.required_span_low or exc.required_span_low <= 0.0:
                 raise
-            smallest = exc.required_span_low
-    raise ScheduleTooShallow(
-        "extend schedule: locality depth not reached after a rebuild",
-        required_span_low=smallest)
+            sch = build_schedule(instance.lipschitz_L, epsilon, anchor,
+                                 min(dmin, exc.required_span_low) / 64.0, 2.0 * dmax)
+            locality_radius(sch, r_bar, xi, instance.lipschitz_L)
+    return sch

@@ -17,6 +17,7 @@ up to a few ulps (exactly, in typical cases).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,8 @@ def build_schedule(L: float, epsilon: float, anchor: float,
 
     eps_eff = min(epsilon, L)
     r_star = min(eps_eff / (3.0 * (L + eps_eff)), 1.0 / 6.0)
-    if not r_star > 0.0:
-        raise ParameterError("ratio r_star = eps / (3 (L + eps)) is not positive in binary64")
+    if not r_star >= sys.float_info.min:      # zero or subnormal
+        raise ParameterError("ratio r_star = eps / (3 (L + eps)) underflows binary64")
 
     # Upward extent: indices above 0 keep the constant ratio r_star.
     top = anchor

@@ -16,7 +16,7 @@ certificate cannot clear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_memb
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
-                        mcshane_lower_many, schedule_with_locality)
+                        mcshane_lower_many, schedule_for_instance)
 
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
@@ -55,10 +55,7 @@ class CheckResult:
         return self.status != "fail"
 
     def to_json(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "measured": self.measured, "allowed": self.allowed,
-                "tolerance": self.tolerance, "witness": self.witness,
-                "note": self.note}
+        return asdict(self)
 
 
 @dataclass
@@ -246,8 +243,7 @@ def check_schedule_laws(schedule: ScaleSchedule, epsilon: float) -> CheckResult:
                        note=f"{len(s.eps)} scales, r_star={s.r_star!r}")
 
 
-def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
-                       field: ExtensionField,
+def check_localization(instance: MetricInstance, field: ExtensionField,
                        profiles: ProfileBank) -> CheckResult:
     """Localized evaluation equals the full infimum bitwise on every query.
 
@@ -259,7 +255,7 @@ def check_localization(instance: MetricInstance, schedule: ScaleSchedule,
     anchor in subset order attaining it there.  Queries with no admissible k
     keep every anchor and are counted as fallback evaluations.
     """
-    L = instance.lipschitz_L
+    L, schedule = instance.lipschitz_L, field.schedule
     tol = INEQ_RTOL * instance.check_scale()
     T = instance.distances(instance.subset, field.queries)
     phi = instance.values[:, None] + profiles.pen(T)
@@ -496,19 +492,18 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     comparison is attached as an informational fragment.
     """
     positive_real("epsilon", epsilon)
-    positive_real("xi", xi)
     if _first_non_integer([seed]) is not None or seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     queries = np.arange(instance.n, dtype=np.intp)
     qs = _distance_quartiles(instance.distance_matrix())
     mcshane_radii = sorted(set(qs))
     r_bar = qs[0] if r_bar is None else r_bar
-    positive_real("r_bar", r_bar)
+    schedule = schedule_for_instance(instance, epsilon, queries, locality=(r_bar, xi))
     params = {"epsilon": float(epsilon), "xi": float(xi), "r_bar": float(r_bar),
               "seed": int(seed)}
 
     L, triples = instance.lipschitz_L, None
-    if instance.lipschitz_computed == 0.0:
+    if schedule is None:
         field = extend(instance, None, queries)
         checks = [
             check_restriction(field, instance),
@@ -522,7 +517,6 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
             CheckResult("inf_family", "skipped", note="constant data"),
         ]
     else:
-        schedule, _, _ = schedule_with_locality(instance, epsilon, r_bar, xi, queries)
         profiles = build_profiles(instance, schedule)
         field = extend(instance, schedule, queries, profiles=profiles)
         budget, triples = L + schedule.eps_eff, schedule.to_triples()
@@ -533,7 +527,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
             check_global_lipschitz(field, instance, budget, seed=seed),
             check_envelope_sandwich(field, instance, budget),
             check_step2(instance, profiles, schedule),
-            check_localization(instance, schedule, field, profiles),
+            check_localization(instance, field, profiles),
             check_locality_preservation(instance, field, instance.subset, r_bar, xi),
             check_inf_family(instance, profiles, queries, budget),
         ]

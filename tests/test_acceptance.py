@@ -12,8 +12,7 @@ import pytest
 from lipext import (build_profiles, check_extension_energy, energy,
                     extend, extend_localized, lip_constant, locality_radius,
                     mcshane_lower_many, mcshane_upper_many, build_schedule,
-                    schedule_for_instance, schedule_with_locality,
-                    validate_measure)
+                    schedule_for_instance, validate_measure)
 from lipext.cli import grid_instance, main
 
 from conftest import bank_rows, eval_pen, random_instance, random_masses
@@ -95,7 +94,8 @@ def test_criterion_03_endpoint_grid_reproduction():
         got = lip_constant(inst, ms[ball], ball)
         assert abs(got - 1.0) <= 1e-12, f"McShane Lip at r={r}: {got}"
 
-    sch, k, r = schedule_with_locality(inst, 1.0, r_bar=0.5, xi=0.1)
+    sch = schedule_for_instance(inst, 1.0, locality=(0.5, 0.1))
+    r = locality_radius(sch, 0.5, 0.1, inst.lipschitz_L)[1]
     field = extend(inst, sch)
     cball = inst.subset[inst.distance_matrix()[0, inst.subset] < 0.5]
     assert lip_constant(inst, inst.g_at(cball), cball) == 0.0

@@ -475,6 +475,7 @@ _LIP_OVERFLOW = {"error": "Lipschitz constant of the values does not fit in bina
                  "field": "values", "witness": {}}
 _SCALE_OVERFLOW = {"error": "lipschitz constant times the diameter does not fit in binary64",
                    "field": "lipschitz", "witness": {"lipschitz": 1e308, "diameter": 3.0}}
+_RATIO_UNDERFLOW = {"error": "ratio r_star = eps / (3 (L + eps)) underflows binary64"}
 
 
 @pytest.mark.parametrize("far, values, lipschitz, argv, error", [
@@ -489,13 +490,16 @@ _SCALE_OVERFLOW = {"error": "lipschitz constant times the diameter does not fit 
     (10, [0, 1], 2e307, ["extend", "--epsilon", "2e307"],
      dict(_SCALE_OVERFLOW, witness={"lipschitz": 2e307, "diameter": 10.0})),
     # L * diameter fits, but 3 (L + eps) at the default eps = L does not.
-    (3, [0, 1], 5e307, ["energy", "--p", "1", "--radii", "0.5"],
-     {"error": "ratio r_star = eps / (3 (L + eps)) is not positive in binary64"}),
+    (3, [0, 1], 5e307, ["energy", "--p", "1", "--radii", "0.5"], _RATIO_UNDERFLOW),
+    # r_star = 1 / (3 (5e307 + 1)) is subnormal.
+    (3, [0, 1], 5e307, ["extend", "--epsilon", "1"], _RATIO_UNDERFLOW),
+    (3, [0, 1], 5e307, ["verify", "--epsilon", "1"], _RATIO_UNDERFLOW),
     # The schedule fits, but the penalization at its top scale does not.
     (3, [0, 1], 5e307, ["extend", "--epsilon", "5e306"],
      {"error": "penalization at the top scale does not fit in binary64"}),
 ], ids=["validate-lip", "verify-lip", "extend-lip", "verify-scale", "extend-scale",
-        "energy-scale", "extend-scale-2e307", "energy-ratio", "extend-penalization"])
+        "energy-scale", "extend-scale-2e307", "energy-ratio", "extend-ratio",
+        "verify-ratio", "extend-penalization"])
 def test_binary64_overflow_exit1(tmp_path, capsys, far, values, lipschitz, argv, error):
     doc = {"points": {"type": "euclidean", "coords": [[0], [1], [far]]},
            "subset": [0, 1], "values": values}

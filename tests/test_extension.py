@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
                     build_profiles, build_schedule, check_inf_family,
                     check_locality_preservation, cutoff_support,
                     extend, extend_localized, instance_from_arrays, lip_constant,
+                    locality_radius,
                     mcshane_comparison, mcshane_lower_many, mcshane_upper_many,
-                    schedule_for_instance, schedule_with_locality, truncate_bounded,
+                    schedule_for_instance, truncate_bounded,
                     validate_instance)
 from lipext import metric
 from lipext.errors import positive_real
@@ -39,7 +42,7 @@ def test_slopes_vanish_then_saturate_on_endpoint_grid():
 def test_slopes_zero_for_constant_values():
     inst = instance_from_arrays(coords=[[0.0], [0.3], [1.0]], subset=[0, 1, 2],
                                 values=[2.0, 2.0, 2.0], lipschitz=1.0)
-    sch = schedule_for_instance(inst, 1.0)
+    sch = build_schedule(inst.lipschitz_L, 1.0, 1.0, 0.3 / 64.0, 2.0)
     assert all(v == 0.0 for v in slope_map(inst, 0, sch).values())
 
 
@@ -249,8 +252,37 @@ def test_extend_requires_schedule_and_span():
     with pytest.raises(ScheduleTooShallow, match="extend schedule"):
         extend(inst, shallow)
     single = instance_from_arrays(coords=[[0.0]], subset=[0], values=[1.0])
-    with pytest.raises(ParameterError, match="single-point evaluation set"):
-        schedule_for_instance(single, 1.0)
+    assert schedule_for_instance(single, 1.0) is None
+
+
+def _bits(schedule):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+            for k, v in vars(schedule).items()}
+
+
+def test_schedule_for_instance_rebuilds_once_at_the_locality_depth():
+    # At r_bar 0.5 and xi 0.01 the build at min(dmin, r_bar) / 64 stops above the
+    # scales the locality conditions need; the one rebuild starts from their depth.
+    raw = json.loads((Path(__file__).parent / "golden" / "cloud.json").read_text())
+    inst = validate_instance(raw)
+    L = inst.lipschitz_L
+    dmin, dmax = evaluation_diameters(inst)
+    first = build_schedule(L, 0.5, dmax, min(dmin, 0.5) / 64.0, 2.0 * dmax)
+    with pytest.raises(ScheduleTooShallow) as shallow:
+        locality_radius(first, 0.5, 0.01, L)
+    required = shallow.value.required_span_low
+    assert 0.0 < required < dmin
+    got = schedule_for_instance(inst, 0.5, locality=(0.5, 0.01))
+    want = build_schedule(L, 0.5, dmax, min(dmin, required) / 64.0, 2.0 * dmax)
+    assert _bits(got) == _bits(want)
+    k, r = locality_radius(got, 0.5, 0.01, L)
+    assert got.k_min <= k - 2 and r == got.eps_at(k - 2) == required
+    # Constant data needs no schedule, and locality is checked all the same.
+    flat = instance_from_arrays(coords=[[0.0], [0.3], [1.0]], subset=[0, 1, 2],
+                                values=[2.0, 2.0, 2.0], lipschitz=1.0)
+    assert schedule_for_instance(flat, 1.0, locality=(0.5, 0.01)) is None
+    with pytest.raises(ParameterError, match="^r_bar must be a positive finite real$"):
+        schedule_for_instance(flat, 1.0, locality=(True, 0.01))
 
 
 def test_extend_envelope_sandwich_random():
@@ -460,7 +492,7 @@ def test_non_integer_indices_rejected_not_truncated(line3):
             line3.distances([0], points)
     # The checks take their centers and members by the same rule: no truncation,
     # no wrapping of -1 to the last point and no IndexError.
-    deep, _, _ = schedule_with_locality(line3, 1.0, 0.5, 0.1)
+    deep = schedule_for_instance(line3, 1.0, locality=(0.5, 0.1))
     field = extend(line3, deep)
     for x_bars in ([0.9], [True], [2**70]):
         with pytest.raises(ParameterError, match="^x_bars must be a non-empty 1-D index list$"):

@@ -10,7 +10,7 @@ from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
                     check_step2, cutoff_support, extend, instance_from_arrays,
                     lip_constant, locality_radius, mcshane_comparison,
                     mcshane_upper_many, run_suite, schedule_for_instance,
-                    schedule_with_locality, truncate_bounded, validate_measure)
+                    truncate_bounded, validate_measure)
 from lipext import metric
 from lipext.verification import (_distance_quartiles, _pair_sample, check_envelope_sandwich,
                                  check_localization)
@@ -74,7 +74,7 @@ def test_localization_margin_witness_is_first_query_and_first_row():
     m = len(sch.eps) + 1
     flat = ProfileBank(inst.subset, sch.eps, np.zeros((3, m)), np.zeros((3, m)))
     field = extend(inst, sch, [4, 3], profiles=flat)
-    res = check_localization(inst, sch, field, flat)
+    res = check_localization(inst, field, flat)
     assert res.status == "fail"
     assert res.witness == {"query": 4, "xbar": 0, "k": sch.k_min + 12, "anchor": 2}
     assert res.measured == 0.5 - (0.0 + float(sch.eps[11]) * 1000.0 / 3.0)
@@ -84,7 +84,7 @@ def test_localization_margin_witness_is_first_query_and_first_row():
     inst = instance_from_arrays(dmatrix=d, subset=[0, 2, 1], values=[0.0, 0.5, 0.25],
                                 lipschitz=1000.0)
     field = extend(inst, sch, [4, 3], profiles=flat)
-    assert check_localization(inst, sch, field, flat).witness["anchor"] == 1
+    assert check_localization(inst, field, flat).witness["anchor"] == 1
 
 
 def test_check_restriction_witness():
@@ -231,7 +231,7 @@ def test_check_step2_random_clouds():
 
 def test_locality_preservation_on_grid():
     inst = grid_instance(1001)
-    sch, _, _ = schedule_with_locality(inst, 1.0, 0.5, 0.1)
+    sch = schedule_for_instance(inst, 1.0, locality=(0.5, 0.1))
     field = extend(inst, sch)
     res = check_locality_preservation(inst, field, [0], 0.5, 0.1)
     assert res.status == "pass"
@@ -245,7 +245,7 @@ def test_locality_preservation_random_quartiles():
     dd = inst.distance_matrix()
     for q in (0.25, 0.5):
         r_bar = float(np.quantile(dd[dd > 0], q))
-        sch, _, _ = schedule_with_locality(inst, inst.lipschitz_L, r_bar, 0.2)
+        sch = schedule_for_instance(inst, inst.lipschitz_L, locality=(r_bar, 0.2))
         field = extend(inst, sch)
         for xb in inst.subset:
             assert check_locality_preservation(inst, field, [int(xb)],
@@ -265,8 +265,8 @@ def _clustered():
     coords = np.concatenate([b + _OFFSETS for b in (0.0, 1.0, 2.0)])[:, None]
     inst = instance_from_arrays(coords=coords, subset=[0, 4, 8],
                                 values=[0.0, 1.0, 0.5])
-    sch, _, r = schedule_with_locality(inst, 1.0, 0.5, 0.1)
-    return inst, extend(inst, sch), r
+    sch = schedule_for_instance(inst, 1.0, locality=(0.5, 0.1))
+    return inst, extend(inst, sch), locality_radius(sch, 0.5, 0.1, inst.lipschitz_L)[1]
 
 
 def test_locality_ball_holds_several_points():
@@ -385,7 +385,7 @@ def test_locality_check_separates_the_extension_from_mcshane():
     assert inst.lipschitz_L == 2.0
     suite = run_suite(inst, 0.5, xi=0.1, r_bar=0.3)
     assert suite.passed and all(c.status == "pass" for c in suite.checks)
-    sch, _, _ = schedule_with_locality(inst, 0.5, 0.3, 0.1)
+    sch = schedule_for_instance(inst, 0.5, locality=(0.3, 0.1))
     field = extend(inst, sch, np.arange(inst.n))
     res = check_locality_preservation(inst, field, inst.subset, 0.3, 0.1)
     assert res.passed and res.witness["ball_points"] == 8
@@ -482,12 +482,12 @@ BAD_SCALARS = {
         inst, validate_measure(inst), [0.5], "0.1"), _positive("xi")),
     "extension_energy-epsilon-bool": (lambda inst, sch, fld: check_extension_energy(
         inst, validate_measure(inst), [0.5], 0.1, True), _positive("epsilon")),
-    "smallest_radius-bool": (lambda inst, sch, fld: schedule_for_instance(
-        inst, 1.0, smallest_radius=True), _positive("smallest_radius")),
-    "smallest_radius-nan": (lambda inst, sch, fld: schedule_for_instance(
-        inst, 1.0, smallest_radius=float("nan")), _positive("smallest_radius")),
-    "schedule_with_locality-rbar-bool": (lambda inst, sch, fld: schedule_with_locality(
-        inst, 1.0, True, 0.1), _positive("r_bar")),
+    "locality-rbar-bool": (lambda inst, sch, fld: schedule_for_instance(
+        inst, 1.0, locality=(True, 0.1)), _positive("r_bar")),
+    "locality-rbar-nan": (lambda inst, sch, fld: schedule_for_instance(
+        inst, 1.0, locality=(float("nan"), 0.1)), _positive("r_bar")),
+    "locality-xi-bool": (lambda inst, sch, fld: schedule_for_instance(
+        inst, 1.0, locality=(0.5, True)), _positive("xi")),
     # build_schedule and validate_measure keep their own messages.
     **{f"build_schedule-{name}-bool": (
         lambda inst, sch, fld, pos=pos: build_schedule(
