@@ -106,7 +106,10 @@ def _bank(anchors: np.ndarray, S: np.ndarray, schedule: ScaleSchedule,
 def build_profiles(instance: MetricInstance, schedule: ScaleSchedule) -> ProfileBank:
     """The bank of every anchor, row ``i`` for ``subset[i]``: band k carries
     ``S_k + 3 L r_{k-1}``, ``S_k`` the constant of g on C in the open eps_k-ball."""
-    radii = np.append(schedule.eps[2:], schedule.virtual_eps(schedule.k_max + 1))
+    top = float(schedule.eps[-1]) / schedule.r_star     # eps_{k_max + 1}: k_max >= 0
+    if not math.isfinite(top):
+        raise ParameterError(f"scale overflow extending to index {schedule.k_max + 1}")
+    radii = np.append(schedule.eps[2:], top)
     S = ball_lips(instance, instance.subset, instance.values, instance.subset, radii)
     return _bank(instance.subset, S, schedule, instance.lipschitz_L)
 
@@ -133,13 +136,15 @@ def _check_envelope_budget(instance: MetricInstance, l_prime: float) -> None:
 def mcshane_upper_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
     _check_envelope_budget(instance, l_prime)
     dists = instance.distances(instance.subset, queries)
-    return (instance.values[:, None] + l_prime * dists).min(axis=0)
+    with np.errstate(over="ignore"):    # an overflowing cone is +inf, correctly rounded
+        return (instance.values[:, None] + l_prime * dists).min(axis=0)
 
 
 def mcshane_lower_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
     _check_envelope_budget(instance, l_prime)
     dists = instance.distances(instance.subset, queries)
-    return (instance.values[:, None] - l_prime * dists).max(axis=0)
+    with np.errstate(over="ignore"):    # an overflowing cone is -inf, correctly rounded
+        return (instance.values[:, None] - l_prime * dists).max(axis=0)
 
 
 def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionField:
@@ -169,9 +174,9 @@ def _as_query_array(instance: MetricInstance, queries) -> np.ndarray:
 
 def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
              queries: np.ndarray, profiles: ProfileBank | None,
-             xbars: np.ndarray | None) -> ExtensionField:
+             localized: bool) -> ExtensionField:
     """The penalized infimum on ``queries``: over every anchor, or over each
-    query's localization ball at ``xbars`` (see :func:`extend_localized`)."""
+    query's localization ball (see :func:`extend_localized`)."""
     if instance.lipschitz_computed == 0.0:
         return _constant_field(instance, queries)
     if schedule is None:
@@ -188,14 +193,14 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
         T = instance.distances(subset, queries[s])
         dmax = max(dmax, float(T.max()))
         phi = instance.values[:, None] + profiles.pen(T)
-        if xbars is not None:
-            near = instance.subset_positions()[xbars[s]]
+        if localized:
+            d_near, xbars = _argmin_lowest(T, subset)   # nearest anchor, lowest index
             # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
-            jk = np.searchsorted(schedule.eps, T[near, np.arange(len(near))], side="right") + 2
+            jk = np.searchsorted(schedule.eps, d_near, side="right") + 2
             radius = np.append(schedule.eps, np.full(3, np.inf))[jk]    # jk <= len(eps) + 2
-            phi = np.where(instance.distances(subset, xbars[s]) < radius, phi, np.inf)
+            phi = np.where(instance.distances(subset, xbars) < radius, phi, np.inf)
             localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
-                               for k, x, r in zip(schedule.k_min + jk, xbars[s], radius)]
+                               for k, x, r in zip(schedule.k_min + jk, xbars, radius)]
         values[s], anchors[s] = _argmin_lowest(phi, subset)
     if schedule.eps_at(schedule.k_max) < dmax:
         raise ScheduleTooShallow(
@@ -216,28 +221,23 @@ def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
     directly and ``schedule`` is ignored.  Tie-break: lowest anchor index.
     """
     return _infimum(instance, schedule, _as_query_array(instance, queries),
-                    profiles, None)
+                    profiles, False)
 
 
 def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
-                     queries, xbars,
-                     profiles: ProfileBank | None = None) -> ExtensionField:
+                     queries, *, profiles: ProfileBank | None = None) -> ExtensionField:
     """Evaluate f on every query over the anchors of one ball only, in one pass.
 
-    Query ``queries[i]`` is localized at the subset point ``xbars[i]``: with k
-    the smallest stored index such that ``d(y, xbar) < eps_{k-2}``, only the
-    anchors in the open eps_k-ball at ``xbar`` compete.  Anchors outside it
-    sit at least ``eps_{k-1} L / 3`` above the minimum, so the restricted
-    minimum equals the full one bitwise.  ``localization[i]`` records
-    ``{"k": k, "xbar": xbar}``, or ``"full"`` when no stored k is admissible
-    and the query keeps every anchor.  Ties and constant data as in :func:`extend`.
+    Query ``y`` is localized at its nearest subset point ``xbar`` (lowest point
+    index on ties): with k the smallest stored index such that
+    ``d(y, xbar) < eps_{k-2}``, only the anchors in the open eps_k-ball at
+    ``xbar`` compete.  Anchors outside it sit at least ``eps_{k-1} L / 3``
+    above the minimum, so the restricted minimum equals the full one bitwise.
+    ``localization[i]`` records ``{"k": k, "xbar": xbar}``, or ``"full"`` when
+    no stored k is admissible and the query keeps every anchor.  Ties and
+    constant data as in :func:`extend`.
     """
-    queries = _as_query_array(instance, queries)
-    message = "xbars must be subset point indices aligned with queries"
-    xbars = _index_list(xbars, instance.n, message)
-    if xbars.shape != queries.shape or np.any(instance.subset_positions()[xbars] < 0):
-        raise ParameterError(message)
-    return _infimum(instance, schedule, queries, profiles, xbars)
+    return _infimum(instance, schedule, _as_query_array(instance, queries), profiles, True)
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,10 @@ class ScaleSchedule:
         return math.ldexp(self.r_star, min(k, 0))
 
     def virtual_eps(self, k: int) -> float:
-        """Scale the generation law would produce at any index (0.0 on underflow)."""
-        if self.k_min <= k <= self.k_max:
+        """Scale the generation law would produce at any index up to ``k_max``
+        (0.0 on underflow); above it, raises like :meth:`eps_at`."""
+        if k >= self.k_min:
             return self.eps_at(k)
-        if k > self.k_max:
-            e = self.eps_at(self.k_max)
-            for j in range(self.k_max + 1, k + 1):
-                e = e / self.virtual_ratio(j)
-                if not math.isfinite(e):
-                    raise ParameterError(f"scale overflow extending to index {k}")
-            return e
         e = self.eps_at(self.k_min)
         for j in range(self.k_min, k, -1):
             e = self.virtual_ratio(j) * e

@@ -77,13 +77,13 @@ class VerificationReport:
                 "fragments": self.fragments}
 
 
-def _pair_sample(n: int, seed: int, max_pairs: int = MAX_PAIRS):
-    """(i, j, note): ``max_pairs`` seeded uniform position pairs, those with ``i == j``
-    dropped, for the ``n (n - 1) / 2 > max_pairs`` pairs of ``n`` positions."""
+def _pair_sample(n: int, seed: int):
+    """(i, j, note): ``MAX_PAIRS`` seeded uniform position pairs, those with ``i == j``
+    dropped, for the ``n (n - 1) / 2 > MAX_PAIRS`` pairs of ``n`` positions."""
     total = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-    ii = rng.integers(0, n, size=max_pairs)
-    jj = rng.integers(0, n, size=max_pairs)
+    ii = rng.integers(0, n, size=MAX_PAIRS)
+    jj = rng.integers(0, n, size=MAX_PAIRS)
     keep = ii != jj
     note = (f"statistical: sampled {int(keep.sum())} of {total} pairs "
             f"(coverage {keep.sum() / total:.3g}, seed {seed})")
@@ -247,45 +247,49 @@ def check_localization(instance: MetricInstance, field: ExtensionField,
                        profiles: ProfileBank) -> CheckResult:
     """Localized evaluation equals the full infimum bitwise on every query.
 
-    Each query is localized at its nearest anchor (lowest index on ties) by
-    one :func:`extend_localized` call; the first mismatch in query order is
-    the witness.  Also verifies the exclusion margin: anchors outside a
-    query's localization ball sit at least eps_{k-1} L / 3 above the minimum.
-    The worst margin is the first query attaining the minimum, with the first
-    anchor in subset order attaining it there.  Queries with no admissible k
-    keep every anchor and are counted as fallback evaluations.
+    One :func:`extend_localized` call localizes each query at its nearest
+    anchor (lowest index on ties); the first mismatch in query order is the
+    witness.  Also verifies the exclusion margin on the localized queries, in
+    column blocks: anchors outside a query's localization ball sit at least
+    eps_{k-1} L / 3 above the minimum.  The worst margin is the first query
+    attaining the minimum, with the first anchor in subset order attaining it
+    there.  Queries with no admissible k keep every anchor and are counted as
+    fallback evaluations.
     """
-    L, schedule = instance.lipschitz_L, field.schedule
+    L, schedule, subset = instance.lipschitz_L, field.schedule, instance.subset
     tol = INEQ_RTOL * instance.check_scale()
-    T = instance.distances(instance.subset, field.queries)
-    phi = instance.values[:, None] + profiles.pen(T)
-    _, xbars = _argmin_lowest(T, instance.subset)    # nearest anchor, lowest index
-    loc = extend_localized(instance, schedule, field.queries, xbars, profiles=profiles)
+    loc = extend_localized(instance, schedule, field.queries, profiles=profiles)
     bad = np.flatnonzero(loc.values != field.values)
     if len(bad):
         qi = bad[0]
         got, full = float(loc.values[qi]), float(field.values[qi])
+        xbar = _argmin_lowest(instance.distances(subset, field.queries[qi:qi + 1]), subset)[1]
         return CheckResult(
             "localization", "fail", measured=got, allowed=full,
-            witness={"query": int(field.queries[qi]), "xbar": int(xbars[qi]),
+            witness={"query": int(field.queries[qi]), "xbar": int(xbar[0]),
                      "localized": got, "full": full})
     cols = np.flatnonzero([rec != "full" for rec in loc.localization])
-    j = np.array([loc.localization[c]["k"] for c in cols], dtype=np.intp) - schedule.k_min
-    excluded = instance.distances(instance.subset, xbars[cols]) >= schedule.eps[j]
-    margins = np.where(excluded, phi[:, cols] - (field.values[cols]
-                                                 + schedule.eps[j - 1] * L / 3.0), np.inf)
+    k = np.array([loc.localization[c]["k"] for c in cols], dtype=np.intp)
+    xbars = np.array([loc.localization[c]["xbar"] for c in cols], dtype=np.intp)
+    # Per localized query: its smallest margin and the first row attaining it.
+    worst, rows, excluded_any = np.empty(len(cols)), np.empty(len(cols), dtype=np.intp), False
+    for s in _row_blocks(len(cols), len(subset)):
+        j, q = k[s] - schedule.k_min, cols[s]
+        excluded = instance.distances(subset, xbars[s]) >= schedule.eps[j]
+        phi = instance.values[:, None] + profiles.pen(instance.distances(subset, field.queries[q]))
+        margins = np.where(excluded, phi - (field.values[q] + schedule.eps[j - 1] * L / 3.0),
+                           np.inf)
+        worst[s], rows[s] = margins.min(axis=0), margins.argmin(axis=0)
+        excluded_any = excluded_any or bool(excluded.any())
     fallbacks = len(field.queries) - len(cols)
     note = f"{fallbacks} fallback evaluations" if fallbacks else ""
-    worst_margin = None
-    if np.any(excluded):
-        # Column-major argmin: the first query attaining the minimum, then its first row.
-        c, row = np.unravel_index(np.argmin(margins.T), margins.T.shape)
-        worst_margin = float(margins[row, c])
+    c = int(np.argmin(worst)) if excluded_any else None     # the first query at the minimum
+    worst_margin = None if c is None else float(worst[c])
     if worst_margin is None or worst_margin >= -tol:
         return CheckResult("localization", "pass", measured=worst_margin,
                            tolerance=tol, note=note)
-    witness = {"query": int(field.queries[cols[c]]), "xbar": int(xbars[cols[c]]),
-               "k": int(schedule.k_min + j[c]), "anchor": int(instance.subset[row])}
+    witness = {"query": int(field.queries[cols[c]]), "xbar": int(xbars[c]),
+               "k": int(k[c]), "anchor": int(subset[rows[c]])}
     return CheckResult("localization", "fail", measured=worst_margin,
                        allowed=-tol, tolerance=tol, witness=witness,
                        note="exclusion margin violated; " + note)

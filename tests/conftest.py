@@ -32,13 +32,19 @@ def random_instance(seed, n_max=200, c_max=50, dim_max=5):
     return instance_from_arrays(coords=coords, subset=subset, values=values)
 
 
+def scales(schedule):
+    """{k: eps_k} for k in [k_min, k_max + 1]: the stored scales and the one the
+    generation law puts above them, ``eps_{k_max} / r_star`` (``k_max >= 0``)."""
+    eps = np.append(schedule.eps, schedule.eps[-1] / schedule.r_star)
+    return dict(zip(range(schedule.k_min, schedule.k_max + 2), eps.tolist()))
+
+
 def slope_map(instance, x, schedule):
     """{k: S_k(x)} for k in [k_min, k_max + 1]: the constant of g on the subset
     points in the open eps_k-ball at ``x``, from one ``ball_lips`` row."""
-    ks = range(schedule.k_min, schedule.k_max + 2)
-    row = ball_lips(instance, instance.subset, instance.values, [x],
-                    [schedule.virtual_eps(k) for k in ks])[0]
-    return dict(zip(ks, row.tolist()))
+    eps = scales(schedule)
+    row = ball_lips(instance, instance.subset, instance.values, [x], list(eps.values()))[0]
+    return dict(zip(eps, row.tolist()))
 
 
 def bank_rows(bank, pos):

@@ -152,7 +152,7 @@ def test_criterion_05_localization_oracle_equivalence():
             near = int(np.argmin(d_near[:, qi]))
             ties = np.flatnonzero(d_near[:, qi] == d_near[near, qi])
             xbars.append(int(inst.subset[ties[np.argmin(inst.subset[ties])]]))
-        loc = extend_localized(inst, sch, field.queries, xbars, profiles=profiles)
+        loc = extend_localized(inst, sch, field.queries, profiles=profiles)
         for qi, (y, xbar, rec) in enumerate(zip(field.queries, xbars,
                                                 loc.localization)):
             assert loc.values[qi] == field.values[qi], f"seed {seed} query {y}"

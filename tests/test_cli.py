@@ -205,8 +205,23 @@ def test_validate_integer_beyond_float_range_exit1(tmp_path, capsys, field):
     assert outs[0] == outs[1]
 
 
+def _numpy_error(data):
+    """The ``malformed field`` error of a list that numpy cannot read as floats."""
+    try:
+        np.array(data, dtype=float)
+    except ValueError as exc:
+        return {"error": f"malformed field: {exc}", "field": "root", "witness": {}}
+
+
+def _shape_error(error, field):
+    return {"error": error, "field": field, "witness": {}}
+
+
+RAGGED = [[0.0], [0.5, 1.0], [1.0]]
+
 # Each case puts a string or a bool, which numpy would read as a number, in one
-# numeric field of an instance file.
+# numeric field of an instance file, or gives a field the wrong kind or shape.
+# A list in place of the edit is the whole file.
 NON_NUMBER_CASES = {
     "lipschitz-string": ({"lipschitz": "1e9"},
                          {"error": "lipschitz constant must be a finite nonnegative real",
@@ -224,6 +239,24 @@ NON_NUMBER_CASES = {
               {"error": "non-numeric value", "field": "values", "witness": {"position": 1}}),
     "mass": ({"masses": [1.0, 0.0, True]},
              {"error": "non-numeric mass", "field": "masses", "witness": {"position": 2}}),
+    "root-list": ([1, 2], _shape_error("instance file must be a JSON object", "root")),
+    "coords-missing": ({"points": {"type": "euclidean"}},
+                       _shape_error("missing field", "points.coords")),
+    "d-missing": ({"points": {"type": "matrix"}}, _shape_error("missing field", "points.d")),
+    "sphere": ({"points": {"type": "sphere", "coords": [[0.0], [0.5], [1.0]]}},
+               {"error": "unknown geometry type", "field": "points.type",
+                "witness": {"value": "sphere"}}),
+    "coords-ragged": ({"points": {"type": "euclidean", "coords": RAGGED}}, _numpy_error(RAGGED)),
+    "coords-1d": ({"points": {"type": "euclidean", "coords": [0.0, 0.5, 1.0]}},
+                  _shape_error("coordinates must be a non-empty 2-D array", "points")),
+    "coords-empty": ({"points": {"type": "euclidean", "coords": []}},
+                     _shape_error("coordinates must be a non-empty 2-D array", "points")),
+    "d-not-square": ({"points": {"type": "matrix", "d": [[0, 1, 1], [1, 0, 1]]}},
+                     _shape_error("distance matrix must be square and non-empty", "points")),
+    "subset-empty": ({"subset": []}, _shape_error("subset must be a non-empty index list",
+                                                  "subset")),
+    "subset-2d": ({"subset": [[0, 2]]}, _shape_error("subset must be a non-empty index list",
+                                                     "subset")),
 }
 
 
@@ -231,7 +264,8 @@ NON_NUMBER_CASES = {
 def test_validate_string_or_bool_number_exit1(tmp_path, capsys, field):
     edit, error = NON_NUMBER_CASES[field]
     doc = {"points": {"type": "euclidean", "coords": [[0.0], [0.5], [1.0]]},
-           "subset": [0, 2], "values": [0.0, 1.0], "masses": [1.0, 0.0, 1.0], **edit}
+           "subset": [0, 2], "values": [0.0, 1.0], "masses": [1.0, 0.0, 1.0]}
+    doc = {**doc, **edit} if isinstance(edit, dict) else edit
     assert main(["validate", "--input", _write(tmp_path, "bad.json", doc)]) == 1
     out, err = capsys.readouterr()
     assert out.count("\n") == 1 and json.loads(out) == error and err == ""
@@ -356,26 +390,55 @@ def test_verify_negative_seed_exit1(tmp_path, capsys):
     assert "seed" in json.loads(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize("lipschitz", [None, 1.0], ids=["computed", "declared"])
+def test_verify_constant_data_at_a_huge_epsilon_exit0(tmp_path, capsys, lipschitz):
+    # The budget cones g +- (L + eps) d overflow to +-inf, their correctly rounded
+    # values, without a numpy warning.
+    doc = {"points": {"type": "euclidean", "coords": [[0.0], [0.5], [1.0], [2.0]]},
+           "subset": [0, 2], "values": [1.0, 1.0]}
+    if lipschitz is not None:
+        doc["lipschitz"] = lipschitz
+    out = tmp_path / "v.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--input", _write(tmp_path, "c.json", doc),
+                     "--epsilon", "1e308", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in _check_schema(out)["checks"]}
+    assert checks["envelope_sandwich"]["status"] == "pass"
+
+
 # Each bad parameter ends in exit 1 with a JSON error on constant data
 # (Lip(g, C) = 0, no schedule is built) and on non-constant data alike.
+_POSITIVE = "{} must be a positive finite real"
 BAD_PARAMETERS = {
-    "verify-rbar-nan": (["verify", "--epsilon", "0.5", "--rbar", "nan"], "r_bar"),
-    "verify-rbar-negative": (["verify", "--epsilon", "0.5", "--rbar", "-1"], "r_bar"),
-    "extend-epsilon-nan": (["extend", "--epsilon", "nan"], "--epsilon"),
-    "extend-epsilon-inf": (["extend", "--epsilon", "inf"], "--epsilon"),
-    "extend-anchor-nan": (["extend", "--epsilon", "0.5", "--anchor", "nan"], "--anchor"),
-    "extend-anchor-negative": (["extend", "--epsilon", "0.5", "--anchor", "-3"], "--anchor"),
+    "verify-rbar-nan": (["verify", "--epsilon", "0.5", "--rbar", "nan"],
+                        _POSITIVE.format("r_bar")),
+    "verify-rbar-negative": (["verify", "--epsilon", "0.5", "--rbar", "-1"],
+                             _POSITIVE.format("r_bar")),
+    "extend-epsilon-nan": (["extend", "--epsilon", "nan"], _POSITIVE.format("--epsilon")),
+    "extend-epsilon-inf": (["extend", "--epsilon", "inf"], _POSITIVE.format("--epsilon")),
+    "extend-anchor-nan": (["extend", "--epsilon", "0.5", "--anchor", "nan"],
+                          _POSITIVE.format("--anchor")),
+    "extend-anchor-negative": (["extend", "--epsilon", "0.5", "--anchor", "-3"],
+                               _POSITIVE.format("--anchor")),
     "energy-epsilon-nan": (["energy", "--p", "1", "--radii", "0.3", "--epsilon", "nan"],
-                           "epsilon"),
+                           _POSITIVE.format("epsilon")),
     "energy-epsilon-negative": (["energy", "--p", "1", "--radii", "0.3", "--epsilon", "-1"],
-                                "epsilon"),
+                                _POSITIVE.format("epsilon")),
+    "extend-queries-bad": (["extend", "--epsilon", "0.5", "--queries", "1,x"],
+                           "bad --queries list: invalid literal for int() with base 10: 'x'"),
+    "extend-queries-empty": (["extend", "--epsilon", "0.5", "--queries", ","],
+                             "empty --queries list"),
+    "energy-radii-bad": (["energy", "--p", "1", "--radii", "0.5,x"],
+                         "bad --radii list: could not convert string to float: 'x'"),
 }
 
 
 @pytest.mark.parametrize("constant", [True, False], ids=["constant", "nonconstant"])
 @pytest.mark.parametrize("case", BAD_PARAMETERS.values(), ids=BAD_PARAMETERS.keys())
 def test_bad_parameter_exit1_on_both_paths(tmp_path, capsys, case, constant):
-    argv, name = case
+    argv, error = case
     path = _cloud_file(tmp_path, with_masses=True)
     if constant:
         doc = json.loads(Path(path).read_text())
@@ -384,8 +447,7 @@ def test_bad_parameter_exit1_on_both_paths(tmp_path, capsys, case, constant):
     out = tmp_path / "out.json"
     code = main([argv[0], "--input", path, *argv[1:], "--output", str(out)])
     assert code == 1 and not out.exists()
-    assert json.loads(capsys.readouterr().out) == {
-        "error": f"{name} must be a positive finite real"}
+    assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 GOLDEN_CLOUD = str(Path(__file__).parent / "golden" / "cloud.json")
@@ -476,6 +538,9 @@ _LIP_OVERFLOW = {"error": "Lipschitz constant of the values does not fit in bina
 _SCALE_OVERFLOW = {"error": "lipschitz constant times the diameter does not fit in binary64",
                    "field": "lipschitz", "witness": {"lipschitz": 1e308, "diameter": 3.0}}
 _RATIO_UNDERFLOW = {"error": "ratio r_star = eps / (3 (L + eps)) underflows binary64"}
+_TOP_OVERFLOW = {"error": "scale overflow extending to index 2"}
+# Three points 1e307 apart on a line, as a distance matrix.
+_FAR_LINE = [[0, 1e307, 2e307], [1e307, 0, 1e307], [2e307, 1e307, 0]]
 
 
 @pytest.mark.parametrize("far, values, lipschitz, argv, error", [
@@ -497,12 +562,23 @@ _RATIO_UNDERFLOW = {"error": "ratio r_star = eps / (3 (L + eps)) underflows bina
     # The schedule fits, but the penalization at its top scale does not.
     (3, [0, 1], 5e307, ["extend", "--epsilon", "5e306"],
      {"error": "penalization at the top scale does not fit in binary64"}),
+    # 3 L r_{k+1} < xi first holds at an index whose scale underflows binary64.
+    (3, [0, 1], 2.5e307, ["verify", "--epsilon", "1e308"],
+     {"error": "extend schedule: locality conditions unreachable in binary64",
+      "required_span_low": 0.0, "required_span_high": None}),
+    # The scale above the top one, which the bank's last band needs, overflows.
+    (_FAR_LINE, [0, 1], None, ["extend", "--epsilon", "1"], _TOP_OVERFLOW),
+    (_FAR_LINE, [0, 1], None, ["verify", "--epsilon", "1"], _TOP_OVERFLOW),
+    (_FAR_LINE, [0, 1], None, ["energy", "--p", "1", "--radii", "1e306"], _TOP_OVERFLOW),
 ], ids=["validate-lip", "verify-lip", "extend-lip", "verify-scale", "extend-scale",
         "energy-scale", "extend-scale-2e307", "energy-ratio", "extend-ratio",
-        "verify-ratio", "extend-penalization"])
+        "verify-ratio", "extend-penalization", "verify-locality", "extend-top-scale",
+        "verify-top-scale", "energy-top-scale"])
 def test_binary64_overflow_exit1(tmp_path, capsys, far, values, lipschitz, argv, error):
-    doc = {"points": {"type": "euclidean", "coords": [[0], [1], [far]]},
-           "subset": [0, 1], "values": values}
+    # ``far`` is the third point of 0, 1, far on the line, or a whole distance matrix.
+    points = ({"type": "matrix", "d": far} if isinstance(far, list)
+              else {"type": "euclidean", "coords": [[0], [1], [far]]})
+    doc = {"points": points, "subset": [0, 1], "values": values}
     if lipschitz is not None:
         doc["lipschitz"] = lipschitz
     path = _write(tmp_path, "x.json", doc)
@@ -551,12 +627,16 @@ def test_demo_rejects_xi_at_least_one(capsys, n, xi):
     assert "RESULT" not in out and "(0, 1)" in json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("n", ["10001", "1" + "0" * 400], ids=["10001", "401-digits"])
-def test_demo_rejects_a_grid_beyond_ten_thousand_points(capsys, n):
-    # Rejected before the n x n matrix (800 MB at n = 10000) is built.
-    assert main(["demo-counterexample", "--n", n]) == 1
+@pytest.mark.parametrize("flags, error", [
+    # A grid beyond 10000 points is rejected before its n x n matrix (800 MB) is built.
+    (["--n", "10001"], "grid needs from 2 to 10000 points"),
+    (["--n", "1" + "0" * 400], "grid needs from 2 to 10000 points"),
+    (["--epsilon", "-1"], "--epsilon must be positive"),
+], ids=["10001", "401-digits", "epsilon-negative"])
+def test_demo_bad_argument_exit1(capsys, flags, error):
+    assert main(["demo-counterexample", *flags]) == 1
     out = capsys.readouterr().out
-    assert json.loads(out) == {"error": "grid needs from 2 to 10000 points"}
+    assert json.loads(out) == {"error": error}
 
 
 def test_demo_runs_just_below_one(capsys):

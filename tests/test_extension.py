@@ -16,10 +16,11 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
 from lipext import metric
 from lipext.errors import positive_real
 from lipext.extension import _bank, evaluation_diameters
+from lipext.verification import check_localization
 
 from conftest import (bank_rows, eval_pen, grid_instance, hand_bank, oracle_extend,
                       oracle_mcshane_lower, oracle_mcshane_upper, oracle_pen,
-                      random_instance, slope_map)
+                      random_instance, scales, slope_map)
 
 
 def _grid_setup(n=1001, epsilon=1.0):
@@ -34,9 +35,8 @@ def _grid_setup(n=1001, epsilon=1.0):
 def test_slopes_vanish_then_saturate_on_endpoint_grid():
     inst, sch = _grid_setup(11)
     smap = slope_map(inst, 0, sch)
-    for k, s in smap.items():
-        eps_k = sch.virtual_eps(k)
-        assert s == (0.0 if eps_k <= 1.0 else 1.0)
+    for k, eps_k in scales(sch).items():
+        assert smap[k] == (0.0 if eps_k <= 1.0 else 1.0)
 
 
 def test_slopes_zero_for_constant_values():
@@ -53,7 +53,7 @@ def test_slope_of_partial_ball_brute_force():
     sch = build_schedule(inst.lipschitz_L, 1.0, anchor=0.7,
                          span_low=1e-4, span_high=4.0)
     smap = slope_map(inst, 0, sch)
-    k07 = [k for k in smap if abs(sch.virtual_eps(k) - 0.7) < 1e-9]
+    k07 = [k for k, e in scales(sch).items() if abs(e - 0.7) < 1e-9]
     assert k07 and smap[k07[0]] == 2.0
 
 
@@ -327,7 +327,7 @@ def oracle_localized(inst, sch, profiles, y, xbar):
 
 def test_localized_at_anchor_returns_value(line3):
     sch = schedule_for_instance(line3, 1.0)
-    loc = extend_localized(line3, sch, [0, 2], [0, 2])
+    loc = extend_localized(line3, sch, [0, 2])
     assert loc.values.tolist() == [0.0, 1.0]
     assert loc.anchors.tolist() == [0, 2]
     assert [rec["xbar"] for rec in loc.localization] == [0, 2]
@@ -339,29 +339,25 @@ def test_localized_equals_full_on_random_clouds():
         sch = schedule_for_instance(inst, inst.lipschitz_L)
         profiles = build_profiles(inst, sch)
         field = extend(inst, sch, profiles=profiles)
-        loc = extend_localized(inst, sch, field.queries,
-                               _nearest_anchors(inst, field.queries),
-                               profiles=profiles)
+        loc = extend_localized(inst, sch, field.queries, profiles=profiles)
         assert np.array_equal(loc.values, field.values)
         assert np.array_equal(loc.anchors, field.anchors)
         assert any(rec != "full" for rec in loc.localization)
 
 
 def test_localized_matches_per_query_oracle():
-    rng = np.random.default_rng(7)
     for seed in (2, 4, 11):
         inst = random_instance(seed, n_max=60)
         sch = schedule_for_instance(inst, inst.lipschitz_L)
         profiles = build_profiles(inst, sch)
         queries = np.arange(inst.n)
-        for xbars in (_nearest_anchors(inst, queries),
-                      rng.choice(inst.subset, size=inst.n)):
-            loc = extend_localized(inst, sch, queries, xbars, profiles=profiles)
-            for i, (y, xbar) in enumerate(zip(queries, xbars)):
-                value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
-                assert loc.values[i] == value, f"seed {seed} query {y}"
-                assert loc.anchors[i] == anchor
-                assert loc.localization[i] == record
+        loc = extend_localized(inst, sch, queries, profiles=profiles)
+        # The oracle's record centres y at its nearest anchor.
+        for i, (y, xbar) in enumerate(zip(queries, _nearest_anchors(inst, queries))):
+            value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
+            assert loc.values[i] == value, f"seed {seed} query {y}"
+            assert loc.anchors[i] == anchor
+            assert loc.localization[i] == record
 
 
 def test_localized_exclusion_margin():
@@ -371,8 +367,7 @@ def test_localized_exclusion_margin():
     field = extend(inst, sch, profiles=profiles)
     L = inst.lipschitz_L
     tol = 1e-9 * inst.check_scale()
-    loc = extend_localized(inst, sch, field.queries,
-                           _nearest_anchors(inst, field.queries), profiles=profiles)
+    loc = extend_localized(inst, sch, field.queries, profiles=profiles)
     checked = 0
     for qi, (y, rec) in enumerate(zip(field.queries, loc.localization)):
         if rec == "full":
@@ -402,14 +397,14 @@ def test_localized_tie_boundary_takes_next_scale():
             break
         # d(y, xbar) == eps_{k_min + j}: strict < skips that scale.
         inst = _pair_at(float(sch.eps[j]))
-        loc = extend_localized(inst, sch, [1], [0])
+        loc = extend_localized(inst, sch, [1])
         assert loc.localization == [{"k": sch.k_min + j + 3, "xbar": 0}]
         assert loc.values[0] == extend(inst, sch, [1]).values[0]
     # d == eps_{k_max - 2} (or beyond, up to the top scale) leaves no stored
     # k: the full infimum.
     for j in (top - 2, top - 1, top):
         inst = _pair_at(float(sch.eps[j]))
-        loc = extend_localized(inst, sch, [1, 0], [0, 0])
+        loc = extend_localized(inst, sch, [1, 0])
         assert loc.localization == ["full", {"k": sch.k_min + 2, "xbar": 0}]
         full = extend(inst, sch, [1, 0])
         assert np.array_equal(loc.values, full.values)
@@ -426,11 +421,22 @@ def test_localized_ball_is_open_and_keeps_lower_anchors_out():
     inst = instance_from_arrays(dmatrix=d, subset=[0, 2], values=[1.0, 0.0])
     m = len(sch.eps) + 1
     flat = ProfileBank(inst.subset, sch.eps, np.zeros((2, m)), np.zeros((2, m)))
-    loc = extend_localized(inst, sch, [1], [0], profiles=flat)
+    loc = extend_localized(inst, sch, [1], profiles=flat)
     assert loc.localization == [{"k": sch.k_min + j + 3, "xbar": 0}]
     assert (loc.values[0], loc.anchors[0]) == (1.0, 0)
     full = extend(inst, sch, [1], profiles=flat)
     assert (full.values[0], full.anchors[0]) == (0.0, 2)
+
+
+def test_localized_centre_ties_take_the_lowest_point_index():
+    # Query 1 sits midway between the anchors 2 and 0 (subset rows 0 and 1):
+    # its centre is point 0, neither the first row nor the highest index.
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    inst = instance_from_arrays(dmatrix=d, subset=[2, 0], values=[1.0, 0.0])
+    sch = build_schedule(1.0, 1.0, anchor=2.0, span_low=1e-9, span_high=100.0)
+    loc = extend_localized(inst, sch, [1])
+    assert loc.localization == [{"k": 2, "xbar": 0}]
+    assert loc.values[0] == extend(inst, sch, [1]).values[0]
 
 
 def test_localized_fallback_when_out_of_range():
@@ -438,22 +444,19 @@ def test_localized_fallback_when_out_of_range():
     sch = schedule_for_instance(inst, 1.0)
     profiles = build_profiles(inst, sch)
     field = extend(inst, sch, profiles=profiles)
-    x0 = int(inst.subset[0])
-    far = int(np.argmax(inst.distances([x0], np.arange(inst.n))[0]))
-    loc = extend_localized(inst, sch, [far], [x0], profiles=profiles)
-    assert loc.values[0] == field.values[far]
-    if loc.localization[0] == "full":
-        assert loc.anchors[0] == field.anchors[far]
-    else:
-        assert loc.localization[0]["xbar"] == x0
+    # The query farthest from its nearest anchor leaves no stored k: every anchor.
+    far = int(np.argmax(inst.distances(inst.subset, np.arange(inst.n)).min(axis=0)))
+    loc = extend_localized(inst, sch, [far], profiles=profiles)
+    assert loc.localization == ["full"]
+    assert (loc.values[0], loc.anchors[0]) == (field.values[far], field.anchors[far])
 
 
 def test_localized_rejects_bad_xbars(line3):
+    # Centres are the nearest anchors; a stale fourth positional argument is not
+    # read as the bank.
     sch = schedule_for_instance(line3, 1.0)
-    for queries, xbars in (([0, 1], [0]), ([0, 1], [[0, 2]]), ([1], [1]),
-                           ([1], [3]), ([1], [-1])):
-        with pytest.raises(ParameterError):
-            extend_localized(line3, sch, queries, xbars)
+    with pytest.raises(TypeError):
+        extend_localized(line3, sch, [1], [0])
 
 
 def test_non_integer_indices_rejected_not_truncated(line3):
@@ -467,23 +470,19 @@ def test_non_integer_indices_rejected_not_truncated(line3):
                                match="^queries must be a non-empty 1-D index list$"):
                 extend(inst, schedule, queries)
             with pytest.raises(ParameterError, match="^queries must be"):
-                extend_localized(inst, schedule, queries, [0] * len(queries))
-    for xbars in ([0.0], [True], [2.5], np.array([2.0]), np.array([False])):
-        with pytest.raises(ParameterError,
-                           match="^xbars must be subset point indices aligned with queries$"):
-            extend_localized(line3, sch, [1], xbars)
+                extend_localized(inst, schedule, queries)
     # Integer lists and arrays of any integer dtype still go through.
     ref = extend(line3, sch, [1])
     for queries in ((1,), np.array([1], dtype=np.int32), np.array([1], dtype=np.uint8)):
         assert np.array_equal(extend(line3, sch, queries).values, ref.values)
-        loc = extend_localized(line3, sch, queries, np.array([0], dtype=np.int16))
+        loc = extend_localized(line3, sch, queries)
         assert loc.queries.tolist() == [1] and np.array_equal(loc.values, ref.values)
     # An index beyond intp is out of range like any other: no OverflowError.
     for huge in (2**70, -2**70):
         with pytest.raises(ParameterError, match="^query index out of range$"):
             extend(line3, sch, [huge])
-        with pytest.raises(ParameterError, match="^xbars must be"):
-            extend_localized(line3, sch, [1], [huge])
+        with pytest.raises(ParameterError, match="^query index out of range$"):
+            extend_localized(line3, sch, [huge])
     for points in ([2**70], [-2**70], [2.0], [-1], [3]):
         with pytest.raises(ParameterError,
                            match="^values requested at indices outside the subset$"):
@@ -512,11 +511,9 @@ def test_non_integer_indices_rejected_not_truncated(line3):
 def test_localized_constant_data():
     inst = instance_from_arrays(coords=[[0.0], [0.5], [1.0]], subset=[2, 0],
                                 values=[3.0, 3.0], lipschitz=2.0)
-    loc = extend_localized(inst, None, [1, 2], [0, 2])
+    loc = extend_localized(inst, None, [1, 2])
     assert loc.values.tolist() == [3.0, 3.0]
     assert loc.localization == ["full", "full"]
-    with pytest.raises(ParameterError):
-        extend_localized(inst, None, [1], [1])
 
 
 # --- query blocks ------------------------------------------------------------
@@ -546,11 +543,10 @@ def test_extend_over_several_query_blocks_matches_per_query_oracle(monkeypatch):
     queries = np.concatenate([rng.permutation(n), rng.choice(n, size=131)])
     monkeypatch.setattr(metric, "_BLOCK", 3 * len(inst.subset))
     field = extend(inst, sch, queries, profiles=profiles)
-    for xbars in (_nearest_anchors(inst, queries), rng.choice(inst.subset, size=len(queries))):
-        loc = extend_localized(inst, sch, queries, xbars, profiles=profiles)
-        for i, (y, xbar) in enumerate(zip(queries, xbars)):
-            value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
-            assert (loc.values[i], loc.anchors[i], loc.localization[i]) == (value, anchor, record)
+    loc = extend_localized(inst, sch, queries, profiles=profiles)
+    for i, (y, xbar) in enumerate(zip(queries, _nearest_anchors(inst, queries))):
+        value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
+        assert (loc.values[i], loc.anchors[i], loc.localization[i]) == (value, anchor, record)
     for i, y in enumerate(queries):
         assert (field.values[i], field.anchors[i]) == oracle_full(inst, profiles, y)
     flat = instance_from_arrays(coords=inst.coords, subset=inst.subset,
@@ -580,15 +576,21 @@ def test_evaluation_diameters_over_row_blocks(monkeypatch):
                                                    float(sub.max()))
 
 
+def _cloud_2000():
+    """An instance file: 2000 points in the unit cube, data on 200 of them."""
+    n = 2000
+    rng = np.random.default_rng(5)
+    return {"points": {"type": "euclidean", "coords": rng.uniform(0.0, 1.0, (n, 3)).tolist()},
+            "subset": sorted(rng.choice(n, size=200, replace=False).tolist()),
+            "values": rng.normal(size=200).tolist()}
+
+
 def test_extend_pipeline_memory_holds_one_matrix():
     # Validation, schedule and extension on every point hold the cached n x n
     # matrix plus blocks of fixed size: no n*n*dim difference array and no
     # second n x n copy.
     n = 2000
-    rng = np.random.default_rng(5)
-    raw = {"points": {"type": "euclidean", "coords": rng.uniform(0.0, 1.0, (n, 3)).tolist()},
-           "subset": sorted(rng.choice(n, size=200, replace=False).tolist()),
-           "values": rng.normal(size=200).tolist()}
+    raw = _cloud_2000()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -600,6 +602,25 @@ def test_extend_pipeline_memory_holds_one_matrix():
         tracemalloc.stop()
     assert len(field.values) == n
     assert peak <= 2 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
+
+
+def test_check_localization_memory_is_a_fraction_of_the_matrix():
+    # The check forms the bank's rows only on the localized queries, in column
+    # blocks: no |C| x n array of distances, rows or margins.
+    n = 2000
+    inst = validate_instance(_cloud_2000())
+    sch = schedule_for_instance(inst, 0.5)
+    profiles = build_profiles(inst, sch)
+    field = extend(inst, sch, profiles=profiles)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = check_localization(inst, field, profiles)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak <= n * n * 8 / 4, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
 
 
 # --- post-processing ---------------------------------------------------------

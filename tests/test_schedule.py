@@ -230,9 +230,10 @@ def test_virtual_eps_agrees_with_generation_law():
     sch = canonical()
     below = sch.virtual_eps(sch.k_min - 1)
     assert below == math.ldexp(sch.r_star, sch.k_min) * sch.eps_at(sch.k_min)
-    above = sch.virtual_eps(sch.k_max + 1)
-    assert above == pytest.approx(sch.eps_at(sch.k_max) / sch.r_star, rel=1e-15)
     assert sch.virtual_eps(0) == sch.eps_at(0)
+    # Above the stored range only build_profiles needs a scale, and computes it.
+    with pytest.raises(ParameterError, match="^scale index"):
+        sch.virtual_eps(sch.k_max + 1)
 
 
 def test_triples_roundtrip():

@@ -13,7 +13,7 @@ from lipext import (ball_lips, build_profiles, build_schedule, energy,
                     instance_from_arrays, lipa_profile, validate_measure)
 from lipext.metric import _ratio
 
-from conftest import oracle_lip, slope_map
+from conftest import oracle_lip, scales, slope_map
 
 
 def discrete_instance(seed):
@@ -122,14 +122,13 @@ def test_approx_slopes_match_oracle_at_ties(inst):
     sch = build_schedule(inst.lipschitz_L, 1.0, anchor=1.0,
                          span_low=1e-3, span_high=4.0)
     levels = set(np.unique(inst.distance_matrix()).tolist())
-    ks = range(sch.k_min, sch.k_max + 2)
-    assert any(sch.virtual_eps(k) in levels for k in ks)
+    eps = scales(sch)
+    assert any(e in levels for e in eps.values())
     bank = build_profiles(inst, sch)
     for pos, x in enumerate(inst.subset):
         smap = slope_map(inst, int(x), sch)
-        for k in ks:
-            assert smap[k] == oracle_ball_lip(inst, inst.subset, inst.values,
-                                              int(x), sch.virtual_eps(k))
+        for k, e in eps.items():
+            assert smap[k] == oracle_ball_lip(inst, inst.subset, inst.values, int(x), e)
         # band k of the bank carries S_k + 3 L r_{k-1}, k in [k_min + 2, k_max + 1]
         S = np.array([smap[k] for k in range(sch.k_min + 2, sch.k_max + 2)])
         ratios = np.array([sch.ratio[k - sch.k_min - 1]

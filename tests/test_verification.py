@@ -11,7 +11,7 @@ from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
                     lip_constant, locality_radius, mcshane_comparison,
                     mcshane_upper_many, run_suite, schedule_for_instance,
                     truncate_bounded, validate_measure)
-from lipext import metric
+from lipext import metric, verification
 from lipext.verification import (_distance_quartiles, _pair_sample, check_envelope_sandwich,
                                  check_localization)
 
@@ -204,12 +204,22 @@ def test_distance_quartiles_memory_is_a_fraction_of_the_matrix():
     assert peak <= n * n * 8 / 4, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
 
 
-def test_pair_sampling_is_labeled():
-    ii, jj, note = _pair_sample(2000, seed=1, max_pairs=10_000)
-    assert len(ii) <= 10_000 and "statistical" in note
+def test_pair_sampling_is_labeled(monkeypatch):
+    # 1225 pairs of grid points against a cap of 100: the seeded sample, labeled,
+    # reads a steepest ratio no larger than the exhaustive scan's.
     inst = grid_instance(50)
     field = extend(inst, schedule_for_instance(inst, 1.0))
-    assert check_global_lipschitz(field, inst, 2.0).note == "exhaustive"
+    full = check_global_lipschitz(field, inst, 2.0)
+    assert full.note == "exhaustive"
+    monkeypatch.setattr(verification, "MAX_PAIRS", 100)
+    ii, jj, note = _pair_sample(2000, seed=1)
+    assert len(ii) <= 100 and note.startswith("statistical: sampled")
+    res = check_global_lipschitz(field, inst, 2.0, seed=3)
+    assert res.note.startswith("statistical: sampled")
+    assert res.measured <= full.measured
+    assert res.witness["ratio"] == res.measured
+    assert inst.distance_matrix()[res.witness["i"], res.witness["j"]] > 0
+    assert check_global_lipschitz(field, inst, 2.0, seed=3) == res
 
 
 def test_check_step2_on_two_point_subset():
