@@ -281,14 +281,16 @@ def cutoff_support(field: ExtensionField, instance: MetricInstance,
 
 
 def evaluation_diameters(instance: MetricInstance, queries=None) -> tuple[float, float]:
-    """(min positive distance, max distance) over subset union queries."""
+    """(min positive distance, max distance) over subset union queries: the
+    instance's extents when that is every point."""
     queries = _as_query_array(instance, queries)
-    pts = np.unique(np.concatenate([instance.subset, queries]))
+    pts = np.sort(np.concatenate([instance.subset, queries]))   # not np.unique: numpy.ma
+    pts = pts[np.append(True, pts[1:] != pts[:-1])]
+    if len(pts) == instance.n:
+        return instance.extents
     dmin, dmax = np.inf, 0.0
-    d = instance.distance_matrix()
     for s in _row_blocks(len(pts), len(pts)):
-        # pts is sorted, so n of them are 0..n-1: read a slice, not a gathered copy.
-        dd = d[s] if len(pts) == instance.n else instance.distances(pts[s], pts)
+        dd = instance.distances(pts[s], pts)
         dmin = min(dmin, float(np.min(dd, where=dd > 0, initial=np.inf)))
         dmax = max(dmax, float(dd.max()))
     return (dmin if dmin < np.inf else 0.0), dmax

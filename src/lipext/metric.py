@@ -48,6 +48,7 @@ class MetricInstance:
     lipschitz_computed: float   # Lip(g, C), the exhaustive pair supremum
     coords: np.ndarray | None = None    # (n, dim) Euclidean geometry, or
     dmatrix: np.ndarray | None = None   # explicit (n, n) distance matrix
+    extents: tuple[float, float] = (0.0, 0.0)  # validation's (min positive or 0, max) distance
     _dcache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _subset_pos: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -60,26 +61,30 @@ class MetricInstance:
     def distance_matrix(self) -> np.ndarray:
         """Full n-by-n matrix, read-only and shared by every caller.
 
-        An explicit matrix is returned as validated; Euclidean geometry is
-        expanded once, in row blocks, and cached.  It is the only n-by-n array
-        an instance holds.
+        An explicit matrix is returned as validated.  Euclidean geometry is
+        expanded on the first call, in row blocks, and cached; only the checks
+        of :func:`~lipext.verification.run_suite` that read all pairs call this.
         """
         if self.dmatrix is not None:
             return self.dmatrix
         if self._dcache is None:
-            self._dcache = _euclidean_matrix(self.coords)
+            self._dcache = _euclidean_matrix(self.coords, self.coords)
             self._dcache.setflags(write=False)
         return self._dcache
 
     def distances(self, rows, cols) -> np.ndarray:
-        """Distance submatrix d[rows, cols], a fresh array of shape (len(rows), len(cols))."""
+        """Distance submatrix d[rows, cols], a fresh array of shape (len(rows), len(cols)):
+        gathered from the matrix when one is held, else the same bits from ``coords``."""
         message = f"rows and cols must be 1-D lists of point indices in [0, {self.n})"
         rows = _index_list(rows, self.n, message)
         cols = _index_list(cols, self.n, message)
-        return self.distance_matrix()[np.ix_(rows, cols)]
+        d = self.dmatrix if self.dmatrix is not None else self._dcache
+        if d is None:
+            return _euclidean_matrix(self.coords[rows], self.coords[cols])
+        return d[np.ix_(rows, cols)]
 
     def diameter(self) -> float:
-        return float(self.distance_matrix().max())
+        return self.extents[1]
 
     def subset_positions(self) -> np.ndarray:
         """Map point index -> position in ``subset`` (-1 off C)."""
@@ -104,57 +109,87 @@ class MetricInstance:
                    self.lipschitz_L * self.diameter())
 
 
-def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, the bits of ``sqrt(sum(diff * diff, axis=2))``
-    over one ``(n, n, dim)`` array, filled one row block at a time.
-
-    Below 8 coordinates each squared gap is added into the ``(rows, n)`` block
-    left to right, as numpy sums so short an axis (``np.sum`` over it is about
-    five times slower at 3 coordinates); from 8 on the block is
-    ``np.sum`` itself over ``(rows, n, dim)`` squared differences.  The scratch
-    holds at most ``max(_BLOCK, n * dim)`` entries (``n >= 1``).  A distance
-    that overflows is ``inf`` without a warning; validation rejects it.
+def _euclidean_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                     scratch: np.ndarray) -> np.ndarray:
+    """``out[i, j] = d(a[i], b[j])``: the bits of ``sqrt(sum(diff * diff, axis=2))``
+    over one ``(len(a), len(b), dim)`` array ``diff``.  From 1 to 7 coordinates
+    the squared gaps are added into ``out`` left to right, as numpy sums so
+    short an axis (``np.sum`` over it is about five times slower at 3), with
+    ``out.size`` entries of ``scratch``; otherwise ``np.sum`` runs over the
+    squares, in ``out.size * dim`` of them.  Overflow gives ``inf`` silently.
+    ``fl(x - y) = -fl(y - x)``, so ``d(a, a)`` is symmetric with a +0 diagonal.
     """
-    n, dim = coords.shape
-    out = np.zeros((n, n))      # already the answer when dim == 0
+    dim = a.shape[1]
     with np.errstate(over="ignore"):
-        if dim >= 8:
-            blocks = _row_blocks(n, n * dim)
-            diff = np.empty((blocks[0].stop, n, dim))
-            for s in blocks:
-                block, sq = out[s], diff[:s.stop - s.start]
-                np.subtract(coords[s, None, :], coords[None, :, :], out=sq)
-                np.multiply(sq, sq, out=sq)
-                np.sum(sq, axis=2, out=block)
-                np.sqrt(block, out=block)
-            return out
-        ct = np.ascontiguousarray(coords.T)
-        blocks = _row_blocks(n, n)
-        scratch = np.empty((blocks[0].stop, n))
-        for s in blocks:
-            block = out[s]
+        if 0 < dim < 8:
             for k in range(dim):
-                dst = scratch[:len(block)] if k else block
-                np.subtract(ct[k, s, None], ct[k, None, :], out=dst)
+                dst = scratch[:out.size].reshape(out.shape) if k else out
+                np.subtract(a[:, k, None], b[:, k], out=dst)
                 np.multiply(dst, dst, out=dst)
                 if k:
-                    block += dst
-            np.sqrt(block, out=block)
+                    out += dst
+        else:
+            sq = scratch[:out.size * dim].reshape(*out.shape, dim)
+            np.subtract(a[:, None, :], b[None, :, :], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.sum(sq, axis=2, out=out)
+        return np.sqrt(out, out=out)
+
+
+def _euclidean_plan(rows: int, b: np.ndarray) -> tuple[list[slice], np.ndarray]:
+    """:func:`_row_blocks` of ``rows`` rows against ``b``, and a scratch for each block."""
+    width = len(b) * (b.shape[1] if b.shape[1] >= 8 else 1)
+    return _row_blocks(rows, width), np.empty(min(rows * width, max(_BLOCK, width)))
+
+
+def _euclidean_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``d(a[i], b[j])`` for every ``i, j``, one row block at a time."""
+    out = np.empty((len(a), len(b)))
+    blocks, scratch = _euclidean_plan(len(a), b)
+    for s in blocks:
+        _euclidean_block(a[s], b, out[s], scratch)
     return out
+
+
+def _check_euclidean(coords: np.ndarray) -> tuple[float, float]:
+    """Reject a non-finite distance, then a repeated point; return the extents.
+
+    One pass over the upper triangle, row block ``[a, b)`` against columns
+    ``a..``, in buffers allocated once.  ``d`` is exactly symmetric, so the
+    first offending pair in row-major order lies in these blocks.
+    """
+    n = len(coords)
+    blocks, scratch = _euclidean_plan(n, coords)
+    buf, dmin, dmax, duplicate = np.empty_like(scratch), np.inf, 0.0, None
+    for s in blocks:
+        a = s.start
+        d = buf[:(s.stop - a) * (n - a)].reshape(s.stop - a, n - a)
+        _euclidean_block(coords[s], coords[a:], d, scratch)
+        if not np.all(np.isfinite(d)):
+            i, j = np.argwhere(~np.isfinite(d))[0] + a
+            _err("non-finite distance", "points", i=int(i), j=int(j))
+        zero = d == 0.0
+        np.fill_diagonal(zero, False)
+        if duplicate is None and np.any(zero):
+            duplicate = np.argwhere(zero)[0] + a
+        dmin = min(dmin, float(np.min(d, where=d > 0, initial=np.inf)))
+        dmax = max(dmax, float(d.max()))
+    if duplicate is not None:
+        _err("duplicate points (zero distance)", "points",
+             i=int(duplicate[0]), j=int(duplicate[1]))
+    return (dmin if dmin < np.inf else 0.0), dmax
 
 
 def _err(reason, field, **witness):
     raise InstanceValidationError(reason, field, witness)
 
 
-def _check_matrix(d: np.ndarray, euclidean: bool) -> None:
-    """Check the metric axioms of ``d``; raise on the first failure with its witness.
+def _check_matrix(d: np.ndarray) -> tuple[float, float]:
+    """Check the metric axioms of an explicit matrix ``d``; raise on the first
+    failure with its witness, else return the extents.
 
-    Every matrix must be finite with positive off-diagonal entries.  Explicit
-    matrices are also checked for a zero diagonal, symmetry and signs, which
-    hold for Euclidean ones by construction.
-
-    Explicit matrices also get an exact triangle-inequality scan: every
+    ``d`` must be finite, with a zero diagonal, symmetric, nonnegative and
+    positive off the diagonal.  Then an exact triangle-inequality scan: every
     ``d[i, k] <= d[i, j] + d[j, k] + tol`` with ``tol = TRIANGLE_RTOL * max(d)``.
     It runs as a block certificate (see :func:`_triangle_violators`); only
     when that finds a violation does the per-pivot scan run, over the rows
@@ -165,34 +200,27 @@ def _check_matrix(d: np.ndarray, euclidean: bool) -> None:
     if not np.all(np.isfinite(d)):
         i, j = np.argwhere(~np.isfinite(d))[0]
         _err("non-finite distance", "points", i=int(i), j=int(j))
-    # A Euclidean matrix is symmetric with a +0 diagonal and no negative entry
-    # by construction: fl(a - b) = -fl(b - a) squares to the same value, the
-    # sum adds the same terms in the same order, and sqrt returns +0 or more.
-    if not euclidean:
-        if np.any(np.diag(d) != 0.0):
-            i = int(np.argwhere(np.diag(d) != 0.0)[0][0])
-            _err("nonzero diagonal", "points", i=i, value=float(d[i, i]))
-        asym = d != d.T
-        if np.any(asym):
-            i, j = np.argwhere(asym)[0]
-            _err("asymmetric matrix", "points", i=int(i), j=int(j),
-                 d_ij=float(d[i, j]), d_ji=float(d[j, i]))
-        if np.any(d < 0.0):
-            i, j = np.argwhere(d < 0.0)[0]
-            _err("negative distance", "points", i=int(i), j=int(j), value=float(d[i, j]))
+    if np.any(np.diag(d) != 0.0):
+        i = int(np.argwhere(np.diag(d) != 0.0)[0][0])
+        _err("nonzero diagonal", "points", i=i, value=float(d[i, i]))
+    asym = d != d.T
+    if np.any(asym):
+        i, j = np.argwhere(asym)[0]
+        _err("asymmetric matrix", "points", i=int(i), j=int(j),
+             d_ij=float(d[i, j]), d_ji=float(d[j, i]))
+    if np.any(d < 0.0):
+        i, j = np.argwhere(d < 0.0)[0]
+        _err("negative distance", "points", i=int(i), j=int(j), value=float(d[i, j]))
     zero = d == 0.0
     np.fill_diagonal(zero, False)
     if np.any(zero):
         i, j = np.argwhere(zero)[0]
-        reason = "duplicate points (zero distance)" if euclidean else "zero off-diagonal distance"
-        _err(reason, "points", i=int(i), j=int(j))
-    # Euclidean matrices satisfy the triangle inequality by construction.
-    if euclidean:
-        return
-    tol = TRIANGLE_RTOL * float(d.max())
+        _err("zero off-diagonal distance", "points", i=int(i), j=int(j))
+    extents = (float(np.min(d, where=d > 0, initial=np.inf)) if n > 1 else 0.0), float(d.max())
+    tol = TRIANGLE_RTOL * extents[1]
     rows = _triangle_violators(d, tol)
     if len(rows) == 0:
-        return
+        return extents
     # Every violation lies in these rows, which are in increasing order, so the
     # first hit of the smallest pivot is the same (i, k) as over all of d.
     d_rows = d[rows]
@@ -306,9 +334,10 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
     if np.any(outside):
         _err("subset index out of range", "subset", index=int(subset[outside][0]), n=n)
     subset = subset.astype(np.intp)
-    if len(np.unique(subset)) != len(subset):
-        uniq, counts = np.unique(subset, return_counts=True)
-        _err("duplicate subset index", "subset", index=int(uniq[counts > 1][0]))
+    srt = np.sort(subset)   # not np.unique, whose plain form imports numpy.ma
+    repeats = srt[1:][srt[1:] == srt[:-1]]
+    if len(repeats):
+        _err("duplicate subset index", "subset", index=int(repeats[0]))
 
     values = _float_array(values, "values", "value")
     if values.shape != subset.shape:
@@ -318,9 +347,9 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
         _err("non-finite value", "values",
              position=int(np.argwhere(~np.isfinite(values))[0][0]))
 
-    inst = MetricInstance(subset=subset, values=values, lipschitz_L=0.0,
-                          lipschitz_computed=0.0, coords=coords, dmatrix=dmatrix)
-    _check_matrix(inst.distance_matrix(), euclidean=coords is not None)
+    extents = _check_matrix(dmatrix) if coords is None else _check_euclidean(coords)
+    inst = MetricInstance(subset=subset, values=values, lipschitz_L=0.0, lipschitz_computed=0.0,
+                          coords=coords, dmatrix=dmatrix, extents=extents)
 
     with np.errstate(over="ignore"):    # an overflowing pair ratio is rejected here
         computed = lip_constant(inst, values, subset)
@@ -395,7 +424,8 @@ def _distinct_members(instance: MetricInstance, members) -> np.ndarray:
     """``members`` as 1-D intp; raises unless they are distinct point indices."""
     members = _index_list(members, instance.n,
                           f"members must be a 1-D list of point indices in [0, {instance.n})")
-    if len(np.unique(members)) != len(members):
+    srt = np.sort(members)
+    if np.any(srt[1:] == srt[:-1]):
         raise ParameterError("member indices must be distinct")
     return members
 
@@ -424,7 +454,7 @@ def _ratio(u, v, d):
     return np.divide(gaps, d, out=gaps, where=d > 0)
 
 
-def _pair_blocks(dd, members, values):
+def _pair_blocks(instance: MetricInstance, members, values):
     """Yield ``(a, d, ratios)`` over row blocks ``[a, b)`` of the member pairs.
 
     Entry ``[r, c]`` belongs to members ``a + r`` and ``a + c``, so the pairs
@@ -434,11 +464,11 @@ def _pair_blocks(dd, members, values):
     pair of its own) against columns ``a..``.
     """
     for s in _row_blocks(len(members) - 1, len(members)):
-        d = dd[np.ix_(members[s], members[s.start:])]
+        d = instance.distances(members[s], members[s.start:])
         yield s.start, d, _ratio(values[s][:, None], values[s.start:], d)
 
 
-def _top_pairs(dd, members, values):
+def _top_pairs(instance: MetricInstance, members, values):
     """Pairs ``i < j`` of the ``_TOP_K`` largest positive ratios, in descending order.
 
     Returns ``(i, j, ratio, complete)``, ``complete`` when no positive pair is
@@ -450,7 +480,7 @@ def _top_pairs(dd, members, values):
     """
     kept_r, kept_i, kept_j = np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp)
     floor, positive = 0.0, 0
-    for a, _, ratios in _pair_blocks(dd, members, values):
+    for a, _, ratios in _pair_blocks(instance, members, values):
         ratios[np.tril_indices(ratios.shape[0], 0, ratios.shape[1])] = 0.0
         positive += np.count_nonzero(ratios)
         r, c = np.nonzero(ratios > floor)
@@ -495,18 +525,17 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or not np.all(radii >= 0):
         raise ParameterError("radii must be a 1-D list of nonnegative reals")
-    return _ball_lips(instance.distance_matrix(), members, values,
-                      instance.distances(centers, members), radii)
+    return _ball_lips(instance, members, values, instance.distances(centers, members), radii)
 
 
-def _ball_lips(dd, members, values, d_rows, radii) -> np.ndarray:
+def _ball_lips(instance: MetricInstance, members, values, d_rows, radii) -> np.ndarray:
     """:func:`ball_lips` with ``d_rows = d(centers, members)`` given."""
     reach = np.flatnonzero((d_rows < radii.max(initial=0.0)).any(axis=0))
     out = np.zeros((len(d_rows), len(radii)))
     if len(reach) <= 1:
         return out
     d_rows, members, values = d_rows[:, reach], members[reach], values[reach]
-    first, second, top, complete = _top_pairs(dd, members, values)
+    first, second, top, complete = _top_pairs(instance, members, values)
     for s in _row_blocks(len(d_rows), len(top)):
         # Minus the running minimum of the far ends: non-decreasing along a row,
         # and pair k lies in the r-ball once this is above -r.
@@ -519,8 +548,8 @@ def _ball_lips(dd, members, values, d_rows, radii) -> np.ndarray:
             found = hit < len(top)
             out[row, found] = top[hit[found]]
             if not complete and not np.all(found):
-                out[row, ~found] = _ball_lips(dd, members, values, d_rows[row:row + 1],
-                                              radii[~found])[0]
+                out[row, ~found] = _ball_lips(instance, members, values,
+                                              d_rows[row:row + 1], radii[~found])[0]
     return out
 
 
@@ -532,8 +561,7 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
     the row blocks of :func:`_pair_blocks`.
     """
     members, values = _member_values(instance, members, values)
-    dd = instance.distance_matrix()
-    return max((float(ratios.max()) for _, _, ratios in _pair_blocks(dd, members, values)),
+    return max((float(ratios.max()) for _, _, ratios in _pair_blocks(instance, members, values)),
                default=0.0)
 
 

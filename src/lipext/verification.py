@@ -109,12 +109,12 @@ def check_restriction(field: ExtensionField, instance: MetricInstance) -> CheckR
                        tolerance=tol, witness=witness)
 
 
-def _steepest_pair(dd: np.ndarray, points: np.ndarray, values: np.ndarray):
+def _steepest_pair(instance: MetricInstance, points: np.ndarray, values: np.ndarray):
     """``(ratio, i, j)`` of the first steepest position pair ``i < j`` in row-major
     order with ``d(points[i], points[j]) > 0``, read in the row blocks of
     :func:`_pair_blocks`; ``None`` when there is no such pair."""
     best = None
-    for a, d, ratios in _pair_blocks(dd, points, values):
+    for a, d, ratios in _pair_blocks(instance, points, values):
         pair = d > 0
         pair[np.tril_indices(pair.shape[0], 0, pair.shape[1])] = False
         if not pair.any():
@@ -134,12 +134,12 @@ def check_global_lipschitz(field: ExtensionField, instance: MetricInstance,
     beyond, a seeded sample (:func:`_pair_sample`).  The witness is the first
     steepest pair; pairs of a repeated query (distance 0) are skipped.
     """
-    q, vals, dd = field.queries, field.values, instance.distance_matrix()
+    q, vals = field.queries, field.values
     if len(q) * (len(q) - 1) // 2 <= MAX_PAIRS:
-        steepest, note = _steepest_pair(dd, q, vals), "exhaustive"
+        steepest, note = _steepest_pair(instance, q, vals), "exhaustive"
     else:
         ii, jj, note = _pair_sample(len(q), seed)
-        d = dd[q[ii], q[jj]]
+        d = instance.distance_matrix()[q[ii], q[jj]]
         ok = d > 0
         ii, jj, ratios = ii[ok], jj[ok], _ratio(vals[ii[ok]], vals[jj[ok]], d[ok])
         worst = int(np.argmax(ratios)) if len(ratios) else None
@@ -375,7 +375,7 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     # Pair-ratio temporaries hold _BLOCK entries; the rows at a block's close
     # points, phi, reach |C| x |members| at worst.
     got, lips = 0.0, np.zeros(rows)
-    for a, d, ratios in _pair_blocks(instance.distance_matrix(), members, fmin):
+    for a, d, ratios in _pair_blocks(instance, members, fmin):
         # Rows a..b-1 against columns a..: every pair, those inside the block twice.
         got = max(got, float(ratios.max()))
         close = d < reach

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -697,3 +699,24 @@ def test_bad_usage_exits_1(capsys):
         main(["verify", "--input", "x.json", "--epsilon", "1", "--output", "v.json",
               "--inject-corruption"])   # no such option
     assert exc.value.code == 1
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # Plain np.unique imports numpy.ma, about 20 ms of every cold start; the
+    # commands find distinct indices by a sort instead.  A fresh interpreter
+    # runs each command in process and reports whether numpy.ma got loaded.
+    src = Path(__file__).resolve().parent.parent / "src"
+    inst, out = _cloud_file(tmp_path, with_masses=True), str(tmp_path / "out.json")
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1])\n"
+        "from lipext.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n")
+    commands = [["validate", "--input", inst],
+                ["extend", "--input", inst, "--epsilon", "0.5", "--queries", "all",
+                 "--output", out],
+                ["verify", "--input", inst, "--epsilon", "0.5", "--output", out],
+                ["energy", "--input", inst, "--p", "2", "--radii", "0.2,0.4", "--output", out]]
+    run = subprocess.run([sys.executable, "-c", script, str(src), json.dumps(commands)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"

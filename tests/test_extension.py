@@ -5,18 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lipext import (ParameterError, ProfileBank, ScheduleTooShallow,
-                    build_profiles, build_schedule, check_inf_family,
-                    check_locality_preservation, cutoff_support,
+from lipext import (MetricInstance, ParameterError, ProfileBank, ScheduleTooShallow,
+                    build_profiles, build_schedule, check_extension_energy,
+                    check_global_lipschitz, check_inf_family,
+                    check_locality_preservation, check_restriction,
+                    check_restriction_monotonicity, check_step2, cutoff_support,
                     extend, extend_localized, instance_from_arrays, lip_constant,
                     locality_radius,
                     mcshane_comparison, mcshane_lower_many, mcshane_upper_many,
-                    schedule_for_instance, truncate_bounded,
-                    validate_instance)
+                    run_suite, schedule_for_instance, truncate_bounded,
+                    validate_instance, validate_measure)
 from lipext import metric
 from lipext.errors import positive_real
 from lipext.extension import _bank, evaluation_diameters
-from lipext.verification import check_localization
+from lipext.verification import check_envelope_sandwich, check_localization
 
 from conftest import (bank_rows, eval_pen, grid_instance, hand_bank, oracle_extend,
                       oracle_mcshane_lower, oracle_mcshane_upper, oracle_pen,
@@ -585,10 +587,11 @@ def _cloud_2000():
             "values": rng.normal(size=200).tolist()}
 
 
-def test_extend_pipeline_memory_holds_one_matrix():
-    # Validation, schedule and extension on every point hold the cached n x n
-    # matrix plus blocks of fixed size: no n*n*dim difference array and no
-    # second n x n copy.
+def test_extend_pipeline_memory_is_a_fraction_of_the_matrix():
+    # Validation streams the upper triangle in blocks, and schedule and
+    # extension read d(C, .) a block of queries at a time from the
+    # coordinates: no n x n array at all (a cached matrix alone is 1 x), and
+    # no n*n*dim difference array.
     n = 2000
     raw = _cloud_2000()
     tracemalloc.start()
@@ -600,8 +603,41 @@ def test_extend_pipeline_memory_holds_one_matrix():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(field.values) == n
-    assert peak <= 2 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
+    assert len(field.values) == n and inst._dcache is None
+    assert peak <= 0.25 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
+
+
+def test_only_the_all_pairs_checks_build_the_matrix(monkeypatch):
+    # Validation, schedule, profiles, both extensions, the energy checks and
+    # every check of the battery but the two that read all pairs (the distance
+    # quartiles and the sampled global-budget scan) never call distance_matrix().
+    rng = np.random.default_rng(7)
+    n = 300
+    coords = rng.uniform(0.0, 1.0, (n, 3))
+    subset = np.sort(rng.choice(n, size=30, replace=False))
+    calls = []
+    matrix = MetricInstance.distance_matrix
+    monkeypatch.setattr(MetricInstance, "distance_matrix",
+                        lambda self: calls.append(1) or matrix(self))
+    inst = instance_from_arrays(coords=coords, subset=subset,
+                                values=np.sin(4.0 * coords[subset, 0]))
+    sch = schedule_for_instance(inst, 0.5, locality=(0.2, 0.1))
+    profiles = build_profiles(inst, sch)
+    field = extend(inst, sch, profiles=profiles)
+    budget = inst.lipschitz_L + sch.eps_eff
+    results = [check_restriction(field, inst), check_global_lipschitz(field, inst, budget),
+               check_envelope_sandwich(field, inst, budget), check_step2(inst, profiles, sch),
+               check_localization(inst, field, profiles),
+               check_locality_preservation(inst, field, inst.subset, 0.2, 0.1),
+               check_inf_family(inst, profiles, np.arange(n), budget)]
+    mcshane_comparison(inst, [0.1, 0.3], 0.5, field)
+    measure = validate_measure(inst, None, 2.0)
+    results += [check_restriction_monotonicity(inst, rng.normal(size=n), measure, [0.2, 0.4])[0],
+                check_extension_energy(inst, measure, [0.2, 0.4], 0.05)[0]]
+    assert all(res.passed for res in results)
+    assert calls == [] and inst._dcache is None
+    run_suite(inst, 0.5)
+    assert calls and inst._dcache is not None
 
 
 def test_check_localization_memory_is_a_fraction_of_the_matrix():

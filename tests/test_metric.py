@@ -333,7 +333,7 @@ def test_euclidean_blocks_match_one_shot(monkeypatch, n, dim):
     coords = np.random.default_rng(n * dim).normal(0.0, 3.0, (n, dim))
     # Below 8 coordinates a block row is n entries, from 8 on n * dim.
     monkeypatch.setattr(metric, "_BLOCK", B * n * (1 if dim < 8 else dim))
-    assert np.array_equal(_euclidean_matrix(coords), _one_shot(coords))
+    assert np.array_equal(_euclidean_matrix(coords, coords), _one_shot(coords))
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -357,6 +357,68 @@ def test_distances_match_one_shot(dim):
         assert got is not d and np.array_equal(got, full[np.ix_(r, c)])
 
 
+@pytest.mark.parametrize("dim", [1, 3, 7, 8, 16, 17])
+@pytest.mark.parametrize("block", [1, 1 << 16])
+def test_distances_from_coordinates_match_the_gathered_matrix(monkeypatch, dim, block):
+    # Until distance_matrix() caches the matrix, distances() computes each
+    # block from the coordinates; after, it gathers from the cache.  Both read
+    # the same bits, with one-row blocks (block 1) as with the module's own,
+    # for unsorted, repeated and single indices.
+    rng = np.random.default_rng(100 + dim)
+    n = 70
+    monkeypatch.setattr(metric, "_BLOCK", block)
+    inst = instance_from_arrays(coords=rng.normal(0.0, 2.0, (n, dim)), subset=[0, 1],
+                                values=[0.0, 1.0])
+    lists = [rng.permutation(n), rng.integers(0, n, 40), [5], [9, 2, 9, 9], np.arange(n)]
+    computed = [[inst.distances(r, c) for c in lists] for r in lists]
+    assert inst._dcache is None
+    d = inst.distance_matrix()
+    assert np.array_equal(d, _one_shot(inst.coords))
+    for r, row in zip(lists, computed):
+        for c, got in zip(lists, row):
+            want = d[np.ix_(r, c)]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert inst.distances(r, c).tobytes() == want.tobytes()
+
+
+def _first_entry(mask):
+    """(i, j) of the first True off the diagonal in row-major order."""
+    mask = mask & ~np.eye(len(mask), dtype=bool)
+    return dict(zip("ij", map(int, np.argwhere(mask)[0])))
+
+
+@pytest.mark.parametrize("block", [1, 3 * 40, 1 << 16])
+def test_streamed_validation_names_the_first_witness(monkeypatch, block):
+    # Validation scans the upper triangle a row block at a time (one row, three
+    # rows, or everything at once) and names the first pair of the whole matrix
+    # in row-major order; a non-finite distance wins over any duplicate.
+    monkeypatch.setattr(metric, "_BLOCK", block)
+    rng = np.random.default_rng(21)
+    coords = rng.uniform(0.0, 1.0, (40, 2))
+    coords[[31, 20, 38]] = coords[[5, 12, 12]]     # (5, 31), (12, 20), (12, 38), (20, 38)
+
+    def witness(coords):
+        with pytest.raises(InstanceValidationError) as exc:
+            instance_from_arrays(coords=coords, subset=[0], values=[0.0])
+        return exc.value.reason, exc.value.witness
+
+    with np.errstate(over="ignore"):
+        assert witness(coords) == ("duplicate points (zero distance)",
+                                   _first_entry(_one_shot(coords) == 0.0))
+        assert witness(coords)[1] == {"i": 5, "j": 31}
+        for far in ([17, 30], [4, 36], [0, 39], [5, 6]):
+            # At +-1e154 the two points overflow against each other only, so
+            # the duplicate (5, 31) comes before (17, 30) in row-major order;
+            # the overflow is still the error.
+            big = coords.copy()
+            big[far] = [[1e154, 0.0], [-1e154, 0.0]]
+            assert witness(big) == ("non-finite distance",
+                                    _first_entry(~np.isfinite(_one_shot(big))))
+        big = coords.copy()
+        big[17] = [1e200, 0.0]      # overflows against every point
+        assert witness(big) == ("non-finite distance", {"i": 0, "j": 17})
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])
 @pytest.mark.parametrize("dim", [3, 17, 257])
 def test_euclidean_matrix_axioms_hold_exactly(scale, dim):
@@ -364,7 +426,7 @@ def test_euclidean_matrix_axioms_hold_exactly(scale, dim):
     # clouds because these hold bit for bit, also at 1e-160 and 1e160, where
     # squares go subnormal or overflow.
     coords = scale * np.random.default_rng(dim).normal(0.0, 1.0, (40, dim))
-    d = _euclidean_matrix(coords)
+    d = _euclidean_matrix(coords, coords)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0) and not np.any(np.signbit(d))
 
@@ -375,14 +437,14 @@ def test_euclidean_temporaries_fit_the_block(dim):
     coords = np.random.default_rng(dim).uniform(0.0, 1.0, (n, dim))
     tracemalloc.start()
     try:
-        _euclidean_matrix(coords)
+        _euclidean_matrix(coords, coords)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The output, the transposed coordinates and the slab below 8 coordinates
-    # or the difference block from 8 on (one row of n * dim entries at 257 and 1024),
-    # plus the buffers numpy's broadcasting subtract allocates (2 x bufsize
-    # entries at most); nothing grows with n * n * dim.
+    # The output and one scratch of at most max(_BLOCK, n * dim) entries: the
+    # slab below 8 coordinates or the difference block from 8 on (one row of
+    # n * dim entries at 257 and 1024), plus the buffers numpy's broadcasting
+    # subtract allocates (2 x bufsize entries at most); nothing grows with n * n * dim.
     assert peak <= (8 * (n * n + n * dim + metric._BLOCK)
                     + 16 * np.getbufsize() + (1 << 16))
 

@@ -331,9 +331,9 @@ def test_recursion_settles_nested_balls_one_level_each(monkeypatch):
     radii = rng.permutation(np.arange(1.0, m + 1.0) + 0.5)
     core, calls = metric._ball_lips, []
 
-    def counted(dd, members, values, d_rows, radii):
+    def counted(instance, members, values, d_rows, radii):
         calls.append(len(radii))
-        return core(dd, members, values, d_rows, radii)
+        return core(instance, members, values, d_rows, radii)
 
     monkeypatch.setattr(metric, "_TOP_K", 1)
     monkeypatch.setattr(metric, "_ball_lips", counted)
