@@ -307,7 +307,8 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
     defaults to the diameter.  With ``locality=(r_bar, xi)`` the smallest
     scale of interest is at most ``r_bar``, and a build too shallow for
     :func:`locality_radius` is rebuilt once at the reported depth, whose sweep
-    reproduces the virtual scales; underflow propagates.
+    reproduces the virtual scales; underflow, of ``span_low`` included, raises
+    :class:`ScheduleTooShallow` with ``required_span_low`` 0.0.
     """
     if locality is not None:
         r_bar, xi = locality
@@ -317,8 +318,11 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
         return None
     dmin, dmax = evaluation_diameters(instance, queries)
     anchor = dmax if anchor is None else anchor
-    smallest = dmin if locality is None else min(dmin, r_bar)
-    sch = build_schedule(instance.lipschitz_L, epsilon, anchor, smallest / 64.0, 2.0 * dmax)
+    span_low = (dmin if locality is None else min(dmin, r_bar)) / 64.0
+    if span_low == 0.0:     # a positive scale so small that over 64 it underflows
+        raise ScheduleTooShallow("extend schedule: required scales underflow binary64",
+                                 required_span_low=0.0)
+    sch = build_schedule(instance.lipschitz_L, epsilon, anchor, span_low, 2.0 * dmax)
     if locality is not None:
         try:
             locality_radius(sch, r_bar, xi, instance.lipschitz_L)

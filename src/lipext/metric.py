@@ -62,8 +62,8 @@ class MetricInstance:
         """Full n-by-n matrix, read-only and shared by every caller.
 
         An explicit matrix is returned as validated.  Euclidean geometry is
-        expanded on the first call, in row blocks, and cached; only the checks
-        of :func:`~lipext.verification.run_suite` that read all pairs call this.
+        expanded on the first call, in row blocks, and cached; only the distance
+        quartiles of :func:`~lipext.verification.run_suite` call this.
         """
         if self.dmatrix is not None:
             return self.dmatrix
@@ -468,6 +468,23 @@ def _pair_blocks(instance: MetricInstance, members, values):
         yield s.start, d, _ratio(values[s][:, None], values[s.start:], d)
 
 
+def _steepest_pair(instance: MetricInstance, points: np.ndarray, values: np.ndarray):
+    """``(ratio, i, j)`` of the first steepest position pair ``i < j`` in row-major
+    order with ``d(points[i], points[j]) > 0``, read in the row blocks of
+    :func:`_pair_blocks`; ``None`` when there is no such pair."""
+    best = None
+    for a, d, ratios in _pair_blocks(instance, points, values):
+        pair = d > 0
+        pair &= np.arange(d.shape[1]) > np.arange(d.shape[0])[:, None]    # c > r: i < j
+        if not pair.any():
+            continue
+        np.copyto(ratios, -1.0, where=~pair)       # below every ratio
+        r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if best is None or ratios[r, c] > best[0]:
+            best = (float(ratios[r, c]), a + r, a + c)
+    return best
+
+
 def _top_pairs(instance: MetricInstance, members, values):
     """Pairs ``i < j`` of the ``_TOP_K`` largest positive ratios, in descending order.
 
@@ -557,12 +574,11 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
     """Lipschitz constant of ``values`` over the index set ``members``.
 
     Supremum of ``|v(y1) - v(y2)| / d(y1, y2)`` over distinct pairs; ``0.0``
-    for empty or singleton sets (empty-supremum convention).  The maximum over
-    the row blocks of :func:`_pair_blocks`.
+    for empty or singleton sets (empty-supremum convention).  The ratio of
+    :func:`_steepest_pair`.
     """
-    members, values = _member_values(instance, members, values)
-    return max((float(ratios.max()) for _, _, ratios in _pair_blocks(instance, members, values)),
-               default=0.0)
+    steepest = _steepest_pair(instance, *_member_values(instance, members, values))
+    return 0.0 if steepest is None else steepest[0]
 
 
 def _check_radii(radii) -> np.ndarray:

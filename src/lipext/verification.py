@@ -4,13 +4,13 @@ Each check returns a :class:`CheckResult`; a failing result always carries a
 concrete witness (indices plus measured-versus-allowed values).  Tolerances
 are relative to the instance's value and distance scales: 1e-9 for
 inequalities, 1e-12 for identities.  The global-budget scan is exhaustive
-up to ``MAX_PAIRS`` pairs and falls back to seeded uniform subsampling beyond
-that, labeled as statistical in the result note.  The locality and McShane-fragment
-scans are exhaustive at every size (a ball answered from the top-K pairs of
-``ball_lips`` is certified exact, and so is any other ball, answered from the
-top-K pairs of its own members).  The inf-family check is certified exact: the
-minimum is scanned in full, and the members only on the pairs their slope
-certificate cannot clear.
+up to ``MAX_PAIRS`` pairs; beyond, it is the same scan over every pair of a
+seeded sample of the queries, labeled as statistical in the result note.  The
+locality and McShane-fragment scans are exhaustive at every size (a ball
+answered from the top-K pairs of ``ball_lips`` is certified exact, and so is
+any other ball, answered from the top-K pairs of its own members).  The
+inf-family check is certified exact: the minimum is scanned in full, and the
+members only on the pairs their slope certificate cannot clear.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import metric
 from .errors import ParameterError, positive_real
 from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_members,
                      _first_non_integer, _index_list, _pair_blocks, _ratio, _row_blocks,
-                     ball_lips)
+                     _steepest_pair, ball_lips)
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
@@ -77,19 +77,6 @@ class VerificationReport:
                 "fragments": self.fragments}
 
 
-def _pair_sample(n: int, seed: int):
-    """(i, j, note): ``MAX_PAIRS`` seeded uniform position pairs, those with ``i == j``
-    dropped, for the ``n (n - 1) / 2 > MAX_PAIRS`` pairs of ``n`` positions."""
-    total = n * (n - 1) // 2
-    rng = np.random.default_rng(seed)
-    ii = rng.integers(0, n, size=MAX_PAIRS)
-    jj = rng.integers(0, n, size=MAX_PAIRS)
-    keep = ii != jj
-    note = (f"statistical: sampled {int(keep.sum())} of {total} pairs "
-            f"(coverage {keep.sum() / total:.3g}, seed {seed})")
-    return ii[keep], jj[keep], note
-
-
 def check_restriction(field: ExtensionField, instance: MetricInstance) -> CheckResult:
     """f(x) == g(x) on every evaluated subset point, tolerance 1e-12 (1 + max |g|)."""
     pos = instance.subset_positions()[field.queries]
@@ -109,41 +96,27 @@ def check_restriction(field: ExtensionField, instance: MetricInstance) -> CheckR
                        tolerance=tol, witness=witness)
 
 
-def _steepest_pair(instance: MetricInstance, points: np.ndarray, values: np.ndarray):
-    """``(ratio, i, j)`` of the first steepest position pair ``i < j`` in row-major
-    order with ``d(points[i], points[j]) > 0``, read in the row blocks of
-    :func:`_pair_blocks`; ``None`` when there is no such pair."""
-    best = None
-    for a, d, ratios in _pair_blocks(instance, points, values):
-        pair = d > 0
-        pair[np.tril_indices(pair.shape[0], 0, pair.shape[1])] = False
-        if not pair.any():
-            continue
-        np.copyto(ratios, -1.0, where=~pair)       # below every ratio
-        r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if best is None or ratios[r, c] > best[0]:
-            best = (float(ratios[r, c]), a + r, a + c)
-    return best
-
-
 def check_global_lipschitz(field: ExtensionField, instance: MetricInstance,
                            budget: float, seed: int = 0) -> CheckResult:
     """Pairwise slope of f over the evaluated points stays within ``budget``.
 
-    Up to ``MAX_PAIRS`` pairs every one is read (:func:`_steepest_pair`);
-    beyond, a seeded sample (:func:`_pair_sample`).  The witness is the first
-    steepest pair; pairs of a repeated query (distance 0) are skipped.
+    Up to ``MAX_PAIRS`` pairs every pair of queries is read.  Beyond, every pair
+    of ``m`` query positions drawn from ``seed`` without replacement and sorted,
+    ``m`` the most whose pairs fit in ``MAX_PAIRS``: each pair is read with
+    probability C(m, 2) / C(n, 2), and the note says so.  Both scans are
+    :func:`~lipext.metric._steepest_pair`, so the witness is the first steepest
+    pair ``i < j`` in row-major order; pairs of a repeated query (distance 0)
+    are skipped.
     """
-    q, vals = field.queries, field.values
-    if len(q) * (len(q) - 1) // 2 <= MAX_PAIRS:
-        steepest, note = _steepest_pair(instance, q, vals), "exhaustive"
-    else:
-        ii, jj, note = _pair_sample(len(q), seed)
-        d = instance.distance_matrix()[q[ii], q[jj]]
-        ok = d > 0
-        ii, jj, ratios = ii[ok], jj[ok], _ratio(vals[ii[ok]], vals[jj[ok]], d[ok])
-        worst = int(np.argmax(ratios)) if len(ratios) else None
-        steepest = None if worst is None else (float(ratios[worst]), ii[worst], jj[worst])
+    q, vals, note = field.queries, field.values, "exhaustive"
+    n, total = len(q), len(q) * (len(q) - 1) // 2
+    if total > MAX_PAIRS:
+        m = (1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2
+        pos = np.sort(np.random.default_rng(seed).choice(n, m, replace=False))
+        q, vals, pairs = q[pos], vals[pos], m * (m - 1) // 2
+        note = (f"statistical: every pair of {m} of {n} seeded points, {pairs} of {total} "
+                f"pairs (coverage {pairs / total:.3g}, seed {seed})")
+    steepest = _steepest_pair(instance, q, vals)
     if steepest is None:
         return CheckResult("global_lipschitz", "skipped", note="no distinct pairs")
     measured, i, j = steepest

@@ -378,6 +378,23 @@ def test_verify_seeded_reruns_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_past_max_pairs_reads_every_pair_of_a_seeded_sample(tmp_path):
+    # 1001 queries hold 500500 pairs, just past the 500k exhaustive cap: the global
+    # check reads every pair of 1000 seeded points and counts them exactly.
+    cloud = _cloud_file(tmp_path, n=1001)
+    reports = []
+    for name, seed in (("a", 0), ("b", 0), ("c", 1)):
+        out = tmp_path / f"{name}.json"
+        assert main(["verify", "--input", cloud, "--epsilon", "0.5",
+                     "--seed", str(seed), "--output", str(out)]) == 0
+        reports.append(_check_schema(out))
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    notes = [next(c["note"] for c in doc["checks"] if c["name"] == "global_lipschitz")
+             for doc in (reports[0], reports[2])]
+    assert notes == [f"statistical: every pair of 1000 of 1001 seeded points, 499500 of "
+                     f"500500 pairs (coverage 0.998, seed {seed})" for seed in (0, 1)]
+
+
 def test_verify_infinite_xi_exit1(tmp_path, capsys):
     code = main(["verify", "--input", _cloud_file(tmp_path), "--epsilon", "1",
                  "--xi", "inf", "--output", str(tmp_path / "v.json")])
@@ -541,6 +558,8 @@ _SCALE_OVERFLOW = {"error": "lipschitz constant times the diameter does not fit 
                    "field": "lipschitz", "witness": {"lipschitz": 1e308, "diameter": 3.0}}
 _RATIO_UNDERFLOW = {"error": "ratio r_star = eps / (3 (L + eps)) underflows binary64"}
 _TOP_OVERFLOW = {"error": "scale overflow extending to index 2"}
+_SPAN_UNDERFLOW = {"error": "extend schedule: required scales underflow binary64",
+                   "required_span_low": 0.0, "required_span_high": None}
 # Three points 1e307 apart on a line, as a distance matrix.
 _FAR_LINE = [[0, 1e307, 2e307], [1e307, 0, 1e307], [2e307, 1e307, 0]]
 
@@ -572,10 +591,17 @@ _FAR_LINE = [[0, 1e307, 2e307], [1e307, 0, 1e307], [2e307, 1e307, 0]]
     (_FAR_LINE, [0, 1], None, ["extend", "--epsilon", "1"], _TOP_OVERFLOW),
     (_FAR_LINE, [0, 1], None, ["verify", "--epsilon", "1"], _TOP_OVERFLOW),
     (_FAR_LINE, [0, 1], None, ["energy", "--p", "1", "--radii", "1e306"], _TOP_OVERFLOW),
+    # The smallest requested scale over 64 underflows to 0: a verification r_bar, an
+    # energy radius, or the least distance (5e-324 between points 1 and 2).
+    (3, [0, 1], None, ["verify", "--epsilon", "1", "--rbar", "5e-324"], _SPAN_UNDERFLOW),
+    (3, [0, 1], None, ["energy", "--p", "1", "--radii", "5e-324"], _SPAN_UNDERFLOW),
+    ([[0, 1, 1], [1, 0, 5e-324], [1, 5e-324, 0]], [0, 1], None, ["extend", "--epsilon", "1"],
+     _SPAN_UNDERFLOW),
 ], ids=["validate-lip", "verify-lip", "extend-lip", "verify-scale", "extend-scale",
         "energy-scale", "extend-scale-2e307", "energy-ratio", "extend-ratio",
         "verify-ratio", "extend-penalization", "verify-locality", "extend-top-scale",
-        "verify-top-scale", "energy-top-scale"])
+        "verify-top-scale", "energy-top-scale", "verify-span-low", "energy-span-low",
+        "extend-span-low"])
 def test_binary64_overflow_exit1(tmp_path, capsys, far, values, lipschitz, argv, error):
     # ``far`` is the third point of 0, 1, far on the line, or a whole distance matrix.
     points = ({"type": "matrix", "d": far} if isinstance(far, list)

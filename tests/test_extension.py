@@ -15,7 +15,7 @@ from lipext import (MetricInstance, ParameterError, ProfileBank, ScheduleTooShal
                     mcshane_comparison, mcshane_lower_many, mcshane_upper_many,
                     run_suite, schedule_for_instance, truncate_bounded,
                     validate_instance, validate_measure)
-from lipext import metric
+from lipext import metric, verification
 from lipext.errors import positive_real
 from lipext.extension import _bank, evaluation_diameters
 from lipext.verification import check_envelope_sandwich, check_localization
@@ -609,8 +609,8 @@ def test_extend_pipeline_memory_is_a_fraction_of_the_matrix():
 
 def test_only_the_all_pairs_checks_build_the_matrix(monkeypatch):
     # Validation, schedule, profiles, both extensions, the energy checks and
-    # every check of the battery but the two that read all pairs (the distance
-    # quartiles and the sampled global-budget scan) never call distance_matrix().
+    # every check of the battery, the global-budget scan exhaustive or on a
+    # seeded sample, never call distance_matrix(); only the distance quartiles do.
     rng = np.random.default_rng(7)
     n = 300
     coords = rng.uniform(0.0, 1.0, (n, 3))
@@ -630,6 +630,10 @@ def test_only_the_all_pairs_checks_build_the_matrix(monkeypatch):
                check_localization(inst, field, profiles),
                check_locality_preservation(inst, field, inst.subset, 0.2, 0.1),
                check_inf_family(inst, profiles, np.arange(n), budget)]
+    monkeypatch.setattr(verification, "MAX_PAIRS", 1000)
+    sampled = check_global_lipschitz(field, inst, budget)
+    assert sampled.note.startswith("statistical: every pair of 45 of 300 seeded points")
+    results.append(sampled)
     mcshane_comparison(inst, [0.1, 0.3], 0.5, field)
     measure = validate_measure(inst, None, 2.0)
     results += [check_restriction_monotonicity(inst, rng.normal(size=n), measure, [0.2, 0.4])[0],

@@ -12,8 +12,7 @@ from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
                     mcshane_upper_many, run_suite, schedule_for_instance,
                     truncate_bounded, validate_measure)
 from lipext import metric, verification
-from lipext.verification import (_distance_quartiles, _pair_sample, check_envelope_sandwich,
-                                 check_localization)
+from lipext.verification import _distance_quartiles, check_envelope_sandwich, check_localization
 
 from conftest import corrupted_extension, grid_instance, hand_bank, oracle_lip, random_instance
 from test_ties import INSTANCES as TIE_INSTANCES
@@ -205,20 +204,23 @@ def test_distance_quartiles_memory_is_a_fraction_of_the_matrix():
 
 
 def test_pair_sampling_is_labeled(monkeypatch):
-    # 1225 pairs of grid points against a cap of 100: the seeded sample, labeled,
-    # reads a steepest ratio no larger than the exhaustive scan's.
+    # 1225 pairs of grid points against a cap of 100: every pair of the 14 seeded
+    # points whose 91 pairs fit, counted exactly, with the ratio and first steepest
+    # pair of the exhaustive scan over that sub-cloud.
     inst = grid_instance(50)
     field = extend(inst, schedule_for_instance(inst, 1.0))
     full = check_global_lipschitz(field, inst, 2.0)
     assert full.note == "exhaustive"
     monkeypatch.setattr(verification, "MAX_PAIRS", 100)
-    ii, jj, note = _pair_sample(2000, seed=1)
-    assert len(ii) <= 100 and note.startswith("statistical: sampled")
     res = check_global_lipschitz(field, inst, 2.0, seed=3)
-    assert res.note.startswith("statistical: sampled")
-    assert res.measured <= full.measured
-    assert res.witness["ratio"] == res.measured
+    assert res.note == ("statistical: every pair of 14 of 50 seeded points, 91 of 1225 "
+                        "pairs (coverage 0.0743, seed 3)")
+    pos = np.sort(np.random.default_rng(3).choice(inst.n, 14, replace=False))
+    sub = replace(field, queries=field.queries[pos], values=field.values[pos])
+    assert (res.measured, res.witness["i"], res.witness["j"]) == _triu_steepest(sub, inst)
+    assert res.witness["i"] < res.witness["j"] and res.witness["ratio"] == res.measured
     assert inst.distance_matrix()[res.witness["i"], res.witness["j"]] > 0
+    assert res.measured <= full.measured
     assert check_global_lipschitz(field, inst, 2.0, seed=3) == res
 
 
