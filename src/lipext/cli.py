@@ -165,7 +165,7 @@ def cmd_energy(args) -> int:
 
 def grid_instance(n: int) -> MetricInstance:
     """The unit-interval grid with data on its endpoints: the sharpness example."""
-    if not 2 <= n <= 10_000:    # checked before the n x n matrix (800 MB at 10000)
+    if not 2 <= n <= 10_000:    # checked first: the demo's pair scans are quadratic in n
         raise ParameterError("grid needs from 2 to 10000 points")
     coords = [[i / (n - 1)] for i in range(n)]
     return instance_from_arrays(coords=coords, subset=[0, n - 1], values=[0.0, 1.0])

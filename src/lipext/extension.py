@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, as_float, positive_real, shown
-from .metric import MetricInstance, _first_non_integer, _index_list, _row_blocks, ball_lips
+from .metric import (MetricInstance, _first_non_integer, _index_list, _row_blocks, _upper_blocks,
+                     ball_lips)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 
 
@@ -289,8 +290,7 @@ def evaluation_diameters(instance: MetricInstance, queries=None) -> tuple[float,
     if len(pts) == instance.n:
         return instance.extents
     dmin, dmax = np.inf, 0.0
-    for s in _row_blocks(len(pts), len(pts)):
-        dd = instance.distances(pts[s], pts)
+    for _, dd in _upper_blocks(instance, pts):
         dmin = min(dmin, float(np.min(dd, where=dd > 0, initial=np.inf)))
         dmax = max(dmax, float(dd.max()))
     return (dmin if dmin < np.inf else 0.0), dmax

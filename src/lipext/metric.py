@@ -3,7 +3,8 @@
 A :class:`MetricInstance` is a validated finite metric space together with a
 distinguished subset ``C`` carrying sample values ``g`` and a slope budget
 ``L >= Lip(g, C)``.  All balls in this package are OPEN: ``{i : d(center, i) < r}``.
-Instances are immutable after validation and every operation here is pure.
+Instances are immutable after validation and every operation here is pure: a
+Euclidean instance holds no distance matrix, and computes each block it is asked for.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class MetricInstance:
     coords: np.ndarray | None = None    # (n, dim) Euclidean geometry, or
     dmatrix: np.ndarray | None = None   # explicit (n, n) distance matrix
     extents: tuple[float, float] = (0.0, 0.0)  # validation's (min positive or 0, max) distance
-    _dcache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _subset_pos: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -58,30 +58,15 @@ class MetricInstance:
             return self.dmatrix.shape[0]
         return self.coords.shape[0]
 
-    def distance_matrix(self) -> np.ndarray:
-        """Full n-by-n matrix, read-only and shared by every caller.
-
-        An explicit matrix is returned as validated.  Euclidean geometry is
-        expanded on the first call, in row blocks, and cached; only the distance
-        quartiles of :func:`~lipext.verification.run_suite` call this.
-        """
-        if self.dmatrix is not None:
-            return self.dmatrix
-        if self._dcache is None:
-            self._dcache = _euclidean_matrix(self.coords, self.coords)
-            self._dcache.setflags(write=False)
-        return self._dcache
-
     def distances(self, rows, cols) -> np.ndarray:
         """Distance submatrix d[rows, cols], a fresh array of shape (len(rows), len(cols)):
-        gathered from the matrix when one is held, else the same bits from ``coords``."""
+        gathered from an explicit matrix, or computed from ``coords`` on every call."""
         message = f"rows and cols must be 1-D lists of point indices in [0, {self.n})"
         rows = _index_list(rows, self.n, message)
         cols = _index_list(cols, self.n, message)
-        d = self.dmatrix if self.dmatrix is not None else self._dcache
-        if d is None:
+        if self.dmatrix is None:
             return _euclidean_matrix(self.coords[rows], self.coords[cols])
-        return d[np.ix_(rows, cols)]
+        return self.dmatrix[np.ix_(rows, cols)]
 
     def diameter(self) -> float:
         return self.extents[1]
@@ -454,18 +439,29 @@ def _ratio(u, v, d):
     return np.divide(gaps, d, out=gaps, where=d > 0)
 
 
-def _pair_blocks(instance: MetricInstance, members, values):
-    """Yield ``(a, d, ratios)`` over row blocks ``[a, b)`` of the member pairs.
+def _upper_blocks(instance: MetricInstance, points: np.ndarray):
+    """Yield ``(a, d)``, ``d = instance.distances(points[a:b], points[a:])``, over the
+    :func:`_row_blocks` ``[a, b)`` of the rows ``0..len(points) - 2`` (the last row has no
+    pair of its own) against columns ``a..``: the one walk of every all-pairs scan.
 
-    Entry ``[r, c]`` belongs to members ``a + r`` and ``a + c``, so the pairs
-    ``i < j`` with ``i`` in the block are the entries ``c > r``; the others
-    repeat a pair of the block or sit on the diagonal (ratio 0).  The blocks are
-    :func:`_row_blocks` of the rows ``0..len(members) - 2`` (the last row has no
-    pair of its own) against columns ``a..``.
+    Entry ``[r, c]`` belongs to points ``a + r`` and ``a + c``, so the pairs ``i < j``
+    with ``i`` in the block are the entries ``c > r`` (:func:`_strict_upper`); the
+    others repeat a pair of the block or sit on the diagonal.
     """
-    for s in _row_blocks(len(members) - 1, len(members)):
-        d = instance.distances(members[s], members[s.start:])
-        yield s.start, d, _ratio(values[s][:, None], values[s.start:], d)
+    for s in _row_blocks(len(points) - 1, len(points)):
+        yield s.start, instance.distances(points[s], points[s.start:])
+
+
+def _strict_upper(block: np.ndarray) -> np.ndarray:
+    """The entries ``c > r`` of a block of :func:`_upper_blocks`: its pairs ``i < j``."""
+    return np.arange(block.shape[1]) > np.arange(block.shape[0])[:, None]
+
+
+def _pair_blocks(instance: MetricInstance, members, values):
+    """Yield ``(a, d, ratios)`` over the blocks of :func:`_upper_blocks`, with
+    ``ratios`` the pair ratios of ``values`` (aligned with ``members``) on ``d``."""
+    for a, d in _upper_blocks(instance, members):
+        yield a, d, _ratio(values[a:a + len(d), None], values[a:], d)
 
 
 def _steepest_pair(instance: MetricInstance, points: np.ndarray, values: np.ndarray):
@@ -475,7 +471,7 @@ def _steepest_pair(instance: MetricInstance, points: np.ndarray, values: np.ndar
     best = None
     for a, d, ratios in _pair_blocks(instance, points, values):
         pair = d > 0
-        pair &= np.arange(d.shape[1]) > np.arange(d.shape[0])[:, None]    # c > r: i < j
+        pair &= _strict_upper(d)
         if not pair.any():
             continue
         np.copyto(ratios, -1.0, where=~pair)       # below every ratio
@@ -498,7 +494,7 @@ def _top_pairs(instance: MetricInstance, members, values):
     kept_r, kept_i, kept_j = np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp)
     floor, positive = 0.0, 0
     for a, _, ratios in _pair_blocks(instance, members, values):
-        ratios[np.tril_indices(ratios.shape[0], 0, ratios.shape[1])] = 0.0
+        np.copyto(ratios, 0.0, where=~_strict_upper(ratios))
         positive += np.count_nonzero(ratios)
         r, c = np.nonzero(ratios > floor)
         if len(r) == 0:

@@ -394,40 +394,40 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     return {"epsilon": float(epsilon), "centers": rows}
 
 
-def _distance_quartiles(dd: np.ndarray) -> list[float]:
-    """``np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()``, or ``[1.0]`` when no
-    distance is positive, without the copy of the positive distances.
+def _distance_quartiles(instance: MetricInstance) -> list[float]:
+    """``np.quantile(d[d > 0], [0.25, 0.5, 0.75]).tolist()`` for the instance's
+    distances ``d``, or ``[1.0]`` when none is positive, without building ``d``.
 
-    A validated matrix is zero exactly on its diagonal, so positive rank ``p`` is
-    rank ``p + n`` among all ``n * n`` entries.  ``abs`` clears the sign bit (the
-    validator admits ``-0.0`` on the diagonal), and nonnegative float64 values
-    sort as their bit patterns read as int64 do, so each wanted rank is selected
-    by radix on those bits, 16 at a time.  Each pass reads ``dd`` in the row
-    blocks of :func:`~lipext.metric._row_blocks`.  For each known prefix of a
-    wanted entry it histograms the next 16 bits of the entries sharing the
-    prefix or, once at most ``_BLOCK`` entries share it, keeps them for
-    ``np.partition``.  Four passes at most, and no sampling.
+    A validated metric is symmetric and positive exactly off its diagonal, so
+    positive rank ``p`` of ``d`` is rank ``p // 2`` among the ``n (n - 1) / 2``
+    pairs ``i < j`` of :func:`~lipext.metric._upper_blocks`.  Positive float64
+    values sort as their bit patterns read as int64 do, so each wanted rank is
+    selected by radix on those bits, 16 at a time, one walk of the blocks per
+    pass.  For each known prefix of a wanted entry it histograms the next 16
+    bits of the entries sharing the prefix or, once at most ``_BLOCK`` entries
+    share it, keeps them for ``np.partition``.  Four passes at most, and no
+    sampling.
 
     numpy's default ``linear`` method reads the sorted values ``a, b`` at
     ``floor(v)`` and ``floor(v) + 1`` for the virtual index ``v = (N - 1) q``,
     ``N = n (n - 1)``, and returns ``_lerp``'s ``a + (b - a) t``, or
     ``b - (b - a) (1 - t)`` when ``t = v - floor(v) >= 0.5``.
     """
-    n = len(dd)
+    n = instance.n
     total = n * (n - 1)
     if total == 0:
         return [1.0]
     spots = [(total - 1) * q for q in (0.25, 0.5, 0.75)]
     # rank -> (the known top bits of its entry, entries below them, entries with them)
-    todo = {p + n: (0, 0, n * n) for v in spots for p in (math.floor(v), math.floor(v) + 1)}
+    todo = {p // 2: (0, 0, total // 2) for v in spots for p in (math.floor(v), math.floor(v) + 1)}
     found = {}
     for known in range(0, 64, 16):
         if not todo:
             break
         acc = {key: [] if key[2] <= metric._BLOCK else np.zeros(1 << 16, dtype=np.intp)
                for key in set(todo.values())}
-        for s in _row_blocks(n, n):
-            bits = np.abs(dd[s]).view(np.int64).ravel()
+        for _, d in metric._upper_blocks(instance, np.arange(n)):
+            bits = d[metric._strict_upper(d)].view(np.int64)
             head = bits >> (64 - known) if known else None
             for (prefix, _, _), got in acc.items():
                 x = bits[head == prefix] if known else bits
@@ -454,7 +454,7 @@ def _distance_quartiles(dd: np.ndarray) -> list[float]:
     out = []
     for v in spots:
         t = v - math.floor(v)
-        a, b = np.array([found[math.floor(v) + n + k] for k in (0, 1)],
+        a, b = np.array([found[(math.floor(v) + k) // 2] for k in (0, 1)],
                         dtype=np.int64).view(np.float64).tolist()
         out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
@@ -472,7 +472,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     if _first_non_integer([seed]) is not None or seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     queries = np.arange(instance.n, dtype=np.intp)
-    qs = _distance_quartiles(instance.distance_matrix())
+    qs = _distance_quartiles(instance)
     mcshane_radii = sorted(set(qs))
     r_bar = qs[0] if r_bar is None else r_bar
     schedule = schedule_for_instance(instance, epsilon, queries, locality=(r_bar, xi))

@@ -100,10 +100,15 @@ def random_masses(instance, seed):
 # --- independent oracles -----------------------------------------------------
 
 
+def dense(instance):
+    """The full n x n distance matrix, from ``distances``: the tests' dense oracle."""
+    return instance.distances(np.arange(instance.n), np.arange(instance.n))
+
+
 def oracle_lip(instance, values, members):
     """Brute-force double loop over distinct pairs."""
     members = list(members)
-    dd = instance.distance_matrix()
+    dd = dense(instance)
     best = 0.0
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
@@ -129,20 +134,22 @@ def family_rows(instance, bank, members):
 
 def oracle_extend(instance, bank, y):
     """min over anchors of g(x) + pen_x(d(x, y)), via the integral oracle."""
-    best = np.inf
+    dd, best = dense(instance), np.inf
     for pos, x in enumerate(instance.subset):
-        t = float(instance.distance_matrix()[x, y])
+        t = float(dd[x, y])
         best = min(best, instance.values[pos] + oracle_pen(bank, pos, t))
     return best
 
 
 def oracle_mcshane_upper(instance, l_prime, y):
-    return min(instance.values[pos] + l_prime * float(instance.distance_matrix()[x, y])
+    dd = dense(instance)
+    return min(instance.values[pos] + l_prime * float(dd[x, y])
                for pos, x in enumerate(instance.subset))
 
 
 def oracle_mcshane_lower(instance, l_prime, y):
-    return max(instance.values[pos] - l_prime * float(instance.distance_matrix()[x, y])
+    dd = dense(instance)
+    return max(instance.values[pos] - l_prime * float(dd[x, y])
                for pos, x in enumerate(instance.subset))
 
 

@@ -15,7 +15,7 @@ from lipext import (build_profiles, check_extension_energy, energy,
                     schedule_for_instance, validate_measure)
 from lipext.cli import grid_instance, main
 
-from conftest import bank_rows, eval_pen, random_instance, random_masses
+from conftest import bank_rows, dense, eval_pen, random_instance, random_masses
 
 N_INSTANCES = 50
 _CASES: dict[int, dict] = {}
@@ -87,19 +87,20 @@ def test_criterion_03_endpoint_grid_reproduction():
     t0 = time.perf_counter()
     inst = grid_instance(1001)
     allpts = np.arange(inst.n, dtype=np.intp)
+    d0 = dense(inst)[0]
 
     ms = mcshane_upper_many(inst, 1.0, allpts)
     for r in (0.1, 0.3, 0.5):
-        ball = allpts[inst.distance_matrix()[0, allpts] < r]
+        ball = allpts[d0 < r]
         got = lip_constant(inst, ms[ball], ball)
         assert abs(got - 1.0) <= 1e-12, f"McShane Lip at r={r}: {got}"
 
     sch = schedule_for_instance(inst, 1.0, locality=(0.5, 0.1))
     r = locality_radius(sch, 0.5, 0.1, inst.lipschitz_L)[1]
     field = extend(inst, sch)
-    cball = inst.subset[inst.distance_matrix()[0, inst.subset] < 0.5]
+    cball = inst.subset[d0[inst.subset] < 0.5]
     assert lip_constant(inst, inst.g_at(cball), cball) == 0.0
-    ball = allpts[inst.distance_matrix()[0, allpts] < r]
+    ball = allpts[d0 < r]
     got = lip_constant(inst, field.values[ball], ball)
     assert got <= 0.1, f"extension Lip at scheduled r={r}: {got}"
     elapsed = time.perf_counter() - t0
@@ -249,7 +250,7 @@ def test_criterion_09_energy_integrand_checks():
         inst = random_instance(seed, n_max=120)
         rng = np.random.default_rng(seed)
         h = rng.normal(size=inst.n)
-        dd = inst.distance_matrix()
+        dd = dense(inst)
         pos = dd[dd > 0]
         radii = np.unique(np.quantile(pos, np.linspace(0.05, 0.95, 10)))
         allpts = np.arange(inst.n, dtype=np.intp)

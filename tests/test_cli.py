@@ -656,7 +656,7 @@ def test_demo_rejects_xi_at_least_one(capsys, n, xi):
 
 
 @pytest.mark.parametrize("flags, error", [
-    # A grid beyond 10000 points is rejected before its n x n matrix (800 MB) is built.
+    # A grid beyond 10000 points is rejected before its coordinates are built.
     (["--n", "10001"], "grid needs from 2 to 10000 points"),
     (["--n", "1" + "0" * 400], "grid needs from 2 to 10000 points"),
     (["--epsilon", "-1"], "--epsilon must be positive"),

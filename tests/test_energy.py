@@ -8,7 +8,7 @@ from lipext import (InstanceValidationError, ParameterError,
                     energy, instance_from_arrays, lip_constant,
                     mcshane_upper_many, validate_measure)
 
-from conftest import grid_instance, oracle_lip, random_instance, random_masses
+from conftest import dense, grid_instance, oracle_lip, random_instance, random_masses
 
 
 def _unit_measure(inst, p=1.0):
@@ -91,7 +91,7 @@ def test_energy_single_mass_is_ball_constant():
     allpts = np.arange(inst.n)
     r = 0.4
     side = energy(inst, allpts, vals, measure, [r])[0]
-    ball = allpts[inst.distance_matrix()[x0, allpts] < r]
+    ball = allpts[dense(inst)[x0, allpts] < r]
     assert side.total == pytest.approx(oracle_lip(inst, vals[ball], ball), rel=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_restriction_monotonicity_constant_h_is_zero_vs_zero():
 def test_extension_energy_bound_shrinks_with_xi():
     inst = random_instance(4, n_max=50)
     measure = validate_measure(inst, random_masses(inst, 4), 1.0)
-    dd = inst.distance_matrix()
+    dd = dense(inst)
     rbar = [float(np.quantile(dd[dd > 0], 0.5))]
     check_a, pay_a = check_extension_energy(inst, measure, rbar, xi=0.2)
     check_b, pay_b = check_extension_energy(inst, measure, rbar, xi=0.02)
@@ -188,7 +188,7 @@ def test_extension_energy_random_instances():
     for seed in (1, 2):
         inst = random_instance(seed, n_max=60)
         measure = validate_measure(inst, random_masses(inst, seed), 1.0)
-        dd = inst.distance_matrix()
+        dd = dense(inst)
         radii = [float(np.quantile(dd[dd > 0], q)) for q in (0.3, 0.6)]
         check, _ = check_extension_energy(inst, measure, radii, xi=0.1)
         assert check.passed, check.witness

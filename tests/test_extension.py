@@ -5,22 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lipext import (MetricInstance, ParameterError, ProfileBank, ScheduleTooShallow,
-                    build_profiles, build_schedule, check_extension_energy,
-                    check_global_lipschitz, check_inf_family,
-                    check_locality_preservation, check_restriction,
-                    check_restriction_monotonicity, check_step2, cutoff_support,
-                    extend, extend_localized, instance_from_arrays, lip_constant,
-                    locality_radius,
-                    mcshane_comparison, mcshane_lower_many, mcshane_upper_many,
-                    run_suite, schedule_for_instance, truncate_bounded,
-                    validate_instance, validate_measure)
-from lipext import metric, verification
+from lipext import (ParameterError, ProfileBank, ScheduleTooShallow, build_profiles,
+                    build_schedule, check_inf_family, check_locality_preservation,
+                    cutoff_support, extend, extend_localized, instance_from_arrays,
+                    locality_radius, mcshane_comparison, mcshane_lower_many,
+                    mcshane_upper_many, schedule_for_instance, truncate_bounded,
+                    validate_instance)
+from lipext import metric
 from lipext.errors import positive_real
 from lipext.extension import _bank, evaluation_diameters
-from lipext.verification import check_envelope_sandwich, check_localization
+from lipext.verification import check_localization
 
-from conftest import (bank_rows, eval_pen, grid_instance, hand_bank, oracle_extend,
+from conftest import (bank_rows, dense, eval_pen, grid_instance, hand_bank, oracle_extend,
                       oracle_mcshane_lower, oracle_mcshane_upper, oracle_pen,
                       random_instance, scales, slope_map)
 
@@ -311,9 +307,9 @@ def _nearest_anchors(inst, queries):
                      for col in d.T])
 
 
-def oracle_localized(inst, sch, profiles, y, xbar):
-    """(value, anchor, record): the minimum over the anchors of y's localization ball."""
-    dd = inst.distance_matrix()
+def oracle_localized(inst, dd, sch, profiles, y, xbar):
+    """(value, anchor, record): the minimum over the anchors of y's localization ball,
+    with ``dd = dense(inst)``."""
     d_y = dd[y, xbar]
     ks = [k for k in range(sch.k_min + 2, sch.k_max + 1) if d_y < sch.eps_at(k - 2)]
     record = {"k": ks[0], "xbar": int(xbar)} if ks else "full"
@@ -353,10 +349,10 @@ def test_localized_matches_per_query_oracle():
         sch = schedule_for_instance(inst, inst.lipschitz_L)
         profiles = build_profiles(inst, sch)
         queries = np.arange(inst.n)
-        loc = extend_localized(inst, sch, queries, profiles=profiles)
+        loc, dd = extend_localized(inst, sch, queries, profiles=profiles), dense(inst)
         # The oracle's record centres y at its nearest anchor.
         for i, (y, xbar) in enumerate(zip(queries, _nearest_anchors(inst, queries))):
-            value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
+            value, anchor, record = oracle_localized(inst, dd, sch, profiles, y, xbar)
             assert loc.values[i] == value, f"seed {seed} query {y}"
             assert loc.anchors[i] == anchor
             assert loc.localization[i] == record
@@ -370,14 +366,14 @@ def test_localized_exclusion_margin():
     L = inst.lipschitz_L
     tol = 1e-9 * inst.check_scale()
     loc = extend_localized(inst, sch, field.queries, profiles=profiles)
-    checked = 0
+    dd, checked = dense(inst), 0
     for qi, (y, rec) in enumerate(zip(field.queries, loc.localization)):
         if rec == "full":
             continue
         k, xbar = rec["k"], rec["xbar"]
         dxb = inst.distances(inst.subset, [xbar])[:, 0]
         for pos in np.flatnonzero(dxb >= sch.eps_at(k)):
-            t = float(inst.distance_matrix()[inst.subset[pos], y])
+            t = float(dd[inst.subset[pos], y])
             phi = inst.values[pos] + eval_pen(bank_rows(profiles, [pos]), t)
             assert phi >= field.values[qi] + sch.eps_at(k - 1) * L / 3.0 - tol
             checked += 1
@@ -521,12 +517,12 @@ def test_localized_constant_data():
 # --- query blocks ------------------------------------------------------------
 
 
-def oracle_full(inst, profiles, y):
-    """(value, anchor): the minimum over every anchor, lowest point index on ties."""
+def oracle_full(inst, dd, profiles, y):
+    """(value, anchor): the minimum over every anchor, lowest point index on ties,
+    with ``dd = dense(inst)``."""
     best, anchor = np.inf, None
     for pos, x in enumerate(inst.subset):
-        phi = inst.values[pos] + eval_pen(bank_rows(profiles, [pos]),
-                                          float(inst.distance_matrix()[x, y]))
+        phi = inst.values[pos] + eval_pen(bank_rows(profiles, [pos]), float(dd[x, y]))
         if phi < best or (phi == best and int(x) < anchor):
             best, anchor = phi, int(x)
     return best, anchor
@@ -545,12 +541,12 @@ def test_extend_over_several_query_blocks_matches_per_query_oracle(monkeypatch):
     queries = np.concatenate([rng.permutation(n), rng.choice(n, size=131)])
     monkeypatch.setattr(metric, "_BLOCK", 3 * len(inst.subset))
     field = extend(inst, sch, queries, profiles=profiles)
-    loc = extend_localized(inst, sch, queries, profiles=profiles)
+    loc, dd = extend_localized(inst, sch, queries, profiles=profiles), dense(inst)
     for i, (y, xbar) in enumerate(zip(queries, _nearest_anchors(inst, queries))):
-        value, anchor, record = oracle_localized(inst, sch, profiles, y, xbar)
+        value, anchor, record = oracle_localized(inst, dd, sch, profiles, y, xbar)
         assert (loc.values[i], loc.anchors[i], loc.localization[i]) == (value, anchor, record)
     for i, y in enumerate(queries):
-        assert (field.values[i], field.anchors[i]) == oracle_full(inst, profiles, y)
+        assert (field.values[i], field.anchors[i]) == oracle_full(inst, dd, profiles, y)
     flat = instance_from_arrays(coords=inst.coords, subset=inst.subset,
                                 values=np.full(25, 0.5), lipschitz=1.0)
     const = extend(flat, None, queries)
@@ -568,7 +564,7 @@ def test_evaluation_diameters_over_row_blocks(monkeypatch):
     coords = rng.uniform(0.0, 1.0, (n, 2))
     coords[[a, b, c]] = [[-5.0, -5.0], [5.0, 5.0], [-5.0, -5.0 + 1e-7]]
     inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])
-    d = inst.distance_matrix()
+    d = dense(inst)
     assert evaluation_diameters(inst) == (float(d[a, c]), float(d[a, b]))
     assert evaluation_diameters(inst) == (float(d[d > 0].min()), float(d.max()))
     queries = rng.permutation(n)[:40]
@@ -590,8 +586,8 @@ def _cloud_2000():
 def test_extend_pipeline_memory_is_a_fraction_of_the_matrix():
     # Validation streams the upper triangle in blocks, and schedule and
     # extension read d(C, .) a block of queries at a time from the
-    # coordinates: no n x n array at all (a cached matrix alone is 1 x), and
-    # no n*n*dim difference array.
+    # coordinates: no n x n array at all (the matrix alone is 1 x), and no
+    # n*n*dim difference array.
     n = 2000
     raw = _cloud_2000()
     tracemalloc.start()
@@ -603,45 +599,8 @@ def test_extend_pipeline_memory_is_a_fraction_of_the_matrix():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(field.values) == n and inst._dcache is None
+    assert len(field.values) == n
     assert peak <= 0.25 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
-
-
-def test_only_the_all_pairs_checks_build_the_matrix(monkeypatch):
-    # Validation, schedule, profiles, both extensions, the energy checks and
-    # every check of the battery, the global-budget scan exhaustive or on a
-    # seeded sample, never call distance_matrix(); only the distance quartiles do.
-    rng = np.random.default_rng(7)
-    n = 300
-    coords = rng.uniform(0.0, 1.0, (n, 3))
-    subset = np.sort(rng.choice(n, size=30, replace=False))
-    calls = []
-    matrix = MetricInstance.distance_matrix
-    monkeypatch.setattr(MetricInstance, "distance_matrix",
-                        lambda self: calls.append(1) or matrix(self))
-    inst = instance_from_arrays(coords=coords, subset=subset,
-                                values=np.sin(4.0 * coords[subset, 0]))
-    sch = schedule_for_instance(inst, 0.5, locality=(0.2, 0.1))
-    profiles = build_profiles(inst, sch)
-    field = extend(inst, sch, profiles=profiles)
-    budget = inst.lipschitz_L + sch.eps_eff
-    results = [check_restriction(field, inst), check_global_lipschitz(field, inst, budget),
-               check_envelope_sandwich(field, inst, budget), check_step2(inst, profiles, sch),
-               check_localization(inst, field, profiles),
-               check_locality_preservation(inst, field, inst.subset, 0.2, 0.1),
-               check_inf_family(inst, profiles, np.arange(n), budget)]
-    monkeypatch.setattr(verification, "MAX_PAIRS", 1000)
-    sampled = check_global_lipschitz(field, inst, budget)
-    assert sampled.note.startswith("statistical: every pair of 45 of 300 seeded points")
-    results.append(sampled)
-    mcshane_comparison(inst, [0.1, 0.3], 0.5, field)
-    measure = validate_measure(inst, None, 2.0)
-    results += [check_restriction_monotonicity(inst, rng.normal(size=n), measure, [0.2, 0.4])[0],
-                check_extension_energy(inst, measure, [0.2, 0.4], 0.05)[0]]
-    assert all(res.passed for res in results)
-    assert calls == [] and inst._dcache is None
-    run_suite(inst, 0.5)
-    assert calls and inst._dcache is not None
 
 
 def test_check_localization_memory_is_a_fraction_of_the_matrix():

@@ -11,7 +11,7 @@ from lipext import metric
 from lipext.metric import (TRIANGLE_RTOL, _check_radii, _euclidean_matrix,
                            _triangle_violators)
 
-from conftest import grid_instance, oracle_lip, random_instance
+from conftest import dense, grid_instance, oracle_lip, random_instance
 
 
 def _matrix_raw(d, subset=(0, 2), values=(0.0, 2.0), **extra):
@@ -346,23 +346,19 @@ def test_distances_match_one_shot(dim):
     # The reference in 30-row slices keeps its difference arrays small; each
     # entry is still one np.sum over the dim axis.
     full = np.vstack([_one_shot(coords[a:a + 30], coords) for a in range(0, 300, 30)])
-    d = inst.distance_matrix()
-    assert np.array_equal(d, full) and not d.flags.writeable
     everything = np.arange(inst.n)
     rows = rng.permutation(inst.n)[:37]
     cols = rng.permutation(inst.n)[:50]
     for r, c in ((everything, everything), (rows, cols), (rows, everything), (everything, cols),
                  (rng.permutation(inst.n), everything), (everything[::-1], everything)):
-        got = inst.distances(r, c)
-        assert got is not d and np.array_equal(got, full[np.ix_(r, c)])
+        assert np.array_equal(inst.distances(r, c), full[np.ix_(r, c)])
 
 
 @pytest.mark.parametrize("dim", [1, 3, 7, 8, 16, 17])
 @pytest.mark.parametrize("block", [1, 1 << 16])
 def test_distances_from_coordinates_match_the_gathered_matrix(monkeypatch, dim, block):
-    # Until distance_matrix() caches the matrix, distances() computes each
-    # block from the coordinates; after, it gathers from the cache.  Both read
-    # the same bits, with one-row blocks (block 1) as with the module's own,
+    # distances() computes every block from the coordinates: the bits of the
+    # one-shot matrix, with one-row blocks (block 1) as with the module's own,
     # for unsorted, repeated and single indices.
     rng = np.random.default_rng(100 + dim)
     n = 70
@@ -370,15 +366,11 @@ def test_distances_from_coordinates_match_the_gathered_matrix(monkeypatch, dim, 
     inst = instance_from_arrays(coords=rng.normal(0.0, 2.0, (n, dim)), subset=[0, 1],
                                 values=[0.0, 1.0])
     lists = [rng.permutation(n), rng.integers(0, n, 40), [5], [9, 2, 9, 9], np.arange(n)]
-    computed = [[inst.distances(r, c) for c in lists] for r in lists]
-    assert inst._dcache is None
-    d = inst.distance_matrix()
-    assert np.array_equal(d, _one_shot(inst.coords))
-    for r, row in zip(lists, computed):
-        for c, got in zip(lists, row):
-            want = d[np.ix_(r, c)]
+    full = _one_shot(inst.coords)
+    for r in lists:
+        for c in lists:
+            got, want = inst.distances(r, c), full[np.ix_(r, c)]
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert inst.distances(r, c).tobytes() == want.tobytes()
 
 
 def _first_entry(mask):
@@ -583,6 +575,6 @@ def test_lipa_profile_matches_ball_scan():
     vals = rng.normal(size=inst.n)
     for r in [0.1, 0.4, 0.9]:
         prof = lipa_profile(inst, domain, vals, 3, [r])
-        ball = domain[inst.distance_matrix()[3, domain] < r]
+        ball = domain[dense(inst)[3, domain] < r]
         assert prof[0] == pytest.approx(
             oracle_lip(inst, vals[ball], ball), abs=1e-14)

@@ -30,7 +30,7 @@ from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family,
                     schedule_for_instance, validate_measure)
 from lipext import metric
 
-from conftest import bank_rows, family_rows, grid_instance, hand_bank, oracle_lip
+from conftest import bank_rows, dense, family_rows, grid_instance, hand_bank, oracle_lip
 from test_ties import IDS, INSTANCES, tie_radii
 
 
@@ -59,8 +59,9 @@ def test_ball_lips_matches_oracle_across_row_chunks(monkeypatch):
     domain = rng.permutation(n)
     vals = rng.normal(size=n)
     monkeypatch.setattr(metric, "_BLOCK", rows * rows)
+    dd = dense(inst)
     for center in (int(domain[0]), int(domain[-1])):
-        d_row = inst.distance_matrix()[center, domain]
+        d_row = dd[center, domain]
         sorted_d = np.sort(d_row)
         counts = [1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1, n]
         radii = [_radius_for_count(sorted_d, c) for c in counts]
@@ -80,7 +81,7 @@ def test_ball_lips_empty_and_single_point_balls():
     inst = _cloud(2, 5)
     domain = np.arange(1, 5)
     vals = np.arange(4.0)
-    tiny = inst.distance_matrix()[0, domain].min() / 2.0
+    tiny = dense(inst)[0, domain].min() / 2.0
     # center 0 lies outside the domain: its small balls hold no member
     assert ball_lips(inst, domain, vals, [0], [tiny, tiny]).tolist() == [[0.0, 0.0]]
     assert ball_lips(inst, domain, vals, [1], [tiny]).tolist() == [[0.0]]
@@ -235,7 +236,7 @@ def test_streamed_ties_at_the_kth_value_straddle_blocks(monkeypatch, rows):
     monkeypatch.setattr(metric, "_BLOCK", rows * len(domain))
     first, second = np.triu_indices(len(domain), 1)
     ratios = (np.abs(vals[first] - vals[second])
-              / inst.distance_matrix()[domain[first], domain[second]])
+              / dense(inst)[domain[first], domain[second]])
     ranked = np.sort(ratios)[::-1]
     radii = tie_radii(inst)
     centers = np.arange(inst.n)
@@ -248,6 +249,10 @@ def test_streamed_ties_at_the_kth_value_straddle_blocks(monkeypatch, rows):
         monkeypatch.setattr(metric, "_TOP_K", top_k)
         assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
     assert straddled >= 10
+    # With K past the pair count every positive pair is kept, once and as i < j.
+    first, second, top, complete = metric._top_pairs(inst, domain, vals)
+    assert complete and np.all(first < second)
+    assert np.array_equal(top, ranked[ranked > 0])
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7])
@@ -270,7 +275,7 @@ def test_top_k_ties_straddle_the_kth_value(monkeypatch):
     the K-th ratio is shared by pairs on both sides of the cut."""
     inst, domain, vals = TOP_K_CASES[0]
     iu = np.triu_indices(len(domain), 1)
-    d = inst.distance_matrix()[domain[iu[0]], domain[iu[1]]]
+    d = dense(inst)[domain[iu[0]], domain[iu[1]]]
     ranked = np.sort(np.abs(vals[iu[0]] - vals[iu[1]]) / d)[::-1]
     radii = tie_radii(inst)
     centers = np.arange(inst.n)
@@ -282,6 +287,10 @@ def test_top_k_ties_straddle_the_kth_value(monkeypatch):
         monkeypatch.setattr(metric, "_TOP_K", top_k)
         assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
     assert straddled >= 10
+    # With K past the pair count every positive pair is kept, once and as i < j.
+    first, second, top, complete = metric._top_pairs(inst, domain, vals)
+    assert complete and np.all(first < second)
+    assert np.array_equal(top, ranked[ranked > 0])
 
 
 @pytest.mark.parametrize("case", [TOP_K_CASES[0], *TOP_K_CASES[3:]],

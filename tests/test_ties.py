@@ -13,7 +13,7 @@ from lipext import (ball_lips, build_profiles, build_schedule, energy,
                     instance_from_arrays, lipa_profile, validate_measure)
 from lipext.metric import _ratio
 
-from conftest import oracle_lip, scales, slope_map
+from conftest import dense, oracle_lip, scales, slope_map
 
 
 def discrete_instance(seed):
@@ -42,7 +42,7 @@ IDS = ["discrete0", "discrete1", "ultrametric2", "ultrametric3"]
 
 def tie_radii(inst):
     """Every pair distance, the midpoints between them and one radius beyond."""
-    dd = inst.distance_matrix()
+    dd = dense(inst)
     levels = np.unique(dd[dd > 0])
     mids = (levels[:-1] + levels[1:]) / 2.0
     return np.unique(np.concatenate([levels, mids, [levels[0] / 2.0,
@@ -50,14 +50,14 @@ def tie_radii(inst):
 
 
 def oracle_ball_lip(inst, domain, values, center, r):
-    dd = inst.distance_matrix()
+    dd = dense(inst)
     inside = [pos for pos, i in enumerate(domain) if dd[center, i] < r]
     return oracle_lip(inst, values[inside], domain[inside])
 
 
 def test_metrics_have_ties():
     for inst in INSTANCES:
-        dd = inst.distance_matrix()
+        dd = dense(inst)
         assert len(np.unique(dd[dd > 0])) < inst.n
     assert np.all(tie_radii(INSTANCES[0]) == [0.5, 1.0, 2.0])
 
@@ -66,10 +66,11 @@ def test_metrics_have_ties():
 def test_pair_ratios_zero_diagonal_and_symmetric(inst):
     domain = np.arange(inst.n)
     vals = np.random.default_rng(5).normal(size=inst.n)
-    ratios = _ratio(vals[:, None], vals, inst.distance_matrix()[np.ix_(domain, domain)])
+    dd = dense(inst)
+    ratios = _ratio(vals[:, None], vals, dd[np.ix_(domain, domain)])
     assert np.all(np.diag(ratios) == 0.0)
     assert np.array_equal(ratios, ratios.T)
-    assert ratios[0, 1] == abs(vals[0] - vals[1]) / inst.distance_matrix()[0, 1]
+    assert ratios[0, 1] == abs(vals[0] - vals[1]) / dd[0, 1]
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
@@ -121,7 +122,7 @@ def test_approx_slopes_match_oracle_at_ties(inst):
     # anchor 1.0 puts a scale exactly on the largest pair distance
     sch = build_schedule(inst.lipschitz_L, 1.0, anchor=1.0,
                          span_low=1e-3, span_high=4.0)
-    levels = set(np.unique(inst.distance_matrix()).tolist())
+    levels = set(np.unique(dense(inst)).tolist())
     eps = scales(sch)
     assert any(e in levels for e in eps.values())
     bank = build_profiles(inst, sch)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
+from lipext import (CheckResult, MetricInstance, ParameterError, ProfileBank, build_profiles,
                     build_schedule, check_extension_energy, check_global_lipschitz,
                     check_inf_family, check_locality_preservation, check_restriction,
                     check_step2, cutoff_support, extend, instance_from_arrays,
@@ -14,7 +14,8 @@ from lipext import (CheckResult, ParameterError, ProfileBank, build_profiles,
 from lipext import metric, verification
 from lipext.verification import _distance_quartiles, check_envelope_sandwich, check_localization
 
-from conftest import corrupted_extension, grid_instance, hand_bank, oracle_lip, random_instance
+from conftest import (corrupted_extension, dense, grid_instance, hand_bank, oracle_lip,
+                      random_instance)
 from test_ties import INSTANCES as TIE_INSTANCES
 
 
@@ -116,7 +117,7 @@ def _triu_steepest(field, inst):
     """(measured, i, j) of the exhaustive scan as one gather over ``np.triu_indices``."""
     q = field.queries
     ii, jj = np.triu_indices(len(q), k=1)
-    d = inst.distance_matrix()[q[ii], q[jj]]
+    d = dense(inst)[q[ii], q[jj]]
     ok = d > 0
     ratios = np.abs(field.values[ii[ok]] - field.values[jj[ok]]) / d[ok]
     if len(ratios) == 0:
@@ -153,23 +154,42 @@ def test_global_lipschitz_blocks_match_the_triu_scan(monkeypatch, rows):
         assert res.witness["ratio"] == want[0] and res.note == "exhaustive"
 
 
-def _quartile_matrices():
+def _unvalidated(d):
+    """An instance on the symmetric matrix ``d``, positive off its diagonal, with
+    no other check: the triangle inequality may fail."""
+    return MetricInstance(subset=np.array([0]), values=np.array([0.0]), lipschitz_L=0.0,
+                          lipschitz_computed=0.0, dmatrix=np.asarray(d, dtype=float))
+
+
+def _quartile_instances():
     rng = np.random.default_rng(4)
     out = []
     for n in (2, 3, 50):
-        coords = rng.uniform(0.0, 1.0, (n, 2))
-        out.append(np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=-1)))
+        out.append(instance_from_arrays(coords=rng.uniform(0.0, 1.0, (n, 2)), subset=[0],
+                                        values=[0.0]))
         steps = np.triu(rng.integers(1, 4, (n, n)).astype(float), 1)
-        out.append(steps + steps.T)        # three distinct distances, repeated
-        out.append(1.0 - np.eye(n))        # one distance
+        out.append(_unvalidated(steps + steps.T))   # three distinct distances, repeated
+        out.append(_unvalidated(1.0 - np.eye(n)))   # one distance
+    # Clouds over several row blocks at the module's own block size, on both
+    # sides of the Euclidean fill's switch at 8 coordinates.
+    for dim in (3, 16):
+        out.append(instance_from_arrays(coords=rng.uniform(0.0, 1.0, (300, dim)), subset=[0],
+                                        values=[0.0]))
     # The upper quartile interpolates with t = 0.75, where numpy's two lerp
     # branches give different last bits on these distances.
     d1, d2, d3 = 1.460045139309096, 1.9489436749377653, 3.0552619924444304
-    out.append(np.array([[0.0, d1, d2], [d1, 0.0, d3], [d2, d3, 0.0]]))
-    # The validator admits -0.0 on an explicit matrix's diagonal; its bit pattern
-    # has the sign bit set, which a radix on the bits must clear.
-    out.append(np.array([[-0.0, 1.0, 1.5], [1.0, -0.0, 2.0], [1.5, 2.0, -0.0]]))
-    return out + [inst.distance_matrix() for inst in TIE_INSTANCES]
+    out.append(instance_from_arrays(dmatrix=[[0.0, d1, d2], [d1, 0.0, d3], [d2, d3, 0.0]],
+                                    subset=[0], values=[0.0]))
+    # The validator admits -0.0 on an explicit matrix's diagonal, which the
+    # select never reads.
+    out.append(instance_from_arrays(dmatrix=[[-0.0, 1.0, 1.5], [1.0, -0.0, 2.0],
+                                             [1.5, 2.0, -0.0]], subset=[0], values=[0.0]))
+    return out + TIE_INSTANCES
+
+
+def _np_quartiles(inst):
+    dd = dense(inst)
+    return np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()
 
 
 @pytest.mark.parametrize("budget", [None, 1, 7, 50])
@@ -177,51 +197,90 @@ def test_distance_quartiles_match_np_quantile(monkeypatch, budget):
     """The streamed quartiles are the bits of ``np.quantile`` over the copied positive
     distances, also with the entry budget patched down so the selection
     histograms several 16-bit digits before it keeps the few entries left."""
+    cases = [(inst, _np_quartiles(inst)) for inst in _quartile_instances()]
     if budget is not None:
         monkeypatch.setattr(metric, "_BLOCK", budget)
-    for dd in _quartile_matrices():
-        want = np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()
-        assert _distance_quartiles(dd) == want, len(dd)
-    assert _distance_quartiles(np.zeros((1, 1))) == [1.0]
+    for inst, want in cases:
+        assert _distance_quartiles(inst) == want, inst.n
+    one = instance_from_arrays(coords=[[0.0]], subset=[0], values=[0.0])
+    assert _distance_quartiles(one) == [1.0]
 
 
-def test_distance_quartiles_memory_is_a_fraction_of_the_matrix():
-    """The quartile step reads the matrix in blocks: copying the positive
-    distances would trace at least the 32 MB matrix again."""
-    n = 2000
-    coords = np.random.default_rng(8).uniform(0.0, 1.0, (n, 3))
-    dd = instance_from_arrays(coords=coords, subset=[0, 1],
-                              values=[0.0, 1.0]).distance_matrix()
+def _cloud(n):
+    """``n`` seeded points in the unit cube, data on a tenth of them."""
+    rng = np.random.default_rng(8)
+    coords = rng.uniform(0.0, 1.0, (n, 3))
+    subset = np.sort(rng.choice(n, size=n // 10, replace=False))
+    return instance_from_arrays(coords=coords, subset=subset,
+                                values=np.sin(4.0 * coords[subset, 0]) + coords[subset, 2] ** 2)
+
+
+def _traced_peak(fn, *args):
+    """``(fn(*args), the peak traced bytes above the start)``."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        got = _distance_quartiles(dd)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        got = fn(*args)
+        return got, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert got == np.quantile(dd[dd > 0], [0.25, 0.5, 0.75]).tolist()
+
+
+def test_distance_quartiles_memory_is_a_fraction_of_the_matrix():
+    """The quartile step walks the upper triangle in blocks: building the matrix,
+    or copying the positive distances, would trace at least the 32 MB matrix."""
+    n = 2000
+    inst = _cloud(n)
+    got, peak = _traced_peak(_distance_quartiles, inst)
+    assert got == _np_quartiles(inst)
     assert peak <= n * n * 8 / 4, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
 
 
-def test_pair_sampling_is_labeled(monkeypatch):
-    # 1225 pairs of grid points against a cap of 100: every pair of the 14 seeded
-    # points whose 91 pairs fit, counted exactly, with the ratio and first steepest
-    # pair of the exhaustive scan over that sub-cloud.
+def test_run_suite_memory_is_a_fraction_of_the_matrix():
+    """No check of the battery, nor the quartiles, holds an n x n array of a
+    Euclidean instance: the whole suite traces under half the matrix."""
+    n = 2000
+    inst = _cloud(n)
+    report, peak = _traced_peak(run_suite, inst, 0.5)
+    assert report.passed
+    assert peak < 0.5 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
+
+
+def _grid_case():
     inst = grid_instance(50)
-    field = extend(inst, schedule_for_instance(inst, 1.0))
-    full = check_global_lipschitz(field, inst, 2.0)
-    assert full.note == "exhaustive"
-    monkeypatch.setattr(verification, "MAX_PAIRS", 100)
-    res = check_global_lipschitz(field, inst, 2.0, seed=3)
-    assert res.note == ("statistical: every pair of 14 of 50 seeded points, 91 of 1225 "
-                        "pairs (coverage 0.0743, seed 3)")
-    pos = np.sort(np.random.default_rng(3).choice(inst.n, 14, replace=False))
+    return inst, extend(inst, schedule_for_instance(inst, 1.0)), 2.0
+
+
+def _cloud_case():
+    inst = _cloud(300)
+    sch = schedule_for_instance(inst, 0.5)
+    return inst, extend(inst, sch), inst.lipschitz_L + sch.eps_eff
+
+
+@pytest.mark.parametrize("case, max_pairs, seed, m, note", [
+    # 1225 pairs of grid points against a cap of 100: every pair of the 14 seeded
+    # points whose 91 pairs fit, counted exactly.
+    (_grid_case, 100, 3, 14, "statistical: every pair of 14 of 50 seeded points, 91 of 1225 "
+                             "pairs (coverage 0.0743, seed 3)"),
+    (_cloud_case, 1000, 0, 45, "statistical: every pair of 45 of 300 seeded points, 990 of "
+                               "44850 pairs (coverage 0.0221, seed 0)"),
+], ids=["grid", "cloud"])
+def test_pair_sampling_is_labeled(monkeypatch, case, max_pairs, seed, m, note):
+    # The sampled scan gives the ratio and first steepest pair of the
+    # exhaustive scan over the seeded sub-cloud.
+    inst, field, budget = case()
+    full = check_global_lipschitz(field, inst, budget)
+    assert full.note == "exhaustive" and full.passed
+    monkeypatch.setattr(verification, "MAX_PAIRS", max_pairs)
+    res = check_global_lipschitz(field, inst, budget, seed=seed)
+    assert res.note == note and res.passed
+    pos = np.sort(np.random.default_rng(seed).choice(inst.n, m, replace=False))
     sub = replace(field, queries=field.queries[pos], values=field.values[pos])
     assert (res.measured, res.witness["i"], res.witness["j"]) == _triu_steepest(sub, inst)
     assert res.witness["i"] < res.witness["j"] and res.witness["ratio"] == res.measured
-    assert inst.distance_matrix()[res.witness["i"], res.witness["j"]] > 0
+    assert dense(inst)[res.witness["i"], res.witness["j"]] > 0
     assert res.measured <= full.measured
-    assert check_global_lipschitz(field, inst, 2.0, seed=3) == res
+    assert check_global_lipschitz(field, inst, budget, seed=seed) == res
 
 
 def test_check_step2_on_two_point_subset():
@@ -254,7 +313,7 @@ def test_locality_preservation_on_grid():
 
 def test_locality_preservation_random_quartiles():
     inst = random_instance(8, n_max=60)
-    dd = inst.distance_matrix()
+    dd = dense(inst)
     for q in (0.25, 0.5):
         r_bar = float(np.quantile(dd[dd > 0], q))
         sch = schedule_for_instance(inst, inst.lipschitz_L, locality=(r_bar, 0.2))
@@ -287,7 +346,7 @@ def test_locality_ball_holds_several_points():
     assert res.passed and res.note == "worst of 3 centers"
     for xb in inst.subset:
         one = check_locality_preservation(inst, field, [int(xb)], 0.5, 0.1)
-        ball = np.flatnonzero(inst.distance_matrix()[xb] < r)
+        ball = np.flatnonzero(dense(inst)[xb] < r)
         assert len(ball) == 4 and one.witness["ball_points"] == 4
         assert one.witness["r"] == r
         want = oracle_lip(inst, field.values[ball], ball)
@@ -393,7 +452,7 @@ def test_locality_check_separates_the_extension_from_mcshane():
     # The locality balls hold whole satellite clusters, so the headline check
     # Lip(f, B_r(x)) <= Lip(g, C within B_rbar(x)) + xi can fail here.
     inst, x = _dyadic_satellites()
-    assert np.array_equal(inst.distance_matrix(), np.abs(x[:, None] - x[None, :]))
+    assert np.array_equal(dense(inst), np.abs(x[:, None] - x[None, :]))
     assert inst.lipschitz_L == 2.0
     suite = run_suite(inst, 0.5, xi=0.1, r_bar=0.3)
     assert suite.passed and all(c.status == "pass" for c in suite.checks)
