@@ -20,12 +20,10 @@ from .errors import (InstanceValidationError, ParameterError, ScheduleTooShallow
 from .metric import MetricInstance, _check_radii, instance_from_arrays, validate_instance
 from .extension import (cutoff_support, extend, mcshane_upper_many,
                         schedule_for_instance, truncate_bounded)
-from .verification import (check_locality_preservation, mcshane_comparison,
+from .verification import (SCHEMA_VERSION, check_locality_preservation, mcshane_comparison,
                            run_suite)
 from .energy import (check_extension_energy, check_restriction_monotonicity,
                      validate_measure)
-
-SCHEMA_VERSION = "1"
 
 
 class _Parser(argparse.ArgumentParser):

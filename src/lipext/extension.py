@@ -119,33 +119,44 @@ def build_profiles(instance: MetricInstance, schedule: ScaleSchedule) -> Profile
 # evaluation
 
 
-def _argmin_lowest(phi: np.ndarray, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _family(instance: MetricInstance, bank: ProfileBank, points) -> tuple[np.ndarray, np.ndarray]:
+    """``T = d(bank.anchors, points)`` and the family rows ``phi = g(anchors) + pen(T)``:
+    the one place a row is formed, so every bank is read through its own anchors."""
+    T = instance.distances(bank.anchors, points)
+    return T, instance.g_at(bank.anchors)[:, None] + bank.pen(T)
+
+
+def _argmin_lowest(phi: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column minima and, among attaining rows, the lowest anchor point index."""
     best = phi.min(axis=0)
     sentinel = np.iinfo(np.intp).max
-    anchors = np.where(phi == best[None, :], subset[:, None], sentinel).min(axis=0)
-    return best, anchors.astype(np.intp)
+    lowest = np.where(phi == best[None, :], anchors[:, None], sentinel).min(axis=0)
+    return best, lowest.astype(np.intp)
 
 
-def _check_envelope_budget(instance: MetricInstance, l_prime: float) -> None:
+def _cones(instance: MetricInstance, l_prime: float, queries, sign: float, best) -> np.ndarray:
+    """``best`` (``np.min`` or ``np.max``) over the subset of ``g(x) + sign l' d(x, y)`` per
+    query ``y``, in query blocks; ``g + (-l') d`` has the bits of ``g - l' d``."""
     if not (math.isfinite(as_float(l_prime)) and l_prime >= instance.lipschitz_computed):
         raise ParameterError(
             f"envelope constant {shown(l_prime, str)} below Lip(g, C) = "
             f"{instance.lipschitz_computed}: result would not extend g")
+    queries = _index_list(queries, instance.n, "rows and cols must be 1-D lists of point "
+                          f"indices in [0, {instance.n})")
+    out = np.empty(len(queries))
+    with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
+        for s in _row_blocks(len(queries), len(instance.subset)):
+            d = instance.distances(instance.subset, queries[s])
+            best(instance.values[:, None] + (sign * l_prime) * d, axis=0, out=out[s])
+    return out
 
 
 def mcshane_upper_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
-    _check_envelope_budget(instance, l_prime)
-    dists = instance.distances(instance.subset, queries)
-    with np.errstate(over="ignore"):    # an overflowing cone is +inf, correctly rounded
-        return (instance.values[:, None] + l_prime * dists).min(axis=0)
+    return _cones(instance, l_prime, queries, 1.0, np.min)
 
 
 def mcshane_lower_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
-    _check_envelope_budget(instance, l_prime)
-    dists = instance.distances(instance.subset, queries)
-    with np.errstate(over="ignore"):    # an overflowing cone is -inf, correctly rounded
-        return (instance.values[:, None] - l_prime * dists).max(axis=0)
+    return _cones(instance, l_prime, queries, -1.0, np.max)
 
 
 def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionField:
@@ -182,7 +193,6 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
         return _constant_field(instance, queries)
     if schedule is None:
         raise ParameterError("a schedule is required when Lip(g, C) > 0")
-    subset = instance.subset
     if profiles is None:
         profiles = build_profiles(instance, schedule)
     values = np.empty(len(queries))
@@ -190,19 +200,18 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
     localization = ["full"] * len(queries)
     dmax = 0.0
     # Every step is per query (column), so blocks give the same bits as one pass.
-    for s in _row_blocks(len(queries), len(subset)):
-        T = instance.distances(subset, queries[s])
+    for s in _row_blocks(len(queries), len(profiles.anchors)):
+        T, phi = _family(instance, profiles, queries[s])
         dmax = max(dmax, float(T.max()))
-        phi = instance.values[:, None] + profiles.pen(T)
         if localized:
-            d_near, xbars = _argmin_lowest(T, subset)   # nearest anchor, lowest index
+            d_near, xbars = _argmin_lowest(T, profiles.anchors)     # nearest, lowest index
             # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
             jk = np.searchsorted(schedule.eps, d_near, side="right") + 2
             radius = np.append(schedule.eps, np.full(3, np.inf))[jk]    # jk <= len(eps) + 2
-            phi = np.where(instance.distances(subset, xbars) < radius, phi, np.inf)
+            phi = np.where(instance.distances(profiles.anchors, xbars) < radius, phi, np.inf)
             localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
                                for k, x, r in zip(schedule.k_min + jk, xbars, radius)]
-        values[s], anchors[s] = _argmin_lowest(phi, subset)
+        values[s], anchors[s] = _argmin_lowest(phi, profiles.anchors)
     if schedule.eps_at(schedule.k_max) < dmax:
         raise ScheduleTooShallow(
             f"extend schedule: top scale {schedule.eps_at(schedule.k_max)!r} below "
@@ -229,9 +238,9 @@ def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
                      queries, *, profiles: ProfileBank | None = None) -> ExtensionField:
     """Evaluate f on every query over the anchors of one ball only, in one pass.
 
-    Query ``y`` is localized at its nearest subset point ``xbar`` (lowest point
-    index on ties): with k the smallest stored index such that
-    ``d(y, xbar) < eps_{k-2}``, only the anchors in the open eps_k-ball at
+    Query ``y`` is localized at its nearest anchor ``xbar`` of the bank (lowest
+    point index on ties): with k the smallest stored index such that
+    ``d(y, xbar) < eps_{k-2}``, only the bank's anchors in the open eps_k-ball at
     ``xbar`` compete.  Anchors outside it sit at least ``eps_{k-1} L / 3``
     above the minimum, so the restricted minimum equals the full one bitwise.
     ``localization[i]`` records ``{"k": k, "xbar": xbar}``, or ``"full"`` when

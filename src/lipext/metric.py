@@ -50,7 +50,7 @@ class MetricInstance:
     coords: np.ndarray | None = None    # (n, dim) Euclidean geometry, or
     dmatrix: np.ndarray | None = None   # explicit (n, n) distance matrix
     extents: tuple[float, float] = (0.0, 0.0)  # validation's (min positive or 0, max) distance
-    _subset_pos: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _subset_pos: np.ndarray | None = field(default=None, repr=False, compare=False)  # read-only
 
     @property
     def n(self) -> int:
@@ -72,12 +72,7 @@ class MetricInstance:
         return self.extents[1]
 
     def subset_positions(self) -> np.ndarray:
-        """Map point index -> position in ``subset`` (-1 off C)."""
-        if self._subset_pos is None:
-            pos = np.full(self.n, -1, dtype=np.intp)
-            pos[self.subset] = np.arange(len(self.subset))
-            self._subset_pos = pos
-            self._subset_pos.setflags(write=False)
+        """Map point index -> position in ``subset`` (-1 off C), built by validation."""
         return self._subset_pos
 
     def g_at(self, point_indices) -> np.ndarray:
@@ -333,8 +328,11 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
              position=int(np.argwhere(~np.isfinite(values))[0][0]))
 
     extents = _check_matrix(dmatrix) if coords is None else _check_euclidean(coords)
+    pos = np.full(n, -1, dtype=np.intp)
+    pos[subset] = np.arange(len(subset))
+    pos.setflags(write=False)
     inst = MetricInstance(subset=subset, values=values, lipschitz_L=0.0, lipschitz_computed=0.0,
-                          coords=coords, dmatrix=dmatrix, extents=extents)
+                          coords=coords, dmatrix=dmatrix, extents=extents, _subset_pos=pos)
 
     with np.errstate(over="ignore"):    # an overflowing pair ratio is rejected here
         computed = lip_constant(inst, values, subset)

@@ -26,10 +26,11 @@ from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_memb
                      _first_non_integer, _index_list, _pair_blocks, _ratio, _row_blocks,
                      _steepest_pair, ball_lips)
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (ExtensionField, ProfileBank, _argmin_lowest,
+from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _family,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
                         mcshane_lower_many, schedule_for_instance)
 
+SCHEMA_VERSION = "1"    # of every JSON report
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
 MAX_PAIRS = 500_000
@@ -70,7 +71,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {"schema_version": "1", "kind": "verification_report",
+        return {"schema_version": SCHEMA_VERSION, "kind": "verification_report",
                 "passed": self.passed, "params": self.params,
                 "checks": [c.to_json() for c in self.checks],
                 "schedule": self.schedule_triples,
@@ -146,11 +147,10 @@ def check_envelope_sandwich(field: ExtensionField, instance: MetricInstance,
 
 def check_step2(instance: MetricInstance, profiles: ProfileBank,
                 schedule: ScaleSchedule) -> CheckResult:
-    """phi_x(y) >= g(y) + eps_{k-2} L for subset pairs with d(x, y) in the k-bracket."""
+    """phi_x(y) >= g(y) + eps_{k-2} L for bank rows x, subset y, d(x, y) in the k-bracket."""
     g = instance.values
     L = instance.lipschitz_L
-    T = instance.distances(instance.subset, instance.subset)
-    phi = g[:, None] + profiles.pen(T)
+    T, phi = _family(instance, profiles, instance.subset)
     J = np.searchsorted(schedule.eps, T, side="right")
     valid = (J >= 2) & (J <= len(schedule.eps) - 1) & (T > 0)
     if not np.any(valid):
@@ -162,7 +162,7 @@ def check_step2(instance: MetricInstance, profiles: ProfileBank,
     tol = INEQ_RTOL * instance.check_scale()
     xi_pos, y_pos = np.unravel_index(np.argmin(margin), margin.shape)
     measured = float(margin[xi_pos, y_pos])
-    witness = {"x": int(instance.subset[xi_pos]), "y": int(instance.subset[y_pos]),
+    witness = {"x": int(profiles.anchors[xi_pos]), "y": int(instance.subset[y_pos]),
                "k": int(schedule.k_min + J[xi_pos, y_pos]),
                "phi": float(phi[xi_pos, y_pos]),
                "bound": float(g[y_pos] + L * eps_km2[xi_pos, y_pos])}
@@ -221,22 +221,22 @@ def check_localization(instance: MetricInstance, field: ExtensionField,
     """Localized evaluation equals the full infimum bitwise on every query.
 
     One :func:`extend_localized` call localizes each query at its nearest
-    anchor (lowest index on ties); the first mismatch in query order is the
-    witness.  Also verifies the exclusion margin on the localized queries, in
-    column blocks: anchors outside a query's localization ball sit at least
-    eps_{k-1} L / 3 above the minimum.  The worst margin is the first query
-    attaining the minimum, with the first anchor in subset order attaining it
-    there.  Queries with no admissible k keep every anchor and are counted as
+    anchor of the bank (lowest index on ties); the first mismatch in query order
+    is the witness.  Also verifies the exclusion margin on the localized queries,
+    in column blocks: the bank's anchors outside a query's localization ball sit
+    at least eps_{k-1} L / 3 above the minimum.  The worst margin is the first
+    query attaining the minimum, with the first anchor in bank order attaining
+    it there.  Queries with no admissible k keep every anchor and are counted as
     fallback evaluations.
     """
-    L, schedule, subset = instance.lipschitz_L, field.schedule, instance.subset
+    L, schedule, anchors = instance.lipschitz_L, field.schedule, profiles.anchors
     tol = INEQ_RTOL * instance.check_scale()
     loc = extend_localized(instance, schedule, field.queries, profiles=profiles)
     bad = np.flatnonzero(loc.values != field.values)
     if len(bad):
         qi = bad[0]
         got, full = float(loc.values[qi]), float(field.values[qi])
-        xbar = _argmin_lowest(instance.distances(subset, field.queries[qi:qi + 1]), subset)[1]
+        xbar = _argmin_lowest(instance.distances(anchors, field.queries[qi:qi + 1]), anchors)[1]
         return CheckResult(
             "localization", "fail", measured=got, allowed=full,
             witness={"query": int(field.queries[qi]), "xbar": int(xbar[0]),
@@ -246,10 +246,10 @@ def check_localization(instance: MetricInstance, field: ExtensionField,
     xbars = np.array([loc.localization[c]["xbar"] for c in cols], dtype=np.intp)
     # Per localized query: its smallest margin and the first row attaining it.
     worst, rows, excluded_any = np.empty(len(cols)), np.empty(len(cols), dtype=np.intp), False
-    for s in _row_blocks(len(cols), len(subset)):
+    for s in _row_blocks(len(cols), len(anchors)):
         j, q = k[s] - schedule.k_min, cols[s]
-        excluded = instance.distances(subset, xbars[s]) >= schedule.eps[j]
-        phi = instance.values[:, None] + profiles.pen(instance.distances(subset, field.queries[q]))
+        excluded = instance.distances(anchors, xbars[s]) >= schedule.eps[j]
+        phi = _family(instance, profiles, field.queries[q])[1]
         margins = np.where(excluded, phi - (field.values[q] + schedule.eps[j - 1] * L / 3.0),
                            np.inf)
         worst[s], rows[s] = margins.min(axis=0), margins.argmin(axis=0)
@@ -262,7 +262,7 @@ def check_localization(instance: MetricInstance, field: ExtensionField,
         return CheckResult("localization", "pass", measured=worst_margin,
                            tolerance=tol, note=note)
     witness = {"query": int(field.queries[cols[c]]), "xbar": int(xbars[c]),
-               "k": int(k[c]), "anchor": int(subset[rows[c]])}
+               "k": int(k[c]), "anchor": int(anchors[rows[c]])}
     return CheckResult("localization", "fail", measured=worst_margin,
                        allowed=-tol, tolerance=tol, witness=witness,
                        note="exclusion margin violated; " + note)
@@ -338,13 +338,9 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     reach = np.inf if np.any(margin <= 0) else np.max(
         2.0 * (s * tau + 2.0 * err + (1.0 + 2.0 * _U) * jumps[:, below].sum(axis=1))
         * (1.0 + 8.0 * _U) / margin)
-
-    def rows_at(points):
-        return g[:, None] + profiles.pen(instance.distances(profiles.anchors, points))
-
     fmin = np.empty(len(members))
     for q in _row_blocks(len(members), rows):
-        fmin[q] = rows_at(members[q]).min(axis=0)
+        fmin[q] = _family(instance, profiles, members[q])[1].min(axis=0)
     # Pair-ratio temporaries hold _BLOCK entries; the rows at a block's close
     # points, phi, reach |C| x |members| at worst.
     got, lips = 0.0, np.zeros(rows)
@@ -355,9 +351,9 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
         if np.count_nonzero(close) > len(d):            # more than the diagonal
             first, second = np.nonzero(np.triu(close, 1))
             pts, at = np.unique(np.concatenate([first, second]) + a, return_inverse=True)
-            phi, at, pair_d = rows_at(members[pts]), at.reshape(2, -1), d[first, second]
-            for q in _row_blocks(len(pair_d), rows):
-                pair = _ratio(phi[:, at[1, q]], phi[:, at[0, q]], pair_d[q])
+            phi, at = _family(instance, profiles, members[pts])[1], at.reshape(2, -1)
+            for q in _row_blocks(len(first), rows):
+                pair = _ratio(phi[:, at[1, q]], phi[:, at[0, q]], d[first[q], second[q]])
                 np.maximum(lips, pair.max(axis=1), out=lips)
     over = np.flatnonzero(lips > limit)
     if len(over):

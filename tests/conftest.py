@@ -133,11 +133,12 @@ def family_rows(instance, bank, members):
 
 
 def oracle_extend(instance, bank, y):
-    """min over anchors of g(x) + pen_x(d(x, y)), via the integral oracle."""
+    """min over the bank's rows of g(x) + pen_x(d(x, y)), x the row's own anchor,
+    via the integral oracle."""
     dd, best = dense(instance), np.inf
-    for pos, x in enumerate(instance.subset):
-        t = float(dd[x, y])
-        best = min(best, instance.values[pos] + oracle_pen(bank, pos, t))
+    for row, x in enumerate(bank.anchors):
+        g = float(instance.values[instance.subset_positions()[x]])
+        best = min(best, g + oracle_pen(bank, row, float(dd[x, y])))
     return best
 
 

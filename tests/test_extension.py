@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lipext import (ParameterError, ProfileBank, ScheduleTooShallow, build_profiles,
-                    build_schedule, check_inf_family, check_locality_preservation,
+                    build_schedule, check_inf_family, check_locality_preservation, check_step2,
                     cutoff_support, extend, extend_localized, instance_from_arrays,
                     locality_radius, mcshane_comparison, mcshane_lower_many,
                     mcshane_upper_many, schedule_for_instance, truncate_bounded,
@@ -177,6 +177,15 @@ def test_positive_real_takes_integers_beyond_float_range_as_non_finite(value):
     with pytest.raises(ParameterError, match="xi must be a positive finite real"):
         positive_real("xi", value)
     assert positive_real("xi", 10 ** 300) is None
+
+
+@pytest.mark.parametrize("many", [mcshane_upper_many, mcshane_lower_many])
+@pytest.mark.parametrize("queries", [[[1, 2], [3]], 3, [0, 3], [True], [0.5]],
+                         ids=["ragged", "scalar", "out-of-range", "bool", "float"])
+def test_mcshane_envelopes_reject_bad_queries_before_any_block(line3, many, queries):
+    with pytest.raises(ParameterError,
+                       match=r"^rows and cols must be 1-D lists of point indices in \[0, 3\)$"):
+        many(line3, 1.0, queries)
 
 
 def test_mcshane_matches_oracle():
@@ -512,6 +521,45 @@ def test_localized_constant_data():
     loc = extend_localized(inst, None, [1, 2])
     assert loc.values.tolist() == [3.0, 3.0]
     assert loc.localization == ["full", "full"]
+
+
+# --- banks read through their own anchors ------------------------------------
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+def test_a_reordered_bank_gives_the_same_bits(seed):
+    # Row i of a bank belongs to bank.anchors[i], not to subset[i]: reversing
+    # the rows changes no value, tie-break, localization record or check.
+    inst = random_instance(seed)
+    sch = schedule_for_instance(inst, 0.5)
+    bank = build_profiles(inst, sch)
+    reverse = bank_rows(bank, np.arange(len(bank.anchors))[::-1])
+    full = extend(inst, sch, profiles=bank)
+    for fn in (extend, extend_localized):
+        want, got = (fn(inst, sch, full.queries, profiles=b) for b in (bank, reverse))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.anchors, want.anchors)
+        assert got.localization == want.localization
+    assert check_step2(inst, reverse, sch).to_json() == check_step2(inst, bank, sch).to_json()
+    loc = check_localization(inst, full, reverse)
+    assert loc.status == "pass"
+    assert loc.to_json() == check_localization(inst, full, bank).to_json()
+
+
+def test_a_sub_bank_is_the_infimum_over_its_own_anchors():
+    inst = random_instance(4)
+    sch = schedule_for_instance(inst, 0.5)
+    sub = bank_rows(build_profiles(inst, sch), [0, 1])
+    field = extend(inst, sch, profiles=sub)
+    for y in field.queries:
+        assert field.values[y] == pytest.approx(oracle_extend(inst, sub, int(y)), rel=1e-12)
+    assert set(field.anchors.tolist()) <= set(sub.anchors.tolist())
+    assert np.array_equal(field.values[sub.anchors], inst.g_at(sub.anchors))
+    loc = extend_localized(inst, sch, field.queries, profiles=sub)
+    assert np.array_equal(loc.values, field.values)
+    assert {rec["xbar"] for rec in loc.localization if rec != "full"} <= set(sub.anchors.tolist())
+    assert check_step2(inst, sub, sch).status == "pass"
+    assert check_localization(inst, field, sub).status == "pass"
 
 
 # --- query blocks ------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipext import (InstanceValidationError, ParameterError,
-                    instance_from_arrays, lip_constant, lipa_profile,
+                    instance_from_arrays, lip_constant, lipa_profile, run_suite,
                     validate_instance)
 from lipext import metric
 from lipext.metric import (TRIANGLE_RTOL, _check_radii, _euclidean_matrix,
@@ -307,6 +307,19 @@ def test_duplicate_euclidean_points_rejected():
     with pytest.raises(InstanceValidationError, match="duplicate points"):
         instance_from_arrays(coords=[[0.0, 0.0], [0.0, 0.0]], subset=[0],
                              values=[1.0])
+
+
+@pytest.mark.parametrize("geometry", ["coords", "dmatrix"])
+def test_a_validated_instance_is_never_written(geometry):
+    # Validation builds every array the instance holds, read-only, and no
+    # later operation fills or replaces a field.
+    inst = random_instance(2)
+    if geometry == "dmatrix":
+        inst = instance_from_arrays(dmatrix=dense(inst), subset=inst.subset, values=inst.values)
+    before = dict(vars(inst))
+    assert all(not v.flags.writeable for v in before.values() if isinstance(v, np.ndarray))
+    assert run_suite(inst, 0.5).passed
+    assert all(vars(inst)[k] is v for k, v in before.items())
 
 
 # --- Euclidean geometry in blocks ---------------------------------------------

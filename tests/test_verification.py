@@ -246,6 +246,19 @@ def test_run_suite_memory_is_a_fraction_of_the_matrix():
     assert peak < 0.5 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
 
 
+def test_envelope_sandwich_memory_is_a_fraction_of_the_cone_rows():
+    """Both McShane envelopes reduce one block of queries at a time: one pass
+    over every query holds three |C| x n arrays (distances, slopes, cones)."""
+    n = 2000
+    inst = _cloud(n)
+    sch = schedule_for_instance(inst, 0.5)
+    field = extend(inst, sch)
+    res, peak = _traced_peak(check_envelope_sandwich, field, inst, inst.lipschitz_L + sch.eps_eff)
+    assert res.status == "pass"
+    rows = len(inst.subset) * n * 8
+    assert peak < rows, f"traced peak {peak / rows:.2f} x |C| n"
+
+
 def _grid_case():
     inst = grid_instance(50)
     return inst, extend(inst, schedule_for_instance(inst, 1.0)), 2.0
