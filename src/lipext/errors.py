@@ -39,9 +39,9 @@ class ParameterError(LipextError):
 class ScheduleTooShallow(LipextError):
     """The stored scale range cannot serve a request.
 
-    ``required_span_low``/``required_span_high`` say how far the schedule
-    must be rebuilt; ``0.0`` for ``required_span_low`` means the request
-    cannot be met in binary64 at all (underflow).
+    ``required_span_high`` says how high the schedule must be rebuilt.
+    ``required_span_low`` is ``0.0`` when the request cannot be met in
+    binary64 at all (underflow), and ``None`` when a stored range ran out.
     """
 
     def __init__(

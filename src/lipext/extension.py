@@ -29,7 +29,10 @@ import numpy as np
 from .errors import ParameterError, ScheduleTooShallow, as_float, positive_real, shown
 from .metric import (MetricInstance, _first_non_integer, _index_list, _row_blocks, _upper_blocks,
                      ball_lips)
-from .schedule import ScaleSchedule, build_schedule, locality_radius
+from .schedule import SPAN_UNDERFLOW, ScaleSchedule, build_schedule
+
+BANK_RULE = ("profiles must be a non-empty bank of finite rows "
+             "over increasing positive breakpoints")
 
 
 @dataclass
@@ -195,6 +198,8 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
         raise ParameterError("a schedule is required when Lip(g, C) > 0")
     if profiles is None:
         profiles = build_profiles(instance, schedule)
+    if len(profiles.anchors) == 0:
+        raise ParameterError(BANK_RULE)
     values = np.empty(len(queries))
     anchors = np.empty(len(queries), dtype=np.intp)
     localization = ["full"] * len(queries)
@@ -314,10 +319,10 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
     ``span_high`` is twice the diameter of subset-union-queries; ``span_low``
     is one sixty-fourth of the smallest positive pair distance; ``anchor``
     defaults to the diameter.  With ``locality=(r_bar, xi)`` the smallest
-    scale of interest is at most ``r_bar``, and a build too shallow for
-    :func:`locality_radius` is rebuilt once at the reported depth, whose sweep
-    reproduces the virtual scales; underflow, of ``span_low`` included, raises
-    :class:`ScheduleTooShallow` with ``required_span_low`` 0.0.
+    scale of interest is at most ``r_bar``, and :func:`build_schedule`'s one
+    sweep descends on to the depth :func:`locality_radius` needs; underflow,
+    of ``span_low`` included, raises :class:`ScheduleTooShallow` with
+    ``required_span_low`` 0.0.
     """
     if locality is not None:
         r_bar, xi = locality
@@ -329,16 +334,5 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
     anchor = dmax if anchor is None else anchor
     span_low = (dmin if locality is None else min(dmin, r_bar)) / 64.0
     if span_low == 0.0:     # a positive scale so small that over 64 it underflows
-        raise ScheduleTooShallow("extend schedule: required scales underflow binary64",
-                                 required_span_low=0.0)
-    sch = build_schedule(instance.lipschitz_L, epsilon, anchor, span_low, 2.0 * dmax)
-    if locality is not None:
-        try:
-            locality_radius(sch, r_bar, xi, instance.lipschitz_L)
-        except ScheduleTooShallow as exc:
-            if not exc.required_span_low or exc.required_span_low <= 0.0:
-                raise
-            sch = build_schedule(instance.lipschitz_L, epsilon, anchor,
-                                 min(dmin, exc.required_span_low) / 64.0, 2.0 * dmax)
-            locality_radius(sch, r_bar, xi, instance.lipschitz_L)
-    return sch
+        raise ScheduleTooShallow(SPAN_UNDERFLOW, required_span_low=0.0)
+    return build_schedule(instance.lipschitz_L, epsilon, anchor, span_low, 2.0 * dmax, locality)

@@ -31,6 +31,8 @@ EXTRA_DEPTH = 6
 TAIL_REL = 1e-12
 _UNDERFLOW = 1e-300
 _MAX_STEPS = 6000
+SPAN_UNDERFLOW = "extend schedule: required scales underflow binary64"
+_UNREACHABLE = "extend schedule: locality conditions unreachable in binary64"
 
 
 @dataclass
@@ -56,22 +58,6 @@ class ScaleSchedule:
                                  f"[{self.k_min}, {self.k_max}]")
         return float(self.eps[k - self.k_min])
 
-    def virtual_ratio(self, k: int) -> float:
-        """Ratio the generation law would assign at any index (0.0 on underflow)."""
-        return math.ldexp(self.r_star, min(k, 0))
-
-    def virtual_eps(self, k: int) -> float:
-        """Scale the generation law would produce at any index up to ``k_max``
-        (0.0 on underflow); above it, raises like :meth:`eps_at`."""
-        if k >= self.k_min:
-            return self.eps_at(k)
-        e = self.eps_at(self.k_min)
-        for j in range(self.k_min, k, -1):
-            e = self.virtual_ratio(j) * e
-            if e < _UNDERFLOW:
-                return 0.0
-        return e
-
     @property
     def schedule_id(self) -> str:
         return (f"L={self.L_eff!r};eps={self.eps_eff!r};anchor={self.anchor!r};"
@@ -84,7 +70,8 @@ class ScaleSchedule:
 
 
 def build_schedule(L: float, epsilon: float, anchor: float,
-                   span_low: float, span_high: float) -> ScaleSchedule:
+                   span_low: float, span_high: float,
+                   locality: tuple[float, float] | None = None) -> ScaleSchedule:
     """Build the truncated scale sequence covering ``[span_low, span_high]``.
 
     ``anchor`` is the scale at the reference index 0 (defaults used by
@@ -93,13 +80,23 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     the instance diameter.  The effective tolerance is ``min(epsilon, L)``: an
     extension within that budget is a fortiori within the requested one.
 
+    With ``locality=(r_bar, xi)`` the sweep also finds ``k_loc``, the first k
+    with ``eps_{k+3} < r_bar`` and ``3 L r_{k+1} < xi``.  If the ``span_low``
+    stop comes before ``eps_{k_loc-2}``, the depth :func:`locality_radius` needs,
+    the sweep goes on to it and then stops as if ``span_low`` were ``eps_{k_loc-2} / 64``.
+
     Raises :class:`ParameterError` for invalid parameters, and when ``L == 0``
-    (callers must take the constant shortcut).
+    (callers must take the constant shortcut); :class:`ScheduleTooShallow`
+    with ``required_span_low`` 0.0 when a needed scale underflows binary64.
     """
     for name, v in (("L", L), ("epsilon", epsilon), ("anchor", anchor),
                     ("span_low", span_low), ("span_high", span_high)):
         if not (is_real(v) and math.isfinite(as_float(v))):
             raise ParameterError(f"{name} must be a finite real, got {shown(v)}")
+    if locality is not None:
+        r_bar, xi = locality
+        positive_real("r_bar", r_bar)
+        positive_real("xi", xi)
     # Python floats from here on: a numpy float32 would round the arithmetic below.
     L, epsilon, anchor = float(L), float(epsilon), float(anchor)
     span_low, span_high = float(span_low), float(span_high)
@@ -134,20 +131,26 @@ def build_schedule(L: float, epsilon: float, anchor: float,
     ratios_desc: list[float] = []
     k = k_max
     low_idx: int | None = None
+    k_loc, past_stop = None, False      # past_stop: below the span_low stop, above eps_{k_loc-2}
     while True:
         cur = eps_desc[-1]
+        if (locality is not None and k_loc is None and cur < r_bar
+                and 3.0 * L * math.ldexp(r_star, min(k - 2, 0)) < xi):
+            k_loc = k - 3
+        if past_stop and k_loc == k + 2:    # from here, stop as if span_low were cur / 64
+            span_low, low_idx, past_stop = cur / 64.0, None, False
         if low_idx is None and cur <= span_low:
             low_idx = k
-        deep_enough = (low_idx is not None and k <= low_idx - EXTRA_DEPTH
-                       and cur * (L + eps_eff) <= tail_cap)
-        if deep_enough:
-            break
+        if (low_idx is not None and k <= low_idx - EXTRA_DEPTH
+                and cur * (L + eps_eff) <= tail_cap):
+            if locality is None or (k_loc is not None and k <= k_loc - 2):
+                break
+            past_stop = True
         r_k = math.ldexp(r_star, min(k, 0))
         nxt = r_k * cur
         if nxt < _UNDERFLOW or r_k < _UNDERFLOW:
-            raise ScheduleTooShallow(
-                "extend schedule: required scales underflow binary64",
-                required_span_low=0.0)
+            raise ScheduleTooShallow(_UNREACHABLE if past_stop else SPAN_UNDERFLOW,
+                                     required_span_low=0.0)
         ratios_desc.append(r_k)
         eps_desc.append(nxt)
         k -= 1
@@ -168,33 +171,16 @@ def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,
 
     Returns ``(k, eps_{k-2})``: the radius at which the extension's local
     constant is bounded by the subset's constant at ``r_bar`` plus ``xi``.
-    Raises :class:`ScheduleTooShallow` with the required depth when the stored
-    range runs out before both conditions hold.
+    Raises :class:`ScheduleTooShallow` when the stored scales run out first: a
+    schedule built with ``locality=(r_bar, xi)`` holds the answer.
     """
     positive_real("r_bar", r_bar)
     positive_real("xi", xi)
     if not (L >= 0 and math.isfinite(as_float(L))):
         raise ParameterError("L must be a nonnegative finite real")
-
-    # One descent by the generation law: the stored values where they exist
-    # (the stored ratios are virtual_ratio's expression), and below them the
-    # depth a rebuild must reach.
-    k = schedule.k_max - 3
-    for _ in range(_MAX_STEPS):
-        if (schedule.virtual_eps(k + 3) < r_bar
-                and 3.0 * L * schedule.virtual_ratio(k + 1) < xi):
-            if k - 2 >= schedule.k_min:
-                return k, schedule.eps_at(k - 2)
-            required = schedule.virtual_eps(k - 2)
-            if required > 0.0:
-                raise ScheduleTooShallow(
-                    f"extend schedule: locality conditions first hold at k={k}, "
-                    f"needs scales down to {required!r}",
-                    required_span_low=required)
-            break
-        if schedule.virtual_eps(k - 2) <= 0.0:
-            break
-        k -= 1
-    raise ScheduleTooShallow(
-        "extend schedule: locality conditions unreachable in binary64",
-        required_span_low=0.0)
+    for k in range(schedule.k_max - 3, schedule.k_min + 1, -1):
+        if (schedule.eps_at(k + 3) < r_bar
+                and 3.0 * L * math.ldexp(schedule.r_star, min(k + 1, 0)) < xi):
+            return k, schedule.eps_at(k - 2)
+    raise ScheduleTooShallow("extend schedule: locality conditions hold at no stored scale; "
+                             "build it with locality=(r_bar, xi)")

@@ -26,7 +26,7 @@ from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_memb
                      _first_non_integer, _index_list, _pair_blocks, _ratio, _row_blocks,
                      _steepest_pair, ball_lips)
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (ExtensionField, ProfileBank, _argmin_lowest, _family,
+from .extension import (BANK_RULE, ExtensionField, ProfileBank, _argmin_lowest, _family,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
                         mcshane_lower_many, schedule_for_instance)
 
@@ -322,8 +322,7 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     if not (rows and np.shape(profiles.slopes) == np.shape(cum) == (rows, len(bp) + 1)
             and np.isfinite(profiles.slopes).all() and np.isfinite(cum).all()
             and np.isfinite(bp).all() and np.all(np.diff(bp, prepend=0.0) > 0)):
-        raise ParameterError("profiles must be a non-empty bank of finite rows "
-                             "over increasing positive breakpoints")
+        raise ParameterError(BANK_RULE)
     slack = INEQ_RTOL * max(1.0, budget)
     g, diam, limit = instance.g_at(profiles.anchors), instance.diameter(), budget + slack
     if instance.coords is None:     # the validator's slack and the rounding of its sum

@@ -13,7 +13,7 @@ from lipext import (ParameterError, ProfileBank, ScheduleTooShallow, build_profi
                     validate_instance)
 from lipext import metric
 from lipext.errors import positive_real
-from lipext.extension import _bank, evaluation_diameters
+from lipext.extension import BANK_RULE, _bank, evaluation_diameters
 from lipext.verification import check_localization
 
 from conftest import (bank_rows, dense, eval_pen, grid_instance, hand_bank, oracle_extend,
@@ -267,23 +267,23 @@ def _bits(schedule):
             for k, v in vars(schedule).items()}
 
 
-def test_schedule_for_instance_rebuilds_once_at_the_locality_depth():
+def test_schedule_for_instance_equals_the_build_and_rebuild():
     # At r_bar 0.5 and xi 0.01 the build at min(dmin, r_bar) / 64 stops above the
-    # scales the locality conditions need; the one rebuild starts from their depth.
+    # scales the locality conditions need.  The one sweep descends on to them: it
+    # has the bits of a second build from their depth, read off a deep schedule.
     raw = json.loads((Path(__file__).parent / "golden" / "cloud.json").read_text())
     inst = validate_instance(raw)
     L = inst.lipschitz_L
     dmin, dmax = evaluation_diameters(inst)
     first = build_schedule(L, 0.5, dmax, min(dmin, 0.5) / 64.0, 2.0 * dmax)
-    with pytest.raises(ScheduleTooShallow) as shallow:
+    with pytest.raises(ScheduleTooShallow, match="^extend schedule: "):
         locality_radius(first, 0.5, 0.01, L)
-    required = shallow.value.required_span_low
+    k, required = locality_radius(build_schedule(L, 0.5, dmax, 1e-200, 2.0 * dmax), 0.5, 0.01, L)
     assert 0.0 < required < dmin
     got = schedule_for_instance(inst, 0.5, locality=(0.5, 0.01))
     want = build_schedule(L, 0.5, dmax, min(dmin, required) / 64.0, 2.0 * dmax)
     assert _bits(got) == _bits(want)
-    k, r = locality_radius(got, 0.5, 0.01, L)
-    assert got.k_min <= k - 2 and r == got.eps_at(k - 2) == required
+    assert locality_radius(got, 0.5, 0.01, L) == (k, required)
     # Constant data needs no schedule, and locality is checked all the same.
     flat = instance_from_arrays(coords=[[0.0], [0.3], [1.0]], subset=[0, 1, 2],
                                 values=[2.0, 2.0, 2.0], lipschitz=1.0)
@@ -560,6 +560,23 @@ def test_a_sub_bank_is_the_infimum_over_its_own_anchors():
     assert {rec["xbar"] for rec in loc.localization if rec != "full"} <= set(sub.anchors.tolist())
     assert check_step2(inst, sub, sch).status == "pass"
     assert check_localization(inst, field, sub).status == "pass"
+
+
+def test_an_empty_bank_is_a_parameter_error():
+    inst = random_instance(4)
+    sch = schedule_for_instance(inst, 0.5)
+    empty = bank_rows(build_profiles(inst, sch), [])
+    field = extend(inst, sch)
+    message = f"^{BANK_RULE}$"
+    with pytest.raises(ParameterError, match=message):
+        extend(inst, sch, profiles=empty)
+    with pytest.raises(ParameterError, match=message):
+        extend_localized(inst, sch, field.queries, profiles=empty)
+    with pytest.raises(ParameterError, match=message):
+        check_localization(inst, field, empty)
+    with pytest.raises(ParameterError, match=message):
+        check_inf_family(inst, empty, field.queries, inst.lipschitz_L + 0.5)
+    assert check_step2(inst, empty, sch).status == "skipped"
 
 
 # --- query blocks ------------------------------------------------------------

@@ -1,12 +1,16 @@
 import itertools
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lipext import ParameterError, ScheduleTooShallow, build_schedule, locality_radius
+from lipext import (ParameterError, ScheduleTooShallow, build_schedule, locality_radius,
+                    schedule_for_instance, validate_instance)
+from lipext.extension import evaluation_diameters
 
 
 def canonical():
@@ -76,6 +80,9 @@ def test_canonical_unroll():
     assert sch.eps_at(-2) == ((1.0 / 6.0) / 2.0) * ((1.0 / 6.0) * 1.0)
     assert sch.eps_at(sch.k_max) >= 10.0
     assert sch.eps_at(sch.k_min) <= 1e-6
+    for k in (sch.k_min - 1, sch.k_max + 1):
+        with pytest.raises(ParameterError, match="^scale index"):
+            sch.eps_at(k)
 
 
 def test_ratio_bound_at_equal_budget():
@@ -141,6 +148,9 @@ def test_decay_toward_minus_infinity():
     sch = canonical()
     # smallest stored ratio follows the halving law below the reference index
     assert sch.ratio[0] == math.ldexp(sch.r_star, sch.k_min + 1)
+    # and a deeper build continues the same sweep by the same law
+    deeper = build_schedule(L=1.0, epsilon=1.0, anchor=1.0, span_low=1e-9, span_high=10.0)
+    assert deeper.eps_at(sch.k_min - 1) == math.ldexp(sch.r_star, sch.k_min) * sch.eps_at(sch.k_min)
 
 
 # --- locality_radius ---------------------------------------------------------
@@ -172,22 +182,22 @@ def test_locality_radius_huge_xi_reduces_to_radius_condition():
 
 def test_locality_radius_extend_schedule_error():
     sch = canonical()
-    with pytest.raises(ScheduleTooShallow) as exc:
-        locality_radius(sch, sch.eps_at(sch.k_min + 2), 1.0, L=1.0)
-    assert "extend schedule" in str(exc.value)
-    assert exc.value.required_span_low is not None
-    # rebuilding at the reported depth makes the request serviceable
-    required = exc.value.required_span_low
-    if required > 0:
-        deeper = build_schedule(1.0, 1.0, 1.0, required / 64.0, 10.0)
-        locality_radius(deeper, sch.eps_at(sch.k_min + 2), 1.0, L=1.0)
+    r_bar = sch.eps_at(sch.k_min + 2)
+    with pytest.raises(ScheduleTooShallow, match="^extend schedule: ") as exc:
+        locality_radius(sch, r_bar, 1.0, L=1.0)
+    assert exc.value.required_span_low is None
+    # the same build given the request reaches the depth it needs
+    deeper = build_schedule(1.0, 1.0, 1.0, 1e-6, 10.0, locality=(r_bar, 1.0))
+    k, r = locality_radius(deeper, r_bar, 1.0, L=1.0)
+    assert deeper.k_min <= k - 2 < sch.k_min and r == deeper.eps_at(k - 2)
 
 
 def test_locality_radius_against_a_deep_schedule():
     # The same schedule built down to 1e-200 holds the same bits at every
     # shared index.  Its first k, descending, with eps_{k+3} < r_bar and
     # 3 L r_{k+1} < xi is the answer when eps_{k-2} is stored in the shallow
-    # schedule, and otherwise eps_{k-2} is the depth the error asks for.
+    # schedule; otherwise the shallow one raises, and the build given the
+    # request descends on to eps_{k-2}.
     outcomes = []
     for L, eps, span_low in itertools.product([0.5, 1.0, 8.0], [1e-3, 0.1, 1.0], [1e-6, 1e-2]):
         sch = build_schedule(L, eps, 1.0, span_low, 4.0)
@@ -201,10 +211,15 @@ def test_locality_radius_against_a_deep_schedule():
             outcomes.append(k - 2 >= sch.k_min)
             if outcomes[-1]:
                 assert locality_radius(sch, r_bar, xi, L) == (k, sch.eps_at(k - 2))
-                continue
-            with pytest.raises(ScheduleTooShallow, match="first hold at k=") as exc:
-                locality_radius(sch, r_bar, xi, L)
-            assert exc.value.required_span_low == deep.eps_at(k - 2)
+            else:
+                with pytest.raises(ScheduleTooShallow, match="^extend schedule: ") as exc:
+                    locality_radius(sch, r_bar, xi, L)
+                assert exc.value.required_span_low is None
+            got = build_schedule(L, eps, 1.0, span_low, 4.0, locality=(r_bar, xi))
+            assert (got.k_min == sch.k_min) == outcomes[-1] and got.k_min >= deep.k_min
+            assert locality_radius(got, r_bar, xi, L) == (k, deep.eps_at(k - 2))
+            assert np.array_equal(deep.eps[got.k_min - deep.k_min:], got.eps)
+            assert np.array_equal(deep.ratio[got.k_min - deep.k_min:], got.ratio)
     assert len(outcomes) == 162 and outcomes.count(False) == 33   # both paths taken
 
 
@@ -223,17 +238,76 @@ def test_locality_radius_rejects_non_finite_xi(xi):
         locality_radius(canonical(), 0.5, xi, 1.0)
 
 
-# --- virtual extension and serialization -------------------------------------
+# --- one sweep against the build-and-rebuild it replaces ---------------------
 
 
-def test_virtual_eps_agrees_with_generation_law():
-    sch = canonical()
-    below = sch.virtual_eps(sch.k_min - 1)
-    assert below == math.ldexp(sch.r_star, sch.k_min) * sch.eps_at(sch.k_min)
-    assert sch.virtual_eps(0) == sch.eps_at(0)
-    # Above the stored range only build_profiles needs a scale, and computes it.
-    with pytest.raises(ParameterError, match="^scale index"):
-        sch.virtual_eps(sch.k_max + 1)
+def _build_and_rebuild(L, epsilon, anchor, span_low, span_high, r_bar, xi):
+    """The two-build reference: build at ``span_low``, find the locality depth by
+    the generation law below the stored scales, and rebuild once from it."""
+    sch = build_schedule(L, epsilon, anchor, span_low, span_high)
+    eps = {sch.k_min + i: float(e) for i, e in enumerate(sch.eps)}
+    k = sch.k_max - 3
+    while True:
+        while k - 2 not in eps:     # the law continued below k_min
+            j = min(eps)
+            eps[j - 1] = math.ldexp(sch.r_star, min(j, 0)) * eps[j]
+            if eps[j - 1] < 1e-300:
+                raise ScheduleTooShallow(
+                    "extend schedule: locality conditions unreachable in binary64",
+                    required_span_low=0.0)
+        if eps[k + 3] < r_bar and 3.0 * L * math.ldexp(sch.r_star, min(k + 1, 0)) < xi:
+            break
+        k -= 1
+    if k - 2 >= sch.k_min:
+        return sch
+    return build_schedule(L, epsilon, anchor, eps[k - 2] / 64.0, span_high)
+
+
+def _outcome(build):
+    """The schedule ``build()`` returns, as bits, or its error's type, message and depth."""
+    try:
+        sch = build()
+    except (ParameterError, ScheduleTooShallow) as exc:
+        return type(exc), str(exc), getattr(exc, "required_span_low", None)
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(sch).items()}
+
+
+def _ten(e):
+    """10**e, clamped to the positive binary64 range (5e-324 to 1.6e308)."""
+    return 10.0 ** min(max(e, -323.3), 308.2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-310, 310), st.floats(-40, 5), st.floats(-310, 310), st.floats(-3, 40),
+       st.floats(-60, 1), st.floats(-80, 2), st.floats(-20, 2))
+# A rebuild at index 0 with r_star in (1/64, 1/32]: only eps_0 / 64 gives the reference's k_min.
+@example(0.0, -1.15, -20.0, 20.6, 15.0, 8.5, -1.0)
+def test_one_sweep_equals_build_and_rebuild(a, eps_rel, c, high_rel, low_rel, rbar_rel, xi_rel):
+    # Exponents of ten: epsilon and xi relative to L, the scales relative to the anchor.
+    args = (_ten(a), _ten(a + eps_rel), _ten(c), _ten(c + low_rel), _ten(c + high_rel),
+            _ten(c + rbar_rel), _ten(a + xi_rel))
+    assert (_outcome(lambda: build_schedule(*args[:5], locality=args[5:]))
+            == _outcome(lambda: _build_and_rebuild(*args)))
+
+
+@pytest.mark.parametrize("name, epsilon, r_bar, xi", [
+    ("cloud", 0.5, 0.5, 0.01),      # the verify flags with --xi 0.01
+    ("grid", None, 0.05, 0.05),     # energy --radii 0.05,0.2,0.5 at its default xi
+])
+def test_golden_schedules_equal_build_and_rebuild(name, epsilon, r_bar, xi):
+    raw = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    inst = validate_instance(raw)
+    L = inst.lipschitz_L
+    epsilon = L if epsilon is None else epsilon
+    dmin, dmax = evaluation_diameters(inst)
+    args = (L, epsilon, dmax, min(dmin, r_bar) / 64.0, 2.0 * dmax, r_bar, xi)
+    got = _outcome(lambda: schedule_for_instance(inst, epsilon, locality=(r_bar, xi)))
+    assert got == _outcome(lambda: _build_and_rebuild(*args))
+    # and the first build alone is too shallow: these are rebuild cases
+    assert got["k_min"] < build_schedule(*args[:5]).k_min
+
+
+# --- serialization -------------------------------------------------------------
 
 
 def test_triples_roundtrip():
