@@ -169,11 +169,11 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     m_i (Lip(g, .) + xi)^p``.  ``epsilon`` defaults to the instance constant.
     """
     radii_bar = _positive_radii(radii_bar)
-    positive_real("xi", xi)
+    xi = positive_real("xi", xi)
     L = instance.lipschitz_L
     if epsilon is None:
         epsilon = L if L > 0 else 1.0
-    positive_real("epsilon", epsilon)
+    epsilon = positive_real("epsilon", epsilon)
     allpts = np.arange(instance.n, dtype=np.intp)
 
     schedule = schedule_for_instance(instance, epsilon, allpts,
@@ -211,5 +211,5 @@ def check_extension_energy(instance: MetricInstance, measure: MeasureData,
     check = CheckResult("extension_energy", status, measured=worst_gap,
                         allowed=slack, tolerance=slack, witness=worst_wit,
                         note="integrand-level verification")
-    return check, {"xi": float(xi), "epsilon": float(epsilon),
+    return check, {"xi": xi, "epsilon": epsilon,
                    "p": measure.p, "rows": rows}

@@ -69,10 +69,12 @@ def as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def positive_real(name: str, value) -> None:
-    """Raise unless ``value`` is a positive finite real; bools and non-numbers included."""
+def positive_real(name: str, value) -> float:
+    """``float(value)``; raises unless ``value`` is a positive finite real, so for bools
+    and non-numbers.  Callers keep the result: a numpy float32 would compare in float32."""
     if not (is_real(value) and value > 0 and math.isfinite(as_float(value))):
         raise ParameterError(f"{name} must be a positive finite real")
+    return float(value)
 
 
 def shown(value, convert=repr) -> str:

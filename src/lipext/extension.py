@@ -140,7 +140,8 @@ def _argmin_lowest(phi: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np
 def _cones(instance: MetricInstance, l_prime: float, queries, sign: float, best) -> np.ndarray:
     """``best`` (``np.min`` or ``np.max``) over the subset of ``g(x) + sign l' d(x, y)`` per
     query ``y``, in query blocks; ``g + (-l') d`` has the bits of ``g - l' d``."""
-    if not (math.isfinite(as_float(l_prime)) and l_prime >= instance.lipschitz_computed):
+    lp = as_float(l_prime)
+    if not (math.isfinite(lp) and lp >= instance.lipschitz_computed):
         raise ParameterError(
             f"envelope constant {shown(l_prime, str)} below Lip(g, C) = "
             f"{instance.lipschitz_computed}: result would not extend g")
@@ -150,7 +151,7 @@ def _cones(instance: MetricInstance, l_prime: float, queries, sign: float, best)
     with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
         for s in _row_blocks(len(queries), len(instance.subset)):
             d = instance.distances(instance.subset, queries[s])
-            best(instance.values[:, None] + (sign * l_prime) * d, axis=0, out=out[s])
+            best(instance.values[:, None] + (sign * lp) * d, axis=0, out=out[s])
     return out
 
 
@@ -265,7 +266,7 @@ def truncate_bounded(field: ExtensionField, bound: float) -> ExtensionField:
     ``bound`` must dominate sup |g| so the restriction to the subset is
     untouched.  Anchor provenance refers to the pre-clamp minimum.
     """
-    positive_real("bound", bound)
+    bound = positive_real("bound", bound)
     if bound < field.g_abs_max:
         raise ParameterError(
             f"bound {bound} below sup |g| = {field.g_abs_max}: "
@@ -282,7 +283,7 @@ def cutoff_support(field: ExtensionField, instance: MetricInstance,
     field must have been built with budget L + eps/2 for the product to stay
     within L + eps.  M = 0 returns the field unchanged.
     """
-    positive_real("epsilon", epsilon)
+    epsilon = positive_real("epsilon", epsilon)
     m_sup = max(float(np.max(np.abs(field.values))), field.g_abs_max)
     if m_sup == 0.0:
         return field
@@ -325,9 +326,8 @@ def schedule_for_instance(instance: MetricInstance, epsilon: float,
     ``required_span_low`` 0.0.
     """
     if locality is not None:
-        r_bar, xi = locality
-        positive_real("r_bar", r_bar)
-        positive_real("xi", xi)
+        r_bar, xi = positive_real("r_bar", locality[0]), positive_real("xi", locality[1])
+        locality = (r_bar, xi)
     if instance.lipschitz_computed == 0.0:
         return None
     dmin, dmax = evaluation_diameters(instance, queries)

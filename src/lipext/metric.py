@@ -482,21 +482,17 @@ def _steepest_pair(instance: MetricInstance, points: np.ndarray, values: np.ndar
 def _top_pairs(instance: MetricInstance, members, values):
     """Pairs ``i < j`` of the ``_TOP_K`` largest positive ratios, in descending order.
 
-    Returns ``(i, j, ratio, complete)``, ``complete`` when no positive pair is
-    left out.  One running selection over :func:`_pair_blocks`: the pairs of a
-    block above the smallest kept ratio (above 0 until K are kept) join the
-    kept ones, and the K largest of those stay.  Every pair left out is
-    therefore at most the smallest pair kept, whichever of the ties at the
-    K-th value are kept; fewer than K are kept only when fewer are positive.
+    Returns ``(i, j, ratio)``.  One running selection over :func:`_pair_blocks`:
+    the pairs of a block above the smallest kept ratio (above 0 until K are
+    kept) join the kept ones, and the K largest of those stay.  Every pair
+    left out is therefore at most the smallest pair kept, whichever of the
+    ties at the K-th value are kept; fewer than K are kept only when fewer are
+    positive, and then no positive pair is left out.
     """
     kept_r, kept_i, kept_j = np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp)
-    floor, positive = 0.0, 0
+    floor = 0.0
     for a, _, ratios in _pair_blocks(instance, members, values):
-        np.copyto(ratios, 0.0, where=~_strict_upper(ratios))
-        positive += np.count_nonzero(ratios)
-        r, c = np.nonzero(ratios > floor)
-        if len(r) == 0:
-            continue
+        r, c = np.nonzero((ratios > floor) & _strict_upper(ratios))
         kept_r = np.concatenate([kept_r, ratios[r, c]])
         kept_i = np.concatenate([kept_i, r + a])
         kept_j = np.concatenate([kept_j, c + a])
@@ -506,7 +502,7 @@ def _top_pairs(instance: MetricInstance, members, values):
         if len(kept_r) == _TOP_K:
             floor = kept_r.min()
     order = np.argsort(-kept_r, kind="stable")
-    return kept_i[order], kept_j[order], kept_r[order], positive <= _TOP_K
+    return kept_i[order], kept_j[order], kept_r[order]
 
 
 def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.ndarray:
@@ -520,12 +516,12 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     ball's answer is the first pair whose farther end lies inside it.  That
     pair is a certificate: every pair left out is at most the smallest pair
     kept, so the answer is the same computed float as a scan of every pair in
-    the ball.  A ball that holds no kept pair is 0 when every positive ratio
-    was kept.  Otherwise the unresolved radii of that center recurse on its
+    the ball.  A ball that holds no kept pair is 0 when fewer than K pairs
+    were kept.  Otherwise the unresolved radii of that center recurse on its
     row: the members left are those of the largest unresolved ball, whose
     steepest pair is kept there, so each level settles at least that radius.
-    No |members| x |members| array is built: the walk reads :func:`_row_blocks`
-    of centers against the K kept pairs.
+    No |members| x |members| array is built, nor a copy of ``d(centers, members)``:
+    the walk reads its columns at the K kept pairs, in :func:`_row_blocks` of centers.
 
     ``members`` must be distinct and ``values`` finite; ``centers`` are any point
     indices and ``radii`` any nonnegative reals, in any order and with repeats.
@@ -545,8 +541,8 @@ def _ball_lips(instance: MetricInstance, members, values, d_rows, radii) -> np.n
     out = np.zeros((len(d_rows), len(radii)))
     if len(reach) <= 1:
         return out
-    d_rows, members, values = d_rows[:, reach], members[reach], values[reach]
-    first, second, top, complete = _top_pairs(instance, members, values)
+    first, second, top = _top_pairs(instance, members[reach], values[reach])
+    first, second = reach[first], reach[second]     # columns of d_rows
     for s in _row_blocks(len(d_rows), len(top)):
         # Minus the running minimum of the far ends: non-decreasing along a row,
         # and pair k lies in the r-ball once this is above -r.
@@ -558,7 +554,7 @@ def _ball_lips(instance: MetricInstance, members, values, d_rows, radii) -> np.n
             hit = np.searchsorted(lead_row, -radii, side="right")
             found = hit < len(top)
             out[row, found] = top[hit[found]]
-            if not complete and not np.all(found):
+            if len(top) == _TOP_K and not np.all(found):
                 out[row, ~found] = _ball_lips(instance, members, values,
                                               d_rows[row:row + 1], radii[~found])[0]
     return out

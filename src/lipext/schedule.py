@@ -94,9 +94,7 @@ def build_schedule(L: float, epsilon: float, anchor: float,
         if not (is_real(v) and math.isfinite(as_float(v))):
             raise ParameterError(f"{name} must be a finite real, got {shown(v)}")
     if locality is not None:
-        r_bar, xi = locality
-        positive_real("r_bar", r_bar)
-        positive_real("xi", xi)
+        r_bar, xi = positive_real("r_bar", locality[0]), positive_real("xi", locality[1])
     # Python floats from here on: a numpy float32 would round the arithmetic below.
     L, epsilon, anchor = float(L), float(epsilon), float(anchor)
     span_low, span_high = float(span_low), float(span_high)
@@ -174,10 +172,10 @@ def locality_radius(schedule: ScaleSchedule, r_bar: float, xi: float,
     Raises :class:`ScheduleTooShallow` when the stored scales run out first: a
     schedule built with ``locality=(r_bar, xi)`` holds the answer.
     """
-    positive_real("r_bar", r_bar)
-    positive_real("xi", xi)
+    r_bar, xi = positive_real("r_bar", r_bar), positive_real("xi", xi)
     if not (L >= 0 and math.isfinite(as_float(L))):
         raise ParameterError("L must be a nonnegative finite real")
+    L = float(L)
     for k in range(schedule.k_max - 3, schedule.k_min + 1, -1):
         if (schedule.eps_at(k + 3) < r_bar
                 and 3.0 * L * math.ldexp(schedule.r_star, min(k + 1, 0)) < xi):

@@ -463,7 +463,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     every point, and runs each check; the cone-versus-penalized profile
     comparison is attached as an informational fragment.
     """
-    positive_real("epsilon", epsilon)
+    epsilon = positive_real("epsilon", epsilon)
     if _first_non_integer([seed]) is not None or seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     queries = np.arange(instance.n, dtype=np.intp)
@@ -471,7 +471,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
     mcshane_radii = sorted(set(qs))
     r_bar = qs[0] if r_bar is None else r_bar
     schedule = schedule_for_instance(instance, epsilon, queries, locality=(r_bar, xi))
-    params = {"epsilon": float(epsilon), "xi": float(xi), "r_bar": float(r_bar),
+    params = {"epsilon": epsilon, "xi": float(xi), "r_bar": float(r_bar),
               "seed": int(seed)}
 
     L, triples = instance.lipschitz_L, None
@@ -493,7 +493,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
         field = extend(instance, schedule, queries, profiles=profiles)
         budget, triples = L + schedule.eps_eff, schedule.to_triples()
         checks = [
-            check_schedule_laws(schedule, float(epsilon)),
+            check_schedule_laws(schedule, epsilon),
             check_profile_legality(profiles, schedule),
             check_restriction(field, instance),
             check_global_lipschitz(field, instance, budget, seed=seed),

@@ -176,7 +176,17 @@ def test_mcshane_envelope_constant_too_long_to_print(line3, many):
 def test_positive_real_takes_integers_beyond_float_range_as_non_finite(value):
     with pytest.raises(ParameterError, match="xi must be a positive finite real"):
         positive_real("xi", value)
-    assert positive_real("xi", 10 ** 300) is None
+    assert positive_real("xi", 10 ** 300) == 1e300
+
+
+@pytest.mark.parametrize("many", [mcshane_upper_many, mcshane_lower_many])
+def test_mcshane_envelope_constant_is_read_as_its_python_float(many):
+    """np.float32(1.0) is 1.0, below Lip(g, C) = 1.00000001, which float32 rounds to 1.0."""
+    inst = instance_from_arrays(coords=[[0.0], [1.0], [2.0]], subset=[0, 1],
+                                values=[0.0, 1.00000001])
+    for l_prime in (1.0, np.float32(1.0)):
+        with pytest.raises(ParameterError, match=r"^envelope constant 1\.0 below Lip"):
+            many(inst, l_prime, [0, 1, 2])
 
 
 @pytest.mark.parametrize("many", [mcshane_upper_many, mcshane_lower_many])
@@ -704,6 +714,17 @@ def test_truncate_bounded_noop_and_clamp():
     assert np.array_equal(clamped.values[onc], inst.values[pos[onc]])
     with pytest.raises(ParameterError):
         truncate_bounded(field, gmax / 2.0)
+
+
+def test_truncate_bounded_reads_a_numpy_bound_as_its_python_float():
+    """np.float32(1.0) is 1.0, below sup |g| = 1.00000001, which float32 rounds to 1.0:
+    read in float32 it would clamp g(0) to 1.0."""
+    inst = instance_from_arrays(coords=[[0.0], [1.0], [2.0]], subset=[0, 2],
+                                values=[1.00000001, 0.0])
+    field = extend(inst, schedule_for_instance(inst, 0.5), [0, 1, 2])
+    for bound in (1.0, np.float32(1.0)):
+        with pytest.raises(ParameterError, match=r"^bound 1\.0 below sup \|g\|"):
+            truncate_bounded(field, bound)
 
 
 def test_truncate_bounded_never_increases_pair_ratios():

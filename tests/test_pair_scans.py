@@ -19,6 +19,7 @@ data values and continuity jumps), each of which lifts one pair over the
 budget.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,31 @@ def test_ball_lips_reach_spans_every_center_and_radius():
     assert np.all(got[:, 2] > got[:, 0])
 
 
+def test_ball_lips_holds_one_distance_array():
+    """The one |centers| x |members| array is ``d(centers, members)``: the kept pairs
+    are read from its columns in place (a copy of the columns in reach traced 2.01x
+    |centers| n entries here), and every other buffer has a fixed size."""
+    n = 2000
+    rng = np.random.default_rng(21)
+    coords = rng.uniform(0.0, 1.0, (n, 3))
+    inst = instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 0.0])
+    members, vals = np.arange(n), np.sin(4.0 * coords[:, 0]) + coords[:, 2] ** 2
+    centers, radii = np.arange(1000), [0.3, 0.6, 2.0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = ball_lips(inst, members, vals, centers, radii)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    unit = len(centers) * n * 8
+    assert peak <= 1.5 * unit, f"traced peak {peak / unit:.2f} x |centers| n"
+    for c in (0, 517, 999):
+        d_row = inst.distances([c], members)[0]
+        assert got[c].tolist() == [lip_constant(inst, vals[d_row < r], members[d_row < r])
+                                   for r in radii]
+
+
 def _oracle_balls(inst, domain, vals, centers, radii):
     d_rows = inst.distances(centers, domain)
     return np.array([[oracle_lip(inst, vals[d_row < r], domain[d_row < r]) for r in radii]
@@ -250,8 +276,8 @@ def test_streamed_ties_at_the_kth_value_straddle_blocks(monkeypatch, rows):
         assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
     assert straddled >= 10
     # With K past the pair count every positive pair is kept, once and as i < j.
-    first, second, top, complete = metric._top_pairs(inst, domain, vals)
-    assert complete and np.all(first < second)
+    first, second, top = metric._top_pairs(inst, domain, vals)
+    assert len(top) < metric._TOP_K and np.all(first < second)
     assert np.array_equal(top, ranked[ranked > 0])
 
 
@@ -288,8 +314,8 @@ def test_top_k_ties_straddle_the_kth_value(monkeypatch):
         assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
     assert straddled >= 10
     # With K past the pair count every positive pair is kept, once and as i < j.
-    first, second, top, complete = metric._top_pairs(inst, domain, vals)
-    assert complete and np.all(first < second)
+    first, second, top = metric._top_pairs(inst, domain, vals)
+    assert len(top) < metric._TOP_K and np.all(first < second)
     assert np.array_equal(top, ranked[ranked > 0])
 
 

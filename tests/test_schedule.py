@@ -238,6 +238,20 @@ def test_locality_radius_rejects_non_finite_xi(xi):
         locality_radius(canonical(), 0.5, xi, 1.0)
 
 
+def test_locality_radius_reads_numpy_reals_as_python_floats():
+    """A float32 ``r_bar`` is compared as the Python float of the same value, not in
+    float32: there ``eps_{-3}`` would round to it and the search would stop at k = -7."""
+    sch = build_schedule(1.0, 1.0, 1.0, 1e-6, 10.0)
+    r_bar = np.float32(sch.eps_at(-3))
+    want = locality_radius(sch, float(r_bar), 1.0, 1.0)
+    assert want == (-6, sch.eps_at(-8))
+    assert locality_radius(sch, r_bar, np.float32(1.0), np.float32(1.0)) == want
+    got = build_schedule(1.0, 1.0, 1.0, 1e-6, 10.0, locality=(r_bar, np.float32(1.0)))
+    ref = build_schedule(1.0, 1.0, 1.0, 1e-6, 10.0, locality=(float(r_bar), 1.0))
+    assert got.to_triples() == ref.to_triples()
+    assert locality_radius(got, r_bar, 1.0, 1.0) == locality_radius(ref, float(r_bar), 1.0, 1.0)
+
+
 # --- one sweep against the build-and-rebuild it replaces ---------------------
 
 
