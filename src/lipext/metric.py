@@ -10,6 +10,7 @@ Euclidean instance holds no distance matrix, and computes each block it is asked
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Mapping
 
 import numpy as np
@@ -18,9 +19,9 @@ from .errors import InstanceValidationError, ParameterError, as_float, is_real
 
 # Relative slack for the triangle-inequality scan on explicit matrices.
 TRIANGLE_RTOL = 1e-9
-# Float64 entries of one block (512 kB): every scan that reads an array a block
-# of rows at a time (the Euclidean fill, the triangle certificate, the pair
-# scans, the quartile select, the extension's queries) takes _row_blocks of it.
+# Float64 entries of one block (512 kB): the scans that read an array a block
+# of rows at a time (the Euclidean fill, the pair scans, the quartile select, the
+# extension's queries) take _row_blocks of it, and a triangle-scan tile holds one.
 _BLOCK = 1 << 16
 # ball_lips answers a ball from the largest _TOP_K pair ratios when one of
 # them lies inside it (a certificate for the exact maximum).
@@ -171,10 +172,10 @@ def _check_matrix(d: np.ndarray) -> tuple[float, float]:
     ``d`` must be finite, with a zero diagonal, symmetric, nonnegative and
     positive off the diagonal.  Then an exact triangle-inequality scan: every
     ``d[i, k] <= d[i, j] + d[j, k] + tol`` with ``tol = TRIANGLE_RTOL * max(d)``.
-    It runs as a block certificate (see :func:`_triangle_violators`); only
-    when that finds a violation does the per-pivot scan run, over the rows
-    that take part in one, to name the witness: the smallest pivot ``j``, then
-    the first ``(i, k)`` in row-major order.
+    It runs as a certificate over tiles with the pivot innermost, which reads
+    ``d`` as symmetric (see :func:`_triangle_violators`); only when it finds a
+    violation does the per-pivot scan run, over the rows in one, to name the
+    witness: the smallest pivot ``j``, then the first ``(i, k)`` in row-major order.
     """
     n = d.shape[0]
     if not np.all(np.isfinite(d)):
@@ -218,26 +219,27 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
     """Increasing indices ``i`` with some ``d[i, k] > (d[i, j] + d[j, k]) + tol``
     in floating point; empty when the triangle inequality holds everywhere.
 
-    Exact, not sampled.  Row block ``[a, b)`` folds ``min_j d[a:b, j] + d[j, a:]``
-    into one buffer and adds ``tol`` once: ``x -> fl(x + tol)`` is monotone, so
-    the minimum commutes with it.  ``d`` is exactly symmetric and float
-    addition commutes, so ``(i, k)`` violates iff ``(k, i)`` does: the columns
-    ``k >= a`` of each block decide every pair, and the rows of a violation
-    are the flagged rows and the flagged columns of all blocks.
+    Exact, not sampled.  Tiles of ``max(1, isqrt(_BLOCK // n))`` rows ``[a, b)`` by
+    columns ``[c, e)``, ``c >= a``, sum ``d[i, j] + d[k, j]`` (``d`` is exactly
+    symmetric: the bits of ``d[i, j] + d[j, k]``) with the pivot ``j`` innermost,
+    and fold ``min_j`` into a row strip that adds ``tol`` once, as ``fl(x + tol)``
+    is monotone in ``x``.  ``(i, k)`` violates iff ``(k, i)`` does, so the columns
+    ``k >= a`` decide every pair, and the rows of a violation are the flagged
+    rows and the flagged columns of all strips.
     """
     n = d.shape[0]
-    best_buf, step_buf = np.empty(max(_BLOCK, n)), np.empty(max(_BLOCK, n))
-    flagged = np.zeros(n, dtype=bool)
-    for s in _row_blocks(n, n):
-        a, b = s.start, s.stop
-        best = best_buf[:(b - a) * (n - a)].reshape(b - a, n - a)
-        step = step_buf[:best.size].reshape(best.shape)
-        np.add(d[a:b, 0, None], d[0, a:], out=best)
-        for j in range(1, n):
-            np.add(d[a:b, j, None], d[j, a:], out=step)
-            np.minimum(best, step, out=best)
-        best += tol
-        bad = d[a:b, a:] > best
+    side = min(n, max(1, isqrt(_BLOCK // n)))
+    tile_buf, strip_buf, flagged = np.empty(side * side * n), np.empty(side * n), np.zeros(n, bool)
+    for a in range(0, n, side):
+        b = min(a + side, n)
+        strip = strip_buf[:(b - a) * (n - a)].reshape(b - a, n - a)
+        for c in range(a, n, side):
+            e = min(c + side, n)
+            tile = tile_buf[:(b - a) * (e - c) * n].reshape(b - a, e - c, n)
+            np.add(d[a:b, None, :], d[None, c:e, :], out=tile)
+            np.minimum.reduce(tile, axis=2, out=strip[:, c - a:e - a])
+        strip += tol
+        bad = d[a:b, a:] > strip
         flagged[a:b] |= bad.any(axis=1)
         flagged[a:] |= bad.any(axis=0)
     return np.flatnonzero(flagged)
@@ -509,16 +511,16 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     """Entry ``[c, j]``: Lipschitz constant of ``values`` (aligned with ``members``)
     over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``.
 
-    Only members some ball can hold (``d < max(radii)`` from some center) take
-    part, in their given order; the balls are all 0 when at most one does.
+    Only members within ``max(radii)`` of a center with two or more there take
+    part, in their given order; a ball of at most one member is 0.
     :func:`_top_pairs` keeps the ``_TOP_K`` largest of their pair ratios,
     streamed in row blocks, and these are walked in descending order: a
     ball's answer is the first pair whose farther end lies inside it.  That
     pair is a certificate: every pair left out is at most the smallest pair
     kept, so the answer is the same computed float as a scan of every pair in
     the ball.  A ball that holds no kept pair is 0 when fewer than K pairs
-    were kept.  Otherwise the unresolved radii of that center recurse on its
-    row: the members left are those of the largest unresolved ball, whose
+    were kept, or when it has at most one member.  Otherwise the unresolved
+    radii recurse on its row: the members left are those of the largest, whose
     steepest pair is kept there, so each level settles at least that radius.
     No |members| x |members| array is built, nor a copy of ``d(centers, members)``:
     the walk reads its columns at the K kept pairs, in :func:`_row_blocks` of centers.
@@ -537,7 +539,8 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
 
 def _ball_lips(instance: MetricInstance, members, values, d_rows, radii) -> np.ndarray:
     """:func:`ball_lips` with ``d_rows = d(centers, members)`` given."""
-    reach = np.flatnonzero((d_rows < radii.max(initial=0.0)).any(axis=0))
+    inside = d_rows < radii.max(initial=0.0)    # a ball of at most one member is 0
+    reach = np.flatnonzero(inside[np.count_nonzero(inside, axis=1) > 1].any(axis=0))
     out = np.zeros((len(d_rows), len(radii)))
     if len(reach) <= 1:
         return out
@@ -554,9 +557,10 @@ def _ball_lips(instance: MetricInstance, members, values, d_rows, radii) -> np.n
             hit = np.searchsorted(lead_row, -radii, side="right")
             found = hit < len(top)
             out[row, found] = top[hit[found]]
-            if len(top) == _TOP_K and not np.all(found):
+            rest = radii[~found]    # recurse if the largest open ball holds two or more
+            if len(top) == _TOP_K and np.count_nonzero(d_rows[row] < rest.max(initial=0.0)) > 1:
                 out[row, ~found] = _ball_lips(instance, members, values,
-                                              d_rows[row:row + 1], radii[~found])[0]
+                                              d_rows[row:row + 1], rest)[0]
     return out
 
 

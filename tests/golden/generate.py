@@ -114,8 +114,8 @@ def clustered(seed: int) -> dict:
 def graph(seed: int, n: int = 160) -> dict:
     """Shortest-path metric of a weighted ring on n points plus 2n random chords.
 
-    n = 160 spans three row blocks of the triangle certificate.  |C| = 16,
-    with masses on the subset.
+    n = 160 spans 8 strips of side-20 tiles of the triangle certificate
+    (isqrt(2^16 // 160) = 20).  |C| = 16, with masses on the subset.
     """
     rng = np.random.default_rng(seed)
     chords = rng.integers(0, n, size=(2 * n, 2))

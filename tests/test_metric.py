@@ -1,4 +1,5 @@
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_triangle_violation_reports_triple():
     assert {err.witness["i"], err.witness["j"], err.witness["k"]} == {0, 1, 2}
 
 
-R = 64      # rows per block of the triangle certificate: _BLOCK is R * n
+R = 64      # tile side of the triangle certificate: _BLOCK is R * R * n
 
 
 def _triangle_oracle(d):
@@ -117,7 +118,7 @@ def _stretch(d, i, k):
 def _triangle_witness(d):
     tol = TRIANGLE_RTOL * float(d.max())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metric, "_BLOCK", R * len(d))
+        mp.setattr(metric, "_BLOCK", R * R * len(d))
         try:
             instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
         except InstanceValidationError as exc:
@@ -129,8 +130,8 @@ def _triangle_witness(d):
     return None
 
 
-# (n, pairs to stretch): a pair far apart (rows in different blocks once
-# n > R), a pair near the diagonal (inside the last block when n = 2R+5),
+# (n, pairs to stretch): a pair far apart (rows in different strips of tiles
+# once n > R), a pair near the diagonal (inside the last tile when n = 2R+5),
 # and both at once with different pivots.
 TRIANGLE_CASES = [(n, ()) for n in (1, 2, R - 1, R, R + 1, 2 * R + 5)] + [
     (n, pairs) for n in (R - 1, R, R + 1, 2 * R + 5)
@@ -155,7 +156,7 @@ def test_triangle_witness_matches_per_pivot_oracle(n, pairs):
 
 
 def test_triangle_witness_pivot_order_beats_row_order():
-    # Pair (1, n-2) sits in the first row block, pair (n-3, n-1) in the last;
+    # Pair (1, n-2) sits in the first strip of tiles, pair (n-3, n-1) in the last;
     # the witness follows the smaller pivot, wherever its rows are.
     n = 2 * R + 5
     for seed in range(20):
@@ -183,10 +184,10 @@ def test_triangle_violation_at_first_and_last_pivot(pivot):
 
 def test_triangle_witness_late_pivot_reads_only_violating_rows(monkeypatch):
     # Both planted pairs violate only at pivots late in the scan, in different
-    # row blocks; the certificate names exactly their rows, and the witness
+    # tiles; the certificate names exactly their rows, and the witness
     # scan over those rows finds the per-pivot oracle's witness.
     n = 4 * R + 7
-    monkeypatch.setattr(metric, "_BLOCK", R * n)
+    monkeypatch.setattr(metric, "_BLOCK", R * R * n)
     d = _plane_metric(n, seed=3)
     pairs = ((2, n - 9), (R + 1, 3 * R))
     late = (n - 3, n - 6)
@@ -224,6 +225,97 @@ def test_triangle_tolerance_edge():
     expected = {"i": 0, "j": 1, "k": 2, "d_ik": above, "bound": 2.0}
     assert _triangle_oracle(d) == expected
     assert _triangle_witness(d) == expected
+
+
+def _violating_rows(d, tol):
+    """Every ``i`` with some ``(i, k)`` violating at some pivot: the brute force."""
+    rows = set()
+    for j in range(len(d)):
+        bad = d > (d[:, j, None] + d[None, j, :]) + tol
+        rows.update(np.flatnonzero(bad.any(axis=1)).tolist())
+    return sorted(rows)
+
+
+def _ring_metric(n, seed):
+    """Shortest paths on a ring with edge weights in multiples of 1/8: exact sums,
+    and many tied distances and exactly tight triangles."""
+    s = np.concatenate([[0.0], np.cumsum(np.random.default_rng(seed).integers(1, 17, n) / 8.0)])
+    gap = np.abs(s[:n, None] - s[None, :n])
+    return np.minimum(gap, s[n] - gap)
+
+
+def _graph_metric(n, seed):
+    """Shortest paths of a ring plus chords, edge weights in multiples of 1/8."""
+    rng = np.random.default_rng(seed)
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for i, j in [(i, (i + 1) % n) for i in range(n)] + rng.integers(0, n, (n, 2)).tolist():
+        if i != j:
+            d[i, j] = d[j, i] = min(d[i, j], rng.integers(1, 17) / 8.0)
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
+def _plant(d, i, k, above):
+    """Set ``d[i, k]`` to ``fl(fl(d[i, j] + d[j, k]) + tol)`` at its shortest two-step
+    path (the largest value that passes), or to the float above it."""
+    tol = TRIANGLE_RTOL * float(d.max())
+    paths = d[i] + d[:, k]
+    paths[[i, k]] = np.inf
+    edge = paths.min() + tol
+    d[i, k] = d[k, i] = np.nextafter(edge, np.inf) if above else edge
+    assert d[i, k] < d.max()        # tol is unchanged
+
+
+def _tiling_cases():
+    for n in (37, 133):
+        for name, metric_of in (("plane", _plane_metric), ("ring", _ring_metric),
+                                ("graph", _graph_metric)):
+            d = metric_of(n, n)
+            yield f"{name}{n}", d, []
+            for above in (False, True):
+                # a far pair, a pair in the last diagonal tile, and the lower half
+                # of a diagonal tile at side 8 (rows 17 and 20 share the tile 16..23)
+                planted = d.copy()
+                for i, k in ((n - 2, 1), (n - 1, n - 3), (20, 17)):
+                    _plant(planted, i, k, above)
+                rows = sorted({n - 2, 1, n - 1, n - 3, 20, 17}) if above else []
+                yield f"{name}{n}-{'above' if above else 'edge'}", planted, rows
+
+
+TILING_CASES = list(_tiling_cases())
+
+
+@pytest.mark.parametrize("block", ["1", "n", "7n", "64n", "default"])
+@pytest.mark.parametrize("d,rows", [c[1:] for c in TILING_CASES], ids=[c[0] for c in TILING_CASES])
+def test_triangle_certificate_does_not_depend_on_the_tiling(monkeypatch, block, d, rows):
+    # Tiles of side 1, 1, 2, 8 and isqrt(2^16 // n) (42 -> all 37 rows, 22 at
+    # n = 133): ragged last tiles in both dimensions, and diagonal tiles whose
+    # lower half repeats pairs of the upper one.
+    n = len(d)
+    sizes = {"1": 1, "n": n, "7n": 7 * n, "64n": 64 * n, "default": metric._BLOCK}
+    monkeypatch.setattr(metric, "_BLOCK", sizes[block])
+    tol = TRIANGLE_RTOL * float(d.max())
+    got = _triangle_violators(d, tol).tolist()
+    assert got == _violating_rows(d, tol) == rows
+
+
+def test_triangle_scan_memory_is_one_block():
+    # One tile of at most _BLOCK entries, plus O(n) at the fixed budget (the
+    # side x n strip, its bool comparison and the flags) and the buffers numpy's
+    # broadcasting add allocates (2 x bufsize entries at most).  The row-block
+    # fold held two buffers of max(_BLOCK, n) entries.
+    n = 700
+    d = _ring_metric(n, seed=7)
+    side = isqrt(metric._BLOCK // n)
+    tracemalloc.start()
+    try:
+        assert len(_triangle_violators(d, TRIANGLE_RTOL * float(d.max()))) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * metric._BLOCK + 9 * side * n + 2 * n + 16 * np.getbufsize() + 4096
 
 
 def test_zero_off_diagonal_witness_is_first_in_row_order():

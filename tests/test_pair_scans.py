@@ -88,6 +88,40 @@ def test_ball_lips_empty_and_single_point_balls():
     assert ball_lips(inst, domain, vals, [1], [tiny]).tolist() == [[0.0]]
 
 
+def test_ball_lips_skips_balls_of_one_member(monkeypatch):
+    # A ball of at most one member is 0 by the empty supremum, so its center
+    # adds no member to the reach: when every ball holds only its center no
+    # pair is walked, and in a mixed call the reach is the members of the
+    # larger balls, with every entry still the constant on its ball's members.
+    n = 60
+    inst = _cloud(5, n)
+    rng = np.random.default_rng(6)
+    members = np.arange(1, n)
+    vals = rng.normal(size=len(members))
+    centers = np.concatenate([[0], rng.choice(members, 11, replace=False)])  # 0 is no member
+    d_rows = dense(inst)[np.ix_(centers, members)]
+    near = np.sort(d_rows, axis=1)[:, 1]        # nearest other member of each member center
+    tiny = float(near.min())
+    calls = []
+    top_pairs = metric._top_pairs
+    monkeypatch.setattr(metric, "_top_pairs",
+                        lambda inst, pts, v: calls.append(pts.tolist()) or top_pairs(inst, pts, v))
+    assert ball_lips(inst, members, vals, centers, [tiny / 2, tiny]).tolist() == [[0.0] * 2] * 12
+    assert calls == []
+
+    mid = float(np.median(near))                # about half the balls hold two or more
+    radii = np.array([mid, tiny, mid / 2])
+    inside = d_rows[:, None, :] < radii[:, None]
+    live = inside[:, 0].sum(axis=1) > 1
+    assert 0 < live.sum() < len(centers)
+    want = [[lip_constant(inst, vals[ball], members[ball]) for ball in row] for row in inside]
+    for top_k in (metric._TOP_K, 1):
+        monkeypatch.setattr(metric, "_TOP_K", top_k)
+        calls.clear()
+        assert ball_lips(inst, members, vals, centers, radii).tolist() == want
+        assert calls[0] == members[inside[live, 0].any(axis=0)].tolist()
+
+
 def test_ball_lips_rows_match_oracle(monkeypatch):
     # The top-K walk reads 5 centers at a time, the pair scan 111-row blocks.
     monkeypatch.setattr(metric, "_BLOCK", 5 * metric._TOP_K)
