@@ -415,28 +415,28 @@ def _distinct_members(instance: MetricInstance, members) -> np.ndarray:
     return members
 
 
-def _member_values(instance: MetricInstance, members, values):
-    """``(members, values)`` as arrays; raises unless the members are distinct
-    point indices and the values finite and aligned with them."""
+def _member_values(instance: MetricInstance, members, values, rows: bool = False):
+    """``(members, values)`` as arrays; raises unless the members are distinct point
+    indices and the values finite and aligned with them (with ``rows``, also in rows)."""
     members = _distinct_members(instance, members)
     values = np.asarray(values, dtype=float)
-    if values.shape != members.shape:
+    if values.shape[-1:] != members.shape or values.ndim > 1 + rows:
         raise ParameterError("values must align with the member index list")
     if not np.all(np.isfinite(values)):
         raise ParameterError("values must be finite")
     return members, values
 
 
-def _ratio(u, v, d):
-    """``|u - v| / d`` elementwise with broadcasting, ``|u - v|`` where ``d`` is 0.
+def _ratio(u, v, d, out=None, where=None):
+    """``|u - v| / d`` with broadcasting, ``|u - v|`` where ``d`` is 0 or off ``where``.
 
     The one place a pair ratio is computed: ``|u - v|`` and ``|v - u|`` are the
     same float and the distances are exactly symmetric, so every scan of a pair
     reads the same bits whichever end comes first.
     """
-    gaps = np.subtract(u, v)
+    gaps = np.subtract(u, v, out=out)
     np.abs(gaps, out=gaps)
-    return np.divide(gaps, d, out=gaps, where=d > 0)
+    return np.divide(gaps, d, out=gaps, where=d > 0 if where is None else where)
 
 
 def _upper_blocks(instance: MetricInstance, points: np.ndarray):
@@ -457,64 +457,91 @@ def _strict_upper(block: np.ndarray) -> np.ndarray:
     return np.arange(block.shape[1]) > np.arange(block.shape[0])[:, None]
 
 
-def _pair_blocks(instance: MetricInstance, members, values):
-    """Yield ``(a, d, ratios)`` over the blocks of :func:`_upper_blocks`, with
-    ``ratios`` the pair ratios of ``values`` (aligned with ``members``) on ``d``."""
-    for a, d in _upper_blocks(instance, members):
-        yield a, d, _ratio(values[a:a + len(d), None], values[a:], d)
-
-
-def _steepest_pair(instance: MetricInstance, points: np.ndarray, values: np.ndarray):
-    """``(ratio, i, j)`` of the first steepest position pair ``i < j`` in row-major
-    order with ``d(points[i], points[j]) > 0``, read in the row blocks of
-    :func:`_pair_blocks`; ``None`` when there is no such pair."""
-    best = None
-    for a, d, ratios in _pair_blocks(instance, points, values):
+def _pair_walk(instance: MetricInstance, points: np.ndarray, rows) -> None:
+    """One walk of the pairs ``i < j`` of ``points`` for every fold of ``rows``, pairs
+    ``(values, folds)``: in each block ``(a, d)`` of :func:`_upper_blocks` the ratios of
+    each ``values`` (aligned with ``points``) are formed in turn in one buffer the size
+    of ``d``, -1 (below every ratio) off the pairs with ``d > 0``, and read by its folds
+    as ``fold(a, d, ratios)``."""
+    upper = None
+    for a, d in _upper_blocks(instance, points):
+        upper = _strict_upper(d) if upper is None else upper    # the first block is the largest
         pair = d > 0
-        pair &= _strict_upper(d)
-        if not pair.any():
-            continue
-        np.copyto(ratios, -1.0, where=~pair)       # below every ratio
+        pair &= upper[:len(d), :d.shape[1]]
+        off, ratios = ~pair, np.empty_like(d)
+        for values, folds in rows:
+            np.copyto(_ratio(values[a:a + len(d), None], values[a:], d, ratios, pair), -1.0,
+                      where=off)
+            for fold in folds:
+                fold(a, d, ratios)
+
+
+def _walk_scans(instance: MetricInstance, *scans) -> list:
+    """The return values of ``scans``: generators that yield one list of requests
+    ``(points, values, fold)``, then return once every fold has read every pair.
+    The requests on the same points share one :func:`_pair_walk`, and those on
+    bitwise equal ``values`` one ratio block in it."""
+    walks = {}      # points' bytes -> (points, {values' bytes: (values, folds)})
+    for points, values, fold in (ask for scan in scans for ask in next(scan)):
+        rows = walks.setdefault(points.tobytes(), (points, {}))[1]
+        rows.setdefault(values.tobytes(), (values, []))[1].append(fold)
+    for points, rows in walks.values():
+        _pair_walk(instance, points, rows.values())
+    out = []
+    for scan in scans:
+        try:
+            next(scan)
+        except StopIteration as done:
+            out.append(done.value)
+    return out
+
+
+class _SteepestPair:
+    """Fold of :func:`_pair_walk`: ``best`` is ``(ratio, i, j)`` of the first steepest
+    pair ``i < j`` with ``d > 0`` in row-major order, or None while none is read."""
+    best = None
+
+    def __call__(self, a, d, ratios):
         r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if best is None or ratios[r, c] > best[0]:
-            best = (float(ratios[r, c]), a + r, a + c)
-    return best
+        if ratios[r, c] >= 0 and (self.best is None or ratios[r, c] > self.best[0]):
+            self.best = (float(ratios[r, c]), a + r, a + c)
 
 
-def _top_pairs(instance: MetricInstance, members, values):
-    """Pairs ``i < j`` of the ``_TOP_K`` largest positive ratios, in descending order.
+class _TopPairs:
+    """Fold of :func:`_pair_walk`: ``pairs()`` is ``(i, j, ratio)`` of the pairs
+    ``i < j`` of the ``_TOP_K`` largest positive ratios, in descending order.
 
-    Returns ``(i, j, ratio)``.  One running selection over :func:`_pair_blocks`:
-    the pairs of a block above the smallest kept ratio (above 0 until K are
-    kept) join the kept ones, and the K largest of those stay.  Every pair
-    left out is therefore at most the smallest pair kept, whichever of the
-    ties at the K-th value are kept; fewer than K are kept only when fewer are
-    positive, and then no positive pair is left out.
+    A running selection: the pairs of a block above the smallest kept ratio
+    (above 0 until K are kept) join the kept ones, and the K largest of those
+    stay.  Every pair left out is therefore at most the smallest pair kept,
+    whichever of the ties at the K-th value are kept; fewer than K are kept
+    only when fewer are positive, and then no positive pair is left out.
     """
-    kept_r, kept_i, kept_j = np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp)
-    floor = 0.0
-    for a, _, ratios in _pair_blocks(instance, members, values):
-        r, c = np.nonzero((ratios > floor) & _strict_upper(ratios))
-        kept_r = np.concatenate([kept_r, ratios[r, c]])
-        kept_i = np.concatenate([kept_i, r + a])
-        kept_j = np.concatenate([kept_j, c + a])
-        if len(kept_r) > _TOP_K:
-            keep = np.argpartition(kept_r, len(kept_r) - _TOP_K)[-_TOP_K:]
-            kept_r, kept_i, kept_j = kept_r[keep], kept_i[keep], kept_j[keep]
-        if len(kept_r) == _TOP_K:
-            floor = kept_r.min()
-    order = np.argsort(-kept_r, kind="stable")
-    return kept_i[order], kept_j[order], kept_r[order]
+    i = j = np.empty(0, np.intp)
+    ratio = np.empty(0)
+
+    def __call__(self, a, d, ratios):
+        r, c = np.nonzero(ratios > (self.ratio.min() if len(self.ratio) == _TOP_K else 0.0))
+        self.ratio = np.concatenate([self.ratio, ratios[r, c]])
+        self.i, self.j = np.concatenate([self.i, r + a]), np.concatenate([self.j, c + a])
+        if len(self.ratio) > _TOP_K:
+            keep = np.argpartition(self.ratio, len(self.ratio) - _TOP_K)[-_TOP_K:]
+            self.i, self.j, self.ratio = self.i[keep], self.j[keep], self.ratio[keep]
+
+    def pairs(self):
+        order = np.argsort(-self.ratio, kind="stable")
+        return self.i[order], self.j[order], self.ratio[order]
 
 
 def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.ndarray:
     """Entry ``[c, j]``: Lipschitz constant of ``values`` (aligned with ``members``)
-    over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``.
+    over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``;
+    for a 2-D ``values``, entry ``[v, c, j]`` is that of its row ``v``.
 
     Only members within ``max(radii)`` of a center with two or more there take
-    part, in their given order; a ball of at most one member is 0.
-    :func:`_top_pairs` keeps the ``_TOP_K`` largest of their pair ratios,
-    streamed in row blocks, and these are walked in descending order: a
+    part, in their given order; a ball of at most one member is 0.  One
+    :func:`_pair_walk` of their pairs keeps the ``_TOP_K`` largest ratios of each
+    row (:class:`_TopPairs`), and these are walked in descending order: a
     ball's answer is the first pair whose farther end lies inside it.  That
     pair is a certificate: every pair left out is at most the smallest pair
     kept, so the answer is the same computed float as a scan of every pair in
@@ -522,45 +549,50 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     were kept, or when it has at most one member.  Otherwise the unresolved
     radii recurse on its row: the members left are those of the largest, whose
     steepest pair is kept there, so each level settles at least that radius.
-    No |members| x |members| array is built, nor a copy of ``d(centers, members)``:
-    the walk reads its columns at the K kept pairs, in :func:`_row_blocks` of centers.
+    No |members| x |members| array is built, and one ``d(centers, members)``
+    serves every row: the walk reads its columns at the K kept pairs, in
+    :func:`_row_blocks` of centers.
 
     ``members`` must be distinct and ``values`` finite; ``centers`` are any point
     indices and ``radii`` any nonnegative reals, in any order and with repeats.
     """
-    members, values = _member_values(instance, members, values)
+    members, values = _member_values(instance, members, values, rows=True)
     centers = _index_list(centers, instance.n,
                           f"centers must be a 1-D list of point indices in [0, {instance.n})")
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or not np.all(radii >= 0):
         raise ParameterError("radii must be a 1-D list of nonnegative reals")
-    return _ball_lips(instance, members, values, instance.distances(centers, members), radii)
+    lips = _walk_scans(instance, _ball_lips(instance, members, list(np.atleast_2d(values)),
+                                            instance.distances(centers, members), radii))[0]
+    return lips if values.ndim == 2 else lips[0]
 
 
-def _ball_lips(instance: MetricInstance, members, values, d_rows, radii) -> np.ndarray:
-    """:func:`ball_lips` with ``d_rows = d(centers, members)`` given."""
+def _ball_lips(instance: MetricInstance, members, values, d_rows, radii):
+    """:func:`ball_lips` of each vector in the list ``values``, with ``d_rows =
+    d(centers, members)`` given: a scan of :func:`_walk_scans` over the members in reach."""
     inside = d_rows < radii.max(initial=0.0)    # a ball of at most one member is 0
     reach = np.flatnonzero(inside[np.count_nonzero(inside, axis=1) > 1].any(axis=0))
-    out = np.zeros((len(d_rows), len(radii)))
-    if len(reach) <= 1:
-        return out
-    first, second, top = _top_pairs(instance, members[reach], values[reach])
-    first, second = reach[first], reach[second]     # columns of d_rows
-    for s in _row_blocks(len(d_rows), len(top)):
-        # Minus the running minimum of the far ends: non-decreasing along a row,
-        # and pair k lies in the r-ball once this is above -r.
-        lead = d_rows[s, first]
-        np.maximum(lead, d_rows[s, second], out=lead)
-        np.negative(lead, out=lead)
-        np.maximum.accumulate(lead, axis=1, out=lead)
-        for row, lead_row in enumerate(lead, start=s.start):
-            hit = np.searchsorted(lead_row, -radii, side="right")
-            found = hit < len(top)
-            out[row, found] = top[hit[found]]
-            rest = radii[~found]    # recurse if the largest open ball holds two or more
-            if len(top) == _TOP_K and np.count_nonzero(d_rows[row] < rest.max(initial=0.0)) > 1:
-                out[row, ~found] = _ball_lips(instance, members, values,
-                                              d_rows[row:row + 1], rest)[0]
+    folds = [_TopPairs() for _ in values] if len(reach) > 1 else []
+    yield [(members[reach], v[reach], fold) for v, fold in zip(values, folds)]
+    out = np.zeros((len(values), len(d_rows), len(radii)))
+    for v, lips, fold in zip(values, out, folds):
+        first, second, top = fold.pairs()
+        first, second = reach[first], reach[second]     # columns of d_rows
+        for s in _row_blocks(len(d_rows), len(top)):
+            # Minus the running minimum of the far ends: non-decreasing along a row,
+            # and pair k lies in the r-ball once this is above -r.
+            lead = d_rows[s, first]
+            np.maximum(lead, d_rows[s, second], out=lead)
+            np.negative(lead, out=lead)
+            np.maximum.accumulate(lead, axis=1, out=lead)
+            for row, lead_row in enumerate(lead, start=s.start):
+                hit = np.searchsorted(lead_row, -radii, side="right")
+                found = hit < len(top)
+                lips[row, found] = top[hit[found]]
+                rest = radii[~found]    # recurse if the largest open ball holds two or more
+                if len(top) == _TOP_K and np.count_nonzero(d_rows[row] < rest.max(initial=0)) > 1:
+                    lips[row, ~found] = _walk_scans(instance, _ball_lips(
+                        instance, members, [v], d_rows[row:row + 1], rest))[0][0, 0]
     return out
 
 
@@ -569,10 +601,11 @@ def lip_constant(instance: MetricInstance, values, members) -> float:
 
     Supremum of ``|v(y1) - v(y2)| / d(y1, y2)`` over distinct pairs; ``0.0``
     for empty or singleton sets (empty-supremum convention).  The ratio of
-    :func:`_steepest_pair`.
+    :class:`_SteepestPair`.
     """
-    steepest = _steepest_pair(instance, *_member_values(instance, members, values))
-    return 0.0 if steepest is None else steepest[0]
+    members, values = _member_values(instance, members, values)
+    _pair_walk(instance, members, [(values, [steepest := _SteepestPair()])])
+    return 0.0 if steepest.best is None else steepest.best[0]
 
 
 def _check_radii(radii) -> np.ndarray:

@@ -10,7 +10,11 @@ locality and McShane-fragment scans are exhaustive at every size (a ball
 answered from the top-K pairs of ``ball_lips`` is certified exact, and so is
 any other ball, answered from the top-K pairs of its own members).  The
 inf-family check is certified exact: the minimum is scanned in full, and the
-members only on the pairs their slope certificate cannot clear.
+members only on the pairs their slope certificate cannot clear.  These three
+pair scans are scans of :func:`~lipext.metric._walk_scans`: a check called
+alone walks its pairs itself, and :func:`run_suite` walks the members' pairs
+once for all three (the global one when exhaustive), each reading every
+distance block.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 from . import metric
 from .errors import ParameterError, positive_real
 from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_members,
-                     _first_non_integer, _index_list, _pair_blocks, _ratio, _row_blocks,
-                     _steepest_pair, ball_lips)
+                     _first_non_integer, _index_list, _ratio, _row_blocks, _walk_scans,
+                     ball_lips)
 from .schedule import ScaleSchedule, locality_radius
 from .extension import (BANK_RULE, ExtensionField, ProfileBank, _argmin_lowest, _family,
                         build_profiles, extend, extend_localized, mcshane_upper_many,
@@ -105,10 +109,14 @@ def check_global_lipschitz(field: ExtensionField, instance: MetricInstance,
     of ``m`` query positions drawn from ``seed`` without replacement and sorted,
     ``m`` the most whose pairs fit in ``MAX_PAIRS``: each pair is read with
     probability C(m, 2) / C(n, 2), and the note says so.  Both scans are
-    :func:`~lipext.metric._steepest_pair`, so the witness is the first steepest
+    :class:`~lipext.metric._SteepestPair`, so the witness is the first steepest
     pair ``i < j`` in row-major order; pairs of a repeated query (distance 0)
     are skipped.
     """
+    return _walk_scans(instance, _global_lipschitz(field, instance, budget, seed))[0]
+
+
+def _global_lipschitz(field, instance, budget, seed):
     q, vals, note = field.queries, field.values, "exhaustive"
     n, total = len(q), len(q) * (len(q) - 1) // 2
     if total > MAX_PAIRS:
@@ -117,10 +125,11 @@ def check_global_lipschitz(field: ExtensionField, instance: MetricInstance,
         q, vals, pairs = q[pos], vals[pos], m * (m - 1) // 2
         note = (f"statistical: every pair of {m} of {n} seeded points, {pairs} of {total} "
                 f"pairs (coverage {pairs / total:.3g}, seed {seed})")
-    steepest = _steepest_pair(instance, q, vals)
-    if steepest is None:
+    steepest = metric._SteepestPair()
+    yield [(q, vals, steepest)]
+    if steepest.best is None:
         return CheckResult("global_lipschitz", "skipped", note="no distinct pairs")
-    measured, i, j = steepest
+    measured, i, j = steepest.best
     slack = INEQ_RTOL * max(1.0, budget)
     witness = {"i": int(q[i]), "j": int(q[j]), "ratio": measured}
     status = "pass" if measured <= budget + slack else "fail"
@@ -317,6 +326,10 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     (limit - s_i (1 + 8u))`` (``inf`` if that is not positive); every row is
     scanned exactly there, so the first row over ``limit`` has exhaustive bits.
     """
+    return _walk_scans(instance, _inf_family(instance, profiles, members, budget))[0]
+
+
+def _inf_family(instance, profiles, members, budget):
     members = _distinct_members(instance, members)
     bp, cum, rows = profiles.breakpoints, profiles.cumulative, len(profiles.anchors)
     if not (rows and np.shape(profiles.slopes) == np.shape(cum) == (rows, len(bp) + 1)
@@ -340,11 +353,11 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
     fmin = np.empty(len(members))
     for q in _row_blocks(len(members), rows):
         fmin[q] = _family(instance, profiles, members[q])[1].min(axis=0)
-    # Pair-ratio temporaries hold _BLOCK entries; the rows at a block's close
-    # points, phi, reach |C| x |members| at worst.
+    # The rows at a block's close points, phi, reach |C| x |members| at worst.
     got, lips = 0.0, np.zeros(rows)
-    for a, d, ratios in _pair_blocks(instance, members, fmin):
-        # Rows a..b-1 against columns a..: every pair, those inside the block twice.
+
+    def fold(a, d, ratios):     # rows a..b-1 against columns a..
+        nonlocal got
         got = max(got, float(ratios.max()))
         close = d < reach
         if np.count_nonzero(close) > len(d):            # more than the diagonal
@@ -354,6 +367,7 @@ def check_inf_family(instance: MetricInstance, profiles: ProfileBank, members,
             for q in _row_blocks(len(first), rows):
                 pair = _ratio(phi[:, at[1, q]], phi[:, at[0, q]], d[first[q], second[q]])
                 np.maximum(lips, pair.max(axis=1), out=lips)
+    yield [(members, fmin, fold)]
     over = np.flatnonzero(lips > limit)
     if len(over):
         return CheckResult("inf_family", "skipped", measured=float(lips[over[0]]), allowed=limit,
@@ -371,9 +385,12 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     plain L-cone envelope against the profile of ``field``, the penalized
     extension built at ``epsilon`` and evaluated on the domain of both.
     """
+    return _walk_scans(instance, _mcshane_comparison(instance, r_list, epsilon, field, centers))[0]
+
+
+def _mcshane_comparison(instance, r_list, epsilon, field, centers):
     r_list = _check_radii(r_list)
     domain, first = np.unique(field.queries, return_index=True)
-    fvals = field.values[first]
     ms = mcshane_upper_many(instance, instance.lipschitz_L, domain)
     if centers is None:
         centers = instance.subset[np.isin(instance.subset, domain)]
@@ -381,8 +398,9 @@ def mcshane_comparison(instance: MetricInstance, r_list, epsilon: float,
     centers = _index_list(centers, instance.n, message)
     if not np.all(np.isin(centers, domain)):
         raise ParameterError(message)
-    lips_ms = ball_lips(instance, domain, ms, centers, r_list)
-    lips_f = ball_lips(instance, domain, fvals, centers, r_list)
+    lips_ms, lips_f = yield from metric._ball_lips(
+        instance, domain, [ms, field.values[first]], instance.distances(centers, domain),
+        r_list)
     rows = [{"center": int(c), "radii": r_list.tolist(), "mcshane": p_ms.tolist(),
              "extension": p_f.tolist(), "gap": (p_ms - p_f).tolist()}
             for c, p_ms, p_f in zip(centers, lips_ms, lips_f)]
@@ -479,7 +497,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
         field = extend(instance, None, queries)
         checks = [
             check_restriction(field, instance),
-            check_global_lipschitz(field, instance, L + epsilon, seed=seed),
+            _global_lipschitz(field, instance, L + epsilon, seed),
             check_envelope_sandwich(field, instance, L + epsilon),
             CheckResult("schedule_laws", "skipped", note="constant data: no schedule"),
             CheckResult("profile_legality", "skipped", note="constant data: no profiles"),
@@ -496,13 +514,18 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
             check_schedule_laws(schedule, epsilon),
             check_profile_legality(profiles, schedule),
             check_restriction(field, instance),
-            check_global_lipschitz(field, instance, budget, seed=seed),
+            _global_lipschitz(field, instance, budget, seed),
             check_envelope_sandwich(field, instance, budget),
             check_step2(instance, profiles, schedule),
             check_localization(instance, field, profiles),
             check_locality_preservation(instance, field, instance.subset, r_bar, xi),
-            check_inf_family(instance, profiles, queries, budget),
+            _inf_family(instance, profiles, queries, budget),
         ]
-    frag = mcshane_comparison(instance, mcshane_radii, epsilon, field=field)
+    # The scans left in the list share one pair walk with the fragment's, last.
+    scans = [c for c in checks if not isinstance(c, CheckResult)]
+    *walked, frag = _walk_scans(instance, *scans, _mcshane_comparison(
+        instance, mcshane_radii, epsilon, field, None))
+    walked = iter(walked)
+    checks = [c if isinstance(c, CheckResult) else next(walked) for c in checks]
     return VerificationReport(checks=checks, params=params, schedule_triples=triples,
                               fragments={"mcshane_comparison": frag})

@@ -19,8 +19,10 @@ data values and continuity jumps), each of which lifts one pair over the
 budget.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family, energy,
                     instance_from_arrays, lip_constant, lipa_profile, run_suite,
-                    schedule_for_instance, validate_measure)
+                    schedule_for_instance, validate_instance, validate_measure)
 from lipext import metric
 
 from conftest import bank_rows, dense, family_rows, grid_instance, hand_bank, oracle_lip
@@ -103,9 +105,9 @@ def test_ball_lips_skips_balls_of_one_member(monkeypatch):
     near = np.sort(d_rows, axis=1)[:, 1]        # nearest other member of each member center
     tiny = float(near.min())
     calls = []
-    top_pairs = metric._top_pairs
-    monkeypatch.setattr(metric, "_top_pairs",
-                        lambda inst, pts, v: calls.append(pts.tolist()) or top_pairs(inst, pts, v))
+    walk = metric._pair_walk
+    monkeypatch.setattr(metric, "_pair_walk",
+                        lambda inst, pts, rows: calls.append(pts.tolist()) or walk(inst, pts, rows))
     assert ball_lips(inst, members, vals, centers, [tiny / 2, tiny]).tolist() == [[0.0] * 2] * 12
     assert calls == []
 
@@ -151,6 +153,39 @@ def test_ball_lips_empty_centers_or_radii():
     assert ball_lips(inst, domain, vals, [], [0.1, 0.5]).shape == (0, 2)
     assert ball_lips(inst, domain, vals, [0, 4, 9], []).shape == (3, 0)
     assert ball_lips(inst, domain, vals, [], []).shape == (0, 0)
+
+
+@pytest.mark.parametrize("top_k", [4096, 1])
+@pytest.mark.parametrize("kind", ["cloud", "graph"])
+def test_ball_lips_rows_give_the_bits_of_one_call_each(monkeypatch, kind, top_k):
+    """A 2-D ``values`` shares one pair walk among its rows, and a repeated row
+    its ratio block too, and row ``v`` of the answer is the bits of a call with
+    that row alone: with every ball answered from the kept pairs or by the
+    recursion (K = 1), on a cloud and on the golden shortest-path matrix."""
+    if kind == "cloud":
+        inst = _cloud(17, 150)
+    else:
+        golden = Path(__file__).parent / "golden" / "graph.json"
+        inst = validate_instance(json.loads(golden.read_text()))
+    rng = np.random.default_rng(18)
+    members = rng.permutation(inst.n)[: inst.n - 7]
+    u, v = rng.normal(size=len(members)), np.round(rng.normal(size=len(members)), 1)
+    centers = rng.choice(inst.n, 15, replace=False)
+    levels = np.sort(inst.distances(centers[:1], members)[0])
+    radii = [levels[3], 0.0, levels[len(levels) // 3], levels[-1], levels[3] * 1.5]
+    monkeypatch.setattr(metric, "_TOP_K", top_k)
+    walk, vectors = metric._pair_walk, []
+    monkeypatch.setattr(metric, "_pair_walk",
+                        lambda inst, pts, rows: vectors.append(len(rows)) or walk(inst, pts, rows))
+    got = ball_lips(inst, members, np.stack([u, v, u]), centers, radii)
+    assert got.shape == (3, len(centers), len(radii)) and vectors[0] == 2
+    for row, vals in zip(got, (u, v, u)):
+        assert row.tobytes() == ball_lips(inst, members, vals, centers, radii).tobytes()
+    assert np.any(got[0] > 0) and np.any(got[1] != got[0])
+    with pytest.raises(ParameterError, match="align"):
+        ball_lips(inst, members, np.stack([u, v])[None], centers, radii)
+    with pytest.raises(ParameterError, match="align"):
+        lip_constant(inst, np.stack([u, v]), members)
 
 
 def test_ball_lips_rejects_values_not_aligned_with_members():
@@ -221,6 +256,13 @@ def test_ball_lips_holds_one_distance_array():
         d_row = inst.distances([c], members)[0]
         assert got[c].tolist() == [lip_constant(inst, vals[d_row < r], members[d_row < r])
                                    for r in radii]
+
+
+def _top_pairs(inst, domain, vals):
+    """The kept pairs of one :class:`~lipext.metric._TopPairs` fold over ``domain``."""
+    fold = metric._TopPairs()
+    metric._pair_walk(inst, domain, [(vals, [fold])])
+    return fold.pairs()
 
 
 def _oracle_balls(inst, domain, vals, centers, radii):
@@ -310,7 +352,7 @@ def test_streamed_ties_at_the_kth_value_straddle_blocks(monkeypatch, rows):
         assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
     assert straddled >= 10
     # With K past the pair count every positive pair is kept, once and as i < j.
-    first, second, top = metric._top_pairs(inst, domain, vals)
+    first, second, top = _top_pairs(inst, domain, vals)
     assert len(top) < metric._TOP_K and np.all(first < second)
     assert np.array_equal(top, ranked[ranked > 0])
 
@@ -348,7 +390,7 @@ def test_top_k_ties_straddle_the_kth_value(monkeypatch):
         assert np.array_equal(ball_lips(inst, domain, vals, centers, radii), want), top_k
     assert straddled >= 10
     # With K past the pair count every positive pair is kept, once and as i < j.
-    first, second, top = metric._top_pairs(inst, domain, vals)
+    first, second, top = _top_pairs(inst, domain, vals)
     assert len(top) < metric._TOP_K and np.all(first < second)
     assert np.array_equal(top, ranked[ranked > 0])
 

@@ -11,7 +11,7 @@ from lipext import (CheckResult, MetricInstance, ParameterError, ProfileBank, bu
                     lip_constant, locality_radius, mcshane_comparison,
                     mcshane_upper_many, run_suite, schedule_for_instance,
                     truncate_bounded, validate_measure)
-from lipext import metric, verification
+from lipext import extension, metric, verification
 from lipext.verification import _distance_quartiles, check_envelope_sandwich, check_localization
 
 from conftest import (corrupted_extension, dense, grid_instance, hand_bank, oracle_lip,
@@ -244,6 +244,72 @@ def test_run_suite_memory_is_a_fraction_of_the_matrix():
     report, peak = _traced_peak(run_suite, inst, 0.5)
     assert report.passed
     assert peak < 0.5 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
+
+
+def test_run_suite_walks_the_pairs_three_times(monkeypatch):
+    """Walks of at least n/2 points on the seeded 1000-point cloud: the two radix
+    passes of the quartiles, and one walk after ``extend`` that the global,
+    inf-family and McShane-fragment scans share (four walks of their own before,
+    six in all)."""
+    inst = _cloud(1000)
+    walks, upper = [], metric._upper_blocks
+
+    def counted(instance, points):
+        walks.extend([len(points)] if len(points) >= inst.n / 2 else [])
+        return upper(instance, points)
+
+    monkeypatch.setattr(metric, "_upper_blocks", counted)
+    monkeypatch.setattr(extension, "_upper_blocks", counted)
+    report = run_suite(inst, 0.5)
+    assert report.passed
+    assert next(c for c in report.checks if c.name == "global_lipschitz").note == "exhaustive"
+    assert walks == [inst.n] * 3
+
+
+def _far_cluster():
+    """A unit-square cloud with the subset, and five points 100 away with none:
+    the quartile radii reach no far point from a subset center, so the fragment
+    walks fewer members than the global and inf-family scans."""
+    rng = np.random.default_rng(31)
+    coords = np.vstack([rng.uniform(0.0, 1.0, (60, 2)), rng.uniform(100.0, 100.5, (5, 2))])
+    subset = np.sort(rng.choice(60, 8, replace=False))
+    return instance_from_arrays(coords=coords, subset=subset,
+                                values=np.sin(3.0 * coords[subset, 0]) + coords[subset, 1])
+
+
+def _shared_and_alone(inst, epsilon=0.5, xi=0.1):
+    """The global, inf-family and fragment parts of ``run_suite``'s report, and the
+    same parts from standalone calls on the schedule, bank and field it builds."""
+    doc = run_suite(inst, epsilon, xi=xi).to_json()
+    shared = [c for c in doc["checks"] if c["name"] in ("global_lipschitz", "inf_family")]
+    qs, queries = _distance_quartiles(inst), np.arange(inst.n)
+    sch = schedule_for_instance(inst, epsilon, queries, locality=(qs[0], xi))
+    bank = build_profiles(inst, sch)
+    field, budget = extend(inst, sch, queries, profiles=bank), inst.lipschitz_L + sch.eps_eff
+    alone = [check_global_lipschitz(field, inst, budget).to_json(),
+             check_inf_family(inst, bank, queries, budget).to_json(),
+             mcshane_comparison(inst, sorted(set(qs)), epsilon, field)]
+    return shared + [doc["fragments"]["mcshane_comparison"]], alone
+
+
+@pytest.mark.parametrize("patch", [None, ("_BLOCK", 1), ("_TOP_K", 1)],
+                         ids=["default", "one_row_blocks", "top_1"])
+def test_shared_walk_gives_the_standalone_checks(monkeypatch, patch):
+    """The scans that share ``run_suite``'s walk give the standalone calls' results:
+    on tie metrics (the steepest pair is the first in row-major order), and on a
+    cloud whose fragment reach is a strict subset of the domain, with one-row
+    blocks and with one kept pair; at default settings also on a 1001-point cloud,
+    whose 500,500 pairs put the global check on its own sampled walk."""
+    far = _far_cluster()
+    nearest_center = far.distances(far.subset, np.arange(far.n)).min(axis=0)
+    assert np.any(nearest_center >= max(_distance_quartiles(far)))     # a strict reach
+    cases = TIE_INSTANCES + [far] + ([_cloud(1001)] if patch is None else [])
+    if patch is not None:
+        monkeypatch.setattr(metric, *patch)
+    for inst in cases:
+        shared, alone = _shared_and_alone(inst)
+        assert shared == alone, inst.n
+        assert shared[0]["note"].startswith("statistical") == (inst.n == 1001)
 
 
 def test_envelope_sandwich_memory_is_a_fraction_of_the_cone_rows():
