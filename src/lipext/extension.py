@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, as_float, positive_real, shown
-from .metric import (MetricInstance, _first_non_integer, _index_list, _row_blocks, _upper_blocks,
+from .metric import (MetricInstance, _extents, _first_non_integer, _index_list, _row_blocks,
                      ball_lips)
 from .schedule import SPAN_UNDERFLOW, ScaleSchedule, build_schedule
 
@@ -302,13 +302,7 @@ def evaluation_diameters(instance: MetricInstance, queries=None) -> tuple[float,
     queries = _as_query_array(instance, queries)
     pts = np.sort(np.concatenate([instance.subset, queries]))   # not np.unique: numpy.ma
     pts = pts[np.append(True, pts[1:] != pts[:-1])]
-    if len(pts) == instance.n:
-        return instance.extents
-    dmin, dmax = np.inf, 0.0
-    for _, dd in _upper_blocks(instance, pts):
-        dmin = min(dmin, float(np.min(dd, where=dd > 0, initial=np.inf)))
-        dmax = max(dmax, float(dd.max()))
-    return (dmin if dmin < np.inf else 0.0), dmax
+    return instance.extents if len(pts) == instance.n else _extents(instance, pts)
 
 
 def schedule_for_instance(instance: MetricInstance, epsilon: float,

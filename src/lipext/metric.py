@@ -117,48 +117,16 @@ def _euclidean_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
         return np.sqrt(out, out=out)
 
 
-def _euclidean_plan(rows: int, b: np.ndarray) -> tuple[list[slice], np.ndarray]:
-    """:func:`_row_blocks` of ``rows`` rows against ``b``, and a scratch for each block."""
+def _euclidean_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``d(a[i], b[j])`` for every ``i, j``, into ``out`` (a fresh array by default),
+    in :func:`_row_blocks` of ``a`` against ``b`` whose width counts ``b``'s
+    coordinates from 8 on, as :func:`_euclidean_block`'s scratch holds them."""
+    out = np.empty((len(a), len(b))) if out is None else out
     width = len(b) * (b.shape[1] if b.shape[1] >= 8 else 1)
-    return _row_blocks(rows, width), np.empty(min(rows * width, max(_BLOCK, width)))
-
-
-def _euclidean_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``d(a[i], b[j])`` for every ``i, j``, one row block at a time."""
-    out = np.empty((len(a), len(b)))
-    blocks, scratch = _euclidean_plan(len(a), b)
-    for s in blocks:
+    scratch = np.empty(min(len(a) * width, max(_BLOCK, width)))
+    for s in _row_blocks(len(a), width):
         _euclidean_block(a[s], b, out[s], scratch)
     return out
-
-
-def _check_euclidean(coords: np.ndarray) -> tuple[float, float]:
-    """Reject a non-finite distance, then a repeated point; return the extents.
-
-    One pass over the upper triangle, row block ``[a, b)`` against columns
-    ``a..``, in buffers allocated once.  ``d`` is exactly symmetric, so the
-    first offending pair in row-major order lies in these blocks.
-    """
-    n = len(coords)
-    blocks, scratch = _euclidean_plan(n, coords)
-    buf, dmin, dmax, duplicate = np.empty_like(scratch), np.inf, 0.0, None
-    for s in blocks:
-        a = s.start
-        d = buf[:(s.stop - a) * (n - a)].reshape(s.stop - a, n - a)
-        _euclidean_block(coords[s], coords[a:], d, scratch)
-        if not np.all(np.isfinite(d)):
-            i, j = np.argwhere(~np.isfinite(d))[0] + a
-            _err("non-finite distance", "points", i=int(i), j=int(j))
-        zero = d == 0.0
-        np.fill_diagonal(zero, False)
-        if duplicate is None and np.any(zero):
-            duplicate = np.argwhere(zero)[0] + a
-        dmin = min(dmin, float(np.min(d, where=d > 0, initial=np.inf)))
-        dmax = max(dmax, float(d.max()))
-    if duplicate is not None:
-        _err("duplicate points (zero distance)", "points",
-             i=int(duplicate[0]), j=int(duplicate[1]))
-    return (dmin if dmin < np.inf else 0.0), dmax
 
 
 def _err(reason, field, **witness):
@@ -229,7 +197,11 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
     """
     n = d.shape[0]
     side = min(n, max(1, isqrt(_BLOCK // n)))
-    tile_buf, strip_buf, flagged = np.empty(side * side * n), np.empty(side * n), np.zeros(n, bool)
+    # numpy aligns to 16 bytes; np.add and np.minimum.reduce over a tile that starts
+    # 16 bytes past a 32-byte boundary take about a fifth longer, so it starts on one.
+    tile_buf = np.empty(side * side * n + 3)
+    tile_buf = tile_buf[-tile_buf.ctypes.data % 32 // 8:]
+    strip_buf, flagged = np.empty(side * n), np.zeros(n, bool)
     for a in range(0, n, side):
         b = min(a + side, n)
         strip = strip_buf[:(b - a) * (n - a)].reshape(b - a, n - a)
@@ -329,12 +301,12 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
         _err("non-finite value", "values",
              position=int(np.argwhere(~np.isfinite(values))[0][0]))
 
-    extents = _check_matrix(dmatrix) if coords is None else _check_euclidean(coords)
     pos = np.full(n, -1, dtype=np.intp)
     pos[subset] = np.arange(len(subset))
     pos.setflags(write=False)
     inst = MetricInstance(subset=subset, values=values, lipschitz_L=0.0, lipschitz_computed=0.0,
-                          coords=coords, dmatrix=dmatrix, extents=extents, _subset_pos=pos)
+                          coords=coords, dmatrix=dmatrix, _subset_pos=pos)
+    inst.extents = _check_matrix(dmatrix) if coords is None else _extents(inst, np.arange(n))
 
     with np.errstate(over="ignore"):    # an overflowing pair ratio is rejected here
         computed = lip_constant(inst, values, subset)
@@ -439,22 +411,47 @@ def _ratio(u, v, d, out=None, where=None):
     return np.divide(gaps, d, out=gaps, where=d > 0 if where is None else where)
 
 
-def _upper_blocks(instance: MetricInstance, points: np.ndarray):
-    """Yield ``(a, d)``, ``d = instance.distances(points[a:b], points[a:])``, over the
-    :func:`_row_blocks` ``[a, b)`` of the rows ``0..len(points) - 2`` (the last row has no
+def _upper_blocks(instance: MetricInstance, points):
+    """Yield ``(a, d, upper)``, ``d`` the bits of ``instance.distances(points[a:b], points[a:])``,
+    over the :func:`_row_blocks` ``[a, b)`` of rows ``0..len(points) - 2`` (the last has no
     pair of its own) against columns ``a..``: the one walk of every all-pairs scan.
 
     Entry ``[r, c]`` belongs to points ``a + r`` and ``a + c``, so the pairs ``i < j``
-    with ``i`` in the block are the entries ``c > r`` (:func:`_strict_upper`); the
-    others repeat a pair of the block or sit on the diagonal.
+    with ``i`` in the block are the entries ``c > r``, marked by ``upper`` (one mask per
+    walk, sliced to the block).  ``points`` is checked once, with ``distances``' message.
+    A cloud's blocks fill one buffer: its ``d`` lives only until the next is asked for.
     """
-    for s in _row_blocks(len(points) - 1, len(points)):
-        yield s.start, instance.distances(points[s], points[s.start:])
+    points = _index_list(points, instance.n,
+                         f"rows and cols must be 1-D lists of point indices in [0, {instance.n})")
+    m, cloud = len(points), instance.dmatrix is None
+    blocks = _row_blocks(m - 1, m)
+    upper = np.arange(m) > np.arange(blocks[0].stop if blocks else 0)[:, None]
+    coords, buf = (instance.coords[points], np.empty(upper.size)) if cloud else (None, None)
+    for s in blocks:
+        a, shape = s.start, (s.stop - s.start, m - s.start)
+        d = (_euclidean_matrix(coords[s], coords[a:], buf[:shape[0] * shape[1]].reshape(shape))
+             if cloud else instance.dmatrix[np.ix_(points[s], points[a:])])
+        yield a, d, upper[:shape[0], :shape[1]]
 
 
-def _strict_upper(block: np.ndarray) -> np.ndarray:
-    """The entries ``c > r`` of a block of :func:`_upper_blocks`: its pairs ``i < j``."""
-    return np.arange(block.shape[1]) > np.arange(block.shape[0])[:, None]
+def _extents(instance: MetricInstance, points: np.ndarray) -> tuple[float, float]:
+    """(min positive or 0, max) distance among ``points``, by one :func:`_upper_blocks`.
+    Rejects a non-finite distance, then a repeated point, each with its first witness
+    in row-major order, which lies in the walk's blocks as ``d`` is exactly symmetric."""
+    dmin, dmax, duplicate = np.inf, 0.0, None
+    for a, d, upper in _upper_blocks(instance, points):
+        if not np.all(np.isfinite(d)):
+            i, j = points[np.argwhere(~np.isfinite(d))[0] + a]
+            _err("non-finite distance", "points", i=int(i), j=int(j))
+        zero = d == 0.0
+        if duplicate is None and np.count_nonzero(zero) > len(d):   # more than the diagonal
+            duplicate = points[np.argwhere(zero & upper)[0] + a]
+        dmin = min(dmin, float(np.min(d, where=d > 0, initial=np.inf)))
+        dmax = max(dmax, float(d.max()))
+    if duplicate is not None:
+        _err("duplicate points (zero distance)", "points",
+             i=int(duplicate[0]), j=int(duplicate[1]))
+    return (dmin if dmin < np.inf else 0.0), dmax
 
 
 def _pair_walk(instance: MetricInstance, points: np.ndarray, rows) -> None:
@@ -463,11 +460,9 @@ def _pair_walk(instance: MetricInstance, points: np.ndarray, rows) -> None:
     each ``values`` (aligned with ``points``) are formed in turn in one buffer the size
     of ``d``, -1 (below every ratio) off the pairs with ``d > 0``, and read by its folds
     as ``fold(a, d, ratios)``."""
-    upper = None
-    for a, d in _upper_blocks(instance, points):
-        upper = _strict_upper(d) if upper is None else upper    # the first block is the largest
+    for a, d, upper in _upper_blocks(instance, points):
         pair = d > 0
-        pair &= upper[:len(d), :d.shape[1]]
+        pair &= upper
         off, ratios = ~pair, np.empty_like(d)
         for values, folds in rows:
             np.copyto(_ratio(values[a:a + len(d), None], values[a:], d, ratios, pair), -1.0,

@@ -439,8 +439,8 @@ def _distance_quartiles(instance: MetricInstance) -> list[float]:
             break
         acc = {key: [] if key[2] <= metric._BLOCK else np.zeros(1 << 16, dtype=np.intp)
                for key in set(todo.values())}
-        for _, d in metric._upper_blocks(instance, np.arange(n)):
-            bits = d[metric._strict_upper(d)].view(np.int64)
+        for _, d, upper in metric._upper_blocks(instance, np.arange(n)):
+            bits = d[upper].view(np.int64)
             head = bits >> (64 - known) if known else None
             for (prefix, _, _), got in acc.items():
                 x = bits[head == prefix] if known else bits

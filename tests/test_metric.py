@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +516,75 @@ def test_streamed_validation_names_the_first_witness(monkeypatch, block):
         big = coords.copy()
         big[17] = [1e200, 0.0]      # overflows against every point
         assert witness(big) == ("non-finite distance", {"i": 0, "j": 17})
+
+
+def _walked(kind):
+    """A 60-point cloud in ``kind`` coordinates, or the golden shortest-path matrix."""
+    if kind == "graph":
+        return validate_instance(json.loads((Path(__file__).parent / "golden" / "graph.json")
+                                            .read_text()))
+    coords = np.random.default_rng(200 + kind).normal(0.0, 2.0, (60, kind))
+    return instance_from_arrays(coords=coords, subset=[0, 1], values=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", [1, 3, 7, 8, 16, 17, "graph"])
+@pytest.mark.parametrize("block", [1, 50, 1 << 16])
+def test_upper_blocks_are_the_distance_blocks(monkeypatch, kind, block):
+    # Each block of the walk is the bits of distances() on its rows against the
+    # columns from its first row on (read before the next block overwrites a
+    # cloud's buffer), its mask is the entries c > r, and the blocks cover the
+    # rows 0..m-2 in order: over every point, a permutation and a strict subset,
+    # in one-row blocks, blocks of a few rows and the module's own.
+    inst = _walked(kind)
+    monkeypatch.setattr(metric, "_BLOCK", block)
+    rng = np.random.default_rng(7)
+    for points in (np.arange(inst.n), rng.permutation(inst.n), rng.permutation(inst.n)[:23]):
+        rows = []
+        for a, d, upper in metric._upper_blocks(inst, points):
+            want = inst.distances(points[a:a + len(d)], points[a:])
+            assert d.shape == want.shape and d.tobytes() == want.tobytes()
+            r, c = np.indices(d.shape)
+            assert np.array_equal(upper, c > r)
+            rows.extend(range(a, a + len(d)))
+        assert rows == list(range(len(points) - 1))
+
+
+@pytest.mark.parametrize("kind", [3, "graph"])
+def test_upper_blocks_reject_a_bad_point_list(kind):
+    # Checked before the first block, with distances()' message: a negative
+    # index never wraps around, and a single point is checked too.
+    inst = _walked(kind)
+    for points in ([0, -1, 2], [-1], [inst.n], np.array([3, -inst.n]), [[0, 1]], [0, 1.5],
+                   [True, 2]):
+        with pytest.raises(ParameterError) as walked:
+            next(metric._upper_blocks(inst, points))
+        with pytest.raises(ParameterError) as gathered:
+            inst.distances(points, points)
+        assert str(walked.value) == str(gathered.value)
+
+
+def test_validation_walks_the_points_once(monkeypatch):
+    # The extents of the seeded 1000-point cloud, and its checks for non-finite
+    # and repeated pairs, are one walk of its n points through the walker every
+    # pair scan shares; the other walk is Lip(g, C) over the subset.
+    n = 1000
+    rng = np.random.default_rng(8)
+    coords = rng.uniform(0.0, 1.0, (n, 3))
+    subset = np.sort(rng.choice(n, size=n // 10, replace=False))
+    raw = {"points": {"type": "euclidean", "coords": coords.tolist()},
+           "subset": subset.tolist(),
+           "values": (np.sin(4.0 * coords[subset, 0]) + coords[subset, 2] ** 2).tolist()}
+    walks, upper = [], metric._upper_blocks
+
+    def counted(instance, points):
+        walks.append(len(points))
+        return upper(instance, points)
+
+    monkeypatch.setattr(metric, "_upper_blocks", counted)
+    inst = validate_instance(raw)
+    assert walks == [n, n // 10]
+    d = dense(inst)
+    assert inst.extents == (float(d[d > 0].min()), float(d.max()))
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])

@@ -11,7 +11,7 @@ from lipext import (CheckResult, MetricInstance, ParameterError, ProfileBank, bu
                     lip_constant, locality_radius, mcshane_comparison,
                     mcshane_upper_many, run_suite, schedule_for_instance,
                     truncate_bounded, validate_measure)
-from lipext import extension, metric, verification
+from lipext import metric, verification
 from lipext.verification import _distance_quartiles, check_envelope_sandwich, check_localization
 
 from conftest import (corrupted_extension, dense, grid_instance, hand_bank, oracle_lip,
@@ -259,7 +259,6 @@ def test_run_suite_walks_the_pairs_three_times(monkeypatch):
         return upper(instance, points)
 
     monkeypatch.setattr(metric, "_upper_blocks", counted)
-    monkeypatch.setattr(extension, "_upper_blocks", counted)
     report = run_suite(inst, 0.5)
     assert report.passed
     assert next(c for c in report.checks if c.name == "global_lipschitz").note == "exhaustive"
