@@ -52,9 +52,9 @@ def validate_measure(instance: MetricInstance, masses=None, p: float = 1.0) -> M
     except (TypeError, ValueError) as exc:
         raise InstanceValidationError(f"malformed field: {exc}", "masses") from exc
     if masses.shape != (instance.n,):
-        raise InstanceValidationError("masses length does not match point count",
-                                      "masses", {"n_masses": len(masses),
-                                                 "n": instance.n})
+        raise InstanceValidationError(  # a scalar has no length
+            "masses length does not match point count", "masses",
+            {"n_masses": len(masses) if masses.ndim else None, "n": instance.n})
     if np.any(~np.isfinite(masses)) or np.any(masses < 0):
         bad = int(np.flatnonzero(~np.isfinite(masses) | (masses < 0))[0])
         raise InstanceValidationError("masses must be finite and nonnegative",

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, as_float, positive_real, shown
-from .metric import (MetricInstance, _extents, _first_non_integer, _index_list, _row_blocks,
-                     ball_lips)
+from .metric import (MetricInstance, _extents, _first_non_integer, _index_list, _point_list,
+                     _row_blocks, ball_lips)
 from .schedule import SPAN_UNDERFLOW, ScaleSchedule, build_schedule
 
 BANK_RULE = ("profiles must be a non-empty bank of finite rows "
@@ -145,8 +145,7 @@ def _cones(instance: MetricInstance, l_prime: float, queries, sign: float, best)
         raise ParameterError(
             f"envelope constant {shown(l_prime, str)} below Lip(g, C) = "
             f"{instance.lipschitz_computed}: result would not extend g")
-    queries = _index_list(queries, instance.n, "rows and cols must be 1-D lists of point "
-                          f"indices in [0, {instance.n})")
+    queries = _point_list(queries, instance.n)
     out = np.empty(len(queries))
     with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
         for s in _row_blocks(len(queries), len(instance.subset)):
@@ -190,42 +189,54 @@ def _as_query_array(instance: MetricInstance, queries) -> np.ndarray:
 
 def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
              queries: np.ndarray, profiles: ProfileBank | None,
-             localized: bool) -> ExtensionField:
-    """The penalized infimum on ``queries``: over every anchor, or over each
-    query's localization ball (see :func:`extend_localized`)."""
+             localized: bool) -> tuple[ExtensionField, tuple | None]:
+    """The penalized infimum on ``queries``, over every anchor or over each query's
+    localization ball (see :func:`extend_localized`): the one place that rule is written.
+
+    A localized pass also returns, per query, the nearest anchor ``xbar``, the least
+    exclusion margin ``phi - (f + eps_{k-1} L / 3)`` over the bank's rows outside the
+    ball (``inf`` if none; constant data excludes none) and the first such row's anchor.
+    """
     if instance.lipschitz_computed == 0.0:
-        return _constant_field(instance, queries)
+        field = _constant_field(instance, queries)
+        return field, (field.anchors, np.full(len(queries), np.inf), field.anchors)
     if schedule is None:
         raise ParameterError("a schedule is required when Lip(g, C) > 0")
     if profiles is None:
         profiles = build_profiles(instance, schedule)
     if len(profiles.anchors) == 0:
         raise ParameterError(BANK_RULE)
-    values = np.empty(len(queries))
-    anchors = np.empty(len(queries), dtype=np.intp)
+    values, margin = np.empty(len(queries)), np.empty(len(queries))
+    anchors, near, far = (np.empty(len(queries), dtype=np.intp) for _ in range(3))
     localization = ["full"] * len(queries)
-    dmax = 0.0
+    eps, L, dmax = schedule.eps, instance.lipschitz_L, 0.0
     # Every step is per query (column), so blocks give the same bits as one pass.
     for s in _row_blocks(len(queries), len(profiles.anchors)):
         T, phi = _family(instance, profiles, queries[s])
         dmax = max(dmax, float(T.max()))
-        if localized:
-            d_near, xbars = _argmin_lowest(T, profiles.anchors)     # nearest, lowest index
-            # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
-            jk = np.searchsorted(schedule.eps, d_near, side="right") + 2
-            radius = np.append(schedule.eps, np.full(3, np.inf))[jk]    # jk <= len(eps) + 2
-            phi = np.where(instance.distances(profiles.anchors, xbars) < radius, phi, np.inf)
-            localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
-                               for k, x, r in zip(schedule.k_min + jk, xbars, radius)]
-        values[s], anchors[s] = _argmin_lowest(phi, profiles.anchors)
+        if not localized:
+            values[s], anchors[s] = _argmin_lowest(phi, profiles.anchors)
+            continue
+        d_near, near[s] = _argmin_lowest(T, profiles.anchors)     # nearest, lowest index
+        # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
+        jk = np.searchsorted(eps, d_near, side="right") + 2
+        radius = np.append(eps, np.full(3, np.inf))[jk]     # jk <= len(eps) + 2
+        out = instance.distances(profiles.anchors, near[s]) >= radius
+        values[s], anchors[s] = _argmin_lowest(np.where(out, np.inf, phi), profiles.anchors)
+        lower = values[s] + eps[np.minimum(jk, len(eps)) - 1] * L / 3.0  # unread if "full"
+        gaps = np.where(out, phi - lower, np.inf)
+        margin[s], far[s] = gaps.min(axis=0), profiles.anchors[gaps.argmin(axis=0)]
+        localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
+                           for k, x, r in zip(schedule.k_min + jk, near[s], radius)]
     if schedule.eps_at(schedule.k_max) < dmax:
         raise ScheduleTooShallow(
             f"extend schedule: top scale {schedule.eps_at(schedule.k_max)!r} below "
             f"the largest anchor-query distance {dmax!r}",
             required_span_high=2.0 * dmax)
-    return ExtensionField(queries=queries, values=values, anchors=anchors,
-                          localization=localization, schedule=schedule,
-                          g_abs_max=float(np.max(np.abs(instance.values))))
+    field = ExtensionField(queries=queries, values=values, anchors=anchors,
+                           localization=localization, schedule=schedule,
+                           g_abs_max=float(np.max(np.abs(instance.values))))
+    return field, (near, margin, far) if localized else None
 
 
 def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
@@ -237,7 +248,7 @@ def extend(instance: MetricInstance, schedule: ScaleSchedule | None,
     directly and ``schedule`` is ignored.  Tie-break: lowest anchor index.
     """
     return _infimum(instance, schedule, _as_query_array(instance, queries),
-                    profiles, False)
+                    profiles, False)[0]
 
 
 def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
@@ -251,9 +262,10 @@ def extend_localized(instance: MetricInstance, schedule: ScaleSchedule | None,
     above the minimum, so the restricted minimum equals the full one bitwise.
     ``localization[i]`` records ``{"k": k, "xbar": xbar}``, or ``"full"`` when
     no stored k is admissible and the query keeps every anchor.  Ties and
-    constant data as in :func:`extend`.
+    constant data as in :func:`extend`.  ``check_localization`` runs this pass
+    and reads each query's exclusion margin from it.
     """
-    return _infimum(instance, schedule, _as_query_array(instance, queries), profiles, True)
+    return _infimum(instance, schedule, _as_query_array(instance, queries), profiles, True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,7 @@ class MetricInstance:
     def distances(self, rows, cols) -> np.ndarray:
         """Distance submatrix d[rows, cols], a fresh array of shape (len(rows), len(cols)):
         gathered from an explicit matrix, or computed from ``coords`` on every call."""
-        message = f"rows and cols must be 1-D lists of point indices in [0, {self.n})"
-        rows = _index_list(rows, self.n, message)
-        cols = _index_list(cols, self.n, message)
+        rows, cols = _point_list(rows, self.n), _point_list(cols, self.n)
         if self.dmatrix is None:
             return _euclidean_matrix(self.coords[rows], self.coords[cols])
         return self.dmatrix[np.ix_(rows, cols)]
@@ -377,6 +375,11 @@ def _index_list(indices, n: int, message: str) -> np.ndarray:
     raise ParameterError(message)
 
 
+def _point_list(indices, n: int) -> np.ndarray:
+    """``indices`` by :func:`_index_list` as the point indices of a distance block."""
+    return _index_list(indices, n, f"rows and cols must be 1-D lists of point indices in [0, {n})")
+
+
 def _distinct_members(instance: MetricInstance, members) -> np.ndarray:
     """``members`` as 1-D intp; raises unless they are distinct point indices."""
     members = _index_list(members, instance.n,
@@ -421,8 +424,7 @@ def _upper_blocks(instance: MetricInstance, points):
     walk, sliced to the block).  ``points`` is checked once, with ``distances``' message.
     A cloud's blocks fill one buffer: its ``d`` lives only until the next is asked for.
     """
-    points = _index_list(points, instance.n,
-                         f"rows and cols must be 1-D lists of point indices in [0, {instance.n})")
+    points = _point_list(points, instance.n)
     m, cloud = len(points), instance.dmatrix is None
     blocks = _row_blocks(m - 1, m)
     upper = np.arange(m) > np.arange(blocks[0].stop if blocks else 0)[:, None]

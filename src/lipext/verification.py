@@ -30,9 +30,9 @@ from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_memb
                      _first_non_integer, _index_list, _ratio, _row_blocks, _walk_scans,
                      ball_lips)
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (BANK_RULE, ExtensionField, ProfileBank, _argmin_lowest, _family,
-                        build_profiles, extend, extend_localized, mcshane_upper_many,
-                        mcshane_lower_many, schedule_for_instance)
+from .extension import (BANK_RULE, ExtensionField, ProfileBank, _family, _infimum,
+                        build_profiles, extend, mcshane_upper_many, mcshane_lower_many,
+                        schedule_for_instance)
 
 SCHEMA_VERSION = "1"    # of every JSON report
 IDENTITY_RTOL = 1e-12
@@ -229,49 +229,34 @@ def check_localization(instance: MetricInstance, field: ExtensionField,
                        profiles: ProfileBank) -> CheckResult:
     """Localized evaluation equals the full infimum bitwise on every query.
 
-    One :func:`extend_localized` call localizes each query at its nearest
-    anchor of the bank (lowest index on ties); the first mismatch in query order
-    is the witness.  Also verifies the exclusion margin on the localized queries,
-    in column blocks: the bank's anchors outside a query's localization ball sit
-    at least eps_{k-1} L / 3 above the minimum.  The worst margin is the first
-    query attaining the minimum, with the first anchor in bank order attaining
-    it there.  Queries with no admissible k keep every anchor and are counted as
-    fallback evaluations.
+    One localized pass of the evaluation behind :func:`extend_localized`
+    localizes each query at its nearest anchor of the bank (lowest index on
+    ties); the first mismatch in query order is the witness.  The same pass
+    gives the exclusion margins, read once the values match: the bank's anchors
+    outside a query's localization ball sit at least eps_{k-1} L / 3 above the
+    minimum.  The worst margin is the first query attaining the minimum, with
+    the first anchor in bank order attaining it there.  Queries with no
+    admissible k keep every anchor and are counted as fallback evaluations.
     """
-    L, schedule, anchors = instance.lipschitz_L, field.schedule, profiles.anchors
     tol = INEQ_RTOL * instance.check_scale()
-    loc = extend_localized(instance, schedule, field.queries, profiles=profiles)
+    loc, (xbars, worst, far) = _infimum(instance, field.schedule, field.queries, profiles, True)
     bad = np.flatnonzero(loc.values != field.values)
     if len(bad):
         qi = bad[0]
         got, full = float(loc.values[qi]), float(field.values[qi])
-        xbar = _argmin_lowest(instance.distances(anchors, field.queries[qi:qi + 1]), anchors)[1]
         return CheckResult(
             "localization", "fail", measured=got, allowed=full,
-            witness={"query": int(field.queries[qi]), "xbar": int(xbar[0]),
+            witness={"query": int(field.queries[qi]), "xbar": int(xbars[qi]),
                      "localized": got, "full": full})
-    cols = np.flatnonzero([rec != "full" for rec in loc.localization])
-    k = np.array([loc.localization[c]["k"] for c in cols], dtype=np.intp)
-    xbars = np.array([loc.localization[c]["xbar"] for c in cols], dtype=np.intp)
-    # Per localized query: its smallest margin and the first row attaining it.
-    worst, rows, excluded_any = np.empty(len(cols)), np.empty(len(cols), dtype=np.intp), False
-    for s in _row_blocks(len(cols), len(anchors)):
-        j, q = k[s] - schedule.k_min, cols[s]
-        excluded = instance.distances(anchors, xbars[s]) >= schedule.eps[j]
-        phi = _family(instance, profiles, field.queries[q])[1]
-        margins = np.where(excluded, phi - (field.values[q] + schedule.eps[j - 1] * L / 3.0),
-                           np.inf)
-        worst[s], rows[s] = margins.min(axis=0), margins.argmin(axis=0)
-        excluded_any = excluded_any or bool(excluded.any())
-    fallbacks = len(field.queries) - len(cols)
+    fallbacks = loc.localization.count("full")
     note = f"{fallbacks} fallback evaluations" if fallbacks else ""
-    c = int(np.argmin(worst)) if excluded_any else None     # the first query at the minimum
-    worst_margin = None if c is None else float(worst[c])
+    c = int(np.argmin(worst))       # the first query at the minimum
+    worst_margin = None if worst[c] == np.inf else float(worst[c])  # inf: nothing excluded
     if worst_margin is None or worst_margin >= -tol:
         return CheckResult("localization", "pass", measured=worst_margin,
                            tolerance=tol, note=note)
-    witness = {"query": int(field.queries[cols[c]]), "xbar": int(xbars[c]),
-               "k": int(k[c]), "anchor": int(anchors[rows[c]])}
+    witness = {"query": int(field.queries[c]), "xbar": int(xbars[c]),
+               "k": loc.localization[c]["k"], "anchor": int(far[c])}
     return CheckResult("localization", "fail", measured=worst_margin,
                        allowed=-tol, tolerance=tol, witness=witness,
                        note="exclusion margin violated; " + note)

@@ -78,6 +78,36 @@ def test_validate_rejects_mass_off_subset(tmp_path, capsys):
     assert "off the subset" in json.loads(capsys.readouterr().out)["error"]
 
 
+LENGTH = "masses length does not match point count"
+# Masses of the wrong kind or shape on the 3-point line, with the start of each
+# error: a scalar has no length, so it is a length mismatch like a short list.
+MALFORMED_MASSES = {
+    "empty": ([], LENGTH), "short": ([1.0, 0.0], LENGTH), "rows": ([[1.0, 0.0, 1.0]], LENGTH),
+    "string": ("x", "malformed field"), "object": ({}, "malformed field"),
+    "nulls": ([None, None, None], "non-numeric mass"), "true": (True, "non-numeric mass"),
+    "int": (2, LENGTH), "float": (2.5, LENGTH), "huge-int": (10 ** 400, LENGTH),
+}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["energy", "--p", "1", "--radii", "0.5"]],
+                         ids=["validate", "energy"])
+@pytest.mark.parametrize("case", MALFORMED_MASSES)
+def test_malformed_masses_exit1(tmp_path, capsys, argv, case):
+    masses, error = MALFORMED_MASSES[case]
+    path = _write(tmp_path, "m.json", {
+        "points": {"type": "euclidean", "coords": [[0.0], [0.5], [1.0]]},
+        "subset": [0, 2], "values": [0.0, 1.0], "masses": masses})
+    output = ["--output", str(tmp_path / "out.json")] if argv[0] == "energy" else []
+    assert main([*argv, "--input", path, *output]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert out.count("\n") == 1 and err == ""
+    assert set(doc) == {"error", "field", "witness"} and doc["field"] == "masses"
+    assert doc["error"].startswith(error)
+    if error == LENGTH:
+        assert doc["witness"]["n"] == 3
+
+
 def test_validate_missing_values_field(tmp_path, capsys):
     path = _write(tmp_path, "m.json", {
         "points": {"type": "matrix", "d": [[0, 1], [1, 0]]}, "subset": [0]})

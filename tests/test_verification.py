@@ -11,7 +11,7 @@ from lipext import (CheckResult, MetricInstance, ParameterError, ProfileBank, bu
                     lip_constant, locality_radius, mcshane_comparison,
                     mcshane_upper_many, run_suite, schedule_for_instance,
                     truncate_bounded, validate_measure)
-from lipext import metric, verification
+from lipext import extension, metric, verification
 from lipext.verification import _distance_quartiles, check_envelope_sandwich, check_localization
 
 from conftest import (corrupted_extension, dense, grid_instance, hand_bank, oracle_lip,
@@ -85,6 +85,33 @@ def test_localization_margin_witness_is_first_query_and_first_row():
                                 lipschitz=1000.0)
     field = extend(inst, sch, [4, 3], profiles=flat)
     assert check_localization(inst, field, flat).witness["anchor"] == 1
+
+
+def test_check_localization_is_one_localized_pass(monkeypatch):
+    # The pass that localizes also measures the exclusion margins: each family
+    # entry |C| x n is formed once, and each distance twice (the rows' own and
+    # d(anchors, xbar)), with no second pass over the localized queries.
+    inst = _cloud(1000)
+    sch = schedule_for_instance(inst, 0.5)
+    profiles = build_profiles(inst, sch)
+    field = extend(inst, sch, profiles=profiles)
+    formed = {"family": 0, "distances": 0}
+    family, distances = extension._family, MetricInstance.distances
+
+    def counted_family(instance, bank, points):
+        formed["family"] += len(bank.anchors) * len(points)
+        return family(instance, bank, points)
+
+    def counted_distances(self, rows, cols):
+        formed["distances"] += len(rows) * len(cols)
+        return distances(self, rows, cols)
+
+    for module in (extension, verification):
+        monkeypatch.setattr(module, "_family", counted_family)
+    monkeypatch.setattr(MetricInstance, "distances", counted_distances)
+    assert check_localization(inst, field, profiles).status == "pass"
+    size = len(inst.subset) * inst.n
+    assert formed == {"family": size, "distances": 2 * size}
 
 
 def test_check_restriction_witness():
