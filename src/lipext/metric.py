@@ -90,28 +90,28 @@ class MetricInstance:
 
 def _euclidean_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                      scratch: np.ndarray) -> np.ndarray:
-    """``out[i, j] = d(a[i], b[j])``: the bits of ``sqrt(sum(diff * diff, axis=2))``
-    over one ``(len(a), len(b), dim)`` array ``diff``.  From 1 to 7 coordinates
-    the squared gaps are added into ``out`` left to right, as numpy sums so
-    short an axis (``np.sum`` over it is about five times slower at 3), with
-    ``out.size`` entries of ``scratch``; otherwise ``np.sum`` runs over the
+    """``out = d(a, b)`` over the last axis, broadcast (``a[:, None]``, ``b[None]`` give all
+    pairs): the bits of ``sqrt(sum(diff * diff, axis=-1))`` over one array ``diff = a - b``.
+    From 1 to 7 coordinates the squared gaps are added into ``out`` left to right, as
+    numpy sums so short an axis (``np.sum`` over it is about five times slower at 3),
+    with ``out.size`` entries of ``scratch``; otherwise ``np.sum`` runs over the
     squares, in ``out.size * dim`` of them.  Overflow gives ``inf`` silently.
     ``fl(x - y) = -fl(y - x)``, so ``d(a, a)`` is symmetric with a +0 diagonal.
     """
-    dim = a.shape[1]
+    dim = a.shape[-1]
     with np.errstate(over="ignore"):
         if 0 < dim < 8:
             for k in range(dim):
                 dst = scratch[:out.size].reshape(out.shape) if k else out
-                np.subtract(a[:, k, None], b[:, k], out=dst)
+                np.subtract(a[..., k], b[..., k], out=dst)
                 np.multiply(dst, dst, out=dst)
                 if k:
                     out += dst
         else:
             sq = scratch[:out.size * dim].reshape(*out.shape, dim)
-            np.subtract(a[:, None, :], b[None, :, :], out=sq)
+            np.subtract(a, b, out=sq)
             np.multiply(sq, sq, out=sq)
-            np.sum(sq, axis=2, out=out)
+            np.sum(sq, axis=-1, out=out)
         return np.sqrt(out, out=out)
 
 
@@ -123,7 +123,7 @@ def _euclidean_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     width = len(b) * (b.shape[1] if b.shape[1] >= 8 else 1)
     scratch = np.empty(min(len(a) * width, max(_BLOCK, width)))
     for s in _row_blocks(len(a), width):
-        _euclidean_block(a[s], b, out[s], scratch)
+        _euclidean_block(a[s, None], b[None], out[s], scratch)
     return out
 
 
@@ -294,7 +294,7 @@ def instance_from_arrays(*, coords=None, dmatrix=None, subset, values,
     values = _float_array(values, "values", "value")
     if values.shape != subset.shape:
         _err("values length does not match subset length", "values",
-             n_values=len(values), n_subset=len(subset))
+             n_values=len(values) if values.ndim else None, n_subset=len(subset))
     if not np.all(np.isfinite(values)):
         _err("non-finite value", "values",
              position=int(np.argwhere(~np.isfinite(values))[0][0]))
@@ -437,9 +437,12 @@ def _upper_blocks(instance: MetricInstance, points):
 
 
 def _extents(instance: MetricInstance, points: np.ndarray) -> tuple[float, float]:
-    """(min positive or 0, max) distance among ``points``, by one :func:`_upper_blocks`.
-    Rejects a non-finite distance, then a repeated point, each with its first witness
-    in row-major order, which lies in the walk's blocks as ``d`` is exactly symmetric."""
+    """(min positive or 0, max) distance among ``points``, by :func:`_pruned` or else one
+    :func:`_upper_blocks`.  Rejects a non-finite distance, then a repeated point, each with
+    its first witness in row-major order, which lies in the walk's blocks (``d`` is symmetric)."""
+    pruned = _pruned(instance, points)
+    if pruned is not None:
+        return pruned
     dmin, dmax, duplicate = np.inf, 0.0, None
     for a, d, upper in _upper_blocks(instance, points):
         if not np.all(np.isfinite(d)):
@@ -454,6 +457,43 @@ def _extents(instance: MetricInstance, points: np.ndarray) -> tuple[float, float
         _err("duplicate points (zero distance)", "points",
              i=int(duplicate[0]), j=int(duplicate[1]))
     return (dmin if dmin < np.inf else 0.0), dmax
+
+
+def _pruned(instance: MetricInstance, points: np.ndarray) -> tuple[float, float] | None:
+    """A cloud's extents from far fewer than its pairs (README, "Memory"), or None once a
+    zero or non-finite distance turns up or the sweep would pass ``m (m - 1) / 4`` pairs.
+    The closest pair: a sweep on the widest coordinate, in doubling chunks of offsets, that
+    skips no pair below the least distance so far (each rounding is monotone).  The maximum:
+    a walk of the points with ``(r + R + sqrt(dim) 2^-535) (1 + (dim + 8) 2^-50) >= LB``, ``r``
+    the distances to the coordinate midrange, ``R = max r``, ``LB`` the longest from R's point."""
+    if instance.dmatrix is not None or instance.coords.shape[1] == 0:
+        return None
+    coords = instance.coords[points]
+    m, dim = coords.shape
+    with np.errstate(over="ignore"):
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        k = np.argmax(hi - lo)
+        srt = coords[np.argsort(coords[:, k])]
+        xs, ahead, best, lag, chunk = srt[:, k], np.arange(1, m + 1), np.inf, 1, 1
+        reach = m - ahead   # the later points p may meet: at first all of them
+        while len(rows := np.flatnonzero(reach >= lag)):
+            for s in _row_blocks(len(rows), chunk * dim):
+                i, o = np.nonzero(reach[rows[s], None] >= np.arange(lag, lag + chunk))
+                p, q = rows[s][i], rows[s][i] + lag + o
+                d = _euclidean_block(srt[p], srt[q], np.empty(len(p)), np.empty(len(p) * dim))
+                if not 0.0 < d.min() <= d.max() < np.inf:
+                    return None
+                best = min(best, float(d.min()))
+            lag, chunk = lag + chunk, min(2 * chunk, max(1, _BLOCK // dim))
+            reach = np.searchsorted(xs, xs + best, side="right") - ahead
+            if reach.sum() > m * (m - 1) // 4:
+                return None
+        r = _euclidean_matrix(coords, (lo / 2 + hi / 2)[None])[:, 0]
+        lb = _euclidean_matrix(coords, coords[np.argmax(r), None]).max()
+        keep = (r + (r.max() + np.sqrt(dim) * 2.0 ** -535)) * (1.0 + (dim + 8) * 2.0 ** -50) >= lb
+        dmax = max((float(d.max()) for _, d, _ in _upper_blocks(instance, points[keep])),
+                   default=0.0)
+    return ((best if best < np.inf else 0.0), dmax) if max(lb, dmax) < np.inf else None
 
 
 def _pair_walk(instance: MetricInstance, points: np.ndarray, rows) -> None:

@@ -289,6 +289,13 @@ NON_NUMBER_CASES = {
                                                   "subset")),
     "subset-2d": ({"subset": [[0, 2]]}, _shape_error("subset must be a non-empty index list",
                                                      "subset")),
+    # A scalar has no length: a length mismatch like a list of rows, not a Python message.
+    "values-scalar": ({"values": 2}, {"error": "values length does not match subset length",
+                                      "field": "values", "witness": {"n_values": None,
+                                                                     "n_subset": 2}}),
+    "values-rows": ({"values": [[1.0, 2.0]]},
+                    {"error": "values length does not match subset length", "field": "values",
+                     "witness": {"n_values": 1, "n_subset": 2}}),
 }
 
 

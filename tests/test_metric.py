@@ -11,6 +11,7 @@ from lipext import (InstanceValidationError, ParameterError,
                     instance_from_arrays, lip_constant, lipa_profile, run_suite,
                     validate_instance)
 from lipext import metric
+from lipext.extension import evaluation_diameters
 from lipext.metric import (TRIANGLE_RTOL, _check_radii, _euclidean_matrix,
                            _triangle_violators)
 
@@ -563,10 +564,11 @@ def test_upper_blocks_reject_a_bad_point_list(kind):
         assert str(walked.value) == str(gathered.value)
 
 
-def test_validation_walks_the_points_once(monkeypatch):
-    # The extents of the seeded 1000-point cloud, and its checks for non-finite
-    # and repeated pairs, are one walk of its n points through the walker every
-    # pair scan shares; the other walk is Lip(g, C) over the subset.
+def test_validation_forms_few_distances(monkeypatch):
+    # Validating the seeded 1000-point cloud forms at most 15% of its n(n-1)/2
+    # distances for the extents, plus the |C|^2 of Lip(g, C) over the subset: the
+    # sweep meets the near pairs only, and the diameter walks the few points that
+    # can reach it.
     n = 1000
     rng = np.random.default_rng(8)
     coords = rng.uniform(0.0, 1.0, (n, 3))
@@ -574,17 +576,107 @@ def test_validation_walks_the_points_once(monkeypatch):
     raw = {"points": {"type": "euclidean", "coords": coords.tolist()},
            "subset": subset.tolist(),
            "values": (np.sin(4.0 * coords[subset, 0]) + coords[subset, 2] ** 2).tolist()}
-    walks, upper = [], metric._upper_blocks
+    formed, block = [], metric._euclidean_block
 
-    def counted(instance, points):
-        walks.append(len(points))
-        return upper(instance, points)
+    def counted(a, b, out, scratch):
+        formed.append(out.size)
+        return block(a, b, out, scratch)
 
-    monkeypatch.setattr(metric, "_upper_blocks", counted)
+    monkeypatch.setattr(metric, "_euclidean_block", counted)
     inst = validate_instance(raw)
-    assert walks == [n, n // 10]
+    assert sum(formed) <= 0.15 * n * (n - 1) / 2 + len(subset) ** 2
+    monkeypatch.undo()
     d = dense(inst)
     assert inst.extents == (float(d[d > 0].min()), float(d.max()))
+
+
+def test_unpruned_cloud_costs_one_walk(monkeypatch):
+    # In 16 coordinates the sweep's first row of neighbours already bounds more than
+    # a quarter of the pairs, so it stops there and the extents cost the all-pairs
+    # walk plus that row, not a sweep through half the pairs first.
+    n = 400
+    inst = instance_from_arrays(coords=np.random.default_rng(16).uniform(0.0, 1.0, (n, 16)),
+                                subset=[0], values=[0.0])
+    formed, block = [], metric._euclidean_block
+
+    def counted(a, b, out, scratch):
+        formed.append(out.size)
+        return block(a, b, out, scratch)
+
+    monkeypatch.setattr(metric, "_euclidean_block", counted)
+    assert metric._extents(inst, np.arange(n)) == inst.extents
+    walk = sum((s.stop - s.start) * (n - s.start) for s in metric._row_blocks(n - 1, n))
+    assert sum(formed) <= walk + n
+
+
+def _cloud(kind, n, dim, rng):
+    """``n`` points in ``dim`` coordinates: uniform, normal, distinct integer lattice
+    points (ties), two tight clusters, or a line (where the diameter's ends lie
+    exactly ``r_i + R`` apart through the midrange)."""
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, (n, dim))
+    if kind == "normal":
+        return rng.normal(0.0, 1.0, (n, dim))
+    if kind == "lattice":
+        side = 2 + int((2 * n) ** (1 / dim))
+        cells = rng.choice(side ** dim, size=n, replace=False)
+        return np.stack(np.unravel_index(cells, (side,) * dim), axis=1) - side / 2
+    if kind == "clusters":
+        return rng.normal(0.0, 1e-3, (n, dim)) + 7.0 * (np.arange(n) % 2)[:, None]
+    line = np.zeros((n, dim))
+    line[:, 0] = rng.normal(0.0, 1.0, n)
+    return line
+
+
+def _dense_extents(inst, points):
+    """``_extents`` of ``points`` from the dense matrix: the reason and witness of the
+    first non-finite entry, else of the first zero one off the diagonal, in row-major
+    order over ``points``, else (min positive or 0, max)."""
+    d = dense(inst)[np.ix_(points, points)]
+    for reason, bad in (("non-finite distance", ~np.isfinite(d)),
+                        ("duplicate points (zero distance)", np.triu(d == 0.0, 1))):
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            return reason, {"i": int(points[r]), "j": int(points[c])}
+    return float(np.min(d, where=d > 0, initial=np.inf)) if len(d) > 1 else 0.0, float(d.max())
+
+
+def _pruned_extents(inst, points):
+    """``metric._extents``, or the reason and witness of its error on ``points``."""
+    try:
+        return metric._extents(inst, points)
+    except InstanceValidationError as exc:
+        assert exc.field == "points"
+        return exc.reason, exc.witness
+
+
+@pytest.mark.parametrize("kind", ["uniform", "normal", "lattice", "clusters", "line"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 16, 17])
+def test_cloud_extents_match_the_dense_matrix(kind, dim):
+    # The sweep's closest pair and the survivors' diameter are the bits of the
+    # dense matrix, and a zero or non-finite distance gets the dense matrix's
+    # first witness in row-major order: over every point, a permutation, a
+    # partial list and evaluation_diameters, from subnormal squares (1e-160) to
+    # overflowing ones (1e160), with a repeated point and with 1, 2 and 3 points.
+    rng = np.random.default_rng([dim, len(kind)])
+    for scale in (1e-160, 1.0, 1e150, 1e160):
+        for n in (1, 2, 3, 40, 150):
+            coords = scale * _cloud(kind, n, dim, rng)
+            copied = coords.copy()
+            copied[rng.integers(n)] = copied[rng.integers(n)]
+            for c in (coords, copied):
+                inst = metric.MetricInstance(subset=np.array([0]), values=np.array([0.0]),
+                                             lipschitz_L=0.0, lipschitz_computed=0.0, coords=c)
+                perm = rng.permutation(n)
+                for points in (perm[:max(1, n // 3)], perm, np.arange(n)):
+                    with np.errstate(over="ignore"):
+                        want = _dense_extents(inst, points)
+                    assert _pruned_extents(inst, points) == want
+                if not isinstance(want[0], str):    # every point valid
+                    inst = instance_from_arrays(coords=c, subset=[0], values=[0.0])
+                    queries = perm[:max(1, n // 3)]
+                    pts = np.unique(np.append(queries, 0))
+                    assert evaluation_diameters(inst, queries) == _dense_extents(inst, pts)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])
