@@ -461,7 +461,8 @@ def _extents(instance: MetricInstance, points: np.ndarray) -> tuple[float, float
 
 def _pruned(instance: MetricInstance, points: np.ndarray) -> tuple[float, float] | None:
     """A cloud's extents from far fewer than its pairs (README, "Memory"), or None once a
-    zero or non-finite distance turns up or the sweep would pass ``m (m - 1) / 4`` pairs.
+    zero or non-finite distance turns up or the sweep would pass ``m (m - 1) / 20`` pairs,
+    which cost about one walk of all ``m (m - 1) / 2`` (a sweep pair costs ten walk pairs).
     The closest pair: a sweep on the widest coordinate, in doubling chunks of offsets, that
     skips no pair below the least distance so far (each rounding is monotone).  The maximum:
     a walk of the points with ``(r + R + sqrt(dim) 2^-535) (1 + (dim + 8) 2^-50) >= LB``, ``r``
@@ -486,7 +487,7 @@ def _pruned(instance: MetricInstance, points: np.ndarray) -> tuple[float, float]
                 best = min(best, float(d.min()))
             lag, chunk = lag + chunk, min(2 * chunk, max(1, _BLOCK // dim))
             reach = np.searchsorted(xs, xs + best, side="right") - ahead
-            if reach.sum() > m * (m - 1) // 4:
+            if reach.sum() > m * (m - 1) // 20:
                 return None
         r = _euclidean_matrix(coords, (lo / 2 + hi / 2)[None])[:, 0]
         lb = _euclidean_matrix(coords, coords[np.argmax(r), None]).max()
@@ -575,20 +576,23 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``;
     for a 2-D ``values``, entry ``[v, c, j]`` is that of its row ``v``.
 
-    Only members within ``max(radii)`` of a center with two or more there take
-    part, in their given order; a ball of at most one member is 0.  One
+    A ball of at most one member, whose radius is at most its center's
+    second-least distance, is 0 at once.  Only members within ``max(radii)`` of
+    a center with two or more there take part, in their given order.  One
     :func:`_pair_walk` of their pairs keeps the ``_TOP_K`` largest ratios of each
-    row (:class:`_TopPairs`), and these are walked in descending order: a
+    row (:class:`_TopPairs`), and these are read in descending order: a
     ball's answer is the first pair whose farther end lies inside it.  That
     pair is a certificate: every pair left out is at most the smallest pair
     kept, so the answer is the same computed float as a scan of every pair in
-    the ball.  A ball that holds no kept pair is 0 when fewer than K pairs
-    were kept, or when it has at most one member.  Otherwise the unresolved
-    radii recurse on its row: the members left are those of the largest, whose
-    steepest pair is kept there, so each level settles at least that radius.
-    No |members| x |members| array is built, and one ``d(centers, members)``
-    serves every row: the walk reads its columns at the K kept pairs, in
-    :func:`_row_blocks` of centers.
+    the ball.  The far ends are read in growing prefixes of the kept pairs (the
+    first 64, then 4 times the last: 256, 1024, 4096), for the centers with a ball
+    still open, one whose radius is at most the least far end read so far.  A ball
+    open after every kept pair is 0 when fewer than K pairs were kept.
+    Otherwise its radii recurse on its row: the members left are those of the
+    largest, whose steepest pair is kept there, so each level settles at least
+    that radius.  No |members| x |members| array is built, and one
+    ``d(centers, members)`` serves every row: the prefixes read its columns at
+    the kept pairs, in :func:`_row_blocks` of centers.
 
     ``members`` must be distinct and ``values`` finite; ``centers`` are any point
     indices and ``radii`` any nonnegative reals, in any order and with repeats.
@@ -607,29 +611,35 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
 def _ball_lips(instance: MetricInstance, members, values, d_rows, radii):
     """:func:`ball_lips` of each vector in the list ``values``, with ``d_rows =
     d(centers, members)`` given: a scan of :func:`_walk_scans` over the members in reach."""
-    inside = d_rows < radii.max(initial=0.0)    # a ball of at most one member is 0
-    reach = np.flatnonzero(inside[np.count_nonzero(inside, axis=1) > 1].any(axis=0))
+    # A ball of at most one member is 0: its radius is at most the second-least distance.
+    live = np.zeros((len(d_rows), len(radii)), bool)
+    for s in _row_blocks(len(d_rows), d_rows.shape[1]) if d_rows.shape[1] > 1 else ():
+        live[s] = radii > np.partition(d_rows[s], 1, axis=1)[:, 1, None]
+    inside = d_rows < radii.max(initial=0.0)
+    reach = np.flatnonzero(inside[live.any(axis=1)].any(axis=0))
     folds = [_TopPairs() for _ in values] if len(reach) > 1 else []
     yield [(members[reach], v[reach], fold) for v, fold in zip(values, folds)]
     out = np.zeros((len(values), len(d_rows), len(radii)))
     for v, lips, fold in zip(values, out, folds):
         first, second, top = fold.pairs()
         first, second = reach[first], reach[second]     # columns of d_rows
-        for s in _row_blocks(len(d_rows), len(top)):
-            # Minus the running minimum of the far ends: non-decreasing along a row,
-            # and pair k lies in the r-ball once this is above -r.
-            lead = d_rows[s, first]
-            np.maximum(lead, d_rows[s, second], out=lead)
-            np.negative(lead, out=lead)
-            np.maximum.accumulate(lead, axis=1, out=lead)
-            for row, lead_row in enumerate(lead, start=s.start):
-                hit = np.searchsorted(lead_row, -radii, side="right")
-                found = hit < len(top)
-                lips[row, found] = top[hit[found]]
-                rest = radii[~found]    # recurse if the largest open ball holds two or more
-                if len(top) == _TOP_K and np.count_nonzero(d_rows[row] < rest.max(initial=0)) > 1:
-                    lips[row, ~found] = _walk_scans(instance, _ball_lips(
-                        instance, members, [v], d_rows[row:row + 1], rest))[0][0, 0]
+        # The running minimum of the far ends read so far: an entry is open while
+        # its radius is at most this, and it settles at the first pair below it.
+        low, a, b = np.full(len(d_rows), np.inf), 0, 64
+        while len(rows := np.flatnonzero((live & (radii <= low[:, None])).any(1))) and a < len(top):
+            b = min(b, len(top))
+            for s in _row_blocks(len(rows), (b - a) * len(radii)):
+                r = rows[s]
+                far = np.maximum(d_rows[r[:, None], first[a:b]], d_rows[r[:, None], second[a:b]])
+                least = far.min(axis=1)
+                i, j = np.nonzero(live[r] & (radii <= low[r, None]) & (radii > least[:, None]))
+                lips[r[i], j] = top[a + np.argmax(far[i] < radii[j, None], axis=1)]
+                low[r] = np.minimum(low[r], least)
+            a, b = b, 4 * b
+        for row in rows if len(top) == _TOP_K else ():  # open balls hold no kept pair
+            rest = live[row] & (radii <= low[row])
+            lips[row, rest] = _walk_scans(instance, _ball_lips(
+                instance, members, [v], d_rows[row:row + 1], radii[rest]))[0][0, 0]
     return out
 
 

@@ -592,8 +592,8 @@ def test_validation_forms_few_distances(monkeypatch):
 
 def test_unpruned_cloud_costs_one_walk(monkeypatch):
     # In 16 coordinates the sweep's first row of neighbours already bounds more than
-    # a quarter of the pairs, so it stops there and the extents cost the all-pairs
-    # walk plus that row, not a sweep through half the pairs first.
+    # a tenth of the pairs, so it stops there and the extents cost the all-pairs
+    # walk plus that row, not a sweep through many of the pairs first.
     n = 400
     inst = instance_from_arrays(coords=np.random.default_rng(16).uniform(0.0, 1.0, (n, 16)),
                                 subset=[0], values=[0.0])
@@ -607,6 +607,32 @@ def test_unpruned_cloud_costs_one_walk(monkeypatch):
     assert metric._extents(inst, np.arange(n)) == inst.extents
     walk = sum((s.stop - s.start) * (n - s.start) for s in metric._row_blocks(n - 1, n))
     assert sum(formed) <= walk + n
+
+
+def test_slab_cloud_costs_about_two_walks(monkeypatch):
+    # 70% of 4000 points lie in an x-slab 1e-4 wide, inside the first round's least
+    # distance on x, so the sweep would meet about half the pairs, each at about ten
+    # times the cost of a walk pair (two row gathers and a paired-row kernel call).
+    # The cap stops it after that round: with sweep entries weighted by ten, the
+    # extents cost at most two walks (4.9 under a cap of n(n - 1) / 4).
+    n, slab = 4000, 2800
+    rng = np.random.default_rng(40)
+    coords = rng.uniform(0.0, 1.0, (n, 3))
+    coords[:, 0] *= 1.01        # the widest coordinate, which the sweep sorts on
+    coords[:slab, 0] = 0.5 + rng.uniform(0.0, 1e-4, slab)
+    inst = instance_from_arrays(coords=coords, subset=[0], values=[0.0])
+    cost, block = [], metric._euclidean_block
+
+    def counted(a, b, out, scratch):
+        cost.append(out.size * (10 if out.ndim == 1 else 1))    # paired rows: the sweep
+        return block(a, b, out, scratch)
+
+    monkeypatch.setattr(metric, "_euclidean_block", counted)
+    got = metric._extents(inst, np.arange(n))
+    walk = sum((s.stop - s.start) * (n - s.start) for s in metric._row_blocks(n - 1, n))
+    assert sum(cost) <= 2 * walk
+    monkeypatch.setattr(metric, "_pruned", lambda instance, points: None)
+    assert got == metric._extents(inst, np.arange(n)) == inst.extents
 
 
 def _cloud(kind, n, dim, rng):

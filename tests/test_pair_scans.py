@@ -11,7 +11,8 @@ their slope certificate's ``delta``.  Both are compared with brute force: the
 kernel with K patched down to 1 and 2 and around the pair count (ties at the
 K-th value, balls answered by the recursion, unsorted and repeated radii, the
 tie-heavy metrics of ``test_ties``), with ``_BLOCK`` patched down to blocks of
-1, 2 and 7 rows, and at the block boundaries; the family check against the
+1, 2 and 7 rows, at the block boundaries, and with first hits on both sides of
+each boundary of the prefixes of kept pairs it reads; the family check against the
 exhaustive scan of the materialized family, on hand-built and built banks, on
 clouds, tie metrics and explicit matrices whose triangle slack sits at the
 tolerance, and on the three roundoff terms of ``delta`` (triangle slack, large
@@ -452,6 +453,78 @@ def test_recursion_settles_nested_balls_one_level_each(monkeypatch):
     assert calls == list(range(m, 0, -1))
     assert np.array_equal(got, _oracle_balls(inst, domain, vals, [0], radii))
     assert sorted(got[0].tolist()) == list(range(1, m + 1))
+
+
+def _kept_order_case(seed=1, m=100):
+    """``(inst, members, values, centers, hits, order)`` on an explicit metric whose every
+    off-diagonal entry lies in [1, 2] (so every triangle holds): ``m`` members with
+    distinct pair ratios, and one center per planned row.  A single row puts the two
+    ends of the kept pair at position ``k`` (of the descending ratio order) at
+    distance 1 and every other member in [1.5, 2], so the balls of radius 1.125 to
+    1.375 first hold pair ``k``.  A nested row ``(k, at)`` puts pair ``k``'s ends at 1
+    and 1.25 and, at 1, the other end of the first pair from ``at`` on that shares
+    the end at 1 and whose third pair comes later: radius 1.375 first holds pair
+    ``k``, radii 1.125 and 1.25 that pair, and no far end in between lies below 1.5.
+    ``hits`` maps each center to its planned positions at radii 1.375 and 1.125, and
+    ``order`` is the two ends of each pair in descending ratio order."""
+    single = [63, 64, 65, 255, 256, 257, 319, 320, 321, 1023, 1024, 1025, 4095, 4096]
+    nested = [(63, 64), (63, 256), (63, 320), (255, 256)]
+    rng = np.random.default_rng(seed)
+    n = m + len(single) + len(nested)
+    d = np.triu(rng.uniform(1.0, 2.0, (n, n)), 1)
+    d += d.T
+    values = rng.normal(size=(2, m))
+    iu = np.triu_indices(m, 1)
+    ratios = np.abs(values[0, iu[0]] - values[0, iu[1]]) / d[iu]
+    assert len(np.unique(ratios)) == len(ratios)
+    order = np.argsort(-ratios)
+    pi, pj = iu[0][order], iu[1][order]
+    pos = np.empty((m, m), np.intp)
+    pos[pi, pj] = pos[pj, pi] = np.arange(len(order))
+    hits = {}
+    for c, plan in enumerate([*single, *nested], start=m):
+        d[c, :m] = rng.uniform(1.5, 2.0, m)
+        k, at = plan if isinstance(plan, tuple) else (plan, None)
+        d[c, [pi[k], pj[k]]] = 1.0
+        inner, ends = k, {pi[k], pj[k]}
+        if at is not None:
+            inner = next(q for q in range(at, len(order)) if len(ends & {pi[q], pj[q]}) == 1
+                         and pos[tuple(ends ^ {pi[q], pj[q]})] > q)
+            d[c, (ends - {pi[inner], pj[inner]}).pop()] = 1.25
+            d[c, [pi[inner], pj[inner]]] = 1.0
+        hits[c] = (k, inner)
+    d[:m, m:] = d[m:, :m].T
+    inst = instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+    return inst, np.arange(m), values, np.arange(m, n), hits, (pi, pj)
+
+
+@pytest.mark.parametrize("top_k", [4096, 8192, 1, 7, 64, 65])
+def test_ball_lips_settles_each_ball_at_its_first_kept_pair(monkeypatch, top_k):
+    """The far ends are read in prefixes of the kept pairs (the first 64, then up to
+    256, 1024 and 4096), and each ball settles at its first pair inside it.  First
+    hits sit on both sides of each prefix boundary, and in nested rows a ball settles
+    in one prefix while a smaller one stays open into a later one.  K = 8192 keeps all
+    4950 pairs, so no ball recurses; K = 4096 leaves the pair at 4096 to the
+    recursion, and K = 1, 7, 64 and 65 most balls.  The radii repeat, come unsorted,
+    and include 0, inf and the rows' second-least distance (1: a ball of no member);
+    ``values`` has two rows.  Every entry is the bits of a dense scan."""
+    inst, members, values, centers, hits, (pi, pj) = _kept_order_case()
+    d = dense(inst)
+    for c, planned in hits.items():
+        far = np.maximum(d[c, pi], d[c, pj])
+        assert tuple(int(np.argmax(far < r)) for r in (1.375, 1.125)) == planned
+    radii = np.array([1.25, 2.5, 0.0, 1.125, np.inf, 1.0, 1.375, 1.25, 1.75])
+    want = np.zeros((len(values), len(centers), len(radii)))
+    for (v, c, j), _ in np.ndenumerate(want):
+        ball = members[d[centers[c], members] < radii[j]]
+        a, b = np.triu_indices(len(ball), 1)
+        vals = values[v, ball]
+        want[v, c, j] = np.max(np.abs(vals[a] - vals[b]) / d[ball[a], ball[b]], initial=0.0)
+    monkeypatch.setattr(metric, "_TOP_K", top_k)
+    got = ball_lips(inst, members, values, centers, radii)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[:, :, 5] == 0.0)      # radius 1: no member
+    assert want[0, 0, 1] > 0 and np.all(got[0, :, 1] == want[0, 0, 1])    # 2.5: every member
 
 
 def test_ball_lips_rejects_a_negative_center():
