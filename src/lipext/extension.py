@@ -137,29 +137,31 @@ def _argmin_lowest(phi: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np
     return best, lowest.astype(np.intp)
 
 
-def _cones(instance: MetricInstance, l_prime: float, queries, sign: float, best) -> np.ndarray:
-    """``best`` (``np.min`` or ``np.max``) over the subset of ``g(x) + sign l' d(x, y)`` per
-    query ``y``, in query blocks; ``g + (-l') d`` has the bits of ``g - l' d``."""
+def _cones(instance: MetricInstance, l_prime: float, queries) -> tuple[np.ndarray, np.ndarray]:
+    """``(upper, lower)``: per query ``y``, the min over the subset of ``g(x) + l' d(x, y)``
+    and the max of ``g(x) - l' d(x, y)``, from one pass over query blocks."""
     lp = as_float(l_prime)
     if not (math.isfinite(lp) and lp >= instance.lipschitz_computed):
         raise ParameterError(
             f"envelope constant {shown(l_prime, str)} below Lip(g, C) = "
             f"{instance.lipschitz_computed}: result would not extend g")
     queries = _point_list(queries, instance.n)
-    out = np.empty(len(queries))
+    g, upper, lower = instance.values[:, None], np.empty(len(queries)), np.empty(len(queries))
     with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
         for s in _row_blocks(len(queries), len(instance.subset)):
             d = instance.distances(instance.subset, queries[s])
-            best(instance.values[:, None] + (sign * lp) * d, axis=0, out=out[s])
-    return out
+            d *= lp
+            np.min(g + d, axis=0, out=upper[s])
+            np.max(np.subtract(g, d, out=d), axis=0, out=lower[s])
+    return upper, lower
 
 
 def mcshane_upper_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
-    return _cones(instance, l_prime, queries, 1.0, np.min)
+    return _cones(instance, l_prime, queries)[0]
 
 
 def mcshane_lower_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
-    return _cones(instance, l_prime, queries, -1.0, np.max)
+    return _cones(instance, l_prime, queries)[1]
 
 
 def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionField:

@@ -3,18 +3,17 @@
 Each check returns a :class:`CheckResult`; a failing result always carries a
 concrete witness (indices plus measured-versus-allowed values).  Tolerances
 are relative to the instance's value and distance scales: 1e-9 for
-inequalities, 1e-12 for identities.  The global-budget scan is exhaustive
-up to ``MAX_PAIRS`` pairs; beyond, it is the same scan over every pair of a
-seeded sample of the queries, labeled as statistical in the result note.  The
-locality and McShane-fragment scans are exhaustive at every size (a ball
+inequalities, 1e-12 for identities.  Every pair scan reads every pair at every
+size, and no check draws a sample: the global-budget scan reads every pair of
+the queries; the locality and McShane-fragment scans are certified exact (a ball
 answered from the top-K pairs of ``ball_lips`` is certified exact, and so is
-any other ball, answered from the top-K pairs of its own members).  The
-inf-family check is certified exact: the minimum is scanned in full, and the
-members only on the pairs their slope certificate cannot clear.  These three
+any other ball, answered from the top-K pairs of its own members); the
+inf-family check is certified exact (the minimum is scanned in full, and the
+members only on the pairs their slope certificate cannot clear).  These three
 pair scans are scans of :func:`~lipext.metric._walk_scans`: a check called
-alone walks its pairs itself, and :func:`run_suite` walks the members' pairs
-once for all three (the global one when exhaustive), each reading every
-distance block.
+alone walks its pairs itself, and :func:`run_suite` walks the queries' pairs
+once for all three (the fragment's when its reach is every query), each reading
+every distance block.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ from .metric import (TRIANGLE_RTOL, MetricInstance, _check_radii, _distinct_memb
                      _first_non_integer, _index_list, _ratio, _row_blocks, _walk_scans,
                      ball_lips)
 from .schedule import ScaleSchedule, locality_radius
-from .extension import (BANK_RULE, ExtensionField, ProfileBank, _family, _infimum,
-                        build_profiles, extend, mcshane_upper_many, mcshane_lower_many,
-                        schedule_for_instance)
+from .extension import (BANK_RULE, ExtensionField, ProfileBank, _cones, _family, _infimum,
+                        build_profiles, extend, mcshane_upper_many, schedule_for_instance)
 
 SCHEMA_VERSION = "1"    # of every JSON report
 IDENTITY_RTOL = 1e-12
 INEQ_RTOL = 1e-9
-MAX_PAIRS = 500_000
 _U = 2.0 ** -53         # unit roundoff of binary64
 
 
@@ -102,31 +99,21 @@ def check_restriction(field: ExtensionField, instance: MetricInstance) -> CheckR
 
 
 def check_global_lipschitz(field: ExtensionField, instance: MetricInstance,
-                           budget: float, seed: int = 0) -> CheckResult:
+                           budget: float) -> CheckResult:
     """Pairwise slope of f over the evaluated points stays within ``budget``.
 
-    Up to ``MAX_PAIRS`` pairs every pair of queries is read.  Beyond, every pair
-    of ``m`` query positions drawn from ``seed`` without replacement and sorted,
-    ``m`` the most whose pairs fit in ``MAX_PAIRS``: each pair is read with
-    probability C(m, 2) / C(n, 2), and the note says so.  Both scans are
+    Every pair of queries is read, at every size, by
     :class:`~lipext.metric._SteepestPair`, so the witness is the first steepest
     pair ``i < j`` in row-major order; pairs of a repeated query (distance 0)
     are skipped.
     """
-    return _walk_scans(instance, _global_lipschitz(field, instance, budget, seed))[0]
+    return _walk_scans(instance, _global_lipschitz(field, instance, budget))[0]
 
 
-def _global_lipschitz(field, instance, budget, seed):
-    q, vals, note = field.queries, field.values, "exhaustive"
-    n, total = len(q), len(q) * (len(q) - 1) // 2
-    if total > MAX_PAIRS:
-        m = (1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2
-        pos = np.sort(np.random.default_rng(seed).choice(n, m, replace=False))
-        q, vals, pairs = q[pos], vals[pos], m * (m - 1) // 2
-        note = (f"statistical: every pair of {m} of {n} seeded points, {pairs} of {total} "
-                f"pairs (coverage {pairs / total:.3g}, seed {seed})")
+def _global_lipschitz(field, instance, budget):
+    q = field.queries
     steepest = metric._SteepestPair()
-    yield [(q, vals, steepest)]
+    yield [(q, field.values, steepest)]
     if steepest.best is None:
         return CheckResult("global_lipschitz", "skipped", note="no distinct pairs")
     measured, i, j = steepest.best
@@ -135,14 +122,13 @@ def _global_lipschitz(field, instance, budget, seed):
     status = "pass" if measured <= budget + slack else "fail"
     return CheckResult("global_lipschitz", status, measured=measured,
                        allowed=budget + slack, tolerance=slack,
-                       witness=witness, note=note)
+                       witness=witness, note="exhaustive")
 
 
 def check_envelope_sandwich(field: ExtensionField, instance: MetricInstance,
                             l_budget: float) -> CheckResult:
     """lower envelope <= f <= upper envelope at the budget constant, pointwise."""
-    upper = mcshane_upper_many(instance, l_budget, field.queries)
-    lower = mcshane_lower_many(instance, l_budget, field.queries)
+    upper, lower = _cones(instance, l_budget, field.queries)
     tol = IDENTITY_RTOL * instance.check_scale()
     viol = np.maximum(field.values - upper, lower - field.values)
     worst = int(np.argmax(viol))
@@ -464,7 +450,8 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
 
     Builds the schedule (deep enough for the locality conditions), extends to
     every point, and runs each check; the cone-versus-penalized profile
-    comparison is attached as an informational fragment.
+    comparison is attached as an informational fragment.  ``seed`` is validated
+    and recorded in ``params``; no check reads it.
     """
     epsilon = positive_real("epsilon", epsilon)
     if _first_non_integer([seed]) is not None or seed < 0:
@@ -482,7 +469,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
         field = extend(instance, None, queries)
         checks = [
             check_restriction(field, instance),
-            _global_lipschitz(field, instance, L + epsilon, seed),
+            _global_lipschitz(field, instance, L + epsilon),
             check_envelope_sandwich(field, instance, L + epsilon),
             CheckResult("schedule_laws", "skipped", note="constant data: no schedule"),
             CheckResult("profile_legality", "skipped", note="constant data: no profiles"),
@@ -499,7 +486,7 @@ def run_suite(instance: MetricInstance, epsilon: float, *, xi: float = 0.1,
             check_schedule_laws(schedule, epsilon),
             check_profile_legality(profiles, schedule),
             check_restriction(field, instance),
-            _global_lipschitz(field, instance, budget, seed),
+            _global_lipschitz(field, instance, budget),
             check_envelope_sandwich(field, instance, budget),
             check_step2(instance, profiles, schedule),
             check_localization(instance, field, profiles),

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 
+from lipext import extend, schedule_for_instance, validate_instance
 from lipext.cli import main
 
 from conftest import corrupted_extension
+from test_verification import _triu_steepest
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs"
                      / "report_schema.json").read_text())
@@ -415,21 +417,27 @@ def test_verify_seeded_reruns_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_past_max_pairs_reads_every_pair_of_a_seeded_sample(tmp_path):
-    # 1001 queries hold 500500 pairs, just past the 500k exhaustive cap: the global
-    # check reads every pair of 1000 seeded points and counts them exactly.
+def test_verify_past_500k_pairs_reads_every_pair(tmp_path):
+    # 1001 queries hold 500500 pairs: the global check reads every one of them,
+    # so its measured ratio and witness are the one-gather scan's over all
+    # queries, and --seed changes nothing but its own echo in params.
     cloud = _cloud_file(tmp_path, n=1001)
     reports = []
-    for name, seed in (("a", 0), ("b", 0), ("c", 1)):
-        out = tmp_path / f"{name}.json"
+    for seed in (0, 1):
+        out = tmp_path / f"{seed}.json"
         assert main(["verify", "--input", cloud, "--epsilon", "0.5",
                      "--seed", str(seed), "--output", str(out)]) == 0
         reports.append(_check_schema(out))
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    notes = [next(c["note"] for c in doc["checks"] if c["name"] == "global_lipschitz")
-             for doc in (reports[0], reports[2])]
-    assert notes == [f"statistical: every pair of 1000 of 1001 seeded points, 499500 of "
-                     f"500500 pairs (coverage 0.998, seed {seed})" for seed in (0, 1)]
+    check = next(c for c in reports[0]["checks"] if c["name"] == "global_lipschitz")
+    assert check["note"] == "exhaustive"
+    inst = validate_instance(json.loads(Path(cloud).read_text()))
+    queries = np.arange(inst.n)
+    sch = schedule_for_instance(inst, 0.5, queries,
+                                locality=(reports[0]["params"]["r_bar"], 0.1))
+    want = _triu_steepest(extend(inst, sch, queries), inst)
+    assert (check["measured"], check["witness"]["i"], check["witness"]["j"]) == want
+    assert [doc["params"].pop("seed") for doc in reports] == [0, 1]
+    assert reports[0] == reports[1]
 
 
 def test_verify_infinite_xi_exit1(tmp_path, capsys):

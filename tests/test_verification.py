@@ -273,12 +273,14 @@ def test_run_suite_memory_is_a_fraction_of_the_matrix():
     assert peak < 0.5 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} x the matrix"
 
 
-def test_run_suite_walks_the_pairs_three_times(monkeypatch):
-    """Walks of at least n/2 points on the seeded 1000-point cloud: the two radix
-    passes of the quartiles, and one walk after ``extend`` that the global,
-    inf-family and McShane-fragment scans share (four walks of their own before,
-    six in all)."""
-    inst = _cloud(1000)
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_run_suite_walks_the_pairs_three_times(monkeypatch, n):
+    """Walks of at least n/2 points on the seeded cloud: the two radix passes of
+    the quartiles, and one walk after ``extend`` that the global, inf-family and
+    McShane-fragment scans share (four walks of their own before, six in all).
+    Past 500,000 pairs (1001 points) the global scan still reads every pair on
+    the shared walk: a sampled scan would walk its sample on its own."""
+    inst = _cloud(n)
     walks, upper = [], metric._upper_blocks
 
     def counted(instance, points):
@@ -325,7 +327,7 @@ def test_shared_walk_gives_the_standalone_checks(monkeypatch, patch):
     on tie metrics (the steepest pair is the first in row-major order), and on a
     cloud whose fragment reach is a strict subset of the domain, with one-row
     blocks and with one kept pair; at default settings also on a 1001-point cloud,
-    whose 500,500 pairs put the global check on its own sampled walk."""
+    past 500,000 pairs, where the global check still reads every pair."""
     far = _far_cluster()
     nearest_center = far.distances(far.subset, np.arange(far.n)).min(axis=0)
     assert np.any(nearest_center >= max(_distance_quartiles(far)))     # a strict reach
@@ -335,7 +337,7 @@ def test_shared_walk_gives_the_standalone_checks(monkeypatch, patch):
     for inst in cases:
         shared, alone = _shared_and_alone(inst)
         assert shared == alone, inst.n
-        assert shared[0]["note"].startswith("statistical") == (inst.n == 1001)
+        assert shared[0]["note"] == "exhaustive", inst.n
 
 
 def test_envelope_sandwich_memory_is_a_fraction_of_the_cone_rows():
@@ -351,41 +353,21 @@ def test_envelope_sandwich_memory_is_a_fraction_of_the_cone_rows():
     assert peak < rows, f"traced peak {peak / rows:.2f} x |C| n"
 
 
-def _grid_case():
-    inst = grid_instance(50)
-    return inst, extend(inst, schedule_for_instance(inst, 1.0)), 2.0
-
-
-def _cloud_case():
-    inst = _cloud(300)
+def test_envelope_sandwich_forms_each_cone_distance_once(monkeypatch):
+    """Both envelopes come from one pass over the query blocks: |C| n distance
+    entries, not one pass per envelope (2 |C| n)."""
+    inst = _cloud(1000)
     sch = schedule_for_instance(inst, 0.5)
-    return inst, extend(inst, sch), inst.lipschitz_L + sch.eps_eff
+    field = extend(inst, sch)
+    formed, distances = [0], MetricInstance.distances
 
+    def counted(self, rows, cols):
+        formed[0] += len(rows) * len(cols)
+        return distances(self, rows, cols)
 
-@pytest.mark.parametrize("case, max_pairs, seed, m, note", [
-    # 1225 pairs of grid points against a cap of 100: every pair of the 14 seeded
-    # points whose 91 pairs fit, counted exactly.
-    (_grid_case, 100, 3, 14, "statistical: every pair of 14 of 50 seeded points, 91 of 1225 "
-                             "pairs (coverage 0.0743, seed 3)"),
-    (_cloud_case, 1000, 0, 45, "statistical: every pair of 45 of 300 seeded points, 990 of "
-                               "44850 pairs (coverage 0.0221, seed 0)"),
-], ids=["grid", "cloud"])
-def test_pair_sampling_is_labeled(monkeypatch, case, max_pairs, seed, m, note):
-    # The sampled scan gives the ratio and first steepest pair of the
-    # exhaustive scan over the seeded sub-cloud.
-    inst, field, budget = case()
-    full = check_global_lipschitz(field, inst, budget)
-    assert full.note == "exhaustive" and full.passed
-    monkeypatch.setattr(verification, "MAX_PAIRS", max_pairs)
-    res = check_global_lipschitz(field, inst, budget, seed=seed)
-    assert res.note == note and res.passed
-    pos = np.sort(np.random.default_rng(seed).choice(inst.n, m, replace=False))
-    sub = replace(field, queries=field.queries[pos], values=field.values[pos])
-    assert (res.measured, res.witness["i"], res.witness["j"]) == _triu_steepest(sub, inst)
-    assert res.witness["i"] < res.witness["j"] and res.witness["ratio"] == res.measured
-    assert dense(inst)[res.witness["i"], res.witness["j"]] > 0
-    assert res.measured <= full.measured
-    assert check_global_lipschitz(field, inst, budget, seed=seed) == res
+    monkeypatch.setattr(MetricInstance, "distances", counted)
+    assert check_envelope_sandwich(field, inst, inst.lipschitz_L + sch.eps_eff).status == "pass"
+    assert formed == [len(inst.subset) * inst.n]
 
 
 def test_check_step2_on_two_point_subset():
