@@ -9,6 +9,8 @@ Euclidean instance holds no distance matrix, and computes each block it is asked
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Mapping
@@ -135,13 +137,13 @@ def _check_matrix(d: np.ndarray) -> tuple[float, float]:
     """Check the metric axioms of an explicit matrix ``d``; raise on the first
     failure with its witness, else return the extents.
 
-    ``d`` must be finite, with a zero diagonal, symmetric, nonnegative and
-    positive off the diagonal.  Then an exact triangle-inequality scan: every
-    ``d[i, k] <= d[i, j] + d[j, k] + tol`` with ``tol = TRIANGLE_RTOL * max(d)``.
-    It runs as a certificate over tiles with the pivot innermost, which reads
-    ``d`` as symmetric (see :func:`_triangle_violators`); only when it finds a
-    violation does the per-pivot scan run, over the rows in one, to name the
-    witness: the smallest pivot ``j``, then the first ``(i, k)`` in row-major order.
+    ``d`` must be finite, with a zero diagonal, symmetric, nonnegative and positive
+    off the diagonal.  Then an exact triangle-inequality scan: every ``d[i, k] <=
+    d[i, j] + d[j, k] + tol`` with ``tol = TRIANGLE_RTOL * max(d)``.  It runs as a
+    certificate over tiles with the pivot innermost, which reads ``d`` as symmetric,
+    its row strips on up to 4 workers (see :func:`_triangle_violators`); only when it
+    finds a violation does the serial per-pivot scan run, over the rows in one, to
+    name the witness: the smallest pivot ``j``, then the first ``(i, k)`` in row-major order.
     """
     n = d.shape[0]
     if not np.all(np.isfinite(d)):
@@ -185,34 +187,52 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
     """Increasing indices ``i`` with some ``d[i, k] > (d[i, j] + d[j, k]) + tol``
     in floating point; empty when the triangle inequality holds everywhere.
 
-    Exact, not sampled.  Tiles of ``max(1, isqrt(_BLOCK // n))`` rows ``[a, b)`` by
-    columns ``[c, e)``, ``c >= a``, sum ``d[i, j] + d[k, j]`` (``d`` is exactly
-    symmetric: the bits of ``d[i, j] + d[j, k]``) with the pivot ``j`` innermost,
-    and fold ``min_j`` into a row strip that adds ``tol`` once, as ``fl(x + tol)``
-    is monotone in ``x``.  ``(i, k)`` violates iff ``(k, i)`` does, so the columns
-    ``k >= a`` decide every pair, and the rows of a violation are the flagged
-    rows and the flagged columns of all strips.
+    Exact, not sampled: :func:`_triangle_strip` scans strips of ``max(1, isqrt(_BLOCK //
+    n))`` rows on ``w = min(CPUs in the affinity mask, strips, 4)`` workers, the caller and
+    ``w - 1`` threads, each with its own buffers and flags, OR-ed once all have joined.
     """
     n = d.shape[0]
     side = min(n, max(1, isqrt(_BLOCK // n)))
-    # numpy aligns to 16 bytes; np.add and np.minimum.reduce over a tile that starts
-    # 16 bytes past a 32-byte boundary take about a fifth longer, so it starts on one.
-    tile_buf = np.empty(side * side * n + 3)
-    tile_buf = tile_buf[-tile_buf.ctypes.data % 32 // 8:]
-    strip_buf, flagged = np.empty(side * n), np.zeros(n, bool)
-    for a in range(0, n, side):
-        b = min(a + side, n)
-        strip = strip_buf[:(b - a) * (n - a)].reshape(b - a, n - a)
-        for c in range(a, n, side):
-            e = min(c + side, n)
-            tile = tile_buf[:(b - a) * (e - c) * n].reshape(b - a, e - c, n)
-            np.add(d[a:b, None, :], d[None, c:e, :], out=tile)
-            np.minimum.reduce(tile, axis=2, out=strip[:, c - a:e - a])
-        strip += tol
-        bad = d[a:b, a:] > strip
-        flagged[a:b] |= bad.any(axis=1)
-        flagged[a:] |= bad.any(axis=0)
-    return np.flatnonzero(flagged)
+    starts = iter(range(0, n, side))    # shared by the workers; next() holds the GIL
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # At most 4 workers, as each holds its own tile of up to _BLOCK entries.
+    flags, errors = [np.zeros(n, bool) for _ in range(min(cpus or 1, -(-n // side), 4))], []
+
+    def work(flagged):
+        try:
+            # On a 32-byte boundary: numpy aligns to 16, and 16 off costs a fifth more time.
+            tile_buf = np.empty(side * side * n + 3)
+            tile_buf, strip_buf = tile_buf[-tile_buf.ctypes.data % 32 // 8:], np.empty(side * n)
+            for a in starts:
+                _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged)
+        except BaseException as exc:    # an unscanned strip must never read as clean
+            errors.append(exc)
+    threads = [threading.Thread(target=work, args=(f,)) for f in flags[1:]]
+    for t in threads:
+        t.start()
+    work(flags[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return np.flatnonzero(np.logical_or.reduce(flags))
+
+
+def _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged) -> None:
+    """Rows ``[a, a + side)``: tiles of ``side`` columns ``[c, e)``, ``c >= a``, sum ``d[i, j]
+    + d[k, j]`` (``d`` is exactly symmetric: the bits of ``d[i, j] + d[j, k]``), pivot ``j``
+    innermost; ``min_j`` fills a strip that adds ``tol`` once (``fl(x + tol)`` is monotone).
+    ``(i, k)`` violates iff ``(k, i)`` does, so ``flagged`` gets both ends of each one."""
+    n, b = d.shape[0], min(a + side, d.shape[0])
+    strip = strip_buf[:(b - a) * (n - a)].reshape(b - a, n - a)
+    for c in range(a, n, side):
+        e = min(c + side, n)
+        tile = tile_buf[:(b - a) * (e - c) * n].reshape(b - a, e - c, n)
+        np.add(d[a:b, None, :], d[None, c:e, :], out=tile)
+        np.minimum.reduce(tile, axis=2, out=strip[:, c - a:e - a])
+    strip += tol
+    flagged[a:b] |= (bad := d[a:b, a:] > strip).any(axis=1)
+    flagged[a:] |= bad.any(axis=0)
 
 
 def _first_non_integer(entries) -> int | None:

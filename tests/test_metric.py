@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import time
 import tracemalloc
 from math import isqrt
 from pathlib import Path
@@ -304,21 +307,123 @@ def test_triangle_certificate_does_not_depend_on_the_tiling(monkeypatch, block, 
     assert got == _violating_rows(d, tol) == rows
 
 
-def test_triangle_scan_memory_is_one_block():
-    # One tile of at most _BLOCK entries, plus O(n) at the fixed budget (the
-    # side x n strip, its bool comparison and the flags) and the buffers numpy's
-    # broadcasting add allocates (2 x bufsize entries at most).  The row-block
-    # fold held two buffers of max(_BLOCK, n) entries.
+def _affinity(monkeypatch, cpus):
+    """Fake an affinity mask of ``cpus`` CPUs (``os.cpu_count`` is the fallback only
+    where ``os.sched_getaffinity`` does not exist)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _triangle_scan_peak(monkeypatch, workers):
+    """``(peak, n, side)``: the traced peak of a clean scan of an n = 700 ring under
+    ``workers`` faked CPUs, and the scan's tile side."""
     n = 700
     d = _ring_metric(n, seed=7)
-    side = isqrt(metric._BLOCK // n)
+    _affinity(monkeypatch, workers)
     tracemalloc.start()
     try:
         assert len(_triangle_violators(d, TRIANGLE_RTOL * float(d.max()))) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, n, isqrt(metric._BLOCK // n)
+
+
+def test_triangle_scan_memory_is_one_block(monkeypatch):
+    # One CPU, so the caller alone: one tile of at most _BLOCK entries, plus O(n)
+    # at the fixed budget (the side x n strip, its bool comparison and the flags)
+    # and the buffers numpy's broadcasting add allocates (2 x bufsize entries at
+    # most).  The row-block fold held two buffers of max(_BLOCK, n) entries.
+    peak, n, side = _triangle_scan_peak(monkeypatch, 1)
     assert peak <= 8 * metric._BLOCK + 9 * side * n + 2 * n + 16 * np.getbufsize() + 4096
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_triangle_scan_memory_is_one_block_per_worker(monkeypatch, workers):
+    # w workers hold w times one worker's tile, strip, flags and numpy buffers.
+    peak, n, side = _triangle_scan_peak(monkeypatch, workers)
+    assert peak <= (workers * (8 * metric._BLOCK + 9 * side * n + 2 * n + 16 * np.getbufsize())
+                    + 4096)
+
+
+STRIP = 4   # tile side at a lowered _BLOCK: the 60-point ring below has 15 strips
+
+
+def _many_strips(monkeypatch, n=60):
+    monkeypatch.setattr(metric, "_BLOCK", STRIP * STRIP * n)
+    return _ring_metric(n, seed=n)
+
+
+def test_triangle_certificate_does_not_depend_on_the_worker_count(monkeypatch):
+    # Violations in the first strip (rows 0..3), a middle one (28..31) and the last
+    # one (56..59), and the far pair (5, 50): row 50 is flagged only by the
+    # columns of strip 4..7, as strip 48..51 reads no column below 48.
+    d = _many_strips(monkeypatch)
+    pairs = ((1, 2), (29, 30), (57, 59), (5, 50))
+    for i, k in pairs:
+        _plant(d, i, k, above=True)
+    tol = TRIANGLE_RTOL * float(d.max())
+    expected = _violating_rows(d, tol)
+    assert expected == sorted({i for pair in pairs for i in pair})
+    witnesses = []
+    for cpus in (1, 2, 4):
+        _affinity(monkeypatch, cpus)
+        assert _triangle_violators(d, tol).tolist() == expected
+        with pytest.raises(InstanceValidationError) as exc:
+            instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+        witnesses.append(exc.value.witness)
+    assert witnesses == [_triangle_oracle(d)] * 3
+
+
+def _count_starts(monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus,n,strips,threads", [
+    (64, 60, 15, 3),    # at most 4 workers, whatever the affinity mask holds
+    (64, 8, 2, 1),      # no more workers than strips
+    (64, 30, 1, 0),     # one strip: the caller alone
+    (1, 60, 15, 0),     # one CPU: the caller alone
+])
+def test_triangle_scan_thread_count(monkeypatch, cpus, n, strips, threads):
+    if strips > 1:
+        monkeypatch.setattr(metric, "_BLOCK", STRIP * STRIP * n)
+    d = _ring_metric(n, seed=n)
+    assert -(-n // min(n, isqrt(metric._BLOCK // n))) == strips
+    _affinity(monkeypatch, cpus)
+    started = _count_starts(monkeypatch)
+    assert len(_triangle_violators(d, TRIANGLE_RTOL * float(d.max()))) == 0
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("cpus,where", [(1, "middle strip"), (2, "middle strip"),
+                                        (4, "middle strip"), (2, "thread"), (4, "thread")])
+def test_triangle_worker_failure_fails_the_certificate(monkeypatch, cpus, where):
+    # An unscanned strip must never read as "no violation": a worker's exception
+    # (on the strip of rows 28..31, or on every strip a thread takes) reaches the
+    # caller once every thread has joined.
+    d = _many_strips(monkeypatch)
+    instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+    _affinity(monkeypatch, cpus)
+    scan, started = metric._triangle_strip, _count_starts(monkeypatch)
+
+    def failing(d, tol, a, *rest):
+        in_thread = threading.current_thread() in started
+        if (a == 28) if where == "middle strip" else in_thread:
+            raise MemoryError("tile")
+        if not in_thread:
+            time.sleep(0.002)   # the caller leaves the threads strips to take
+        scan(d, tol, a, *rest)
+    monkeypatch.setattr(metric, "_triangle_strip", failing)
+    with pytest.raises(MemoryError, match="tile"):
+        instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+    assert len(started) == min(cpus, 4) - 1
+    assert not any(t.is_alive() for t in started)
 
 
 def test_zero_off_diagonal_witness_is_first_in_row_order():
