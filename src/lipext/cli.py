@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 input or parameter error, 2 property-check failure.
 All reports are JSON; numbers pass through Python's shortest round-trip float
 formatting, so identical inputs, flags and seed give byte-identical outputs.
-An input that cannot be read or decoded and an output that cannot be written
-end in exit 1 with a JSON error, like any other input or parameter error.
+Unreadable input, unwritable output and a failed allocation end in exit 1 with
+a JSON error, like any other input or parameter error.
 """
 
 from __future__ import annotations
@@ -273,6 +273,8 @@ def main(argv=None) -> int:
                       "required_span_high": exc.required_span_high})
     except ParameterError as exc:
         return _fail({"error": str(exc)})
+    except MemoryError as exc:  # no retry with smaller blocks: that would be a silent fallback
+        return _fail({"error": f"out of memory: {exc}"})
 
 
 if __name__ == "__main__":

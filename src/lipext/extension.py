@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, ScheduleTooShallow, as_float, positive_real, shown
 from .metric import (MetricInstance, _extents, _first_non_integer, _index_list, _point_list,
-                     _row_blocks, ball_lips)
+                     _pool, _row_blocks, ball_lips)
 from .schedule import SPAN_UNDERFLOW, ScaleSchedule, build_schedule
 
 BANK_RULE = ("profiles must be a non-empty bank of finite rows "
@@ -56,9 +56,10 @@ class ProfileBank:
     def pen(self, T: np.ndarray) -> np.ndarray:
         """Evaluate row ``i`` at every distance in ``T[i]``; ``T`` has shape (rows, nq)."""
         J = np.searchsorted(self.breakpoints, T, side="left")
-        left = np.concatenate(([0.0], self.breakpoints))
-        rows = np.arange(T.shape[0])[:, None]
-        return self.cumulative[rows, J] + self.slopes[rows, J] * (T - left[J])
+        out = T - np.concatenate(([0.0], self.breakpoints))[J]     # past the region's left edge
+        J += np.arange(T.shape[0])[:, None] * (len(self.breakpoints) + 1)   # flat [i, J]
+        out *= np.take(self.slopes, J)      # in place: * and + commute, so the same bits
+        return np.add(out, np.take(self.cumulative, J), out=out)
 
 
 @dataclass
@@ -126,7 +127,8 @@ def _family(instance: MetricInstance, bank: ProfileBank, points) -> tuple[np.nda
     """``T = d(bank.anchors, points)`` and the family rows ``phi = g(anchors) + pen(T)``:
     the one place a row is formed, so every bank is read through its own anchors."""
     T = instance.distances(bank.anchors, points)
-    return T, instance.g_at(bank.anchors)[:, None] + bank.pen(T)
+    phi = bank.pen(T)
+    return T, np.add(phi, instance.g_at(bank.anchors)[:, None], out=phi)
 
 
 def _argmin_lowest(phi: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +149,15 @@ def _cones(instance: MetricInstance, l_prime: float, queries) -> tuple[np.ndarra
             f"{instance.lipschitz_computed}: result would not extend g")
     queries = _point_list(queries, instance.n)
     g, upper, lower = instance.values[:, None], np.empty(len(queries)), np.empty(len(queries))
-    with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
-        for s in _row_blocks(len(queries), len(instance.subset)):
+
+    def work(blocks):
+        for s in blocks:
             d = instance.distances(instance.subset, queries[s])
             d *= lp
             np.min(g + d, axis=0, out=upper[s])
             np.max(np.subtract(g, d, out=d), axis=0, out=lower[s])
+    with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
+        _pool(lambda cap: _row_blocks(len(queries), len(instance.subset) * cap), work)
     return upper, lower
 
 
@@ -208,28 +213,31 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
         profiles = build_profiles(instance, schedule)
     if len(profiles.anchors) == 0:
         raise ParameterError(BANK_RULE)
-    values, margin = np.empty(len(queries)), np.empty(len(queries))
+    values, margin, tops = (np.empty(len(queries)) for _ in range(3))
     anchors, near, far = (np.empty(len(queries), dtype=np.intp) for _ in range(3))
     localization = ["full"] * len(queries)
-    eps, L, dmax = schedule.eps, instance.lipschitz_L, 0.0
-    # Every step is per query (column), so blocks give the same bits as one pass.
-    for s in _row_blocks(len(queries), len(profiles.anchors)):
-        T, phi = _family(instance, profiles, queries[s])
-        dmax = max(dmax, float(T.max()))
-        if not localized:
-            values[s], anchors[s] = _argmin_lowest(phi, profiles.anchors)
-            continue
-        d_near, near[s] = _argmin_lowest(T, profiles.anchors)     # nearest, lowest index
-        # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
-        jk = np.searchsorted(eps, d_near, side="right") + 2
-        radius = np.append(eps, np.full(3, np.inf))[jk]     # jk <= len(eps) + 2
-        out = instance.distances(profiles.anchors, near[s]) >= radius
-        values[s], anchors[s] = _argmin_lowest(np.where(out, np.inf, phi), profiles.anchors)
-        lower = values[s] + eps[np.minimum(jk, len(eps)) - 1] * L / 3.0  # unread if "full"
-        gaps = np.where(out, phi - lower, np.inf)
-        margin[s], far[s] = gaps.min(axis=0), profiles.anchors[gaps.argmin(axis=0)]
-        localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
-                           for k, x, r in zip(schedule.k_min + jk, near[s], radius)]
+    eps, L = schedule.eps, instance.lipschitz_L
+
+    def work(blocks):   # every step is per query (column): blocks give the bits of one pass
+        for s in blocks:
+            T, phi = _family(instance, profiles, queries[s])
+            tops[s] = T.max(axis=0)
+            if not localized:
+                values[s], anchors[s] = _argmin_lowest(phi, profiles.anchors)
+                continue
+            d_near, near[s] = _argmin_lowest(T, profiles.anchors)     # nearest, lowest index
+            # eps_k of the smallest stored k with d(y, xbar) < eps_{k-2}, else inf.
+            jk = np.searchsorted(eps, d_near, side="right") + 2
+            radius = np.append(eps, np.full(3, np.inf))[jk]     # jk <= len(eps) + 2
+            out = instance.distances(profiles.anchors, near[s]) >= radius
+            values[s], anchors[s] = _argmin_lowest(np.where(out, np.inf, phi), profiles.anchors)
+            lower = values[s] + eps[np.minimum(jk, len(eps)) - 1] * L / 3.0  # unread if "full"
+            gaps = np.where(out, phi - lower, np.inf)
+            margin[s], far[s] = gaps.min(axis=0), profiles.anchors[gaps.argmin(axis=0)]
+            localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
+                               for k, x, r in zip(schedule.k_min + jk, near[s], radius)]
+    _pool(lambda cap: _row_blocks(len(queries), len(profiles.anchors) * cap), work)
+    dmax = float(tops.max())
     if schedule.eps_at(schedule.k_max) < dmax:
         raise ScheduleTooShallow(
             f"extend schedule: top scale {schedule.eps_at(schedule.k_max)!r} below "

@@ -9,6 +9,7 @@ Euclidean instance holds no distance matrix, and computes each block it is asked
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass, field
@@ -28,6 +29,41 @@ _BLOCK = 1 << 16
 # ball_lips answers a ball from the largest _TOP_K pair ratios when one of
 # them lies inside it (a certificate for the exact maximum).
 _TOP_K = 4096
+
+
+def _pool(plan, work) -> list:
+    """What ``work(take)`` returns on each worker that ran, the caller and ``w - 1`` threads,
+    ``w = min(CPUs in the affinity mask, tasks, 4)``, each with its own state and the caller's
+    ``np.errstate``.  ``plan(min(CPUs, 4))`` lists the tasks, cut so that as many workers split
+    one budget; ``take`` hands them out in order under a lock, each once.  A thread that cannot
+    start is left out.  Once a task raises none is handed out, and after every join the
+    exception of the lowest failing task (all below it ran) is raised, whatever ``w`` is."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    tasks, lock, errors, done, errs = plan(min(cpus or 1, 4)), threading.Lock(), {}, [], np.geterr()
+    handout = iter(range(len(tasks)))
+
+    def claim():    # the next task's index, len(tasks) when none is left to hand out
+        with lock:
+            return len(tasks) if errors else next(handout, len(tasks))
+
+    def run():
+        held = [-1]     # the task in hand: a failure before the first ranks below every task
+        try:
+            with np.errstate(**errs):
+                done.append(work(tasks[held[0]] for held[0] in iter(claim, len(tasks))))
+        except BaseException as exc:    # a task left unrun must never read as done
+            errors[held[0]] = exc
+    threads = []
+    for _ in range(min(cpus or 1, len(tasks), 4) - 1):
+        with contextlib.suppress(RuntimeError):     # none to spare: the others take its tasks
+            (thread := threading.Thread(target=run)).start()
+            threads.append(thread)
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return done
 
 
 def _row_blocks(count: int, width: int) -> list[slice]:
@@ -188,34 +224,21 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
     in floating point; empty when the triangle inequality holds everywhere.
 
     Exact, not sampled: :func:`_triangle_strip` scans strips of ``max(1, isqrt(_BLOCK //
-    n))`` rows on ``w = min(CPUs in the affinity mask, strips, 4)`` workers, the caller and
-    ``w - 1`` threads, each with its own buffers and flags, OR-ed once all have joined.
+    n))`` rows on the workers of :func:`_pool`, each with its own tile of up to ``_BLOCK``
+    entries (smaller tiles cost more per entry), strip and flags, OR-ed once all have joined.
     """
     n = d.shape[0]
     side = min(n, max(1, isqrt(_BLOCK // n)))
-    starts = iter(range(0, n, side))    # shared by the workers; next() holds the GIL
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # At most 4 workers, as each holds its own tile of up to _BLOCK entries.
-    flags, errors = [np.zeros(n, bool) for _ in range(min(cpus or 1, -(-n // side), 4))], []
 
-    def work(flagged):
-        try:
-            # On a 32-byte boundary: numpy aligns to 16, and 16 off costs a fifth more time.
-            tile_buf = np.empty(side * side * n + 3)
-            tile_buf, strip_buf = tile_buf[-tile_buf.ctypes.data % 32 // 8:], np.empty(side * n)
-            for a in starts:
-                _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged)
-        except BaseException as exc:    # an unscanned strip must never read as clean
-            errors.append(exc)
-    threads = [threading.Thread(target=work, args=(f,)) for f in flags[1:]]
-    for t in threads:
-        t.start()
-    work(flags[0])
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return np.flatnonzero(np.logical_or.reduce(flags))
+    def work(starts):
+        # On a 32-byte boundary: numpy aligns to 16, and 16 off costs a fifth more time.
+        tile_buf = np.empty(side * side * n + 3)
+        tile_buf, strip_buf = tile_buf[-tile_buf.ctypes.data % 32 // 8:], np.empty(side * n)
+        flagged = np.zeros(n, bool)
+        for a in starts:
+            _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged)
+        return flagged
+    return np.flatnonzero(np.logical_or.reduce(_pool(lambda cap: range(0, n, side), work)))
 
 
 def _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged) -> None:
@@ -434,23 +457,25 @@ def _ratio(u, v, d, out=None, where=None):
     return np.divide(gaps, d, out=gaps, where=d > 0 if where is None else where)
 
 
-def _upper_blocks(instance: MetricInstance, points):
+def _upper_blocks(instance: MetricInstance, points, blocks=None):
     """Yield ``(a, d, upper)``, ``d`` the bits of ``instance.distances(points[a:b], points[a:])``,
-    over the :func:`_row_blocks` ``[a, b)`` of rows ``0..len(points) - 2`` (the last has no
-    pair of its own) against columns ``a..``: the one walk of every all-pairs scan.
+    over row blocks ``[a, b)`` of rows ``0..len(points) - 2`` (the last has no pair of its own)
+    against columns ``a..``: ``blocks`` in increasing order, by default all :func:`_row_blocks`,
+    the one walk of every all-pairs scan.
 
     Entry ``[r, c]`` belongs to points ``a + r`` and ``a + c``, so the pairs ``i < j``
     with ``i`` in the block are the entries ``c > r``, marked by ``upper`` (one mask per
-    walk, sliced to the block).  ``points`` is checked once, with ``distances``' message.
-    A cloud's blocks fill one buffer: its ``d`` lives only until the next is asked for.
+    walk, from its first and largest block).  ``points`` is checked once, with ``distances``'
+    message.  A cloud's blocks fill one buffer: its ``d`` lives only until the next is asked for.
     """
     points = _point_list(points, instance.n)
-    m, cloud = len(points), instance.dmatrix is None
-    blocks = _row_blocks(m - 1, m)
-    upper = np.arange(m) > np.arange(blocks[0].stop if blocks else 0)[:, None]
-    coords, buf = (instance.coords[points], np.empty(upper.size)) if cloud else (None, None)
-    for s in blocks:
+    m, cloud, upper = len(points), instance.dmatrix is None, None
+    coords = instance.coords[points] if cloud else None
+    for s in _row_blocks(m - 1, m) if blocks is None else blocks:
         a, shape = s.start, (s.stop - s.start, m - s.start)
+        if upper is None:
+            upper = np.arange(shape[1]) > np.arange(shape[0])[:, None]
+            buf = np.empty(upper.size) if cloud else None
         d = (_euclidean_matrix(coords[s], coords[a:], buf[:shape[0] * shape[1]].reshape(shape))
              if cloud else instance.dmatrix[np.ix_(points[s], points[a:])])
         yield a, d, upper[:shape[0], :shape[1]]

@@ -19,6 +19,7 @@ every distance block.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -390,7 +391,9 @@ def _distance_quartiles(instance: MetricInstance) -> list[float]:
     pass.  For each known prefix of a wanted entry it histograms the next 16
     bits of the entries sharing the prefix or, once at most ``_BLOCK`` entries
     share it, keeps them for ``np.partition``.  Four passes at most, and no
-    sampling.
+    sampling.  A pass's blocks run on :func:`~lipext.metric._pool`'s workers, each with
+    its own block buffer; they add to one histogram per prefix under a lock and append
+    to one kept list, whose order a selection does not read.
 
     numpy's default ``linear`` method reads the sorted values ``a, b`` at
     ``floor(v)`` and ``floor(v) + 1`` for the virtual index ``v = (N - 1) q``,
@@ -404,22 +407,28 @@ def _distance_quartiles(instance: MetricInstance) -> list[float]:
     spots = [(total - 1) * q for q in (0.25, 0.5, 0.75)]
     # rank -> (the known top bits of its entry, entries below them, entries with them)
     todo = {p // 2: (0, 0, total // 2) for v in spots for p in (math.floor(v), math.floor(v) + 1)}
-    found = {}
+    found, lock = {}, threading.Lock()
     for known in range(0, 64, 16):
         if not todo:
             break
         acc = {key: [] if key[2] <= metric._BLOCK else np.zeros(1 << 16, dtype=np.intp)
                for key in set(todo.values())}
-        for _, d, upper in metric._upper_blocks(instance, np.arange(n)):
-            bits = d[upper].view(np.int64)
-            head = bits >> (64 - known) if known else None
-            for (prefix, _, _), got in acc.items():
-                x = bits[head == prefix] if known else bits
-                if isinstance(got, list):
-                    got.append(x)
-                else:
-                    digits = (x >> (48 - known)) & 0xFFFF
-                    got += np.bincount(digits.astype(np.intp, copy=False), minlength=1 << 16)
+
+        def work(take):     # every worker appends to the kept lists, and adds under the lock
+            for _, d, upper in metric._upper_blocks(instance, np.arange(n), take):
+                bits = d[upper].view(np.int64)
+                head = bits >> (64 - known) if known else None
+                for (prefix, _, _), got in acc.items():
+                    x = bits[head == prefix] if known else bits
+                    if isinstance(got, list):
+                        got.append(x)
+                    elif len(x):    # counted over the digits' own range, one block at a time
+                        digits = (x >> (48 - known)).astype(np.intp, copy=False)
+                        digits &= 0xFFFF
+                        digits -= (lo := digits.min())
+                        with lock:
+                            got[lo:lo + digits.max() + 1] += np.bincount(digits)
+        metric._pool(lambda cap: _row_blocks(n - 1, n * cap), work)
         pending, todo = todo, {}
         for (prefix, below, _), got in acc.items():
             ranks = [r for r, key in pending.items() if key[0] == prefix]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +90,28 @@ def corrupted_extension():
         yield
     finally:
         verification.extend = extend
+
+
+def fake_cpus(monkeypatch, cpus):
+    """Fake an affinity mask of ``cpus`` CPUs (``os.cpu_count`` is the fallback only
+    where ``os.sched_getaffinity`` does not exist)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_starts(monkeypatch, fail=()):
+    """The threads started from here on, each listed as its start begins.  The calls of
+    ``Thread.start`` numbered in ``fail`` (from 1), or every call for ``"all"``, raise
+    as when no thread can be made, and list nothing."""
+    started, calls, start = [], [], threading.Thread.start
+
+    def counted(self):
+        calls.append(self)
+        if fail == "all" or len(calls) in fail:
+            raise RuntimeError("can't start new thread")
+        started.append(self)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
 
 
 def random_masses(instance, seed):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -791,3 +792,41 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
     run = subprocess.run([sys.executable, "-c", script, str(src), json.dumps(commands)],
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+MEMORY_PROBE = ("import lipext.cli\n"
+                "print(next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmPeak:')))\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS and /proc/self/status are Linux only")
+@pytest.mark.parametrize("command", [["extend", "--epsilon", "0.5"],
+                                     ["verify", "--epsilon", "0.5"]])
+def test_out_of_memory_exit1(tmp_path, command):
+    """An allocation that fails ends in exit 1 with a JSON error carrying numpy's
+    message, not in a traceback.  The child's address space is capped 32 MiB above
+    what importing the CLI takes (measured in a child of its own); the 3000 x 3000
+    distances of the bank's balls need 68.7 MiB."""
+    import resource     # Unix only
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")    # no BLAS thread buffers in the footprint
+    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+                           capture_output=True, text=True, check=True)
+    cap = int(probe.stdout) * 1024 + (32 << 20)
+    rng = np.random.default_rng(19)
+    n = 3000
+    inst = _write(tmp_path, "big.json", {
+        "points": {"type": "euclidean", "coords": rng.uniform(0.0, 1.0, (n, 1)).tolist()},
+        "subset": list(range(n)), "values": rng.uniform(0.0, 1.0, n).tolist()})
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    run = subprocess.run([sys.executable, "-m", "lipext.cli", command[0], "--input", inst,
+                          *command[1:], "--output", str(tmp_path / "out.json")],
+                         env=env, capture_output=True, text=True, preexec_fn=capped)
+    assert run.returncode == 1, run.stderr
+    doc = json.loads(run.stdout, parse_constant=lambda name: pytest.fail(name))
+    assert doc["error"].startswith("out of memory: Unable to allocate")
+    assert "Traceback" not in run.stderr

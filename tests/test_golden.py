@@ -16,7 +16,7 @@ import pytest
 from lipext import metric
 from lipext.cli import main
 
-from conftest import corrupted_extension
+from conftest import corrupted_extension, count_starts, fake_cpus
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -48,6 +48,37 @@ def test_golden_bytes_do_not_depend_on_block_or_top_k(case, name, tmp_path, caps
     column, or a max, min or histogram over the blocks, so the bytes stay."""
     monkeypatch.setattr(metric, name, 1)
     assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("block", [None, 1024])
+@pytest.mark.parametrize("case", CASES, ids=[c["report"] for c in CASES])
+def test_golden_bytes_do_not_depend_on_the_worker_count(case, block, cpus, tmp_path, capsys,
+                                                        monkeypatch):
+    """Every loop on ``metric._pool`` (the triangle strips, the query blocks, the
+    cones, the quartile passes) gives the same bytes on 1, 2 and 4 workers, at the
+    default budget and at one low enough that each loop has many tasks."""
+    fake_cpus(monkeypatch, cpus)
+    if block is not None:
+        monkeypatch.setattr(metric, "_BLOCK", block)
+    assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
+
+
+POOL_CASES = [c for c in CASES if c["instance"] in ("cloud.json", "large_cloud.json", "graph.json")
+              and c["command"] in ("extend", "verify") and not c.get("corrupt")]
+
+
+@pytest.mark.parametrize("fail", [(1,), (2,), "all"], ids=["first", "second", "every"])
+@pytest.mark.parametrize("case", POOL_CASES, ids=[c["report"] for c in POOL_CASES])
+def test_golden_bytes_when_a_thread_cannot_start(case, fail, tmp_path, capsys, monkeypatch):
+    """Four faked CPUs and a low budget, and ``Thread.start`` raising on its first
+    call, its second, or every call: the workers that run take the tasks of those
+    that could not start, and the bytes stay."""
+    fake_cpus(monkeypatch, 4)
+    monkeypatch.setattr(metric, "_BLOCK", 1024)
+    started = count_starts(monkeypatch, fail)
+    assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
+    assert fail != "all" or started == []
 
 
 GRAPH_CASES = [c for c in CASES if c["instance"] == "graph.json"]

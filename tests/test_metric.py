@@ -1,5 +1,4 @@
 import json
-import os
 import threading
 import time
 import tracemalloc
@@ -18,7 +17,7 @@ from lipext.extension import evaluation_diameters
 from lipext.metric import (TRIANGLE_RTOL, _check_radii, _euclidean_matrix,
                            _triangle_violators)
 
-from conftest import dense, grid_instance, oracle_lip, random_instance
+from conftest import count_starts, dense, fake_cpus, grid_instance, oracle_lip, random_instance
 
 
 def _matrix_raw(d, subset=(0, 2), values=(0.0, 2.0), **extra):
@@ -307,18 +306,12 @@ def test_triangle_certificate_does_not_depend_on_the_tiling(monkeypatch, block, 
     assert got == _violating_rows(d, tol) == rows
 
 
-def _affinity(monkeypatch, cpus):
-    """Fake an affinity mask of ``cpus`` CPUs (``os.cpu_count`` is the fallback only
-    where ``os.sched_getaffinity`` does not exist)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _triangle_scan_peak(monkeypatch, workers):
     """``(peak, n, side)``: the traced peak of a clean scan of an n = 700 ring under
     ``workers`` faked CPUs, and the scan's tile side."""
     n = 700
     d = _ring_metric(n, seed=7)
-    _affinity(monkeypatch, workers)
+    fake_cpus(monkeypatch, workers)
     tracemalloc.start()
     try:
         assert len(_triangle_violators(d, TRIANGLE_RTOL * float(d.max()))) == 0
@@ -366,22 +359,12 @@ def test_triangle_certificate_does_not_depend_on_the_worker_count(monkeypatch):
     assert expected == sorted({i for pair in pairs for i in pair})
     witnesses = []
     for cpus in (1, 2, 4):
-        _affinity(monkeypatch, cpus)
+        fake_cpus(monkeypatch, cpus)
         assert _triangle_violators(d, tol).tolist() == expected
         with pytest.raises(InstanceValidationError) as exc:
             instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
         witnesses.append(exc.value.witness)
     assert witnesses == [_triangle_oracle(d)] * 3
-
-
-def _count_starts(monkeypatch):
-    started, start = [], threading.Thread.start
-
-    def counted(self):
-        started.append(self)
-        start(self)
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
 
 
 @pytest.mark.parametrize("cpus,n,strips,threads", [
@@ -395,8 +378,8 @@ def test_triangle_scan_thread_count(monkeypatch, cpus, n, strips, threads):
         monkeypatch.setattr(metric, "_BLOCK", STRIP * STRIP * n)
     d = _ring_metric(n, seed=n)
     assert -(-n // min(n, isqrt(metric._BLOCK // n))) == strips
-    _affinity(monkeypatch, cpus)
-    started = _count_starts(monkeypatch)
+    fake_cpus(monkeypatch, cpus)
+    started = count_starts(monkeypatch)
     assert len(_triangle_violators(d, TRIANGLE_RTOL * float(d.max()))) == 0
     assert len(started) == threads
 
@@ -409,8 +392,8 @@ def test_triangle_worker_failure_fails_the_certificate(monkeypatch, cpus, where)
     # caller once every thread has joined.
     d = _many_strips(monkeypatch)
     instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
-    _affinity(monkeypatch, cpus)
-    scan, started = metric._triangle_strip, _count_starts(monkeypatch)
+    fake_cpus(monkeypatch, cpus)
+    scan, started = metric._triangle_strip, count_starts(monkeypatch)
 
     def failing(d, tol, a, *rest):
         in_thread = threading.current_thread() in started

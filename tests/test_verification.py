@@ -279,19 +279,22 @@ def test_run_suite_walks_the_pairs_three_times(monkeypatch, n):
     the quartiles, and one walk after ``extend`` that the global, inf-family and
     McShane-fragment scans share (four walks of their own before, six in all).
     Past 500,000 pairs (1001 points) the global scan still reads every pair on
-    the shared walk: a sampled scan would walk its sample on its own."""
+    the shared walk: a sampled scan would walk its sample on its own.  A walk is
+    counted in the rows its blocks read, as its workers may share its blocks."""
     inst = _cloud(n)
-    walks, upper = [], metric._upper_blocks
+    rows, upper = [], metric._upper_blocks
 
-    def counted(instance, points):
-        walks.extend([len(points)] if len(points) >= inst.n / 2 else [])
-        return upper(instance, points)
+    def counted(instance, points, blocks=None):
+        for a, d, mask in upper(instance, points, blocks):
+            rows.extend([(len(points), len(d))] if len(points) >= inst.n / 2 else [])
+            yield a, d, mask
 
     monkeypatch.setattr(metric, "_upper_blocks", counted)
     report = run_suite(inst, 0.5)
     assert report.passed
     assert next(c for c in report.checks if c.name == "global_lipschitz").note == "exhaustive"
-    assert walks == [inst.n] * 3
+    assert {m for m, _ in rows} == {inst.n}
+    assert sum(r for _, r in rows) == 3 * (inst.n - 1)
 
 
 def _far_cluster():
