@@ -157,7 +157,8 @@ def _cones(instance: MetricInstance, l_prime: float, queries) -> tuple[np.ndarra
             np.min(g + d, axis=0, out=upper[s])
             np.max(np.subtract(g, d, out=d), axis=0, out=lower[s])
     with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
-        _pool(lambda cap: _row_blocks(len(queries), len(instance.subset) * cap), work)
+        _pool(len(queries) * len(instance.subset),
+              lambda cap: _row_blocks(len(queries), len(instance.subset) * cap), work)
     return upper, lower
 
 
@@ -236,7 +237,8 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
             margin[s], far[s] = gaps.min(axis=0), profiles.anchors[gaps.argmin(axis=0)]
             localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
                                for k, x, r in zip(schedule.k_min + jk, near[s], radius)]
-    _pool(lambda cap: _row_blocks(len(queries), len(profiles.anchors) * cap), work)
+    _pool(len(queries) * len(profiles.anchors),
+          lambda cap: _row_blocks(len(queries), len(profiles.anchors) * cap), work)
     dmax = float(tops.max())
     if schedule.eps_at(schedule.k_max) < dmax:
         raise ScheduleTooShallow(

@@ -26,20 +26,25 @@ TRIANGLE_RTOL = 1e-9
 # of rows at a time (the Euclidean fill, the pair scans, the quartile select, the
 # extension's queries) take _row_blocks of it, and a triangle-scan tile holds one.
 _BLOCK = 1 << 16
+# _pool starts threads only for a loop that forms at least _FLOOR budgets of entries:
+# below that a new thread costs more than it saves (README, "Memory", has the ladder).
+_FLOOR = 64
 # ball_lips answers a ball from the largest _TOP_K pair ratios when one of
 # them lies inside it (a certificate for the exact maximum).
 _TOP_K = 4096
 
 
-def _pool(plan, work) -> list:
+def _pool(entries, plan, work) -> list:
     """What ``work(take)`` returns on each worker that ran, the caller and ``w - 1`` threads,
-    ``w = min(CPUs in the affinity mask, tasks, 4)``, each with its own state and the caller's
-    ``np.errstate``.  ``plan(min(CPUs, 4))`` lists the tasks, cut so that as many workers split
-    one budget; ``take`` hands them out in order under a lock, each once.  A thread that cannot
-    start is left out.  Once a task raises none is handed out, and after every join the
-    exception of the lowest failing task (all below it ran) is raised, whatever ``w`` is."""
+    ``w = min(cap, tasks)``, each with its own state and the caller's ``np.errstate``: ``cap =
+    min(CPUs in the affinity mask, 4)`` for a loop that forms ``entries >= _FLOOR * _BLOCK``,
+    else 1.  ``plan(cap)`` lists the tasks, cut so that ``cap`` workers may split one budget;
+    ``take`` hands them out in order under a lock, each once.  A thread that cannot start is
+    left out.  Once a task raises none is handed out, and after every join the exception of
+    the lowest failing task (all below it ran) is raised, whatever ``w`` is."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    tasks, lock, errors, done, errs = plan(min(cpus or 1, 4)), threading.Lock(), {}, [], np.geterr()
+    cap = min(cpus or 1, 4) if entries >= _FLOOR * _BLOCK else 1
+    tasks, lock, errors, done, errs = plan(cap), threading.Lock(), {}, [], np.geterr()
     handout = iter(range(len(tasks)))
 
     def claim():    # the next task's index, len(tasks) when none is left to hand out
@@ -54,7 +59,7 @@ def _pool(plan, work) -> list:
         except BaseException as exc:    # a task left unrun must never read as done
             errors[held[0]] = exc
     threads = []
-    for _ in range(min(cpus or 1, len(tasks), 4) - 1):
+    for _ in range(min(cap, len(tasks)) - 1):
         with contextlib.suppress(RuntimeError):     # none to spare: the others take its tasks
             (thread := threading.Thread(target=run)).start()
             threads.append(thread)
@@ -238,7 +243,8 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
         for a in starts:
             _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged)
         return flagged
-    return np.flatnonzero(np.logical_or.reduce(_pool(lambda cap: range(0, n, side), work)))
+    strips = _pool(n * n * (n + 1) // 2, lambda cap: range(0, n, side), work)
+    return np.flatnonzero(np.logical_or.reduce(strips))
 
 
 def _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged) -> None:

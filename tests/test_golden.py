@@ -57,11 +57,15 @@ def test_golden_bytes_do_not_depend_on_the_worker_count(case, block, cpus, tmp_p
                                                         monkeypatch):
     """Every loop on ``metric._pool`` (the triangle strips, the query blocks, the
     cones, the quartile passes) gives the same bytes on 1, 2 and 4 workers, at the
-    default budget and at one low enough that each loop has many tasks."""
+    default budget and at one low enough that each loop has many tasks (and the
+    quartile passes of ``large_cloud``'s 600 points are over the floor)."""
     fake_cpus(monkeypatch, cpus)
+    started = count_starts(monkeypatch)
     if block is not None:
         monkeypatch.setattr(metric, "_BLOCK", block)
     assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
+    if block is not None and cpus > 1 and case["report"] == "large_cloud.verify.json":
+        assert started
 
 
 POOL_CASES = [c for c in CASES if c["instance"] in ("cloud.json", "large_cloud.json", "graph.json")
@@ -71,11 +75,13 @@ POOL_CASES = [c for c in CASES if c["instance"] in ("cloud.json", "large_cloud.j
 @pytest.mark.parametrize("fail", [(1,), (2,), "all"], ids=["first", "second", "every"])
 @pytest.mark.parametrize("case", POOL_CASES, ids=[c["report"] for c in POOL_CASES])
 def test_golden_bytes_when_a_thread_cannot_start(case, fail, tmp_path, capsys, monkeypatch):
-    """Four faked CPUs and a low budget, and ``Thread.start`` raising on its first
-    call, its second, or every call: the workers that run take the tasks of those
-    that could not start, and the bytes stay."""
+    """Four faked CPUs, a low budget and no work floor (so every loop of more than
+    one task asks for threads, also on the 40-point cloud), and ``Thread.start``
+    raising on its first call, its second, or every call: the workers that run
+    take the tasks of those that could not start, and the bytes stay."""
     fake_cpus(monkeypatch, 4)
     monkeypatch.setattr(metric, "_BLOCK", 1024)
+    monkeypatch.setattr(metric, "_FLOOR", 0)
     started = count_starts(monkeypatch, fail)
     assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
     assert fail != "all" or started == []

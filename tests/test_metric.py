@@ -376,6 +376,7 @@ def test_triangle_certificate_does_not_depend_on_the_worker_count(monkeypatch):
 def test_triangle_scan_thread_count(monkeypatch, cpus, n, strips, threads):
     if strips > 1:
         monkeypatch.setattr(metric, "_BLOCK", STRIP * STRIP * n)
+        monkeypatch.setattr(metric, "_FLOOR", 1)    # n = 8 forms 288 entries: over the floor
     d = _ring_metric(n, seed=n)
     assert -(-n // min(n, isqrt(metric._BLOCK // n))) == strips
     fake_cpus(monkeypatch, cpus)

@@ -3,9 +3,11 @@ strips, the extension's query blocks (full and localized), the McShane cones and
 the passes of the quartile select.
 
 Each loop runs every task exactly once on ``min(CPUs in the affinity mask, tasks,
-4)`` workers, gives the same bits at every worker count, and goes on with the
-workers it has when a thread cannot start.  The CPU counts are faked, never so
-high that more than three threads could start.
+4)`` workers when it forms at least ``_FLOOR`` budgets of entries, and on the caller
+alone below that floor; it gives the same bits at every worker count, and goes on
+with the workers it has when a thread cannot start.  The CPU counts are faked, never
+so high that more than three threads could start.  Tests of the thread path on small
+inputs put their loops over the floor by lowering ``_BLOCK`` or ``_FLOOR``.
 """
 
 import sys
@@ -24,6 +26,7 @@ from lipext.verification import _distance_quartiles, check_localization, run_sui
 
 from conftest import count_starts, dense, fake_cpus
 from test_metric import _many_strips, _plant, _triangle_oracle, _violating_rows
+from test_verification import _cloud, _np_quartiles, _traced_peak
 
 
 def _slow_caller(seconds=0.002):
@@ -31,6 +34,11 @@ def _slow_caller(seconds=0.002):
     caller = threading.main_thread()
     if threading.current_thread() is caller:
         time.sleep(seconds)
+
+
+def _over():
+    """Entries of a loop at the floor: the least that may start threads."""
+    return metric._FLOOR * metric._BLOCK
 
 
 def _work_log(take):
@@ -49,7 +57,7 @@ def _work_log(take):
 def test_pool_runs_every_task_once_in_order(monkeypatch, cpus):
     fake_cpus(monkeypatch, cpus)
     started, caps = count_starts(monkeypatch), []
-    done = metric._pool(lambda cap: caps.append(cap) or list(range(37)), _work_log)
+    done = metric._pool(_over(), lambda cap: caps.append(cap) or list(range(37)), _work_log)
     assert caps == [cpus]   # the loop splits its budget among this many workers
     assert len(done) == cpus and len(started) == cpus - 1
     assert sorted(t for mine in done for t in mine) == list(range(37))
@@ -67,9 +75,55 @@ def test_pool_runs_every_task_once_in_order(monkeypatch, cpus):
 def test_pool_thread_count(monkeypatch, cpus, tasks, threads):
     fake_cpus(monkeypatch, cpus)
     started = count_starts(monkeypatch)
-    done = metric._pool(lambda cap: range(tasks), _work_log)
+    done = metric._pool(_over(), lambda cap: range(tasks), _work_log)
     assert len(started) == threads
     assert sorted(t for mine in done for t in mine) == list(range(tasks))
+
+
+@pytest.mark.parametrize("block", [None, 1024])
+def test_pool_starts_threads_only_from_the_floor(monkeypatch, block):
+    # At 4 faked CPUs a loop one entry below _FLOOR budgets plans its blocks for one
+    # worker and starts no thread; at the floor it plans for 4 and starts 3.  The
+    # floor is counted in budgets, so a lower _BLOCK lowers it with it.
+    if block is not None:
+        monkeypatch.setattr(metric, "_BLOCK", block)
+    fake_cpus(monkeypatch, 4)
+    started, caps = count_starts(monkeypatch), []
+    floor = metric._FLOOR * metric._BLOCK
+    assert floor == metric._FLOOR * (block or 1 << 16)
+    below = metric._pool(floor - 1, lambda cap: caps.append(cap) or range(40), _work_log)
+    assert caps == [1] and started == [] and len(below) == 1
+    at = metric._pool(floor, lambda cap: caps.append(cap) or range(40), _work_log)
+    assert caps == [1, 4] and len(started) == 3 and len(at) == 4
+    for done in (below, at):
+        assert sorted(t for mine in done for t in mine) == list(range(40))
+
+
+def test_every_loop_states_the_entries_it_forms(monkeypatch):
+    # The triangle strips n^2 (n + 1) / 2, the query blocks queries x anchors, the
+    # cones queries x |C|, and each quartile pass n (n - 1) / 2.
+    pool, stated = metric._pool, []
+
+    def counted_pool(entries, plan, work):
+        stated.append(entries)
+        return pool(entries, plan, work)
+    monkeypatch.setattr(metric, "_pool", counted_pool)
+    monkeypatch.setattr(extension, "_pool", counted_pool)
+    d = _many_strips(monkeypatch)
+    instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
+    assert stated == [60 * 60 * 61 // 2]
+    inst, _ = _tie_instance()
+    sch = schedule_for_instance(inst, 0.5)
+    bank = build_profiles(inst, sch)
+    stated.clear()
+    extend(inst, sch, np.arange(50), profiles=bank)
+    extend_localized(inst, sch, np.arange(30), profiles=bank)
+    mcshane_upper_many(inst, 2.0, np.arange(20))
+    assert stated == [50 * len(bank.anchors), 30 * len(bank.anchors), 20 * 4]
+    stated.clear()
+    monkeypatch.setattr(metric, "_BLOCK", 50)     # three radix passes
+    _distance_quartiles(inst)
+    assert stated == [80 * 79 // 2] * 3
 
 
 @pytest.mark.parametrize("fail", [(1,), (2,), "all"])
@@ -77,7 +131,7 @@ def test_pool_goes_on_when_a_thread_cannot_start(monkeypatch, fail):
     # Four faked CPUs ask for three threads; the workers that run take every task.
     fake_cpus(monkeypatch, 4)
     started = count_starts(monkeypatch, fail)
-    done = metric._pool(lambda cap: range(40), _work_log)
+    done = metric._pool(_over(), lambda cap: range(40), _work_log)
     assert len(started) == {(1,): 2, (2,): 2, "all": 0}[fail]
     assert len(done) == len(started) + 1
     assert sorted(t for mine in done for t in mine) == list(range(40))
@@ -100,7 +154,7 @@ def test_pool_raises_the_lowest_failing_task(monkeypatch, cpus):
                 raise KeyError("task 9")
             _slow_caller(0.001)
     with pytest.raises(ValueError, match="task 5"):
-        metric._pool(lambda cap: range(40), work)
+        metric._pool(_over(), lambda cap: range(40), work)
     assert not any(t.is_alive() for t in started)
     assert set(range(6)) <= set(ran) and len(ran) < 40
 
@@ -112,9 +166,9 @@ def test_pool_workers_keep_the_callers_errstate(monkeypatch):
     def work(take):
         return [np.float64(1e308) * 10 for _ in take]
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        metric._pool(lambda cap: range(8), work)
+        metric._pool(_over(), lambda cap: range(8), work)
     with np.errstate(over="ignore"):
-        done = metric._pool(lambda cap: range(8), work)
+        done = metric._pool(_over(), lambda cap: range(8), work)
     assert [v for mine in done for v in mine] == [np.inf] * 8
 
 
@@ -143,6 +197,7 @@ def test_lowest_anchor_wins_ties_in_blocks_of_different_workers(monkeypatch):
     T, phi = extension._family(inst, bank, ties)
     assert np.array_equal(phi[0], phi[1]) and np.all(phi[0] == phi.min(axis=0))   # real ties
     monkeypatch.setattr(metric, "_BLOCK", 12 * len(bank.anchors))   # 3 queries per block at 4
+    monkeypatch.setattr(metric, "_FLOOR", 1)    # 80 queries: over the floor
     family, takers = extension._family, {}
 
     def logged(instance, profiles, points):     # every worker waits after each block
@@ -179,7 +234,9 @@ def test_extension_and_cone_blocks_run_once(monkeypatch, cpus):
     sch = schedule_for_instance(inst, 0.5, queries)
     bank = build_profiles(inst, sch)
     monkeypatch.setattr(metric, "_BLOCK", 40 * len(bank.anchors))
+    monkeypatch.setattr(metric, "_FLOOR", 1)    # 80 queries: every pass over the floor
     fake_cpus(monkeypatch, cpus)
+    started = count_starts(monkeypatch)
     read, family, distances = [], extension._family, MetricInstance.distances
 
     def logged_family(instance, profiles, points):
@@ -206,6 +263,7 @@ def test_extension_and_cone_blocks_run_once(monkeypatch, cpus):
     dd = dense(inst)[np.ix_(inst.subset, queries)]
     assert np.array_equal(upper, np.min(inst.values[:, None] + 2.0 * dd, axis=0))
     assert np.array_equal(lower, np.max(inst.values[:, None] - 2.0 * dd, axis=0))
+    assert (started == []) == (cpus == 1)
 
 
 def test_one_query_starts_no_thread(monkeypatch):
@@ -238,14 +296,34 @@ def test_distance_quartiles_do_not_depend_on_the_worker_count(monkeypatch, cpus)
             rows.extend(range(a, a + len(d)))
             yield a, d, mask
 
-    def counted_pool(plan, work):
-        passes.append(plan)
-        return pool(plan, work)
+    def counted_pool(entries, plan, work):
+        passes.append(entries)
+        return pool(entries, plan, work)
     monkeypatch.setattr(metric, "_upper_blocks", counted_blocks)
     monkeypatch.setattr(metric, "_pool", counted_pool)
     assert _distance_quartiles(inst) == want
-    assert len(passes) == 3
+    assert passes == [inst.n * (inst.n - 1) // 2] * 3   # each over the floor of this budget
     assert sorted(rows) == sorted(3 * list(range(inst.n - 1)))
+
+
+def test_whole_quartile_blocks_cost_a_fixed_memory_per_worker(monkeypatch):
+    # Over the floor each quartile worker takes whole blocks, with its own buffer of one
+    # budget and its temporaries: the traced peak grows by the same few budgets per
+    # extra worker at both sizes (4.27 budgets, 2.13 MiB, on a 2-core x86-64 host;
+    # the bound is 6 budgets, 3 MiB, and the two sizes agree within 1 budget).
+    budget, growth = 8 * metric._BLOCK, {}
+    for n in (3000, 4000):
+        assert n * (n - 1) // 2 >= metric._FLOOR * metric._BLOCK
+        inst, peaks = _cloud(n), {}
+        for cpus in (1, 4):
+            fake_cpus(monkeypatch, cpus)
+            started = count_starts(monkeypatch)
+            got, peaks[cpus] = _traced_peak(_distance_quartiles, inst)
+            assert len(started) % 3 == 0 and (started == []) == (cpus == 1)   # 3 a pass
+        assert got == _np_quartiles(inst)
+        growth[n] = (peaks[4] - peaks[1]) / 3 / budget
+    assert all(0 < g <= 6 for g in growth.values()), growth
+    assert abs(growth[3000] - growth[4000]) <= 1, growth
 
 
 def test_shared_counts_survive_a_short_switch_interval(monkeypatch):
@@ -262,7 +340,7 @@ def test_shared_counts_survive_a_short_switch_interval(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = [_distance_quartiles(inst) for _ in range(3)]
-        done = metric._pool(lambda cap: range(3000), lambda take: sum(1 for _ in take))
+        done = metric._pool(_over(), lambda cap: range(3000), lambda take: sum(1 for _ in take))
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 3 and sum(done) == 3000
@@ -281,10 +359,13 @@ def test_no_loop_starts_more_than_three_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", watched)
     d = _many_strips(monkeypatch)
     instance_from_arrays(dmatrix=d, subset=[0, 9, 30], values=[0.0, 1.0, 0.5])
-    monkeypatch.setattr(metric, "_BLOCK", 4096)
-    inst, _ = _tie_instance()
-    run_suite(inst, 0.5)
     assert alive and max(alive) <= 3
+    monkeypatch.setattr(metric, "_BLOCK", 64)
+    monkeypatch.setattr(metric, "_FLOOR", 1)    # every loop of run_suite over the floor
+    inst, _ = _tie_instance()
+    strips = len(started)
+    run_suite(inst, 0.5)
+    assert len(started) > strips and max(alive) <= 3
 
 
 @pytest.mark.parametrize("fail", [(1,), (2,), "all"])
