@@ -6,8 +6,7 @@ from .metric import (MetricInstance, ball_lips, instance_from_arrays,
                      lip_constant, lipa_profile, validate_instance)
 from .schedule import ScaleSchedule, build_schedule, locality_radius
 from .extension import (ExtensionField, ProfileBank, build_profiles,
-                        cutoff_support, extend, extend_localized,
-                        mcshane_lower_many, mcshane_upper_many,
+                        cutoff_support, extend, extend_localized, mcshane_upper_many,
                         schedule_for_instance, truncate_bounded)
 from .verification import (CheckResult, VerificationReport, check_global_lipschitz,
                            check_inf_family, check_locality_preservation,
@@ -26,7 +25,7 @@ __all__ = [
     "ball_lips", "lip_constant", "lipa_profile",
     "ScaleSchedule", "build_schedule", "locality_radius",
     "ProfileBank", "ExtensionField", "build_profiles", "extend",
-    "extend_localized", "mcshane_upper_many", "mcshane_lower_many",
+    "extend_localized", "mcshane_upper_many",
     "truncate_bounded", "cutoff_support", "schedule_for_instance",
     "CheckResult", "VerificationReport", "check_restriction",
     "check_global_lipschitz", "check_step2", "check_locality_preservation",

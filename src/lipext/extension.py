@@ -158,16 +158,12 @@ def _cones(instance: MetricInstance, l_prime: float, queries) -> tuple[np.ndarra
             np.max(np.subtract(g, d, out=d), axis=0, out=lower[s])
     with np.errstate(over="ignore"):    # an overflowing cone is +-inf, correctly rounded
         _pool(len(queries) * len(instance.subset),
-              lambda cap: _row_blocks(len(queries), len(instance.subset) * cap), work)
+              _row_blocks(len(queries), len(instance.subset)), work)
     return upper, lower
 
 
 def mcshane_upper_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
     return _cones(instance, l_prime, queries)[0]
-
-
-def mcshane_lower_many(instance: MetricInstance, l_prime: float, queries) -> np.ndarray:
-    return _cones(instance, l_prime, queries)[1]
 
 
 def _constant_field(instance: MetricInstance, queries: np.ndarray) -> ExtensionField:
@@ -238,7 +234,7 @@ def _infimum(instance: MetricInstance, schedule: ScaleSchedule | None,
             localization[s] = [{"k": int(k), "xbar": int(x)} if np.isfinite(r) else "full"
                                for k, x, r in zip(schedule.k_min + jk, near[s], radius)]
     _pool(len(queries) * len(profiles.anchors),
-          lambda cap: _row_blocks(len(queries), len(profiles.anchors) * cap), work)
+          _row_blocks(len(queries), len(profiles.anchors)), work)
     dmax = float(tops.max())
     if schedule.eps_at(schedule.k_max) < dmax:
         raise ScheduleTooShallow(

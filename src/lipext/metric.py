@@ -34,17 +34,16 @@ _FLOOR = 64
 _TOP_K = 4096
 
 
-def _pool(entries, plan, work) -> list:
+def _pool(entries, tasks, work) -> list:
     """What ``work(take)`` returns on each worker that ran, the caller and ``w - 1`` threads,
-    ``w = min(cap, tasks)``, each with its own state and the caller's ``np.errstate``: ``cap =
-    min(CPUs in the affinity mask, 4)`` for a loop that forms ``entries >= _FLOOR * _BLOCK``,
-    else 1.  ``plan(cap)`` lists the tasks, cut so that ``cap`` workers may split one budget;
-    ``take`` hands them out in order under a lock, each once.  A thread that cannot start is
-    left out.  Once a task raises none is handed out, and after every join the exception of
-    the lowest failing task (all below it ran) is raised, whatever ``w`` is."""
+    ``w = min(cap, len(tasks))``, each with its own state and the caller's ``np.errstate``:
+    ``cap = min(CPUs in the affinity mask, 4)`` for a loop that forms ``entries >= _FLOOR *
+    _BLOCK``, else 1.  ``take`` hands ``tasks`` out in order under a lock, each once, whatever
+    ``w`` is.  A thread that cannot start is left out.  Once a task raises none is handed out,
+    and after every join the exception of the lowest failing task (all below it ran) is raised."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cap = min(cpus or 1, 4) if entries >= _FLOOR * _BLOCK else 1
-    tasks, lock, errors, done, errs = plan(cap), threading.Lock(), {}, [], np.geterr()
+    lock, errors, done, errs = threading.Lock(), {}, [], np.geterr()
     handout = iter(range(len(tasks)))
 
     def claim():    # the next task's index, len(tasks) when none is left to hand out
@@ -243,7 +242,8 @@ def _triangle_violators(d: np.ndarray, tol: float) -> np.ndarray:
         for a in starts:
             _triangle_strip(d, tol, a, side, tile_buf, strip_buf, flagged)
         return flagged
-    strips = _pool(n * n * (n + 1) // 2, lambda cap: range(0, n, side), work)
+    # A quarter of its n^2 (n + 1) / 2 sums, which are cheap: threads pay from 4 * _FLOOR budgets.
+    strips = _pool(n * n * (n + 1) // 8, range(0, n, side), work)
     return np.flatnonzero(np.logical_or.reduce(strips))
 
 

@@ -391,10 +391,9 @@ def _distance_quartiles(instance: MetricInstance) -> list[float]:
     pass.  For each known prefix of a wanted entry it histograms the next 16
     bits of the entries sharing the prefix or, once at most ``_BLOCK`` entries
     share it, keeps them for ``np.partition``.  Four passes at most, and no
-    sampling.  A pass's blocks run on :func:`~lipext.metric._pool`'s workers, whole (half
-    blocks pass the GIL between twice the numpy calls), each worker with its own block
-    buffer; they add to one histogram per prefix under a lock and append to one kept
-    list, whose order a selection does not read.
+    sampling.  A pass's blocks run on :func:`~lipext.metric._pool`'s workers, each with
+    its own block buffer; they add to one histogram per prefix under a lock and append
+    to one kept list, whose order a selection does not read.
 
     numpy's default ``linear`` method reads the sorted values ``a, b`` at
     ``floor(v)`` and ``floor(v) + 1`` for the virtual index ``v = (N - 1) q``,
@@ -429,7 +428,7 @@ def _distance_quartiles(instance: MetricInstance) -> list[float]:
                         digits -= (lo := digits.min())
                         with lock:
                             got[lo:lo + digits.max() + 1] += np.bincount(digits)
-        metric._pool(total // 2, lambda cap: _row_blocks(n - 1, n), work)
+        metric._pool(total // 2, _row_blocks(n - 1, n), work)
         pending, todo = todo, {}
         for (prefix, below, _), got in acc.items():
             ranks = [r for r, key in pending.items() if key[0] == prefix]

@@ -8,10 +8,9 @@ import pytest
 from lipext import (ParameterError, ProfileBank, ScheduleTooShallow, build_profiles,
                     build_schedule, check_inf_family, check_locality_preservation, check_step2,
                     cutoff_support, extend, extend_localized, instance_from_arrays,
-                    locality_radius, mcshane_comparison, mcshane_lower_many,
-                    mcshane_upper_many, schedule_for_instance, truncate_bounded,
-                    validate_instance)
-from lipext import metric
+                    locality_radius, mcshane_comparison, mcshane_upper_many,
+                    schedule_for_instance, truncate_bounded, validate_instance)
+from lipext import extension, metric
 from lipext.errors import positive_real
 from lipext.extension import BANK_RULE, _bank, evaluation_diameters
 from lipext.verification import check_localization
@@ -140,32 +139,37 @@ def test_pen_monotone_convex_on_samples():
 # --- McShane envelopes -------------------------------------------------------
 
 
+def _mcshane_lower(instance, l_prime, queries):
+    """The lower McShane envelope: the second half of one cone pass."""
+    return extension._cones(instance, l_prime, queries)[1]
+
+
 def test_mcshane_interval_midpoint():
     inst = instance_from_arrays(coords=[[0.0], [0.5], [1.0]], subset=[0, 2],
                                 values=[0.0, 1.0])
     assert mcshane_upper_many(inst, 1.0, [1])[0] == 0.5
-    assert mcshane_lower_many(inst, 1.0, [1])[0] == 0.5
+    assert _mcshane_lower(inst, 1.0, [1])[0] == 0.5
     assert mcshane_upper_many(inst, 1.0, [0])[0] == 0.0
-    assert mcshane_lower_many(inst, 1.0, [2])[0] == 1.0
+    assert _mcshane_lower(inst, 1.0, [2])[0] == 1.0
 
 
 def test_mcshane_singleton_subset_is_cone():
     inst = instance_from_arrays(coords=[[0.0], [2.0]], subset=[0], values=[3.0])
     assert mcshane_upper_many(inst, 1.5, [1])[0] == 3.0 + 1.5 * 2.0
-    assert mcshane_lower_many(inst, 1.5, [1])[0] == 3.0 - 1.5 * 2.0
+    assert _mcshane_lower(inst, 1.5, [1])[0] == 3.0 - 1.5 * 2.0
 
 
 def test_mcshane_budget_validation(line3):
     with pytest.raises(ParameterError):
         mcshane_upper_many(line3, 0.5, [1])
     with pytest.raises(ParameterError):
-        mcshane_lower_many(line3, 0.5, [1])
-    for many in (mcshane_upper_many, mcshane_lower_many):
+        _mcshane_lower(line3, 0.5, [1])
+    for many in (mcshane_upper_many, _mcshane_lower):
         with pytest.raises(ParameterError, match="envelope constant"):
             many(line3, 10 ** 400, [1])
 
 
-@pytest.mark.parametrize("many", [mcshane_upper_many, mcshane_lower_many])
+@pytest.mark.parametrize("many", [mcshane_upper_many, _mcshane_lower])
 def test_mcshane_envelope_constant_too_long_to_print(line3, many):
     for l_prime in (10 ** 5000, -10 ** 5000):
         with pytest.raises(ParameterError, match="^envelope constant <int "):
@@ -179,7 +183,7 @@ def test_positive_real_takes_integers_beyond_float_range_as_non_finite(value):
     assert positive_real("xi", 10 ** 300) == 1e300
 
 
-@pytest.mark.parametrize("many", [mcshane_upper_many, mcshane_lower_many])
+@pytest.mark.parametrize("many", [mcshane_upper_many, _mcshane_lower])
 def test_mcshane_envelope_constant_is_read_as_its_python_float(many):
     """np.float32(1.0) is 1.0, below Lip(g, C) = 1.00000001, which float32 rounds to 1.0."""
     inst = instance_from_arrays(coords=[[0.0], [1.0], [2.0]], subset=[0, 1],
@@ -189,7 +193,7 @@ def test_mcshane_envelope_constant_is_read_as_its_python_float(many):
             many(inst, l_prime, [0, 1, 2])
 
 
-@pytest.mark.parametrize("many", [mcshane_upper_many, mcshane_lower_many])
+@pytest.mark.parametrize("many", [mcshane_upper_many, _mcshane_lower])
 @pytest.mark.parametrize("queries", [[[1, 2], [3]], 3, [0, 3], [True], [0.5]],
                          ids=["ragged", "scalar", "out-of-range", "bool", "float"])
 def test_mcshane_envelopes_reject_bad_queries_before_any_block(line3, many, queries):
@@ -204,7 +208,7 @@ def test_mcshane_matches_oracle():
     for y in range(0, inst.n, 7):
         assert mcshane_upper_many(inst, lp, [y])[0] == pytest.approx(
             oracle_mcshane_upper(inst, lp, y), rel=1e-14)
-        assert mcshane_lower_many(inst, lp, [y])[0] == pytest.approx(
+        assert _mcshane_lower(inst, lp, [y])[0] == pytest.approx(
             oracle_mcshane_lower(inst, lp, y), rel=1e-14)
 
 
@@ -310,7 +314,7 @@ def test_extend_envelope_sandwich_random():
         field = extend(inst, sch)
         budget = inst.lipschitz_L + sch.eps_eff
         up = mcshane_upper_many(inst, budget, field.queries)
-        lo = mcshane_lower_many(inst, budget, field.queries)
+        lo = _mcshane_lower(inst, budget, field.queries)
         tol = 1e-12 * inst.check_scale()
         assert np.all(field.values <= up + tol)
         assert np.all(field.values >= lo - tol)

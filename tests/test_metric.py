@@ -343,6 +343,7 @@ STRIP = 4   # tile side at a lowered _BLOCK: the 60-point ring below has 15 stri
 
 def _many_strips(monkeypatch, n=60):
     monkeypatch.setattr(metric, "_BLOCK", STRIP * STRIP * n)
+    monkeypatch.setattr(metric, "_FLOOR", 1)    # the scan states 27,450 entries: over the floor
     return _ring_metric(n, seed=n)
 
 
@@ -369,14 +370,14 @@ def test_triangle_certificate_does_not_depend_on_the_worker_count(monkeypatch):
 
 @pytest.mark.parametrize("cpus,n,strips,threads", [
     (64, 60, 15, 3),    # at most 4 workers, whatever the affinity mask holds
-    (64, 8, 2, 1),      # no more workers than strips
+    (64, 12, 3, 2),     # no more workers than strips
     (64, 30, 1, 0),     # one strip: the caller alone
     (1, 60, 15, 0),     # one CPU: the caller alone
 ])
 def test_triangle_scan_thread_count(monkeypatch, cpus, n, strips, threads):
     if strips > 1:
         monkeypatch.setattr(metric, "_BLOCK", STRIP * STRIP * n)
-        monkeypatch.setattr(metric, "_FLOOR", 1)    # n = 8 forms 288 entries: over the floor
+        monkeypatch.setattr(metric, "_FLOOR", 1)    # n = 12 states 234 entries: over the floor
     d = _ring_metric(n, seed=n)
     assert -(-n // min(n, isqrt(metric._BLOCK // n))) == strips
     fake_cpus(monkeypatch, cpus)

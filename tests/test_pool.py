@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from lipext import (InstanceValidationError, build_profiles, extend, extend_localized,
-                    instance_from_arrays, mcshane_lower_many, mcshane_upper_many, metric,
+                    instance_from_arrays, mcshane_upper_many, metric,
                     schedule_for_instance)
 from lipext import extension
 from lipext.metric import TRIANGLE_RTOL, MetricInstance, _triangle_violators
@@ -56,9 +56,8 @@ def _work_log(take):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_pool_runs_every_task_once_in_order(monkeypatch, cpus):
     fake_cpus(monkeypatch, cpus)
-    started, caps = count_starts(monkeypatch), []
-    done = metric._pool(_over(), lambda cap: caps.append(cap) or list(range(37)), _work_log)
-    assert caps == [cpus]   # the loop splits its budget among this many workers
+    started = count_starts(monkeypatch)
+    done = metric._pool(_over(), list(range(37)), _work_log)
     assert len(done) == cpus and len(started) == cpus - 1
     assert sorted(t for mine in done for t in mine) == list(range(37))
     assert all(mine == sorted(mine) for mine in done)   # each takes its tasks in order
@@ -75,43 +74,43 @@ def test_pool_runs_every_task_once_in_order(monkeypatch, cpus):
 def test_pool_thread_count(monkeypatch, cpus, tasks, threads):
     fake_cpus(monkeypatch, cpus)
     started = count_starts(monkeypatch)
-    done = metric._pool(_over(), lambda cap: range(tasks), _work_log)
+    done = metric._pool(_over(), range(tasks), _work_log)
     assert len(started) == threads
     assert sorted(t for mine in done for t in mine) == list(range(tasks))
 
 
 @pytest.mark.parametrize("block", [None, 1024])
 def test_pool_starts_threads_only_from_the_floor(monkeypatch, block):
-    # At 4 faked CPUs a loop one entry below _FLOOR budgets plans its blocks for one
-    # worker and starts no thread; at the floor it plans for 4 and starts 3.  The
+    # At 4 faked CPUs a loop one entry below _FLOOR budgets runs on the caller alone
+    # and starts no thread; at the floor it runs on 4 workers and starts 3.  The
     # floor is counted in budgets, so a lower _BLOCK lowers it with it.
     if block is not None:
         monkeypatch.setattr(metric, "_BLOCK", block)
     fake_cpus(monkeypatch, 4)
-    started, caps = count_starts(monkeypatch), []
+    started = count_starts(monkeypatch)
     floor = metric._FLOOR * metric._BLOCK
     assert floor == metric._FLOOR * (block or 1 << 16)
-    below = metric._pool(floor - 1, lambda cap: caps.append(cap) or range(40), _work_log)
-    assert caps == [1] and started == [] and len(below) == 1
-    at = metric._pool(floor, lambda cap: caps.append(cap) or range(40), _work_log)
-    assert caps == [1, 4] and len(started) == 3 and len(at) == 4
+    below = metric._pool(floor - 1, range(40), _work_log)
+    assert started == [] and len(below) == 1
+    at = metric._pool(floor, range(40), _work_log)
+    assert len(started) == 3 and len(at) == 4
     for done in (below, at):
         assert sorted(t for mine in done for t in mine) == list(range(40))
 
 
 def test_every_loop_states_the_entries_it_forms(monkeypatch):
-    # The triangle strips n^2 (n + 1) / 2, the query blocks queries x anchors, the
-    # cones queries x |C|, and each quartile pass n (n - 1) / 2.
+    # The triangle a quarter of its n^2 (n + 1) / 2 sums, the query blocks queries x
+    # anchors, the cones queries x |C|, and each quartile pass n (n - 1) / 2.
     pool, stated = metric._pool, []
 
-    def counted_pool(entries, plan, work):
+    def counted_pool(entries, tasks, work):
         stated.append(entries)
-        return pool(entries, plan, work)
+        return pool(entries, tasks, work)
     monkeypatch.setattr(metric, "_pool", counted_pool)
     monkeypatch.setattr(extension, "_pool", counted_pool)
     d = _many_strips(monkeypatch)
     instance_from_arrays(dmatrix=d, subset=[0], values=[0.0])
-    assert stated == [60 * 60 * 61 // 2]
+    assert stated == [60 * 60 * 61 // 8]
     inst, _ = _tie_instance()
     sch = schedule_for_instance(inst, 0.5)
     bank = build_profiles(inst, sch)
@@ -131,7 +130,7 @@ def test_pool_goes_on_when_a_thread_cannot_start(monkeypatch, fail):
     # Four faked CPUs ask for three threads; the workers that run take every task.
     fake_cpus(monkeypatch, 4)
     started = count_starts(monkeypatch, fail)
-    done = metric._pool(_over(), lambda cap: range(40), _work_log)
+    done = metric._pool(_over(), range(40), _work_log)
     assert len(started) == {(1,): 2, (2,): 2, "all": 0}[fail]
     assert len(done) == len(started) + 1
     assert sorted(t for mine in done for t in mine) == list(range(40))
@@ -154,7 +153,7 @@ def test_pool_raises_the_lowest_failing_task(monkeypatch, cpus):
                 raise KeyError("task 9")
             _slow_caller(0.001)
     with pytest.raises(ValueError, match="task 5"):
-        metric._pool(_over(), lambda cap: range(40), work)
+        metric._pool(_over(), range(40), work)
     assert not any(t.is_alive() for t in started)
     assert set(range(6)) <= set(ran) and len(ran) < 40
 
@@ -166,9 +165,9 @@ def test_pool_workers_keep_the_callers_errstate(monkeypatch):
     def work(take):
         return [np.float64(1e308) * 10 for _ in take]
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        metric._pool(_over(), lambda cap: range(8), work)
+        metric._pool(_over(), range(8), work)
     with np.errstate(over="ignore"):
-        done = metric._pool(_over(), lambda cap: range(8), work)
+        done = metric._pool(_over(), range(8), work)
     assert [v for mine in done for v in mine] == [np.inf] * 8
 
 
@@ -196,7 +195,7 @@ def test_lowest_anchor_wins_ties_in_blocks_of_different_workers(monkeypatch):
     bank = build_profiles(inst, sch)
     T, phi = extension._family(inst, bank, ties)
     assert np.array_equal(phi[0], phi[1]) and np.all(phi[0] == phi.min(axis=0))   # real ties
-    monkeypatch.setattr(metric, "_BLOCK", 12 * len(bank.anchors))   # 3 queries per block at 4
+    monkeypatch.setattr(metric, "_BLOCK", 3 * len(bank.anchors))    # 3 queries per block
     monkeypatch.setattr(metric, "_FLOOR", 1)    # 80 queries: over the floor
     family, takers = extension._family, {}
 
@@ -227,8 +226,8 @@ def test_lowest_anchor_wins_ties_in_blocks_of_different_workers(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_extension_and_cone_blocks_run_once(monkeypatch, cpus):
     # Every query is in exactly one block of the full pass, the localized pass of
-    # check_localization and the cone pass, and the blocks of all workers together
-    # hold one budget: each is at most 1 / cap of it.
+    # check_localization and the cone pass, and each block holds at most one budget,
+    # whatever the worker count.
     inst, _ = _tie_instance()
     queries = np.arange(inst.n)[::-1].copy()
     sch = schedule_for_instance(inst, 0.5, queries)
@@ -250,20 +249,48 @@ def test_extension_and_cone_blocks_run_once(monkeypatch, cpus):
     monkeypatch.setattr(extension, "_family", logged_family)
     field = extend(inst, sch, queries, profiles=bank)
     assert sorted(sum(read, [])) == list(range(inst.n))
-    assert max(map(len, read)) * len(bank.anchors) * min(cpus, 4) <= metric._BLOCK
+    assert max(map(len, read)) * len(bank.anchors) <= metric._BLOCK
+    whole = metric._row_blocks(inst.n, len(bank.anchors))      # at every worker count
+    assert sorted(read) == sorted(queries[s].tolist() for s in whole)
     read.clear()
     check_localization(inst, field, bank)
     assert sorted(sum(read, [])) == list(range(inst.n))
     monkeypatch.setattr(extension, "_family", family)
     monkeypatch.setattr(MetricInstance, "distances", logged_distances)
     read.clear()
-    upper, lower = mcshane_upper_many(inst, 2.0, queries), mcshane_lower_many(inst, 2.0, queries)
+    upper, lower = mcshane_upper_many(inst, 2.0, queries), extension._cones(inst, 2.0, queries)[1]
     assert sorted(sum(read, [])) == sorted(2 * list(range(inst.n)))
     monkeypatch.setattr(MetricInstance, "distances", distances)
     dd = dense(inst)[np.ix_(inst.subset, queries)]
     assert np.array_equal(upper, np.min(inst.values[:, None] + 2.0 * dd, axis=0))
     assert np.array_equal(lower, np.max(inst.values[:, None] - 2.0 * dd, axis=0))
     assert (started == []) == (cpus == 1)
+
+
+def test_whole_query_blocks_cost_a_fixed_memory_per_worker(monkeypatch):
+    # Over the floor each worker of the full pass, the localized pass and the cones takes
+    # whole blocks of one budget, with its own temporaries: the traced peak grows by the
+    # same few budgets per extra worker at both sizes (about 5.8, 6.3 and 3.3 on a 2-core
+    # x86-64 host; the bound is 7, and the two sizes agree within 1 budget).
+    budget, growth, started = 8 * metric._BLOCK, {}, count_starts(monkeypatch)
+    for n in (8000, 12000):
+        inst, queries = _cloud(n), np.arange(n)
+        sch = schedule_for_instance(inst, 0.5, queries)
+        bank = build_profiles(inst, sch)
+        assert n * min(len(bank.anchors), len(inst.subset)) >= metric._FLOOR * metric._BLOCK
+        loops = {"full": lambda: extension._infimum(inst, sch, queries, bank, False),
+                 "localized": lambda: extension._infimum(inst, sch, queries, bank, True),
+                 "cones": lambda: extension._cones(inst, inst.lipschitz_L, queries)}
+        for name, loop in loops.items():
+            peaks = {}
+            for cpus in (1, 4):
+                fake_cpus(monkeypatch, cpus)
+                threads = len(started)
+                peaks[cpus] = _traced_peak(loop)[1]
+                assert len(started) - threads == cpus - 1
+            growth[name, n] = (peaks[4] - peaks[1]) / 3 / budget
+    assert all(1 <= g <= 7 for g in growth.values()), growth
+    assert all(abs(growth[name, 8000] - growth[name, 12000]) <= 1 for name in loops), growth
 
 
 def test_one_query_starts_no_thread(monkeypatch):
@@ -296,9 +323,9 @@ def test_distance_quartiles_do_not_depend_on_the_worker_count(monkeypatch, cpus)
             rows.extend(range(a, a + len(d)))
             yield a, d, mask
 
-    def counted_pool(entries, plan, work):
+    def counted_pool(entries, tasks, work):
         passes.append(entries)
-        return pool(entries, plan, work)
+        return pool(entries, tasks, work)
     monkeypatch.setattr(metric, "_upper_blocks", counted_blocks)
     monkeypatch.setattr(metric, "_pool", counted_pool)
     assert _distance_quartiles(inst) == want
@@ -340,7 +367,7 @@ def test_shared_counts_survive_a_short_switch_interval(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = [_distance_quartiles(inst) for _ in range(3)]
-        done = metric._pool(_over(), lambda cap: range(3000), lambda take: sum(1 for _ in take))
+        done = metric._pool(_over(), range(3000), lambda take: sum(1 for _ in take))
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 3 and sum(done) == 3000
