@@ -307,7 +307,13 @@ def cutoff_support(field: ExtensionField, instance: MetricInstance,
     m_sup = max(float(np.max(np.abs(field.values))), field.g_abs_max)
     if m_sup == 0.0:
         return field
-    d_c = instance.distances(instance.subset, field.queries).min(axis=0)
+    queries, d_c = field.queries, np.empty(len(field.queries))
+
+    def work(blocks):   # d(., C) per query (column): blocks give the bits of one pass
+        for s in blocks:
+            d_c[s] = instance.distances(instance.subset, queries[s]).min(axis=0)
+    _pool(len(queries) * len(instance.subset),
+          _row_blocks(len(queries), len(instance.subset)), work)
     chi = np.clip(2.0 - (epsilon / (2.0 * m_sup)) * d_c, 0.0, 1.0)
     return replace(field, values=chi * field.values)
 

@@ -767,6 +767,30 @@ def test_cutoff_support_shape():
     assert np.max(ratios) <= L + epsilon + 1e-9
 
 
+def test_cutoff_support_memory_is_a_fraction_of_its_distances():
+    # d(., C) is read a query block at a time: no |C| x queries array.  A large
+    # epsilon puts the bump's slope inside the cube, so every distance counts.
+    n = 4000
+    rng = np.random.default_rng(7)
+    inst = instance_from_arrays(coords=rng.uniform(0.0, 1.0, (n, 3)),
+                                subset=np.arange(0, n, 10), values=rng.normal(size=n // 10))
+    field = extend(inst, schedule_for_instance(inst, 0.5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cut = cutoff_support(field, inst, 1000.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    entries = len(inst.subset) * len(field.queries)
+    m_sup = max(float(np.max(np.abs(field.values))), field.g_abs_max)
+    d_c = inst.distances(inst.subset, field.queries).min(axis=0)    # the whole array, once
+    chi = np.clip(2.0 - (1000.0 / (2.0 * m_sup)) * d_c, 0.0, 1.0)
+    assert np.any((chi > 0.0) & (chi < 1.0))
+    assert np.array_equal(cut.values, chi * field.values)
+    assert peak <= entries * 8 / 4, f"traced peak {peak / (entries * 8):.2f} x d(C, queries)"
+
+
 def test_truncation_tail_bound_negligible():
     # the constant-slope base band perturbs pen by at most width * slope,
     # kept below 1e-12 * L * diameter by the schedule depth policy

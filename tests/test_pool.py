@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from lipext import (InstanceValidationError, build_profiles, extend, extend_localized,
-                    instance_from_arrays, mcshane_upper_many, metric,
+from lipext import (InstanceValidationError, build_profiles, cutoff_support, extend,
+                    extend_localized, instance_from_arrays, mcshane_upper_many, metric,
                     schedule_for_instance)
 from lipext import extension
 from lipext.metric import TRIANGLE_RTOL, MetricInstance, _triangle_violators
@@ -100,7 +100,7 @@ def test_pool_starts_threads_only_from_the_floor(monkeypatch, block):
 
 def test_every_loop_states_the_entries_it_forms(monkeypatch):
     # The triangle a quarter of its n^2 (n + 1) / 2 sums, the query blocks queries x
-    # anchors, the cones queries x |C|, and each quartile pass n (n - 1) / 2.
+    # anchors, the cones and the cutoff queries x |C|, and each quartile pass n (n - 1) / 2.
     pool, stated = metric._pool, []
 
     def counted_pool(entries, tasks, work):
@@ -115,10 +115,11 @@ def test_every_loop_states_the_entries_it_forms(monkeypatch):
     sch = schedule_for_instance(inst, 0.5)
     bank = build_profiles(inst, sch)
     stated.clear()
-    extend(inst, sch, np.arange(50), profiles=bank)
+    field = extend(inst, sch, np.arange(50), profiles=bank)
     extend_localized(inst, sch, np.arange(30), profiles=bank)
     mcshane_upper_many(inst, 2.0, np.arange(20))
-    assert stated == [50 * len(bank.anchors), 30 * len(bank.anchors), 20 * 4]
+    cutoff_support(field, inst, 1.0)
+    assert stated == [50 * len(bank.anchors), 30 * len(bank.anchors), 20 * 4, 50 * 4]
     stated.clear()
     monkeypatch.setattr(metric, "_BLOCK", 50)     # three radix passes
     _distance_quartiles(inst)
@@ -226,8 +227,8 @@ def test_lowest_anchor_wins_ties_in_blocks_of_different_workers(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_extension_and_cone_blocks_run_once(monkeypatch, cpus):
     # Every query is in exactly one block of the full pass, the localized pass of
-    # check_localization and the cone pass, and each block holds at most one budget,
-    # whatever the worker count.
+    # check_localization, the cone pass and the cutoff's d(., C), and each block holds
+    # at most one budget, whatever the worker count.
     inst, _ = _tie_instance()
     queries = np.arange(inst.n)[::-1].copy()
     sch = schedule_for_instance(inst, 0.5, queries)
@@ -260,10 +261,17 @@ def test_extension_and_cone_blocks_run_once(monkeypatch, cpus):
     read.clear()
     upper, lower = mcshane_upper_many(inst, 2.0, queries), extension._cones(inst, 2.0, queries)[1]
     assert sorted(sum(read, [])) == sorted(2 * list(range(inst.n)))
+    read.clear()
+    cut = cutoff_support(field, inst, 1.0)
+    assert sorted(sum(read, [])) == list(range(inst.n))
+    assert max(map(len, read)) * len(inst.subset) <= metric._BLOCK
     monkeypatch.setattr(MetricInstance, "distances", distances)
     dd = dense(inst)[np.ix_(inst.subset, queries)]
     assert np.array_equal(upper, np.min(inst.values[:, None] + 2.0 * dd, axis=0))
     assert np.array_equal(lower, np.max(inst.values[:, None] - 2.0 * dd, axis=0))
+    m_sup = max(float(np.max(np.abs(field.values))), field.g_abs_max)
+    chi = np.clip(2.0 - (1.0 / (2.0 * m_sup)) * dd.min(axis=0), 0.0, 1.0)
+    assert np.array_equal(cut.values, chi * field.values)
     assert (started == []) == (cpus == 1)
 
 
