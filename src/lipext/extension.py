@@ -314,8 +314,9 @@ def cutoff_support(field: ExtensionField, instance: MetricInstance,
             d_c[s] = instance.distances(instance.subset, queries[s]).min(axis=0)
     _pool(len(queries) * len(instance.subset),
           _row_blocks(len(queries), len(instance.subset)), work)
-    chi = np.clip(2.0 - (epsilon / (2.0 * m_sup)) * d_c, 0.0, 1.0)
-    return replace(field, values=chi * field.values)
+    with np.errstate(over="ignore"):    # inf past binary64, a bump of 0; d = 0 skips inf * 0
+        t = np.multiply(epsilon / (2.0 * m_sup), d_c, out=np.zeros(len(d_c)), where=d_c > 0)
+    return replace(field, values=np.clip(2.0 - t, 0.0, 1.0) * field.values)
 
 
 # ---------------------------------------------------------------------------

@@ -530,7 +530,8 @@ def _pruned(instance: MetricInstance, points: np.ndarray) -> tuple[float, float]
         reach = m - ahead   # the later points p may meet: at first all of them
         while len(rows := np.flatnonzero(reach >= lag)):
             for s in _row_blocks(len(rows), chunk * dim):
-                i, o = np.nonzero(reach[rows[s], None] >= np.arange(lag, lag + chunk))
+                at = np.flatnonzero(reach[rows[s], None] >= np.arange(lag, lag + chunk))
+                i, o = np.divmod(at, chunk)
                 p, q = rows[s][i], rows[s][i] + lag + o
                 d = _euclidean_block(srt[p], srt[q], np.empty(len(p)), np.empty(len(p) * dim))
                 if not 0.0 < d.min() <= d.max() < np.inf:
@@ -606,20 +607,19 @@ class _TopPairs:
     whichever of the ties at the K-th value are kept; fewer than K are kept
     only when fewer are positive, and then no positive pair is left out.
     """
-    i = j = np.empty(0, np.intp)
-    ratio = np.empty(0)
+    ends, ratio = np.empty((2, 0), np.intp), np.empty(0)     # (i, j) of each kept ratio
 
-    def __call__(self, a, d, ratios):
-        r, c = np.nonzero(ratios > (self.ratio.min() if len(self.ratio) == _TOP_K else 0.0))
-        self.ratio = np.concatenate([self.ratio, ratios[r, c]])
-        self.i, self.j = np.concatenate([self.i, r + a]), np.concatenate([self.j, c + a])
+    def __call__(self, a, d, ratios):   # a flat scan: np.nonzero's order, a tenth of its cost
+        at = np.flatnonzero(ratios > (self.ratio.min() if len(self.ratio) == _TOP_K else 0.0))
+        self.ratio = np.concatenate([self.ratio, ratios.take(at)])
+        self.ends = np.concatenate([self.ends, np.add(np.divmod(at, ratios.shape[1]), a)], 1)
         if len(self.ratio) > _TOP_K:
             keep = np.argpartition(self.ratio, len(self.ratio) - _TOP_K)[-_TOP_K:]
-            self.i, self.j, self.ratio = self.i[keep], self.j[keep], self.ratio[keep]
+            self.ends, self.ratio = self.ends[:, keep], self.ratio[keep]
 
     def pairs(self):
         order = np.argsort(-self.ratio, kind="stable")
-        return self.i[order], self.j[order], self.ratio[order]
+        return *self.ends[:, order], self.ratio[order]
 
 
 def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.ndarray:
@@ -627,23 +627,21 @@ def ball_lips(instance: MetricInstance, members, values, centers, radii) -> np.n
     over the members in the OPEN ball ``{i : d(centers[c], members[i]) < radii[j]}``;
     for a 2-D ``values``, entry ``[v, c, j]`` is that of its row ``v``.
 
-    A ball of at most one member, whose radius is at most its center's
-    second-least distance, is 0 at once.  Only members within ``max(radii)`` of
-    a center with two or more there take part, in their given order.  One
-    :func:`_pair_walk` of their pairs keeps the ``_TOP_K`` largest ratios of each
-    row (:class:`_TopPairs`), and these are read in descending order: a
-    ball's answer is the first pair whose farther end lies inside it.  That
-    pair is a certificate: every pair left out is at most the smallest pair
-    kept, so the answer is the same computed float as a scan of every pair in
-    the ball.  The far ends are read in growing prefixes of the kept pairs (the
-    first 64, then 4 times the last: 256, 1024, 4096), for the centers with a ball
-    still open, one whose radius is at most the least far end read so far.  A ball
-    open after every kept pair is 0 when fewer than K pairs were kept.
-    Otherwise its radii recurse on its row: the members left are those of the
-    largest, whose steepest pair is kept there, so each level settles at least
-    that radius.  No |members| x |members| array is built, and one
-    ``d(centers, members)`` serves every row: the prefixes read its columns at
-    the kept pairs, in :func:`_row_blocks` of centers.
+    A ball of at most one member, whose radius is at most its center's second-least
+    distance, is 0 at once.  Only members within ``max(radii)`` of a center with two or
+    more there take part, in their given order.  One :func:`_pair_walk` of their pairs
+    keeps the ``_TOP_K`` largest ratios of each row (:class:`_TopPairs`), and these are
+    read in descending order: a ball's answer is the first pair whose farther end lies
+    inside it.  That pair is a certificate: every pair left out is at most the smallest
+    pair kept, so the answer is the same computed float as a scan of every pair in the
+    ball.  The far ends are read in growing prefixes of the kept pairs (the first 64, then
+    4 times the last: 256, 1024, 4096), for the centers with a ball still open, one whose
+    radius is at most the least far end read so far.  A ball open after every kept pair is
+    0 when fewer than K pairs were kept, else the :class:`_SteepestPair` of one
+    :func:`_pair_walk` of its members (0 without a pair): the same ratios, maxed over the
+    same pairs.  No |members| x |members| array is built, and one ``d(centers, members)``
+    serves every row: the prefixes read its columns at the kept pairs, in
+    :func:`_row_blocks` of centers, and each 2-D mask flat, by ``np.flatnonzero``.
 
     ``members`` must be distinct and ``values`` finite; ``centers`` are any point
     indices and ``radii`` any nonnegative reals, in any order and with repeats.
@@ -666,8 +664,7 @@ def _ball_lips(instance: MetricInstance, members, values, d_rows, radii):
     live = np.zeros((len(d_rows), len(radii)), bool)
     for s in _row_blocks(len(d_rows), d_rows.shape[1]) if d_rows.shape[1] > 1 else ():
         live[s] = radii > np.partition(d_rows[s], 1, axis=1)[:, 1, None]
-    inside = d_rows < radii.max(initial=0.0)
-    reach = np.flatnonzero(inside[live.any(axis=1)].any(axis=0))
+    reach = np.flatnonzero((d_rows < radii.max(initial=0.0))[live.any(axis=1)].any(axis=0))
     folds = [_TopPairs() for _ in values] if len(reach) > 1 else []
     yield [(members[reach], v[reach], fold) for v, fold in zip(values, folds)]
     out = np.zeros((len(values), len(d_rows), len(radii)))
@@ -676,21 +673,23 @@ def _ball_lips(instance: MetricInstance, members, values, d_rows, radii):
         first, second = reach[first], reach[second]     # columns of d_rows
         # The running minimum of the far ends read so far: an entry is open while
         # its radius is at most this, and it settles at the first pair below it.
-        low, a, b = np.full(len(d_rows), np.inf), 0, 64
+        low, a, b = np.full(len(d_rows), np.inf), 0, min(64, len(top))
         while len(rows := np.flatnonzero((live & (radii <= low[:, None])).any(1))) and a < len(top):
-            b = min(b, len(top))
             for s in _row_blocks(len(rows), (b - a) * len(radii)):
                 r = rows[s]
-                far = np.maximum(d_rows[r[:, None], first[a:b]], d_rows[r[:, None], second[a:b]])
+                at = r[:, None] * d_rows.shape[1]   # flat takes: a third faster than d_rows[r, c]
+                far = np.maximum(d_rows.take(at + first[a:b]), d_rows.take(at + second[a:b]))
                 least = far.min(axis=1)
-                i, j = np.nonzero(live[r] & (radii <= low[r, None]) & (radii > least[:, None]))
+                i, j = np.divmod(np.flatnonzero(live[r] & (radii <= low[r, None])
+                                                & (radii > least[:, None])), len(radii))
                 lips[r[i], j] = top[a + np.argmax(far[i] < radii[j, None], axis=1)]
                 low[r] = np.minimum(low[r], least)
-            a, b = b, 4 * b
+            a, b = b, min(4 * b, len(top))
         for row in rows if len(top) == _TOP_K else ():  # open balls hold no kept pair
-            rest = live[row] & (radii <= low[row])
-            lips[row, rest] = _walk_scans(instance, _ball_lips(
-                instance, members, [v], d_rows[row:row + 1], radii[rest]))[0][0, 0]
+            for j in np.flatnonzero(live[row] & (radii <= low[row])):
+                ball = d_rows[row] < radii[j]
+                _pair_walk(instance, members[ball], [(v[ball], [steepest := _SteepestPair()])])
+                lips[row, j] = 0.0 if steepest.best is None else steepest.best[0]
     return out
 
 

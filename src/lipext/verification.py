@@ -333,7 +333,7 @@ def _inf_family(instance, profiles, members, budget):
         got = max(got, float(ratios.max()))
         close = d < reach
         if np.count_nonzero(close) > len(d):            # more than the diagonal
-            first, second = np.nonzero(np.triu(close, 1))
+            first, second = np.divmod(np.flatnonzero(np.triu(close, 1)), close.shape[1])
             pts, at = np.unique(np.concatenate([first, second]) + a, return_inverse=True)
             phi, at = _family(instance, profiles, members[pts])[1], at.reshape(2, -1)
             for q in _row_blocks(len(first), rows):

@@ -9,11 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lipext import ProfileBank, ball_lips, instance_from_arrays, verification
 from lipext.cli import grid_instance
 
 __all__ = ["grid_instance"]
+
+# The longer CLI fuzz run: ``pytest --hypothesis-profile fuzz-long tests/test_cli_fuzz.py``
+# draws 20,000 examples where the tier-1 run draws 500 (its own CI step).
+settings.register_profile("fuzz-long", max_examples=20_000)
 
 
 def random_instance(seed, n_max=200, c_max=50, dim_max=5):

@@ -97,7 +97,8 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None,
+          derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(_run())
 def test_every_input_ends_in_a_clean_exit(workdir, run):

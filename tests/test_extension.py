@@ -791,6 +791,21 @@ def test_cutoff_support_memory_is_a_fraction_of_its_distances():
     assert peak <= entries * 8 / 4, f"traced peak {peak / (entries * 8):.2f} x d(C, queries)"
 
 
+@pytest.mark.parametrize("scale", [0.1, 1e-3])
+def test_cutoff_past_binary64_is_a_bump_of_zero(scale):
+    """At eps = 1e308 the bump's slope eps / 2M times a distance passes binary64 (and
+    with data near 1e-3, eps / 2M itself does): the bump is 0 there, without an
+    overflow warning (an error under the suite's filter), and 1 at distance 0, where
+    inf * 0 would give nan."""
+    inst = instance_from_arrays(coords=np.arange(8.0)[:, None], subset=[0, 3],
+                                values=[0.0, 3.0 * scale])
+    field = extend(inst, schedule_for_instance(inst, 0.5))
+    cut = cutoff_support(field, inst, 1e308)
+    on_c = np.isin(field.queries, inst.subset)
+    assert np.array_equal(cut.values[on_c], field.values[on_c])
+    assert np.all(cut.values[~on_c] == 0.0) and np.any(field.values[~on_c] != 0.0)
+
+
 def test_truncation_tail_bound_negligible():
     # the constant-slope base band perturbs pen by at most width * slope,
     # kept below 1e-12 * L * diameter by the schedule depth policy

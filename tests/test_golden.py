@@ -44,8 +44,8 @@ def test_golden_report_bytes(case, tmp_path, capsys):
 def test_golden_bytes_do_not_depend_on_block_or_top_k(case, name, tmp_path, capsys,
                                                       monkeypatch):
     """One-row blocks in every scan, or one kept pair (every other ball is settled
-    by the recursion of ``ball_lips``): each blocked step is per row or per
-    column, or a max, min or histogram over the blocks, so the bytes stay."""
+    by a walk of its own members in ``ball_lips``): each blocked step is per row
+    or per column, or a max, min or histogram over the blocks, so the bytes stay."""
     monkeypatch.setattr(metric, name, 1)
     assert _report_bytes(case, tmp_path, capsys) == (GOLDEN / case["report"]).read_bytes()
 

@@ -3,13 +3,13 @@
 ``ball_lips`` streams the pair ratios of the members some ball can reach in
 row blocks of ``_BLOCK`` entries, keeps the ``_TOP_K`` largest pairs and
 answers each ball from the first of them whose farther end lies inside it.
-A ball that holds none of them recurses on its center with the members of
-the largest such ball, whose steepest pair that level keeps.
+A ball that holds none of them is settled by one walk of its own members,
+and no walk of pairs runs inside another.
 ``check_inf_family`` builds the family from a profile bank, scans every pair
 for the family's minimum and scans the members only on the pairs closer than
 their slope certificate's ``delta``.  Both are compared with brute force: the
 kernel with K patched down to 1 and 2 and around the pair count (ties at the
-K-th value, balls answered by the recursion, unsorted and repeated radii, the
+K-th value, balls answered by their own walk, unsorted and repeated radii, the
 tie-heavy metrics of ``test_ties``), with ``_BLOCK`` patched down to blocks of
 1, 2 and 7 rows, at the block boundaries, and with first hits on both sides of
 each boundary of the prefixes of kept pairs it reads; the family check against the
@@ -29,9 +29,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipext import (ParameterError, ball_lips, build_profiles, check_inf_family, energy,
-                    instance_from_arrays, lip_constant, lipa_profile, run_suite,
-                    schedule_for_instance, validate_instance, validate_measure)
+from lipext import (ParameterError, ball_lips, build_profiles, check_extension_energy,
+                    check_inf_family, check_restriction_monotonicity, energy,
+                    instance_from_arrays, lip_constant, lipa_profile, mcshane_upper_many,
+                    run_suite, schedule_for_instance, validate_instance, validate_measure)
 from lipext import metric
 
 from conftest import bank_rows, dense, family_rows, grid_instance, hand_bank, oracle_lip
@@ -55,7 +56,8 @@ def _radius_for_count(sorted_d, count):
 def test_ball_lips_matches_oracle_across_row_chunks(monkeypatch):
     # Blocks of rows x rows entries: the pairs of a ball of `rows` members are
     # one block, those of a ball with one more member two.  With K = 1 most
-    # balls recurse, so the balls of the counts below are scanned at those edges.
+    # balls walk their own members, so the balls of the counts below are scanned
+    # at those edges.
     rows = 128
     n = 2 * rows + 40
     inst = _cloud(0, n)
@@ -161,8 +163,8 @@ def test_ball_lips_empty_centers_or_radii():
 def test_ball_lips_rows_give_the_bits_of_one_call_each(monkeypatch, kind, top_k):
     """A 2-D ``values`` shares one pair walk among its rows, and a repeated row
     its ratio block too, and row ``v`` of the answer is the bits of a call with
-    that row alone: with every ball answered from the kept pairs or by the
-    recursion (K = 1), on a cloud and on the golden shortest-path matrix."""
+    that row alone: with every ball answered from the kept pairs or by its own
+    walk (K = 1), on a cloud and on the golden shortest-path matrix."""
     if kind == "cloud":
         inst = _cloud(17, 150)
     else:
@@ -317,7 +319,7 @@ def test_top_k_kernel_matches_oracle(monkeypatch, case, k_of_pairs):
                          ids=["1", "2", "pairs-1", "pairs", "pairs+1"])
 @pytest.mark.parametrize("case", TOP_K_CASES, ids=TOP_K_IDS)
 def test_streamed_kernel_matches_oracle_in_small_blocks(monkeypatch, case, k_of_pairs, rows):
-    """Blocks of 1, 2 and 7 rows: the running top-K, the recursion on the balls
+    """Blocks of 1, 2 and 7 rows: the running top-K, the walks of the balls
     without a kept pair (whose fewer members take as many rows or more) and
     ``lip_constant`` all read the ratios block by block."""
     inst, domain, vals = case
@@ -399,8 +401,8 @@ def test_top_k_ties_straddle_the_kth_value(monkeypatch):
 @pytest.mark.parametrize("case", [TOP_K_CASES[0], *TOP_K_CASES[3:]],
                          ids=[TOP_K_IDS[0], *TOP_K_IDS[3:]])
 def test_top_k_fallback_answers_balls_without_a_top_pair(monkeypatch, case):
-    """With K = 1 every ball that misses the steepest pair is answered by the
-    recursion, and some such ball is steep but less steep than the top pair.
+    """With K = 1 every ball that misses the steepest pair is answered by its
+    own walk, and some such ball is steep but less steep than the top pair.
     (The discrete metric has no such ball: each is one point or the whole space.)"""
     inst, domain, vals = case
     monkeypatch.setattr(metric, "_TOP_K", 1)
@@ -413,7 +415,7 @@ def test_top_k_fallback_answers_balls_without_a_top_pair(monkeypatch, case):
 
 
 def test_top_k_kernel_on_a_cloud_with_few_top_pairs(monkeypatch):
-    """K = 5 leaves most balls to the recursion, whose pair scans read blocks of
+    """K = 5 leaves most balls to their own walks, whose pair scans read blocks of
     at most 1000 entries."""
     n = 158
     inst = _cloud(13, n)
@@ -430,29 +432,140 @@ def test_top_k_kernel_on_a_cloud_with_few_top_pairs(monkeypatch):
     assert np.array_equal(want, _oracle_balls(inst, domain, vals, centers, radii))
 
 
-def test_recursion_settles_nested_balls_one_level_each(monkeypatch):
-    """K = 1 on a line whose gaps grow steeper outward: each level keeps the
-    steepest pair of the largest ball left, which only that ball holds, so the
-    core recurses once per radius, each call on one radius fewer."""
-    m = 8
+def _count_walks(monkeypatch):
+    """Record each :func:`~lipext.metric._walk_scans` and :func:`~lipext.metric._pair_walk`
+    call: ``depths`` the walk scans open at each scan's start (1 for a scan inside
+    none), ``walks`` the sorted points of each pair walk."""
+    depths, walks, running = [], [], [0]
+    scans, walk = metric._walk_scans, metric._pair_walk
+
+    def scan(*args):
+        running[0] += 1
+        depths.append(running[0])
+        try:
+            return scans(*args)
+        finally:
+            running[0] -= 1
+
+    monkeypatch.setattr(metric, "_walk_scans", scan)
+    monkeypatch.setattr(metric, "_pair_walk", lambda inst, pts, rows: walks.append(
+        sorted(pts.tolist())) or walk(inst, pts, rows))
+    return depths, walks
+
+
+def _steep_line(m=8):
+    """The points 0..m of a line, ``domain`` a permutation of them and ``radii`` k + 1/2
+    for k = 1..m in random order: ball ``k + 1/2`` at point 0 holds points 0..k."""
     inst = instance_from_arrays(coords=np.arange(m + 1.0)[:, None], subset=[0, 1],
                                 values=[0.0, 1.0])
     rng = np.random.default_rng(16)
-    domain = rng.permutation(m + 1)
+    return inst, rng.permutation(m + 1), rng.permutation(np.arange(1.0, m + 1.0) + 0.5)
+
+
+def test_open_balls_settle_by_one_walk_of_their_own_members(monkeypatch):
+    """K = 1 on a line whose gaps grow steeper outward: the one kept pair, the
+    steepest, lies only in the largest ball, so every other radius is still open
+    after the kept pairs and is settled by one walk of exactly its own members, in
+    the order of the radii, and no walk scan runs inside another."""
+    m = 8
+    inst, domain, radii = _steep_line(m)
     vals = domain * (domain + 1) / 2.0         # slope i from point i - 1 to point i
-    radii = rng.permutation(np.arange(1.0, m + 1.0) + 0.5)
-    core, calls = metric._ball_lips, []
-
-    def counted(instance, members, values, d_rows, radii):
-        calls.append(len(radii))
-        return core(instance, members, values, d_rows, radii)
-
+    depths, walks = _count_walks(monkeypatch)
     monkeypatch.setattr(metric, "_TOP_K", 1)
-    monkeypatch.setattr(metric, "_ball_lips", counted)
     got = ball_lips(inst, domain, vals, [0], radii)
-    assert calls == list(range(m, 0, -1))
+    assert depths == [1]
+    assert walks == [list(range(m + 1)), *(list(range(int(r) + 1)) for r in radii if r < m)]
     assert np.array_equal(got, _oracle_balls(inst, domain, vals, [0], radii))
     assert sorted(got[0].tolist()) == list(range(1, m + 1))
+
+
+def test_open_balls_of_each_values_row_are_its_own(monkeypatch):
+    """K = 1 and three rows of values on the steep line: row 0 is steepest at the far
+    end (every radius but the largest stays open), row 1 at the center (none does) and
+    row 2 at its one steep step from point 4 to 5 (radii below 5 do).  Each row walks
+    its own open balls, after the one walk of the kept pairs that all rows share."""
+    m = 8
+    inst, domain, radii = _steep_line(m)
+    x = np.arange(m + 1.0)
+    rows = np.stack([x * (x + 1) / 2, np.cumsum(np.r_[0.0, np.arange(m, 0.0, -1)]),
+                     x + 9.0 * (x >= 5)])[:, domain]
+    depths, walks = _count_walks(monkeypatch)
+    monkeypatch.setattr(metric, "_TOP_K", 1)
+    got = ball_lips(inst, domain, rows, [0], radii)
+    assert depths == [1]
+    assert walks == [list(range(m + 1)), *(list(range(int(r) + 1)) for r in radii if r < m),
+                     *(list(range(int(r) + 1)) for r in radii if r < 5)]
+    for row, vals in zip(got, rows):
+        assert np.array_equal(row, _oracle_balls(inst, domain, vals, [0], radii))
+    assert np.all(got[1] == m) and np.all(got[2, 0, radii < 5] == 1.0)
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 3, 4])
+def test_open_balls_at_ties_with_the_kth_kept_ratio(top_k, monkeypatch):
+    """Three pairs of a line share the largest ratio 3, each the steepest of its own
+    ball.  K below 3 keeps some of the tied pairs and leaves the others out, so the
+    balls of those are still open and are walked (one walk each); every ball is 3."""
+    inst = instance_from_arrays(coords=np.arange(8.0)[:, None], subset=[0, 1],
+                                values=[0.0, 1.0])
+    domain, vals = np.arange(8), np.array([0.0, 3, 3, 3, 6, 6, 6, 9])
+    centers, radii = [0, 4, 7], [1.5]          # the balls {0, 1}, {3, 4, 5} and {6, 7}
+    depths, walks = _count_walks(monkeypatch)
+    monkeypatch.setattr(metric, "_TOP_K", top_k)
+    got = ball_lips(inst, domain, vals, centers, radii)
+    assert got.tolist() == [[3.0]] * 3
+    assert np.array_equal(got, _oracle_balls(inst, domain, vals, centers, radii))
+    assert depths == [1] and len(walks) == 1 + max(0, 3 - top_k)
+    assert all(ball in ([0, 1], [3, 4, 5], [6, 7]) for ball in walks[1:])
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 5])
+def test_open_balls_skip_pairs_at_distance_zero(top_k, monkeypatch):
+    """A pseudometric, built without validation: members 10 and 11 repeat the
+    coordinates of 2 and 3 with values 100 above them.  A pair at distance 0 is no
+    pair, in the kept pairs and in the walk of an open ball alike: the ball at 2 of
+    radius 1/2 holds 2 and 10 and is 0, and every ball is the maximum over its pairs
+    at a positive distance."""
+    line = instance_from_arrays(coords=np.arange(10.0)[:, None], subset=[0, 1],
+                                values=[0.0, 1.0])
+    inst = replace(line, coords=np.arange(10.0)[[*range(10), 2, 3], None])
+    rng = np.random.default_rng(41)
+    domain = rng.permutation(12)
+    vals = (0.1 * inst.coords[:, 0] + 100.0 * (np.arange(12) >= 10))[domain]
+    d = dense(inst)
+    radii = tie_radii(inst)
+    want = np.zeros((12, len(radii)))
+    for (c, j), _ in np.ndenumerate(want):
+        ball = np.flatnonzero(d[c, domain] < radii[j])
+        a, b = np.triu_indices(len(ball), 1)
+        gap, far = np.abs(vals[ball[a]] - vals[ball[b]]), d[domain[ball[a]], domain[ball[b]]]
+        want[c, j] = np.max(gap[far > 0] / far[far > 0], initial=0.0)
+    depths, walks = _count_walks(monkeypatch)
+    monkeypatch.setattr(metric, "_TOP_K", top_k)
+    got = ball_lips(inst, domain, vals, np.arange(12), radii)
+    assert got.tobytes() == want.tobytes()
+    assert radii[0] == 0.5 and got[2, 0] == 0.0 and [2, 10] in walks[1:]
+    assert depths == [1]
+
+
+def test_energy_checks_run_no_walk_scan_inside_another(monkeypatch):
+    """The energy workload's shape: a seeded 3-D cloud of 2000 points, |C| = 200 with
+    masses, both energy checks at radii 0.2, 0.4 and 0.6.  Many balls are still open
+    after their kept pairs, and each is settled by a walk of its own: every walk scan
+    runs at the top level (the settling was once a nested one per center)."""
+    rng = np.random.default_rng(40)
+    coords = rng.uniform(0.0, 1.0, (2000, 3))
+    subset = np.sort(rng.choice(2000, size=200, replace=False))
+    inst = instance_from_arrays(coords=coords, subset=subset,
+                                values=np.sin(4.0 * coords[subset, 0]) + coords[subset, 2] ** 2)
+    masses = np.zeros(2000)
+    masses[subset] = rng.uniform(0.1, 2.0, 200)
+    measure = validate_measure(inst, masses, 2.0)
+    h = mcshane_upper_many(inst, inst.lipschitz_L, np.arange(2000))
+    depths, walks = _count_walks(monkeypatch)
+    assert check_restriction_monotonicity(inst, h, measure, [0.2, 0.4, 0.6])[0].passed
+    assert check_extension_energy(inst, measure, [0.2, 0.4, 0.6], 0.05)[0].passed
+    assert max(depths) == 1
+    assert len(walks) - len(depths) >= 50
 
 
 def _kept_order_case(seed=1, m=100):
@@ -504,8 +617,8 @@ def test_ball_lips_settles_each_ball_at_its_first_kept_pair(monkeypatch, top_k):
     256, 1024 and 4096), and each ball settles at its first pair inside it.  First
     hits sit on both sides of each prefix boundary, and in nested rows a ball settles
     in one prefix while a smaller one stays open into a later one.  K = 8192 keeps all
-    4950 pairs, so no ball recurses; K = 4096 leaves the pair at 4096 to the
-    recursion, and K = 1, 7, 64 and 65 most balls.  The radii repeat, come unsorted,
+    4950 pairs, so no ball walks its own members; K = 4096 leaves the pair at 4096
+    to such a walk, and K = 1, 7, 64 and 65 most balls.  The radii repeat, come unsorted,
     and include 0, inf and the rows' second-least distance (1: a ball of no member);
     ``values`` has two rows.  Every entry is the bits of a dense scan."""
     inst, members, values, centers, hits, (pi, pj) = _kept_order_case()

@@ -99,7 +99,7 @@ RUNGS = {
     # tier-1 does not reach.
     "verify-8000": Rung(VERIFY, ("cloud_instance", 8000, 800, False), mb=120, check=_exhaustive),
     # energy runs ball_lips with the mass support as centers and every point as members,
-    # the heaviest use of its kept-pair prefixes and of its recursion.
+    # the heaviest use of its kept-pair prefixes and of its walks of open balls.
     "energy-8000": Rung(("energy", "--p", "2", "--radii", "0.2,0.4,0.6"),
                         ("cloud_instance", 8000, 800, True)),
     # The n=16000 rung of ROADMAP item 16. CI runs it again under taskset -c 0 and
